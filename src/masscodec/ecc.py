@@ -52,6 +52,7 @@ from .codec import (
     assemble_codeword,
     block_balance,
     next_square,
+    plain_layout,
 )
 from .codec import encode as plain_encode
 from .core import BitString, BitsLike, CompositionMultiset
@@ -216,18 +217,9 @@ def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
             f"{one_step_requirement(m, t)}"
         )
     pair = block_balance(_left_pad(word, m))
-    layout = _plain_style_layout(len(word))
+    layout = plain_layout(len(word))
     bits = assemble_codeword(layout, pair.r, pair.u)
     return McCodeword(bits=bits, layout=layout, origin=s)
-
-
-def _plain_style_layout(word_len: int) -> McLayout:
-    m, root = next_square(word_len)
-    lead = math.ceil(5 * root / 2)
-    N = m + math.ceil(17 * root / 2)
-    if N % 2:
-        N += 1
-    return McLayout(n=word_len, m=m, root=root, pad=m - word_len, lead=lead, z_len=0, N=N)
 
 
 def one_step_codebook(

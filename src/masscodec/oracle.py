@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult
-from .core import (
-    BitString,
-    CompositionMultiset,
-    full_multiset,
-    prefix_multiset,
-    real_sum,
-)
+from .core import BitString, Composition, CompositionMultiset
 from .errors import SearchSpaceTooLarge
 
 Strings = Union[BhCodebook, Sequence[BitString]]
@@ -31,6 +25,18 @@ def _as_strings(codebook: Strings) -> tuple[BitString, ...]:
     if isinstance(codebook, BhCodebook):
         return codebook.strings
     return tuple(BitString(s) for s in codebook)
+
+
+def _fragments(s: BitString, side: str) -> CompositionMultiset:
+    """Compositions of every prefix of s and, for ``side="full"``, every
+    suffix, counted from the bits by the definition."""
+    reads = (s.bits,) if side == "prefix" else (s.bits, s.bits[::-1])
+    comps = []
+    for bits in reads:
+        for i in range(1, len(bits) + 1):
+            ones = sum(bits[:i])
+            comps.append(Composition(i - ones, ones))
+    return CompositionMultiset(comps)
 
 
 def verify_hmc(
@@ -49,12 +55,9 @@ def verify_hmc(
     total = sum(math.comb(len(strings), k) for k in range(1, h + 1))
     if total > budget:
         raise SearchSpaceTooLarge(f"{total} subsets exceed the budget {budget}")
-    if side == "full":
-        per_string = {s: full_multiset(s) for s in strings}
-    elif side == "prefix":
-        per_string = {s: prefix_multiset(s) for s in strings}
-    else:
+    if side not in ("full", "prefix"):
         raise ValueError(f"side must be 'full' or 'prefix', got {side!r}")
+    per_string = {s: _fragments(s, side) for s in strings}
     seen: dict = {}
     for k in range(1, h + 1):
         for subset in itertools.combinations(strings, k):
@@ -212,7 +215,7 @@ def brute_decode(
         raise SearchSpaceTooLarge(
             f"{math.comb(len(strings), size)} subsets exceed the budget {budget}"
         )
-    per_string = {s: full_multiset(s) for s in strings}
+    per_string = {s: _fragments(s, "full") for s in strings}
     hits = []
     for subset in itertools.combinations(sorted(strings), size):
         candidate = per_string[subset[0]].union(*(per_string[s] for s in subset[1:]))

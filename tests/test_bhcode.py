@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from masscodec.bhcode import (
+    DEFAULT_BUDGET,
     BhCodebook,
     ParityCheckSpec,
     build_bh_codebook,
@@ -13,6 +17,7 @@ from masscodec.bhcode import (
     invert_sum,
     verify_bh,
 )
+from masscodec.codec import decode_mixture, encode_codebook
 from masscodec.core import BitString, mod2_sum, real_sum
 from masscodec.errors import (
     AmbiguousSolution,
@@ -142,6 +147,94 @@ def test_mod2_ambiguity_exists_for_explicit_codebooks():
     assert verify_bh(cb, 2).valid
     with pytest.raises(AmbiguousSolution):
         invert_mod2_sum(cb, BitString("00011"), 2)
+
+
+def _mod2_referee(strings, hbar):
+    """Every mod-2 sum of hbar strings, mapped to the subsets reaching it."""
+    table = {}
+    for subset in itertools.combinations(strings, hbar):
+        table.setdefault(mod2_sum(subset), []).append(subset)
+    return table
+
+
+def _lookup_outcome(codebook, target, hbar):
+    try:
+        return invert_mod2_sum(codebook, target, hbar)
+    except (AmbiguousSolution, NoSolution) as exc:
+        return type(exc)
+
+
+def _referee_outcome(table, target):
+    hits = table.get(target, [])
+    if not hits:
+        return NoSolution
+    if len(hits) > 1:
+        return AmbiguousSolution
+    return hits[0]
+
+
+def _assert_lookup_matches_referee(codebook, hbar, targets):
+    table = _mod2_referee(codebook.strings, hbar)
+    for target in list(table) + list(targets):
+        assert _lookup_outcome(codebook, target, hbar) == _referee_outcome(
+            table, target
+        ), (hbar, str(target))
+
+
+@pytest.mark.parametrize("name,h", [("bch_15_7", 2), ("bch_15_5", 3), ("bch_255_cols20", 2)])
+def test_invert_mod2_sum_matches_exhaustive_referee_on_bundled_codebooks(name, h):
+    # every reachable target plus random ones (mostly unreachable)
+    codebook = build_bh_codebook(h, bundled_spec(name))
+    rng = random.Random(2024)
+    for hbar in range(1, h + 1):
+        randoms = [BitString.random(codebook.n, rng) for _ in range(200)]
+        _assert_lookup_matches_referee(codebook, hbar, randoms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_invert_mod2_sum_matches_exhaustive_referee_on_explicit_codebooks(seed):
+    # short strings make shared mod-2 sums (AmbiguousSolution) and missing
+    # ones (NoSolution) common; every target of the length is tried
+    rng = random.Random(seed)
+    n = rng.choice((4, 5, 6))
+    size = rng.randint(5, 9)
+    strings = rng.sample([BitString.from_int(v, n) for v in range(1, 2**n)], size)
+    codebook = BhCodebook.explicit(strings, 4)
+    every = [BitString.from_int(v, n) for v in range(2**n)]
+    for hbar in (2, 3, 4):
+        _assert_lookup_matches_referee(codebook, hbar, every)
+
+
+def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
+    # hbar = 3 splits into halves of 1 and 2: C(15, 2) + C(15, 1) = 120
+    subset = b3_codebook.strings[2:5]
+    target = mod2_sum(subset)
+    enumerated = math.comb(15, 2) + math.comb(15, 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        invert_mod2_sum(b3_codebook, target, 3, budget=enumerated - 1)
+    assert invert_mod2_sum(b3_codebook, target, 3, budget=enumerated) == subset
+
+
+def _bch_255_h4_codebook():
+    """All 255 columns of the m = 8 BCH matrix with powers {1, 3, 5, 7}, d = 9."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gen_code_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_code_tables", path)
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    H = tables.alpha_power_pcm(8, 255, [1, 3, 5, 7])
+    rows = tuple(tuple(int(b) for b in row) for row in H)
+    return build_bh_codebook(4, ParityCheckSpec(rows, 9))
+
+
+def test_decode_mixture_of_four_from_255_columns():
+    # C(255, 4) ~ 1.7e8 exceeds the default budget; the halves, 2 x C(255, 2)
+    # = 64,770 subsets, do not
+    book = encode_codebook(_bch_255_h4_codebook())
+    assert math.comb(255, 4) > DEFAULT_BUDGET
+    rng = random.Random(255)
+    for _ in range(3):
+        sources = rng.sample(book.base.strings, 4)
+        assert decode_mixture(book.pool_of(sources), book) == frozenset(sources)
 
 
 def test_codebook_rate():
