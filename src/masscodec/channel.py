@@ -20,8 +20,8 @@ the correction is not, and the report below keeps those outcomes apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import oracle
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_sum
@@ -33,11 +33,15 @@ from .core import (
 )
 from .errors import (
     Conflict,
+    MasscodecError,
     NegativeIncrement,
     NotMassReducing,
     PatternNotPresent,
     SearchSpaceTooLarge,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PREFIX = "prefix"
 SUFFIX = "suffix"
@@ -112,33 +116,40 @@ def _side_eligible(side: str, length: int, ones: int) -> bool:
 
 
 def _resolve_victim(
-    pool: CompositionMultiset,
+    counts: np.ndarray,
     side: str,
     length: int,
     ones: Optional[int],
     rng=None,
-) -> Composition:
+) -> int:
+    """The ones-count of the fragment a removal or substitution hits."""
     if ones is not None:
         comp = Composition(length - ones, ones)
-        if comp not in pool:
+        if length >= len(counts) or not counts[length, ones]:
             raise PatternNotPresent(f"no fragment {comp} of length {length} in pool")
         if not _side_eligible(side, length, ones):
             raise PatternNotPresent(f"{comp} cannot be a {side} fragment")
-        return comp
-    eligible = [
-        o for o in pool.ones_at_length(length) if _side_eligible(side, length, o)
-    ]
+        return ones
+    eligible = []
+    if 0 <= length < len(counts):
+        row = counts[length]
+        present = row.nonzero()[0]
+        # sorted with multiplicity, so a seeded rng.choice picks a fixed victim
+        eligible = [
+            o
+            for o in present.repeat(row[present]).tolist()
+            if _side_eligible(side, length, o)
+        ]
     if not eligible:
         raise PatternNotPresent(f"no {side}-eligible fragment of length {length}")
     if len(set(eligible)) == 1:
-        return Composition(length - eligible[0], eligible[0])
+        return eligible[0]
     if rng is None:
         raise PatternNotPresent(
             f"{side} fragments of length {length} are mixed "
             f"({sorted(set(eligible))} ones); pin the victim or pass an rng"
         )
-    o = rng.choice(eligible)
-    return Composition(length - o, o)
+    return rng.choice(eligible)
 
 
 def erase(
@@ -148,15 +159,11 @@ def erase(
 ) -> CompositionMultiset:
     """Remove the fragments named by the pattern from the pool."""
     removals = pattern.removals if isinstance(pattern, ErasurePattern) else tuple(pattern)
-    out = pool
+    counts = pool.counts.copy()
     for r in removals:
         for _ in range(r.count):
-            victim = _resolve_victim(out, r.side, r.length, r.ones, rng)
-            try:
-                out = out.remove(victim)
-            except KeyError as exc:
-                raise PatternNotPresent(str(exc)) from exc
-    return out
+            counts[r.length, _resolve_victim(counts, r.side, r.length, r.ones, rng)] -= 1
+    return CompositionMultiset.from_counts(counts)
 
 
 def substitute_mass_reducing(
@@ -168,83 +175,120 @@ def substitute_mass_reducing(
     rng=None,
 ) -> CompositionMultiset:
     """Replace one fragment by a strictly lighter one of the same length."""
-    victim = _resolve_victim(pool, side, length, ones, rng)
-    if new_ones >= victim.ones:
+    counts = pool.counts.copy()
+    victim = _resolve_victim(counts, side, length, ones, rng)
+    if new_ones >= victim:
         raise NotMassReducing(
-            f"{victim} -> {new_ones} ones does not reduce the mass"
+            f"{Composition(length - victim, victim)} -> {new_ones} ones does not reduce the mass"
         )
     if new_ones < 0:
         raise ValueError("new_ones must be nonnegative")
-    return pool.remove(victim).add(Composition(length - new_ones, new_ones))
+    counts[length, victim] -= 1
+    counts[length, new_ones] += 1
+    return CompositionMultiset.from_counts(counts)
 
 
 # ---------------------------------------------------------------------------
 # one-sided partial sums
 
 
-def _side_attribution(
-    pool: CompositionMultiset, N: int, hbar: int
-) -> dict[int, dict]:
-    """Per-length classification of fragments into sides, with tie filling.
+@dataclass(frozen=True)
+class SideSums:
+    """A pool read length by length and split into its two sides.
 
-    Returns for each length: ones lists ``prefix``/``suffix`` after filling
-    ties, the tie count, and whether each side's membership is certain and
-    complete (exactly hbar fragments attributable beyond doubt).
+    Arrays are indexed by length - 1 (the sum position) and, where they
+    have a leading axis of two, by side: 0 prefix, 1 suffix.  A fragment
+    of length i with more than i/2 ones is a prefix and one with fewer a
+    suffix; the balanced ones (ties) fill the prefix side up to hbar and
+    the rest go to the suffix side.  ``certain`` marks the lengths where
+    every assignment of the ties that respects the hbar cap on the other
+    side gives the side exactly hbar fragments.
     """
-    out: dict[int, dict] = {}
-    for length in range(1, N + 1):
-        ones_list = pool.ones_at_length(length)
-        p_only = [o for o in ones_list if 2 * o > length]
-        s_only = [o for o in ones_list if 2 * o < length]
-        ties = len(ones_list) - len(p_only) - len(s_only)
-        # fill ties prefix-first up to hbar; remaining ties go to the suffix
-        to_prefix = min(ties, max(0, hbar - len(p_only)))
-        tie_ones = length // 2
-        prefix = p_only + [tie_ones] * to_prefix
-        suffix = s_only + [tie_ones] * (ties - to_prefix)
-        # a side is reliably complete when every assignment of ties that
-        # respects the hbar cap on the other side yields the same count hbar
-        p_min = len(p_only) + max(0, ties - max(0, hbar - len(s_only)))
-        p_max = min(hbar, len(p_only) + ties) if len(p_only) <= hbar else len(p_only)
-        s_min = len(s_only) + max(0, ties - max(0, hbar - len(p_only)))
-        s_max = min(hbar, len(s_only) + ties) if len(s_only) <= hbar else len(s_only)
-        out[length] = {
-            "prefix": prefix,
-            "suffix": suffix,
-            "ties": ties,
-            "prefix_certain": p_min == p_max == hbar,
-            "suffix_certain": s_min == s_max == hbar,
-        }
-    return out
+
+    # (4, K): length, ones, multiplicity and class (0 prefix, 1 tie, 2 suffix)
+    # of the pool's nonzero cells up to length N, in (length, ones) order
+    cells: np.ndarray
+    fill: np.ndarray  # (2, N) ties given to each side
+    fragments: np.ndarray  # (2, N) fragments per side after tie filling
+    ones: np.ndarray  # (2, N) ones totals per side after tie filling
+    certain: np.ndarray  # (2, N) bool
+
+    def entries(self, side: int) -> np.ndarray:
+        """(3, K) length, ones and multiplicity of the fragments of side 0 or 1.
+
+        The side's unbalanced cells come first, in (length, ones) order,
+        then one cell per length for the ties the side received.
+        """
+        import numpy as np
+
+        cells = self.cells[:3, self.cells[3] == 2 * side]
+        fill = self.fill[side]
+        at = fill.nonzero()[0] + 1
+        return np.concatenate([cells, np.stack([at, at // 2, fill[at - 1]])], axis=1)
+
+    def ones_list(self, side: int, length: int) -> list[int]:
+        """Ones of the side's fragments at a length: non-ties ascending, then ties."""
+        lengths, ones, mult = self.entries(side)
+        at = lengths == length
+        return ones[at].repeat(mult[at]).tolist()
 
 
-def _cumulative_ones(
-    attribution: dict[int, dict], N: int, side: str
+def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
+    """Per-length, per-side fragment counts, ones totals and certainty.
+
+    This is the one reading of counts into sums: the two-sided partial
+    sums, the raw side sums, the one-sided sums, the clean-pool split of
+    the codec and substitution detection all read its arrays.  Lengths
+    past N are ignored.  After one scan of the count table for its nonzero
+    cells, the work is proportional to the number of distinct fragments.
+    """
+    import numpy as np
+
+    table = np.ascontiguousarray(pool.counts[1 : N + 1, : N + 1])
+    flat = (table != 0).ravel().nonzero()[0]
+    rows, ones = divmod(flat, table.shape[1])
+    mult = table.ravel()[flat]
+    length = rows + 1
+    kind = np.sign(length - 2 * ones) + 1  # 0 prefix, 1 tie, 2 suffix
+    slot = 3 * rows + kind
+
+    def per_length(weights: np.ndarray) -> np.ndarray:
+        # (3, N): totals of the prefix, tie and suffix cells at each length
+        totals = np.bincount(slot, weights=weights, minlength=3 * N)
+        return totals.astype(np.int64).reshape(N, 3).T
+
+    counted = per_length(mult)
+    ties = counted[1]
+    unbalanced = counted[::2]  # prefix-only and suffix-only fragments
+    to_prefix = np.clip(hbar - unbalanced[0], 0, ties)
+    fill = np.stack([to_prefix, ties - to_prefix])
+    fragments = unbalanced + fill
+    sums = per_length(mult * ones)[::2] + fill * (np.arange(1, N + 1) // 2)
+    # a side is certain when even its fewest fragments, with the other side
+    # taking every tie it has room for, reach hbar
+    room = np.maximum(0, hbar - unbalanced[::-1])
+    certain = unbalanced + np.maximum(0, ties - room) == hbar
+    cells = np.stack([length, ones, mult, kind])
+    return SideSums(cells, fill, fragments, sums, certain)
+
+
+def increments(
+    cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool
 ) -> list[Optional[int]]:
-    """n_i (total ones at length i) where the side is certainly complete."""
-    certain = f"{side}_certain"
-    out: list[Optional[int]] = []
-    for length in range(1, N + 1):
-        info = attribution[length]
-        out.append(sum(info[side]) if info[certain] else None)
-    return out
+    """Sum symbols n_i - n_{i-1} (n_0 = 0); None where either count is unknown.
 
-
-def _increments(
-    cumulative: Sequence[Optional[int]], hbar: int, strict: bool
-) -> list[Optional[int]]:
-    symbols: list[Optional[int]] = []
-    prev: Optional[int] = 0
-    for i, n_i in enumerate(cumulative, start=1):
-        if n_i is None or prev is None:
-            symbols.append(None)
-        else:
-            t = n_i - prev
-            if strict and not 0 <= t <= hbar:
-                raise NegativeIncrement(f"sum symbol {t} at position {i}")
-            symbols.append(t)
-        prev = n_i
-    return symbols
+    With ``strict`` a known symbol outside 0..hbar raises NegativeIncrement.
+    """
+    steps = cumulative.copy()
+    steps[1:] -= cumulative[:-1]
+    ok = known.copy()
+    ok[1:] &= known[:-1]
+    if strict:
+        bad = (ok & ((steps < 0) | (steps > hbar))).nonzero()[0]
+        if bad.size:
+            i = int(bad[0])
+            raise NegativeIncrement(f"sum symbol {steps[i]} at position {i + 1}")
+    return [t if k else None for t, k in zip(steps.tolist(), ok.tolist())]
 
 
 def partial_sum_strings(
@@ -257,12 +301,9 @@ def partial_sum_strings(
     two adjacent sum symbols it supports.  Out-of-range increments raise
     (pure fragment loss cannot produce them; substitutions can).
     """
-    attribution = _side_attribution(pool, N, hbar)
-    p_syms = _increments(_cumulative_ones(attribution, N, PREFIX), hbar, strict=True)
-    s_syms = _increments(_cumulative_ones(attribution, N, SUFFIX), hbar, strict=True)
-    p = PartialSumString(p_syms, hbar)
-    s = PartialSumString(s_syms, hbar).reversed_()
-    return p, s
+    sums = side_sums(pool, N, hbar)
+    p_syms, s_syms = (increments(sums.ones[k], sums.certain[k], hbar, True) for k in (0, 1))
+    return PartialSumString(p_syms, hbar), PartialSumString(s_syms[::-1], hbar)
 
 
 def one_sided_sum(
@@ -274,11 +315,9 @@ def one_sided_sum(
     is involved: a length with fewer than hbar fragments is simply erased.
     The result is returned in prefix orientation either way.
     """
-    cumulative: list[Optional[int]] = []
-    for length in range(1, N + 1):
-        ones = side_pool.ones_at_length(length)
-        cumulative.append(sum(ones) if len(ones) == hbar else None)
-    syms = _increments(cumulative, hbar, strict=True)
+    sums = side_sums(side_pool, N, hbar)
+    total = sums.fragments.sum(axis=0)
+    syms = increments(sums.ones.sum(axis=0), total == hbar, hbar, strict=True)
     pss = PartialSumString(syms, hbar)
     return pss if side == PREFIX else pss.reversed_()
 
@@ -291,10 +330,9 @@ def raw_side_sums(
     For corrupted pools the raw increments are what carry the corruption
     signal; both lists come back in prefix orientation.
     """
-    attribution = _side_attribution(pool, N, hbar)
-    p_syms = _increments(_cumulative_ones(attribution, N, PREFIX), hbar, strict=False)
-    s_syms = _increments(_cumulative_ones(attribution, N, SUFFIX), hbar, strict=False)
-    return p_syms, list(reversed(s_syms))
+    sums = side_sums(pool, N, hbar)
+    p_syms, s_syms = (increments(sums.ones[k], sums.certain[k], hbar, False) for k in (0, 1))
+    return p_syms, s_syms[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -511,32 +549,19 @@ def detect_substitution(
     is reconstructed from the complementary side; every consistent repair
     is listed, and exactly one candidate means the error is correctable.
     """
-    attribution = _side_attribution(pool, N, hbar)
-    p_dev, s_dev = [], []
-    for length in range(1, N + 1):
-        info = attribution[length]
-        dp = len(info["prefix"]) - hbar
-        ds = len(info["suffix"]) - hbar
-        if dp:
-            p_dev.append((length, dp))
-        if ds:
-            s_dev.append((length, ds))
+    sums = side_sums(pool, N, hbar)
+    p_dev, s_dev = (
+        [(i, d) for i, d in enumerate(devs, start=1) if d]
+        for devs in (sums.fragments - hbar).tolist()
+    )
 
-    def naive_side(side: str) -> tuple[list, list]:
-        cumulative: list[Optional[int]] = []
-        for length in range(1, N + 1):
-            vals = attribution[length][side]
-            cumulative.append(sum(vals) if vals or hbar == 0 else None)
-        symbols = _increments(cumulative, hbar, strict=False)
-        bad = [
-            (i, v)
-            for i, v in enumerate(symbols, start=1)
-            if v is not None and not 0 <= v <= hbar
-        ]
-        return symbols, bad
-
-    p_naive, p_bad = naive_side(PREFIX)
-    s_naive, s_bad = naive_side(SUFFIX)
+    # every length holding any fragment counts, however many it holds
+    known = (sums.fragments > 0) | (hbar == 0)
+    p_naive, s_naive = (increments(sums.ones[k], known[k], hbar, False) for k in (0, 1))
+    p_bad, s_bad = (
+        [(i, v) for i, v in enumerate(symbols, start=1) if v is not None and not 0 <= v <= hbar]
+        for symbols in (p_naive, s_naive)
+    )
     # suffix-side positions and symbols in prefix orientation
     s_naive_rev = list(reversed(s_naive))
     s_bad_rev = [(N - i + 1, v) for i, v in s_bad]
@@ -544,13 +569,16 @@ def detect_substitution(
     w0 = _string_weight(pool, N, hbar)
     incompatible = []
     if w0 is not None:
-        for length in range(1, N):
-            info_p = attribution[length]
-            info_s = attribution[N - length]
-            if len(info_p["prefix"]) == hbar and len(info_s["suffix"]) == hbar:
-                expect = sorted(w0 - o for o in info_s["suffix"])
-                if expect != sorted(info_p["prefix"]):
-                    incompatible.append(length)
+        # a prefix of length L with o ones completes a suffix of length N - L
+        # with w0 - o ones, so the prefix side must mirror the suffix side
+        prefix = set(map(tuple, sums.entries(0).T.tolist()))
+        length, ones, mult = sums.entries(1)
+        mirrored = set(zip((N - length).tolist(), (w0 - ones).tolist(), mult.tolist()))
+        full = (
+            (sums.fragments[0, : N - 1] == hbar) & (sums.fragments[1, N - 2 :: -1] == hbar)
+        ).tolist()
+        differ = {cell[0] for cell in prefix ^ mirrored}
+        incompatible = [ln for ln in sorted(differ) if 1 <= ln < N and full[ln - 1]]
 
     def clean_sum(symbols: list, devs: list, bad: list) -> Optional[PartialSumString]:
         if devs or bad or any(v is None for v in symbols):
@@ -567,9 +595,7 @@ def detect_substitution(
     if len(candidates) == 1 and not incompatible:
         recovered = candidates[0]
 
-    corrections = _single_error_corrections(
-        attribution, N, hbar, w0, p_dev, s_dev
-    )
+    corrections = _single_error_corrections(sums, N, hbar, w0, p_dev, s_dev)
     return DetectionReport(
         hbar=hbar,
         prefix_count_dev=tuple(p_dev),
@@ -586,7 +612,7 @@ def detect_substitution(
 
 
 def _single_error_corrections(
-    attribution: dict,
+    sums: SideSums,
     N: int,
     hbar: int,
     w0: Optional[int],
@@ -609,8 +635,9 @@ def _single_error_corrections(
     other = SUFFIX if side == PREFIX else PREFIX
     if (length, other) not in surpluses:
         return ()
-    observed_short = list(attribution[length][side])  # hbar - 1 genuine values
-    observed_long = list(attribution[length][other])  # hbar + 1 values, one bogus
+    index = {PREFIX: 0, SUFFIX: 1}
+    observed_short = sums.ones_list(index[side], length)  # hbar - 1 genuine values
+    observed_long = sums.ones_list(index[other], length)  # hbar + 1 values, one bogus
     comp_len = N - length
     candidates: list[Correction] = []
     if comp_len == length:
@@ -636,7 +663,7 @@ def _single_error_corrections(
             if cand not in candidates:
                 candidates.append(cand)
     else:
-        comp_vals = attribution[comp_len][other]
+        comp_vals = sums.ones_list(index[other], comp_len) if comp_len >= 1 else []
         if len(comp_vals) != hbar:
             return ()
         expect = sorted(w0 - o for o in comp_vals)
@@ -646,7 +673,7 @@ def _single_error_corrections(
         expect_other = None
         # the bogus fragment is whatever the surplus side holds beyond its
         # own complementary expectation
-        own_comp = attribution[N - length][side] if N - length >= 1 else []
+        own_comp = sums.ones_list(index[side], N - length) if N - length >= 1 else []
         if len(own_comp) == hbar:
             expect_other = sorted(w0 - o for o in own_comp)
         bogus_pool = list(observed_long)
@@ -788,8 +815,10 @@ def run_erasure_experiment(
     Codebooks whose strings are not already Dyck are run through the
     mixture encoder first (weight separation is meaningless otherwise).
     Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``,
-    ``conflict`` (side disagreement), and ``wrong`` (recovered but not the
-    truth -- must never happen; kept so silence cannot hide it).
+    ``conflict`` (side disagreement), ``error`` (any other typed decoder
+    error; the row's ``reason`` holds its class name), and ``wrong``
+    (recovered but not the truth -- must never happen; kept so silence
+    cannot hide it).
     """
     import random
 
@@ -820,6 +849,10 @@ def run_erasure_experiment(
             )
         except Conflict:
             rows.append(_row(seed, trial, N, hbar, t, "conflict"))
+            continue
+        except MasscodecError as exc:
+            row = _row(seed, trial, N, hbar, t, "error")
+            rows.append({**row, "reason": type(exc).__name__})
             continue
         if isinstance(result, Ambiguous):
             outcome = "ambiguous"

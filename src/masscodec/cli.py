@@ -363,8 +363,11 @@ def cmd_experiment(args) -> int:
     import io
 
     buf = io.StringIO()
+    # an error row's reason stays out of the CSV, whose columns are fixed
     writer = csv.DictWriter(
-        buf, fieldnames=["seed", "trial", "n", "hbar", "t", "outcome"]
+        buf,
+        fieldnames=["seed", "trial", "n", "hbar", "t", "outcome"],
+        extrasaction="ignore",
     )
     writer.writeheader()
     writer.writerows(rows)

@@ -31,23 +31,18 @@ sums; explicit codebooks may not separate under mod 2 and are refused.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, invert_mod2_sum
-from .core import (
-    BitString,
-    BitsLike,
-    Composition,
-    CompositionMultiset,
-    PartialSumString,
-)
+from .channel import increments, side_sums
+from .core import BitString, BitsLike, CompositionMultiset, PartialSumString
 from .errors import (
     CountMismatch,
     DecodeFailure,
     InconsistentPoolSize,
-    NegativeIncrement,
     UnsupportedCodebook,
 )
 
@@ -265,11 +260,15 @@ class McCodebook:
     def __len__(self) -> int:
         return len(self.codewords)
 
+    @functools.cached_property
+    def _by_origin(self) -> dict[BitString, McCodeword]:
+        return {cw.origin: cw for cw in self.codewords}
+
     def codeword_for(self, source: BitString) -> McCodeword:
-        for cw in self.codewords:
-            if cw.origin == source:
-                return cw
-        raise KeyError(f"{source} is not in the codebook")
+        try:
+            return self._by_origin[source]
+        except KeyError:
+            raise KeyError(f"{source} is not in the codebook") from None
 
     def pool_of(self, sources) -> CompositionMultiset:
         """Pooled readout of the codewords of the given source strings."""
@@ -293,27 +292,26 @@ def separate_pool(
     ones can sit on either side, and since all such ties are the identical
     composition the split is unique once each side is filled to hbar.
     """
-    prefixes: dict[Composition, int] = {}
-    suffixes: dict[Composition, int] = {}
-    for length in range(1, N + 1):
+    sums = side_sums(pool, N, hbar)
+    # a length splits exactly when tie filling leaves hbar on each side
+    bad = (sums.fragments != hbar).any(axis=0).nonzero()[0]
+    if bad.size:
+        length = int(bad[0]) + 1
         ones_list = pool.ones_at_length(length)
         if len(ones_list) != 2 * hbar:
             raise CountMismatch(
                 f"length {length}: {len(ones_list)} fragments, expected {2 * hbar}"
             )
-        pref = [o for o in ones_list if 2 * o > length]
-        suff = [o for o in ones_list if 2 * o < length]
-        ties = len(ones_list) - len(pref) - len(suff)
-        to_prefix = hbar - len(pref)
-        if to_prefix < 0 or len(suff) > hbar or to_prefix > ties:
-            raise CountMismatch(f"length {length}: cannot split {ones_list} into {hbar}+{hbar}")
-        for o in pref + [length // 2] * to_prefix:
-            c = Composition(length - o, o)
-            prefixes[c] = prefixes.get(c, 0) + 1
-        for o in suff + [length // 2] * (ties - to_prefix):
-            c = Composition(length - o, o)
-            suffixes[c] = suffixes.get(c, 0) + 1
-    return CompositionMultiset(prefixes), CompositionMultiset(suffixes)
+        raise CountMismatch(f"length {length}: cannot split {ones_list} into {hbar}+{hbar}")
+    import numpy as np
+
+    sides = []
+    for side in (0, 1):
+        length, ones, mult = sums.entries(side)
+        counts = np.zeros((N + 1, N + 1), dtype=np.int64)
+        counts[length, ones] = mult
+        sides.append(CompositionMultiset.from_counts(counts))
+    return sides[0], sides[1]
 
 
 def sum_from_prefixes(
@@ -324,20 +322,16 @@ def sum_from_prefixes(
     With n_i the total ones over the hbar length-i fragments, position i of
     the sum is n_i - n_{i-1}.
     """
-    symbols = []
-    prev = 0
-    for length in range(1, N + 1):
-        ones_list = prefix_pool.ones_at_length(length)
-        if len(ones_list) != hbar:
-            raise CountMismatch(
-                f"length {length}: {len(ones_list)} prefixes, expected {hbar}"
-            )
-        n_i = sum(ones_list)
-        t_i = n_i - prev
-        if not 0 <= t_i <= hbar:
-            raise NegativeIncrement(f"sum symbol {t_i} at position {length}")
-        symbols.append(t_i)
-        prev = n_i
+    sums = side_sums(prefix_pool, N, hbar)
+    per_length = sums.fragments.sum(axis=0)
+    cumulative = sums.ones.sum(axis=0)
+    full = per_length == hbar
+    short = (~full).nonzero()[0]
+    # lengths are checked in order, so a bad symbol before a short length wins
+    end = int(short[0]) if short.size else N
+    symbols = increments(cumulative[:end], full[:end], hbar, strict=True)
+    if short.size:
+        raise CountMismatch(f"length {end + 1}: {per_length[end]} prefixes, expected {hbar}")
     return PartialSumString(symbols, hbar)
 
 

@@ -7,6 +7,16 @@ fragment and one suffix fragment of each length i in [1, n]; the multiset
 of their compositions (the full-length composition appears twice) is the
 abstraction of the instrument output that every other module consumes.
 
+A composition is fixed by its length and its number of ones, so a pool is
+stored as a dense table of counts ``C[length, ones]``
+(:class:`CompositionMultiset`).  A string's prefix weights are one
+cumulative sum of its bits and its suffix weights one more, pooling is a
+scatter-add of those weights into the table, union is an addition and
+removing a fragment is a decrement.  :class:`Composition` objects are made
+only where a pool is listed, printed or written as JSON.  numpy is imported
+where the first table is built, so importing the package does not load it
+(numpy alone adds over 10 MB of resident memory to the interpreter).
+
 Conventions used throughout the package:
 
 * Strings are read left to right; a prefix is a run of leading symbols.
@@ -19,14 +29,18 @@ Conventions used throughout the package:
   proper prefix of length i holds at least ceil(i/2) ones.  Dyck strings
   make prefix and suffix fragments separable by weight alone.
 
-All values here are immutable and safe to share across threads.
+All values here are immutable (a pool's count table is a read-only
+array) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import Conflict, DuplicateString, LengthMismatch, OddLength
 
@@ -287,36 +301,57 @@ def composition(s: BitsLike) -> Composition:
 
 
 class CompositionMultiset:
-    """An immutable multiset of fragment compositions.
+    """An immutable multiset of fragment compositions, held as dense counts.
 
-    Equality is exact multiplicity equality.  The canonical entry order,
-    used for serialization and printing, is (fragment length, ones)
-    ascending.
+    ``counts[length, ones]`` is the multiplicity of the composition with
+    ``ones`` ones among ``length`` symbols.  The array is square, its row 0
+    and every cell with ``ones > length`` are zero, and it may carry zero
+    rows past the longest fragment; equality, hashing and submultiset tests
+    ignore that padding.  Pooling is a scatter-add, union an addition, and
+    removal a decrement of a copy, so no operation builds a
+    :class:`Composition` per fragment.  Compositions appear only where
+    entries are listed: ``entries``, ``elements``, printing and JSON, all in
+    the canonical order (fragment length, ones) ascending.
     """
 
-    __slots__ = ("_counts", "_by_length", "_total")
+    __slots__ = ("_counts", "_total")
 
     def __init__(self, items: Union[Mapping[Composition, int], Iterable[Composition], None] = None):
-        counts: Counter = Counter()
-        if items is not None:
-            if isinstance(items, Mapping):
-                for comp, mult in items.items():
-                    if mult < 0:
-                        raise ValueError("negative multiplicity")
-                    if mult:
-                        counts[comp] += mult
-            else:
-                for comp in items:
-                    counts[comp] += 1
+        if isinstance(items, Mapping):
+            if any(mult < 0 for mult in items.values()):
+                raise ValueError("negative multiplicity")
+            entries = [(comp, int(mult)) for comp, mult in items.items()]
+        else:
+            entries = [(comp, 1) for comp in items or ()]
+        counts = _blank(1 + max((comp.length for comp, _ in entries), default=0))
+        for comp, mult in entries:
+            counts[comp.length, comp.ones] += mult
+        self._own(counts)
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "CompositionMultiset":
+        """Wrap a square integer ``counts[length, ones]`` array, which becomes read-only."""
+        counts = counts.astype("int64", copy=False)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+            raise ValueError(f"counts must be a square matrix, got shape {counts.shape}")
+        if counts.min(initial=0) < 0:
+            raise ValueError("negative multiplicity")
+        out = cls.__new__(cls)
+        out._own(counts)
+        return out
+
+    def _own(self, counts: np.ndarray) -> None:
+        counts.flags.writeable = False
         object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_total", sum(counts.values()))
-        by_length: dict[int, Counter] = {}
-        for comp, mult in counts.items():
-            by_length.setdefault(comp.length, Counter())[comp.ones] += mult
-        object.__setattr__(self, "_by_length", by_length)
+        object.__setattr__(self, "_total", int(counts.sum()))
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositionMultiset is immutable")
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The read-only ``counts[length, ones]`` matrix."""
+        return self._counts
 
     @property
     def total(self) -> int:
@@ -327,20 +362,37 @@ class CompositionMultiset:
         return self._total
 
     def __contains__(self, comp: Composition) -> bool:
-        return self._counts[comp] > 0
+        return self.count(comp) > 0
 
     def count(self, comp: Composition) -> int:
-        return self._counts[comp]
+        if comp.length >= len(self._counts):
+            return 0
+        return int(self._counts[comp.length, comp.ones])
+
+    def _trimmed(self) -> np.ndarray:
+        """The counts without zero rows (and columns) past the longest fragment."""
+        rows = self._counts.any(axis=1).nonzero()[0]
+        size = int(rows[-1]) + 1 if rows.size else 0
+        return self._counts[:size, :size]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CompositionMultiset) and self._counts == other._counts
+        if not isinstance(other, CompositionMultiset):
+            return False
+        mine, theirs = self._trimmed(), other._trimmed()
+        return mine.shape == theirs.shape and bool((mine == theirs).all())
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._counts.items()))
+        trimmed = self._trimmed()
+        return hash((len(trimmed), trimmed.tobytes()))
 
     def entries(self) -> tuple[tuple[Composition, int], ...]:
         """(composition, multiplicity) pairs in canonical order."""
-        return tuple(sorted(self._counts.items(), key=lambda kv: kv[0]))
+        lengths, ones = self._counts.nonzero()
+        mults = self._counts[lengths, ones]
+        return tuple(
+            (Composition(n - w, w), m)
+            for n, w, m in zip(lengths.tolist(), ones.tolist(), mults.tolist())
+        )
 
     def elements(self) -> Iterator[Composition]:
         for comp, mult in self.entries():
@@ -348,38 +400,46 @@ class CompositionMultiset:
                 yield comp
 
     def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_length))
+        return tuple(self._counts.any(axis=1).nonzero()[0].tolist())
 
     def count_at_length(self, length: int) -> int:
-        return sum(self._by_length.get(length, {}).values())
+        if not 0 <= length < len(self._counts):
+            return 0
+        return int(self._counts[length].sum())
 
     def ones_at_length(self, length: int) -> tuple[int, ...]:
         """Sorted ones-counts of all fragments of the given length."""
-        c = self._by_length.get(length)
-        if not c:
+        if not 0 <= length < len(self._counts):
             return ()
-        return tuple(sorted(c.elements()))
+        row = self._counts[length]
+        ones = row.nonzero()[0]
+        return tuple(ones.repeat(row[ones]).tolist())
 
     def union(self, *others: "CompositionMultiset") -> "CompositionMultiset":
-        counts = Counter(self._counts)
-        for o in others:
-            counts.update(o._counts)
-        return CompositionMultiset(counts)
+        parts = (self, *others)
+        counts = _blank(max(len(p._counts) for p in parts))
+        for p in parts:
+            size = len(p._counts)
+            counts[:size, :size] += p._counts
+        return CompositionMultiset.from_counts(counts)
 
     def add(self, comp: Composition, mult: int = 1) -> "CompositionMultiset":
-        counts = Counter(self._counts)
-        counts[comp] += mult
-        return CompositionMultiset(counts)
+        return self.union(CompositionMultiset({comp: mult}))
 
     def remove(self, comp: Composition, mult: int = 1) -> "CompositionMultiset":
-        if self._counts[comp] < mult:
-            raise KeyError(f"multiset holds {self._counts[comp]} of {comp}, need {mult}")
-        counts = Counter(self._counts)
-        counts[comp] -= mult
-        return CompositionMultiset(counts)
+        held = self.count(comp)
+        if held < mult:
+            raise KeyError(f"multiset holds {held} of {comp}, need {mult}")
+        counts = self._counts.copy()
+        counts[comp.length, comp.ones] -= mult
+        return CompositionMultiset.from_counts(counts)
 
     def is_submultiset(self, other: "CompositionMultiset") -> bool:
-        return all(other._counts[c] >= m for c, m in self._counts.items())
+        mine = self._trimmed()
+        size = len(mine)
+        if size > len(other._counts):
+            return False
+        return bool((mine <= other._counts[:size, :size]).all())
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.elements()) + "}"
@@ -405,36 +465,52 @@ class CompositionMultiset:
         return cls(Composition.parse(t) for t in items)
 
 
+def _blank(size: int) -> np.ndarray:
+    import numpy as np
+
+    return np.zeros((size, size), dtype=np.int64)
+
+
+def _read_fragments(
+    strings: Sequence[BitString], prefixes: bool = True, suffixes: bool = True
+) -> CompositionMultiset:
+    """Counts of the prefix and/or suffix compositions of equal-length strings.
+
+    Each read is one cumulative sum of the bits, and all reads land in the
+    count matrix through one scatter-add on the flat index
+    ``length * (n + 1) + ones``.
+    """
+    import numpy as np
+
+    bits = np.array([s.bits for s in strings], dtype=np.int64)
+    n = bits.shape[1]
+    reads = [bits] if prefixes else []
+    if suffixes:
+        reads.append(bits[:, ::-1])
+    ones = np.cumsum(np.concatenate(reads), axis=1)
+    flat = ones + (n + 1) * np.arange(1, n + 1)
+    counts = np.bincount(flat.ravel(), minlength=(n + 1) ** 2)
+    return CompositionMultiset.from_counts(counts.reshape(n + 1, n + 1))
+
+
 def prefix_multiset(s: BitsLike) -> CompositionMultiset:
     """Compositions of all prefixes s_1..s_i, i in [n]."""
-    s = BitString(s)
-    comps = []
-    w = 0
-    for i, b in enumerate(s.bits, start=1):
-        w += b
-        comps.append(Composition(i - w, w))
-    return CompositionMultiset(comps)
+    return _read_fragments([BitString(s)], suffixes=False)
 
 
 def suffix_multiset(s: BitsLike) -> CompositionMultiset:
     """Compositions of all suffixes s_i..s_n, i in [n]."""
-    s = BitString(s)
-    comps = []
-    w = 0
-    for i, b in enumerate(reversed(s.bits), start=1):
-        w += b
-        comps.append(Composition(i - w, w))
-    return CompositionMultiset(comps)
+    return _read_fragments([BitString(s)], prefixes=False)
 
 
 def full_multiset(s: BitsLike) -> CompositionMultiset:
     """Prefix and suffix compositions together; the full length appears twice."""
-    return prefix_multiset(s).union(suffix_multiset(s))
+    return _read_fragments([BitString(s)])
 
 
 def pool(strings: Iterable[BitsLike]) -> CompositionMultiset:
     """Union of the full multisets of pairwise distinct, equal-length strings."""
-    bs = [BitString(s) for s in strings]
+    bs = [s if isinstance(s, BitString) else BitString(s) for s in strings]
     if not bs:
         return CompositionMultiset()
     n = len(bs[0])
@@ -443,8 +519,7 @@ def pool(strings: Iterable[BitsLike]) -> CompositionMultiset:
             raise LengthMismatch(f"pooled strings must share length {n}, got {len(s)}")
     if len(set(bs)) != len(bs):
         raise DuplicateString("pooled strings must be pairwise distinct")
-    out = full_multiset(bs[0])
-    return out.union(*(full_multiset(s) for s in bs[1:]))
+    return _read_fragments(bs)
 
 
 def is_dyck(s: BitsLike) -> bool:

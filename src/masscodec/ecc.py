@@ -40,12 +40,13 @@ answer is treated as a bug everywhere in the test-suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
-from .channel import partial_sum_strings
+from .channel import partial_sum_strings, raw_side_sums
 from .codec import (
     McCodeword,
     McLayout,
@@ -162,11 +163,15 @@ class SchemeCodebook:
     def h(self) -> int:
         return self.base.h
 
+    @functools.cached_property
+    def _bits_by_origin(self) -> dict[BitString, BitString]:
+        return {cw.origin: cw.bits for cw in self.codewords}
+
     def bits_for(self, source: BitString) -> BitString:
-        for cw in self.codewords:
-            if cw.origin == source:
-                return cw.bits
-        raise KeyError(f"{source} is not in the codebook")
+        try:
+            return self._bits_by_origin[source]
+        except KeyError:
+            raise KeyError(f"{source} is not in the codebook") from None
 
     def pool_of(self, sources) -> CompositionMultiset:
         """Pooled readout of the codewords of the given source strings."""
@@ -401,7 +406,7 @@ def two_step_decode(
 
     results = []
     failures = []
-    for side_vals in _per_side_sums(pool, lay.N, hbar):
+    for side_vals in raw_side_sums(pool, lay.N, hbar):
         try:
             flag_word = _two_step_flag_word(side_vals, lay, hbar)
             flag_full = code_flag.decode_errors(
@@ -422,14 +427,6 @@ def two_step_decode(
     if len(results) == 2 and results[0] != results[1]:
         raise DecodeFailure("prefix and suffix reconstructions disagree")
     return results[0]
-
-
-def _per_side_sums(
-    pool: CompositionMultiset, N: int, hbar: int
-) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    from .channel import raw_side_sums
-
-    return raw_side_sums(pool, N, hbar)
 
 
 def _unflip(

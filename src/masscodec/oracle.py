@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult
-from .core import BitString, Composition, CompositionMultiset
+from .core import BitString, CompositionMultiset
 from .errors import SearchSpaceTooLarge
 
 Strings = Union[BhCodebook, Sequence[BitString]]
@@ -27,16 +28,20 @@ def _as_strings(codebook: Strings) -> tuple[BitString, ...]:
     return tuple(BitString(s) for s in codebook)
 
 
-def _fragments(s: BitString, side: str) -> CompositionMultiset:
-    """Compositions of every prefix of s and, for ``side="full"``, every
+def _fragments(s: BitString, side: str) -> Counter:
+    """(length, ones) of every prefix of s and, for ``side="full"``, every
     suffix, counted from the bits by the definition."""
     reads = (s.bits,) if side == "prefix" else (s.bits, s.bits[::-1])
-    comps = []
-    for bits in reads:
-        for i in range(1, len(bits) + 1):
-            ones = sum(bits[:i])
-            comps.append(Composition(i - ones, ones))
-    return CompositionMultiset(comps)
+    return Counter(
+        (i, sum(bits[:i])) for bits in reads for i in range(1, len(bits) + 1)
+    )
+
+
+def _pooled(per_string: dict, subset: Sequence[BitString]) -> Counter:
+    out: Counter = Counter()
+    for s in subset:
+        out.update(per_string[s])
+    return out
 
 
 def verify_hmc(
@@ -61,7 +66,7 @@ def verify_hmc(
     seen: dict = {}
     for k in range(1, h + 1):
         for subset in itertools.combinations(strings, k):
-            key = per_string[subset[0]].union(*(per_string[s] for s in subset[1:]))
+            key = frozenset(_pooled(per_string, subset).items())
             prev = seen.get(key)
             if prev is not None and set(prev) != set(subset):
                 return VerificationResult(False, (prev, subset, ()))
@@ -205,7 +210,10 @@ def brute_decode(
     if not strings:
         return ()
     n = len(strings[0])
-    want_total = observed.total + removals
+    observed_counts = Counter(
+        {(comp.length, comp.ones): mult for comp, mult in observed.entries()}
+    )
+    want_total = sum(observed_counts.values()) + removals
     if want_total % (2 * n):
         return ()
     size = want_total // (2 * n)
@@ -218,8 +226,8 @@ def brute_decode(
     per_string = {s: _fragments(s, "full") for s in strings}
     hits = []
     for subset in itertools.combinations(sorted(strings), size):
-        candidate = per_string[subset[0]].union(*(per_string[s] for s in subset[1:]))
-        if observed.is_submultiset(candidate):
+        candidate = _pooled(per_string, subset)
+        if all(candidate[key] >= mult for key, mult in observed_counts.items()):
             hits.append(subset)
     return tuple(hits)
 

@@ -1,9 +1,13 @@
+import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from masscodec import ecc
 from masscodec.bhcode import BhCodebook
 from masscodec.channel import (
     Ambiguous,
@@ -19,11 +23,14 @@ from masscodec.channel import (
     erase,
     merge_partials,
     partial_sum_strings,
+    raw_side_sums,
     reconstruct_redundancy_free,
     run_erasure_experiment,
     sample_erasure_pattern,
+    side_sums,
     substitute_mass_reducing,
 )
+from masscodec.codec import separate_pool, sum_from_prefixes
 from masscodec.core import (
     BitString,
     Composition,
@@ -33,7 +40,15 @@ from masscodec.core import (
     full_multiset,
     pool,
 )
-from masscodec.errors import Conflict, NotMassReducing, PatternNotPresent
+from masscodec.errors import (
+    Conflict,
+    CountMismatch,
+    MasscodecError,
+    NegativeIncrement,
+    NotMassReducing,
+    PatternNotPresent,
+    TooManyErasures,
+)
 
 PSS = PartialSumString.parse
 
@@ -388,6 +403,14 @@ def test_detection_incompatible_sides():
     assert rep.recovered_sum is None
 
 
+def test_detection_count_deviation_at_full_length():
+    # both full-length fragments of 110 are heavy, so the suffix side is one
+    # short at length N, which has no complementary length to repair from
+    rep = detect_substitution(pool(["110"]), 3, 1)
+    assert rep.prefix_count_dev == ((3, 1),) and rep.suffix_count_dev == ((3, -1),)
+    assert rep.corrections == ()
+
+
 # ---------------------------------------------------------------------------
 # counting formulas
 
@@ -448,3 +471,274 @@ def test_experiment_never_silently_wrong(b2_codebook):
             b2_codebook, 2, 3, 40, seed=9, placement=placement
         )
         assert all(r["outcome"] in ("exact", "ambiguous", "conflict") for r in rows)
+
+
+def test_experiment_records_other_decoder_errors_as_rows(b2_codebook, monkeypatch):
+    import masscodec.channel as channel_mod
+
+    real = channel_mod.reconstruct_redundancy_free
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise TooManyErasures("planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel_mod, "reconstruct_redundancy_free", fails_once)
+    rows = run_erasure_experiment(b2_codebook, 2, 1, 5, seed=3)
+    assert len(rows) == 5
+    assert rows[0]["outcome"] == "error" and rows[0]["reason"] == "TooManyErasures"
+    assert all(r["outcome"] == "exact" and "reason" not in r for r in rows[1:])
+
+
+# ---------------------------------------------------------------------------
+# differential test: the dense pool and side_sums against the slow paths they
+# replaced -- a Counter of (length, ones) read off the bits, and the
+# per-length attribution loop
+
+
+def _slow_pool(strings) -> Counter:
+    out: Counter = Counter()
+    for s in strings:
+        for bits in (s.bits, s.bits[::-1]):
+            for i in range(1, len(bits) + 1):
+                out[i, sum(bits[:i])] += 1
+    return out
+
+
+def _as_counter(multiset) -> Counter:
+    return Counter({(c.length, c.ones): m for c, m in multiset.entries()})
+
+
+def _slow_ones(counts: Counter, length: int) -> list:
+    return sorted(o for (ln, o), m in counts.items() if ln == length for _ in range(m))
+
+
+def _slow_attribution(counts: Counter, N: int, hbar: int) -> dict:
+    out = {}
+    for length in range(1, N + 1):
+        ones_list = _slow_ones(counts, length)
+        p_only = [o for o in ones_list if 2 * o > length]
+        s_only = [o for o in ones_list if 2 * o < length]
+        ties = len(ones_list) - len(p_only) - len(s_only)
+        to_prefix = min(ties, max(0, hbar - len(p_only)))
+        tie_ones = length // 2
+        p_min = len(p_only) + max(0, ties - max(0, hbar - len(s_only)))
+        p_max = min(hbar, len(p_only) + ties) if len(p_only) <= hbar else len(p_only)
+        s_min = len(s_only) + max(0, ties - max(0, hbar - len(p_only)))
+        s_max = min(hbar, len(s_only) + ties) if len(s_only) <= hbar else len(s_only)
+        out[length] = {
+            "prefix": p_only + [tie_ones] * to_prefix,
+            "suffix": s_only + [tie_ones] * (ties - to_prefix),
+            "prefix_certain": p_min == p_max == hbar,
+            "suffix_certain": s_min == s_max == hbar,
+        }
+    return out
+
+
+def _slow_increments(cumulative, hbar, strict):
+    symbols, prev = [], 0
+    for i, n_i in enumerate(cumulative, start=1):
+        if n_i is None or prev is None:
+            symbols.append(None)
+        else:
+            t = n_i - prev
+            if strict and not 0 <= t <= hbar:
+                raise NegativeIncrement(f"sum symbol {t} at position {i}")
+            symbols.append(t)
+        prev = n_i
+    return symbols
+
+
+def _slow_certain_sides(att, N, hbar, strict):
+    return tuple(
+        _slow_increments(
+            [sum(att[ln][side]) if att[ln][side + "_certain"] else None for ln in range(1, N + 1)],
+            hbar,
+            strict,
+        )
+        for side in ("prefix", "suffix")
+    )
+
+
+def _slow_separate(counts, N, hbar):
+    sides = (Counter(), Counter())
+    for length in range(1, N + 1):
+        ones_list = _slow_ones(counts, length)
+        if len(ones_list) != 2 * hbar:
+            raise CountMismatch(f"length {length}")
+        pref = [o for o in ones_list if 2 * o > length]
+        suff = [o for o in ones_list if 2 * o < length]
+        ties = len(ones_list) - len(pref) - len(suff)
+        to_prefix = hbar - len(pref)
+        if to_prefix < 0 or len(suff) > hbar or to_prefix > ties:
+            raise CountMismatch(f"length {length}")
+        for o in pref + [length // 2] * to_prefix:
+            sides[0][length, o] += 1
+        for o in suff + [length // 2] * (ties - to_prefix):
+            sides[1][length, o] += 1
+    prefix_sums = []
+    for length in range(1, N + 1):
+        ones = _slow_ones(sides[0], length)
+        prefix_sums.append(sum(ones))
+    symbols = _slow_increments(prefix_sums, hbar, strict=True)
+    return sides, "".join(map(str, symbols))
+
+
+def _slow_detection(counts, N, hbar) -> dict:
+    att = _slow_attribution(counts, N, hbar)
+    out = {}
+    naive = {}
+    for side in ("prefix", "suffix"):
+        out[side + "_count_dev"] = tuple(
+            (ln, len(att[ln][side]) - hbar)
+            for ln in range(1, N + 1)
+            if len(att[ln][side]) != hbar
+        )
+        cumulative = [sum(att[ln][side]) if att[ln][side] else None for ln in range(1, N + 1)]
+        naive[side] = _slow_increments(cumulative, hbar, strict=False)
+        bad = [
+            (i, v) for i, v in enumerate(naive[side], 1) if v is not None and not 0 <= v <= hbar
+        ]
+        if side == "suffix":
+            naive[side] = naive[side][::-1]
+            bad = [(N - i + 1, v) for i, v in bad]
+        out[side + "_bad_increments"] = tuple(bad)
+    full = _slow_ones(counts, N)
+    w0 = full[0] if full and len(set(full)) == 1 else None
+    out["incompatible_lengths"] = tuple(
+        ln
+        for ln in range(1, N)
+        if w0 is not None
+        and len(att[ln]["prefix"]) == hbar
+        and len(att[N - ln]["suffix"]) == hbar
+        and sorted(w0 - o for o in att[N - ln]["suffix"]) != sorted(att[ln]["prefix"])
+    )
+    for side in ("prefix", "suffix"):
+        clean = not (out[side + "_count_dev"] or out[side + "_bad_increments"])
+        clean = clean and None not in naive[side]
+        out[side + "_sum"] = "".join(map(str, naive[side])) if clean else None
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MasscodecError as exc:
+        return type(exc).__name__
+
+
+def _check_against_slow(readout, counts: Counter, N: int, hbar: int) -> None:
+    assert _as_counter(readout) == +counts
+    assert readout.total == sum(counts.values())
+    att = _slow_attribution(counts, N, hbar)
+    sums = side_sums(readout, N, hbar)
+    for length in range(1, N + 1):
+        for k, side in enumerate(("prefix", "suffix")):
+            want = att[length][side]
+            assert sums.ones_list(k, length) == want, (side, length)
+            assert sums.fragments[k, length - 1] == len(want)
+            assert sums.ones[k, length - 1] == sum(want)
+            assert sums.certain[k, length - 1] == att[length][side + "_certain"]
+
+    def fast_partial():
+        return tuple(str(x) for x in partial_sum_strings(readout, N, hbar))
+
+    def slow_partial():
+        p, s = _slow_certain_sides(att, N, hbar, strict=True)
+        return (str(PartialSumString(p, hbar)), str(PartialSumString(s[::-1], hbar)))
+
+    assert _outcome(fast_partial) == _outcome(slow_partial)
+    p, s = _slow_certain_sides(att, N, hbar, strict=False)
+    assert raw_side_sums(readout, N, hbar) == (p, s[::-1])
+
+    def fast_separate():
+        prefixes, suffixes = separate_pool(readout, N, hbar)
+        total = str(sum_from_prefixes(prefixes, N, hbar))
+        return (_as_counter(prefixes), _as_counter(suffixes)), total
+
+    assert _outcome(fast_separate) == _outcome(lambda: _slow_separate(counts, N, hbar))
+
+    report = detect_substitution(readout, N, hbar)
+    fast = {
+        field: getattr(report, field)
+        for field in (
+            "prefix_count_dev",
+            "suffix_count_dev",
+            "prefix_bad_increments",
+            "suffix_bad_increments",
+            "incompatible_lengths",
+        )
+    }
+    fast["prefix_sum"] = None if report.prefix_sum is None else str(report.prefix_sum)
+    fast["suffix_sum"] = None if report.suffix_sum is None else str(report.suffix_sum)
+    assert fast == _slow_detection(counts, N, hbar)
+
+
+def _corrupted_readouts(words, N, rng):
+    """(readout, slow counts) for the clean pool, erasures and a substitution."""
+    clean = pool(words)
+    counts = _slow_pool(words)
+    yield clean, counts
+    for t in (1, 2, 3):
+        for placement in ("uniform", "adversarial"):
+            pattern = sample_erasure_pattern(words, t, rng, placement)
+            erased = counts.copy()
+            for r in pattern.removals:
+                erased[r.length, r.ones] -= r.count
+            yield erase(clean, pattern), erased
+    fragments = [
+        (side, length, ones)
+        for side, bits in (("prefix", w.bits) for w in words)
+        for length in range(1, N + 1)
+        for ones in [sum(bits[:length])]
+    ] + [
+        ("suffix", length, sum(w.bits[N - length :]))
+        for w in words
+        for length in range(1, N + 1)
+    ]
+    side, length, ones = rng.choice([f for f in fragments if f[2] > 0])
+    lighter = rng.randrange(ones)
+    changed = counts.copy()
+    changed[length, ones] -= 1
+    changed[length, lighter] += 1
+    yield substitute_mass_reducing(clean, side, length, lighter, ones=ones), changed
+
+
+@pytest.fixture(scope="module")
+def scheme_books(b2_n16_codebook):
+    return [
+        ecc.scheme_codebook(scheme, b2_n16_codebook, 2)
+        for scheme in (ecc.ONE_STEP, ecc.TWO_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP)
+    ]
+
+
+def test_dense_pool_and_side_sums_match_slow_paths_on_scheme_codewords(scheme_books):
+    rng = random.Random(2024)
+    for book in scheme_books:
+        for hbar in (1, 2):
+            for _ in range(2):
+                sources = sorted(rng.sample(list(book.base.strings), hbar))
+                words = [book.bits_for(s) for s in sources]
+                for readout, counts in _corrupted_readouts(words, book.N, rng):
+                    _check_against_slow(readout, counts, book.N, hbar)
+
+
+@functools.lru_cache(maxsize=None)
+def _dyck(n: int) -> tuple:
+    return all_dyck_strings(n)
+
+
+dyck_mixtures = st.integers(1, 5).flatmap(
+    lambda half: st.lists(st.sampled_from(_dyck(2 * half)), min_size=1, max_size=3, unique=True)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyck_mixtures, st.integers(0, 2**32 - 1))
+def test_dense_pool_and_side_sums_match_slow_paths_on_dyck_mixtures(words, seed):
+    rng = random.Random(seed)
+    N = len(words[0])
+    for readout, counts in _corrupted_readouts(words, N, rng):
+        _check_against_slow(readout, counts, N, len(words))

@@ -100,6 +100,25 @@ def test_multiset_canonical_serialization_round_trip():
     assert CompositionMultiset.from_json_obj(obj) == p
 
 
+def test_dense_count_table():
+    import numpy as np
+
+    p = pool(["110100", "101010"])
+    assert p.counts.shape == (7, 7)
+    assert (p.counts[3, 1], p.counts[3, 2]) == (2, 2)  # 100, 010 and 110, 101
+    with pytest.raises(ValueError):
+        p.counts[3, 2] = 0  # the table is read-only
+    padded = np.zeros((10, 10), dtype=np.int64)
+    padded[:7, :7] = p.counts
+    wider = CompositionMultiset.from_counts(padded)
+    assert wider == p and hash(wider) == hash(p)
+    assert wider.is_submultiset(p) and p.is_submultiset(wider)
+    with pytest.raises(ValueError):
+        CompositionMultiset.from_counts(-padded)
+    with pytest.raises(ValueError):
+        CompositionMultiset.from_counts(padded[:, :5])
+
+
 @given(bits_st)
 def test_full_multiset_size_and_per_length_counts(text):
     s = BitString(text)
