@@ -9,7 +9,7 @@ enumerating all codewords, and writes:
   bch_15_5.pcm     10x15, d=7   (order-3 codebook source)
   bch_63_16.json   47x63, d=23  (erasure-protection code, standard form)
 
-Run from the repository root:  python scripts/gen_code_tables.py
+Run from the repository root:  PYTHONPATH=src python scripts/gen_code_tables.py
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from masscodec.linearcode import rref_gf2
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "masscodec" / "data"
 
@@ -98,25 +100,6 @@ def bch_generator(m: int, delta: int) -> int:
     return g
 
 
-def rref_gf2(mat: np.ndarray) -> np.ndarray:
-    """Row-reduce over GF(2); returns the nonzero rows."""
-    a = mat.copy() % 2
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, c]), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return a[:r]
-
-
 def cyclic_code_matrices(n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     """Systematic (G, H) of the cyclic code of length n generated by g."""
     deg = g.bit_length() - 1
@@ -125,7 +108,7 @@ def cyclic_code_matrices(n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(k):
         for j in range(deg + 1):
             G[i, i + j] = (g >> j) & 1
-    G = rref_gf2(G)
+    G = rref_gf2(G)[0]
     assert G.shape == (k, n)
     assert np.array_equal(G[:, :k], np.eye(k, dtype=np.uint8)), "not systematic"
     A = G[:, k:]
@@ -154,7 +137,7 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
     for p in powers:
         for bit in range(m):
             rows.append([(field.pow(2, p * i) >> bit) & 1 for i in range(n)])
-    return rref_gf2(np.array(rows, dtype=np.uint8))
+    return rref_gf2(np.array(rows, dtype=np.uint8))[0]
 
 
 def write_pcm(name: str, H: np.ndarray, d: int) -> None:
@@ -173,7 +156,7 @@ def main() -> None:
     )
     Gh, _ = None, None
     # verify d via the dual construction: code {x: Hx=0}
-    Hrr = rref_gf2(Hh)
+    Hrr = rref_gf2(Hh)[0]
     Gh = nullspace_generator(Hrr)
     d = exact_min_distance(Gh)
     assert d == 3
@@ -212,7 +195,7 @@ def main() -> None:
 def nullspace_generator(H: np.ndarray) -> np.ndarray:
     """Generator matrix of {x : Hx = 0} from a full-rank H (any form)."""
     r, n = H.shape
-    a = rref_gf2(H)
+    a = rref_gf2(H)[0]
     pivots = []
     for row in a:
         pivots.append(int(np.argmax(row)))

@@ -85,9 +85,6 @@ class ErasurePattern:
     def total(self) -> int:
         return sum(r.count for r in self.removals)
 
-    def count_on(self, side: str) -> int:
-        return sum(r.count for r in self.removals if r.side == side)
-
     def to_json_obj(self) -> dict:
         out = []
         for r in self.removals:
@@ -420,8 +417,9 @@ def reconstruct_redundancy_free(
     (over all Dyck strings when no codebook is given and hbar is 1).
 
     The codebook may be a plain distinct-sums codebook of Dyck strings
-    (sources are found by inverting the integer sum) or an encoded
-    mixture codebook (sources come from the balanced mod-2 pipeline).
+    (sources are found by inverting the integer sum) or a plain mixture
+    codebook (sources come from the balanced mod-2 pipeline); a book of a
+    correction scheme raises UnsupportedCodebook.
     """
     if total_weight is None:
         total_weight = hbar * N // 2  # Dyck codewords are balanced
@@ -441,9 +439,10 @@ def reconstruct_redundancy_free(
 def _invert_recovered(
     total: PartialSumString, codebook, hbar: int, budget: int
 ) -> frozenset[BitString]:
-    from .codec import McCodebook, mixture_mod2_target
+    from .codec import McCodebook, mixture_mod2_target, require_plain
 
     if isinstance(codebook, McCodebook):
+        require_plain(codebook)
         from .bhcode import invert_mod2_sum
 
         target = mixture_mod2_target(total, codebook.layout)
@@ -458,10 +457,11 @@ def _consistency_witnesses(
     codebook,
     budget: int,
 ) -> Optional[tuple[frozenset[BitString], ...]]:
-    from .codec import McCodebook
+    from .codec import McCodebook, require_plain
 
     origin_of = None
     if isinstance(codebook, McCodebook):
+        require_plain(codebook)
         origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
         universe: Sequence[BitString] = tuple(origin_of)
     elif codebook is not None:

@@ -34,7 +34,7 @@ from .channel import (
     run_erasure_experiment,
     substitute_mass_reducing,
 )
-from .codec import McCodebook, decode_mixture, encode_codebook
+from .codec import PLAIN
 from .core import BitString, CompositionMultiset, pool as make_pool
 from .errors import (
     AmbiguousSolution,
@@ -52,7 +52,6 @@ EXIT_AMBIGUOUS = 3
 EXIT_DECODE = 4
 EXIT_BUDGET = 5
 
-PLAIN = "plain"
 RAW = "raw"  # codebook strings used as codewords directly (must be Dyck)
 
 
@@ -86,7 +85,7 @@ def _load_code(ref, fallback=None) -> LinearCode | None:
 
 
 def load_config(path: str):
-    """Build the base codebook and scheme codebook from a config file.
+    """Build the base codebook, the scheme codebook and the scheme name.
 
     Schema: {"h": int, "matrix": "bundled:name"|path, "take": int?,
              "strings": [..]?, "scheme": {"name": str, "t": int,
@@ -115,13 +114,11 @@ def load_config(path: str):
 
         if not all(is_dyck(s) for s in base.strings):
             raise ConfigError("raw codebooks must consist of Dyck strings")
-        return base, base, RAW, t
-    if name == PLAIN:
-        return base, encode_codebook(base), PLAIN, t
+        return base, base, RAW
     code = _load_code(scheme_obj.get("code"))
     flag = _load_code(scheme_obj.get("code_flag"))
     book = ecc.scheme_codebook(name, base, t, code, flag)
-    return base, book, name, t
+    return base, book, name
 
 
 def _pool_to_json(poolset: CompositionMultiset, N: int) -> str:
@@ -134,7 +131,7 @@ def _pool_from_json(text: str) -> tuple[CompositionMultiset, int]:
 
 
 def cmd_encode(args) -> int:
-    base, book, scheme, _ = load_config(args.config)
+    base, book, scheme = load_config(args.config)
     lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
     sources = [BitString(ln) for ln in lines]
     known = set(base.strings)
@@ -144,9 +141,6 @@ def cmd_encode(args) -> int:
     if scheme == RAW:
         bits = [str(s) for s in sources]
         layout = {"N": base.n}
-    elif scheme == PLAIN:
-        bits = [str(book.codeword_for(s).bits) for s in sources]
-        layout = book.layout.to_json_obj()
     else:
         bits = [str(book.bits_for(s)) for s in sources]
         layout = book.layout.to_json_obj()
@@ -192,39 +186,34 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    base, book, scheme, t = load_config(args.config)
+    base, book, scheme = load_config(args.config)
     poolset, N = _pool_from_json(_read_text(args.input))
     book_N = base.n if scheme == RAW else book.N
     if N != book_N:
         raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
     hbar = args.hbar
-    complete = poolset.total % (2 * book_N) == 0
     if hbar is None:
-        if not complete:
+        if poolset.total % (2 * book_N):
             raise ConfigError("erased pools need an explicit --hbar")
         hbar = poolset.total // (2 * book_N)
     report = None
     if args.detect:
         report = detect_substitution(poolset, book_N, hbar)
     try:
-        if scheme in (PLAIN, RAW):
-            if scheme == PLAIN and complete and poolset.total == 2 * book_N * hbar:
-                strings = decode_mixture(poolset, book, hbar)
-            else:
-                outcome = reconstruct_redundancy_free(
-                    poolset, book_N, hbar, codebook=book
-                )
-                if isinstance(outcome, Ambiguous):
-                    payload = {
-                        "status": "ambiguous",
-                        "partial_sum": str(outcome.partial),
-                        "witnesses": [
-                            sorted(str(s) for s in w) for w in (outcome.witnesses or ())
-                        ],
-                    }
-                    _write_text(args.output, json.dumps(payload, indent=1) + "\n")
-                    return EXIT_AMBIGUOUS
-                strings = outcome.strings
+        # a plain pool that lost fragments needs the redundancy-free merge
+        if scheme == RAW or (scheme == PLAIN and poolset.total != 2 * book_N * hbar):
+            outcome = reconstruct_redundancy_free(poolset, book_N, hbar, codebook=book)
+            if isinstance(outcome, Ambiguous):
+                payload = {
+                    "status": "ambiguous",
+                    "partial_sum": str(outcome.partial),
+                    "witnesses": [
+                        sorted(str(s) for s in w) for w in (outcome.witnesses or ())
+                    ],
+                }
+                _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+                return EXIT_AMBIGUOUS
+            strings = outcome.strings
         else:
             strings = ecc.scheme_decode(poolset, book, hbar)
     except (DecodeFailure, TooManyErasures, AmbiguousSolution) as exc:

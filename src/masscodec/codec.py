@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, invert_mod2_sum
 from .channel import increments, side_sums
@@ -45,6 +45,12 @@ from .errors import (
     InconsistentPoolSize,
     UnsupportedCodebook,
 )
+
+if TYPE_CHECKING:
+    from .ecc import IntegralLayout
+    from .linearcode import LinearCode, ModpCode
+
+PLAIN = "plain"
 
 
 def next_square(n: int) -> tuple[int, int]:
@@ -198,9 +204,8 @@ class McCodeword:
     """A Dyck codeword together with its segment table and source string."""
 
     bits: BitString
-    layout: McLayout
+    layout: Union[McLayout, IntegralLayout]
     origin: BitString
-    h: Optional[int] = None
 
 
 def assemble_codeword(
@@ -231,23 +236,34 @@ def assemble_codeword(
     return bits
 
 
-def encode(s: BitsLike, h: Optional[int] = None) -> McCodeword:
+def encode(s: BitsLike) -> McCodeword:
     """Balance s and frame it as a Dyck codeword (layout independent of h)."""
     s = BitString(s)
     layout = plain_layout(len(s))
     padded, _ = pad_to_square(s)
     pair = block_balance(padded)
     bits = assemble_codeword(layout, pair.r, pair.u)
-    return McCodeword(bits=bits, layout=layout, origin=s, h=h)
+    return McCodeword(bits=bits, layout=layout, origin=s)
 
 
 @dataclass(frozen=True)
 class McCodebook:
-    """All codewords of a source codebook under a shared layout."""
+    """All codewords of a source codebook under one scheme and a shared layout.
+
+    The plain codec is the scheme PLAIN with t = 0 and no codes; the
+    correction schemes of ``ecc`` build the same type around their codes.
+    """
 
     base: BhCodebook
     codewords: tuple[McCodeword, ...]
-    layout: McLayout
+    scheme: str = PLAIN
+    t: int = 0
+    code_data: Union[LinearCode, ModpCode, None] = None
+    code_flag: Optional[LinearCode] = None
+
+    @property
+    def layout(self) -> Union[McLayout, IntegralLayout]:
+        return self.codewords[0].layout
 
     @property
     def N(self) -> int:
@@ -261,12 +277,12 @@ class McCodebook:
         return len(self.codewords)
 
     @functools.cached_property
-    def _by_origin(self) -> dict[BitString, McCodeword]:
-        return {cw.origin: cw for cw in self.codewords}
+    def _bits_by_origin(self) -> dict[BitString, BitString]:
+        return {cw.origin: cw.bits for cw in self.codewords}
 
-    def codeword_for(self, source: BitString) -> McCodeword:
+    def bits_for(self, source: BitString) -> BitString:
         try:
-            return self._by_origin[source]
+            return self._bits_by_origin[source]
         except KeyError:
             raise KeyError(f"{source} is not in the codebook") from None
 
@@ -274,12 +290,20 @@ class McCodebook:
         """Pooled readout of the codewords of the given source strings."""
         from .core import pool as make_pool
 
-        return make_pool([self.codeword_for(BitString(s)).bits for s in sources])
+        return make_pool([self.bits_for(BitString(s)) for s in sources])
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
-    codewords = tuple(encode(s, base.h) for s in base.strings)
-    return McCodebook(base=base, codewords=codewords, layout=codewords[0].layout)
+    return McCodebook(base=base, codewords=tuple(encode(s) for s in base.strings))
+
+
+def require_plain(codebook: McCodebook) -> None:
+    """Refuse a coded book: its payload is not the mod-2 sum of the sources."""
+    if codebook.scheme != PLAIN:
+        raise UnsupportedCodebook(
+            f"a {codebook.scheme} codebook carries a coded payload; "
+            "decode it with ecc.scheme_decode"
+        )
 
 
 def separate_pool(
@@ -362,6 +386,7 @@ def decode_mixture(
     hbar defaults to |pool| / (2N) for complete pools; pass it explicitly
     when fragments have been removed upstream.
     """
+    require_plain(codebook)
     N = codebook.N
     if hbar is None:
         if pool.total == 0 or pool.total % (2 * N):

@@ -35,7 +35,6 @@ array) and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -691,9 +690,3 @@ class PartialSumString:
         for i in erased:
             syms[i] = fill
         return PartialSumString(syms, self.hbar)
-
-
-def subsets_of(items: Sequence, max_size: int) -> Iterator[tuple]:
-    """All subsets of size 1..max_size, smallest first."""
-    for k in range(1, max_size + 1):
-        yield from itertools.combinations(items, k)

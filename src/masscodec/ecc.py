@@ -34,13 +34,17 @@ and payload segments live inside Z_p, so Z_p syndromes of those sums --
 shipped as pairwise-complemented binary expansions -- can re-fill erased
 sum positions before any mod-2 reduction happens.
 
+Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
+too: the scheme name, t and the codes ride on the book, and the layout on
+its codewords.  The plain codec is the scheme PLAIN with t = 0 and no
+codes, so ``scheme_codebook`` and ``scheme_decode`` serve it as well.
+
 Decoders either return the exact source set or raise; a silent wrong
 answer is treated as a bug everywhere in the test-suite.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -48,10 +52,14 @@ from typing import Optional, Sequence, Union
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
 from .channel import partial_sum_strings, raw_side_sums
 from .codec import (
+    PLAIN,
+    McCodebook,
     McCodeword,
     McLayout,
     assemble_codeword,
     block_balance,
+    decode_mixture,
+    encode_codebook,
     next_square,
     plain_layout,
 )
@@ -135,51 +143,6 @@ def _pairwise_complement(bits: Sequence[int]) -> BitString:
     return BitString(out)
 
 
-@dataclass(frozen=True)
-class EccCodeword:
-    bits: BitString
-    scheme: str
-    layout: Union[McLayout, "IntegralLayout"]
-    origin: BitString
-
-
-@dataclass(frozen=True)
-class SchemeCodebook:
-    """A source codebook encoded under one scheme, plus its codes and layout."""
-
-    scheme: str
-    base: BhCodebook
-    t: int
-    codewords: tuple
-    layout: Union[McLayout, "IntegralLayout"]
-    code_data: Union[LinearCode, ModpCode, None]
-    code_flag: Optional[LinearCode] = None
-
-    @property
-    def N(self) -> int:
-        return self.layout.N
-
-    @property
-    def h(self) -> int:
-        return self.base.h
-
-    @functools.cached_property
-    def _bits_by_origin(self) -> dict[BitString, BitString]:
-        return {cw.origin: cw.bits for cw in self.codewords}
-
-    def bits_for(self, source: BitString) -> BitString:
-        try:
-            return self._bits_by_origin[source]
-        except KeyError:
-            raise KeyError(f"{source} is not in the codebook") from None
-
-    def pool_of(self, sources) -> CompositionMultiset:
-        """Pooled readout of the codewords of the given source strings."""
-        from .core import pool as make_pool
-
-        return make_pool([self.bits_for(BitString(s)) for s in sources])
-
-
 # ---------------------------------------------------------------------------
 # one-step scheme
 
@@ -229,23 +192,16 @@ def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
 
 def one_step_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
-) -> SchemeCodebook:
+) -> McCodebook:
     if code is None:
         code = _default_one_step_code(base.n, t) if t > 0 else trivial_code(base.n)
     codewords = tuple(one_step_encode(s, t, code) for s in base.strings)
-    return SchemeCodebook(
-        scheme=ONE_STEP,
-        base=base,
-        t=t,
-        codewords=codewords,
-        layout=codewords[0].layout,
-        code_data=code,
-    )
+    return McCodebook(base, codewords, scheme=ONE_STEP, t=t, code_data=code)
 
 
 def one_step_decode(
     pool: CompositionMultiset,
-    codebook: SchemeCodebook,
+    codebook: McCodebook,
     hbar: int,
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[BitString]:
@@ -259,17 +215,7 @@ def one_step_decode(
     merged = _merged_sums(pool, lay.N, hbar)
     flags = _mod2(merged[lay.r_start : lay.r_start + lay.root])
     data = _mod2(merged[lay.u_start : lay.u_start + lay.m])
-    unflipped: list[Optional[int]] = []
-    for j in range(lay.root):
-        block = data[j * lay.root : (j + 1) * lay.root]
-        if flags[j] is None:
-            unflipped.extend([None] * lay.root)
-        elif flags[j]:
-            unflipped.extend(None if b is None else 1 - b for b in block)
-        else:
-            unflipped.extend(block)
-    # padding bits are zero in every source, so their mod-2 sum is known
-    word = unflipped[lay.pad :]
+    word = _unflip(data, flags, lay)
     full = code.decode_erasures(word)
     target = BitString(code.extract_message(full))
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
@@ -341,7 +287,7 @@ def two_step_codebook(
     code_data: Optional[LinearCode] = None,
     code_flag: Optional[LinearCode] = None,
     substitutions: bool = False,
-) -> SchemeCodebook:
+) -> McCodebook:
     need = 2 * t if substitutions else t
     if code_data is None:
         code_data = (
@@ -357,14 +303,8 @@ def two_step_codebook(
     codewords = tuple(
         two_step_encode(s, t, code_data, code_flag, substitutions) for s in base.strings
     )
-    return SchemeCodebook(
-        scheme=TWO_STEP,
-        base=base,
-        t=t,
-        codewords=codewords,
-        layout=codewords[0].layout,
-        code_data=code_data,
-        code_flag=code_flag,
+    return McCodebook(
+        base, codewords, scheme=TWO_STEP, t=t, code_data=code_data, code_flag=code_flag
     )
 
 
@@ -380,7 +320,7 @@ def _two_step_flag_word(
 
 def two_step_decode(
     pool: CompositionMultiset,
-    codebook: SchemeCodebook,
+    codebook: McCodebook,
     hbar: int,
     budget: int = DEFAULT_BUDGET,
     substitutions: bool = False,
@@ -430,19 +370,26 @@ def two_step_decode(
 
 
 def _unflip(
-    data: Sequence[Optional[int]], r_total: Sequence[int], lay: McLayout
+    data: Sequence[Optional[int]], r_total: Sequence[Optional[int]], lay: McLayout
 ) -> list[Optional[int]]:
+    """Undo the block complementation of a mod-2 payload and drop the padding.
+
+    An erased flag (None) leaves its whole block unknown.  The padding bits
+    are zero in every source, so their mod-2 sum needs no recovery.
+    """
     out: list[Optional[int]] = []
     for j in range(lay.root):
         block = data[j * lay.root : (j + 1) * lay.root]
-        if r_total[j]:
+        if r_total[j] is None:
+            out.extend([None] * lay.root)
+        elif r_total[j]:
             out.extend(None if b is None else 1 - b for b in block)
         else:
             out.extend(block)
     return out[lay.pad :]
 
 
-def two_step_length_identity(codebook: SchemeCodebook) -> tuple[int, int]:
+def two_step_length_identity(codebook: McCodebook) -> tuple[int, int]:
     """(actual N, m1 + (17/2)sqrt(m1) + 2(m3 - sqrt(m1)) + 2)."""
     lay: McLayout = codebook.layout
     m1, root = lay.m, lay.root
@@ -536,7 +483,7 @@ def balance_redundancy(r_prime: Sequence[int], i_last: int) -> BitString:
     return BitString(bits)
 
 
-def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> EccCodeword:
+def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
     """Embed s and the balanced parities of I(s) behind a long 1-run.
 
     The code protects I(s) and needs erasure capability floor(t/2) only.
@@ -568,28 +515,21 @@ def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> E
         bits = bits + BitString.ones(ones_tail)
     if zeros_tail:
         bits = bits + BitString.zeros(zeros_tail)
-    return EccCodeword(bits=bits, scheme=INTEGRAL, layout=lay, origin=s)
+    return McCodeword(bits=bits, layout=lay, origin=s)
 
 
 def integral_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
-) -> SchemeCodebook:
+) -> McCodebook:
     if code is None:
         code = erasure_code(base.n, t // 2)
     codewords = tuple(integral_encode(s, t, code) for s in base.strings)
-    return SchemeCodebook(
-        scheme=INTEGRAL,
-        base=base,
-        t=t,
-        codewords=codewords,
-        layout=codewords[0].layout,
-        code_data=code,
-    )
+    return McCodebook(base, codewords, scheme=INTEGRAL, t=t, code_data=code)
 
 
 def integral_decode(
     pool: CompositionMultiset,
-    codebook: SchemeCodebook,
+    codebook: McCodebook,
     hbar: int,
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[BitString]:
@@ -675,25 +615,18 @@ def one_step_modp_encode(
 
 def one_step_modp_codebook(
     base: BhCodebook, t: int, pcode: Optional[ModpCode] = None
-) -> SchemeCodebook:
+) -> McCodebook:
     m, root = _pad_root_mult4(base.n)
     if pcode is None:
         p = _next_prime(base.h + 1)
         pcode = modp_code(p, root + m)
     codewords = tuple(one_step_modp_encode(s, t, pcode) for s in base.strings)
-    return SchemeCodebook(
-        scheme=ONE_STEP_MODP,
-        base=base,
-        t=t,
-        codewords=codewords,
-        layout=codewords[0].layout,
-        code_data=pcode,
-    )
+    return McCodebook(base, codewords, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
 
 
 def one_step_modp_decode(
     pool: CompositionMultiset,
-    codebook: SchemeCodebook,
+    codebook: McCodebook,
     hbar: int,
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[BitString]:
@@ -752,7 +685,9 @@ def scheme_codebook(
     t: int,
     code_data: Optional[Union[LinearCode, ModpCode]] = None,
     code_flag: Optional[LinearCode] = None,
-) -> SchemeCodebook:
+) -> McCodebook:
+    if scheme == PLAIN:
+        return encode_codebook(base)
     if scheme == ONE_STEP:
         return one_step_codebook(base, t, code_data)
     if scheme == TWO_STEP:
@@ -766,10 +701,12 @@ def scheme_codebook(
 
 def scheme_decode(
     pool: CompositionMultiset,
-    codebook: SchemeCodebook,
+    codebook: McCodebook,
     hbar: int,
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[BitString]:
+    if codebook.scheme == PLAIN:
+        return decode_mixture(pool, codebook, hbar, budget)
     if codebook.scheme == ONE_STEP:
         return one_step_decode(pool, codebook, hbar, budget)
     if codebook.scheme == TWO_STEP:

@@ -244,19 +244,6 @@ def single_parity(k: int) -> LinearCode:
     )
 
 
-def double_parity(k: int) -> LinearCode:
-    """[k+2, k, 2]: the overall parity bit written twice.
-
-    Same erasure capability as single_parity; the even number of checks is
-    what the running-sum scheme wants, so that a symbol masking every
-    parity at once cannot cancel out of the check equations.
-    """
-    H = np.ones((2, k + 2), dtype=np.uint8)
-    H[0, k + 1] = 0
-    H[1, k] = 0
-    return LinearCode(name=f"parity2_{k}", d=2, H=H, pivots=(k, k + 1))
-
-
 def hamming_code(r: int) -> LinearCode:
     """[2^r - 1, 2^r - 1 - r, 3] arranged with information symbols first."""
     n = 2**r - 1

@@ -48,6 +48,7 @@ from masscodec.errors import (
     NotMassReducing,
     PatternNotPresent,
     TooManyErasures,
+    UnsupportedCodebook,
 )
 
 PSS = PartialSumString.parse
@@ -238,6 +239,24 @@ def test_zero_erasures_always_succeed():
         out = reconstruct_redundancy_free(pool(pair), 6, 2, codebook=cb)
         assert isinstance(out, Recovered)
         assert out.strings == frozenset(BitString(s) for s in pair)
+
+
+def test_coded_codebook_is_refused_by_the_plain_pipeline(b2_n16_codebook):
+    # the payload of a coded book is not the mod-2 sum of its sources
+    book = ecc.one_step_codebook(b2_n16_codebook, 2)
+    clean = book.pool_of(b2_n16_codebook.strings[:2])
+    cut = 30
+    erased = erase(
+        clean,
+        [Removal("prefix", cut), Removal("suffix", book.N - cut)],
+        rng=random.Random(0),
+    )
+    p, s = partial_sum_strings(erased, book.N, 2)
+    assert isinstance(merge_partials(p, s, book.N), Ambiguous)  # weight hbar * N / 2
+    # a complete merge reaches the inversion, an ambiguous one the witnesses
+    for readout in (clean, erased):
+        with pytest.raises(UnsupportedCodebook):
+            reconstruct_redundancy_free(readout, book.N, 2, codebook=book)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,30 @@ def test_encoded_pipeline_with_scheme(ws):
     assert out["strings"] == sorted([str(base.strings[0]), str(base.strings[7])])
 
 
+def test_encode_pool_decode_plain(ws):
+    from masscodec.bhcode import build_bh_codebook, bundled_spec
+
+    base = build_bh_codebook(2, bundled_spec("bch_15_7"))
+    sources = sorted(str(s) for s in base.strings[2:4])
+    strings = ws / "s.txt"
+    strings.write_text("\n".join(sources) + "\n")
+    assert run("encode", strings, "--config", ws / "plain.json", "-o", ws / "w.json") == 0
+    assert run("pool", ws / "w.json", "-o", ws / "p.json") == 0
+    assert run("decode", ws / "p.json", "--config", ws / "plain.json", "--detect",
+               "-o", ws / "d.json") == 0
+    out = json.loads((ws / "d.json").read_text())
+    assert out["status"] == "ok" and out["strings"] == sources
+    assert out["detection"]["clean"]
+    # one lost prefix fragment: the redundancy-free merge still recovers the pair
+    (ws / "pat.json").write_text(json.dumps({"erase": [{"side": "prefix", "len": 5}]}))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json",
+               "-o", ws / "e.json") == 0
+    assert run("decode", ws / "e.json", "--config", ws / "plain.json", "--hbar", 2,
+               "-o", ws / "out.json") == 0
+    out = json.loads((ws / "out.json").read_text())
+    assert out == {"status": "ok", "strings": sources}
+
+
 def test_empty_input_is_ok(ws):
     empty = ws / "none.txt"
     empty.write_text("")

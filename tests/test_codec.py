@@ -150,7 +150,7 @@ def test_separate_pool_of_three_codewords(mc3_codebook):
     prefixes, _ = separate_pool(p, mc3_codebook.N, 3)
     assert prefixes.total == 3 * mc3_codebook.N
     expected = prefix_multiset(mc3_codebook.codewords[0].bits).union(
-        *(prefix_multiset(mc3_codebook.codeword_for(s).bits) for s in subset[1:])
+        *(prefix_multiset(mc3_codebook.bits_for(s)) for s in subset[1:])
     )
     assert prefixes == expected
 

@@ -238,11 +238,14 @@ def test_integral_survives_payload_start_erasure(b2_n16_codebook):
     assert not failures, (len(failures), failures[:5])
 
 
-def test_scheme_front_door(b2_n16_codebook):
+def test_scheme_front_door(b2_n16_codebook, b2_codebook):
     book = ecc.scheme_codebook("integral", b2_n16_codebook, 2)
     clean = book.pool_of(b2_n16_codebook.strings[:1])
     assert ecc.scheme_decode(clean, book, 1) == frozenset(
         b2_n16_codebook.strings[:1]
     )
+    plain = ecc.scheme_codebook("plain", b2_codebook, 0)
+    clean = plain.pool_of(b2_codebook.strings[3:5])
+    assert ecc.scheme_decode(clean, plain, 2) == frozenset(b2_codebook.strings[3:5])
     with pytest.raises(ConfigError):
         ecc.scheme_codebook("nope", b2_n16_codebook, 1)
