@@ -1,13 +1,16 @@
 """Generate the parity-check tables bundled under src/masscodec/data/.
 
 Builds classical narrow-sense BCH parity-check matrices over GF(2^m),
-row-reduces them to full rank, verifies the exact minimum distance by
-enumerating all codewords, and writes:
+row-reduces them to full rank with ``masscodec.linearcode.rref``, verifies
+the exact minimum distance by enumerating all codewords of the package's
+systematic generator, and writes:
 
-  hamming_7_4.pcm   3x7,  d=3   (order-1 codebook source)
-  bch_15_7.pcm      8x15, d=5   (order-2 codebook source)
-  bch_15_5.pcm     10x15, d=7   (order-3 codebook source)
-  bch_63_16.json   47x63, d=23  (erasure-protection code, standard form)
+  hamming_7_4.pcm      3x7,  d=3   (order-1 codebook source)
+  bch_15_7.pcm         8x15, d=5   (order-2 codebook source)
+  bch_15_5.pcm        10x15, d=7   (order-3 codebook source)
+  bch_255_cols20.pcm  16x20, d=7   (order-2 desk codebook source)
+  bch_63_16.json      47x63, d=23  (erasure-protection code, standard form)
+  bch_31_21.json      10x31, d=5   (substitution-protection code, standard form)
 
 Run from the repository root:  PYTHONPATH=src python scripts/gen_code_tables.py
 """
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from masscodec.linearcode import rref_gf2
+from masscodec.linearcode import LinearCode, rref
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "masscodec" / "data"
 
@@ -100,34 +103,25 @@ def bch_generator(m: int, delta: int) -> int:
     return g
 
 
-def cyclic_code_matrices(n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Systematic (G, H) of the cyclic code of length n generated by g."""
+def cyclic_code_pcm(n: int, g: int) -> np.ndarray:
+    """Standard-form H = [A^T | I] of the cyclic code of length n generated by g."""
     deg = g.bit_length() - 1
     k = n - deg
     G = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
         for j in range(deg + 1):
             G[i, i + j] = (g >> j) & 1
-    G = rref_gf2(G)[0]
+    G = rref(G)[0]
     assert G.shape == (k, n)
     assert np.array_equal(G[:, :k], np.eye(k, dtype=np.uint8)), "not systematic"
-    A = G[:, k:]
-    H = np.concatenate([A.T, np.eye(n - k, dtype=np.uint8)], axis=1)
+    H = np.concatenate([G[:, k:].T, np.eye(n - k, dtype=np.uint8)], axis=1)
     assert not (G @ H.T % 2).any()
-    return G, H
+    return H
 
 
-def exact_min_distance(G: np.ndarray) -> int:
-    k = G.shape[0]
-    best = G.shape[1]
-    block = 1 << 14
-    msgs = np.arange(1, 1 << k, dtype=np.uint64)
-    for start in range(0, len(msgs), block):
-        chunk = msgs[start : start + block]
-        bits = ((chunk[:, None] >> np.arange(k, dtype=np.uint64)) & 1).astype(np.uint8)
-        words = bits @ G % 2
-        best = min(best, int(words.sum(axis=1).min()))
-    return best
+def min_distance(H: np.ndarray) -> int:
+    """Exact minimum distance of the code {x : Hx = 0}."""
+    return LinearCode.from_parity_check(H, d=1).exact_min_distance()
 
 
 def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
@@ -137,7 +131,7 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
     for p in powers:
         for bit in range(m):
             rows.append([(field.pow(2, p * i) >> bit) & 1 for i in range(n)])
-    return rref_gf2(np.array(rows, dtype=np.uint8))[0]
+    return rref(rows)[0]
 
 
 def write_pcm(name: str, H: np.ndarray, d: int) -> None:
@@ -154,11 +148,7 @@ def main() -> None:
     Hh = np.array(
         [[(c >> b) & 1 for c in range(1, 8)] for b in range(2, -1, -1)], dtype=np.uint8
     )
-    Gh, _ = None, None
-    # verify d via the dual construction: code {x: Hx=0}
-    Hrr = rref_gf2(Hh)[0]
-    Gh = nullspace_generator(Hrr)
-    d = exact_min_distance(Gh)
+    d = min_distance(Hh)
     assert d == 3
     write_pcm("hamming_7_4", Hh, d)
 
@@ -170,43 +160,24 @@ def main() -> None:
         ("bch_255_cols20", 8, 20, 5, [1, 3]),
     ):
         H = alpha_power_pcm(m, n, powers)
-        G = nullspace_generator(H)
-        d = exact_min_distance(G)
+        d = min_distance(H)
         assert d >= delta, (name, d)
         write_pcm(name, H, d)
 
     # Erasure/substitution-protection workhorses, stored in standard form.
     for name, m, n, delta in (("bch_63_16", 6, 63, 23), ("bch_31_21", 5, 31, 5)):
-        g = bch_generator(m, delta)
-        G, H = cyclic_code_matrices(n, g)
-        d = exact_min_distance(G)
+        H = cyclic_code_pcm(n, bch_generator(m, delta))
+        k, d = n - H.shape[0], min_distance(H)
         assert d >= delta, (name, d)
         obj = {
             "name": name,
             "n": n,
-            "k": int(G.shape[0]),
-            "d": int(d),
+            "k": k,
+            "d": d,
             "H": ["".join(str(int(b)) for b in row) for row in H],
         }
         (DATA / f"{name}.json").write_text(json.dumps(obj, indent=1) + "\n")
-        print(f"{name}.json: ({n},{G.shape[0]},{d})")
-
-
-def nullspace_generator(H: np.ndarray) -> np.ndarray:
-    """Generator matrix of {x : Hx = 0} from a full-rank H (any form)."""
-    r, n = H.shape
-    a = rref_gf2(H)[0]
-    pivots = []
-    for row in a:
-        pivots.append(int(np.argmax(row)))
-    free = [c for c in range(n) if c not in pivots]
-    G = np.zeros((len(free), n), dtype=np.uint8)
-    for gi, fc in enumerate(free):
-        G[gi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            G[gi, pc] = a[ri, fc]
-    assert not (a @ G.T % 2).any()
-    return G
+        print(f"{name}.json: ({n},{k},{d})")
 
 
 if __name__ == "__main__":

@@ -202,7 +202,9 @@ def cmd_decode(args) -> int:
     try:
         # a plain pool that lost fragments needs the redundancy-free merge
         if scheme == RAW or (scheme == PLAIN and poolset.total != 2 * book_N * hbar):
-            outcome = reconstruct_redundancy_free(poolset, book_N, hbar, codebook=book)
+            outcome = reconstruct_redundancy_free(
+                poolset, book_N, hbar, codebook=book, budget=args.budget
+            )
             if isinstance(outcome, Ambiguous):
                 payload = {
                     "status": "ambiguous",
@@ -215,7 +217,7 @@ def cmd_decode(args) -> int:
                 return EXIT_AMBIGUOUS
             strings = outcome.strings
         else:
-            strings = ecc.scheme_decode(poolset, book, hbar)
+            strings = ecc.scheme_decode(poolset, book, hbar, args.budget)
     except (DecodeFailure, TooManyErasures, AmbiguousSolution) as exc:
         payload = {"status": "decode-failure", "error": str(exc)}
         if report is not None:
@@ -347,7 +349,7 @@ def cmd_experiment(args) -> int:
         ]
         base = BhCodebook.explicit(strings, args.h)
     rows = run_erasure_experiment(
-        base, args.hbar, args.t, args.trials, args.seed, args.placement
+        base, args.hbar, args.t, args.trials, args.seed, args.placement, args.budget
     )
     import io
 

@@ -123,17 +123,19 @@ def _mod2(vals: Sequence[Optional[int]]) -> list[Optional[int]]:
     return [None if v is None else v % 2 for v in vals]
 
 
-def _pair_bit(
+def _pair_value(
     merged: Sequence[Optional[int]], start: int, idx: int, hbar: int
 ) -> Optional[int]:
-    """Mod-2 value of pair-encoded bit idx in a z segment (b, 1-b pairs)."""
+    """Integer sum of pair-encoded bit idx in a z segment (b, 1-b pairs).
+
+    The first symbol of the pair holds the sum itself, the second hbar
+    minus it; None when both are erased.
+    """
     a = merged[start + 2 * idx]
     if a is not None:
-        return a % 2
+        return a
     b = merged[start + 2 * idx + 1]
-    if b is not None:
-        return (hbar - b) % 2
-    return None
+    return None if b is None else hbar - b
 
 
 def _pairwise_complement(bits: Sequence[int]) -> BitString:
@@ -312,9 +314,9 @@ def _two_step_flag_word(
     merged: Sequence[Optional[int]], lay: McLayout, hbar: int
 ) -> list[Optional[int]]:
     flags = _mod2(merged[lay.r_start : lay.r_start + lay.root])
-    z_bits = [
-        _pair_bit(merged, lay.z_start, i, hbar) for i in range(lay.z_len // 2)
-    ]
+    z_bits = _mod2(
+        [_pair_value(merged, lay.z_start, i, hbar) for i in range(lay.z_len // 2)]
+    )
     return flags + z_bits
 
 
@@ -642,14 +644,7 @@ def one_step_modp_decode(
         acc = 0
         ok = True
         for b in range(g):
-            v = None
-            a = merged[lay.z_start + 2 * (j * g + b)]
-            if a is not None:
-                v = a
-            else:
-                c = merged[lay.z_start + 2 * (j * g + b) + 1]
-                if c is not None:
-                    v = hbar - c
+            v = _pair_value(merged, lay.z_start, j * g + b, hbar)
             if v is None:
                 ok = False
                 break
@@ -687,6 +682,8 @@ def scheme_codebook(
     code_flag: Optional[LinearCode] = None,
 ) -> McCodebook:
     if scheme == PLAIN:
+        if t or code_data is not None or code_flag is not None:
+            raise ConfigError("the plain scheme takes no t, code or code_flag")
         return encode_codebook(base)
     if scheme == ONE_STEP:
         return one_step_codebook(base, t, code_data)

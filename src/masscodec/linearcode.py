@@ -1,10 +1,14 @@
-"""Small binary linear codes with systematic encoders and erasure solvers.
+"""Small linear codes with systematic encoders and erasure solvers.
 
 These are plain table-driven codes: a parity-check matrix, a systematic
-encoder derived from it, and decoders that solve for erased positions by
-Gaussian elimination (any pattern of up to d-1 erasures is solvable) or,
-for substitutions at desk scale, by exhaustive nearest-codeword search.
-A matching mod-p variant supports syndrome protection over a prime field.
+encoder derived from it, and decoders that solve for erased positions
+(any pattern of up to d-1 erasures is solvable) or, for substitutions at
+desk scale, by exhaustive nearest-codeword search.  A matching mod-p
+variant supports syndrome protection over a prime field.
+
+One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
+it reduces binary parity-check matrices (p = 2) and, through one erasure
+solve, fills erased positions of binary words and of Z_p vectors alike.
 """
 
 from __future__ import annotations
@@ -30,32 +34,67 @@ def _as_matrix(rows) -> np.ndarray:
     return np.array(out, dtype=np.uint8) % 2
 
 
-def rref_gf2(
-    mat: np.ndarray, column_order: Optional[Sequence[int]] = None
+def rref(
+    mat, p: int = 2, column_order: Optional[Sequence[int]] = None
 ) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2).
+    """Reduced row echelon form over GF(p), p prime, as an int64 array.
 
     Pivots are chosen scanning columns in the given order (default left to
-    right); returns the nonzero rows and the pivot column of each row.
+    right); each pivot row is scaled to a leading 1 and its column is
+    cleared in every other row by one outer-product update.  Returns the
+    nonzero rows and the pivot column of each row.
     """
-    a = mat.copy() % 2
+    a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     order = range(cols) if column_order is None else column_order
     pivots = []
     r = 0
     for c in order:
-        pivot = next((i for i in range(r, rows) if a[i, c]), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue
+        i = r + int(nonzero[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        lead = int(a[r, c])
+        if lead != 1:
+            a[r] = a[r] * pow(lead, -1, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a -= factors[:, None] * a[r]
+        a %= p
+        pivots.append(c)
+        r += 1
     return a[:r], pivots
+
+
+def _solve_erasures(
+    H: np.ndarray, p: int, word: Sequence[Optional[int]], target
+) -> tuple[int, ...]:
+    """Fill the erased (None) entries of word so that H.word = target mod p.
+
+    Raises DecodeFailure when no filling meets the target (a complete word
+    included) and TooManyErasures when more than one does.
+    """
+    erased = [i for i, x in enumerate(word) if x is None]
+    known = np.array([0 if x is None else int(x) % p for x in word], dtype=np.int64)
+    rhs = (target - H @ known) % p
+    if not erased:
+        if rhs.any():
+            raise DecodeFailure("complete word does not meet its checks")
+        return tuple(known.tolist())
+    reduced, pivots = rref(np.column_stack([H[:, erased], rhs]), p)
+    if len(erased) in pivots:
+        raise DecodeFailure("erasure system is inconsistent")
+    if len(pivots) < len(erased):
+        raise TooManyErasures(
+            f"{len(erased)} erasures leave the system underdetermined"
+        )
+    # full column rank: row j holds the value of the j-th erased position
+    known[erased] = reduced[:, -1]
+    return tuple(known.tolist())
 
 
 class LinearCode:
@@ -82,8 +121,8 @@ class LinearCode:
     @classmethod
     def from_parity_check(cls, rows, d: int, name: str = "custom") -> "LinearCode":
         H = _as_matrix(rows)
-        reduced, pivots = rref_gf2(H, column_order=range(H.shape[1] - 1, -1, -1))
-        return cls(name=name, d=d, H=reduced, pivots=pivots)
+        reduced, pivots = rref(H, 2, column_order=range(H.shape[1] - 1, -1, -1))
+        return cls(name=name, d=d, H=reduced.astype(np.uint8), pivots=pivots)
 
     def __repr__(self) -> str:
         return f"LinearCode({self.name}: n={self.n}, k={self.k}, d={self.d})"
@@ -148,28 +187,7 @@ class LinearCode:
 
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:
         """Solve H x = 0 for the erased positions (None entries)."""
-        erased = [i for i, b in enumerate(word) if b is None]
-        if not erased:
-            out = tuple(int(b) & 1 for b in word)
-            if not self.is_codeword(out):
-                raise DecodeFailure("received word is not a codeword")
-            return out
-        known = np.array(
-            [0 if b is None else int(b) & 1 for b in word], dtype=np.uint8
-        )
-        rhs = self.H @ known % 2
-        aug = np.concatenate([self.H[:, erased], rhs[:, None]], axis=1)
-        reduced, pivots = rref_gf2(aug)
-        cols = len(erased)
-        if cols in pivots:
-            raise DecodeFailure("erasure system is inconsistent")
-        if len(pivots) < cols:
-            raise TooManyErasures(f"{cols} erasures leave the code underdetermined")
-        solution = dict(zip(pivots, (int(row[-1]) for row in reduced)))
-        out = list(int(b) for b in known)
-        for j, pos in enumerate(erased):
-            out[pos] = solution[j]
-        return tuple(out)
+        return _solve_erasures(self.H, 2, word, 0)
 
     def decode_errors(
         self,
@@ -345,56 +363,9 @@ class ModpCode:
         syndrome: Sequence[Optional[int]],
     ) -> tuple[int, ...]:
         """Fill erased entries so H.vec matches the usable syndrome rows."""
-        erased = [i for i, x in enumerate(vec) if x is None]
         rows = [r for r, s in enumerate(syndrome) if s is not None]
-        known = np.array(
-            [0 if x is None else int(x) % self.p for x in vec], dtype=np.int64
-        )
-        if not erased:
-            got = (self.H[rows] @ known) % self.p
-            if any(int(g) != int(syndrome[r]) % self.p for g, r in zip(got, rows)):
-                raise DecodeFailure("syndrome mismatch on a complete vector")
-            return tuple(int(x) for x in known)
-        H = self.H[rows]
-        rhs = (
-            np.array([int(syndrome[r]) for r in rows], dtype=np.int64) - H @ known
-        ) % self.p
-        sol = _solve_modp(H[:, erased] % self.p, rhs, self.p)
-        if sol is None:
-            raise TooManyErasures(
-                f"{len(erased)} erasures with {len(rows)} usable syndrome rows"
-            )
-        out = list(int(x) for x in known)
-        for pos, val in zip(erased, sol):
-            out[pos] = int(val)
-        return tuple(out)
-
-
-def _solve_modp(A: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Unique solution of A x = b mod p, or None when not uniquely solvable."""
-    A = A.copy() % p
-    b = b.copy() % p
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i, c]), None)
-        if pivot is None:
-            return None  # free variable: not unique
-        A[[r, pivot]] = A[[pivot, r]]
-        b[[r, pivot]] = b[[pivot, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        b[r] = (b[r] * inv) % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                factor = int(A[i, c])
-                A[i] = (A[i] - factor * A[r]) % p
-                b[i] = (b[i] - factor * b[r]) % p
-        r += 1
-    for i in range(r, rows):
-        if b[i] % p:
-            return None  # inconsistent
-    return b[:cols]
+        target = np.array([int(syndrome[r]) for r in rows], dtype=np.int64)
+        return _solve_erasures(self.H[rows], self.p, vec, target)
 
 
 def modp_code(p: int, n: int, rows: int = 4) -> ModpCode:

@@ -112,6 +112,29 @@ def test_encode_pool_decode_plain(ws):
     assert out == {"status": "ok", "strings": sources}
 
 
+def test_budget_reaches_decode(ws):
+    from masscodec.bhcode import build_bh_codebook, bundled_spec
+
+    base = build_bh_codebook(2, bundled_spec("bch_15_7"))
+    strings = ws / "s.txt"
+    strings.write_text(f"{base.strings[2]}\n{base.strings[3]}\n")
+    run("encode", strings, "--config", ws / "plain.json", "-o", ws / "w.json")
+    run("pool", ws / "w.json", "-o", ws / "p.json")
+    # the mod-2 lookup of a pair enumerates more than one half-subset
+    assert run("--budget", 1, "decode", ws / "p.json", "--config", ws / "plain.json",
+               "-o", ws / "d.json") == 5
+    assert run("decode", ws / "p.json", "--config", ws / "plain.json",
+               "-o", ws / "d.json") == 0
+
+
+def test_plain_config_with_protection_exits_2(ws):
+    cfg = ws / "plain_t3.json"
+    cfg.write_text(json.dumps({**PLAIN_CONFIG, "scheme": {"name": "plain", "t": 3}}))
+    strings = ws / "s.txt"
+    strings.write_text("")
+    assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == 2
+
+
 def test_empty_input_is_ok(ws):
     empty = ws / "none.txt"
     empty.write_text("")
@@ -164,3 +187,12 @@ def test_experiment_determinism(ws):
     a, b = (ws / "a.csv").read_bytes(), (ws / "b.csv").read_bytes()
     assert a == b
     assert all(line.endswith(",exact") for line in a.decode().strip().splitlines()[1:])
+
+
+
+def test_budget_reaches_experiment(ws):
+    args = ("experiment", "--matrix", "bundled:bch_15_7", "--h", 2, "--hbar", 2,
+            "--t", 1, "--trials", 3, "--seed", 5, "-o", ws / "a.csv")
+    assert run("--budget", 1, *args) == 0
+    rows = (ws / "a.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",error") for row in rows)

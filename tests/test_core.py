@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,3 +204,21 @@ def test_bitstring_xor_and_int_round_trip():
     assert BitString.from_int(a.as_int, 4) == a
     with pytest.raises(LengthMismatch):
         a ^ BitString("10")
+
+
+def test_package_import_loads_no_numpy():
+    # numpy arrives with the first code or pool table; importing it earlier
+    # moves the process's peak memory (see the benchmark's peak_rss_mb)
+    import masscodec
+
+    src = str(Path(masscodec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, masscodec; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

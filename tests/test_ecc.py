@@ -249,3 +249,10 @@ def test_scheme_front_door(b2_n16_codebook, b2_codebook):
     assert ecc.scheme_decode(clean, plain, 2) == frozenset(b2_codebook.strings[3:5])
     with pytest.raises(ConfigError):
         ecc.scheme_codebook("nope", b2_n16_codebook, 1)
+
+
+def test_plain_scheme_refuses_protection_settings(b2_codebook):
+    for t, code_data, code_flag in ((3, None, None), (0, single_parity(4), None),
+                                    (0, None, single_parity(4))):
+        with pytest.raises(ConfigError):
+            ecc.scheme_codebook("plain", b2_codebook, t, code_data, code_flag)

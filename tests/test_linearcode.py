@@ -7,10 +7,12 @@ import pytest
 from masscodec.errors import ConfigError, DecodeFailure, TooManyErasures
 from masscodec.linearcode import (
     LinearCode,
+    ModpCode,
     bundled_code,
     erasure_code,
     hamming_code,
     modp_code,
+    rref,
     shortened,
     single_parity,
     substitution_code,
@@ -159,3 +161,139 @@ def test_modp_with_dropped_syndrome_rows():
     received = list(vec)
     received[2] = None
     assert pc.solve_erasures(received, syn) == tuple(vec)
+
+
+def test_modp_unmeetable_syndrome_is_a_decode_failure():
+    pc = modp_code(3, 20)
+    vec = [1, 2, 0, 1] * 5
+    syn = list(pc.syndrome(vec))
+    received = list(vec)
+    received[7] = None
+    # a row that does not see the erased column cannot absorb the change
+    row = next(r for r in range(pc.n_rows) if pc.H[r, 7] == 0)
+    syn[row] = (syn[row] + 1) % 3
+    with pytest.raises(DecodeFailure):
+        pc.solve_erasures(received, syn)
+
+
+# ---------------------------------------------------------------------------
+# referees: the two Gauss-Jordan loops that ``rref`` replaced, kept verbatim
+
+
+def _referee_rref_gf2(mat, column_order=None):
+    a = mat.copy() % 2
+    rows, cols = a.shape
+    order = range(cols) if column_order is None else column_order
+    pivots = []
+    r = 0
+    for c in order:
+        pivot = next((i for i in range(r, rows) if a[i, c]), None)
+        if pivot is None:
+            continue
+        a[[r, pivot]] = a[[pivot, r]]
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] ^= a[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+def _referee_solve_modp(A, b, p):
+    """Unique solution of A x = b mod p, or None when not uniquely solvable."""
+    A = A.copy() % p
+    b = b.copy() % p
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if A[i, c]), None)
+        if pivot is None:
+            return None
+        A[[r, pivot]] = A[[pivot, r]]
+        b[[r, pivot]] = b[[pivot, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r] = (A[r] * inv) % p
+        b[r] = (b[r] * inv) % p
+        for i in range(rows):
+            if i != r and A[i, c]:
+                factor = int(A[i, c])
+                A[i] = (A[i] - factor * A[r]) % p
+                b[i] = (b[i] - factor * b[r]) % p
+        r += 1
+    for i in range(r, rows):
+        if b[i] % p:
+            return None
+    return b[:cols]
+
+
+def test_rref_matches_the_gf2_referee():
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        mat = (rng.random((rows, cols)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        order = None if trial % 2 else [int(c) for c in rng.permutation(cols)]
+        got_rows, got_pivots = rref(mat, 2, column_order=order)
+        want_rows, want_pivots = _referee_rref_gf2(mat, order)
+        assert got_pivots == want_pivots
+        assert np.array_equal(got_rows, want_rows)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_modp_erasure_solve_matches_referee_and_brute_force(p):
+    """Unique, underdetermined and inconsistent systems over Z_p.
+
+    The referee cannot tell the last two apart, so a brute-force count of
+    the fillings that meet the target decides which error is due.
+    """
+    rng = random.Random(p)
+    seen = {"unique": 0, "underdetermined": 0, "inconsistent": 0}
+    non_unit_pivots = 0
+    for trial in range(300):
+        n_rows, n = rng.randint(1, 4), rng.randint(2, 6)
+        H = np.array(
+            [[rng.randrange(p) for _ in range(n)] for _ in range(n_rows)],
+            dtype=np.int64,
+        )
+        vec = [rng.randrange(p) for _ in range(n)]
+        syn = [int(x) for x in H @ np.array(vec) % p]
+        if trial % 3 == 0:
+            syn = [rng.randrange(p) for _ in range(n_rows)]
+        erased = sorted(rng.sample(range(n), rng.randint(1, min(n, 3))))
+        received = [None if i in erased else x for i, x in enumerate(vec)]
+        known = np.array([0 if x is None else x for x in received], dtype=np.int64)
+        A, b = H[:, erased], (np.array(syn) - H @ known) % p
+        fillings = [
+            fill
+            for fill in itertools.product(range(p), repeat=len(erased))
+            if not ((A @ np.array(fill) - b) % p).any()
+        ]
+        non_unit_pivots += any(int(x) not in (0, 1) for x in A[:, 0])
+        referee = _referee_solve_modp(A, b, p)
+        code = ModpCode(p, H, capability=0)
+        if len(fillings) == 1:
+            seen["unique"] += 1
+            assert tuple(referee) == fillings[0]
+            want = list(received)
+            for pos, val in zip(erased, fillings[0]):
+                want[pos] = val
+            assert code.solve_erasures(received, syn) == tuple(want)
+        else:
+            assert referee is None
+            kind = "inconsistent" if not fillings else "underdetermined"
+            seen[kind] += 1
+            error = DecodeFailure if not fillings else TooManyErasures
+            with pytest.raises(error):
+                code.solve_erasures(received, syn)
+    assert min(seen.values()) >= 20, seen
+    assert non_unit_pivots >= 50
+
+
+def test_rref_over_z5_scales_non_unit_pivots():
+    # [[2, 1 | 4], [3, 3 | 4]]: x = (1, 2) mod 5, every pivot needs scaling
+    reduced, pivots = rref([[2, 1, 4], [3, 3, 4]], 5)
+    assert pivots == [0, 1]
+    assert reduced.tolist() == [[1, 0, 1], [0, 1, 2]]
+    H = np.array([[2, 1], [3, 3]])
+    assert ModpCode(5, H, 2).solve_erasures([None, None], [4, 4]) == (1, 2)
