@@ -2,9 +2,11 @@
 
 These are plain table-driven codes: a parity-check matrix, a systematic
 encoder derived from it, and decoders that solve for erased positions
-(any pattern of up to d-1 erasures is solvable) or, for substitutions at
-desk scale, by exhaustive nearest-codeword search.  A matching mod-p
-variant supports syndrome protection over a prime field.
+(any pattern of up to d-1 erasures is solvable) or correct substitutions
+by syndrome lookup: the syndrome of every error pattern of up to half the
+radius is cached per code, and a decode meets it with the other half
+(meet-in-the-middle).  A matching mod-p variant supports syndrome
+protection over a prime field.
 
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices (p = 2) and, through one erasure
@@ -13,7 +15,9 @@ solve, fills erased positions of binary words and of Z_p vectors alike.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -114,7 +118,10 @@ class LinearCode:
         self.k = self.n - H.shape[0]
         self.info_positions = tuple(c for c in range(self.n) if c not in self.pivots)
         self._generator: Optional[np.ndarray] = None
-        self._table: Optional[np.ndarray] = None
+        # syndrome lookup state, built on first use by _cache_patterns
+        self._columns: list[int] = []
+        self._syndromes = {0: 0}
+        self._pattern_counts = [1]
         if self.k < 1 or d < 1:
             raise ConfigError(f"bad code parameters n={self.n}, k={self.k}, d={d}")
 
@@ -172,22 +179,38 @@ class LinearCode:
             self._generator = np.array(rows, dtype=np.uint8)
         return self._generator
 
-    def _codeword_table(self, budget: int = 2**20) -> np.ndarray:
-        if self._table is None:
-            if 2**self.k > budget:
-                raise SearchSpaceTooLarge(
-                    f"2^{self.k} codewords exceed the table budget {budget}"
-                )
-            msgs = np.arange(2**self.k, dtype=np.uint32)
-            bits = ((msgs[:, None] >> np.arange(self.k, dtype=np.uint32)) & 1).astype(
-                np.uint8
-            )
-            self._table = bits @ self.generator % 2
-        return self._table
-
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:
         """Solve H x = 0 for the erased positions (None entries)."""
         return _solve_erasures(self.H, 2, word, 0)
+
+    def _cache_patterns(self, weight: int) -> None:
+        """Cache the syndrome of every error pattern of weight <= weight.
+
+        ``_syndromes`` maps each syndrome to its pattern's bitmask, filled
+        in order of weight; ``_pattern_counts[w]`` counts its patterns of
+        weight <= w.  Two patterns with one syndrome differ by a codeword of
+        weight at most 2*weight, which the declared distance rules out.
+        Column j of H is packed into ``_columns[j]`` with check row i as
+        bit i.
+        """
+        if not self._columns:
+            self._columns = [
+                sum(1 << int(i) for i in np.flatnonzero(self.H[:, j]))
+                for j in range(self.n)
+            ]
+        for w in range(len(self._pattern_counts), weight + 1):
+            for positions in itertools.combinations(range(self.n), w):
+                syn = mask = 0
+                for j in positions:
+                    syn ^= self._columns[j]
+                    mask |= 1 << j
+                if syn in self._syndromes:
+                    raise ConfigError(
+                        f"{self.name}: two patterns of weight <= {w} share a "
+                        f"syndrome, so d={self.d} is wrong"
+                    )
+                self._syndromes[syn] = mask
+            self._pattern_counts.append(len(self._syndromes))
 
     def decode_errors(
         self,
@@ -195,18 +218,47 @@ class LinearCode:
         max_errors: Optional[int] = None,
         budget: int = 2**20,
     ) -> tuple[int, ...]:
-        """Nearest codeword within the error radius, by exhaustive scan."""
+        """The codeword within max_errors flips of word, by syndrome lookup.
+
+        The error e has weight <= r = max_errors, so it splits as e1 ^ e2
+        with |e1| <= ceil(r/2) and |e2| <= floor(r/2).  Every e2 is probed
+        against the cached syndromes of the e1: syn(e1) = syn(word) ^
+        syn(e2).  r is at most the error capability, so at most one error
+        of weight <= r fits and the result is the nearest codeword.
+        ``budget`` bounds the cached patterns plus the probes.
+        """
         if max_errors is None:
             max_errors = self.error_capability
-        received = np.array([int(b) & 1 for b in word], dtype=np.uint8)
-        table = self._codeword_table(budget)
-        dists = (table != received).sum(axis=1)
-        best = int(dists.argmin())
-        if int(dists[best]) > max_errors:
-            raise DecodeFailure(
-                f"no codeword within {max_errors} errors (closest: {int(dists[best])})"
+        if not 0 <= max_errors <= self.error_capability:
+            raise ConfigError(
+                f"radius {max_errors} is outside 0..{self.error_capability}, "
+                f"the error capability of {self.name}"
             )
-        return tuple(int(b) for b in table[best])
+        half, probe = (max_errors + 1) // 2, max_errors // 2
+        needed = sum(math.comb(self.n, i) for i in range(half + 1)) + sum(
+            math.comb(self.n, i) for i in range(probe + 1)
+        )
+        if needed > budget:
+            raise SearchSpaceTooLarge(
+                f"syndrome lookup at radius {max_errors} needs {needed} "
+                f"patterns, over the budget {budget}"
+            )
+        if len(word) != self.n:
+            raise ValueError(f"word length {len(word)} != n={self.n}")
+        self._cache_patterns(half)
+        s = 0
+        for col, bit in zip(self._columns, word):
+            if int(bit) & 1:
+                s ^= col
+        probes = itertools.islice(self._syndromes.items(), self._pattern_counts[probe])
+        for syn2, e2 in probes:
+            e1 = self._syndromes.get(s ^ syn2)
+            if e1 is None:
+                continue
+            e = e1 ^ e2
+            if e.bit_count() <= max_errors:
+                return tuple((int(b) & 1) ^ ((e >> j) & 1) for j, b in enumerate(word))
+        raise DecodeFailure(f"no codeword within {max_errors} errors")
 
     def exact_min_distance(self, budget: int = 2**22) -> int:
         """Minimum nonzero codeword weight, streamed in blocks."""
@@ -299,8 +351,8 @@ def erasure_code(k: int, capability: int) -> LinearCode:
             r += 1
         return shortened(hamming_code(r), k)
     code = bundled_code("bch_63_16")
-    if code.k == k and code.erasure_capability >= capability:
-        return code
+    if k <= code.k and code.erasure_capability >= capability:
+        return shortened(code, k)
     raise ConfigError(f"no shipped code with k={k} and erasure capability {capability}")
 
 
@@ -318,8 +370,8 @@ def substitution_code(k: int, error_capability: int) -> LinearCode:
         if k <= base.k:
             return shortened(base, k)
     code = bundled_code("bch_63_16")
-    if code.k == k and code.error_capability >= error_capability:
-        return code
+    if k <= code.k and code.error_capability >= error_capability:
+        return shortened(code, k)
     raise ConfigError(
         f"no shipped code with k={k} and error capability {error_capability}"
     )

@@ -200,6 +200,40 @@ def test_two_step_substitution_mode(b2_n16_codebook):
     assert hits >= 8
 
 
+def test_two_step_beyond_bch_31_21_uses_shortened_bch_63_16(b2_n16_codebook):
+    """Substitutions at t = 2 and erasures at t = 3 need capability 4 and 3.
+
+    Only bch_63_16 (k = 16, d = 23) has it, so the k = 8 flag code is its
+    shortening.
+    """
+    from masscodec.channel import substitute_mass_reducing
+
+    book = ecc.two_step_codebook(b2_n16_codebook, 2, substitutions=True)
+    assert (book.code_flag.k, book.code_flag.d) == (8, 23)
+    rng = random.Random(11)
+    for _ in range(10):
+        subset = tuple(sorted(rng.sample(list(b2_n16_codebook.strings), 2)))
+        words = [book.bits_for(s) for s in subset]
+        fragments = {
+            (side, length): (w.prefix if side == "prefix" else w.suffix)(length).weight()
+            for w in words
+            for length in range(1, book.N + 1)
+            for side in ("prefix", "suffix")
+        }
+        corrupted = pool(words)
+        for key in rng.sample(sorted(k for k, ones in fragments.items() if ones), 2):
+            ones = fragments[key]
+            corrupted = substitute_mass_reducing(
+                corrupted, *key, rng.randrange(ones), ones=ones
+            )
+        got = ecc.two_step_decode(corrupted, book, 2, substitutions=True)
+        assert got == frozenset(subset)
+
+    book = ecc.two_step_codebook(b2_n16_codebook, 3)
+    assert (book.code_flag.k, book.code_flag.d) == (8, 23)
+    _roundtrip(book, ecc.two_step_decode, 2, 3, 10, seed=3)
+
+
 def test_integral_survives_payload_start_erasure(b2_n16_codebook):
     # A prefix of length L and the suffix of length N-L of one word cut at
     # the same place, so both sides lose the cumulative count at L.  At

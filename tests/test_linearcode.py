@@ -4,7 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from masscodec.errors import ConfigError, DecodeFailure, TooManyErasures
+from masscodec.errors import (
+    ConfigError,
+    DecodeFailure,
+    SearchSpaceTooLarge,
+    TooManyErasures,
+)
 from masscodec.linearcode import (
     LinearCode,
     ModpCode,
@@ -102,8 +107,12 @@ def test_factories_and_json_round_trip():
     assert erasure_code(5, 1).d == 2
     assert erasure_code(5, 2).d == 3
     assert erasure_code(16, 18).name == "bch_63_16"
+    # below k = 16 the same code is shortened; shortening keeps d = 23
+    assert (erasure_code(9, 20).k, erasure_code(9, 20).d) == (9, 23)
     with pytest.raises(ConfigError):
-        erasure_code(9, 20)
+        erasure_code(17, 20)
+    with pytest.raises(ConfigError):
+        erasure_code(9, 23)
     code = erasure_code(5, 2)
     again = LinearCode.from_json_obj(code.to_json_obj())
     assert (again.n, again.k, again.d) == (code.n, code.k, code.d)
@@ -297,3 +306,123 @@ def test_rref_over_z5_scales_non_unit_pivots():
     assert reduced.tolist() == [[1, 0, 1], [0, 1, 2]]
     H = np.array([[2, 1], [3, 3]])
     assert ModpCode(5, H, 2).solve_erasures([None, None], [4, 4]) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# referee: the nearest-codeword scan that the syndrome lookup replaced.
+# Same table in the same message order; rows are bit-packed so that the
+# 2^21 codewords of bch_31_21 fit in 8 MB.
+
+
+def _referee_table(code):
+    """Every codeword in message order; bit j of row m is position j."""
+    table = np.zeros(1, dtype=np.uint32 if code.n <= 32 else np.uint64)
+    for row in code.generator:
+        g = table.dtype.type(sum(1 << int(j) for j in np.flatnonzero(row)))
+        table = np.concatenate([table, table ^ g])
+    return table
+
+
+def _referee_nearest(code, table, word):
+    """The scan: first codeword at the least distance, and that distance."""
+    received = table.dtype.type(sum((int(b) & 1) << j for j, b in enumerate(word)))
+    dists = np.bitwise_count(table ^ received)
+    best = int(dists.argmin())
+    return tuple((int(table[best]) >> j) & 1 for j in range(code.n)), int(dists[best])
+
+
+def _flip(word, positions):
+    out = list(word)
+    for j in positions:
+        out[j] ^= 1
+    return out
+
+
+def _assert_same_decode(code, table, word, top):
+    """Compare at every radius from top down to 0, the error capability at most.
+
+    The largest radius caches the most patterns, so the smaller radii then
+    meet cached patterns heavier than their own half.
+    """
+    nearest, dist = _referee_nearest(code, table, word)
+    for radius in range(top, -1, -1):
+        if dist > radius:
+            with pytest.raises(DecodeFailure):
+                code.decode_errors(word, radius)
+        else:
+            assert code.decode_errors(word, radius) == nearest, (code, word, radius)
+    return dist <= top
+
+
+@pytest.mark.parametrize("capability", [0, 1, 2])
+def test_syndrome_decoder_matches_the_scan_on_every_small_code(capability):
+    """Every code substitution_code returns for k <= 21, at radii 0..r.
+
+    Every error pattern of weight <= r on a seeded codeword, plus seeded
+    words at weight r+1 and r+2, which may decode elsewhere or raise.
+    """
+    rng = random.Random(capability)
+    decoded = failed = 0
+    for k in range(1, 22):
+        code = substitution_code(k, capability)
+        r = code.error_capability
+        assert r == capability
+        table = _referee_table(code)
+        cw = code.encode([rng.randrange(2) for _ in range(k)])
+        for w in range(r + 1):
+            for e in itertools.combinations(range(code.n), w):
+                assert _assert_same_decode(code, table, _flip(cw, e), r)
+                assert code.decode_errors(_flip(cw, e)) == cw
+        for w in range(r + 1, min(r + 2, code.n) + 1):
+            for _ in range(10):
+                word = _flip(cw, rng.sample(range(code.n), w))
+                ok = _assert_same_decode(code, table, word, r)
+                decoded += ok
+                failed += not ok
+    assert decoded > 0
+    assert failed > 0 or capability == 0  # a code with d = 1 decodes every word
+
+
+@pytest.mark.parametrize("k", [16, 8])
+def test_syndrome_decoder_matches_the_scan_on_bch_63_16(k):
+    code = substitution_code(k, 4)
+    assert (code.n, code.k, code.d) == (47 + k, k, 23)
+    table = _referee_table(code)
+    rng = random.Random(k)
+    outcomes = set()
+    for _ in range(150):
+        cw = code.encode([rng.randrange(2) for _ in range(k)])
+        word = _flip(cw, rng.sample(range(code.n), rng.randint(0, 6)))
+        outcomes.add(_assert_same_decode(code, table, word, 4))
+    assert outcomes == {True, False}
+
+
+def test_syndrome_lookup_budget_counts_patterns_and_probes():
+    # r = 2 on n = 26: 1 + 26 cached patterns and as many probes
+    code = substitution_code(16, 2)
+    cw = code.encode([1, 0] * 8)
+    with pytest.raises(SearchSpaceTooLarge):
+        code.decode_errors(_flip(cw, [3]), 2, budget=53)
+    assert code.decode_errors(_flip(cw, [3]), 2, budget=54) == cw
+    # r = 4 on n = 63: 1 + 63 + 1953 cached patterns and as many probes
+    code = substitution_code(16, 4)
+    cw = code.encode([1, 0] * 8)
+    with pytest.raises(SearchSpaceTooLarge):
+        code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4033)
+    assert code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4034) == cw
+
+
+def test_radius_above_error_capability_is_refused():
+    code = substitution_code(8, 2)
+    word = code.encode([1, 1, 0, 1, 0, 0, 1, 0])
+    assert code.decode_errors(word, 2) == word
+    for radius in (3, -1):
+        with pytest.raises(ConfigError):
+            code.decode_errors(word, radius)
+
+
+def test_declared_distance_contradicted_by_the_syndromes():
+    # columns 0 and 1 of H are equal, so d = 2, not the declared 3
+    code = LinearCode.from_parity_check(["1101", "1110"], 3, name="wrong_d")
+    with pytest.raises(ConfigError):
+        code.decode_errors([0, 0, 0, 0], 1)
