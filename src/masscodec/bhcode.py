@@ -11,14 +11,15 @@ recover the subset from the mod-2 reduction of the pooled sum.
 
 That recovery is syndrome decoding: the mod-2 sum of hbar columns is the
 syndrome of a weight-hbar pattern.  ``invert_mod2_sum`` finds the pattern
-by meet-in-the-middle, hashing the XORs of half-size subsets and probing
-with the other half, so a lookup costs O(|C|^ceil(hbar/2)) rather than
-O(|C|^hbar) and works for explicit codebooks too.  Its index is rebuilt
-on every call, not cached on the codebook: on the 96-column order-3
-benchmark codebook a cached index halved the decode time (4.5 to 2.5 ms
-on a 2-core Xeon, Python 3.11) but each index holds about 0.9 MB for as
-long as its codebook lives, and the benchmark's peak RSS rose from 35.4
-to 38.5 MB.
+by meet-in-the-middle, matching the XORs of half-size subsets against the
+target XORed with the other half, so a lookup costs O(|C|^ceil(hbar/2))
+rather than O(|C|^hbar) and works for explicit codebooks too.  The halves
+come from an index cached on the codebook and built once per subset size
+k: every k-subset of column indices with the XOR of its columns, sorted by
+that XOR, in numpy arrays.  A cached subset costs k bytes of indices
+(uint8 up to 256 columns, uint16 beyond) plus 8 bytes of XOR, so the
+96-column order-3 benchmark codebook holds about 46 KB, and a lookup's
+budget, which counts the half-subsets, also bounds each index it builds.
 
 Small parity-check matrices ship as plain-text data files (one 0/1 row
 per line, ``d=<int>`` header); anything with a verified distance can be
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -141,6 +143,10 @@ class BhCodebook:
     def __iter__(self):
         return iter(self.strings)
 
+    @cached_property
+    def _xor_index(self) -> "_XorIndex":
+        return _XorIndex(self.strings)
+
     @property
     def parity_check_backed(self) -> bool:
         return self.source is not None
@@ -244,16 +250,17 @@ def invert_mod2_sum(
     target is the syndrome of a weight-hbar error pattern, unique because
     d >= 2h+1.  The search is a meet-in-the-middle (Horowitz & Sahni,
     JACM 1974): with lo = hbar // 2 and hi = hbar - lo, the XOR of the
-    target with every lo-subset goes into a dict, and the XOR of every
-    hi-subset probes it.  A match counts only when the low half's last
-    index precedes the high half's first, so each hbar-subset is found
-    through exactly one split; a second match means two subsets share the
-    target, which explicit codebooks can do, and is reported rather than
-    silently resolved.
+    target with every lo-subset is searched for in the codebook's sorted
+    index of hi-subset XORs (see ``_XorIndex``).  A match counts only when
+    the low half's last index precedes the high half's first, so each
+    hbar-subset is found through exactly one split; a second match means
+    two subsets share the target, which explicit codebooks can do, and is
+    reported rather than silently resolved.  The index keys strings longer
+    than 64 bits by a 64-bit fold, so every match is confirmed on the full
+    strings before it counts.
 
-    ``budget`` bounds the subsets actually enumerated,
-    C(|C|, hi) + C(|C|, lo).  The dict is rebuilt on every call; the
-    module docstring says why it is not cached on the codebook.
+    ``budget`` bounds the subsets enumerated, C(|C|, hi) + C(|C|, lo),
+    and with them the size of the indexes a lookup builds and caches.
     """
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
@@ -265,14 +272,26 @@ def invert_mod2_sum(
         raise SearchSpaceTooLarge(
             f"{enumerated} half-subsets exceed the budget {budget}"
         )
-    values = [s.as_int for s in codebook.strings]
-    index: dict[int, list[tuple[int, ...]]] = {}
-    for low, acc in _subset_xors(values, lo, target.as_int):
-        index.setdefault(acc, []).append(low)
-    found: Optional[tuple[int, ...]] = None
-    for high, acc in _subset_xors(values, hi, 0):
-        for low in index.get(acc, ()):
+    import numpy as np
+
+    index = codebook._xor_index
+    values = index.values
+    wanted = target.as_int
+    low_subsets, low_xors = index.subsets(lo)
+    high_subsets, high_xors = index.subsets(hi)
+    queries = low_xors ^ np.uint64(_fold64(wanted))
+    first = high_xors.searchsorted(queries, "left")
+    stop = high_xors.searchsorted(queries, "right")
+    found: Optional[list[int]] = None
+    for q in (stop > first).nonzero()[0].tolist():
+        low = low_subsets[q].tolist()
+        for high in high_subsets[first[q] : stop[q]].tolist():
             if low and low[-1] >= high[0]:
+                continue
+            acc = wanted
+            for i in low + high:
+                acc ^= values[i]
+            if acc:  # the folds agree but the strings do not
                 continue
             if found is not None:
                 raise AmbiguousSolution(
@@ -285,16 +304,64 @@ def invert_mod2_sum(
     return _pick(codebook, found)
 
 
-def _subset_xors(values: Sequence[int], k: int, start: int):
-    """(index tuple, start XOR the chosen values) for every k-subset."""
-    for subset in itertools.combinations(range(len(values)), k):
-        acc = start
-        for i in subset:
-            acc ^= values[i]
-        yield subset, acc
+_WORD = (1 << 64) - 1
 
 
-def _pick(codebook: BhCodebook, subset: tuple[int, ...]) -> tuple[BitString, ...]:
+def _fold64(value: int) -> int:
+    """XOR of the 64-bit words of value; linear over GF(2), like XOR itself."""
+    folded = 0
+    while value:
+        folded ^= value & _WORD
+        value >>= 64
+    return folded
+
+
+class _XorIndex:
+    """Every k-subset of a codebook's strings, sorted by the XOR of its members.
+
+    ``subsets(k)`` returns the subsets as a (C(|C|, k), k) array of
+    ascending column indices and, row for row, the XORs of their folded
+    strings as ``uint64``, sorted by XOR.  Each size is built on first use
+    and kept.  Rows with equal XORs stay in lexicographic order.
+    """
+
+    def __init__(self, strings: Sequence[BitString]):
+        self.values = [s.as_int for s in strings]
+        self._by_size: dict = {}
+
+    def subsets(self, k: int):
+        if k not in self._by_size:
+            self._by_size[k] = self._build(k)
+        return self._by_size[k]
+
+    def _build(self, k: int):
+        import numpy as np
+
+        size = len(self.values)
+        dtype = np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.uint32
+        # extend every j-subset by each index that still leaves room for
+        # the k - j - 1 indices after it; rows come out in lexicographic order
+        combos = np.zeros((1, 0), dtype=dtype)
+        for j in range(k):
+            start = combos[:, -1].astype(np.intp) + 1 if j else np.zeros(1, np.intp)
+            counts = np.maximum(size - k + j + 1 - start, 0)
+            rows = np.repeat(np.arange(len(combos)), counts)
+            offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+            added = (start[rows] + offsets).astype(dtype)
+            combos = np.concatenate([combos[rows], added[:, None]], axis=1)
+            # freed before the next, larger step allocates its own
+            del start, counts, rows, offsets, added
+        folded = np.array([_fold64(v) for v in self.values], dtype=np.uint64)
+        xors = np.zeros(len(combos), dtype=np.uint64)
+        for j in range(k):
+            xors ^= folded[combos[:, j]]
+        # stable keeps equal XORs in lexicographic order, and it maps fewer
+        # pages of numpy code into memory than the default sort (peak RSS)
+        order = np.argsort(xors, kind="stable")
+        return np.take(combos, order, axis=0), xors[order]
+
+
+def _pick(codebook: BhCodebook, subset: Sequence[int]) -> tuple[BitString, ...]:
     return tuple(codebook.strings[i] for i in subset)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import ecc, oracle
 from .bhcode import (
+    DEFAULT_BUDGET,
     BhCodebook,
     ParityCheckSpec,
     build_bh_codebook,
@@ -78,7 +79,18 @@ def _load_code(ref, fallback=None) -> LinearCode | None:
     if ref is None or ref == "auto":
         return fallback
     if isinstance(ref, dict):
-        return LinearCode.from_json_obj(ref)
+        code = LinearCode.from_json_obj(ref)
+        # an overstated d makes decoders trust a capability the code lacks,
+        # so inline codes small enough to enumerate are checked; bundled
+        # codes are verified when their tables are generated
+        if 2**code.k <= DEFAULT_BUDGET:
+            actual = code.exact_min_distance()
+            if actual < code.d:
+                raise ConfigError(
+                    f"inline code {code.name} declares d={code.d}, "
+                    f"but its minimum distance is {actual}"
+                )
+        return code
     if isinstance(ref, str) and ref.startswith("bundled:"):
         return bundled_code(ref.split(":", 1)[1])
     raise ConfigError(f"cannot interpret code reference {ref!r}")

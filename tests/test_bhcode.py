@@ -205,6 +205,66 @@ def test_invert_mod2_sum_matches_exhaustive_referee_on_explicit_codebooks(seed):
         _assert_lookup_matches_referee(codebook, hbar, every)
 
 
+def _mixed_order_codebooks():
+    rng = random.Random(7)
+    strings = rng.sample([BitString.from_int(v, 6) for v in range(1, 64)], 9)
+    return [
+        build_bh_codebook(3, bundled_spec("bch_15_5")),
+        BhCodebook.explicit(strings, 4),
+    ]
+
+
+@pytest.mark.parametrize("codebook", _mixed_order_codebooks(), ids=["bch_15_5", "explicit"])
+def test_cached_index_serves_every_size_in_any_order(codebook):
+    # one codebook is asked for hbar in mixed order, so its cached k-subset
+    # indexes are reused across sizes (hbar = 3 builds k = 1 and 2, hbar = 1
+    # then reuses k = 1); every outcome must equal a fresh codebook's, whose
+    # indexes are built for that hbar alone, and the referee's
+    rng = random.Random(len(codebook))
+    referees = {}
+    for hbar in (3, 1, 2, 3, 4, 1, 2, 4):
+        if hbar not in referees:
+            referees[hbar] = _mod2_referee(codebook.strings, hbar)
+        table = referees[hbar]
+        targets = rng.sample(sorted(table), min(15, len(table)))
+        targets += [BitString.random(codebook.n, rng) for _ in range(15)]
+        for target in targets:
+            fresh = BhCodebook(codebook.n, codebook.h, codebook.strings, codebook.source)
+            expected = _referee_outcome(table, target)
+            assert _lookup_outcome(codebook, target, hbar) == expected, (hbar, str(target))
+            assert _lookup_outcome(fresh, target, hbar) == expected, (hbar, str(target))
+
+
+def _fold_colliding_codebook():
+    """Twelve 128-bit strings whose 64-bit folds take only 7 values.
+
+    Each string is x || (x ^ f) for a random 64-bit x and a fold f in 1..7,
+    so subsets of every size share folds while their strings differ; the
+    last string is the XOR of the first three, which makes some pairs share
+    a mod-2 sum exactly.
+    """
+    rng = random.Random(128)
+    values = []
+    for _ in range(11):
+        x = rng.getrandbits(64)
+        values.append((x << 64) | (x ^ rng.randint(1, 7)))
+    values.append(values[0] ^ values[1] ^ values[2])
+    return BhCodebook.explicit([BitString.from_int(v, 128) for v in values], 4)
+
+
+def test_invert_mod2_sum_confirms_folded_matches_on_long_strings():
+    codebook = _fold_colliding_codebook()
+    rng = random.Random(64)
+    for hbar in (1, 2, 3, 4):
+        table = _mod2_referee(codebook.strings, hbar)
+        # a reachable sum XOR m || m keeps its fold and changes its string
+        shifted = []
+        for target in rng.sample(sorted(table), min(40, len(table))):
+            m = rng.getrandbits(64) | 1
+            shifted.append(BitString.from_int(target.as_int ^ ((m << 64) | m), 128))
+        _assert_lookup_matches_referee(codebook, hbar, shifted)
+
+
 def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
     # hbar = 3 splits into halves of 1 and 2: C(15, 2) + C(15, 1) = 120
     subset = b3_codebook.strings[2:5]

@@ -135,6 +135,22 @@ def test_plain_config_with_protection_exits_2(ws):
     assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == 2
 
 
+def test_inline_code_with_overstated_distance_exits_2(ws):
+    # the [7,4,3] Hamming matrix declared with d = 5 would let a two-error
+    # decode return a wrong codeword without complaint
+    hamming = {"name": "ham", "n": 7, "k": 4, "H": ["0001111", "0110011", "1010101"]}
+    strings = ws / "s.txt"
+    strings.write_text("1100\n")
+    for d, exit_code in ((3, 0), (5, 2)):
+        cfg = ws / f"ham_d{d}.json"
+        cfg.write_text(json.dumps({
+            "h": 1,
+            "strings": ["1100", "1010", "0110"],
+            "scheme": {"name": "one-step", "t": 0, "code": {**hamming, "d": d}},
+        }))
+        assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == exit_code
+
+
 def test_empty_input_is_ok(ws):
     empty = ws / "none.txt"
     empty.write_text("")
