@@ -28,7 +28,6 @@ from .channel import (
     ErasurePattern,
     Recovered,
     Removal,
-    Substitution,
     burst_report,
     count_correctable_multi,
     count_correctable_single,

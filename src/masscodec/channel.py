@@ -38,6 +38,7 @@ from .errors import (
     NotMassReducing,
     PatternNotPresent,
     SearchSpaceTooLarge,
+    json_field,
 )
 
 if TYPE_CHECKING:
@@ -66,18 +67,6 @@ class Removal:
 
 
 @dataclass(frozen=True)
-class Substitution:
-    side: str
-    length: int
-    ones_from: Optional[int]
-    ones_to: int
-
-    def __post_init__(self):
-        if self.side not in (PREFIX, SUFFIX):
-            raise ValueError(f"side must be prefix/suffix, got {self.side!r}")
-
-
-@dataclass(frozen=True)
 class ErasurePattern:
     removals: tuple[Removal, ...]
 
@@ -98,7 +87,11 @@ class ErasurePattern:
     def from_json_obj(cls, obj: dict) -> "ErasurePattern":
         return cls(
             tuple(
-                Removal(e["side"], e["len"], e.get("count", 1), e.get("ones"))
+                Removal(
+                    *(json_field(e, key, "an erase entry") for key in ("side", "len")),
+                    e.get("count", 1),
+                    e.get("ones"),
+                )
                 for e in obj.get("erase", [])
             )
         )
@@ -269,6 +262,20 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     return SideSums(cells, fill, fragments, sums, certain)
 
 
+def length_totals(pool: CompositionMultiset, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fragments and their ones total at each length 1..N, both sides together.
+
+    Read straight off the count table; lengths past its end hold nothing.
+    """
+    import numpy as np
+
+    rows = pool.counts[1 : N + 1, : N + 1]
+    fragments, ones = np.zeros((2, N), dtype=np.int64)
+    fragments[: len(rows)] = rows.sum(axis=1)
+    ones[: len(rows)] = rows @ np.arange(rows.shape[1])
+    return fragments, ones
+
+
 def increments(
     cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool
 ) -> list[Optional[int]]:
@@ -312,9 +319,8 @@ def one_sided_sum(
     is involved: a length with fewer than hbar fragments is simply erased.
     The result is returned in prefix orientation either way.
     """
-    sums = side_sums(side_pool, N, hbar)
-    total = sums.fragments.sum(axis=0)
-    syms = increments(sums.ones.sum(axis=0), total == hbar, hbar, strict=True)
+    fragments, ones = length_totals(side_pool, N)
+    syms = increments(ones, fragments == hbar, hbar, strict=True)
     pss = PartialSumString(syms, hbar)
     return pss if side == PREFIX else pss.reversed_()
 
@@ -404,7 +410,6 @@ def reconstruct_redundancy_free(
     pool: CompositionMultiset,
     N: int,
     hbar: int,
-    total_weight: Optional[int] = None,
     codebook=None,
     budget: int = DEFAULT_BUDGET,
 ) -> Union[Recovered, Ambiguous]:
@@ -421,10 +426,8 @@ def reconstruct_redundancy_free(
     codebook (sources come from the balanced mod-2 pipeline); a book of a
     correction scheme raises UnsupportedCodebook.
     """
-    if total_weight is None:
-        total_weight = hbar * N // 2  # Dyck codewords are balanced
     p, s = partial_sum_strings(pool, N, hbar)
-    outcome = merge_partials(p, s, total_weight)
+    outcome = merge_partials(p, s, hbar * N // 2)  # Dyck codewords are balanced
     if isinstance(outcome, PartialSumString):
         strings: Optional[frozenset[BitString]] = None
         if codebook is not None:
@@ -508,7 +511,7 @@ class DetectionReport:
     suffix_sum: Optional[PartialSumString]  # prefix orientation
     recovered_sum: Optional[PartialSumString]
     candidate_sums: tuple[PartialSumString, ...]
-    corrections: tuple[Correction, ...]
+    corrections: tuple[Correction, ...]  # ascending observed ones (detect_substitution)
 
     @property
     def is_clean(self) -> bool:
@@ -531,7 +534,7 @@ def apply_correction(
     return pool.remove(correction.observed).add(correction.restored)
 
 
-def _string_weight(pool: CompositionMultiset, N: int, hbar: int) -> Optional[int]:
+def _string_weight(pool: CompositionMultiset, N: int) -> Optional[int]:
     """Common per-string weight, read off the full-length fragments."""
     ones = pool.ones_at_length(N)
     if ones and len(set(ones)) == 1:
@@ -544,10 +547,19 @@ def detect_substitution(
 ) -> DetectionReport:
     """Flag count anomalies, out-of-range increments, and incompatibilities.
 
-    Under a single-error assumption a fragment that crossed the weight
-    split (count deficit on one side, surplus on the other at one length)
-    is reconstructed from the complementary side; every consistent repair
-    is listed, and exactly one candidate means the error is correctable.
+    Under a single-error assumption a fragment read lighter that crossed
+    the weight split leaves exactly two count deviations: side X one short
+    and side Y one over, at the same length L.  With w0 the common weight
+    of the full-length fragments and M = N - L, a fragment of length L
+    with o ones mirrors one of length M with w0 - o ones.  Each distinct
+    ones value b of Y's length-L fragments is tried, in ascending order,
+    as the lighter reading.  It is skipped when X holds hbar fragments at
+    M whose mirrors account for every copy of b.  Otherwise Y's length-M
+    values, less one copy of b when M = L, must number hbar, and their
+    mirrors must leave exactly one value v that X's length-L fragments do
+    not cover.  The repair b -> v on side X is listed when v > b, so the
+    corrections come out in ascending order of the observed ones, and
+    exactly one candidate means the error is correctable.
     """
     sums = side_sums(pool, N, hbar)
     p_dev, s_dev = (
@@ -566,7 +578,7 @@ def detect_substitution(
     s_naive_rev = list(reversed(s_naive))
     s_bad_rev = [(N - i + 1, v) for i, v in s_bad]
 
-    w0 = _string_weight(pool, N, hbar)
+    w0 = _string_weight(pool, N)
     incompatible = []
     if w0 is not None:
         # a prefix of length L with o ones completes a suffix of length N - L
@@ -612,86 +624,37 @@ def detect_substitution(
 
 
 def _single_error_corrections(
-    sums: SideSums,
-    N: int,
-    hbar: int,
-    w0: Optional[int],
-    p_dev: list,
-    s_dev: list,
+    sums: SideSums, N: int, hbar: int, w0: Optional[int], p_dev: list, s_dev: list
 ) -> tuple[Correction, ...]:
     """Repairs for one fragment that was read lighter and switched sides."""
-    if w0 is None:
+    devs = sorted([(d, ln, 0) for ln, d in p_dev] + [(d, ln, 1) for ln, d in s_dev])
+    if w0 is None or [d for d, _, _ in devs] != [-1, 1] or devs[0][1] != devs[1][1]:
         return ()
-    # exactly one deficit/surplus pair at a common length
-    deficits = [(ln, PREFIX) for ln, d in p_dev if d == -1] + [
-        (ln, SUFFIX) for ln, d in s_dev if d == -1
-    ]
-    surpluses = {(ln, PREFIX) for ln, d in p_dev if d == 1} | {
-        (ln, SUFFIX) for ln, d in s_dev if d == 1
-    }
-    if len(p_dev) + len(s_dev) != 2 or len(deficits) != 1:
-        return ()
-    length, side = deficits[0]
-    other = SUFFIX if side == PREFIX else PREFIX
-    if (length, other) not in surpluses:
-        return ()
-    index = {PREFIX: 0, SUFFIX: 1}
-    observed_short = sums.ones_list(index[side], length)  # hbar - 1 genuine values
-    observed_long = sums.ones_list(index[other], length)  # hbar + 1 values, one bogus
+    (_, length, x), (_, _, y) = devs  # side x lost the fragment, side y gained it
     comp_len = N - length
-    candidates: list[Correction] = []
-    if comp_len == length:
-        # the complementary fragments live at the same length as the surplus,
-        # so each choice of the bogus fragment implies its own repair
-        pool_vals = observed_long
-        for idx in range(len(pool_vals)):
-            bogus = pool_vals[idx]
-            rest = pool_vals[:idx] + pool_vals[idx + 1 :]
-            expect = sorted(w0 - o for o in rest)
-            missing = _multiset_diff(expect, observed_short)
-            if missing is None:
-                continue
-            restored_ones = missing
-            if restored_ones <= bogus:
-                continue  # not mass reducing
-            cand = Correction(
-                side=side,
-                length=length,
-                observed=Composition(length - bogus, bogus),
-                restored=Composition(length - restored_ones, restored_ones),
-            )
-            if cand not in candidates:
-                candidates.append(cand)
-    else:
-        comp_vals = sums.ones_list(index[other], comp_len) if comp_len >= 1 else []
-        if len(comp_vals) != hbar:
-            return ()
-        expect = sorted(w0 - o for o in comp_vals)
-        missing = _multiset_diff(expect, observed_short)
-        if missing is None:
-            return ()
-        expect_other = None
-        # the bogus fragment is whatever the surplus side holds beyond its
-        # own complementary expectation
-        own_comp = sums.ones_list(index[side], N - length) if N - length >= 1 else []
-        if len(own_comp) == hbar:
-            expect_other = sorted(w0 - o for o in own_comp)
-        bogus_pool = list(observed_long)
-        if expect_other is not None:
-            for o in expect_other:
-                if o in bogus_pool:
-                    bogus_pool.remove(o)
-        for bogus in sorted(set(bogus_pool)):
-            if missing > bogus:
-                cand = Correction(
-                    side=side,
-                    length=length,
-                    observed=Composition(length - bogus, bogus),
-                    restored=Composition(length - missing, missing),
-                )
-                if cand not in candidates:
-                    candidates.append(cand)
-    return tuple(candidates)
+    short = sums.ones_list(x, length)  # hbar - 1 genuine values
+    long = sums.ones_list(y, length)  # hbar + 1 values, one of them bogus
+    mirrors = sums.ones_list(x, comp_len)
+    unmirrored = list(long)
+    for o in mirrors:
+        if w0 - o in unmirrored:
+            unmirrored.remove(w0 - o)
+    complements = sums.ones_list(y, comp_len)
+    corrections = []
+    for bogus in sorted(set(long)):
+        if len(mirrors) == hbar and bogus not in unmirrored:
+            continue  # every copy mirrors a genuine fragment of side x
+        comp = list(complements)
+        if 2 * length == N:
+            comp.remove(bogus)  # the bogus fragment sits among its own mirrors
+        if len(comp) != hbar:
+            continue
+        restored = _multiset_diff(sorted(w0 - o for o in comp), short)
+        if restored is not None and restored > bogus:
+            observed = Composition(length - bogus, bogus)
+            fixed = Composition(length - restored, restored)
+            corrections.append(Correction((PREFIX, SUFFIX)[x], length, observed, fixed))
+    return tuple(corrections)
 
 
 def _multiset_diff(expect: list, observed: list) -> Optional[int]:

@@ -28,7 +28,6 @@ from .bhcode import (
 from .channel import (
     Ambiguous,
     ErasurePattern,
-    Substitution,
     detect_substitution,
     erase,
     reconstruct_redundancy_free,
@@ -44,6 +43,7 @@ from .errors import (
     MasscodecError,
     SearchSpaceTooLarge,
     TooManyErasures,
+    json_field,
 )
 from .linearcode import LinearCode, bundled_code
 
@@ -104,6 +104,8 @@ def load_config(path: str):
              "code": ..., "code_flag": ...}?}
     """
     obj = json.loads(_read_text(path))
+    if not isinstance(obj, dict):
+        raise ConfigError("a config must be a JSON object")
     h = obj.get("h", 2)
     if "matrix" in obj:
         spec = _load_spec(obj["matrix"])
@@ -119,6 +121,8 @@ def load_config(path: str):
     scheme_obj = obj.get("scheme", {"name": PLAIN})
     if isinstance(scheme_obj, str):
         scheme_obj = {"name": scheme_obj}
+    if not isinstance(scheme_obj, dict):
+        raise ConfigError("a scheme must be a name or a JSON object")
     name = scheme_obj.get("name", PLAIN)
     t = int(scheme_obj.get("t", 0))
     if name == RAW:
@@ -139,7 +143,8 @@ def _pool_to_json(poolset: CompositionMultiset, N: int) -> str:
 
 def _pool_from_json(text: str) -> tuple[CompositionMultiset, int]:
     obj = json.loads(text)
-    return CompositionMultiset.from_json_obj(obj["fragments"]), int(obj["N"])
+    fragments, N = (json_field(obj, key, "a pool file") for key in ("fragments", "N"))
+    return CompositionMultiset.from_json_obj(fragments), int(N)
 
 
 def cmd_encode(args) -> int:
@@ -168,7 +173,7 @@ def cmd_encode(args) -> int:
 
 def cmd_pool(args) -> int:
     obj = json.loads(_read_text(args.input))
-    words = obj["codewords"] if isinstance(obj, dict) else obj
+    words = json_field(obj, "codewords", "an encode file") if isinstance(obj, dict) else obj
     if not words:
         _write_text(args.output, _pool_to_json(CompositionMultiset(), 0))
         return EXIT_OK
@@ -182,16 +187,16 @@ def cmd_corrupt(args) -> int:
 
     poolset, N = _pool_from_json(_read_text(args.input))
     pattern = json.loads(_read_text(args.pattern))
+    if not isinstance(pattern, dict):
+        raise ConfigError("a pattern must be a JSON object")
     rng = random.Random(args.seed)
     erased = erase(poolset, ErasurePattern.from_json_obj(pattern), rng=rng)
     for sub in pattern.get("subst", []):
+        side, length, ones_to = (
+            json_field(sub, key, "a subst entry") for key in ("side", "len", "ones_to")
+        )
         erased = substitute_mass_reducing(
-            erased,
-            sub["side"],
-            sub["len"],
-            sub["ones_to"],
-            ones=sub.get("ones_from"),
-            rng=rng,
+            erased, side, length, ones_to, ones=sub.get("ones_from"), rng=rng
         )
     _write_text(args.output, _pool_to_json(erased, N))
     return EXIT_OK
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="masscodec",
         description="codecs for string mixtures read as prefix/suffix fragment masses",
     )
-    parser.add_argument("--budget", type=int, default=2**22, help="search budget")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode codebook strings into codewords")

@@ -34,10 +34,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, invert_mod2_sum
-from .channel import increments, side_sums
+from .channel import increments, length_totals, side_sums
 from .core import BitString, BitsLike, CompositionMultiset, PartialSumString
 from .errors import (
     CountMismatch,
@@ -117,14 +117,31 @@ def unbalance(u: BitsLike, r: BitsLike) -> BitString:
     reductions of pooled sums it yields the mod-2 sum of the sources,
     because complementing a block is an XOR with the all-ones block.
     """
-    u, r = BitString(u), BitString(r)
-    if len(r) ** 2 != len(u):
+    return BitString(unflip(BitString(u).bits, BitString(r).bits))
+
+
+def unflip(
+    data: Sequence[Optional[int]], flags: Sequence[Optional[int]], pad: int = 0
+) -> list[Optional[int]]:
+    """Flip block j of the data exactly when flag j is 1, then drop ``pad`` symbols.
+
+    An erased flag (None) leaves its whole block erased; an erased data
+    symbol stays erased.  The dropped padding is zero in every source, so
+    its mod-2 sum needs no recovery.
+    """
+    root = len(flags)
+    if root * root != len(data):
         raise ValueError("flag length squared must equal the data length")
-    root = len(r)
-    out = []
-    for j, blk in enumerate(u.blocks(root)):
-        out.extend((blk.complement() if r[j] else blk).bits)
-    return BitString(out)
+    out: list[Optional[int]] = []
+    for j, flag in enumerate(flags):
+        block = data[j * root : (j + 1) * root]
+        if flag is None:
+            out.extend([None] * root)
+        elif flag:
+            out.extend(None if b is None else 1 - b for b in block)
+        else:
+            out.extend(block)
+    return out[pad:]
 
 
 @dataclass(frozen=True)
@@ -215,25 +232,20 @@ def assemble_codeword(
     z: Optional[BitString] = None,
 ) -> BitString:
     """1-run, flags, optional auxiliary segment, data, then balancing tails."""
-    parts = [BitString.ones(layout.lead), r]
     if layout.z_len:
         assert z is not None and len(z) == layout.z_len
-        parts.append(z)
-    parts.append(u)
-    v = parts[0]
-    for p in parts[1:]:
-        v = v + p
-    w = v.weight()
-    ones_tail = layout.N // 2 - w
-    zeros_tail = layout.N // 2 - (len(v) - w)
+    z_bits = z.bits if layout.z_len else ()
+    return append_tails((1,) * layout.lead + r.bits + z_bits + u.bits, layout.N)
+
+
+def append_tails(head: tuple[int, ...], N: int) -> BitString:
+    """Append the 1-run, then the 0-run, that make the head bits balanced of length N."""
+    w = sum(head)
+    ones_tail = N // 2 - w
+    zeros_tail = N // 2 - (len(head) - w)
     if ones_tail < 0 or zeros_tail < 0:
         raise ValueError("balancing tails would be negative; layout broken")
-    bits = v
-    if ones_tail:
-        bits = bits + BitString.ones(ones_tail)
-    if zeros_tail:
-        bits = bits + BitString.zeros(zeros_tail)
-    return bits
+    return BitString(head + (1,) * ones_tail + (0,) * zeros_tail)
 
 
 def encode(s: BitsLike) -> McCodeword:
@@ -346,9 +358,7 @@ def sum_from_prefixes(
     With n_i the total ones over the hbar length-i fragments, position i of
     the sum is n_i - n_{i-1}.
     """
-    sums = side_sums(prefix_pool, N, hbar)
-    per_length = sums.fragments.sum(axis=0)
-    cumulative = sums.ones.sum(axis=0)
+    per_length, cumulative = length_totals(prefix_pool, N)
     full = per_length == hbar
     short = (~full).nonzero()[0]
     # lengths are checked in order, so a bad symbol before a short length wins
@@ -367,12 +377,9 @@ def mixture_mod2_target(
     hbar = total.hbar
     if any(v != hbar for v in syms[: layout.lead]):
         raise DecodeFailure("leading-run sums are not all hbar; pool inconsistent")
-    r2 = BitString(tuple(v % 2 for v in syms[layout.r_start : layout.r_start + layout.root]))
-    u2 = BitString(tuple(v % 2 for v in syms[layout.u_start : layout.u_start + layout.m]))
-    mixed = unbalance(u2, r2)
-    if layout.pad:
-        mixed = mixed.suffix(layout.m - layout.pad)
-    return mixed
+    r2 = [v % 2 for v in syms[layout.r_start : layout.r_start + layout.root]]
+    u2 = [v % 2 for v in syms[layout.u_start : layout.u_start + layout.m]]
+    return BitString(unflip(u2, r2, layout.pad))
 
 
 def decode_mixture(

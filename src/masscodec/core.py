@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import Conflict, DuplicateString, LengthMismatch, OddLength
+from .errors import Conflict, DuplicateString, LengthMismatch, OddLength, json_field
 
 BitsLike = Union[str, Sequence[int], "BitString"]
 
@@ -450,7 +450,8 @@ class CompositionMultiset:
     def from_json_obj(cls, obj: Iterable[dict]) -> "CompositionMultiset":
         counts: Counter = Counter()
         for entry in obj:
-            comp = Composition(entry["zeros"], entry["ones"])
+            zeros, ones = (json_field(entry, key, "a fragment") for key in ("zeros", "ones"))
+            comp = Composition(zeros, ones)
             counts[comp] += int(entry.get("mult", 1))
         return cls(counts)
 

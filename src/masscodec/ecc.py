@@ -46,7 +46,7 @@ answer is treated as a bug everywhere in the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
@@ -56,12 +56,13 @@ from .codec import (
     McCodebook,
     McCodeword,
     McLayout,
+    append_tails,
     assemble_codeword,
     block_balance,
     decode_mixture,
     encode_codebook,
     next_square,
-    plain_layout,
+    unflip,
 )
 from .codec import encode as plain_encode
 from .core import BitString, BitsLike, CompositionMultiset
@@ -157,6 +158,8 @@ def one_step_requirement(m: int, t: int) -> int:
 def _default_one_step_code(k: int, t: int) -> LinearCode:
     from .linearcode import bundled_code
 
+    if t == 0:
+        return trivial_code(k)
     code = bundled_code("bch_63_16")
     if code.k == k:
         m, _ = next_square(code.n)
@@ -170,11 +173,9 @@ def _default_one_step_code(k: int, t: int) -> LinearCode:
 def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
     """Erasure-encode s, then balance into a Dyck codeword.
 
-    With t = 0 this is exactly the plain codec.
+    With t = 0 and no code given this is exactly the plain codec.
     """
     s = BitString(s)
-    if t == 0:
-        return plain_encode(s)
     if code is None:
         code = _default_one_step_code(len(s), t)
     if code.k != len(s):
@@ -186,17 +187,14 @@ def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
             f"capability {code.erasure_capability} < t(sqrt(m)+1) = "
             f"{one_step_requirement(m, t)}"
         )
-    pair = block_balance(_left_pad(word, m))
-    layout = plain_layout(len(word))
-    bits = assemble_codeword(layout, pair.r, pair.u)
-    return McCodeword(bits=bits, layout=layout, origin=s)
+    return replace(plain_encode(word), origin=s)
 
 
 def one_step_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
     if code is None:
-        code = _default_one_step_code(base.n, t) if t > 0 else trivial_code(base.n)
+        code = _default_one_step_code(base.n, t)
     codewords = tuple(one_step_encode(s, t, code) for s in base.strings)
     return McCodebook(base, codewords, scheme=ONE_STEP, t=t, code_data=code)
 
@@ -217,7 +215,7 @@ def one_step_decode(
     merged = _merged_sums(pool, lay.N, hbar)
     flags = _mod2(merged[lay.r_start : lay.r_start + lay.root])
     data = _mod2(merged[lay.u_start : lay.u_start + lay.m])
-    word = _unflip(data, flags, lay)
+    word = unflip(data, flags, lay.pad)
     full = code.decode_erasures(word)
     target = BitString(code.extract_message(full))
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
@@ -341,7 +339,7 @@ def two_step_decode(
         flag_full = code_flag.decode_erasures(_two_step_flag_word(merged, lay, hbar))
         r_total = flag_full[: lay.root]
         data = _mod2(merged[lay.u_start : lay.u_start + lay.m])
-        word = _unflip(data, r_total, lay)
+        word = unflip(data, r_total, lay.pad)
         full = code_data.decode_erasures(word)
         target = BitString(code_data.extract_message(full))
         return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
@@ -356,7 +354,7 @@ def two_step_decode(
             )
             r_total = flag_full[: lay.root]
             data = _mod2(side_vals[lay.u_start : lay.u_start + lay.m])
-            word = _unflip(data, r_total, lay)
+            word = unflip(data, r_total, lay.pad)
             full = code_data.decode_errors(
                 [0 if b is None else b for b in word], 2 * codebook.t
             )
@@ -369,26 +367,6 @@ def two_step_decode(
     if len(results) == 2 and results[0] != results[1]:
         raise DecodeFailure("prefix and suffix reconstructions disagree")
     return results[0]
-
-
-def _unflip(
-    data: Sequence[Optional[int]], r_total: Sequence[Optional[int]], lay: McLayout
-) -> list[Optional[int]]:
-    """Undo the block complementation of a mod-2 payload and drop the padding.
-
-    An erased flag (None) leaves its whole block unknown.  The padding bits
-    are zero in every source, so their mod-2 sum needs no recovery.
-    """
-    out: list[Optional[int]] = []
-    for j in range(lay.root):
-        block = data[j * lay.root : (j + 1) * lay.root]
-        if r_total[j] is None:
-            out.extend([None] * lay.root)
-        elif r_total[j]:
-            out.extend(None if b is None else 1 - b for b in block)
-        else:
-            out.extend(block)
-    return out[lay.pad :]
 
 
 def two_step_length_identity(codebook: McCodebook) -> tuple[int, int]:
@@ -502,21 +480,9 @@ def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
     iw = integral(s)
     word = code.encode(iw.bits)
     r_prime = word[len(s) :]
-    packed = balance_redundancy(r_prime, iw.bits[-1]) if r_prime else None
-    red_len = 0 if packed is None else len(packed)
-    lay = _integral_layout(len(s), red_len)
-    bits = BitString.ones(lay.lead) + s
-    if packed is not None:
-        bits = bits + packed
-    w = bits.weight()
-    ones_tail = lay.N // 2 - w
-    zeros_tail = lay.N // 2 - (len(bits) - w)
-    if ones_tail < 0 or zeros_tail < 0:
-        raise ValueError("integral layout tails negative")
-    if ones_tail:
-        bits = bits + BitString.ones(ones_tail)
-    if zeros_tail:
-        bits = bits + BitString.zeros(zeros_tail)
+    packed = balance_redundancy(r_prime, iw.bits[-1]).bits if r_prime else ()
+    lay = _integral_layout(len(s), len(packed))
+    bits = append_tails((1,) * lay.lead + s.bits + packed, lay.N)
     return McCodeword(bits=bits, layout=lay, origin=s)
 
 
@@ -658,7 +624,7 @@ def one_step_modp_decode(
         raise DecodeFailure("recovered integer sums exceed the mixture order")
     flags = [v % 2 for v in solved[: lay.root]]
     data = [v % 2 for v in solved[lay.root :]]
-    word = _unflip(data, flags, lay)
+    word = unflip(data, flags, lay.pad)
     target = BitString(word)
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked read of parsed JSON."""
 
 
 class MasscodecError(Exception):
@@ -75,3 +75,10 @@ class DecodeFailure(MasscodecError):
 
 class ConfigError(MasscodecError):
     """Malformed codebook/scheme configuration."""
+
+
+def json_field(obj, key: str, what: str):
+    """``obj[key]`` of parsed JSON; ConfigError when obj is no object or lacks key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{what} needs a {key!r} entry")
+    return obj[key]

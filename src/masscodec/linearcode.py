@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures
+from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -291,11 +291,11 @@ class LinearCode:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LinearCode":
-        code = cls.from_parity_check(obj["H"], obj["d"], obj.get("name", "custom"))
-        if code.n != obj["n"] or code.k != obj["k"]:
+        H, d, n, k = (json_field(obj, key, "a code") for key in ("H", "d", "n", "k"))
+        code = cls.from_parity_check(H, d, obj.get("name", "custom"))
+        if code.n != n or code.k != k:
             raise ConfigError(
-                f"declared (n,k)=({obj['n']},{obj['k']}) but matrix gives "
-                f"({code.n},{code.k})"
+                f"declared (n,k)=({n},{k}) but matrix gives ({code.n},{code.k})"
             )
         return code
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from masscodec import ecc
 from masscodec.bhcode import BhCodebook
 from masscodec.channel import (
+    PREFIX,
+    SUFFIX,
     Ambiguous,
     Correction,
     ErasurePattern,
@@ -21,6 +23,7 @@ from masscodec.channel import (
     count_correctable_single,
     detect_substitution,
     erase,
+    length_totals,
     merge_partials,
     partial_sum_strings,
     raw_side_sums,
@@ -30,6 +33,7 @@ from masscodec.channel import (
     side_sums,
     substitute_mass_reducing,
 )
+from masscodec.channel import _multiset_diff, _single_error_corrections, _string_weight
 from masscodec.codec import separate_pool, sum_from_prefixes
 from masscodec.core import (
     BitString,
@@ -406,10 +410,11 @@ def test_detection_two_candidate_ambiguity():
     )
     rep = detect_substitution(corrupted, 6, 2)
     assert rep.unique_correction is None
-    assert set(rep.corrections) == {
+    # candidates come out in ascending order of the observed ones
+    assert rep.corrections == (
         Correction("prefix", 3, Composition(3, 0), Composition(1, 2)),
         Correction("prefix", 3, Composition(2, 1), Composition(0, 3)),
-    }
+    )
 
 
 def test_detection_incompatible_sides():
@@ -761,3 +766,158 @@ def test_dense_pool_and_side_sums_match_slow_paths_on_dyck_mixtures(words, seed)
     N = len(words[0])
     for readout, counts in _corrupted_readouts(words, N, rng):
         _check_against_slow(readout, counts, N, len(words))
+
+
+def test_length_totals_match_side_sums_totals(scheme_books):
+    """The direct per-length read equals the two sides of side_sums added up."""
+    rng = random.Random(77)
+    cases = []
+    for book in scheme_books:
+        for hbar in (1, 2):
+            words = [book.bits_for(s) for s in rng.sample(list(book.base.strings), hbar)]
+            readouts = _corrupted_readouts(words, book.N, rng)
+            cases += [(readout, book.N, hbar) for readout, _ in readouts]
+    for words in itertools.combinations(_dyck(6), 3):
+        cases += [(readout, 6, 3) for readout, _ in _corrupted_readouts(list(words), 6, rng)]
+    # a table shorter than N reads as zeros past its end; one longer is cut at N
+    cases += [(pool(["1100"]), 6, 1), (pool(["110100"]), 4, 1), (CompositionMultiset(), 3, 1)]
+    for readout, N, hbar in cases:
+        sums = side_sums(readout, N, hbar)
+        fragments, ones = length_totals(readout, N)
+        assert fragments.tolist() == sums.fragments.sum(axis=0).tolist()
+        assert ones.tolist() == sums.ones.sum(axis=0).tolist()
+
+
+# ---------------------------------------------------------------------------
+# differential test: the single-substitution repair rule against the
+# two-branch function it replaced
+
+
+def _referee_corrections(sums, N, hbar, w0, p_dev, s_dev):
+    if w0 is None:
+        return ()
+    # exactly one deficit/surplus pair at a common length
+    deficits = [(ln, PREFIX) for ln, d in p_dev if d == -1] + [
+        (ln, SUFFIX) for ln, d in s_dev if d == -1
+    ]
+    surpluses = {(ln, PREFIX) for ln, d in p_dev if d == 1} | {
+        (ln, SUFFIX) for ln, d in s_dev if d == 1
+    }
+    if len(p_dev) + len(s_dev) != 2 or len(deficits) != 1:
+        return ()
+    length, side = deficits[0]
+    other = SUFFIX if side == PREFIX else PREFIX
+    if (length, other) not in surpluses:
+        return ()
+    index = {PREFIX: 0, SUFFIX: 1}
+    observed_short = sums.ones_list(index[side], length)  # hbar - 1 genuine values
+    observed_long = sums.ones_list(index[other], length)  # hbar + 1 values, one bogus
+    comp_len = N - length
+    candidates = []
+    if comp_len == length:
+        # the complementary fragments live at the same length as the surplus,
+        # so each choice of the bogus fragment implies its own repair
+        pool_vals = observed_long
+        for idx in range(len(pool_vals)):
+            bogus = pool_vals[idx]
+            rest = pool_vals[:idx] + pool_vals[idx + 1 :]
+            expect = sorted(w0 - o for o in rest)
+            missing = _multiset_diff(expect, observed_short)
+            if missing is None:
+                continue
+            restored_ones = missing
+            if restored_ones <= bogus:
+                continue  # not mass reducing
+            cand = Correction(
+                side=side,
+                length=length,
+                observed=Composition(length - bogus, bogus),
+                restored=Composition(length - restored_ones, restored_ones),
+            )
+            if cand not in candidates:
+                candidates.append(cand)
+    else:
+        comp_vals = sums.ones_list(index[other], comp_len) if comp_len >= 1 else []
+        if len(comp_vals) != hbar:
+            return ()
+        expect = sorted(w0 - o for o in comp_vals)
+        missing = _multiset_diff(expect, observed_short)
+        if missing is None:
+            return ()
+        expect_other = None
+        # the bogus fragment is whatever the surplus side holds beyond its
+        # own complementary expectation
+        own_comp = sums.ones_list(index[side], N - length) if N - length >= 1 else []
+        if len(own_comp) == hbar:
+            expect_other = sorted(w0 - o for o in own_comp)
+        bogus_pool = list(observed_long)
+        if expect_other is not None:
+            for o in expect_other:
+                if o in bogus_pool:
+                    bogus_pool.remove(o)
+        for bogus in sorted(set(bogus_pool)):
+            if missing > bogus:
+                cand = Correction(
+                    side=side,
+                    length=length,
+                    observed=Composition(length - bogus, bogus),
+                    restored=Composition(length - missing, missing),
+                )
+                if cand not in candidates:
+                    candidates.append(cand)
+    return tuple(candidates)
+
+
+def _substituted_pools(words, N, heavier: bool):
+    """The words' pool with one fragment read lighter, or also heavier."""
+    clean = pool(words)
+    for length in range(1, N + 1):
+        for ones in clean.counts[length].nonzero()[0].tolist():
+            for reading in range(length + 1 if heavier else ones):
+                if reading != ones:
+                    counts = clean.counts.copy()
+                    counts[length, ones] -= 1
+                    counts[length, reading] += 1
+                    yield CompositionMultiset.from_counts(counts)
+
+
+def _compare_repair_rules(readout, N, hbar) -> int:
+    """Assert both rules agree, order included; return the candidate count."""
+    sums = side_sums(readout, N, hbar)
+    p_dev, s_dev = (
+        [(i, d) for i, d in enumerate(devs, start=1) if d]
+        for devs in (sums.fragments - hbar).tolist()
+    )
+    inputs = (sums, N, hbar, _string_weight(readout, N), p_dev, s_dev)
+    got = _single_error_corrections(*inputs)
+    assert got == _referee_corrections(*inputs), (N, hbar, readout)
+    return len(got)
+
+
+def test_single_error_corrections_match_the_two_branch_referee(scheme_books):
+    reports = Counter()
+    # every single mass-reducing substitution of every Dyck mixture of length
+    # <= 8 and hbar <= 3; up to length 6 also every heavier reading, the only
+    # kind whose repairs the v > b guard turns down
+    for N in (2, 4, 6, 8):
+        for hbar in range(1, 4):
+            for words in itertools.combinations(_dyck(N), hbar):
+                for readout in _substituted_pools(words, N, heavier=N <= 6):
+                    reports[_compare_repair_rules(readout, N, hbar)] += 1
+    # seeded substitutions on the scheme books: a prefix fragment read lighter
+    # until it crosses the weight split, mostly at the middle length, where
+    # the lighter reading hides among its own mirrors and repairs multiply
+    rng = random.Random(7)
+    for book in scheme_books:
+        N = book.N
+        for _ in range(300):
+            hbar = rng.choice((1, 2))
+            clean = book.pool_of(rng.sample(list(book.base.strings), hbar))
+            length = N // 2 if rng.random() < 0.75 else rng.randrange(1, N + 1)
+            ones = rng.choice(clean.ones_at_length(length)[hbar:])
+            if ones == 0:
+                continue
+            lighter = rng.randrange(min(ones, (length + 1) // 2))
+            readout = substitute_mass_reducing(clean, PREFIX, length, lighter, ones=ones)
+            reports[_compare_repair_rules(readout, N, hbar)] += 1
+    assert reports[2] >= 1000 and reports[1] >= 1000, reports

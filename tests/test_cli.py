@@ -10,6 +10,8 @@ RAW_CONFIG = {
     "scheme": "raw",
 }
 PLAIN_CONFIG = {"h": 2, "matrix": "bundled:bch_15_7"}
+# the [7,4,3] Hamming code, without its declared distance
+HAMMING = {"name": "ham", "n": 7, "k": 4, "H": ["0001111", "0110011", "1010101"]}
 
 
 @pytest.fixture
@@ -138,7 +140,6 @@ def test_plain_config_with_protection_exits_2(ws):
 def test_inline_code_with_overstated_distance_exits_2(ws):
     # the [7,4,3] Hamming matrix declared with d = 5 would let a two-error
     # decode return a wrong codeword without complaint
-    hamming = {"name": "ham", "n": 7, "k": 4, "H": ["0001111", "0110011", "1010101"]}
     strings = ws / "s.txt"
     strings.write_text("1100\n")
     for d, exit_code in ((3, 0), (5, 2)):
@@ -146,7 +147,7 @@ def test_inline_code_with_overstated_distance_exits_2(ws):
         cfg.write_text(json.dumps({
             "h": 1,
             "strings": ["1100", "1010", "0110"],
-            "scheme": {"name": "one-step", "t": 0, "code": {**hamming, "d": d}},
+            "scheme": {"name": "one-step", "t": 0, "code": {**HAMMING, "d": d}},
         }))
         assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == exit_code
 
@@ -156,6 +157,45 @@ def test_empty_input_is_ok(ws):
     empty.write_text("")
     assert run("encode", empty, "--config", ws / "raw.json", "-o", ws / "w.json") == 0
     assert json.loads((ws / "w.json").read_text())["codewords"] == []
+
+
+VALID_POOL = {"N": 6, "fragments": [{"zeros": 0, "ones": 1, "mult": 1}]}
+ARGV = {
+    "decode": ("in.json", "--config", "raw.json", "--hbar", 1),
+    "corrupt": ("in.json", "--pattern", "pat.json"),
+    "encode": ("s.txt", "--config", "cfg.json"),
+    "pool": ("in.json",),
+}
+# case -> (command, the JSON files it reads)
+MALFORMED = {
+    "pool-without-N": ("decode", {"in.json": {"fragments": []}}),
+    "fragment-without-ones": ("decode", {"in.json": {"N": 6, "fragments": [{"zeros": 1}]}}),
+    "erase-without-len": (
+        "corrupt", {"in.json": VALID_POOL, "pat.json": {"erase": [{"side": "prefix"}]}}
+    ),
+    "subst-without-ones_to": (
+        "corrupt", {"in.json": VALID_POOL, "pat.json": {"subst": [{"side": "prefix", "len": 1}]}}
+    ),
+    "pattern-not-an-object": ("corrupt", {"in.json": VALID_POOL, "pat.json": []}),
+    "code-without-d": (
+        "encode",
+        {"cfg.json": {"strings": ["1100"], "scheme": {"name": "one-step", "code": HAMMING}}},
+    ),
+    "config-not-an-object": ("encode", {"cfg.json": [RAW_CONFIG]}),
+    "scheme-not-an-object": ("encode", {"cfg.json": {**RAW_CONFIG, "scheme": ["raw"]}}),
+    "codewords-missing": ("pool", {"in.json": {"sources": []}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_2(ws, capsys, case):
+    command, files = MALFORMED[case]
+    for name, obj in files.items():
+        (ws / name).write_text(json.dumps(obj))
+    (ws / "s.txt").write_text("1100\n")
+    argv = [ws / a if str(a).endswith((".json", ".txt")) else a for a in ARGV[command]]
+    assert run(command, *argv, "-o", ws / "out.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_matrix_exits_2(ws, capsys):

@@ -45,6 +45,19 @@ def test_one_step_t0_is_plain_encoding():
     assert ecc.one_step_encode(s, 0).bits == plain_encode(s).bits
 
 
+def test_one_step_t0_with_a_given_code_round_trips(b2_n16_codebook):
+    from masscodec.linearcode import bundled_code
+
+    code = bundled_code("bch_63_16")
+    book = ecc.scheme_codebook(ecc.ONE_STEP, b2_n16_codebook, 0, code)
+    assert book.code_data is code and book.layout.n == code.n  # the code was applied
+    rng = random.Random(3)
+    for hbar in (1, 2):
+        for _ in range(5):
+            sources = frozenset(rng.sample(list(b2_n16_codebook.strings), hbar))
+            assert ecc.scheme_decode(book.pool_of(sources), book, hbar) == sources
+
+
 def test_one_step_capability_gate():
     from masscodec.linearcode import bundled_code
 
