@@ -19,6 +19,7 @@ the correction is not, and the report below keeps those outcomes apart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -85,12 +86,14 @@ class ErasurePattern:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ErasurePattern":
+        what = "an erase entry"
         return cls(
             tuple(
                 Removal(
-                    *(json_field(e, key, "an erase entry") for key in ("side", "len")),
-                    e.get("count", 1),
-                    e.get("ones"),
+                    json_field(e, "side", what),
+                    json_field(e, "len", what, int),
+                    json_field(e, "count", what, int, default=1),
+                    json_field(e, "ones", what, int, default=None),
                 )
                 for e in obj.get("erase", [])
             )
@@ -203,18 +206,27 @@ class SideSums:
     ones: np.ndarray  # (2, N) ones totals per side after tie filling
     certain: np.ndarray  # (2, N) bool
 
+    @functools.cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
+        out = []
+        for side, fill in enumerate(self.fill):
+            at = fill.nonzero()[0] + 1
+            cells = self.cells[:3, self.cells[3] == 2 * side]
+            both = np.concatenate([cells, np.stack([at, at // 2, fill[at - 1]])], axis=1)
+            both.flags.writeable = False
+            out.append(both)
+        return out[0], out[1]
+
     def entries(self, side: int) -> np.ndarray:
         """(3, K) length, ones and multiplicity of the fragments of side 0 or 1.
 
         The side's unbalanced cells come first, in (length, ones) order,
-        then one cell per length for the ties the side received.
+        then one cell per length for the ties the side received.  Both
+        sides are built on the first call and shared, read-only, after it.
         """
-        import numpy as np
-
-        cells = self.cells[:3, self.cells[3] == 2 * side]
-        fill = self.fill[side]
-        at = fill.nonzero()[0] + 1
-        return np.concatenate([cells, np.stack([at, at // 2, fill[at - 1]])], axis=1)
+        return self._entries[side]
 
     def ones_list(self, side: int, length: int) -> list[int]:
         """Ones of the side's fragments at a length: non-ties ascending, then ties."""
@@ -231,7 +243,16 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     the codec and substitution detection all read its arrays.  Lengths
     past N are ignored.  After one scan of the count table for its nonzero
     cells, the work is proportional to the number of distinct fragments.
+
+    The pool keeps its last reading in its one memo slot: a second call
+    with the same N and hbar returns the same object, and one with another
+    N or hbar reads the pool again and replaces it.  So that no consumer
+    can change another's reading, every array of a reading is read-only.
     """
+    return pool.memo((N, hbar), lambda: _read_sides(pool, N, hbar))
+
+
+def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     import numpy as np
 
     table = np.ascontiguousarray(pool.counts[1 : N + 1, : N + 1])
@@ -259,6 +280,8 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     room = np.maximum(0, hbar - unbalanced[::-1])
     certain = unbalanced + np.maximum(0, ties - room) == hbar
     cells = np.stack([length, ones, mult, kind])
+    for array in (cells, fill, fragments, sums, certain):
+        array.flags.writeable = False
     return SideSums(cells, fill, fragments, sums, certain)
 
 
@@ -292,7 +315,10 @@ def increments(
         if bad.size:
             i = int(bad[0])
             raise NegativeIncrement(f"sum symbol {steps[i]} at position {i + 1}")
-    return [t if k else None for t, k in zip(steps.tolist(), ok.tolist())]
+    symbols = steps.tolist()
+    for i in (~ok).nonzero()[0].tolist():
+        symbols[i] = None
+    return symbols
 
 
 def partial_sum_strings(
@@ -583,17 +609,22 @@ def detect_substitution(
     if w0 is not None:
         # a prefix of length L with o ones completes a suffix of length N - L
         # with w0 - o ones, so the prefix side must mirror the suffix side
-        prefix = set(map(tuple, sums.entries(0).T.tolist()))
+        # one int per (length, ones, mult) cell; ones are offset by N since a
+        # mirrored w0 - o can be negative, and mult runs up to pool.total
+        width = pool.total + 1
+        span = (2 * N + 1) * width
+        length, ones, mult = sums.entries(0)
+        prefix = set((length * span + (ones + N) * width + mult).tolist())
         length, ones, mult = sums.entries(1)
-        mirrored = set(zip((N - length).tolist(), (w0 - ones).tolist(), mult.tolist()))
+        mirrored = set(((N - length) * span + (w0 - ones + N) * width + mult).tolist())
         full = (
             (sums.fragments[0, : N - 1] == hbar) & (sums.fragments[1, N - 2 :: -1] == hbar)
         ).tolist()
-        differ = {cell[0] for cell in prefix ^ mirrored}
+        differ = {key // span for key in prefix ^ mirrored}
         incompatible = [ln for ln in sorted(differ) if 1 <= ln < N and full[ln - 1]]
 
     def clean_sum(symbols: list, devs: list, bad: list) -> Optional[PartialSumString]:
-        if devs or bad or any(v is None for v in symbols):
+        if devs or bad or None in symbols:
             return None
         return PartialSumString(symbols, hbar)
 
@@ -650,7 +681,7 @@ def _single_error_corrections(
         if len(comp) != hbar:
             continue
         restored = _multiset_diff(sorted(w0 - o for o in comp), short)
-        if restored is not None and restored > bogus:
+        if restored is not None and bogus < restored <= length:
             observed = Composition(length - bogus, bogus)
             fixed = Composition(length - restored, restored)
             corrections.append(Correction((PREFIX, SUFFIX)[x], length, observed, fixed))

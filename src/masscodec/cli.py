@@ -191,12 +191,15 @@ def cmd_corrupt(args) -> int:
         raise ConfigError("a pattern must be a JSON object")
     rng = random.Random(args.seed)
     erased = erase(poolset, ErasurePattern.from_json_obj(pattern), rng=rng)
+    what = "a subst entry"
     for sub in pattern.get("subst", []):
-        side, length, ones_to = (
-            json_field(sub, key, "a subst entry") for key in ("side", "len", "ones_to")
-        )
         erased = substitute_mass_reducing(
-            erased, side, length, ones_to, ones=sub.get("ones_from"), rng=rng
+            erased,
+            json_field(sub, "side", what),
+            json_field(sub, "len", what, int),
+            json_field(sub, "ones_to", what, int),
+            ones=json_field(sub, "ones_from", what, int, default=None),
+            rng=rng,
         )
     _write_text(args.output, _pool_to_json(erased, N))
     return EXIT_OK

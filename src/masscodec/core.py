@@ -36,7 +36,9 @@ array) and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,6 +46,7 @@ if TYPE_CHECKING:
 from .errors import Conflict, DuplicateString, LengthMismatch, OddLength, json_field
 
 BitsLike = Union[str, Sequence[int], "BitString"]
+_T = TypeVar("_T")
 
 ERASED = None  # erased symbol marker in partial sum strings
 _ERASED_CHAR = "ε"  # printed as the Greek epsilon
@@ -310,10 +313,11 @@ class CompositionMultiset:
     removal a decrement of a copy, so no operation builds a
     :class:`Composition` per fragment.  Compositions appear only where
     entries are listed: ``entries``, ``elements``, printing and JSON, all in
-    the canonical order (fragment length, ones) ascending.
+    the canonical order (fragment length, ones) ascending.  One slot keeps
+    the last value derived from the counts (see :meth:`memo`).
     """
 
-    __slots__ = ("_counts", "_total")
+    __slots__ = ("_counts", "_total", "_memo")
 
     def __init__(self, items: Union[Mapping[Composition, int], Iterable[Composition], None] = None):
         if isinstance(items, Mapping):
@@ -343,6 +347,20 @@ class CompositionMultiset:
         counts.flags.writeable = False
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_total", int(counts.sum()))
+        object.__setattr__(self, "_memo", None)
+
+    def memo(self, key, build: Callable[[], _T]) -> _T:
+        """``build()``, kept under ``key`` until a call with another key replaces it.
+
+        The counts never change, so a value derived from them and the key
+        alone stays valid for the multiset's life.  Threads racing on one
+        multiset at most build the value twice.
+        """
+        slot = self._memo
+        if slot is None or slot[0] != key:
+            slot = (key, build())
+            object.__setattr__(self, "_memo", slot)
+        return slot[1]
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositionMultiset is immutable")
@@ -450,7 +468,7 @@ class CompositionMultiset:
     def from_json_obj(cls, obj: Iterable[dict]) -> "CompositionMultiset":
         counts: Counter = Counter()
         for entry in obj:
-            zeros, ones = (json_field(entry, key, "a fragment") for key in ("zeros", "ones"))
+            zeros, ones = (json_field(entry, key, "a fragment", int) for key in ("zeros", "ones"))
             comp = Composition(zeros, ones)
             counts[comp] += int(entry.get("mult", 1))
         return cls(counts)

@@ -77,8 +77,25 @@ class ConfigError(MasscodecError):
     """Malformed codebook/scheme configuration."""
 
 
-def json_field(obj, key: str, what: str):
-    """``obj[key]`` of parsed JSON; ConfigError when obj is no object or lacks key."""
-    if not isinstance(obj, dict) or key not in obj:
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, what: str, kind: type = object, default=_REQUIRED):
+    """``obj[key]`` of parsed JSON, checked to be a ``kind``; ConfigError if not.
+
+    The key may be missing only when a ``default`` is given, which is then
+    returned; with a default of None a null reads as missing.  For
+    ``kind=int`` true and false are refused, although Python counts them
+    as ints, and a float with no fractional part is returned as an int:
+    JSON has one number type, so 2.0 is 2.
+    """
+    if not isinstance(obj, dict) or (key not in obj and default is _REQUIRED):
         raise ConfigError(f"{what} needs a {key!r} entry")
-    return obj[key]
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{what} needs an {kind.__name__} {key!r}, got {value!r}")
+    return value

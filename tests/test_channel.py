@@ -788,6 +788,38 @@ def test_length_totals_match_side_sums_totals(scheme_books):
         assert ones.tolist() == sums.ones.sum(axis=0).tolist()
 
 
+SIDE_SUMS_ARRAYS = ("cells", "fill", "fragments", "ones", "certain")
+
+
+def _reading(sums) -> dict:
+    out = {name: getattr(sums, name).tolist() for name in SIDE_SUMS_ARRAYS}
+    out["entries"] = [sums.entries(side).tolist() for side in (0, 1)]
+    return out
+
+
+def test_side_sums_memo_is_keyed_by_n_and_hbar():
+    readout = substitute_mass_reducing(pool(DYCK_TRIPLE), PREFIX, 3, 1, ones=2)
+
+    def fresh(N, hbar):
+        return _reading(side_sums(CompositionMultiset.from_counts(readout.counts), N, hbar))
+
+    keys = [(6, 3), (6, 2), (4, 2), (6, 3)]
+    # consecutive keys read differently, so a memo that ignored its key would show
+    assert all(fresh(*a) != fresh(*b) for a, b in zip(keys, keys[1:]))
+    for N, hbar in keys:
+        first = side_sums(readout, N, hbar)
+        assert _reading(first) == fresh(N, hbar), (N, hbar)
+        assert side_sums(readout, N, hbar) is first
+
+
+def test_side_sums_arrays_are_read_only():
+    sums = side_sums(pool(DYCK_TRIPLE), 6, 3)
+    arrays = [getattr(sums, name) for name in SIDE_SUMS_ARRAYS]
+    for array in arrays + [sums.entries(0), sums.entries(1)]:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 # ---------------------------------------------------------------------------
 # differential test: the single-substitution repair rule against the
 # two-branch function it replaced
@@ -881,17 +913,39 @@ def _substituted_pools(words, N, heavier: bool):
                     yield CompositionMultiset.from_counts(counts)
 
 
-def _compare_repair_rules(readout, N, hbar) -> int:
-    """Assert both rules agree, order included; return the candidate count."""
+def _referee_incompatible_lengths(sums, N, hbar, w0) -> tuple:
+    """The mirror check on sets of (length, ones, mult) tuples, before integer keys."""
+    if w0 is None:
+        return ()
+    prefix = set(map(tuple, sums.entries(0).T.tolist()))
+    length, ones, mult = sums.entries(1)
+    mirrored = set(zip((N - length).tolist(), (w0 - ones).tolist(), mult.tolist()))
+    full = (
+        (sums.fragments[0, : N - 1] == hbar) & (sums.fragments[1, N - 2 :: -1] == hbar)
+    ).tolist()
+    differ = {cell[0] for cell in prefix ^ mirrored}
+    return tuple(ln for ln in sorted(differ) if 1 <= ln < N and full[ln - 1])
+
+
+def _compare_repair_rules(readout, N, hbar, reports: Counter) -> None:
+    """Assert both repair rules and both mirror checks agree, order included.
+
+    Counts the reports by their number of candidates, and those with an
+    incompatible length under "incompatible".
+    """
     sums = side_sums(readout, N, hbar)
     p_dev, s_dev = (
         [(i, d) for i, d in enumerate(devs, start=1) if d]
         for devs in (sums.fragments - hbar).tolist()
     )
-    inputs = (sums, N, hbar, _string_weight(readout, N), p_dev, s_dev)
+    w0 = _string_weight(readout, N)
+    inputs = (sums, N, hbar, w0, p_dev, s_dev)
     got = _single_error_corrections(*inputs)
     assert got == _referee_corrections(*inputs), (N, hbar, readout)
-    return len(got)
+    incompatible = detect_substitution(readout, N, hbar).incompatible_lengths
+    assert incompatible == _referee_incompatible_lengths(sums, N, hbar, w0), (N, hbar, readout)
+    reports[len(got)] += 1
+    reports["incompatible"] += bool(incompatible)
 
 
 def test_single_error_corrections_match_the_two_branch_referee(scheme_books):
@@ -903,7 +957,7 @@ def test_single_error_corrections_match_the_two_branch_referee(scheme_books):
         for hbar in range(1, 4):
             for words in itertools.combinations(_dyck(N), hbar):
                 for readout in _substituted_pools(words, N, heavier=N <= 6):
-                    reports[_compare_repair_rules(readout, N, hbar)] += 1
+                    _compare_repair_rules(readout, N, hbar, reports)
     # seeded substitutions on the scheme books: a prefix fragment read lighter
     # until it crosses the weight split, mostly at the middle length, where
     # the lighter reading hides among its own mirrors and repairs multiply
@@ -919,5 +973,27 @@ def test_single_error_corrections_match_the_two_branch_referee(scheme_books):
                 continue
             lighter = rng.randrange(min(ones, (length + 1) // 2))
             readout = substitute_mass_reducing(clean, PREFIX, length, lighter, ones=ones)
-            reports[_compare_repair_rules(readout, N, hbar)] += 1
+            _compare_repair_rules(readout, N, hbar, reports)
     assert reports[2] >= 1000 and reports[1] >= 1000, reports
+    assert reports["incompatible"] >= 10_000, reports
+
+
+def test_mirror_check_matches_the_tuple_referee_on_unbalanced_pools():
+    # strings of any common weight, one fragment read lighter or heavier: a
+    # suffix-side fragment can then outweigh the strings, so its mirror w0 - o
+    # is negative, and a repair can come out heavier than its length allows
+    found = 0
+    for N in (4, 5):
+        strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=N)]
+        for hbar in (1, 2):
+            for words in itertools.combinations(strings, hbar):
+                if len({w.weight() for w in words}) > 1:
+                    continue
+                for readout in _substituted_pools(words, N, heavier=True):
+                    sums = side_sums(readout, N, hbar)
+                    w0 = _string_weight(readout, N)
+                    got = detect_substitution(readout, N, hbar).incompatible_lengths
+                    assert got == _referee_incompatible_lengths(sums, N, hbar, w0), readout
+                    found += bool(got)
+    assert found >= 900, found
+

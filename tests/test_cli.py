@@ -166,6 +166,14 @@ ARGV = {
     "encode": ("s.txt", "--config", "cfg.json"),
     "pool": ("in.json",),
 }
+
+
+def _corrupt_with(kind: str, **entry):
+    """A corrupt case whose pattern has one erase or subst entry at prefix length 1."""
+    pattern = {kind: [{"side": "prefix", "len": 1, **entry}]}
+    return "corrupt", {"in.json": VALID_POOL, "pat.json": pattern}
+
+
 # case -> (command, the JSON files it reads)
 MALFORMED = {
     "pool-without-N": ("decode", {"in.json": {"fragments": []}}),
@@ -184,6 +192,19 @@ MALFORMED = {
     "config-not-an-object": ("encode", {"cfg.json": [RAW_CONFIG]}),
     "scheme-not-an-object": ("encode", {"cfg.json": {**RAW_CONFIG, "scheme": ["raw"]}}),
     "codewords-missing": ("pool", {"in.json": {"sources": []}}),
+    # wrongly typed integer fields
+    "erase-len-a-string": _corrupt_with("erase", len="1"),
+    "erase-len-fractional": _corrupt_with("erase", len=1.5),
+    "erase-count-a-string": _corrupt_with("erase", count="1"),
+    "erase-ones-a-string": _corrupt_with("erase", ones="1"),
+    "subst-ones_to-a-string": _corrupt_with("subst", ones_to="0"),
+    "subst-ones_from-a-string": _corrupt_with("subst", ones_to=0, ones_from="1"),
+    # JSON booleans are no numbers, although they were read as 1 and 0
+    "erase-count-true": _corrupt_with("erase", count=True),
+    "subst-ones_to-false": _corrupt_with("subst", ones_to=False),
+    "fragment-ones-a-string": (
+        "decode", {"in.json": {"N": 6, "fragments": [{"zeros": 0, "ones": "1"}]}}
+    ),
 }
 
 
@@ -196,6 +217,18 @@ def test_malformed_json_exits_2(ws, capsys, case):
     argv = [ws / a if str(a).endswith((".json", ".txt")) else a for a in ARGV[command]]
     assert run(command, *argv, "-o", ws / "out.json") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_loosely_typed_json_that_worked_still_works(ws):
+    # a string N and mult, float-written integers and a null "ones" were read before
+    (ws / "in.json").write_text(
+        json.dumps({"N": "6", "fragments": [{"zeros": 0.0, "ones": 1.0, "mult": "2"}]})
+    )
+    pattern = {"erase": [{"side": "prefix", "len": 1, "ones": None}]}
+    (ws / "pat.json").write_text(json.dumps(pattern))
+    assert run("corrupt", ws / "in.json", "--pattern", ws / "pat.json", "-o", ws / "o.json") == 0
+    out = json.loads((ws / "o.json").read_text())
+    assert out == {"N": 6, "fragments": [{"zeros": 0, "ones": 1, "mult": 1}]}
 
 
 def test_bad_matrix_exits_2(ws, capsys):
