@@ -61,8 +61,7 @@ class Removal:
     ones: Optional[int] = None  # pin the victim when lengths mix compositions
 
     def __post_init__(self):
-        if self.side not in (PREFIX, SUFFIX):
-            raise ValueError(f"side must be prefix/suffix, got {self.side!r}")
+        _check_side(self.side)
         if self.length < 1 or self.count < 1:
             raise ValueError("length and count must be positive")
 
@@ -98,6 +97,11 @@ class ErasurePattern:
                 for e in obj.get("erase", [])
             )
         )
+
+
+def _check_side(side: str) -> None:
+    if side not in (PREFIX, SUFFIX):
+        raise ValueError(f"side must be prefix/suffix, got {side!r}")
 
 
 def _side_eligible(side: str, length: int, ones: int) -> bool:
@@ -168,6 +172,7 @@ def substitute_mass_reducing(
     rng=None,
 ) -> CompositionMultiset:
     """Replace one fragment by a strictly lighter one of the same length."""
+    _check_side(side)
     counts = pool.counts.copy()
     victim = _resolve_victim(counts, side, length, ones, rng)
     if new_ones >= victim:

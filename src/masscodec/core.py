@@ -365,6 +365,10 @@ class CompositionMultiset:
     def __setattr__(self, name, value):
         raise AttributeError("CompositionMultiset is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the counts alone, with an empty memo
+        return type(self).from_counts, (self._counts,)
+
     @property
     def counts(self) -> np.ndarray:
         """The read-only ``counts[length, ones]`` matrix."""

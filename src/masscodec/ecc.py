@@ -34,6 +34,14 @@ and payload segments live inside Z_p, so Z_p syndromes of those sums --
 shipped as pairwise-complemented binary expansions -- can re-fill erased
 sum positions before any mod-2 reduction happens.
 
+Each scheme picks and checks its codes in one place, which both its
+encoder and its codebook builder call: ``_one_step_code``,
+``_two_step_codes``, ``_integral_code`` and ``_modp_code`` (the default
+Z_p code depends on h, so ``one_step_modp_codebook`` picks it).  The
+binary ones share ``_require``, the check of dimension and capability.
+The two schemes with a z segment frame their codewords with ``_frame``,
+and one-step and two-step decode their payload in ``_payload_sources``.
+
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
 too: the scheme name, t and the codes ride on the book, and the layout on
 its codewords.  The plain codec is the scheme PLAIN with t = 0 and no
@@ -47,12 +55,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from itertools import accumulate
+from operator import xor
+from typing import Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
 from .channel import partial_sum_strings, raw_side_sums
 from .codec import (
     PLAIN,
+    BalancedPair,
     McCodebook,
     McCodeword,
     McLayout,
@@ -75,6 +86,7 @@ from .errors import (
 from .linearcode import (
     LinearCode,
     ModpCode,
+    bundled_code,
     erasure_code,
     modp_code,
     substitution_code,
@@ -86,16 +98,23 @@ TWO_STEP = "two-step"
 INTEGRAL = "integral"
 ONE_STEP_MODP = "one-step-modp"
 
+_Sums = Sequence[Optional[int]]  # per-position sums or bits, None where erased
+_Solver = Callable[[LinearCode, _Sums], Sequence[int]]  # (code, word) -> full codeword
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 
 
-def _left_pad(word: Sequence[int], m: int) -> BitString:
-    bits = BitString(word)
-    if m > len(bits):
-        bits = BitString.zeros(m - len(bits)) + bits
-    return bits
+def _require(code: LinearCode, k: int, need: int, what: str, errors: bool = False) -> LinearCode:
+    """``code`` once its dimension is k and its erasure (or error) capability >= need."""
+    if code.k != k:
+        raise ConfigError(f"{what} code has k={code.k}, need k={k}")
+    capability = code.error_capability if errors else code.erasure_capability
+    if capability < need:
+        kind = "error" if errors else "erasure"
+        raise CapabilityTooSmall(f"{what} {kind} capability {capability} < {need}")
+    return code
 
 
 def _pad_root_mult4(length: int) -> tuple[int, int]:
@@ -110,6 +129,30 @@ def _pad_root_mult4(length: int) -> tuple[int, int]:
     return root * root, root
 
 
+def _frame(
+    word: Sequence[int], origin: BitString, z_of: Callable[[BalancedPair], Sequence[int]]
+) -> McCodeword:
+    """Balance word padded to _pad_root_mult4 and frame it with z after the flags.
+
+    ``z_of(pair)`` gives the bits that z carries, each followed by its
+    complement so z stays balanced; z may be empty.
+    """
+    m, root = _pad_root_mult4(len(word))
+    pair = block_balance((0,) * (m - len(word)) + tuple(word))
+    z = [v for b in z_of(pair) for v in (b, 1 - b)]
+    layout = McLayout(
+        n=len(word),
+        m=m,
+        root=root,
+        pad=m - len(word),
+        lead=math.ceil(5 * root / 2) + 1,
+        z_len=len(z),
+        N=m + (17 * root) // 2 + len(z) + 2,
+    )
+    bits = assemble_codeword(layout, pair.r, pair.u, BitString(z) if z else None)
+    return McCodeword(bits=bits, layout=layout, origin=origin)
+
+
 def _merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
     """Per-position integer sums combining both sides; None where unknown.
 
@@ -120,13 +163,11 @@ def _merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[
     return list(merged.symbols)
 
 
-def _mod2(vals: Sequence[Optional[int]]) -> list[Optional[int]]:
+def _mod2(vals: _Sums) -> list[Optional[int]]:
     return [None if v is None else v % 2 for v in vals]
 
 
-def _pair_value(
-    merged: Sequence[Optional[int]], start: int, idx: int, hbar: int
-) -> Optional[int]:
+def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]:
     """Integer sum of pair-encoded bit idx in a z segment (b, 1-b pairs).
 
     The first symbol of the pair holds the sum itself, the second hbar
@@ -139,11 +180,15 @@ def _pair_value(
     return None if b is None else hbar - b
 
 
-def _pairwise_complement(bits: Sequence[int]) -> BitString:
-    out = []
-    for b in bits:
-        out.extend((int(b) & 1, 1 - (int(b) & 1)))
-    return BitString(out)
+def _payload_sources(
+    codebook: McCodebook, sums: _Sums, flags: _Sums, solve: _Solver, hbar: int, budget: int
+) -> frozenset[BitString]:
+    """Un-flip the data segment mod 2 under the flags, solve the payload code, invert."""
+    lay: McLayout = codebook.layout
+    code: LinearCode = codebook.code_data
+    word = unflip(_mod2(sums[lay.u_start : lay.u_start + lay.m]), flags, lay.pad)
+    target = BitString(code.extract_message(solve(code, word)))
+    return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +200,22 @@ def one_step_requirement(m: int, t: int) -> int:
     return t * (math.isqrt(m) + 1)
 
 
-def _default_one_step_code(k: int, t: int) -> LinearCode:
-    from .linearcode import bundled_code
+def _one_step_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
+    """The checked payload code; by default trivial at t = 0, else bch_63_16.
 
-    if t == 0:
-        return trivial_code(k)
-    code = bundled_code("bch_63_16")
-    if code.k == k:
-        m, _ = next_square(code.n)
-        if code.erasure_capability >= one_step_requirement(m, t):
-            return code
-    raise ConfigError(
-        f"no shipped one-step code for k={k}, t={t}; pass one explicitly"
-    )
+    A default that does not fit is a ConfigError: only a given code can help.
+    """
+    if code is None:
+        if t == 0:
+            return trivial_code(k)
+        try:
+            return _one_step_code(k, t, bundled_code("bch_63_16"))
+        except (ConfigError, CapabilityTooSmall) as exc:
+            raise ConfigError(
+                f"no shipped one-step code for k={k}, t={t}; pass one explicitly"
+            ) from exc
+    m, _ = next_square(code.n)
+    return _require(code, k, one_step_requirement(m, t), "payload")
 
 
 def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
@@ -176,25 +224,14 @@ def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
     With t = 0 and no code given this is exactly the plain codec.
     """
     s = BitString(s)
-    if code is None:
-        code = _default_one_step_code(len(s), t)
-    if code.k != len(s):
-        raise ConfigError(f"payload code has k={code.k}, string length {len(s)}")
-    word = code.encode(s.bits)
-    m, _ = next_square(len(word))
-    if code.erasure_capability < one_step_requirement(m, t):
-        raise CapabilityTooSmall(
-            f"capability {code.erasure_capability} < t(sqrt(m)+1) = "
-            f"{one_step_requirement(m, t)}"
-        )
-    return replace(plain_encode(word), origin=s)
+    code = _one_step_code(len(s), t, code)
+    return replace(plain_encode(code.encode(s.bits)), origin=s)
 
 
 def one_step_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
-    if code is None:
-        code = _default_one_step_code(base.n, t)
+    code = _one_step_code(base.n, t, code)
     codewords = tuple(one_step_encode(s, t, code) for s in base.strings)
     return McCodebook(base, codewords, scheme=ONE_STEP, t=t, code_data=code)
 
@@ -211,27 +248,37 @@ def one_step_decode(
     else maps one lost sum position to one erased payload bit.
     """
     lay: McLayout = codebook.layout
-    code: LinearCode = codebook.code_data
-    merged = _merged_sums(pool, lay.N, hbar)
-    flags = _mod2(merged[lay.r_start : lay.r_start + lay.root])
-    data = _mod2(merged[lay.u_start : lay.u_start + lay.m])
-    word = unflip(data, flags, lay.pad)
-    full = code.decode_erasures(word)
-    target = BitString(code.extract_message(full))
-    return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+    sums = _merged_sums(pool, lay.N, hbar)
+    flags = _mod2(sums[lay.r_start : lay.r_start + lay.root])
+    return _payload_sources(codebook, sums, flags, LinearCode.decode_erasures, hbar, budget)
 
 
 # ---------------------------------------------------------------------------
 # two-step scheme
 
 
-def _two_step_layout(word_len: int, z_len: int) -> McLayout:
-    m, root = _pad_root_mult4(word_len)
-    lead = math.ceil(5 * root / 2) + 1
-    N = m + (17 * root) // 2 + z_len + 2
-    return McLayout(
-        n=word_len, m=m, root=root, pad=m - word_len, lead=lead, z_len=z_len, N=N
-    )
+def _two_step_codes(
+    k: int,
+    t: int,
+    code_data: Optional[LinearCode],
+    code_flag: Optional[LinearCode],
+    substitutions: bool,
+) -> tuple[LinearCode, LinearCode]:
+    """The checked payload and flag codes, each the smallest shipped one by default.
+
+    Erasure mode needs capability t on both codes.  Substitution mode
+    (same-length fragment replacements) needs error capability 2t, since
+    one replaced fragment corrupts two adjacent sum symbols on its side.
+    """
+    need = 2 * t if substitutions else t
+    pick = substitution_code if substitutions else erasure_code
+    if code_data is None:
+        code_data = pick(k, need)
+    _require(code_data, k, need, "payload", substitutions)
+    _, root = _pad_root_mult4(code_data.n)
+    if code_flag is None:
+        code_flag = pick(root, need)
+    return code_data, _require(code_flag, root, need, "flag", substitutions)
 
 
 def two_step_encode(
@@ -241,44 +288,11 @@ def two_step_encode(
     code_flag: Optional[LinearCode] = None,
     substitutions: bool = False,
 ) -> McCodeword:
-    """Protect the payload and the flag string separately.
-
-    Erasure mode needs capability t on both codes.  Substitution mode
-    (same-length fragment replacements) needs error capability 2t, since
-    one replaced fragment corrupts two adjacent sum symbols on its side.
-    """
+    """Protect the payload and the flag string separately (see _two_step_codes)."""
     s = BitString(s)
-    need = 2 * t if substitutions else t
-    if code_data is None:
-        code_data = (
-            substitution_code(len(s), need) if substitutions else erasure_code(len(s), need)
-        )
-    if code_data.k != len(s):
-        raise ConfigError(f"payload code has k={code_data.k}, string length {len(s)}")
-    capability = (
-        code_data.error_capability if substitutions else code_data.erasure_capability
-    )
-    if capability < need:
-        raise CapabilityTooSmall(f"payload capability {capability} < {need}")
+    code_data, code_flag = _two_step_codes(len(s), t, code_data, code_flag, substitutions)
     word = code_data.encode(s.bits)
-    m, root = _pad_root_mult4(len(word))
-    pair = block_balance(_left_pad(word, m))
-    if code_flag is None:
-        code_flag = (
-            substitution_code(root, need) if substitutions else erasure_code(root, need)
-        )
-    if code_flag.k != root:
-        raise ConfigError(f"flag code has k={code_flag.k}, flag length {root}")
-    flag_capability = (
-        code_flag.error_capability if substitutions else code_flag.erasure_capability
-    )
-    if flag_capability < need:
-        raise CapabilityTooSmall(f"flag capability {flag_capability} < {need}")
-    flag_word = code_flag.encode(pair.r.bits)
-    z = _pairwise_complement(flag_word[root:])
-    layout = _two_step_layout(len(word), len(z))
-    bits = assemble_codeword(layout, pair.r, pair.u, z)
-    return McCodeword(bits=bits, layout=layout, origin=s)
+    return _frame(word, s, lambda pair: code_flag.encode(pair.r.bits)[code_flag.k :])
 
 
 def two_step_codebook(
@@ -288,18 +302,7 @@ def two_step_codebook(
     code_flag: Optional[LinearCode] = None,
     substitutions: bool = False,
 ) -> McCodebook:
-    need = 2 * t if substitutions else t
-    if code_data is None:
-        code_data = (
-            substitution_code(base.n, need)
-            if substitutions
-            else erasure_code(base.n, need)
-        )
-    m, root = _pad_root_mult4(code_data.n)
-    if code_flag is None:
-        code_flag = (
-            substitution_code(root, need) if substitutions else erasure_code(root, need)
-        )
+    code_data, code_flag = _two_step_codes(base.n, t, code_data, code_flag, substitutions)
     codewords = tuple(
         two_step_encode(s, t, code_data, code_flag, substitutions) for s in base.strings
     )
@@ -308,14 +311,15 @@ def two_step_codebook(
     )
 
 
-def _two_step_flag_word(
-    merged: Sequence[Optional[int]], lay: McLayout, hbar: int
-) -> list[Optional[int]]:
-    flags = _mod2(merged[lay.r_start : lay.r_start + lay.root])
-    z_bits = _mod2(
-        [_pair_value(merged, lay.z_start, i, hbar) for i in range(lay.z_len // 2)]
-    )
-    return flags + z_bits
+def _two_step_sources(
+    codebook: McCodebook, sums: _Sums, solve: _Solver, hbar: int, budget: int
+) -> frozenset[BitString]:
+    """Solve the flag code on the flags and z, then the payload under the flags."""
+    lay: McLayout = codebook.layout
+    flags = _mod2(sums[lay.r_start : lay.r_start + lay.root])
+    z = _mod2([_pair_value(sums, lay.z_start, i, hbar) for i in range(lay.z_len // 2)])
+    r_total = solve(codebook.code_flag, flags + z)[: lay.root]
+    return _payload_sources(codebook, sums, r_total, solve, hbar, budget)
 
 
 def two_step_decode(
@@ -332,34 +336,18 @@ def two_step_decode(
     replacements of equal length).
     """
     lay: McLayout = codebook.layout
-    code_data: LinearCode = codebook.code_data
-    code_flag: LinearCode = codebook.code_flag
     if not substitutions:
-        merged = _merged_sums(pool, lay.N, hbar)
-        flag_full = code_flag.decode_erasures(_two_step_flag_word(merged, lay, hbar))
-        r_total = flag_full[: lay.root]
-        data = _mod2(merged[lay.u_start : lay.u_start + lay.m])
-        word = unflip(data, r_total, lay.pad)
-        full = code_data.decode_erasures(word)
-        target = BitString(code_data.extract_message(full))
-        return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+        sums = _merged_sums(pool, lay.N, hbar)
+        return _two_step_sources(codebook, sums, LinearCode.decode_erasures, hbar, budget)
 
-    results = []
-    failures = []
+    def nearest(code: LinearCode, word: _Sums) -> Sequence[int]:
+        # an erased symbol is read as 0, one more error within radius 2t
+        return code.decode_errors([0 if b is None else b for b in word], 2 * codebook.t, budget)
+
+    results, failures = [], []
     for side_vals in raw_side_sums(pool, lay.N, hbar):
         try:
-            flag_word = _two_step_flag_word(side_vals, lay, hbar)
-            flag_full = code_flag.decode_errors(
-                [0 if b is None else b for b in flag_word], 2 * codebook.t
-            )
-            r_total = flag_full[: lay.root]
-            data = _mod2(side_vals[lay.u_start : lay.u_start + lay.m])
-            word = unflip(data, r_total, lay.pad)
-            full = code_data.decode_errors(
-                [0 if b is None else b for b in word], 2 * codebook.t
-            )
-            target = BitString(code_data.extract_message(full))
-            results.append(frozenset(invert_mod2_sum(codebook.base, target, hbar, budget)))
+            results.append(_two_step_sources(codebook, side_vals, nearest, hbar, budget))
         except (DecodeFailure, TooManyErasures) as exc:
             failures.append(exc)
     if not results:
@@ -383,24 +371,13 @@ def two_step_length_identity(codebook: McCodebook) -> tuple[int, int]:
 
 def integral(s: BitsLike) -> BitString:
     """Running mod-2 sums: position i holds s_1 + ... + s_i mod 2."""
-    s = BitString(s)
-    out = []
-    acc = 0
-    for b in s.bits:
-        acc ^= b
-        out.append(acc)
-    return BitString(out)
+    return BitString(accumulate(BitString(s).bits, xor))
 
 
 def derivative(w: BitsLike) -> BitString:
     """Inverse of integral: s_i = w_i xor w_{i-1}."""
-    w = BitString(w)
-    out = []
-    prev = 0
-    for b in w.bits:
-        out.append(b ^ prev)
-        prev = b
-    return BitString(out)
+    bits = BitString(w).bits
+    return BitString(map(xor, bits, (0,) + bits))
 
 
 @dataclass(frozen=True)
@@ -435,10 +412,6 @@ class IntegralLayout:
             },
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "IntegralLayout":
-        return cls(n=obj["n"], red_len=obj["red_len"], lead=obj["lead"], N=obj["N"])
-
 
 def _integral_layout(n: int, red_len: int) -> IntegralLayout:
     lead = n + 2  # keeps the running digital sum strictly positive over s.R
@@ -463,20 +436,15 @@ def balance_redundancy(r_prime: Sequence[int], i_last: int) -> BitString:
     return BitString(bits)
 
 
-def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
-    """Embed s and the balanced parities of I(s) behind a long 1-run.
+def _integral_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
+    """The checked code on I(s): erasure capability floor(t/2) only."""
+    return _require(erasure_code(k, t // 2) if code is None else code, k, t // 2, "integral")
 
-    The code protects I(s) and needs erasure capability floor(t/2) only.
-    """
+
+def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
+    """Embed s and the balanced parities of I(s) behind a long 1-run."""
     s = BitString(s)
-    if code is None:
-        code = erasure_code(len(s), t // 2)
-    if code.k != len(s):
-        raise ConfigError(f"integral code has k={code.k}, string length {len(s)}")
-    if code.erasure_capability < t // 2:
-        raise CapabilityTooSmall(
-            f"capability {code.erasure_capability} < floor(t/2) = {t // 2}"
-        )
+    code = _integral_code(len(s), t, code)
     iw = integral(s)
     word = code.encode(iw.bits)
     r_prime = word[len(s) :]
@@ -489,8 +457,7 @@ def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
 def integral_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
-    if code is None:
-        code = erasure_code(base.n, t // 2)
+    code = _integral_code(base.n, t, code)
     codewords = tuple(integral_encode(s, t, code) for s in base.strings)
     return McCodebook(base, codewords, scheme=INTEGRAL, t=t, code_data=code)
 
@@ -525,9 +492,11 @@ def integral_decode(
     return frozenset(invert_mod2_sum(codebook.base, mixed, hbar, budget))
 
 
-def _merged_counts(
-    pool: CompositionMultiset, N: int, hbar: int
-) -> list[Optional[int]]:
+def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    return None if a is None or b is None else a + b
+
+
+def _merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
     """Cumulative prefix-ones counts n_1..n_N merged from both sides.
 
     Built from the merged (and weight-anchored) position sums: n_i is the
@@ -536,27 +505,36 @@ def _merged_counts(
     """
     symbols = _merged_sums(pool, N, hbar)
     total = hbar * N // 2
-    out: list[Optional[int]] = []
-    forward: Optional[int] = 0
-    for v in symbols:
-        forward = None if (forward is None or v is None) else forward + v
-        out.append(forward)
-    backward: Optional[int] = 0
-    for i in range(N - 1, -1, -1):
-        if out[i] is None and backward is not None:
-            out[i] = total - backward
-        v = symbols[i]
-        backward = None if (backward is None or v is None) else backward + v
-    return out
+    # tails[i] is the sum of the symbols after position i + 1
+    tails = list(accumulate(reversed(symbols[1:]), _add, initial=0))[::-1]
+    return [
+        total - tail if head is None and tail is not None else head
+        for head, tail in zip(accumulate(symbols, _add), tails)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # one-step over Z_p: syndrome protection of the integer sums themselves
 
 
-def one_step_modp_encode(
-    s: BitsLike, t: int, pcode: ModpCode
-) -> McCodeword:
+def _symbol_bits(p: int) -> int:
+    """Bits per Z_p syndrome symbol in the binary expansion z carries."""
+    return max(1, math.ceil(math.log2(p)))
+
+
+def _modp_code(k: int, t: int, pcode: ModpCode) -> ModpCode:
+    """``pcode`` once it is a Z_p code of capability >= t over (flags, payload)."""
+    if not isinstance(pcode, ModpCode):
+        raise ConfigError(f"the {ONE_STEP_MODP} scheme takes a Z_p code, not {pcode!r}")
+    if pcode.capability < t:
+        raise CapabilityTooSmall(f"mod-p capability {pcode.capability} < t = {t}")
+    m, root = _pad_root_mult4(k)
+    if pcode.n != root + m:
+        raise ConfigError(f"mod-p code covers {pcode.n} symbols, need {root + m}")
+    return pcode
+
+
+def one_step_modp_encode(s: BitsLike, t: int, pcode: ModpCode) -> McCodeword:
     """Balance s, then append Z_p syndromes of (flags, payload) as z.
 
     The syndromes are binary-expanded and pairwise complemented, so the
@@ -564,30 +542,23 @@ def one_step_modp_encode(
     of (flags, payload) -- no mod-2 reduction needed before solving.
     """
     s = BitString(s)
-    if pcode.capability < t:
-        raise CapabilityTooSmall(f"mod-p capability {pcode.capability} < t = {t}")
-    m, root = _pad_root_mult4(len(s))
-    if pcode.n != root + m:
-        raise ConfigError(f"mod-p code covers {pcode.n} symbols, need {root + m}")
-    pair = block_balance(_left_pad(s.bits, m))
-    syndrome = pcode.syndrome(tuple(pair.r.bits) + tuple(pair.u.bits))
-    g = max(1, math.ceil(math.log2(pcode.p)))
-    expansion = []
-    for sym in syndrome:
-        expansion.extend((sym >> (g - 1 - b)) & 1 for b in range(g))
-    z = _pairwise_complement(expansion)
-    layout = _two_step_layout(len(s), len(z))
-    bits = assemble_codeword(layout, pair.r, pair.u, z)
-    return McCodeword(bits=bits, layout=layout, origin=s)
+    pcode = _modp_code(len(s), t, pcode)
+    g = _symbol_bits(pcode.p)
+
+    def z_of(pair: BalancedPair) -> list[int]:
+        syndrome = pcode.syndrome(pair.r.bits + pair.u.bits)
+        return [(sym >> (g - 1 - b)) & 1 for sym in syndrome for b in range(g)]
+
+    return _frame(s.bits, s, z_of)
 
 
 def one_step_modp_codebook(
     base: BhCodebook, t: int, pcode: Optional[ModpCode] = None
 ) -> McCodebook:
-    m, root = _pad_root_mult4(base.n)
     if pcode is None:
-        p = _next_prime(base.h + 1)
-        pcode = modp_code(p, root + m)
+        m, root = _pad_root_mult4(base.n)
+        pcode = modp_code(_next_prime(base.h + 1), root + m)
+    pcode = _modp_code(base.n, t, pcode)
     codewords = tuple(one_step_modp_encode(s, t, pcode) for s in base.strings)
     return McCodebook(base, codewords, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
 
@@ -603,29 +574,19 @@ def one_step_modp_decode(
     pcode: ModpCode = codebook.code_data
     if hbar >= pcode.p:
         raise ConfigError(f"mixture order {hbar} needs p > hbar, have p={pcode.p}")
-    merged = _merged_sums(pool, lay.N, hbar)
-    g = max(1, math.ceil(math.log2(pcode.p)))
-    syndrome: list[Optional[int]] = []
-    for j in range(pcode.n_rows):
-        acc = 0
-        ok = True
-        for b in range(g):
-            v = _pair_value(merged, lay.z_start, j * g + b, hbar)
-            if v is None:
-                ok = False
-                break
-            acc += v << (g - 1 - b)
-        syndrome.append(acc % pcode.p if ok else None)
-    vec = merged[lay.r_start : lay.r_start + lay.root] + merged[
-        lay.u_start : lay.u_start + lay.m
+    sums = _merged_sums(pool, lay.N, hbar)
+    g = _symbol_bits(pcode.p)
+    z = [_pair_value(sums, lay.z_start, i, hbar) for i in range(pcode.n_rows * g)]
+    syndrome = [
+        None if None in chunk else sum(v << (g - 1 - b) for b, v in enumerate(chunk)) % pcode.p
+        for chunk in (z[j : j + g] for j in range(0, len(z), g))
     ]
+    vec = sums[lay.r_start : lay.r_start + lay.root] + sums[lay.u_start : lay.u_start + lay.m]
     solved = pcode.solve_erasures(vec, syndrome)
     if any(v > hbar for v in solved):
         raise DecodeFailure("recovered integer sums exceed the mixture order")
-    flags = [v % 2 for v in solved[: lay.root]]
-    data = [v % 2 for v in solved[lay.root :]]
-    word = unflip(data, flags, lay.pad)
-    target = BitString(word)
+    bits = _mod2(solved)
+    target = BitString(unflip(bits[lay.root :], bits[: lay.root], lay.pad))
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
 
 
@@ -647,8 +608,10 @@ def scheme_codebook(
     code_data: Optional[Union[LinearCode, ModpCode]] = None,
     code_flag: Optional[LinearCode] = None,
 ) -> McCodebook:
+    if code_flag is not None and scheme != TWO_STEP:
+        raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
     if scheme == PLAIN:
-        if t or code_data is not None or code_flag is not None:
+        if t or code_data is not None:
             raise ConfigError("the plain scheme takes no t, code or code_flag")
         return encode_codebook(base)
     if scheme == ONE_STEP:

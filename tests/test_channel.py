@@ -110,6 +110,14 @@ def test_substitute_mass_reducing():
         substitute_mass_reducing(p, "prefix", 2, 2)
 
 
+def test_substitution_checks_its_side_as_a_removal_does():
+    for bad in ("banana", "Prefix", ""):
+        with pytest.raises(ValueError, match="side must be prefix/suffix"):
+            substitute_mass_reducing(pool(["1010"]), bad, 2, 0)
+        with pytest.raises(ValueError, match="side must be prefix/suffix"):
+            Removal(bad, 2)
+
+
 # ---------------------------------------------------------------------------
 # partial sums, bursts, merging
 

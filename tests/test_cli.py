@@ -137,6 +137,19 @@ def test_plain_config_with_protection_exits_2(ws):
     assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == 2
 
 
+@pytest.mark.parametrize("scheme", [
+    {"name": "one-step", "t": 1, "code_flag": "bundled:bch_63_16"},
+    {"name": "one-step-modp", "t": 1, "code": "bundled:bch_63_16"},
+])
+def test_scheme_config_with_a_setting_it_does_not_take_exits_2(ws, capsys, scheme):
+    cfg = ws / "cfg.json"
+    cfg.write_text(json.dumps({"h": 2, "matrix": "bundled:bch_255_cols20", "scheme": scheme}))
+    strings = ws / "s.txt"
+    strings.write_text("")
+    assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_inline_code_with_overstated_distance_exits_2(ws):
     # the [7,4,3] Hamming matrix declared with d = 5 would let a two-error
     # decode return a wrong codeword without complaint
@@ -199,6 +212,7 @@ MALFORMED = {
     "erase-ones-a-string": _corrupt_with("erase", ones="1"),
     "subst-ones_to-a-string": _corrupt_with("subst", ones_to="0"),
     "subst-ones_from-a-string": _corrupt_with("subst", ones_to=0, ones_from="1"),
+    "subst-side-unknown": _corrupt_with("subst", side="banana", ones_to=0),
     # JSON booleans are no numbers, although they were read as 1 and 0
     "erase-count-true": _corrupt_with("erase", count=True),
     "subst-ones_to-false": _corrupt_with("subst", ones_to=False),

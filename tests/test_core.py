@@ -123,6 +123,21 @@ def test_dense_count_table():
         CompositionMultiset.from_counts(padded[:, :5])
 
 
+def test_multiset_pickles_and_copies():
+    import copy
+    import pickle
+
+    p = pool(["110100", "101010"])
+    assert p.memo("key", lambda: "original") == "original"
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and clone.total == p.total
+        with pytest.raises(ValueError):
+            clone.counts[3, 2] = 0  # still read-only
+        assert clone.memo("key", lambda: "rebuilt") == "rebuilt"  # the memo starts empty
+        with pytest.raises(AttributeError):
+            clone.extra = 1
+
+
 @given(bits_st)
 def test_full_multiset_size_and_per_length_counts(text):
     s = BitString(text)

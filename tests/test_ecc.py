@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -13,9 +15,10 @@ from masscodec.errors import (
     ConfigError,
     DecodeFailure,
     MasscodecError,
+    SearchSpaceTooLarge,
     TooManyErasures,
 )
-from masscodec.linearcode import erasure_code, single_parity
+from masscodec.linearcode import bundled_code, erasure_code, single_parity
 
 
 def test_integral_examples():
@@ -68,18 +71,24 @@ def test_one_step_capability_gate():
         ecc.one_step_encode(BitString.zeros(9), 1)  # no shipped code for k=9
 
 
-def test_two_step_capability_gate():
+def test_two_step_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
         ecc.two_step_encode(BitString.zeros(16), 2, code_data=single_parity(16))
+    with pytest.raises(ConfigError):  # the payload code must have k = 16
+        ecc.two_step_codebook(b2_n16_codebook, 1, code_data=erasure_code(8, 1))
+    with pytest.raises(ConfigError):  # the flag code must have k = root = 8
+        ecc.two_step_codebook(b2_n16_codebook, 1, code_flag=erasure_code(5, 1))
 
 
-def test_integral_capability_gate():
+def test_integral_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
         ecc.integral_encode(BitString.zeros(16), 4, code=single_parity(16))
+    with pytest.raises(ConfigError):  # the code on I(s) must have k = 16
+        ecc.integral_codebook(b2_n16_codebook, 2, erasure_code(8, 1))
 
 
 def test_scheme_codewords_are_dyck(b2_n16_codebook):
-    for t in (1, 2):
+    for t in (0, 1, 2):
         for build in (
             ecc.one_step_codebook,
             ecc.two_step_codebook,
@@ -138,10 +147,11 @@ def test_one_step_roundtrip(b2_n16_codebook, t):
     _roundtrip(book, ecc.one_step_decode, 1, t, 10, seed=t + 10)
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [0, 1, 2])
 def test_two_step_roundtrip(b2_n16_codebook, t):
     book = ecc.two_step_codebook(b2_n16_codebook, t)
     _roundtrip(book, ecc.two_step_decode, 2, t, 15, seed=t)
+    _roundtrip(book, ecc.two_step_decode, 1, t, 10, seed=t + 10)
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -211,6 +221,20 @@ def test_two_step_substitution_mode(b2_n16_codebook):
         )
         hits += 1
     assert hits >= 8
+
+
+def test_two_step_substitution_mode_honours_budget(b2_n16_codebook):
+    # radius 2 on the n = 18 flag code needs 1 + 18 cached patterns plus as
+    # many probes, 38 in all; the n = 26 payload code needs 54, and the
+    # hbar = 1 lookup 21 half-subsets
+    book = ecc.two_step_codebook(b2_n16_codebook, 1, substitutions=True)
+    assert (book.code_flag.n, book.code_data.n) == (18, 26)
+    source = b2_n16_codebook.strings[4]
+    clean = book.pool_of([source])
+    for budget in (30, 53):
+        with pytest.raises(SearchSpaceTooLarge):
+            ecc.two_step_decode(clean, book, 1, budget, substitutions=True)
+    assert ecc.two_step_decode(clean, book, 1, 54, substitutions=True) == {source}
 
 
 def test_two_step_beyond_bch_31_21_uses_shortened_bch_63_16(b2_n16_codebook):
@@ -298,8 +322,76 @@ def test_scheme_front_door(b2_n16_codebook, b2_codebook):
         ecc.scheme_codebook("nope", b2_n16_codebook, 1)
 
 
+def test_scheme_refuses_settings_it_does_not_take(b2_n16_codebook):
+    flag = erasure_code(8, 1)
+    for scheme in (ecc.ONE_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP):
+        with pytest.raises(ConfigError):
+            ecc.scheme_codebook(scheme, b2_n16_codebook, 1, None, flag)
+    with pytest.raises(ConfigError):  # a binary code where a Z_p code belongs
+        ecc.scheme_codebook(ecc.ONE_STEP_MODP, b2_n16_codebook, 1, erasure_code(16, 1))
+
+
 def test_plain_scheme_refuses_protection_settings(b2_codebook):
     for t, code_data, code_flag in ((3, None, None), (0, single_parity(4), None),
                                     (0, None, single_parity(4))):
         with pytest.raises(ConfigError):
             ecc.scheme_codebook("plain", b2_codebook, t, code_data, code_flag)
+
+
+# sha256 of each book's codeword bits and layout JSON on bch_255_cols20,
+# recorded before the schemes shared their code choice, framing and payload
+# decode; keyed by (scheme, t, bundled code or "substitutions")
+BOOK_DIGESTS = {
+    ("plain", 0, None):
+        "a1da128ee3674ffec39750020addd65cf895e95bd9798b0ef2ba167255ab95ac",
+    ("one-step", 0, "bch_63_16"):
+        "0cc534068dc2c45b5866cef12e86b71a8260a60a0fba9419d7b2a679157dc59a",
+    ("one-step", 1, None):
+        "0cc534068dc2c45b5866cef12e86b71a8260a60a0fba9419d7b2a679157dc59a",
+    ("one-step", 2, None):
+        "0cc534068dc2c45b5866cef12e86b71a8260a60a0fba9419d7b2a679157dc59a",
+    ("two-step", 1, None):
+        "2ee564dcf737f406555765bc7767095d775203efbc3f608722a3cf38c579119d",
+    ("two-step", 2, None):
+        "eb61785a5d077e5add7f4d6c8e86b0a1039736562cbe4d198456b33c1d396980",
+    ("two-step", 3, None):
+        "fb61894f466c979c6a3378fbee2ebb9e7e6c38add8a67a9584345c00aaa87825",
+    ("two-step", 1, "substitutions"):
+        "a8cb29c7b6ed364a7898c2d3dcca3f411c945c4a9579d96378e746d337d8664f",
+    ("two-step", 2, "substitutions"):
+        "fb61894f466c979c6a3378fbee2ebb9e7e6c38add8a67a9584345c00aaa87825",
+    ("integral", 0, None):
+        "407d72d158107e25848c122ce24ac6e73674a8f0eecd765d3a4d124af7d6efd0",
+    ("integral", 1, None):
+        "407d72d158107e25848c122ce24ac6e73674a8f0eecd765d3a4d124af7d6efd0",
+    ("integral", 2, None):
+        "b2a5217f935a16b11999175f46349aa733469a75bfc94027770c1638e4d3ac85",
+    ("integral", 3, None):
+        "b2a5217f935a16b11999175f46349aa733469a75bfc94027770c1638e4d3ac85",
+    ("integral", 5, None):
+        "15c110c75591505ea4487cf7a8d51f442837481abebfa712676b0acd8f3a50de",
+    ("one-step-modp", 1, None):
+        "5ebf4a3412cd65f56e2340d3c856fe2c8260ef0d5dda0a4d2a77061de199872f",
+    ("one-step-modp", 2, None):
+        "5ebf4a3412cd65f56e2340d3c856fe2c8260ef0d5dda0a4d2a77061de199872f",
+}
+
+
+def _book_digest(book) -> str:
+    digest = hashlib.sha256()
+    for cw in book.codewords:
+        digest.update(str(cw.bits).encode())
+        digest.update(json.dumps(cw.layout.to_json_obj(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_scheme_books_are_pinned(b2_n16_codebook):
+    got = {}
+    for scheme, t, variant in BOOK_DIGESTS:
+        if variant == "substitutions":
+            book = ecc.two_step_codebook(b2_n16_codebook, t, substitutions=True)
+        else:
+            code = None if variant is None else bundled_code(variant)
+            book = ecc.scheme_codebook(scheme, b2_n16_codebook, t, code)
+        got[scheme, t, variant] = _book_digest(book)
+    assert got == BOOK_DIGESTS
