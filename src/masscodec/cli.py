@@ -1,7 +1,10 @@
 """Command-line front end: encode, pool, corrupt, decode, and reports.
 
 Every subcommand is a thin wrapper over the library; file formats are the
-JSON forms defined by the owning modules.  Exit codes: 0 success, 2 bad
+JSON forms defined by the owning modules.  Each kind of file is read or
+written by one helper (a JSON object, a strings file, a pool, a JSON
+result), every config field is read through ``errors.json_field``, and each
+command writes its one result in one place.  Exit codes: 0 success, 2 bad
 usage or configuration, 3 ambiguous reconstruction, 4 decode failure,
 5 search budget exceeded.
 """
@@ -10,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +33,7 @@ from .bhcode import (
 from .channel import (
     Ambiguous,
     ErasurePattern,
+    Recovered,
     detect_substitution,
     erase,
     reconstruct_redundancy_free,
@@ -35,7 +41,7 @@ from .channel import (
     substitute_mass_reducing,
 )
 from .codec import PLAIN
-from .core import BitString, CompositionMultiset, pool as make_pool
+from .core import BitString, CompositionMultiset, is_dyck, pool as make_pool
 from .errors import (
     AmbiguousSolution,
     ConfigError,
@@ -53,6 +59,13 @@ EXIT_AMBIGUOUS = 3
 EXIT_DECODE = 4
 EXIT_BUDGET = 5
 
+# the first entry that matches an error decides its exit code
+_EXIT_CODES = (
+    (SearchSpaceTooLarge, EXIT_BUDGET),
+    ((ConfigError, OSError, ValueError), EXIT_CONFIG),
+    (MasscodecError, EXIT_DECODE),
+)
+
 RAW = "raw"  # codebook strings used as codewords directly (must be Dyck)
 
 
@@ -69,31 +82,52 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_spec(ref: str) -> ParityCheckSpec:
-    if ref.startswith("bundled:"):
-        return bundled_spec(ref.split(":", 1)[1])
-    return ParityCheckSpec.load(ref)
+def _read_object(path: str, what: str) -> dict:
+    obj = json.loads(_read_text(path))
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return obj
 
 
-def _load_code(ref, fallback=None) -> LinearCode | None:
-    if ref is None or ref == "auto":
-        return fallback
-    if isinstance(ref, dict):
-        code = LinearCode.from_json_obj(ref)
-        # an overstated d makes decoders trust a capability the code lacks,
-        # so inline codes small enough to enumerate are checked; bundled
-        # codes are verified when their tables are generated
-        if 2**code.k <= DEFAULT_BUDGET:
-            actual = code.exact_min_distance()
-            if actual < code.d:
-                raise ConfigError(
-                    f"inline code {code.name} declares d={code.d}, "
-                    f"but its minimum distance is {actual}"
-                )
-        return code
+def _read_strings(path: str) -> list[BitString]:
+    """The binary strings of a file, one per line; blank lines are skipped."""
+    return [BitString(ln.strip()) for ln in _read_text(path).splitlines() if ln.strip()]
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=1) + "\n")
+
+
+def _bundled_name(ref) -> str | None:
+    """The name in a ``bundled:<name>`` reference, or None for any other value."""
     if isinstance(ref, str) and ref.startswith("bundled:"):
-        return bundled_code(ref.split(":", 1)[1])
-    raise ConfigError(f"cannot interpret code reference {ref!r}")
+        return ref.split(":", 1)[1]
+    return None
+
+
+def _load_spec(ref: str) -> ParityCheckSpec:
+    name = _bundled_name(ref)
+    return ParityCheckSpec.load(ref) if name is None else bundled_spec(name)
+
+
+def _load_code(ref) -> LinearCode | None:
+    if ref is None or ref == "auto":
+        return None
+    if isinstance(ref, dict):
+        return LinearCode.from_json_obj(ref)
+    name = _bundled_name(ref)
+    if name is None:
+        raise ConfigError(f"cannot interpret code reference {ref!r}")
+    return bundled_code(name)
+
+
+def _base_codebook(h: int, matrix: str | None, strings) -> BhCodebook:
+    """The codebook of a parity-check matrix reference, else of explicit strings."""
+    if matrix:
+        return build_bh_codebook(h, _load_spec(matrix))
+    if strings is None:
+        raise ConfigError("config needs a 'matrix' or a 'strings' entry")
+    return BhCodebook.explicit(strings, h)
 
 
 def load_config(path: str):
@@ -103,31 +137,27 @@ def load_config(path: str):
              "strings": [..]?, "scheme": {"name": str, "t": int,
              "code": ..., "code_flag": ...}?}
     """
-    obj = json.loads(_read_text(path))
-    if not isinstance(obj, dict):
-        raise ConfigError("a config must be a JSON object")
-    h = obj.get("h", 2)
-    if "matrix" in obj:
-        spec = _load_spec(obj["matrix"])
-        base = build_bh_codebook(h, spec)
-        if "take" in obj:
-            base = BhCodebook(
-                n=base.n, h=h, strings=base.strings[: obj["take"]], source=spec
-            )
-    elif "strings" in obj:
-        base = BhCodebook.explicit(obj["strings"], h)
-    else:
-        raise ConfigError("config needs a 'matrix' or a 'strings' entry")
+    what = "a config"
+    obj = _read_object(path, what)
+    h = json_field(obj, "h", what, int, default=2)
+    if h < 1:
+        raise ConfigError(f"a config needs h >= 1, got {h}")
+    matrix = json_field(obj, "matrix", what, str, default=None)
+    strings = json_field(obj, "strings", what, list, default=None)
+    if strings is not None and not (strings and all(isinstance(s, str) for s in strings)):
+        raise ConfigError("a config's 'strings' must be a nonempty list of binary strings")
+    base = _base_codebook(h, matrix, strings)
+    take = json_field(obj, "take", what, int, default=None)
+    if matrix and take is not None:
+        base = replace(base, strings=base.strings[:take])
     scheme_obj = obj.get("scheme", {"name": PLAIN})
     if isinstance(scheme_obj, str):
         scheme_obj = {"name": scheme_obj}
     if not isinstance(scheme_obj, dict):
         raise ConfigError("a scheme must be a name or a JSON object")
-    name = scheme_obj.get("name", PLAIN)
+    name = json_field(scheme_obj, "name", "a scheme", str, default=PLAIN)
     t = int(scheme_obj.get("t", 0))
     if name == RAW:
-        from .core import is_dyck
-
         if not all(is_dyck(s) for s in base.strings):
             raise ConfigError("raw codebooks must consist of Dyck strings")
         return base, base, RAW
@@ -137,20 +167,15 @@ def load_config(path: str):
     return base, book, name
 
 
-def _pool_to_json(poolset: CompositionMultiset, N: int) -> str:
-    return json.dumps({"N": N, "fragments": poolset.to_json_obj()}, indent=1) + "\n"
-
-
-def _pool_from_json(text: str) -> tuple[CompositionMultiset, int]:
-    obj = json.loads(text)
+def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
+    obj = json.loads(_read_text(path))
     fragments, N = (json_field(obj, key, "a pool file") for key in ("fragments", "N"))
     return CompositionMultiset.from_json_obj(fragments), int(N)
 
 
 def cmd_encode(args) -> int:
     base, book, scheme = load_config(args.config)
-    lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
-    sources = [BitString(ln) for ln in lines]
+    sources = _read_strings(args.input)
     known = set(base.strings)
     for s in sources:
         if s not in known:
@@ -167,28 +192,23 @@ def cmd_encode(args) -> int:
         "sources": [str(s) for s in sources],
         "codewords": bits,
     }
-    _write_text(args.output, json.dumps(out, indent=1) + "\n")
+    _write_json(args.output, out)
     return EXIT_OK
 
 
 def cmd_pool(args) -> int:
     obj = json.loads(_read_text(args.input))
     words = json_field(obj, "codewords", "an encode file") if isinstance(obj, dict) else obj
-    if not words:
-        _write_text(args.output, _pool_to_json(CompositionMultiset(), 0))
-        return EXIT_OK
-    poolset = make_pool(words)
-    _write_text(args.output, _pool_to_json(poolset, len(words[0])))
+    N = len(words[0]) if words else 0
+    _write_json(args.output, {"N": N, "fragments": make_pool(words or ()).to_json_obj()})
     return EXIT_OK
 
 
 def cmd_corrupt(args) -> int:
     import random
 
-    poolset, N = _pool_from_json(_read_text(args.input))
-    pattern = json.loads(_read_text(args.pattern))
-    if not isinstance(pattern, dict):
-        raise ConfigError("a pattern must be a JSON object")
+    poolset, N = _read_pool(args.input)
+    pattern = _read_object(args.pattern, "a pattern")
     rng = random.Random(args.seed)
     erased = erase(poolset, ErasurePattern.from_json_obj(pattern), rng=rng)
     what = "a subst entry"
@@ -201,13 +221,13 @@ def cmd_corrupt(args) -> int:
             ones=json_field(sub, "ones_from", what, int, default=None),
             rng=rng,
         )
-    _write_text(args.output, _pool_to_json(erased, N))
+    _write_json(args.output, {"N": N, "fragments": erased.to_json_obj()})
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     base, book, scheme = load_config(args.config)
-    poolset, N = _pool_from_json(_read_text(args.input))
+    poolset, N = _read_pool(args.input)
     book_N = base.n if scheme == RAW else book.N
     if N != book_N:
         raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
@@ -216,39 +236,32 @@ def cmd_decode(args) -> int:
         if poolset.total % (2 * book_N):
             raise ConfigError("erased pools need an explicit --hbar")
         hbar = poolset.total // (2 * book_N)
-    report = None
-    if args.detect:
-        report = detect_substitution(poolset, book_N, hbar)
+    report = detect_substitution(poolset, book_N, hbar) if args.detect else None
     try:
         # a plain pool that lost fragments needs the redundancy-free merge
         if scheme == RAW or (scheme == PLAIN and poolset.total != 2 * book_N * hbar):
             outcome = reconstruct_redundancy_free(
                 poolset, book_N, hbar, codebook=book, budget=args.budget
             )
-            if isinstance(outcome, Ambiguous):
-                payload = {
-                    "status": "ambiguous",
-                    "partial_sum": str(outcome.partial),
-                    "witnesses": [
-                        sorted(str(s) for s in w) for w in (outcome.witnesses or ())
-                    ],
-                }
-                _write_text(args.output, json.dumps(payload, indent=1) + "\n")
-                return EXIT_AMBIGUOUS
-            strings = outcome.strings
         else:
-            strings = ecc.scheme_decode(poolset, book, hbar, args.budget)
+            outcome = ecc.scheme_decode(poolset, book, hbar, args.budget)
     except (DecodeFailure, TooManyErasures, AmbiguousSolution) as exc:
-        payload = {"status": "decode-failure", "error": str(exc)}
-        if report is not None:
-            payload["detection"] = _report_json(report)
-        _write_text(args.output, json.dumps(payload, indent=1) + "\n")
-        return EXIT_DECODE
-    payload = {"status": "ok", "strings": sorted(str(s) for s in strings)}
-    if report is not None:
+        code, payload = EXIT_DECODE, {"status": "decode-failure", "error": str(exc)}
+    else:
+        if isinstance(outcome, Ambiguous):
+            code, payload = EXIT_AMBIGUOUS, {
+                "status": "ambiguous",
+                "partial_sum": str(outcome.partial),
+                "witnesses": [sorted(str(s) for s in w) for w in (outcome.witnesses or ())],
+            }
+        else:
+            strings = outcome.strings if isinstance(outcome, Recovered) else outcome
+            code, payload = EXIT_OK, {"status": "ok", "strings": sorted(str(s) for s in strings)}
+    # an ambiguous result lists its witnesses instead of the report
+    if report is not None and code != EXIT_AMBIGUOUS:
         payload["detection"] = _report_json(report)
-    _write_text(args.output, json.dumps(payload, indent=1) + "\n")
-    return EXIT_OK
+    _write_json(args.output, payload)
+    return code
 
 
 def _report_json(report) -> dict:
@@ -299,14 +312,12 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _format_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
         return (
             json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
         )
     if fmt == "csv":
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -321,14 +332,9 @@ def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     if args.matrix:
-        base = build_bh_codebook(args.h, _load_spec(args.matrix))
-        strings = list(base.strings)
+        strings = _base_codebook(args.h, args.matrix, None).strings
     else:
-        strings = [
-            BitString(ln.strip())
-            for ln in _read_text(args.input).splitlines()
-            if ln.strip()
-        ]
+        strings = _read_strings(args.input)
     if args.property == "bh":
         res = verify_bh(strings, args.h, budget=args.budget)
     else:
@@ -343,7 +349,7 @@ def cmd_verify(args) -> int:
         "subset_a": sorted(str(s) for s in a),
         "subset_b": sorted(str(s) for s in b),
     }
-    _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+    _write_json(args.output, payload)
     return EXIT_DECODE
 
 
@@ -354,35 +360,20 @@ def cmd_search(args) -> int:
     )
     payload = {"n": args.n, "h": args.h, "size": len(book),
                "strings": [str(s) for s in book.strings]}
-    _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+    _write_json(args.output, payload)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    if args.matrix:
-        base = build_bh_codebook(args.h, _load_spec(args.matrix))
-    else:
-        strings = [
-            BitString(ln.strip())
-            for ln in _read_text(args.input).splitlines()
-            if ln.strip()
-        ]
-        base = BhCodebook.explicit(strings, args.h)
+    strings = None if args.matrix else _read_strings(args.input)
+    base = _base_codebook(args.h, args.matrix, strings)
     rows = run_erasure_experiment(
         base, args.hbar, args.t, args.trials, args.seed, args.placement, args.budget
     )
-    import io
-
-    buf = io.StringIO()
     # an error row's reason stays out of the CSV, whose columns are fixed
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["seed", "trial", "n", "hbar", "t", "outcome"],
-        extrasaction="ignore",
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text(args.output, buf.getvalue())
+    header = ["seed", "trial", "n", "hbar", "t", "outcome"]
+    table = [[row[key] for key in header] for row in rows]
+    _write_text(args.output, _format_table(header, table, "csv"))
     return EXIT_OK
 
 
@@ -397,19 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode codebook strings into codewords")
     p.add_argument("input", help="file of binary strings, one per line ('-' stdin)")
     p.add_argument("--config", required=True)
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("pool", help="pool codewords into a fragment multiset")
     p.add_argument("input", help="codeword JSON from 'encode' ('-' stdin)")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("corrupt", help="apply an erasure/substitution pattern")
     p.add_argument("input", help="pool JSON ('-' stdin)")
     p.add_argument("--pattern", required=True, help="pattern JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("decode", help="decode a pooled readout")
@@ -417,14 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--hbar", type=int, default=None)
     p.add_argument("--detect", action="store_true", help="attach a corruption report")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bounds", help="rate-bound table")
     p.add_argument("--h", default="2,3,4,6,8")
     p.add_argument("--mode", choices=["exact", "gaussian"], default="gaussian")
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="brute-force codebook verification")
@@ -432,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="or a parity-check matrix")
     p.add_argument("--h", type=int, default=2)
     p.add_argument("--property", choices=["bh", "hmc", "prefix"], default="hmc")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="grow or maximize a distinct-sums codebook")
@@ -440,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=2)
     p.add_argument("--mode", choices=["max-greedy", "exact-max"], default="max-greedy")
     p.add_argument("--seed-strings", default="")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("experiment", help="seeded Monte-Carlo erasure trials")
@@ -452,9 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--placement", choices=["uniform", "adversarial"], default="uniform")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_experiment)
 
+    # every subcommand writes one result; declared last, it keeps its place in --help
+    for p in sub.choices.values():
+        p.add_argument("--output", "-o", default="-")
     return parser
 
 
@@ -463,15 +449,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SearchSpaceTooLarge as exc:
+    except (MasscodecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ConfigError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MasscodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DECODE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

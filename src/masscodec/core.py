@@ -35,6 +35,7 @@ array) and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
@@ -50,6 +51,9 @@ _T = TypeVar("_T")
 
 ERASED = None  # erased symbol marker in partial sum strings
 _ERASED_CHAR = "ε"  # printed as the Greek epsilon
+# 0^a 1^b with optional parts and exponents; the lazy zeros exponent leaves
+# the shortest digit run that lets the ones part match
+_COMPOSITION_TEXT = re.compile(r"(0(?:\^(\d+?))?)?(1(?:\^(\d+))?)?")
 
 
 class BitString:
@@ -134,10 +138,6 @@ class BitString:
     @classmethod
     def zeros(cls, n: int) -> "BitString":
         return cls((0,) * n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls((1,) * n)
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
@@ -257,39 +257,11 @@ class Composition:
         leaves a parseable ones part wins, matching how the notation is
         written.
         """
-        text = text.replace(" ", "")
-
-        def parse_ones(rest: str) -> Optional[int]:
-            if not rest:
-                return 0
-            if rest[0] != "1":
-                return None
-            if len(rest) == 1:
-                return 1
-            if rest[1] != "^" or not rest[2:].isdigit():
-                return None
-            return int(rest[2:])
-
-        if text.startswith("0"):
-            if text[1:2] == "^":
-                digits = 2
-                while digits < len(text) and text[digits].isdigit():
-                    digits += 1
-                if digits == 2:
-                    raise ValueError(f"bad exponent in {text!r}")
-                for end in range(3, digits + 1):
-                    ones = parse_ones(text[end:])
-                    if ones is not None:
-                        return cls(int(text[2:end]), ones)
-                raise ValueError(f"bad composition text {text!r}")
-            ones = parse_ones(text[1:])
-            if ones is None:
-                raise ValueError(f"bad composition text {text!r}")
-            return cls(1, ones)
-        ones = parse_ones(text)
-        if ones is None or ones == 0:
+        match = _COMPOSITION_TEXT.fullmatch(text.replace(" ", ""))
+        if match is None or not match.group(0):
             raise ValueError(f"bad composition text {text!r}")
-        return cls(0, ones)
+        zeros, zeros_exp, ones, ones_exp = match.groups()
+        return cls(int(zeros_exp or 1) if zeros else 0, int(ones_exp or 1) if ones else 0)
 
     def to_json_obj(self, mult: int = 1) -> dict:
         return {"zeros": self.zeros, "ones": self.ones, "mult": mult}
@@ -419,9 +391,6 @@ class CompositionMultiset:
         for comp, mult in self.entries():
             for _ in range(mult):
                 yield comp
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(self._counts.any(axis=1).nonzero()[0].tolist())
 
     def count_at_length(self, length: int) -> int:
         if not 0 <= length < len(self._counts):

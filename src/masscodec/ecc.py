@@ -608,6 +608,8 @@ def scheme_codebook(
     code_data: Optional[Union[LinearCode, ModpCode]] = None,
     code_flag: Optional[LinearCode] = None,
 ) -> McCodebook:
+    if t < 0:
+        raise ConfigError(f"a scheme corrects t >= 0 errors, got t={t}")
     if code_flag is not None and scheme != TWO_STEP:
         raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
     if scheme == PLAIN:

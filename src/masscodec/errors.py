@@ -97,5 +97,6 @@ def json_field(obj, key: str, what: str, kind: type = object, default=_REQUIRED)
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{what} needs an {kind.__name__} {key!r}, got {value!r}")
+        article = "an" if kind is int else "a"
+        raise ConfigError(f"{what} needs {article} {kind.__name__} {key!r}, got {value!r}")
     return value

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bhcode import DEFAULT_BUDGET
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -260,7 +261,7 @@ class LinearCode:
                 return tuple((int(b) & 1) ^ ((e >> j) & 1) for j, b in enumerate(word))
         raise DecodeFailure(f"no codeword within {max_errors} errors")
 
-    def exact_min_distance(self, budget: int = 2**22) -> int:
+    def exact_min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
         """Minimum nonzero codeword weight, streamed in blocks."""
         if 2**self.k > budget:
             raise SearchSpaceTooLarge(
@@ -291,11 +292,21 @@ class LinearCode:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LinearCode":
+        """A code from its JSON form, checked against its declared n, k and d.
+
+        An overstated d makes decoders trust a capability the code lacks,
+        so d is compared with the exact minimum distance whenever the 2^k
+        codewords fit the default search budget.
+        """
         H, d, n, k = (json_field(obj, key, "a code") for key in ("H", "d", "n", "k"))
         code = cls.from_parity_check(H, d, obj.get("name", "custom"))
         if code.n != n or code.k != k:
             raise ConfigError(
                 f"declared (n,k)=({n},{k}) but matrix gives ({code.n},{code.k})"
+            )
+        if 2**code.k <= DEFAULT_BUDGET and (actual := code.exact_min_distance()) < code.d:
+            raise ConfigError(
+                f"code {code.name} declares d={code.d}, but its minimum distance is {actual}"
             )
         return code
 
@@ -387,7 +398,9 @@ def bundled_code(name: str) -> LinearCode:
             obj = json.loads(res.read_text())
         except FileNotFoundError as exc:
             raise ConfigError(f"no bundled code named {name!r}") from exc
-        _BUNDLED[name] = LinearCode.from_json_obj(obj)
+        # the shipped tables are verified when they are generated, and their
+        # 2^16 or 2^21 codewords are too many to enumerate at every load
+        _BUNDLED[name] = LinearCode.from_parity_check(obj["H"], obj["d"], name)
     return _BUNDLED[name]
 
 

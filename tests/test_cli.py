@@ -187,6 +187,14 @@ def _corrupt_with(kind: str, **entry):
     return "corrupt", {"in.json": VALID_POOL, "pat.json": pattern}
 
 
+def _encode_with(**config):
+    """An encode case of s.txt (1100) under one config."""
+    return "encode", {"cfg.json": config}
+
+
+DYCK_PAIR = ["1100", "1010"]
+
+
 # case -> (command, the JSON files it reads)
 MALFORMED = {
     "pool-without-N": ("decode", {"in.json": {"fragments": []}}),
@@ -218,6 +226,18 @@ MALFORMED = {
     "subst-ones_to-false": _corrupt_with("subst", ones_to=False),
     "fragment-ones-a-string": (
         "decode", {"in.json": {"N": 6, "fragments": [{"zeros": 0, "ones": "1"}]}}
+    ),
+    # config fields of the wrong type or out of range
+    "config-h-a-string": _encode_with(h="2", strings=DYCK_PAIR, scheme="raw"),
+    "config-h-zero": _encode_with(h=0, strings=DYCK_PAIR, scheme="raw"),
+    "config-h-true": _encode_with(h=True, strings=DYCK_PAIR, scheme="raw"),
+    "config-take-a-string": _encode_with(matrix="bundled:bch_15_7", take="3"),
+    "config-matrix-a-number": _encode_with(matrix=5),
+    "config-strings-numbers": _encode_with(strings=[1100, 1010], scheme="raw"),
+    "config-strings-empty": _encode_with(strings=[], scheme="raw"),
+    "config-strings-a-string": _encode_with(strings="1100", scheme="raw"),
+    "scheme-t-negative": _encode_with(
+        h=1, strings=[*DYCK_PAIR, "0110"], scheme={"name": "two-step", "t": -1}
     ),
 }
 

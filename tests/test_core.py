@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -41,6 +42,65 @@ def test_composition_text_form():
     assert Composition.parse("0^2 1^3") == Composition(2, 3)
     assert Composition.parse("01^2") == Composition(1, 2)
     assert Composition.parse("0") == Composition(1, 0)
+
+
+def _parse_referee(text: str) -> Composition:
+    """The character-walking parser that Composition.parse replaced."""
+    text = text.replace(" ", "")
+
+    def parse_ones(rest: str):
+        if not rest:
+            return 0
+        if rest[0] != "1":
+            return None
+        if len(rest) == 1:
+            return 1
+        if rest[1] != "^" or not rest[2:].isdigit():
+            return None
+        return int(rest[2:])
+
+    if text.startswith("0"):
+        if text[1:2] == "^":
+            digits = 2
+            while digits < len(text) and text[digits].isdigit():
+                digits += 1
+            if digits == 2:
+                raise ValueError(f"bad exponent in {text!r}")
+            for end in range(3, digits + 1):
+                ones = parse_ones(text[end:])
+                if ones is not None:
+                    return Composition(int(text[2:end]), ones)
+            raise ValueError(f"bad composition text {text!r}")
+        ones = parse_ones(text[1:])
+        if ones is None:
+            raise ValueError(f"bad composition text {text!r}")
+        return Composition(1, ones)
+    ones = parse_ones(text)
+    if ones is None or ones == 0:
+        raise ValueError(f"bad composition text {text!r}")
+    return Composition(0, ones)
+
+
+def test_composition_parse_matches_the_referee_on_every_short_text():
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError:
+            return ValueError
+
+    texts = [
+        "".join(chars)
+        for length in range(7)
+        for chars in itertools.product("01^23 ", repeat=length)
+    ]
+    assert len(texts) == 55_987
+    mismatches = [
+        text for text in texts
+        if outcome(Composition.parse, text) != outcome(_parse_referee, text)
+    ]
+    assert not mismatches, mismatches[:10]
+    parsed = sum(outcome(Composition.parse, text) is not ValueError for text in texts)
+    assert 0 < parsed < len(texts)
 
 
 def test_prefix_suffix_multisets_worked_example():

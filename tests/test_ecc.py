@@ -338,6 +338,12 @@ def test_plain_scheme_refuses_protection_settings(b2_codebook):
             ecc.scheme_codebook("plain", b2_codebook, t, code_data, code_flag)
 
 
+def test_schemes_refuse_a_negative_t(b2_n16_codebook):
+    for scheme in (ecc.ONE_STEP, ecc.TWO_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP):
+        with pytest.raises(ConfigError):
+            ecc.scheme_codebook(scheme, b2_n16_codebook, -1)
+
+
 # sha256 of each book's codeword bits and layout JSON on bch_255_cols20,
 # recorded before the schemes shared their code choice, framing and payload
 # decode; keyed by (scheme, t, bundled code or "substitutions")

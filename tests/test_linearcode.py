@@ -426,3 +426,14 @@ def test_declared_distance_contradicted_by_the_syndromes():
     code = LinearCode.from_parity_check(["1101", "1110"], 3, name="wrong_d")
     with pytest.raises(ConfigError):
         code.decode_errors([0, 0, 0, 0], 1)
+
+
+def test_json_code_with_overstated_distance_is_refused():
+    # the [7,4,3] Hamming matrix declared with d = 5 would let a two-error
+    # decode return a wrong codeword without complaint
+    obj = {"name": "ham", "n": 7, "k": 4, "H": ["0001111", "0110011", "1010101"]}
+    assert LinearCode.from_json_obj({**obj, "d": 3}).d == 3
+    with pytest.raises(ConfigError):
+        LinearCode.from_json_obj({**obj, "d": 5})
+    # from_parity_check still trusts the declared d
+    assert LinearCode.from_parity_check(obj["H"], 5).d == 5
