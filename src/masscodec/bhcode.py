@@ -154,6 +154,8 @@ class BhCodebook:
     @classmethod
     def explicit(cls, strings: Iterable, h: int) -> "BhCodebook":
         bs = tuple(BitString(s) for s in strings)
+        if not bs:
+            raise ConfigError("an explicit codebook needs at least one string")
         return cls(n=len(bs[0]), h=h, strings=bs, source=None)
 
 

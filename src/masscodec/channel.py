@@ -7,6 +7,9 @@ symbols.  Prefix and suffix fragments describe the same sum string from
 opposite ends, which gives a free layer of protection: a position is lost
 only where erasure bursts from the two sides overlap, and a single lost
 position can still be pinned through the known total weight.
+``merged_sums`` is the one two-sided reading: it merges the sides and
+applies that weight anchor, and every erasure decoder and the
+redundancy-free path read a pool through it (``merged_counts`` too).
 
 A mass-reducing substitution instead reports a fragment lighter than it
 was.  Counts per length stay intact when the corrupted fragment stays on
@@ -22,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import oracle
@@ -34,6 +38,7 @@ from .core import (
 )
 from .errors import (
     Conflict,
+    LengthMismatch,
     MasscodecError,
     NegativeIncrement,
     NotMassReducing,
@@ -121,6 +126,8 @@ def _resolve_victim(
 ) -> int:
     """The ones-count of the fragment a removal or substitution hits."""
     if ones is not None:
+        if not 0 <= ones <= length:
+            raise ValueError(f"a {side} fragment of length {length} cannot hold {ones} ones")
         comp = Composition(length - ones, ones)
         if length >= len(counts) or not counts[length, ones]:
             raise PatternNotPresent(f"no fragment {comp} of length {length} in pool")
@@ -424,17 +431,76 @@ def merge_partials(
     p: PartialSumString,
     s_rev: PartialSumString,
     total_weight: int,
-) -> Union[PartialSumString, Ambiguous]:
+) -> PartialSumString:
     """Combine the two sides and settle what the total weight still pins.
 
     Disagreement at a known position raises Conflict (an erasure cannot
-    cause it; a substitution can).  Erasures surviving the merge are
-    filled only when the weight equation forces them.
+    cause it; a substitution can), and so does a total weight the merged
+    symbols cannot reach.  Erasures surviving the merge are filled only
+    when the weight equation forces them, by three sound rules: a zero
+    deficit zeroes every erasure, a deficit of hbar per erasure maxes
+    every erasure, and a lone erasure takes the whole deficit.  Anything
+    else stays erased; ``complete`` on the result tells.
     """
-    merged = p.merge(s_rev).fill_from_weight(total_weight)
-    if merged.complete:
-        return merged
-    return Ambiguous(partial=merged)
+    hbar = p.hbar
+    if len(s_rev) != len(p) or s_rev.hbar != hbar:
+        raise LengthMismatch("cannot merge partial sums of different shape")
+    merged: list[Optional[int]] = []
+    clashes = []
+    for i, (a, b) in enumerate(zip(p.symbols, s_rev.symbols), start=1):
+        if a is None:
+            merged.append(b)
+        elif b is None or a == b:
+            merged.append(a)
+        else:
+            clashes.append((i, a, b))
+    if clashes:
+        raise Conflict(f"disagreeing sum symbols at {clashes}")
+    erased = [i for i, v in enumerate(merged) if v is None]
+    known = sum(v for v in merged if v is not None)
+    deficit = total_weight - known
+    if not erased:
+        if deficit:
+            raise Conflict(f"sum weight {known} != expected {total_weight}")
+    elif deficit < 0 or deficit > len(erased) * hbar:
+        raise Conflict(f"weight deficit {deficit} unreachable")
+    elif deficit == 0 or deficit == len(erased) * hbar or len(erased) == 1:
+        # each rule gives every erasure the same share of the deficit
+        for i in erased:
+            merged[i] = deficit // len(erased)
+    return PartialSumString(merged, hbar)
+
+
+def merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> PartialSumString:
+    """The mixture sum read from both sides of the pool and weight-anchored.
+
+    This is the one two-sided reading: every erasure decoder and the
+    redundancy-free path read a pool through it.  Every codeword is a Dyck
+    string of length N, so it holds N/2 ones and a mixture of hbar of them
+    weighs hbar*N/2; that is the total weight the merge fills from.
+    """
+    return merge_partials(*partial_sum_strings(pool, N, hbar), hbar * N // 2)
+
+
+def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    return None if a is None or b is None else a + b
+
+
+def merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
+    """Cumulative prefix-ones counts n_1..n_N merged from both sides.
+
+    Built from the merged (and weight-anchored) position sums: n_i is the
+    forward cumulative when every symbol up to i is known, or the backward
+    complement against the total weight when the tail is known.
+    """
+    symbols = merged_sums(pool, N, hbar).symbols
+    total = hbar * N // 2
+    # tails[i] is the sum of the symbols after position i + 1
+    tails = list(accumulate(reversed(symbols[1:]), _add, initial=0))[::-1]
+    return [
+        total - tail if head is None and tail is not None else head
+        for head, tail in zip(accumulate(symbols, _add), tails)
+    ]
 
 
 def reconstruct_redundancy_free(
@@ -457,17 +523,16 @@ def reconstruct_redundancy_free(
     codebook (sources come from the balanced mod-2 pipeline); a book of a
     correction scheme raises UnsupportedCodebook.
     """
-    p, s = partial_sum_strings(pool, N, hbar)
-    outcome = merge_partials(p, s, hbar * N // 2)  # Dyck codewords are balanced
-    if isinstance(outcome, PartialSumString):
-        strings: Optional[frozenset[BitString]] = None
-        if codebook is not None:
-            strings = _invert_recovered(outcome, codebook, hbar, budget)
-        elif hbar == 1:
-            strings = frozenset({outcome.to_bitstring()})
-        return Recovered(sum=outcome, strings=strings)
-    witnesses = _consistency_witnesses(pool, N, hbar, codebook, budget)
-    return Ambiguous(partial=outcome.partial, witnesses=witnesses)
+    merged = merged_sums(pool, N, hbar)
+    if not merged.complete:
+        witnesses = _consistency_witnesses(pool, N, hbar, codebook, budget)
+        return Ambiguous(partial=merged, witnesses=witnesses)
+    strings: Optional[frozenset[BitString]] = None
+    if codebook is not None:
+        strings = _invert_recovered(merged, codebook, hbar, budget)
+    elif hbar == 1:
+        strings = frozenset({merged.to_bitstring()})
+    return Recovered(sum=merged, strings=strings)
 
 
 def _invert_recovered(
@@ -493,27 +558,25 @@ def _consistency_witnesses(
 ) -> Optional[tuple[frozenset[BitString], ...]]:
     from .codec import McCodebook, require_plain
 
-    origin_of = None
+    # each string of the universe, mapped to the source string it encodes
     if isinstance(codebook, McCodebook):
         require_plain(codebook)
         origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
-        universe: Sequence[BitString] = tuple(origin_of)
     elif codebook is not None:
-        universe = codebook.strings
+        origin_of = {s: s for s in codebook.strings}
     elif hbar == 1 and 2**N <= budget:
         from .core import all_dyck_strings
 
-        universe = all_dyck_strings(N)  # the codeword universe of this model
+        # the codeword universe of this model
+        origin_of = {s: s for s in all_dyck_strings(N)}
     else:
         return None
     removals = 2 * N * hbar - pool.total
     try:
-        hits = oracle.brute_decode(pool, universe, hbar, removals, budget)
+        hits = oracle.brute_decode(pool, tuple(origin_of), hbar, removals, budget)
     except SearchSpaceTooLarge:
         return None
-    if origin_of is not None:
-        return tuple(frozenset(origin_of[b] for b in sub) for sub in hits)
-    return tuple(frozenset(sub) for sub in hits)
+    return tuple(frozenset(origin_of[b] for b in sub) for sub in hits)
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,6 @@ class McLayout:
     def tail_start(self) -> int:
         return self.u_start + self.m
 
-    @property
-    def v_len(self) -> int:
-        """Length of the structured head (everything before the tail runs)."""
-        return self.tail_start
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -193,18 +188,6 @@ class McLayout:
                 "tail": [self.tail_start, self.N - self.tail_start],
             },
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "McLayout":
-        return cls(
-            n=obj["n"],
-            m=obj["m"],
-            root=obj["root"],
-            pad=obj["pad"],
-            lead=obj["lead"],
-            z_len=obj["z_len"],
-            N=obj["N"],
-        )
 
 
 def plain_layout(n: int) -> McLayout:
@@ -438,7 +421,7 @@ def balance_report(s: BitsLike) -> BalanceReport:
     boundary = max(
         abs(profile[j * lay.root - 1]) for j in range(1, lay.root + 1)
     )
-    head = cw.bits.prefix(lay.v_len)
+    head = cw.bits.prefix(lay.tail_start)
     head_profile = head.rds_profile()
     return BalanceReport(
         root=lay.root,

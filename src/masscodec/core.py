@@ -44,7 +44,7 @@ from typing import (
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import Conflict, DuplicateString, LengthMismatch, OddLength, json_field
+from .errors import DuplicateString, LengthMismatch, OddLength, json_field
 
 BitsLike = Union[str, Sequence[int], "BitString"]
 _T = TypeVar("_T")
@@ -634,51 +634,3 @@ class PartialSumString:
 
     def reversed_(self) -> "PartialSumString":
         return PartialSumString(tuple(reversed(self.symbols)), self.hbar)
-
-    def merge(self, other: "PartialSumString") -> "PartialSumString":
-        """Coordinate-wise combine; known symbols must agree where both exist."""
-        if len(other) != len(self) or other.hbar != self.hbar:
-            raise LengthMismatch("cannot merge partial sums of different shape")
-        merged: list[Optional[int]] = []
-        clashes = []
-        for i, (a, b) in enumerate(zip(self.symbols, other.symbols), start=1):
-            if a is None:
-                merged.append(b)
-            elif b is None or a == b:
-                merged.append(a)
-            else:
-                clashes.append((i, a, b))
-        if clashes:
-            raise Conflict(f"disagreeing sum symbols at {clashes}")
-        return PartialSumString(merged, self.hbar)
-
-    def fill_from_weight(self, total_weight: int) -> "PartialSumString":
-        """Resolve erasures pinned by the known total weight.
-
-        Three sound rules: a lone erasure takes the whole deficit; a zero
-        deficit zeroes every erasure; a deficit of hbar per erasure maxes
-        every erasure.  Anything else is left erased.
-        """
-        erased = [i for i, v in enumerate(self.symbols) if v is None]
-        if not erased:
-            if self.known_weight() != total_weight:
-                raise Conflict(
-                    f"sum weight {self.known_weight()} != expected {total_weight}"
-                )
-            return self
-        deficit = total_weight - self.known_weight()
-        if deficit < 0 or deficit > len(erased) * self.hbar:
-            raise Conflict(f"weight deficit {deficit} unreachable")
-        fill: Optional[int] = None
-        if deficit == 0:
-            fill = 0
-        elif deficit == len(erased) * self.hbar:
-            fill = self.hbar
-        elif len(erased) == 1:
-            fill = deficit
-        if fill is None:
-            return self
-        syms = list(self.symbols)
-        for i in erased:
-            syms[i] = fill
-        return PartialSumString(syms, self.hbar)

@@ -60,7 +60,7 @@ from operator import xor
 from typing import Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
-from .channel import partial_sum_strings, raw_side_sums
+from .channel import merged_counts, merged_sums, raw_side_sums
 from .codec import (
     PLAIN,
     BalancedPair,
@@ -153,16 +153,6 @@ def _frame(
     return McCodeword(bits=bits, layout=layout, origin=origin)
 
 
-def _merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
-    """Per-position integer sums combining both sides; None where unknown.
-
-    The known mixture weight hbar*N/2 settles a lone surviving erasure.
-    """
-    p, s = partial_sum_strings(pool, N, hbar)
-    merged = p.merge(s).fill_from_weight(hbar * N // 2)
-    return list(merged.symbols)
-
-
 def _mod2(vals: _Sums) -> list[Optional[int]]:
     return [None if v is None else v % 2 for v in vals]
 
@@ -248,7 +238,7 @@ def one_step_decode(
     else maps one lost sum position to one erased payload bit.
     """
     lay: McLayout = codebook.layout
-    sums = _merged_sums(pool, lay.N, hbar)
+    sums = merged_sums(pool, lay.N, hbar).symbols
     flags = _mod2(sums[lay.r_start : lay.r_start + lay.root])
     return _payload_sources(codebook, sums, flags, LinearCode.decode_erasures, hbar, budget)
 
@@ -337,7 +327,7 @@ def two_step_decode(
     """
     lay: McLayout = codebook.layout
     if not substitutions:
-        sums = _merged_sums(pool, lay.N, hbar)
+        sums = merged_sums(pool, lay.N, hbar).symbols
         return _two_step_sources(codebook, sums, LinearCode.decode_erasures, hbar, budget)
 
     def nearest(code: LinearCode, word: _Sums) -> Sequence[int]:
@@ -479,7 +469,7 @@ def integral_decode(
     """
     lay: IntegralLayout = codebook.layout
     code: LinearCode = codebook.code_data
-    counts = _merged_counts(pool, lay.N, hbar)
+    counts = merged_counts(pool, lay.N, hbar)
     positions = [lay.lead + i for i in range(1, lay.n + 1)] + [
         lay.r_start + 2 * i + 1 for i in range(code.n - lay.n)
     ]
@@ -490,27 +480,6 @@ def integral_decode(
     full = code.decode_erasures(word)
     mixed = derivative(BitString(full[: lay.n]))
     return frozenset(invert_mod2_sum(codebook.base, mixed, hbar, budget))
-
-
-def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    return None if a is None or b is None else a + b
-
-
-def _merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
-    """Cumulative prefix-ones counts n_1..n_N merged from both sides.
-
-    Built from the merged (and weight-anchored) position sums: n_i is the
-    forward cumulative when every symbol up to i is known, or the backward
-    complement against the total weight when the tail is known.
-    """
-    symbols = _merged_sums(pool, N, hbar)
-    total = hbar * N // 2
-    # tails[i] is the sum of the symbols after position i + 1
-    tails = list(accumulate(reversed(symbols[1:]), _add, initial=0))[::-1]
-    return [
-        total - tail if head is None and tail is not None else head
-        for head, tail in zip(accumulate(symbols, _add), tails)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +543,7 @@ def one_step_modp_decode(
     pcode: ModpCode = codebook.code_data
     if hbar >= pcode.p:
         raise ConfigError(f"mixture order {hbar} needs p > hbar, have p={pcode.p}")
-    sums = _merged_sums(pool, lay.N, hbar)
+    sums = merged_sums(pool, lay.N, hbar).symbols
     g = _symbol_bits(pcode.p)
     z = [_pair_value(sums, lay.z_start, i, hbar) for i in range(pcode.n_rows * g)]
     syndrome = [

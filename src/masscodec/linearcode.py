@@ -15,6 +15,7 @@ solve, fills erased positions of binary words and of Z_p vectors alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -118,7 +119,8 @@ class LinearCode:
         self.n = H.shape[1]
         self.k = self.n - H.shape[0]
         self.info_positions = tuple(c for c in range(self.n) if c not in self.pivots)
-        self._generator: Optional[np.ndarray] = None
+        # H is reduced: row r gives its pivot as _parity[r] . message mod 2
+        self._parity = H[:, list(self.info_positions)].astype(np.int64)
         # syndrome lookup state, built on first use by _cache_patterns
         self._columns: list[int] = []
         self._syndromes = {0: 0}
@@ -144,23 +146,17 @@ class LinearCode:
         return (self.d - 1) // 2
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
-        """Place the message on the information set and solve each parity.
+        """Place the message on the information set and read off the parity.
 
-        H is reduced, so every row determines its own pivot position from
-        the information symbols alone.
+        H is reduced, so the pivot positions are H[:, info] . message mod 2.
         """
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k={self.k}")
-        word = [0] * self.n
-        for pos, bit in zip(self.info_positions, message):
-            word[pos] = int(bit) & 1
-        for r, pc in enumerate(self.pivots):
-            acc = 0
-            for c in np.flatnonzero(self.H[r]):
-                if c != pc:
-                    acc ^= word[c]
-            word[pc] = acc
-        return tuple(word)
+        msg = np.array([int(bit) & 1 for bit in message], dtype=np.int64)
+        word = np.zeros(self.n, dtype=np.int64)
+        word[list(self.info_positions)] = msg
+        word[list(self.pivots)] = self._parity @ msg % 2
+        return tuple(word.tolist())
 
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)
@@ -169,16 +165,14 @@ class LinearCode:
         vec = np.array([int(b) & 1 for b in word], dtype=np.uint8)
         return not (self.H @ vec % 2).any()
 
-    @property
+    @functools.cached_property
     def generator(self) -> np.ndarray:
-        if self._generator is None:
-            rows = []
-            for i in range(self.k):
-                msg = [0] * self.k
-                msg[i] = 1
-                rows.append(self.encode(msg))
-            self._generator = np.array(rows, dtype=np.uint8)
-        return self._generator
+        """Row i encodes the i-th unit message: the identity on the
+        information set and H[:, info] transposed on the pivots."""
+        G = np.zeros((self.k, self.n), dtype=np.uint8)
+        G[:, list(self.info_positions)] = np.eye(self.k, dtype=np.uint8)
+        G[:, list(self.pivots)] = self._parity.T
+        return G
 
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:
         """Solve H x = 0 for the erased positions (None entries)."""
@@ -217,7 +211,7 @@ class LinearCode:
         self,
         word: Sequence[int],
         max_errors: Optional[int] = None,
-        budget: int = 2**20,
+        budget: int = DEFAULT_BUDGET,
     ) -> tuple[int, ...]:
         """The codeword within max_errors flips of word, by syndrome lookup.
 
@@ -433,12 +427,13 @@ class ModpCode:
         return _solve_erasures(self.H[rows], self.p, vec, target)
 
 
-def modp_code(p: int, n: int, rows: int = 4) -> ModpCode:
+def modp_code(p: int, n: int) -> ModpCode:
     """Deterministic H over Z_p with every pair of columns independent.
 
     Columns are canonical projective representatives, so any two are
     linearly independent: erasure capability 2 with full syndrome rows.
     """
+    rows = 4
     cols = []
     for val in range(1, p**rows):
         digits = []

@@ -230,7 +230,7 @@ def test_criterion_5_single_removals_all_length6_strings():
                     p = one_sided_sum(p_full, 6, 1, "prefix")
                     srev = one_sided_sum(erased_side, 6, 1, "suffix")
                 merged = merge_partials(p, srev, s.weight())
-                assert not isinstance(merged, Ambiguous), (str(s), side, str(comp))
+                assert merged.complete, (str(s), side, str(comp))
                 assert merged.to_bitstring() == s
 
 

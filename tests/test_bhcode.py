@@ -46,6 +46,11 @@ def test_verify_bh_finds_the_reference_collision():
     assert total == (2, 1, 1, 1, 1, 0)
 
 
+def test_explicit_codebook_without_strings_is_a_config_error():
+    with pytest.raises(ConfigError, match="at least one string"):
+        BhCodebook.explicit([], 2)
+
+
 def test_verify_bh_trivial_and_budget():
     assert verify_bh(BhCodebook.explicit(["110100"], 5), 5).valid
     with pytest.raises(SearchSpaceTooLarge):

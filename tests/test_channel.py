@@ -47,6 +47,7 @@ from masscodec.core import (
 from masscodec.errors import (
     Conflict,
     CountMismatch,
+    LengthMismatch,
     MasscodecError,
     NegativeIncrement,
     NotMassReducing,
@@ -161,13 +162,88 @@ def test_merge_ambiguous_when_aligned():
     p, s = partial_sum_strings(erased, 6, 2)
     assert str(p) == str(s) == "21εε10"
     out = merge_partials(p, s, 6)
-    assert isinstance(out, Ambiguous)
-    assert str(out.partial) == "21εε10"
+    assert not out.complete
+    assert str(out) == "21εε10"
 
 
 def test_merge_conflict():
     with pytest.raises(Conflict):
         merge_partials(PSS("20", 2), PSS("21", 2), 3)
+
+
+def _referee_merge(p: PartialSumString, s: PartialSumString) -> PartialSumString:
+    """The side merge as it stood on PartialSumString, kept as a referee."""
+    if len(s) != len(p) or s.hbar != p.hbar:
+        raise LengthMismatch("cannot merge partial sums of different shape")
+    merged: list = []
+    clashes = []
+    for i, (a, b) in enumerate(zip(p.symbols, s.symbols), start=1):
+        if a is None:
+            merged.append(b)
+        elif b is None or a == b:
+            merged.append(a)
+        else:
+            clashes.append((i, a, b))
+    if clashes:
+        raise Conflict(f"disagreeing sum symbols at {clashes}")
+    return PartialSumString(merged, p.hbar)
+
+
+def _referee_fill(ps: PartialSumString, total_weight: int) -> PartialSumString:
+    """The weight fill as it stood on PartialSumString, kept as a referee."""
+    erased = [i for i, v in enumerate(ps.symbols) if v is None]
+    if not erased:
+        if ps.known_weight() != total_weight:
+            raise Conflict(f"sum weight {ps.known_weight()} != expected {total_weight}")
+        return ps
+    deficit = total_weight - ps.known_weight()
+    if deficit < 0 or deficit > len(erased) * ps.hbar:
+        raise Conflict(f"weight deficit {deficit} unreachable")
+    fill = None
+    if deficit == 0:
+        fill = 0
+    elif deficit == len(erased) * ps.hbar:
+        fill = ps.hbar
+    elif len(erased) == 1:
+        fill = deficit
+    if fill is None:
+        return ps
+    syms = list(ps.symbols)
+    for i in erased:
+        syms[i] = fill
+    return PartialSumString(syms, ps.hbar)
+
+
+def _merge_outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except MasscodecError as exc:
+        return ("raise", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("hbar, longest", [(1, 4), (2, 3)])
+def test_merge_partials_matches_the_two_step_referee(hbar, longest):
+    # every pair of symbol strings over {0..hbar, erased} up to the longest
+    # length, at every total weight from -1 to hbar * length + 1
+    alphabet = [None, *range(hbar + 1)]
+    strings = [
+        PartialSumString(symbols, hbar)
+        for length in range(1, longest + 1)
+        for symbols in itertools.product(alphabet, repeat=length)
+    ]
+    outcomes = Counter()
+    for p, s in itertools.product(strings, repeat=2):
+        weights = range(-1, hbar * len(p) + 2) if len(p) == len(s) else [0]
+        for w in weights:
+            want = _merge_outcome(lambda: _referee_fill(_referee_merge(p, s), w))
+            got = _merge_outcome(merge_partials, p, s, w)
+            assert got == want, (str(p), str(s), w)
+            outcomes[want[0] if want[0] == "raise" else want[1].complete] += 1
+    other = PartialSumString([None] * 2, hbar + 1)
+    for p in strings[:3]:
+        assert _merge_outcome(merge_partials, p, other, 0)[1] is LengthMismatch
+    # the sweep reaches complete, open and refused merges
+    assert outcomes[True] and outcomes[False] and outcomes["raise"]
 
 
 def test_burst_report_examples():
@@ -264,7 +340,7 @@ def test_coded_codebook_is_refused_by_the_plain_pipeline(b2_n16_codebook):
         rng=random.Random(0),
     )
     p, s = partial_sum_strings(erased, book.N, 2)
-    assert isinstance(merge_partials(p, s, book.N), Ambiguous)  # weight hbar * N / 2
+    assert not merge_partials(p, s, book.N).complete  # weight hbar * N / 2
     # a complete merge reaches the inversion, an ambiguous one the witnesses
     for readout in (clean, erased):
         with pytest.raises(UnsupportedCodebook):
@@ -309,7 +385,7 @@ def test_every_single_removal_is_corrected_for_all_length6_strings():
             p = one_sided_sum(p_pool, 6, 1, "prefix")
             srev = one_sided_sum(s_pool, 6, 1, "suffix")
             merged = merge_partials(p, srev, s.weight())
-            assert isinstance(merged, PartialSumString), (str(s), side, length)
+            assert merged.complete, (str(s), side, length)
             assert merged.to_bitstring() == s
 
 

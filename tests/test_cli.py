@@ -253,6 +253,25 @@ def test_malformed_json_exits_2(ws, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# a pattern entry whose ones do not fit its length (prefix length 1)
+ONES_OUT_OF_RANGE = {
+    "erase-ones-above-len": (_corrupt_with("erase", ones=99), 99),
+    "erase-ones-negative": (_corrupt_with("erase", ones=-1), -1),
+    "subst-ones_from-above-len": (_corrupt_with("subst", ones_to=0, ones_from=99), 99),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONES_OUT_OF_RANGE))
+def test_pattern_ones_outside_the_length_exit_2_naming_the_entry(ws, capsys, case):
+    (command, files), ones = ONES_OUT_OF_RANGE[case]
+    for name, obj in files.items():
+        (ws / name).write_text(json.dumps(obj))
+    argv = [ws / a if str(a).endswith(".json") else a for a in ARGV[command]]
+    assert run(command, *argv, "-o", ws / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: a prefix fragment of length 1 cannot hold {ones} ones\n"
+
+
 def test_loosely_typed_json_that_worked_still_works(ws):
     # a string N and mult, float-written integers and a null "ones" were read before
     (ws / "in.json").write_text(
@@ -311,6 +330,14 @@ def test_experiment_determinism(ws):
     assert a == b
     assert all(line.endswith(",exact") for line in a.decode().strip().splitlines()[1:])
 
+
+
+def test_experiment_on_an_empty_strings_file_exits_2(ws, capsys):
+    empty = ws / "none.txt"
+    empty.write_text("")
+    args = ("experiment", empty, "--h", 2, "--hbar", 1, "--trials", 2, "-o", ws / "a.csv")
+    assert run(*args) == 2
+    assert capsys.readouterr().err == "error: an explicit codebook needs at least one string\n"
 
 
 def test_budget_reaches_experiment(ws):

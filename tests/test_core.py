@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from masscodec.channel import merge_partials
 from masscodec.core import (
     BitString,
     Composition,
@@ -257,20 +258,25 @@ def test_partial_sum_string_parsing_and_bursts():
 def test_partial_sum_merge_and_conflict():
     a = PartialSumString.parse("21εε10", 2)
     b = PartialSumString.parse("εε1110", 2)
-    assert str(a.merge(b)) == "211110"
+    assert str(merge_partials(a, b, 6)) == "211110"
     with pytest.raises(Conflict):
-        PartialSumString.parse("20", 2).merge(PartialSumString.parse("21", 2))
+        merge_partials(PartialSumString.parse("20", 2), PartialSumString.parse("21", 2), 2)
 
 
 def test_fill_from_weight_rules():
-    assert str(PartialSumString.parse("21ε110", 2).fill_from_weight(6)) == "211110"
-    assert str(PartialSumString.parse("1εε000", 1).fill_from_weight(3)) == "111000"
-    assert str(PartialSumString.parse("1εε100", 1).fill_from_weight(2)) == "100100"
+    def fill(text: str, hbar: int, weight: int) -> PartialSumString:
+        # a side merged with itself leaves only the weight fill to act
+        p = PartialSumString.parse(text, hbar)
+        return merge_partials(p, p, weight)
+
+    assert str(fill("21ε110", 2, 6)) == "211110"
+    assert str(fill("1εε000", 1, 3)) == "111000"
+    assert str(fill("1εε100", 1, 2)) == "100100"
     # 2 left over 2 erased symbols with hbar=2 stays open
-    partial = PartialSumString.parse("21εε10", 2).fill_from_weight(6)
+    partial = fill("21εε10", 2, 6)
     assert not partial.complete
     with pytest.raises(Conflict):
-        PartialSumString.parse("21ε110", 2).fill_from_weight(99)
+        fill("21ε110", 2, 99)
 
 
 def test_bitstring_xor_and_int_round_trip():

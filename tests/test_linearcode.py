@@ -437,3 +437,47 @@ def test_json_code_with_overstated_distance_is_refused():
         LinearCode.from_json_obj({**obj, "d": 5})
     # from_parity_check still trusts the declared d
     assert LinearCode.from_parity_check(obj["H"], 5).d == 5
+
+
+# ---------------------------------------------------------------------------
+# referee: the row-by-row parity loop that the one-product encoder replaced
+
+
+def _referee_encode(code, message):
+    """Each row of the reduced H sets its pivot from the other positions."""
+    word = [0] * code.n
+    for pos, bit in zip(code.info_positions, message):
+        word[pos] = int(bit) & 1
+    for r, pc in enumerate(code.pivots):
+        acc = 0
+        for c in np.flatnonzero(code.H[r]):
+            if c != pc:
+                acc ^= word[c]
+        word[pc] = acc
+    return tuple(word)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        trivial_code(6),
+        single_parity(7),
+        hamming_code(3),
+        hamming_code(4),
+        shortened(hamming_code(4), 8),
+        erasure_code(12, 2),
+        bundled_code("bch_63_16"),
+        shortened(bundled_code("bch_63_16"), 9),
+        bundled_code("bch_31_21"),
+        substitution_code(11, 2),
+    ],
+    ids=lambda code: code.name,
+)
+def test_encode_matches_the_row_loop_referee(code):
+    rng = random.Random(code.n * 100 + code.k)
+    for _ in range(40):
+        msg = [rng.randrange(2) for _ in range(code.k)]
+        assert code.encode(msg) == _referee_encode(code, msg), msg
+    units = [_referee_encode(code, [int(i == j) for j in range(code.k)]) for i in range(code.k)]
+    assert code.generator.dtype == np.uint8
+    assert code.generator.tolist() == [list(row) for row in units]
