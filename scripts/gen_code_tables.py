@@ -3,25 +3,25 @@
 Builds classical narrow-sense BCH parity-check matrices over GF(2^m),
 row-reduces them to full rank with ``masscodec.linearcode.rref``, verifies
 the exact minimum distance by enumerating all codewords of the package's
-systematic generator, and writes:
+systematic generator, and writes each through ``ParityCheckSpec.to_text``:
 
   hamming_7_4.pcm      3x7,  d=3   (order-1 codebook source)
   bch_15_7.pcm         8x15, d=5   (order-2 codebook source)
   bch_15_5.pcm        10x15, d=7   (order-3 codebook source)
   bch_255_cols20.pcm  16x20, d=7   (order-2 desk codebook source)
-  bch_63_16.json      47x63, d=23  (erasure-protection code, standard form)
-  bch_31_21.json      10x31, d=5   (substitution-protection code, standard form)
+  bch_63_16.pcm       47x63, d=23  (erasure-protection code, standard form)
+  bch_31_21.pcm       10x31, d=5   (substitution-protection code, standard form)
 
 Run from the repository root:  PYTHONPATH=src python scripts/gen_code_tables.py
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from masscodec.bhcode import ParityCheckSpec
 from masscodec.linearcode import LinearCode, rref
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "masscodec" / "data"
@@ -135,49 +135,31 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
 
 
 def write_pcm(name: str, H: np.ndarray, d: int) -> None:
-    lines = [f"d={d}"]
-    lines += ["".join(str(int(b)) for b in row) for row in H]
-    (DATA / f"{name}.pcm").write_text("\n".join(lines) + "\n")
-    print(f"{name}.pcm: {H.shape[0]}x{H.shape[1]}, d={d}")
+    spec = ParityCheckSpec(tuple(tuple(int(b) for b in row) for row in H), d)
+    (DATA / f"{name}.pcm").write_text(spec.to_text())
+    print(f"{name}.pcm: {spec.n_rows}x{spec.n_cols}, d={d}")
 
 
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
-
     # Hamming (7,4): all nonzero columns of F_2^3.
-    Hh = np.array(
+    hamming = np.array(
         [[(c >> b) & 1 for c in range(1, 8)] for b in range(2, -1, -1)], dtype=np.uint8
     )
-    d = min_distance(Hh)
-    assert d == 3
-    write_pcm("hamming_7_4", Hh, d)
-
-    for name, m, n, delta, powers in (
-        ("bch_15_7", 4, 15, 5, [1, 3]),
-        ("bch_15_5", 4, 15, 7, [1, 3, 5]),
+    for name, H, delta in (
+        ("hamming_7_4", hamming, 3),
+        ("bch_15_7", alpha_power_pcm(4, 15, [1, 3]), 5),
+        ("bch_15_5", alpha_power_pcm(4, 15, [1, 3, 5]), 7),
         # 20 columns of the 16-row distance-5 matrix over GF(256): a compact
         # order-2 codebook source with strings of length 16
-        ("bch_255_cols20", 8, 20, 5, [1, 3]),
+        ("bch_255_cols20", alpha_power_pcm(8, 20, [1, 3]), 5),
+        # erasure/substitution-protection workhorses, stored in standard form
+        ("bch_63_16", cyclic_code_pcm(63, bch_generator(6, 23)), 23),
+        ("bch_31_21", cyclic_code_pcm(31, bch_generator(5, 5)), 5),
     ):
-        H = alpha_power_pcm(m, n, powers)
         d = min_distance(H)
         assert d >= delta, (name, d)
         write_pcm(name, H, d)
-
-    # Erasure/substitution-protection workhorses, stored in standard form.
-    for name, m, n, delta in (("bch_63_16", 6, 63, 23), ("bch_31_21", 5, 31, 5)):
-        H = cyclic_code_pcm(n, bch_generator(m, delta))
-        k, d = n - H.shape[0], min_distance(H)
-        assert d >= delta, (name, d)
-        obj = {
-            "name": name,
-            "n": n,
-            "k": k,
-            "d": d,
-            "H": ["".join(str(int(b)) for b in row) for row in H],
-        }
-        (DATA / f"{name}.json").write_text(json.dumps(obj, indent=1) + "\n")
-        print(f"{name}.json: ({n},{k},{d})")
 
 
 if __name__ == "__main__":

@@ -10,20 +10,20 @@ sums.  That mod-2 separation is also exactly what lets a mixture decoder
 recover the subset from the mod-2 reduction of the pooled sum.
 
 That recovery is syndrome decoding: the mod-2 sum of hbar columns is the
-syndrome of a weight-hbar pattern.  ``invert_mod2_sum`` finds the pattern
-by meet-in-the-middle, matching the XORs of half-size subsets against the
-target XORed with the other half, so a lookup costs O(|C|^ceil(hbar/2))
-rather than O(|C|^hbar) and works for explicit codebooks too.  The halves
-come from an index cached on the codebook and built once per subset size
-k: every k-subset of column indices with the XOR of its columns, sorted by
-that XOR, in numpy arrays.  A cached subset costs k bytes of indices
-(uint8 up to 256 columns, uint16 beyond) plus 8 bytes of XOR, so the
-96-column order-3 benchmark codebook holds about 46 KB, and a lookup's
-budget, which counts the half-subsets, also bounds each index it builds.
+syndrome of a weight-hbar pattern.  One search serves both inverses: it
+finds every hbar-subset with a given mod-2 sum by meet-in-the-middle, in
+O(|C|^ceil(hbar/2)) rather than O(|C|^hbar), for explicit codebooks too;
+``invert_sum`` keeps the matches whose integer sum is its target.  The
+halves come from an index cached on the codebook, built once per subset
+size k: every k-subset of column indices with the XOR of its columns,
+sorted by that XOR.  A cached subset costs k bytes of indices (uint8 up to
+256 columns) plus 8 bytes of XOR, so the 96-column order-3 benchmark
+codebook holds about 46 KB.  A lookup's budget bounds each index it
+builds, and the cache as a whole by dropping the sizes it does not use.
 
-Small parity-check matrices ship as plain-text data files (one 0/1 row
-per line, ``d=<int>`` header); anything with a verified distance can be
-loaded the same way.
+Every shipped table is a plain-text ``.pcm`` file (a ``d=<int>`` header,
+then one 0/1 row per line) read by ``bundled_spec``; it serves as a
+codebook source or, through ``linearcode.bundled_code``, as a code.
 """
 
 from __future__ import annotations
@@ -63,12 +63,12 @@ class ParityCheckSpec:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise ConfigError("ragged parity-check matrix")
-        if any(b not in (0, 1) for r in self.rows for b in r):
+        if not set().union(*self.rows) <= {0, 1}:
             raise ConfigError("parity-check entries must be 0/1")
         if self.d < 1:
             raise ConfigError("distance must be positive")
-        cols = self.columns()
-        if any(c.weight() == 0 for c in cols):
+        cols = list(zip(*self.rows))
+        if not all(any(c) for c in cols):
             raise ConfigError("parity-check columns must be nonzero")
         if len(set(cols)) != len(cols):
             raise ConfigError("parity-check columns must be pairwise distinct")
@@ -82,10 +82,7 @@ class ParityCheckSpec:
         return len(self.rows[0])
 
     def columns(self) -> tuple[BitString, ...]:
-        return tuple(
-            BitString(tuple(row[j] for row in self.rows))
-            for j in range(self.n_cols)
-        )
+        return tuple(BitString(column) for column in zip(*self.rows))
 
     def to_text(self) -> str:
         lines = [f"d={self.d}"]
@@ -103,9 +100,9 @@ class ParityCheckSpec:
             raise ConfigError(f"bad distance header {lines[0]!r}") from exc
         rows = []
         for ln in lines[1:]:
-            if not all(c in "01" for c in ln):
+            if not set(ln) <= {"0", "1"}:
                 raise ConfigError(f"bad matrix row {ln!r}")
-            rows.append(tuple(int(c) for c in ln))
+            rows.append(tuple(map(int, ln)))
         return cls(tuple(rows), d)
 
     @classmethod
@@ -146,10 +143,6 @@ class BhCodebook:
     @cached_property
     def _xor_index(self) -> "_XorIndex":
         return _XorIndex(self.strings)
-
-    @property
-    def parity_check_backed(self) -> bool:
-        return self.source is not None
 
     @classmethod
     def explicit(cls, strings: Iterable, h: int) -> "BhCodebook":
@@ -217,27 +210,20 @@ def invert_sum(
 ) -> tuple[BitString, ...]:
     """The unique hbar-subset whose integer sum equals the target.
 
-    Exhaustive subset search; ambiguity means the codebook does not have
-    the distinct-sums property at this order.
+    The matches of the target reduced mod 2 whose integer sum is the
+    target; ambiguity means the codebook does not have the distinct-sums
+    property at this order.
     """
     target = tuple(int(v) for v in target)
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
-    if math.comb(len(codebook), hbar) > budget:
-        raise SearchSpaceTooLarge(
-            f"{math.comb(len(codebook), hbar)} subsets exceed the budget {budget}"
-        )
-    found: Optional[tuple[BitString, ...]] = None
-    for subset in itertools.combinations(codebook.strings, hbar):
-        if real_sum(subset) == target:
-            if found is not None:
-                raise AmbiguousSolution(
-                    f"both {found} and {subset} sum to the target"
-                )
-            found = subset
-    if found is None:
+    parity = BitString(tuple(v % 2 for v in target))
+    found = [m for m in _mod2_matches(codebook, parity, hbar, budget) if real_sum(m) == target]
+    if not found:
         raise NoSolution("no codebook subset matches the target sum")
-    return found
+    if len(found) > 1:
+        raise AmbiguousSolution(f"both {found[0]} and {found[1]} sum to the target")
+    return found[0]
 
 
 def invert_mod2_sum(
@@ -250,19 +236,32 @@ def invert_mod2_sum(
 
     For a parity-check-backed codebook this is syndrome decoding: the
     target is the syndrome of a weight-hbar error pattern, unique because
-    d >= 2h+1.  The search is a meet-in-the-middle (Horowitz & Sahni,
-    JACM 1974): with lo = hbar // 2 and hi = hbar - lo, the XOR of the
-    target with every lo-subset is searched for in the codebook's sorted
-    index of hi-subset XORs (see ``_XorIndex``).  A match counts only when
-    the low half's last index precedes the high half's first, so each
-    hbar-subset is found through exactly one split; a second match means
-    two subsets share the target, which explicit codebooks can do, and is
-    reported rather than silently resolved.  The index keys strings longer
-    than 64 bits by a 64-bit fold, so every match is confirmed on the full
-    strings before it counts.
+    d >= 2h+1.  Explicit codebooks can have two subsets that share the
+    target, which is reported rather than silently resolved.
+    """
+    found = _mod2_matches(codebook, target, hbar, budget)
+    if not found:
+        raise NoSolution("no codebook subset matches the target mod-2 sum")
+    if len(found) > 1:
+        raise AmbiguousSolution(f"both {found[0]} and {found[1]} reduce to the target mod 2")
+    return found[0]
+
+
+def _mod2_matches(
+    codebook: BhCodebook, target: BitString, hbar: int, budget: int
+) -> list[tuple[BitString, ...]]:
+    """Every hbar-subset whose mod-2 sum is the target, in lexicographic order.
+
+    A meet-in-the-middle (Horowitz & Sahni, JACM 1974): with lo = hbar // 2
+    and hi = hbar - lo, the XOR of the target with every lo-subset is
+    searched for in the codebook's sorted index of hi-subset XORs (see
+    ``_XorIndex``).  A match counts only when the low half's last index
+    precedes the high half's first, so each hbar-subset is found through
+    exactly one split.  The index keys strings longer than 64 bits by a
+    64-bit fold, so every match is confirmed on the full strings.
 
     ``budget`` bounds the subsets enumerated, C(|C|, hi) + C(|C|, lo),
-    and with them the size of the indexes a lookup builds and caches.
+    and with them the indexes a lookup builds and keeps cached.
     """
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
@@ -279,12 +278,12 @@ def invert_mod2_sum(
     index = codebook._xor_index
     values = index.values
     wanted = target.as_int
-    low_subsets, low_xors = index.subsets(lo)
-    high_subsets, high_xors = index.subsets(hi)
+    low_subsets, low_xors = index.subsets(lo, (lo, hi), budget)
+    high_subsets, high_xors = index.subsets(hi, (lo, hi), budget)
     queries = low_xors ^ np.uint64(_fold64(wanted))
     first = high_xors.searchsorted(queries, "left")
     stop = high_xors.searchsorted(queries, "right")
-    found: Optional[list[int]] = None
+    found = []
     for q in (stop > first).nonzero()[0].tolist():
         low = low_subsets[q].tolist()
         for high in high_subsets[first[q] : stop[q]].tolist():
@@ -293,17 +292,9 @@ def invert_mod2_sum(
             acc = wanted
             for i in low + high:
                 acc ^= values[i]
-            if acc:  # the folds agree but the strings do not
-                continue
-            if found is not None:
-                raise AmbiguousSolution(
-                    f"both {_pick(codebook, found)} and "
-                    f"{_pick(codebook, low + high)} reduce to the target mod 2"
-                )
-            found = low + high
-    if found is None:
-        raise NoSolution("no codebook subset matches the target mod-2 sum")
-    return _pick(codebook, found)
+            if not acc:  # the folds agree and so do the strings
+                found.append(low + high)
+    return [tuple(codebook.strings[i] for i in subset) for subset in sorted(found)]
 
 
 _WORD = (1 << 64) - 1
@@ -321,18 +312,24 @@ def _fold64(value: int) -> int:
 class _XorIndex:
     """Every k-subset of a codebook's strings, sorted by the XOR of its members.
 
-    ``subsets(k)`` returns the subsets as a (C(|C|, k), k) array of
-    ascending column indices and, row for row, the XORs of their folded
-    strings as ``uint64``, sorted by XOR.  Each size is built on first use
-    and kept.  Rows with equal XORs stay in lexicographic order.
+    ``subsets(k, sizes, budget)`` returns the subsets as a (C(|C|, k), k)
+    array of ascending column indices and, row for row, the XORs of their
+    folded strings as ``uint64``, sorted by XOR.  Rows with equal XORs stay
+    in lexicographic order.  Each size is built on first use and kept, but
+    a build that would take the cached subsets past the lookup's budget
+    first drops every size the lookup (which uses ``sizes``) does not.
     """
 
     def __init__(self, strings: Sequence[BitString]):
         self.values = [s.as_int for s in strings]
         self._by_size: dict = {}
 
-    def subsets(self, k: int):
+    def subsets(self, k: int, sizes: Sequence[int], budget: int):
         if k not in self._by_size:
+            cached = sum(len(combos) for combos, _ in self._by_size.values())
+            if cached + math.comb(len(self.values), k) > budget:
+                for unused in set(self._by_size) - set(sizes):
+                    del self._by_size[unused]
             self._by_size[k] = self._build(k)
         return self._by_size[k]
 
@@ -361,10 +358,6 @@ class _XorIndex:
         # pages of numpy code into memory than the default sort (peak RSS)
         order = np.argsort(xors, kind="stable")
         return np.take(combos, order, axis=0), xors[order]
-
-
-def _pick(codebook: BhCodebook, subset: Sequence[int]) -> tuple[BitString, ...]:
-    return tuple(codebook.strings[i] for i in subset)
 
 
 def codebook_rate(codebook: Union[BhCodebook, tuple[int, int]]) -> float:

@@ -50,6 +50,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TooManyErasures,
     json_field,
+    json_int,
 )
 from .linearcode import LinearCode, bundled_code
 
@@ -169,8 +170,8 @@ def load_config(path: str):
 
 def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
     obj = json.loads(_read_text(path))
-    fragments, N = (json_field(obj, key, "a pool file") for key in ("fragments", "N"))
-    return CompositionMultiset.from_json_obj(fragments), int(N)
+    fragments, N = json_field(obj, "fragments", "a pool file"), json_int(obj, "N", "a pool file")
+    return CompositionMultiset.from_json_obj(fragments), N
 
 
 def cmd_encode(args) -> int:

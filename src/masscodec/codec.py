@@ -24,9 +24,9 @@ the pool by weight, rebuild the coordinate-wise integer sum of the
 codewords from the prefix side, reduce the flag and data segments mod 2,
 undo the recorded block complementations (which turns the mod-2 segment
 sums into the mod-2 sum of the original strings), and look the mod-2 sum
-up in the codebook.  The lookup is well defined for parity-check-backed
-codebooks, where distinct subsets of size <= h always have distinct mod-2
-sums; explicit codebooks may not separate under mod 2 and are refused.
+up in the codebook.  A parity-check-backed codebook gives distinct
+subsets of size <= h distinct mod-2 sums; an explicit codebook may not,
+and the lookup then reports the shared sum as AmbiguousSolution.
 """
 
 from __future__ import annotations
@@ -386,11 +386,6 @@ def decode_mixture(
         hbar = pool.total // (2 * N)
     if not 1 <= hbar <= codebook.h:
         raise InconsistentPoolSize(f"hbar={hbar} outside 1..{codebook.h}")
-    if not codebook.base.parity_check_backed:
-        raise UnsupportedCodebook(
-            "mixture decoding reduces to a mod-2 lookup; the codebook must be "
-            "built from a parity-check matrix for that lookup to be well defined"
-        )
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
     target = mixture_mod2_target(total, codebook.layout)

@@ -44,7 +44,7 @@ from typing import (
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import DuplicateString, LengthMismatch, OddLength, json_field
+from .errors import DuplicateString, LengthMismatch, OddLength, json_field, json_int
 
 BitsLike = Union[str, Sequence[int], "BitString"]
 _T = TypeVar("_T")
@@ -443,7 +443,7 @@ class CompositionMultiset:
         for entry in obj:
             zeros, ones = (json_field(entry, key, "a fragment", int) for key in ("zeros", "ones"))
             comp = Composition(zeros, ones)
-            counts[comp] += int(entry.get("mult", 1))
+            counts[comp] += json_int(entry, "mult", "a fragment", default=1)
         return cls(counts)
 
     @classmethod

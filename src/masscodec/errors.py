@@ -100,3 +100,11 @@ def json_field(obj, key: str, what: str, kind: type = object, default=_REQUIRED)
         article = "an" if kind is int else "a"
         raise ConfigError(f"{what} needs {article} {kind.__name__} {key!r}, got {value!r}")
     return value
+
+
+def json_int(obj, key: str, what: str, default=_REQUIRED) -> int:
+    """``json_field(..., int)`` that also reads integer text, as pool files always have."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    return json_field(obj, key, what, int, default)

@@ -11,20 +11,22 @@ protection over a prime field.
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices (p = 2) and, through one erasure
 solve, fills erased positions of binary words and of Z_p vectors alike.
+
+``bundled_code`` builds a code from one of the ``.pcm`` tables shipped
+with the package, read by ``bhcode.bundled_spec``, the one reader of every
+shipped table.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bhcode import DEFAULT_BUDGET
+from .bhcode import DEFAULT_BUDGET, bundled_spec
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -382,20 +384,13 @@ def substitution_code(k: int, error_capability: int) -> LinearCode:
     )
 
 
-_BUNDLED: dict[str, LinearCode] = {}
-
-
+@functools.cache
 def bundled_code(name: str) -> LinearCode:
-    if name not in _BUNDLED:
-        res = resources.files("masscodec").joinpath("data", f"{name}.json")
-        try:
-            obj = json.loads(res.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"no bundled code named {name!r}") from exc
-        # the shipped tables are verified when they are generated, and their
-        # 2^16 or 2^21 codewords are too many to enumerate at every load
-        _BUNDLED[name] = LinearCode.from_parity_check(obj["H"], obj["d"], name)
-    return _BUNDLED[name]
+    """The code of a table shipped with the package (e.g. ``bch_63_16``)."""
+    spec = bundled_spec(name)
+    # the shipped tables are verified when they are generated, and their
+    # 2^16 or 2^21 codewords are too many to enumerate at every load
+    return LinearCode.from_parity_check(np.array(spec.rows, dtype=np.uint8), spec.d, name)
 
 
 # ---------------------------------------------------------------------------

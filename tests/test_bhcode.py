@@ -154,6 +154,102 @@ def test_mod2_ambiguity_exists_for_explicit_codebooks():
         invert_mod2_sum(cb, BitString("00011"), 2)
 
 
+def test_invert_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
+    # the integer inverse runs the same search, so the same half-subset rule
+    # holds: C(15, 2) + C(15, 1) = 120, where all of C(15, 3) is 455
+    subset = b3_codebook.strings[2:5]
+    enumerated = math.comb(15, 2) + math.comb(15, 1)
+    with pytest.raises(SearchSpaceTooLarge, match="120 half-subsets exceed the budget 119"):
+        invert_sum(b3_codebook, real_sum(subset), 3, budget=enumerated - 1)
+    assert invert_sum(b3_codebook, real_sum(subset), 3, budget=enumerated) == subset
+
+
+def _exhaustive_invert_sum(codebook, target, hbar, budget=DEFAULT_BUDGET):
+    """The scan over every hbar-subset that ``invert_sum`` used to run (referee)."""
+    target = tuple(int(v) for v in target)
+    if math.comb(len(codebook), hbar) > budget:
+        raise SearchSpaceTooLarge(
+            f"{math.comb(len(codebook), hbar)} subsets exceed the budget {budget}"
+        )
+    found = None
+    for subset in itertools.combinations(codebook.strings, hbar):
+        if real_sum(subset) == target:
+            if found is not None:
+                raise AmbiguousSolution(f"both {found} and {subset} sum to the target")
+            found = subset
+    if found is None:
+        raise NoSolution("no codebook subset matches the target sum")
+    return found
+
+
+def _sum_outcome(invert, codebook, target, hbar):
+    try:
+        return invert(codebook, target, hbar)
+    except (AmbiguousSolution, NoSolution) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_invert_sum_matches_exhaustive_referee(codebook, rng):
+    # every integer sum of at most h strings, probed at every hbar <= h, plus
+    # reachable sums with one coordinate moved by one (mostly unreachable)
+    reachable = {
+        real_sum(subset)
+        for k in range(1, codebook.h + 1)
+        for subset in itertools.combinations(codebook.strings, k)
+    }
+    targets = sorted(reachable)
+    for target in rng.sample(targets, min(30, len(targets))):
+        i = rng.randrange(codebook.n)
+        targets.append(target[:i] + (target[i] + rng.choice((-1, 1)),) + target[i + 1 :])
+    for hbar in range(1, codebook.h + 1):
+        for target in targets:
+            assert _sum_outcome(invert_sum, codebook, target, hbar) == _sum_outcome(
+                _exhaustive_invert_sum, codebook, target, hbar
+            ), (hbar, target)
+
+
+@pytest.mark.parametrize(
+    "name,h", [("hamming_7_4", 1), ("bch_15_7", 2), ("bch_15_5", 3), ("bch_255_cols20", 2)]
+)
+def test_invert_sum_matches_exhaustive_referee_on_bundled_codebooks(name, h):
+    codebook = build_bh_codebook(h, bundled_spec(name))
+    _assert_invert_sum_matches_exhaustive_referee(codebook, random.Random(h))
+
+
+def _seeded_explicit_codebook(seed):
+    """Short strings with shared integer and mod-2 sums, or 100-bit strings.
+
+    Every tenth book concatenates 50-bit halves drawn from three values, so
+    u||v + u'||v' = u||v' + u'||v shares an integer sum across long strings.
+    """
+    rng = random.Random(seed)
+    if seed % 10 == 9:
+        halves = [rng.getrandbits(50) for _ in range(3)]
+        values = rng.sample([(a << 50) | b for a in halves for b in halves], 7)
+        return BhCodebook.explicit([BitString.from_int(v, 100) for v in values], 3)
+    n = rng.choice((4, 5, 6))
+    values = rng.sample(range(1, 2**n), rng.randint(5, 8))
+    return BhCodebook.explicit([BitString.from_int(v, n) for v in values], 3)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_invert_sum_matches_exhaustive_referee_on_explicit_codebooks(seed):
+    codebook = _seeded_explicit_codebook(seed)
+    _assert_invert_sum_matches_exhaustive_referee(codebook, random.Random(seed))
+
+
+def test_index_cache_is_dropped_to_the_sizes_a_lookup_uses():
+    # an hbar = 5 lookup caches its halves of 2 and 3 (105 + 455 subsets);
+    # an hbar = 2 lookup under a budget of 2|C| keeps only its own size 1
+    codebook = build_bh_codebook(3, bundled_spec("bch_15_5"))
+    _lookup_outcome(codebook, mod2_sum(codebook.strings[:5]), 5)
+    assert _lookup_outcome(codebook, mod2_sum(codebook.strings[:2]), 2, 2 * 15) == (
+        codebook.strings[:2]
+    )
+    cached = codebook._xor_index._by_size.values()
+    assert sum(len(subsets) for subsets, _ in cached) <= 2 * 15
+
+
 def _mod2_referee(strings, hbar):
     """Every mod-2 sum of hbar strings, mapped to the subsets reaching it."""
     table = {}
@@ -162,9 +258,9 @@ def _mod2_referee(strings, hbar):
     return table
 
 
-def _lookup_outcome(codebook, target, hbar):
+def _lookup_outcome(codebook, target, hbar, budget=DEFAULT_BUDGET):
     try:
-        return invert_mod2_sum(codebook, target, hbar)
+        return invert_mod2_sum(codebook, target, hbar, budget)
     except (AmbiguousSolution, NoSolution) as exc:
         return type(exc)
 

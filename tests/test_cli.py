@@ -284,6 +284,30 @@ def test_loosely_typed_json_that_worked_still_works(ws):
     assert out == {"N": 6, "fragments": [{"zeros": 0, "ones": 1, "mult": 1}]}
 
 
+# a fractional or boolean count is refused, not truncated to an int
+POOL_COUNTS = {
+    "N-fractional": ("N", 6.5, "a pool file needs an int 'N', got 6.5"),
+    "mult-fractional": ("mult", 2.7, "a fragment needs an int 'mult', got 2.7"),
+    "mult-true": ("mult", True, "a fragment needs an int 'mult', got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_COUNTS))
+def test_pool_counts_that_are_not_ints_exit_2_naming_the_field(ws, capsys, case):
+    key, value, message = POOL_COUNTS[case]
+    (ws / "s.txt").write_text("110100\n101010\n")
+    run("encode", ws / "s.txt", "--config", ws / "raw.json", "-o", ws / "w.json")
+    run("pool", ws / "w.json", "-o", ws / "p.json")
+    pool_obj = json.loads((ws / "p.json").read_text())
+    if key == "N":
+        pool_obj["N"] = value
+    else:
+        pool_obj["fragments"][0]["mult"] = value
+    (ws / "p.json").write_text(json.dumps(pool_obj))
+    assert run("decode", ws / "p.json", "--config", ws / "raw.json", "-o", ws / "d.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_matrix_exits_2(ws, capsys):
     bad = ws / "bad.pcm"
     bad.write_text("not a matrix\n")

@@ -28,11 +28,13 @@ from masscodec.core import (
     prefix_multiset,
     suffix_multiset,
 )
+from masscodec.channel import reconstruct_redundancy_free
 from masscodec.errors import (
+    AmbiguousSolution,
     CountMismatch,
     InconsistentPoolSize,
+    MasscodecError,
     NegativeIncrement,
-    UnsupportedCodebook,
 )
 
 
@@ -213,12 +215,43 @@ def test_decode_mixture_infers_hbar_and_guards(mc_codebook):
         decode_mixture(p, mc_codebook, hbar=9)
 
 
-def test_decode_mixture_requires_parity_backing():
-    cb = BhCodebook.explicit(["110100", "101010", "110010"], 2)
-    book = encode_codebook(cb)
-    p = book.pool_of(cb.strings[:2])
-    with pytest.raises(UnsupportedCodebook):
-        decode_mixture(p, book)
+def _small_explicit_books():
+    """The reference triple and 24 seeded books of six short strings, h = 3."""
+    yield BhCodebook.explicit(["110100", "101010", "110010"], 2)
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.choice((4, 5, 6))
+        values = rng.sample(range(1, 2**n), 6)
+        yield BhCodebook.explicit([BitString.from_int(v, n) for v in values], 3)
+
+
+def test_both_plain_paths_agree_on_explicit_codebooks():
+    # an explicit book is decoded, not refused: on every clean pool the
+    # direct decode and the redundancy-free reconstruction give the same
+    # set or the same error class, and a set is always the sources
+    outcomes = []
+    for base in _small_explicit_books():
+        book = encode_codebook(base)
+        for hbar in range(1, base.h + 1):
+            for sources in itertools.combinations(base.strings, hbar):
+                readout = book.pool_of(sources)
+                direct = _outcome(lambda: decode_mixture(readout, book))
+                merged = _outcome(
+                    lambda: reconstruct_redundancy_free(readout, book.N, hbar, book).strings
+                )
+                assert direct == merged, (str(base.strings), sources)
+                assert direct in (frozenset(sources), AmbiguousSolution), sources
+                outcomes.append(direct)
+    assert len(outcomes) >= 900
+    assert AmbiguousSolution in outcomes
+    assert sum(isinstance(out, frozenset) for out in outcomes) > len(outcomes) // 2
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except MasscodecError as exc:
+        return type(exc)
 
 
 def test_codec_rate_is_reported(mc_codebook):

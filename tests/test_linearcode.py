@@ -1,9 +1,11 @@
 import itertools
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from masscodec.bhcode import bundled_spec
 from masscodec.errors import (
     ConfigError,
     DecodeFailure,
@@ -59,6 +61,20 @@ def test_bundled_codes_have_declared_parameters():
     sub = bundled_code("bch_31_21")
     assert (sub.n, sub.k, sub.d) == (31, 21, 5)
     assert sub.exact_min_distance() == 5
+
+
+def test_every_shipped_table_is_a_pcm_read_as_spec_and_as_code():
+    data = resources.files("masscodec").joinpath("data")
+    names = sorted(entry.name for entry in data.iterdir())
+    assert len(names) == 6 and all(name.endswith(".pcm") for name in names), names
+    for name in (name.removesuffix(".pcm") for name in names):
+        spec, code = bundled_spec(name), bundled_code(name)
+        assert (code.n, code.d) == (spec.n_cols, spec.d), name
+
+
+def test_an_unknown_table_name_is_a_config_error():
+    with pytest.raises(ConfigError, match="no bundled matrix named 'bch_7_1'"):
+        bundled_code("bch_7_1")
 
 
 def test_erasure_decoding_exhaustive_small():
