@@ -12,6 +12,11 @@ systematic generator, and writes each through ``ParityCheckSpec.to_text``:
   bch_63_16.pcm       47x63, d=23  (erasure-protection code, standard form)
   bch_31_21.pcm       10x31, d=5   (substitution-protection code, standard form)
 
+The field arithmetic (``GF2m``, ``PRIMITIVE``, ``minimal_poly``,
+``poly_mul``, ``bch_generator`` and ``alpha_power_pcm``) lives in
+``masscodec.gf2m``, on log/antilog tables; this script imports those names
+back, so code that loads the script finds them here as well.
+
 Run from the repository root:  PYTHONPATH=src python scripts/gen_code_tables.py
 """
 
@@ -22,85 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from masscodec.bhcode import ParityCheckSpec
+# all six names stay importable from this script for code that loads it
+from masscodec.gf2m import (  # noqa: F401
+    PRIMITIVE,
+    GF2m,
+    alpha_power_pcm,
+    bch_generator,
+    minimal_poly,
+    poly_mul,
+)
 from masscodec.linearcode import LinearCode, rref
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "masscodec" / "data"
-
-# x^4+x+1, x^5+x^2+1, x^6+x+1, x^8+x^4+x^3+x^2+1
-PRIMITIVE = {4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101}
-
-
-class GF2m:
-    def __init__(self, m: int):
-        self.m = m
-        self.size = 1 << m
-        self.poly = PRIMITIVE[m]
-
-    def mul(self, a: int, b: int) -> int:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.size:
-                a ^= self.poly
-        return r
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        e %= self.size - 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-
-def minimal_poly(field: GF2m, beta: int) -> int:
-    """Minimal polynomial of beta over GF(2), as a coefficient bitmask."""
-    orbit = []
-    e = beta
-    while e not in orbit:
-        orbit.append(e)
-        e = field.mul(e, e)
-    poly = [1]  # coefficients in GF(2^m), low degree first
-    for root in orbit:
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] ^= c
-            nxt[i] ^= field.mul(c, root)
-        poly = nxt
-    assert all(c in (0, 1) for c in poly), "minimal polynomial not binary"
-    mask = 0
-    for i, c in enumerate(poly):
-        mask |= c << i
-    return mask
-
-
-def poly_mul(a: int, b: int) -> int:
-    r = 0
-    i = 0
-    while b >> i:
-        if (b >> i) & 1:
-            r ^= a << i
-        i += 1
-    return r
-
-
-def bch_generator(m: int, delta: int) -> int:
-    """Generator polynomial of the narrow-sense BCH code with designed distance delta."""
-    field = GF2m(m)
-    alpha = 2
-    g = 1
-    seen = set()
-    for i in range(1, delta):
-        mp = minimal_poly(field, field.pow(alpha, i))
-        if mp not in seen:
-            seen.add(mp)
-            g = poly_mul(g, mp)
-    return g
 
 
 def cyclic_code_pcm(n: int, g: int) -> np.ndarray:
@@ -122,16 +60,6 @@ def cyclic_code_pcm(n: int, g: int) -> np.ndarray:
 def min_distance(H: np.ndarray) -> int:
     """Exact minimum distance of the code {x : Hx = 0}."""
     return LinearCode.from_parity_check(H, d=1).exact_min_distance()
-
-
-def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
-    """Rows: binary expansions of alpha^(p*i) for each p, stacked; then RREF."""
-    field = GF2m(m)
-    rows = []
-    for p in powers:
-        for bit in range(m):
-            rows.append([(field.pow(2, p * i) >> bit) & 1 for i in range(n)])
-    return rref(rows)[0]
 
 
 def write_pcm(name: str, H: np.ndarray, d: int) -> None:

@@ -529,23 +529,21 @@ def reconstruct_redundancy_free(
         return Ambiguous(partial=merged, witnesses=witnesses)
     strings: Optional[frozenset[BitString]] = None
     if codebook is not None:
-        strings = _invert_recovered(merged, codebook, hbar, budget)
+        strings = _invert_recovered(pool, merged, codebook, hbar, budget)
     elif hbar == 1:
         strings = frozenset({merged.to_bitstring()})
     return Recovered(sum=merged, strings=strings)
 
 
 def _invert_recovered(
-    total: PartialSumString, codebook, hbar: int, budget: int
+    pool: CompositionMultiset, total: PartialSumString, codebook, hbar: int, budget: int
 ) -> frozenset[BitString]:
-    from .codec import McCodebook, mixture_mod2_target, require_plain
+    from .codec import McCodebook, invert_plain, mixture_mod2_target, require_plain
 
     if isinstance(codebook, McCodebook):
         require_plain(codebook)
-        from .bhcode import invert_mod2_sum
-
         target = mixture_mod2_target(total, codebook.layout)
-        return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+        return invert_plain(pool, codebook, target, hbar, budget)
     return frozenset(invert_sum(codebook, total.as_tuple(), hbar, budget))
 
 

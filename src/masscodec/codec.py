@@ -26,7 +26,8 @@ undo the recorded block complementations (which turns the mod-2 segment
 sums into the mod-2 sum of the original strings), and look the mod-2 sum
 up in the codebook.  A parity-check-backed codebook gives distinct
 subsets of size <= h distinct mod-2 sums; an explicit codebook may not,
-and the lookup then reports the shared sum as AmbiguousSolution.
+and then the one subset whose pool matches the readout is the answer
+(``invert_plain``), or the shared sum is reported as AmbiguousSolution.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .bhcode import DEFAULT_BUDGET, BhCodebook, invert_mod2_sum
+from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
 from .channel import increments, length_totals, side_sums
 from .core import BitString, BitsLike, CompositionMultiset, PartialSumString
 from .errors import (
+    AmbiguousSolution,
     CountMismatch,
     DecodeFailure,
     InconsistentPoolSize,
@@ -87,27 +89,30 @@ def block_balance(s: BitsLike) -> BalancedPair:
 
     The first block is kept; each later block is complemented exactly when
     its digital sum has the same sign (zero counts as positive) as the
-    digital sum accumulated so far.
+    digital sum accumulated so far.  One pass over the bits: only u and r
+    are built as ``BitString``s.
     """
-    s = BitString(s)
-    m = len(s)
+    bits = s.bits if isinstance(s, BitString) else tuple(int(b) for b in s)
+    m = len(bits)
     root = math.isqrt(m)
     if root * root != m:
         raise ValueError(f"length {m} is not a perfect square; pad first")
-    blocks = s.blocks(root)
-    out = [blocks[0]]
-    flags = [0]
-    acc = blocks[0].rds()
-    for blk in blocks[1:]:
-        flip = (acc >= 0) == (blk.rds() >= 0)
-        chosen = blk.complement() if flip else blk
-        out.append(chosen)
-        flags.append(1 if flip else 0)
-        acc += chosen.rds()
-    u = out[0]
-    for blk in out[1:]:
-        u = u + blk
-    return BalancedPair(u=u, r=BitString(flags))
+    u: list[int] = []
+    flags = []
+    acc = 0
+    for j in range(root):
+        block = bits[j * root : (j + 1) * root]
+        rds = 2 * sum(block) - root
+        flip = j > 0 and (acc >= 0) == (rds >= 0)
+        if flip:
+            block = tuple(1 - b for b in block)
+            rds = -rds
+        u += block
+        flags.append(int(flip))
+        acc += rds
+    # each symbol of u is b or 1 - b for a symbol b of s, so building u
+    # rejects exactly the inputs that are not binary
+    return BalancedPair(u=BitString(u), r=BitString(flags))
 
 
 def unbalance(u: BitsLike, r: BitsLike) -> BitString:
@@ -235,8 +240,7 @@ def encode(s: BitsLike) -> McCodeword:
     """Balance s and frame it as a Dyck codeword (layout independent of h)."""
     s = BitString(s)
     layout = plain_layout(len(s))
-    padded, _ = pad_to_square(s)
-    pair = block_balance(padded)
+    pair = block_balance((0,) * layout.pad + s.bits)
     bits = assemble_codeword(layout, pair.r, pair.u)
     return McCodeword(bits=bits, layout=layout, origin=s)
 
@@ -389,8 +393,37 @@ def decode_mixture(
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
     target = mixture_mod2_target(total, codebook.layout)
-    sources = invert_mod2_sum(codebook.base, target, hbar, budget)
-    return frozenset(sources)
+    return invert_plain(pool, codebook, target, hbar, budget)
+
+
+def invert_plain(
+    readout: CompositionMultiset,
+    codebook: McCodebook,
+    target: BitString,
+    hbar: int,
+    budget: int,
+) -> frozenset[BitString]:
+    """The sources of a plain readout whose mod-2 target is known.
+
+    An explicit book, even a B_h one, can give two hbar-subsets one mod-2
+    sum while their pools differ.  So when the target is shared, the one
+    candidate whose pooled codewords hold every fragment of the readout
+    is the answer (for a complete readout, the one whose pool equals it).
+    With no such candidate or more than one, the ``AmbiguousSolution``
+    stands.  ``invert_mod2_sum`` runs first, so a unique target costs no
+    pooling.
+    """
+    try:
+        return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+    except AmbiguousSolution:
+        held = [
+            sources
+            for sources in _mod2_matches(codebook.base, target, hbar, budget)
+            if readout.is_submultiset(codebook.pool_of(sources))
+        ]
+        if len(held) != 1:
+            raise
+        return frozenset(held[0])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masscodec.bhcode import BhCodebook
+from masscodec.bhcode import BhCodebook, verify_bh
 from masscodec.codec import (
     BalancedPair,
     balance_report,
@@ -28,7 +29,7 @@ from masscodec.core import (
     prefix_multiset,
     suffix_multiset,
 )
-from masscodec.channel import reconstruct_redundancy_free
+from masscodec.channel import Removal, erase, reconstruct_redundancy_free
 from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
@@ -43,6 +44,35 @@ def test_block_balance_hand_checked_cases():
     for s, u, r in cases:
         pair = block_balance(s)
         assert (str(pair.u), str(pair.r)) == (u, r)
+
+
+def _block_balance_referee(s: BitString) -> BalancedPair:
+    """The balancer block_balance replaced: one BitString per block, flip and join."""
+    blocks = s.blocks(next_square(len(s))[1])
+    out = [blocks[0]]
+    flags = [0]
+    acc = blocks[0].rds()
+    for blk in blocks[1:]:
+        flip = (acc >= 0) == (blk.rds() >= 0)
+        chosen = blk.complement() if flip else blk
+        out.append(chosen)
+        flags.append(1 if flip else 0)
+        acc += chosen.rds()
+    u = out[0]
+    for blk in out[1:]:
+        u = u + blk
+    return BalancedPair(u=u, r=BitString(flags))
+
+
+def test_block_balance_matches_the_bitstring_referee():
+    exhaustive = (
+        BitString.from_int(v, n) for n in range(1, 13) for v in range(2**n)
+    )
+    rng = random.Random(2024)
+    seeded = (BitString.random(rng.randint(13, 100), rng) for _ in range(2000))
+    for s in itertools.chain(exhaustive, seeded):
+        padded, _ = pad_to_square(s)
+        assert block_balance(padded) == _block_balance_referee(padded), s
 
 
 def test_unbalance_inverts_block_balance_exhaustively_n4():
@@ -216,8 +246,10 @@ def test_decode_mixture_infers_hbar_and_guards(mc_codebook):
 
 
 def _small_explicit_books():
-    """The reference triple and 24 seeded books of six short strings, h = 3."""
+    """The reference triple, a book whose pairs pool alike and 24 seeded books, h = 3."""
     yield BhCodebook.explicit(["110100", "101010", "110010"], 2)
+    # 0101 + 1010 and 0110 + 1001 give one readout, so no decoder can tell them apart
+    yield BhCodebook.explicit(["0101", "1010", "0110", "1001"], 2)
     for seed in range(24):
         rng = random.Random(seed)
         n = rng.choice((4, 5, 6))
@@ -228,23 +260,41 @@ def _small_explicit_books():
 def test_both_plain_paths_agree_on_explicit_codebooks():
     # an explicit book is decoded, not refused: on every clean pool the
     # direct decode and the redundancy-free reconstruction give the same
-    # set or the same error class, and a set is always the sources
+    # outcome, which is the sources unless another subset pools alike
     outcomes = []
     for base in _small_explicit_books():
         book = encode_codebook(base)
         for hbar in range(1, base.h + 1):
-            for sources in itertools.combinations(base.strings, hbar):
-                readout = book.pool_of(sources)
+            subsets = itertools.combinations(base.strings, hbar)
+            readouts = {sources: book.pool_of(sources) for sources in subsets}
+            pooled_alike = Counter(readouts.values())
+            for sources, readout in readouts.items():
                 direct = _outcome(lambda: decode_mixture(readout, book))
                 merged = _outcome(
                     lambda: reconstruct_redundancy_free(readout, book.N, hbar, book).strings
                 )
                 assert direct == merged, (str(base.strings), sources)
-                assert direct in (frozenset(sources), AmbiguousSolution), sources
+                shared = pooled_alike[readout] > 1
+                assert direct == (AmbiguousSolution if shared else frozenset(sources)), sources
                 outcomes.append(direct)
     assert len(outcomes) >= 900
     assert AmbiguousSolution in outcomes
     assert sum(isinstance(out, frozenset) for out in outcomes) > len(outcomes) // 2
+
+
+def test_a_shared_mod2_sum_is_decided_by_the_pool():
+    # B_h, yet both pairs reduce to 00011 mod 2; their pools differ, so the
+    # readout names one pair, also after losing a fragment
+    base = BhCodebook.explicit(["00001", "00010", "00100", "00111"], 2)
+    assert verify_bh(base, 2)
+    book = encode_codebook(base)
+    for pair in (("00001", "00010"), ("00100", "00111")):
+        sources = frozenset(map(BitString, pair))
+        readout = book.pool_of(pair)
+        assert decode_mixture(readout, book) == sources
+        assert reconstruct_redundancy_free(readout, book.N, 2, book).strings == sources
+        erased = erase(readout, [Removal("suffix", 1)])
+        assert reconstruct_redundancy_free(erased, book.N, 2, book).strings == sources
 
 
 def _outcome(decode):

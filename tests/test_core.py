@@ -289,12 +289,13 @@ def test_bitstring_xor_and_int_round_trip():
 
 def test_package_import_loads_no_numpy():
     # numpy arrives with the first code or pool table; importing it earlier
-    # moves the process's peak memory (see the benchmark's peak_rss_mb)
+    # moves the process's peak memory (see the benchmark's peak_rss_mb).
+    # The field arithmetic is pure Python too: only its row reduction needs numpy
     import masscodec
 
     src = str(Path(masscodec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, masscodec; print('numpy' in sys.modules)"
+    probe = "import sys, masscodec, masscodec.gf2m; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
