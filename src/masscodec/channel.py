@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -99,7 +100,7 @@ class ErasurePattern:
                     json_field(e, "count", what, int, default=1),
                     json_field(e, "ones", what, int, default=None),
                 )
-                for e in obj.get("erase", [])
+                for e in json_field(obj, "erase", "a pattern", list, default=[])
             )
         )
 
@@ -309,6 +310,13 @@ def length_totals(pool: CompositionMultiset, N: int) -> tuple[np.ndarray, np.nda
     fragments[: len(rows)] = rows.sum(axis=1)
     ones[: len(rows)] = rows @ np.arange(rows.shape[1])
     return fragments, ones
+
+
+def mixture_order(pool: CompositionMultiset, N: int) -> int:
+    """hbar read off a readout: the most fragments any length 1..N holds, halved and
+    rounded up.  Each string gives each length two fragments, and a lighter reading
+    keeps its length, so this is exact while some length lost at most one fragment."""
+    return -(-int(pool.counts[1 : N + 1].sum(axis=1).max(initial=0)) // 2)
 
 
 def increments(
@@ -728,43 +736,24 @@ def _single_error_corrections(
     if w0 is None or [d for d, _, _ in devs] != [-1, 1] or devs[0][1] != devs[1][1]:
         return ()
     (_, length, x), (_, _, y) = devs  # side x lost the fragment, side y gained it
-    comp_len = N - length
-    short = sums.ones_list(x, length)  # hbar - 1 genuine values
-    long = sums.ones_list(y, length)  # hbar + 1 values, one of them bogus
-    mirrors = sums.ones_list(x, comp_len)
-    unmirrored = list(long)
-    for o in mirrors:
-        if w0 - o in unmirrored:
-            unmirrored.remove(w0 - o)
-    complements = sums.ones_list(y, comp_len)
+    # hbar - 1 genuine values on side x; hbar + 1 on side y, one of them bogus
+    short, long = (Counter(sums.ones_list(side, length)) for side in (x, y))
+    # the mirrors w0 - o of each side's fragments at N - L
+    x_mirrors, y_mirrors = (
+        Counter(w0 - o for o in sums.ones_list(side, N - length)) for side in (x, y)
+    )
     corrections = []
-    for bogus in sorted(set(long)):
-        if len(mirrors) == hbar and bogus not in unmirrored:
-            continue  # every copy mirrors a genuine fragment of side x
-        comp = list(complements)
-        if 2 * length == N:
-            comp.remove(bogus)  # the bogus fragment sits among its own mirrors
-        if len(comp) != hbar:
-            continue
-        restored = _multiset_diff(sorted(w0 - o for o in comp), short)
-        if restored is not None and bogus < restored <= length:
-            observed = Composition(length - bogus, bogus)
-            fixed = Composition(length - restored, restored)
-            corrections.append(Correction((PREFIX, SUFFIX)[x], length, observed, fixed))
+    # with hbar fragments at N - L, side x mirrors every genuine copy
+    for bogus in sorted(long - x_mirrors if x_mirrors.total() == hbar else long):
+        # at the middle length the bogus fragment sits among its own mirrors
+        complements = y_mirrors - Counter({w0 - bogus: 1}) if 2 * length == N else y_mirrors
+        rest = complements - short  # short holds hbar - 1 values: one is left if short fits
+        if complements.total() == hbar and rest.total() == 1:
+            (restored,) = rest
+            if bogus < restored <= length:
+                observed, fixed = (Composition(length - o, o) for o in (bogus, restored))
+                corrections.append(Correction((PREFIX, SUFFIX)[x], length, observed, fixed))
     return tuple(corrections)
-
-
-def _multiset_diff(expect: list, observed: list) -> Optional[int]:
-    """The single element of ``expect`` not covered by ``observed``."""
-    rest = list(expect)
-    for o in observed:
-        if o in rest:
-            rest.remove(o)
-        else:
-            return None
-    if len(rest) != 1:
-        return None
-    return rest[0]
 
 
 # ---------------------------------------------------------------------------

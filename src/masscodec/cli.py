@@ -36,6 +36,7 @@ from .channel import (
     Recovered,
     detect_substitution,
     erase,
+    mixture_order,
     reconstruct_redundancy_free,
     run_erasure_experiment,
     substitute_mass_reducing,
@@ -170,7 +171,8 @@ def load_config(path: str):
 
 def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
     obj = json.loads(_read_text(path))
-    fragments, N = json_field(obj, "fragments", "a pool file"), json_int(obj, "N", "a pool file")
+    what = "a pool file"
+    fragments, N = json_field(obj, "fragments", what, list), json_int(obj, "N", what)
     return CompositionMultiset.from_json_obj(fragments), N
 
 
@@ -199,7 +201,9 @@ def cmd_encode(args) -> int:
 
 def cmd_pool(args) -> int:
     obj = json.loads(_read_text(args.input))
-    words = json_field(obj, "codewords", "an encode file") if isinstance(obj, dict) else obj
+    words = json_field(obj, "codewords", "an encode file", list) if isinstance(obj, dict) else obj
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ConfigError(f"an encode file needs a list of codeword strings, got {words!r}")
     N = len(words[0]) if words else 0
     _write_json(args.output, {"N": N, "fragments": make_pool(words or ()).to_json_obj()})
     return EXIT_OK
@@ -213,7 +217,7 @@ def cmd_corrupt(args) -> int:
     rng = random.Random(args.seed)
     erased = erase(poolset, ErasurePattern.from_json_obj(pattern), rng=rng)
     what = "a subst entry"
-    for sub in pattern.get("subst", []):
+    for sub in json_field(pattern, "subst", "a pattern", list, default=[]):
         erased = substitute_mass_reducing(
             erased,
             json_field(sub, "side", what),
@@ -232,11 +236,7 @@ def cmd_decode(args) -> int:
     book_N = base.n if scheme == RAW else book.N
     if N != book_N:
         raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
-    hbar = args.hbar
-    if hbar is None:
-        if poolset.total % (2 * book_N):
-            raise ConfigError("erased pools need an explicit --hbar")
-        hbar = poolset.total // (2 * book_N)
+    hbar = mixture_order(poolset, book_N) if args.hbar is None else args.hbar
     report = detect_substitution(poolset, book_N, hbar) if args.detect else None
     try:
         # a plain pool that lost fragments needs the redundancy-free merge

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
 from .channel import increments, length_totals, side_sums
-from .core import BitString, BitsLike, CompositionMultiset, PartialSumString
+from .core import BitString, BitsLike, CompositionMultiset, PartialSumString, fragment_cells
 from .errors import (
     AmbiguousSolution,
     CountMismatch,
@@ -49,6 +49,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .ecc import IntegralLayout
     from .linearcode import LinearCode, ModpCode
 
@@ -291,6 +293,26 @@ class McCodebook:
 
         return make_pool([self.bits_for(BitString(s)) for s in sources])
 
+    @functools.cached_property
+    def _cells_by_origin(self) -> dict[BitString, np.ndarray]:
+        import numpy as np
+
+        # each codeword's prefix read, then its suffix read: 2N flat cells
+        rows = np.hstack(np.split(fragment_cells([cw.bits for cw in self.codewords]), 2))
+        return {cw.origin: row for cw, row in zip(self.codewords, rows)}
+
+    def pools_to(self, sources, readout: CompositionMultiset) -> bool:
+        """Whether the pooled codewords of the sources are exactly the readout,
+        read off one scatter-add of their cached fragment cells."""
+        import numpy as np
+
+        size = self.N + 1
+        cells = np.concatenate([self._cells_by_origin[s] for s in sources])
+        counts = np.bincount(cells, minlength=size * size)
+        if readout.counts.shape == (size, size):
+            return bool(np.array_equal(counts, readout.counts.ravel()))
+        return CompositionMultiset.from_counts(counts.reshape(size, size)) == readout
+
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
     return McCodebook(base=base, codewords=tuple(encode(s) for s in base.strings))
@@ -377,8 +399,8 @@ def decode_mixture(
 ) -> frozenset[BitString]:
     """Recover the source strings of a clean pooled readout.
 
-    hbar defaults to |pool| / (2N) for complete pools; pass it explicitly
-    when fragments have been removed upstream.
+    hbar defaults to |pool| / (2N).  The prefix side alone fixes the answer,
+    so it is certified: DecodeFailure unless its pool is the readout.
     """
     require_plain(codebook)
     N = codebook.N
@@ -393,7 +415,10 @@ def decode_mixture(
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
     target = mixture_mod2_target(total, codebook.layout)
-    return invert_plain(pool, codebook, target, hbar, budget)
+    answer = invert_plain(pool, codebook, target, hbar, budget)
+    if not codebook.pools_to(answer, pool):
+        raise DecodeFailure("the pool of the decoded set is not the readout")
+    return answer
 
 
 def invert_plain(

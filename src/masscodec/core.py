@@ -462,26 +462,26 @@ def _blank(size: int) -> np.ndarray:
     return np.zeros((size, size), dtype=np.int64)
 
 
-def _read_fragments(
+def fragment_cells(
     strings: Sequence[BitString], prefixes: bool = True, suffixes: bool = True
-) -> CompositionMultiset:
-    """Counts of the prefix and/or suffix compositions of equal-length strings.
-
-    Each read is one cumulative sum of the bits, and all reads land in the
-    count matrix through one scatter-add on the flat index
-    ``length * (n + 1) + ones``.
-    """
+) -> np.ndarray:
+    """The flat cell ``length * (n + 1) + ones`` of every read of equal-length
+    strings: one row of n per read, all prefix reads first, each one cumulative sum."""
     import numpy as np
 
     bits = np.array([s.bits for s in strings], dtype=np.int64)
     n = bits.shape[1]
-    reads = [bits] if prefixes else []
-    if suffixes:
-        reads.append(bits[:, ::-1])
-    ones = np.cumsum(np.concatenate(reads), axis=1)
-    flat = ones + (n + 1) * np.arange(1, n + 1)
-    counts = np.bincount(flat.ravel(), minlength=(n + 1) ** 2)
-    return CompositionMultiset.from_counts(counts.reshape(n + 1, n + 1))
+    reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
+    return np.cumsum(np.concatenate(reads), axis=1) + (n + 1) * np.arange(1, n + 1)
+
+
+def _read_fragments(strings: Sequence[BitString], **reads: bool) -> CompositionMultiset:
+    """The count table of the reads, by one scatter-add of their cells."""
+    import numpy as np
+
+    size = len(strings[0]) + 1
+    counts = np.bincount(fragment_cells(strings, **reads).ravel(), minlength=size * size)
+    return CompositionMultiset.from_counts(counts.reshape(size, size))
 
 
 def prefix_multiset(s: BitsLike) -> CompositionMultiset:

@@ -38,7 +38,9 @@ Each scheme picks and checks its codes in one place, which both its
 encoder and its codebook builder call: ``_one_step_code``,
 ``_two_step_codes``, ``_integral_code`` and ``_modp_code`` (the default
 Z_p code depends on h, so ``one_step_modp_codebook`` picks it).  The
-binary ones share ``_require``, the check of dimension and capability.
+binary ones share ``_require``, the check of dimension and capability,
+and two-step and integral take their default codes from
+``linearcode.shipped_code``, the one chooser of shipped codes.
 The two schemes with a z segment frame their codewords with ``_frame``,
 and one-step and two-step decode their payload in ``_payload_sources``.
 
@@ -87,9 +89,8 @@ from .linearcode import (
     LinearCode,
     ModpCode,
     bundled_code,
-    erasure_code,
     modp_code,
-    substitution_code,
+    shipped_code,
     trivial_code,
 )
 
@@ -261,13 +262,12 @@ def _two_step_codes(
     one replaced fragment corrupts two adjacent sum symbols on its side.
     """
     need = 2 * t if substitutions else t
-    pick = substitution_code if substitutions else erasure_code
     if code_data is None:
-        code_data = pick(k, need)
+        code_data = shipped_code(k, need, substitutions)
     _require(code_data, k, need, "payload", substitutions)
     _, root = _pad_root_mult4(code_data.n)
     if code_flag is None:
-        code_flag = pick(root, need)
+        code_flag = shipped_code(root, need, substitutions)
     return code_data, _require(code_flag, root, need, "flag", substitutions)
 
 
@@ -428,7 +428,7 @@ def balance_redundancy(r_prime: Sequence[int], i_last: int) -> BitString:
 
 def _integral_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
     """The checked code on I(s): erasure capability floor(t/2) only."""
-    return _require(erasure_code(k, t // 2) if code is None else code, k, t // 2, "integral")
+    return _require(shipped_code(k, t // 2) if code is None else code, k, t // 2, "integral")
 
 
 def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:

@@ -14,7 +14,8 @@ solve, fills erased positions of binary words and of Z_p vectors alike.
 
 ``bundled_code`` builds a code from one of the ``.pcm`` tables shipped
 with the package, read by ``bhcode.bundled_spec``, the one reader of every
-shipped table.
+shipped table.  ``shipped_code`` is the one chooser: every scheme that
+takes a default code asks it for the weakest shipped code that fits.
 """
 
 from __future__ import annotations
@@ -328,8 +329,7 @@ def hamming_code(r: int) -> LinearCode:
     H = np.array(
         [[(c >> b) & 1 for c in cols] for b in range(r - 1, -1, -1)], dtype=np.uint8
     )
-    code = LinearCode.from_parity_check(H, 3, name=f"hamming_{n}")
-    return code
+    return LinearCode.from_parity_check(H, 3, name=f"hamming_{n}")
 
 
 def shortened(code: LinearCode, k_target: int, name: Optional[str] = None) -> LinearCode:
@@ -346,42 +346,27 @@ def shortened(code: LinearCode, k_target: int, name: Optional[str] = None) -> Li
     )
 
 
-def erasure_code(k: int, capability: int) -> LinearCode:
-    """Smallest shipped code with the given dimension and erasure capability."""
-    if capability <= 0:
+def shipped_code(k: int, need: int, errors: bool = False) -> LinearCode:
+    """The weakest shipped code of dimension k that corrects ``need`` erasures,
+    or ``need`` errors when ``errors`` is set.  The catalogue, weakest first: no
+    redundancy, one parity bit, a shortened Hamming code, ``bch_31_21`` (errors
+    only, so erasure-mode books keep ``bch_63_16``) and ``bch_63_16``."""
+
+    def fits(d: int) -> bool:  # d - 1 erasures or (d - 1) // 2 errors
+        return (d - 1) // (2 if errors else 1) >= need
+
+    if fits(1):
         return trivial_code(k)
-    if capability == 1:
+    if fits(2):
         return single_parity(k)
-    if capability == 2:
-        r = 2
-        while 2**r - 1 - r < k:
-            r += 1
-        return shortened(hamming_code(r), k)
-    code = bundled_code("bch_63_16")
-    if k <= code.k and code.erasure_capability >= capability:
-        return shortened(code, k)
-    raise ConfigError(f"no shipped code with k={k} and erasure capability {capability}")
-
-
-def substitution_code(k: int, error_capability: int) -> LinearCode:
-    """Smallest shipped code with the given dimension and error capability."""
-    if error_capability <= 0:
-        return trivial_code(k)
-    if error_capability == 1:
-        r = 2
-        while 2**r - 1 - r < k:
-            r += 1
-        return shortened(hamming_code(r), k)
-    if error_capability == 2:
-        base = bundled_code("bch_31_21")
-        if k <= base.k:
-            return shortened(base, k)
-    code = bundled_code("bch_63_16")
-    if k <= code.k and code.error_capability >= error_capability:
-        return shortened(code, k)
-    raise ConfigError(
-        f"no shipped code with k={k} and error capability {error_capability}"
-    )
+    if fits(3):
+        return shortened(hamming_code(next(r for r in itertools.count(2) if 2**r - r > k)), k)
+    for name in ("bch_31_21", "bch_63_16") if errors else ("bch_63_16",):
+        code = bundled_code(name)
+        if k <= code.k and fits(code.d):
+            return shortened(code, k)
+    kind = "error" if errors else "erasure"
+    raise ConfigError(f"no shipped code with k={k} and {kind} capability {need}")
 
 
 @functools.cache

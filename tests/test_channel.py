@@ -24,6 +24,7 @@ from masscodec.channel import (
     detect_substitution,
     erase,
     length_totals,
+    mixture_order,
     merge_partials,
     partial_sum_strings,
     raw_side_sums,
@@ -33,7 +34,7 @@ from masscodec.channel import (
     side_sums,
     substitute_mass_reducing,
 )
-from masscodec.channel import _multiset_diff, _single_error_corrections, _string_weight
+from masscodec.channel import _single_error_corrections, _string_weight
 from masscodec.codec import separate_pool, sum_from_prefixes
 from masscodec.core import (
     BitString,
@@ -872,6 +873,30 @@ def test_length_totals_match_side_sums_totals(scheme_books):
         assert ones.tolist() == sums.ones.sum(axis=0).tolist()
 
 
+
+def test_mixture_order_reads_hbar_while_some_length_lost_at_most_one(scheme_books):
+    rng = random.Random(16)
+    for book in scheme_books:
+        N = book.N
+        for hbar in (1, 2):
+            clean = pool([book.bits_for(s) for s in rng.sample(list(book.base.strings), hbar)])
+            assert mixture_order(clean, N) == hbar
+            # a lighter reading keeps its length
+            lighter = substitute_mass_reducing(clean, PREFIX, N // 2, 0, rng=rng)
+            assert mixture_order(lighter, N) == hbar
+            # one lost fragment at every length leaves 2 * hbar - 1, still read as hbar
+            sides = [rng.choice((PREFIX, SUFFIX)) for _ in range(N)]
+            erased = erase(clean, [Removal(side, ln) for ln, side in enumerate(sides, 1)], rng=rng)
+            assert mixture_order(erased, N) == hbar
+            # a second one at every length, from the other side, reads one short
+            other = {PREFIX: SUFFIX, SUFFIX: PREFIX}
+            removals = [Removal(other[side], ln) for ln, side in enumerate(sides, 1)]
+            assert mixture_order(erase(erased, removals, rng=rng), N) == hbar - 1
+    assert mixture_order(CompositionMultiset(), 6) == 0
+    # lengths past N are not read
+    assert mixture_order(pool(["110100", "101010"]), 2) == 2
+
+
 SIDE_SUMS_ARRAYS = ("cells", "fill", "fragments", "ones", "certain")
 
 
@@ -907,6 +932,19 @@ def test_side_sums_arrays_are_read_only():
 # ---------------------------------------------------------------------------
 # differential test: the single-substitution repair rule against the
 # two-branch function it replaced
+
+
+def _multiset_diff(expect: list, observed: list):
+    """The single element of ``expect`` not covered by ``observed``."""
+    rest = list(expect)
+    for o in observed:
+        if o in rest:
+            rest.remove(o)
+        else:
+            return None
+    if len(rest) != 1:
+        return None
+    return rest[0]
 
 
 def _referee_corrections(sums, N, hbar, w0, p_dev, s_dev):

@@ -114,6 +114,41 @@ def test_encode_pool_decode_plain(ws):
     assert out == {"status": "ok", "strings": sources}
 
 
+def _encode_and_pool(ws, config: dict, sources: list[str]):
+    """encode -> pool of the sources under a config, as cfg.json, s.txt, w.json, p.json."""
+    (ws / "cfg.json").write_text(json.dumps(config))
+    (ws / "s.txt").write_text("\n".join(sources) + "\n")
+    assert run("encode", ws / "s.txt", "--config", ws / "cfg.json", "-o", ws / "w.json") == 0
+    assert run("pool", ws / "w.json", "-o", ws / "p.json") == 0
+
+
+def test_a_lighter_reading_that_decoded_to_a_wrong_set_is_a_decode_failure(ws):
+    # the prefix side of this readout is that of 0000000000001000 alone
+    _encode_and_pool(ws, {"h": 2, "matrix": "bundled:bch_255_cols20"}, ["0000000000000100"])
+    subst = {"side": "prefix", "len": 27, "ones_from": 17, "ones_to": 16}
+    (ws / "pat.json").write_text(json.dumps({"subst": [subst]}))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json",
+               "-o", ws / "c.json") == 0
+    for detect in ((), ("--detect",)):
+        assert run("decode", ws / "c.json", "--config", ws / "cfg.json", *detect,
+                   "-o", ws / "d.json") == 4
+        assert json.loads((ws / "d.json").read_text())["status"] == "decode-failure"
+
+
+def test_decode_reads_hbar_off_an_erased_pool(ws):
+    from masscodec.bhcode import build_bh_codebook, bundled_spec
+
+    base = build_bh_codebook(2, bundled_spec("bch_255_cols20"))
+    sources = sorted(str(s) for s in base.strings[:2])
+    _encode_and_pool(ws, {"h": 2, "matrix": "bundled:bch_255_cols20"}, sources)
+    (ws / "pat.json").write_text(json.dumps({"erase": [{"side": "prefix", "len": 5}]}))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json",
+               "-o", ws / "e.json") == 0
+    # no --hbar: every length but 5 still holds four fragments
+    assert run("decode", ws / "e.json", "--config", ws / "cfg.json", "-o", ws / "d.json") == 0
+    assert json.loads((ws / "d.json").read_text()) == {"status": "ok", "strings": sources}
+
+
 def test_budget_reaches_decode(ws):
     from masscodec.bhcode import build_bh_codebook, bundled_spec
 
@@ -213,6 +248,13 @@ MALFORMED = {
     "config-not-an-object": ("encode", {"cfg.json": [RAW_CONFIG]}),
     "scheme-not-an-object": ("encode", {"cfg.json": {**RAW_CONFIG, "scheme": ["raw"]}}),
     "codewords-missing": ("pool", {"in.json": {"sources": []}}),
+    # list fields that hold something else
+    "codewords-numbers": ("pool", {"in.json": {"codewords": [1100, 1010]}}),
+    "codewords-a-string": ("pool", {"in.json": {"codewords": "1100"}}),
+    "codewords-bare-list-of-numbers": ("pool", {"in.json": [1100, 1010]}),
+    "fragments-a-number": ("decode", {"in.json": {"N": 6, "fragments": 5}}),
+    "erase-a-number": ("corrupt", {"in.json": VALID_POOL, "pat.json": {"erase": 5}}),
+    "subst-a-number": ("corrupt", {"in.json": VALID_POOL, "pat.json": {"subst": 5}}),
     # wrongly typed integer fields
     "erase-len-a-string": _corrupt_with("erase", len="1"),
     "erase-len-fractional": _corrupt_with("erase", len=1.5),
@@ -251,6 +293,34 @@ def test_malformed_json_exits_2(ws, capsys, case):
     argv = [ws / a if str(a).endswith((".json", ".txt")) else a for a in ARGV[command]]
     assert run(command, *argv, "-o", ws / "out.json") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a string where a list belongs must be named as such, not read character by
+# character into an error about a list entry (codewords are in MALFORMED above)
+LIST_FIELDS = {
+    "erase": (
+        ("corrupt", {"in.json": VALID_POOL, "pat.json": {"erase": "prefix"}}),
+        "a pattern needs a list 'erase', got 'prefix'",
+    ),
+    "subst": (
+        ("corrupt", {"in.json": VALID_POOL, "pat.json": {"subst": "prefix"}}),
+        "a pattern needs a list 'subst', got 'prefix'",
+    ),
+    "fragments": (
+        ("decode", {"in.json": {"N": 6, "fragments": "01"}}),
+        "a pool file needs a list 'fragments', got '01'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_FIELDS))
+def test_a_list_field_of_another_type_is_named(ws, capsys, case):
+    (command, files), message = LIST_FIELDS[case]
+    for name, obj in files.items():
+        (ws / name).write_text(json.dumps(obj))
+    argv = [ws / a if str(a).endswith(".json") else a for a in ARGV[command]]
+    assert run(command, *argv, "-o", ws / "out.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # a pattern entry whose ones do not fit its length (prefix length 1)

@@ -22,6 +22,7 @@ from masscodec.codec import (
 )
 from masscodec.core import (
     BitString,
+    Composition,
     CompositionMultiset,
     full_multiset,
     is_dyck,
@@ -33,6 +34,7 @@ from masscodec.channel import Removal, erase, reconstruct_redundancy_free
 from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
+    DecodeFailure,
     InconsistentPoolSize,
     MasscodecError,
     NegativeIncrement,
@@ -310,3 +312,63 @@ def test_codec_rate_is_reported(mc_codebook):
     assert len(mc_codebook.codewords) == len(mc_codebook.base)
     rate = codebook_rate((len(mc_codebook), mc_codebook.N))
     assert 0 < rate < 1
+
+
+# ---------------------------------------------------------------------------
+# the plain decode certifies its answer: one fragment read lighter
+
+
+def _lighter_readout(book, trial: int, hbars):
+    """A clean pool of seeded sources with one distinct nonzero cell read lighter."""
+    rng = random.Random(trial)
+    hbar = rng.choice(hbars)
+    sources = rng.sample(book.base.strings, hbar)
+    counts = book.pool_of(sources).counts.copy()
+    length, ones = rng.choice(
+        [(L, o) for L in range(1, len(counts)) for o in range(1, L + 1) if counts[L, o]]
+    )
+    counts[length, ones] -= 1
+    counts[length, rng.randrange(ones)] += 1
+    return frozenset(sources), CompositionMultiset.from_counts(counts)
+
+
+def _assert_exact_or_typed(book, trials, hbars):
+    """Every lighter readout decodes to its sources or raises a typed error;
+    every 25th clean pool decodes to its sources."""
+    for trial in trials:
+        truth, readout = _lighter_readout(book, trial, hbars)
+        outcome = _outcome(lambda: decode_mixture(readout, book))
+        assert outcome == truth or isinstance(outcome, type), (trial, outcome)
+        if trial % 25 == 0:
+            assert decode_mixture(book.pool_of(truth), book) == truth
+
+
+def test_lighter_readings_never_decode_to_a_wrong_set(b2_n16_codebook):
+    # the prefix side alone fixed the answer: trials 422, 1174, 1365 and
+    # 2981 decoded to wrong sets before the pool of the answer was checked
+    _assert_exact_or_typed(encode_codebook(b2_n16_codebook), range(3000), (1, 2))
+
+
+def test_lighter_readings_never_decode_to_a_wrong_set_at_h3():
+    from masscodec.bhcode import ParityCheckSpec, build_bh_codebook
+    from masscodec.gf2m import alpha_power_pcm
+
+    H = alpha_power_pcm(8, 96, [1, 3, 5])
+    spec = ParityCheckSpec(tuple(tuple(int(b) for b in row) for row in H), 7)
+    book = encode_codebook(build_bh_codebook(3, spec))
+    # trial 1891 decoded to a wrong set before the certificate
+    _assert_exact_or_typed(book, range(2000), (1, 2, 3))
+
+
+def test_the_certificate_reads_tables_of_any_shape(mc_codebook):
+    import numpy as np
+
+    sources = mc_codebook.base.strings[:2]
+    clean = mc_codebook.pool_of(sources)
+    # zero padding past the longest fragment is no difference
+    padded = CompositionMultiset.from_counts(np.pad(clean.counts, (0, 3)))
+    assert decode_mixture(padded, mc_codebook) == frozenset(sources)
+    # a fragment longer than the codewords is one the answer does not explain
+    longer = clean.add(Composition(mc_codebook.N + 1, 0))
+    with pytest.raises(DecodeFailure):
+        decode_mixture(longer, mc_codebook, hbar=2)

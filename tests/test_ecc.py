@@ -18,7 +18,7 @@ from masscodec.errors import (
     SearchSpaceTooLarge,
     TooManyErasures,
 )
-from masscodec.linearcode import bundled_code, erasure_code, single_parity
+from masscodec.linearcode import bundled_code, shipped_code, single_parity
 
 
 def test_integral_examples():
@@ -75,16 +75,16 @@ def test_two_step_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
         ecc.two_step_encode(BitString.zeros(16), 2, code_data=single_parity(16))
     with pytest.raises(ConfigError):  # the payload code must have k = 16
-        ecc.two_step_codebook(b2_n16_codebook, 1, code_data=erasure_code(8, 1))
+        ecc.two_step_codebook(b2_n16_codebook, 1, code_data=shipped_code(8, 1))
     with pytest.raises(ConfigError):  # the flag code must have k = root = 8
-        ecc.two_step_codebook(b2_n16_codebook, 1, code_flag=erasure_code(5, 1))
+        ecc.two_step_codebook(b2_n16_codebook, 1, code_flag=shipped_code(5, 1))
 
 
 def test_integral_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
         ecc.integral_encode(BitString.zeros(16), 4, code=single_parity(16))
     with pytest.raises(ConfigError):  # the code on I(s) must have k = 16
-        ecc.integral_codebook(b2_n16_codebook, 2, erasure_code(8, 1))
+        ecc.integral_codebook(b2_n16_codebook, 2, shipped_code(8, 1))
 
 
 def test_scheme_codewords_are_dyck(b2_n16_codebook):
@@ -323,12 +323,12 @@ def test_scheme_front_door(b2_n16_codebook, b2_codebook):
 
 
 def test_scheme_refuses_settings_it_does_not_take(b2_n16_codebook):
-    flag = erasure_code(8, 1)
+    flag = shipped_code(8, 1)
     for scheme in (ecc.ONE_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP):
         with pytest.raises(ConfigError):
             ecc.scheme_codebook(scheme, b2_n16_codebook, 1, None, flag)
     with pytest.raises(ConfigError):  # a binary code where a Z_p code belongs
-        ecc.scheme_codebook(ecc.ONE_STEP_MODP, b2_n16_codebook, 1, erasure_code(16, 1))
+        ecc.scheme_codebook(ecc.ONE_STEP_MODP, b2_n16_codebook, 1, shipped_code(16, 1))
 
 
 def test_plain_scheme_refuses_protection_settings(b2_codebook):

@@ -16,13 +16,12 @@ from masscodec.linearcode import (
     LinearCode,
     ModpCode,
     bundled_code,
-    erasure_code,
     hamming_code,
     modp_code,
     rref,
+    shipped_code,
     shortened,
     single_parity,
-    substitution_code,
     trivial_code,
 )
 
@@ -97,7 +96,7 @@ def test_erasure_decoding_beyond_capability_is_flagged():
 
 
 def test_error_decoding():
-    code = substitution_code(8, 2)
+    code = shipped_code(8, 2, errors=True)
     assert code.d >= 5 and code.k == 8
     rng = random.Random(1)
     for _ in range(20):
@@ -119,20 +118,85 @@ def test_bch_6316_erasure_capability_at_full_load():
 
 
 def test_factories_and_json_round_trip():
-    assert erasure_code(5, 0).d == 1
-    assert erasure_code(5, 1).d == 2
-    assert erasure_code(5, 2).d == 3
-    assert erasure_code(16, 18).name == "bch_63_16"
+    assert shipped_code(5, 0).d == 1
+    assert shipped_code(5, 1).d == 2
+    assert shipped_code(5, 2).d == 3
+    assert shipped_code(16, 18).name == "bch_63_16"
     # below k = 16 the same code is shortened; shortening keeps d = 23
-    assert (erasure_code(9, 20).k, erasure_code(9, 20).d) == (9, 23)
+    assert (shipped_code(9, 20).k, shipped_code(9, 20).d) == (9, 23)
     with pytest.raises(ConfigError):
-        erasure_code(17, 20)
+        shipped_code(17, 20)
     with pytest.raises(ConfigError):
-        erasure_code(9, 23)
-    code = erasure_code(5, 2)
+        shipped_code(9, 23)
+    code = shipped_code(5, 2)
     again = LinearCode.from_json_obj(code.to_json_obj())
     assert (again.n, again.k, again.d) == (code.n, code.k, code.d)
     assert np.array_equal(again.H, code.H)
+
+
+# the two choosers that shipped_code replaced, kept as its referees
+
+
+def _referee_erasure_code(k, capability):
+    if capability <= 0:
+        return trivial_code(k)
+    if capability == 1:
+        return single_parity(k)
+    if capability == 2:
+        r = 2
+        while 2**r - 1 - r < k:
+            r += 1
+        return shortened(hamming_code(r), k)
+    code = bundled_code("bch_63_16")
+    if k <= code.k and code.erasure_capability >= capability:
+        return shortened(code, k)
+    raise ConfigError(f"no shipped code with k={k} and erasure capability {capability}")
+
+
+def _referee_substitution_code(k, error_capability):
+    if error_capability <= 0:
+        return trivial_code(k)
+    if error_capability == 1:
+        r = 2
+        while 2**r - 1 - r < k:
+            r += 1
+        return shortened(hamming_code(r), k)
+    if error_capability == 2:
+        base = bundled_code("bch_31_21")
+        if k <= base.k:
+            return shortened(base, k)
+    code = bundled_code("bch_63_16")
+    if k <= code.k and code.error_capability >= error_capability:
+        return shortened(code, k)
+    raise ConfigError(f"no shipped code with k={k} and error capability {error_capability}")
+
+
+def _pick(choose, *args):
+    try:
+        code = choose(*args)
+    except Exception as exc:  # the class is compared, whatever it is
+        return type(exc)
+    return code.name, code.n, code.k, code.d, code.H.tobytes(), code.H.shape
+
+
+@pytest.mark.parametrize("errors", [False, True], ids=["erasures", "errors"])
+def test_shipped_code_makes_the_old_choosers_pick(errors):
+    referee = _referee_substitution_code if errors else _referee_erasure_code
+    families = ("trivial", "parity", "hamming", "bch_31_21", "bch_63_16")
+    picked = set()
+    for k in range(1, 70):
+        for need in range(-1, 30):
+            expected = _pick(referee, k, need)
+            assert _pick(shipped_code, k, need, errors) == expected, (k, need)
+            if isinstance(expected, type):
+                picked.add(expected)
+            else:
+                picked.add(next(f for f in families if expected[0].startswith(f)))
+    # every code of the catalogue that serves this kind is picked somewhere
+    if errors:
+        assert picked == {"trivial", "hamming", "bch_31_21", "bch_63_16", ConfigError}
+    else:
+        assert picked == {"trivial", "parity", "hamming", "bch_63_16", ConfigError}
 
 
 def test_trivial_code():
@@ -372,7 +436,7 @@ def _assert_same_decode(code, table, word, top):
 
 @pytest.mark.parametrize("capability", [0, 1, 2])
 def test_syndrome_decoder_matches_the_scan_on_every_small_code(capability):
-    """Every code substitution_code returns for k <= 21, at radii 0..r.
+    """Every code shipped_code(k, r, errors=True) returns for k <= 21, at radii 0..r.
 
     Every error pattern of weight <= r on a seeded codeword, plus seeded
     words at weight r+1 and r+2, which may decode elsewhere or raise.
@@ -380,7 +444,7 @@ def test_syndrome_decoder_matches_the_scan_on_every_small_code(capability):
     rng = random.Random(capability)
     decoded = failed = 0
     for k in range(1, 22):
-        code = substitution_code(k, capability)
+        code = shipped_code(k, capability, errors=True)
         r = code.error_capability
         assert r == capability
         table = _referee_table(code)
@@ -401,7 +465,7 @@ def test_syndrome_decoder_matches_the_scan_on_every_small_code(capability):
 
 @pytest.mark.parametrize("k", [16, 8])
 def test_syndrome_decoder_matches_the_scan_on_bch_63_16(k):
-    code = substitution_code(k, 4)
+    code = shipped_code(k, 4, errors=True)
     assert (code.n, code.k, code.d) == (47 + k, k, 23)
     table = _referee_table(code)
     rng = random.Random(k)
@@ -415,13 +479,13 @@ def test_syndrome_decoder_matches_the_scan_on_bch_63_16(k):
 
 def test_syndrome_lookup_budget_counts_patterns_and_probes():
     # r = 2 on n = 26: 1 + 26 cached patterns and as many probes
-    code = substitution_code(16, 2)
+    code = shipped_code(16, 2, errors=True)
     cw = code.encode([1, 0] * 8)
     with pytest.raises(SearchSpaceTooLarge):
         code.decode_errors(_flip(cw, [3]), 2, budget=53)
     assert code.decode_errors(_flip(cw, [3]), 2, budget=54) == cw
     # r = 4 on n = 63: 1 + 63 + 1953 cached patterns and as many probes
-    code = substitution_code(16, 4)
+    code = shipped_code(16, 4, errors=True)
     cw = code.encode([1, 0] * 8)
     with pytest.raises(SearchSpaceTooLarge):
         code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4033)
@@ -429,7 +493,7 @@ def test_syndrome_lookup_budget_counts_patterns_and_probes():
 
 
 def test_radius_above_error_capability_is_refused():
-    code = substitution_code(8, 2)
+    code = shipped_code(8, 2, errors=True)
     word = code.encode([1, 1, 0, 1, 0, 0, 1, 0])
     assert code.decode_errors(word, 2) == word
     for radius in (3, -1):
@@ -481,11 +545,11 @@ def _referee_encode(code, message):
         hamming_code(3),
         hamming_code(4),
         shortened(hamming_code(4), 8),
-        erasure_code(12, 2),
+        shipped_code(12, 2),
         bundled_code("bch_63_16"),
         shortened(bundled_code("bch_63_16"), 9),
         bundled_code("bch_31_21"),
-        substitution_code(11, 2),
+        shipped_code(11, 2, errors=True),
     ],
     ids=lambda code: code.name,
 )
