@@ -129,6 +129,8 @@ class BhCodebook:
     source: Optional[ParityCheckSpec] = None
 
     def __post_init__(self):
+        if self.h < 1:
+            raise ConfigError(f"a codebook needs h >= 1, got {self.h}")
         if any(len(s) != self.n for s in self.strings):
             raise LengthMismatch("codebook strings must all have the declared length")
         if len(set(self.strings)) != len(self.strings):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .codec import plain_layout
 from .errors import MasscodecError
 
 EXACT = "exact"
@@ -111,8 +112,6 @@ def construction_rate(n: int, h: int) -> float:
     """
     if n % h:
         raise ValueError(f"need h | n for the column count, got n={n}, h={h}")
-    from .codec import plain_layout
-
     size = 2 ** (n // h) - 1
     return math.log2(size) / plain_layout(n).N
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -36,8 +37,12 @@ from .core import (
     Composition,
     CompositionMultiset,
     PartialSumString,
+    all_dyck_strings,
+    is_dyck,
+    pool as make_pool,
 )
 from .errors import (
+    ConfigError,
     Conflict,
     LengthMismatch,
     MasscodecError,
@@ -367,8 +372,7 @@ def one_sided_sum(
     """
     fragments, ones = length_totals(side_pool, N)
     syms = increments(ones, fragments == hbar, hbar, strict=True)
-    pss = PartialSumString(syms, hbar)
-    return pss if side == PREFIX else pss.reversed_()
+    return PartialSumString(syms if side == PREFIX else syms[::-1], hbar)
 
 
 def raw_side_sums(
@@ -571,8 +575,6 @@ def _consistency_witnesses(
     elif codebook is not None:
         origin_of = {s: s for s in codebook.strings}
     elif hbar == 1 and 2**N <= budget:
-        from .core import all_dyck_strings
-
         # the codeword universe of this model
         origin_of = {s: s for s in all_dyck_strings(N)}
     else:
@@ -808,16 +810,13 @@ def sample_erasure_pattern(
     bursts collide as often as the pattern size allows.
     """
     n = len(strings[0])
-    fragments = []
-    for s in strings:
-        w = 0
-        for i, b in enumerate(s.bits, start=1):
-            w += b
-            fragments.append((PREFIX, i, w))
-        w = 0
-        for i, b in enumerate(reversed(s.bits), start=1):
-            w += b
-            fragments.append((SUFFIX, i, w))
+    # (side, length, ones) of every read: a string's prefixes, then its suffixes
+    fragments = [
+        (side, length, ones)
+        for s in strings
+        for side, bits in ((PREFIX, s.bits), (SUFFIX, s.bits[::-1]))
+        for length, ones in enumerate(accumulate(bits), start=1)
+    ]
     if placement == "uniform":
         picks = rng.sample(fragments, t)
     elif placement == "adversarial":
@@ -867,12 +866,11 @@ def run_erasure_experiment(
     ``conflict`` (side disagreement), ``error`` (any other typed decoder
     error; the row's ``reason`` holds its class name), and ``wrong``
     (recovered but not the truth -- must never happen; kept so silence
-    cannot hide it).
+    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C| and a
+    t outside 0..2N*hbar, the size of the pool.
     """
-    import random
-
-    from .core import is_dyck, pool as make_pool
-
+    if not 1 <= hbar <= len(codebook):
+        raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
     raw = all(len(s) % 2 == 0 and is_dyck(s) for s in codebook.strings)
     if raw:
         decode_book = codebook
@@ -884,6 +882,8 @@ def run_erasure_experiment(
         decode_book = encode_codebook(codebook)
         word_of = {cw.origin: cw.bits for cw in decode_book.codewords}
         N = decode_book.N
+    if not 0 <= t <= 2 * N * hbar:
+        raise ConfigError(f"an experiment needs 0 <= t <= {2 * N * hbar}, got t={t}")
     rows = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
@@ -892,33 +892,21 @@ def run_erasure_experiment(
         clean = make_pool(words)
         pattern = sample_erasure_pattern(words, t, rng, placement)
         erased = erase(clean, pattern, rng=rng)
+        row = {"seed": seed, "trial": trial, "n": N, "hbar": hbar, "t": t}
         try:
             result = reconstruct_redundancy_free(
                 erased, N, hbar, codebook=decode_book, budget=budget
             )
         except Conflict:
-            rows.append(_row(seed, trial, N, hbar, t, "conflict"))
-            continue
+            row["outcome"] = "conflict"
         except MasscodecError as exc:
-            row = _row(seed, trial, N, hbar, t, "error")
-            rows.append({**row, "reason": type(exc).__name__})
-            continue
-        if isinstance(result, Ambiguous):
-            outcome = "ambiguous"
-        elif result.strings == frozenset(subset):
-            outcome = "exact"
+            row.update(outcome="error", reason=type(exc).__name__)
         else:
-            outcome = "wrong"
-        rows.append(_row(seed, trial, N, hbar, t, outcome))
+            if isinstance(result, Ambiguous):
+                row["outcome"] = "ambiguous"
+            elif result.strings == frozenset(subset):
+                row["outcome"] = "exact"
+            else:
+                row["outcome"] = "wrong"
+        rows.append(row)
     return rows
-
-
-def _row(seed, trial, n, hbar, t, outcome) -> dict:
-    return {
-        "seed": seed,
-        "trial": trial,
-        "n": n,
-        "hbar": hbar,
-        "t": t,
-        "outcome": outcome,
-    }

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -142,8 +143,6 @@ def load_config(path: str):
     what = "a config"
     obj = _read_object(path, what)
     h = json_field(obj, "h", what, int, default=2)
-    if h < 1:
-        raise ConfigError(f"a config needs h >= 1, got {h}")
     matrix = json_field(obj, "matrix", what, str, default=None)
     strings = json_field(obj, "strings", what, list, default=None)
     if strings is not None and not (strings and all(isinstance(s, str) for s in strings)):
@@ -210,8 +209,6 @@ def cmd_pool(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    import random
-
     poolset, N = _read_pool(args.input)
     pattern = _read_object(args.pattern, "a pattern")
     rng = random.Random(args.seed)
@@ -332,10 +329,8 @@ def _format_table(header: list[str], rows: list[list], fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.matrix:
-        strings = _base_codebook(args.h, args.matrix, None).strings
-    else:
-        strings = _read_strings(args.input)
+    strings = None if args.matrix else _read_strings(args.input)
+    strings = _base_codebook(args.h, args.matrix, strings).strings
     if args.property == "bh":
         res = verify_bh(strings, args.h, budget=args.budget)
     else:

@@ -39,7 +39,15 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
 from .channel import increments, length_totals, side_sums
-from .core import BitString, BitsLike, CompositionMultiset, PartialSumString, fragment_cells
+from .core import (
+    BitString,
+    BitsLike,
+    CompositionMultiset,
+    PartialSumString,
+    fragment_cells,
+    is_dyck,
+    pool as make_pool,
+)
 from .errors import (
     AmbiguousSolution,
     CountMismatch,
@@ -289,8 +297,6 @@ class McCodebook:
 
     def pool_of(self, sources) -> CompositionMultiset:
         """Pooled readout of the codewords of the given source strings."""
-        from .core import pool as make_pool
-
         return make_pool([self.bits_for(BitString(s)) for s in sources])
 
     @functools.cached_property
@@ -464,8 +470,6 @@ class BalanceReport:
 
 
 def balance_report(s: BitsLike) -> BalanceReport:
-    from .core import is_dyck
-
     cw = encode(s)
     lay = cw.layout
     padded, _ = pad_to_square(BitString(s))

@@ -156,17 +156,6 @@ class BitString:
             raise ValueError(f"suffix length {i} out of range")
         return BitString(self.bits[len(self) - i :])
 
-    def complement(self) -> "BitString":
-        return BitString(tuple(1 - b for b in self.bits))
-
-    def rds(self, i: Optional[int] = None) -> int:
-        """Running digital sum 2*wt(s_1..s_i) - i; full-string value if i is None."""
-        if i is None:
-            i = len(self)
-        if not 1 <= i <= len(self):
-            raise ValueError(f"rds index {i} out of range")
-        return 2 * sum(self.bits[:i]) - i
-
     def rds_profile(self) -> tuple[int, ...]:
         """R(s)_i for every i in [n]."""
         out = []
@@ -176,33 +165,14 @@ class BitString:
             out.append(r)
         return tuple(out)
 
-    def blocks(self, size: int) -> tuple["BitString", ...]:
-        if len(self) % size:
-            raise ValueError(f"length {len(self)} not divisible by block size {size}")
-        return tuple(
-            BitString(self.bits[j : j + size]) for j in range(0, len(self), size)
-        )
-
-    def real_sum_with(self, *others: "BitString") -> tuple[int, ...]:
-        """Coordinate-wise sum over the integers with the given strings."""
-        for o in others:
-            if len(o) != len(self):
-                raise LengthMismatch("real sum of unequal lengths")
-        return tuple(sum(bits) for bits in zip(self.bits, *(o.bits for o in others)))
-
 
 def real_sum(strings: Iterable[BitString]) -> tuple[int, ...]:
+    """Coordinate-wise sum over the integers of equal-length strings."""
     strings = list(strings)
-    first, rest = strings[0], strings[1:]
-    return first.real_sum_with(*rest)
-
-
-def mod2_sum(strings: Iterable[BitString]) -> BitString:
-    strings = list(strings)
-    out = strings[0]
-    for s in strings[1:]:
-        out = out ^ s
-    return out
+    n = len(strings[0])
+    if any(len(s) != n for s in strings):
+        raise LengthMismatch("real sum of unequal lengths")
+    return tuple(map(sum, zip(*(s.bits for s in strings))))
 
 
 class Composition:
@@ -391,11 +361,6 @@ class CompositionMultiset:
         for comp, mult in self.entries():
             for _ in range(mult):
                 yield comp
-
-    def count_at_length(self, length: int) -> int:
-        if not 0 <= length < len(self._counts):
-            return 0
-        return int(self._counts[length].sum())
 
     def ones_at_length(self, length: int) -> tuple[int, ...]:
         """Sorted ones-counts of all fragments of the given length."""
@@ -610,10 +575,6 @@ class PartialSumString:
             raise ValueError("sum symbols exceed 1; not a single string")
         return BitString(vals)
 
-    def erased_positions(self) -> tuple[int, ...]:
-        """1-based positions of erased symbols."""
-        return tuple(i for i, v in enumerate(self.symbols, start=1) if v is None)
-
     def bursts(self) -> tuple[tuple[int, int], ...]:
         """Maximal runs of erased symbols as (start, length), 1-based."""
         out = []
@@ -628,9 +589,3 @@ class PartialSumString:
         if start is not None:
             out.append((start, len(self.symbols) - start + 1))
         return tuple(out)
-
-    def known_weight(self) -> int:
-        return sum(v for v in self.symbols if v is not None)
-
-    def reversed_(self) -> "PartialSumString":
-        return PartialSumString(tuple(reversed(self.symbols)), self.hbar)

@@ -164,10 +164,6 @@ class LinearCode:
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)
 
-    def is_codeword(self, word: Sequence[int]) -> bool:
-        vec = np.array([int(b) & 1 for b in word], dtype=np.uint8)
-        return not (self.H @ vec % 2).any()
-
     @functools.cached_property
     def generator(self) -> np.ndarray:
         """Row i encodes the i-th unit message: the identity on the

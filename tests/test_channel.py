@@ -193,11 +193,12 @@ def _referee_merge(p: PartialSumString, s: PartialSumString) -> PartialSumString
 def _referee_fill(ps: PartialSumString, total_weight: int) -> PartialSumString:
     """The weight fill as it stood on PartialSumString, kept as a referee."""
     erased = [i for i, v in enumerate(ps.symbols) if v is None]
+    known_weight = sum(v for v in ps.symbols if v is not None)
     if not erased:
-        if ps.known_weight() != total_weight:
-            raise Conflict(f"sum weight {ps.known_weight()} != expected {total_weight}")
+        if known_weight != total_weight:
+            raise Conflict(f"sum weight {known_weight} != expected {total_weight}")
         return ps
-    deficit = total_weight - ps.known_weight()
+    deficit = total_weight - known_weight
     if deficit < 0 or deficit > len(erased) * ps.hbar:
         raise Conflict(f"weight deficit {deficit} unreachable")
     fill = None

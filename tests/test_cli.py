@@ -434,6 +434,52 @@ def test_experiment_on_an_empty_strings_file_exits_2(ws, capsys):
     assert capsys.readouterr().err == "error: an explicit codebook needs at least one string\n"
 
 
+EXPERIMENT = ("experiment", "--matrix", "bundled:bch_255_cols20", "--trials", 2)
+# an order or size outside its range is refused with a message naming the value
+OUT_OF_RANGE = {
+    "experiment-hbar-zero": ((*EXPERIMENT, "--hbar", 0), "1 <= hbar <= 20, got hbar=0"),
+    "experiment-hbar-negative": ((*EXPERIMENT, "--hbar", -1), "1 <= hbar <= 20, got hbar=-1"),
+    "experiment-t-negative": ((*EXPERIMENT, "--t", -1), "got t=-1"),
+    "experiment-t-past-the-pool": (
+        (*EXPERIMENT, "--t", 10_000, "--placement", "adversarial"), "got t=10000"
+    ),
+    "experiment-h-zero": ((*EXPERIMENT, "--h", 0), "a codebook needs h >= 1, got 0"),
+    "verify-h-zero": (
+        ("verify", "--matrix", "bundled:bch_15_7", "--h", 0), "a codebook needs h >= 1, got 0"
+    ),
+    "search-h-zero": (("search", "--n", 4, "--h", 0), "a codebook needs h >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_an_order_or_size_out_of_range_exits_2(ws, capsys, case):
+    argv, message = OUT_OF_RANGE[case]
+    assert run(*argv, "-o", ws / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert not (ws / "out").exists()
+
+
+# a strings file to verify is a codebook too; each of these was reported valid
+NOT_A_CODEBOOK = {
+    "h-zero": ("110100\n101010\n", 0, 2, "a codebook needs h >= 1, got 0"),
+    "empty": ("", 2, 2, "an explicit codebook needs at least one string"),
+    "duplicate": ("110100\n110100\n", 2, 4, "codebook strings must be pairwise distinct"),
+    "unequal-lengths": (
+        "110100\n1101\n", 2, 4, "codebook strings must all have the declared length"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_CODEBOOK))
+@pytest.mark.parametrize("prop", ["bh", "hmc"])
+def test_verify_refuses_a_strings_file_that_is_no_codebook(ws, capsys, case, prop):
+    text, h, code, message = NOT_A_CODEBOOK[case]
+    (ws / "s.txt").write_text(text)
+    assert run("verify", ws / "s.txt", "--h", h, "--property", prop, "-o", ws / "v.json") == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_budget_reaches_experiment(ws):
     args = ("experiment", "--matrix", "bundled:bch_15_7", "--h", 2, "--hbar", 2,
             "--t", 1, "--trials", 3, "--seed", 5, "-o", ws / "a.csv")

@@ -49,21 +49,23 @@ def test_block_balance_hand_checked_cases():
 
 
 def _block_balance_referee(s: BitString) -> BalancedPair:
-    """The balancer block_balance replaced: one BitString per block, flip and join."""
-    blocks = s.blocks(next_square(len(s))[1])
+    """The balancer block_balance replaced: one tuple per block, flip and join."""
+
+    def digital_sum(block):
+        return 2 * sum(block) - len(block)
+
+    size = next_square(len(s))[1]
+    blocks = [s.bits[j : j + size] for j in range(0, len(s), size)]
     out = [blocks[0]]
     flags = [0]
-    acc = blocks[0].rds()
+    acc = digital_sum(blocks[0])
     for blk in blocks[1:]:
-        flip = (acc >= 0) == (blk.rds() >= 0)
-        chosen = blk.complement() if flip else blk
+        flip = (acc >= 0) == (digital_sum(blk) >= 0)
+        chosen = tuple(1 - b for b in blk) if flip else blk
         out.append(chosen)
         flags.append(1 if flip else 0)
-        acc += chosen.rds()
-    u = out[0]
-    for blk in out[1:]:
-        u = u + blk
-    return BalancedPair(u=u, r=BitString(flags))
+        acc += digital_sum(chosen)
+    return BalancedPair(u=BitString(sum(out, ())), r=BitString(flags))
 
 
 def test_block_balance_matches_the_bitstring_referee():

@@ -20,6 +20,7 @@ from masscodec.core import (
     is_dyck,
     pool,
     prefix_multiset,
+    real_sum,
     suffix_multiset,
 )
 from masscodec.errors import Conflict, DuplicateString, LengthMismatch, OddLength
@@ -205,7 +206,7 @@ def test_full_multiset_size_and_per_length_counts(text):
     m = full_multiset(s)
     assert m.total == 2 * len(s)
     for i in range(1, len(s) + 1):
-        assert m.count_at_length(i) == 2
+        assert m.counts[i].sum() == 2
 
 
 @given(bits_st)
@@ -242,17 +243,35 @@ def test_dyck_suffix_weights_are_dominated():
 def test_rds_matches_definition():
     s = BitString("01101")
     assert s.rds_profile() == (-1, 0, 1, 0, 1)
-    assert s.rds() == 2 * s.weight() - len(s)
-    assert s.rds(2) == 0
+    assert s.rds_profile() == tuple(2 * s.prefix(i).weight() - i for i in range(1, len(s) + 1))
+    assert s.rds_profile()[-1] == 2 * s.weight() - len(s)
+    assert s.rds_profile()[1] == 0
+
+
+def test_real_sum_is_the_per_column_sum(b3_codebook):
+    rng = random.Random(11)
+    for _ in range(300):
+        subset = rng.sample(b3_codebook.strings, rng.randint(1, 6))
+        columns = tuple(sum(s[i] for s in subset) for i in range(b3_codebook.n))
+        assert real_sum(subset) == real_sum(iter(subset)) == columns
+
+
+def test_real_sum_refuses_unequal_lengths_and_no_strings():
+    with pytest.raises(LengthMismatch, match="real sum of unequal lengths"):
+        real_sum([BitString("0110"), BitString("011")])
+    with pytest.raises(LengthMismatch):
+        real_sum([BitString("011"), BitString("0110"), BitString("101")])
+    with pytest.raises(IndexError):
+        real_sum([])
 
 
 def test_partial_sum_string_parsing_and_bursts():
     p = PartialSumString.parse("21εε10", hbar=2)
     assert str(p) == "21εε10"
-    assert p.erased_positions() == (3, 4)
+    assert [i for i, v in enumerate(p.symbols, start=1) if v is None] == [3, 4]
     assert p.bursts() == ((3, 2),)
     assert not p.complete
-    assert p.known_weight() == 4
+    assert sum(v for v in p.symbols if v is not None) == 4
 
 
 def test_partial_sum_merge_and_conflict():

@@ -401,3 +401,22 @@ def test_scheme_books_are_pinned(b2_n16_codebook):
             book = ecc.scheme_codebook(scheme, b2_n16_codebook, t, code)
         got[scheme, t, variant] = _book_digest(book)
     assert got == BOOK_DIGESTS
+
+
+# sha256 of every sample_erasure_pattern draw below, one line per pattern
+SAMPLER_DIGEST = "8849ee53637336131f1486966a6a7c11acc8f5532a57a773ac9f1dbe7b788dda"
+
+
+def test_erasure_sampler_draws_are_pinned(b2_n16_codebook):
+    # the draws fix the experiment rows and the benchmark's inputs
+    digest = hashlib.sha256()
+    for scheme in (ecc.ONE_STEP, ecc.TWO_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP):
+        book = ecc.scheme_codebook(scheme, b2_n16_codebook, 2)
+        for placement, t, hbar in itertools.product(("uniform", "adversarial"), (1, 2, 3), (1, 2)):
+            for seed in range(200):
+                rng = random.Random(seed)
+                words = [book.bits_for(s) for s in rng.sample(b2_n16_codebook.strings, hbar)]
+                pattern = sample_erasure_pattern(words, t, rng, placement)
+                line = "".join(f"{r.side} {r.length} {r.count} {r.ones};" for r in pattern.removals)
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == SAMPLER_DIGEST

@@ -35,7 +35,7 @@ def test_single_parity_roundtrip():
     code = single_parity(4)
     word = code.encode([1, 0, 1, 1])
     assert word == (1, 0, 1, 1, 1)
-    assert code.is_codeword(word)
+    assert not (code.H @ np.array(word) % 2).any()
     assert code.extract_message(word) == (1, 0, 1, 1)
 
 
@@ -202,7 +202,7 @@ def test_shipped_code_makes_the_old_choosers_pick(errors):
 def test_trivial_code():
     code = trivial_code(3)
     assert code.encode([1, 0, 1]) == (1, 0, 1)
-    assert code.is_codeword([1, 1, 1])
+    assert not (code.H @ np.array([1, 1, 1]) % 2).any()
 
 
 def test_modp_solver():
