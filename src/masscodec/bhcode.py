@@ -119,6 +119,12 @@ def bundled_spec(name: str) -> ParityCheckSpec:
         raise ConfigError(f"no bundled matrix named {name!r}") from exc
 
 
+def require_order(h: int) -> None:
+    """Refuse a multiplicity h < 1 with a ConfigError, before any search."""
+    if h < 1:
+        raise ConfigError(f"a codebook needs h >= 1, got {h}")
+
+
 @dataclass(frozen=True)
 class BhCodebook:
     """An ordered set of equal-length strings with distinct subset sums."""
@@ -129,8 +135,7 @@ class BhCodebook:
     source: Optional[ParityCheckSpec] = None
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ConfigError(f"a codebook needs h >= 1, got {self.h}")
+        require_order(self.h)
         if any(len(s) != self.n for s in self.strings):
             raise LengthMismatch("codebook strings must all have the declared length")
         if len(set(self.strings)) != len(self.strings):
@@ -192,6 +197,7 @@ def verify_bh(
     all-zero string, say), so every pair of sizes is compared.  Returns the
     lexicographically first collision as a witness.
     """
+    require_order(h)
     strings = tuple(codebook.strings if isinstance(codebook, BhCodebook) else codebook)
     _subset_budget(len(strings), h, budget)
     seen: dict[tuple[int, ...], tuple[BitString, ...]] = {}

@@ -46,12 +46,12 @@ from .core import (
     PartialSumString,
     fragment_cells,
     is_dyck,
-    pool as make_pool,
 )
 from .errors import (
     AmbiguousSolution,
     CountMismatch,
     DecodeFailure,
+    DuplicateString,
     InconsistentPoolSize,
     UnsupportedCodebook,
 )
@@ -74,12 +74,10 @@ def next_square(n: int) -> tuple[int, int]:
 
 
 def pad_to_square(s: BitString) -> tuple[BitString, int]:
-    """Left-pad with zeros up to the next perfect square length."""
+    """Left-pad with zeros up to the next perfect square length: the same
+    integer, read at the longer length."""
     m, _ = next_square(len(s))
-    pad = m - len(s)
-    if pad:
-        s = BitString.zeros(pad) + s
-    return s, pad
+    return BitString.from_int(s.as_int, m), m - len(s)
 
 
 @dataclass(frozen=True)
@@ -99,30 +97,28 @@ def block_balance(s: BitsLike) -> BalancedPair:
 
     The first block is kept; each later block is complemented exactly when
     its digital sum has the same sign (zero counts as positive) as the
-    digital sum accumulated so far.  One pass over the bits: only u and r
-    are built as ``BitString``s.
+    digital sum accumulated so far.  One pass over the blocks of
+    ``s.as_int``: a block's weight is its ``bit_count`` and complementing
+    it is an XOR with the all-ones block.
     """
-    bits = s.bits if isinstance(s, BitString) else tuple(int(b) for b in s)
-    m = len(bits)
+    s = BitString(s)
+    m, key = len(s), s.as_int
     root = math.isqrt(m)
     if root * root != m:
         raise ValueError(f"length {m} is not a perfect square; pad first")
-    u: list[int] = []
-    flags = []
-    acc = 0
-    for j in range(root):
-        block = bits[j * root : (j + 1) * root]
-        rds = 2 * sum(block) - root
-        flip = j > 0 and (acc >= 0) == (rds >= 0)
+    ones = (1 << root) - 1
+    u = flags = acc = 0
+    for shift in range(m - root, -1, -root):
+        block = key >> shift & ones
+        rds = 2 * block.bit_count() - root
+        flip = shift < m - root and (acc >= 0) == (rds >= 0)
         if flip:
-            block = tuple(1 - b for b in block)
+            block ^= ones
             rds = -rds
-        u += block
-        flags.append(int(flip))
+        u = u << root | block
+        flags = flags << 1 | flip
         acc += rds
-    # each symbol of u is b or 1 - b for a symbol b of s, so building u
-    # rejects exactly the inputs that are not binary
-    return BalancedPair(u=BitString(u), r=BitString(flags))
+    return BalancedPair(u=BitString.from_int(u, m), r=BitString.from_int(flags, root))
 
 
 def unbalance(u: BitsLike, r: BitsLike) -> BitString:
@@ -205,6 +201,7 @@ class McLayout:
         }
 
 
+@functools.cache  # one frozen layout per source length, shared by a book's codewords
 def plain_layout(n: int) -> McLayout:
     m, root = next_square(n)
     lead = math.ceil(5 * root / 2)
@@ -232,25 +229,29 @@ def assemble_codeword(
     """1-run, flags, optional auxiliary segment, data, then balancing tails."""
     if layout.z_len:
         assert z is not None and len(z) == layout.z_len
-    z_bits = z.bits if layout.z_len else ()
-    return append_tails((1,) * layout.lead + r.bits + z_bits + u.bits, layout.N)
+    return append_tails(layout.lead, (r, z, u) if layout.z_len else (r, u), layout.N)
 
 
-def append_tails(head: tuple[int, ...], N: int) -> BitString:
-    """Append the 1-run, then the 0-run, that make the head bits balanced of length N."""
-    w = sum(head)
+def append_tails(lead: int, parts: Sequence[BitString], N: int) -> BitString:
+    """A 1-run of length lead, the parts, then the 1-run and the 0-run that
+    make the whole balanced of length N, built as one integer."""
+    head, length = (1 << lead) - 1, lead
+    for part in parts:
+        head = head << len(part) | part.as_int
+        length += len(part)
+    w = head.bit_count()
     ones_tail = N // 2 - w
-    zeros_tail = N // 2 - (len(head) - w)
+    zeros_tail = N // 2 - (length - w)
     if ones_tail < 0 or zeros_tail < 0:
         raise ValueError("balancing tails would be negative; layout broken")
-    return BitString(head + (1,) * ones_tail + (0,) * zeros_tail)
+    return BitString.from_int((head << ones_tail | (1 << ones_tail) - 1) << zeros_tail, N)
 
 
 def encode(s: BitsLike) -> McCodeword:
     """Balance s and frame it as a Dyck codeword (layout independent of h)."""
     s = BitString(s)
     layout = plain_layout(len(s))
-    pair = block_balance((0,) * layout.pad + s.bits)
+    pair = block_balance(pad_to_square(s)[0])
     bits = assemble_codeword(layout, pair.r, pair.u)
     return McCodeword(bits=bits, layout=layout, origin=s)
 
@@ -295,10 +296,6 @@ class McCodebook:
         except KeyError:
             raise KeyError(f"{source} is not in the codebook") from None
 
-    def pool_of(self, sources) -> CompositionMultiset:
-        """Pooled readout of the codewords of the given source strings."""
-        return make_pool([self.bits_for(BitString(s)) for s in sources])
-
     @functools.cached_property
     def _cells_by_origin(self) -> dict[BitString, np.ndarray]:
         import numpy as np
@@ -307,14 +304,34 @@ class McCodebook:
         rows = np.hstack(np.split(fragment_cells([cw.bits for cw in self.codewords]), 2))
         return {cw.origin: row for cw, row in zip(self.codewords, rows)}
 
+    def _pooled_counts(self, sources: Sequence[BitString]) -> np.ndarray:
+        """The flat (N+1)^2 count table of the sources' codewords, by one
+        scatter-add of their cached fragment cells."""
+        import numpy as np
+
+        try:
+            cells = [self._cells_by_origin[s] for s in sources]
+        except KeyError as exc:
+            raise KeyError(f"{exc.args[0]} is not in the codebook") from None
+        size = self.N + 1
+        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
+        return np.bincount(flat, minlength=size * size)
+
+    def pool_of(self, sources) -> CompositionMultiset:
+        """Pooled readout of the codewords of the given source strings."""
+        sources = [BitString(s) for s in sources]
+        counts = self._pooled_counts(sources)
+        if len(set(sources)) != len(sources):
+            raise DuplicateString("pooled strings must be pairwise distinct")
+        size = self.N + 1
+        return CompositionMultiset.from_counts(counts.reshape(size, size))
+
     def pools_to(self, sources, readout: CompositionMultiset) -> bool:
-        """Whether the pooled codewords of the sources are exactly the readout,
-        read off one scatter-add of their cached fragment cells."""
+        """Whether the pooled codewords of the sources are exactly the readout."""
         import numpy as np
 
         size = self.N + 1
-        cells = np.concatenate([self._cells_by_origin[s] for s in sources])
-        counts = np.bincount(cells, minlength=size * size)
+        counts = self._pooled_counts(sources)
         if readout.counts.shape == (size, size):
             return bool(np.array_equal(counts, readout.counts.ravel()))
         return CompositionMultiset.from_counts(counts.reshape(size, size)) == readout

@@ -7,6 +7,13 @@ fragment and one suffix fragment of each length i in [1, n]; the multiset
 of their compositions (the full-length composition appears twice) is the
 abstraction of the instrument output that every other module consumes.
 
+A :class:`BitString` is one integer and its length: the symbols read as a
+big-endian integer.  Construction checks and reads its input in C calls
+(``str.strip``, ``int(s, 2)``, ``bytes``), and XOR, concatenation, prefixes
+and suffixes are integer operations, so the encoders that build codewords
+work on integers too.  A tuple of the 0/1 symbols rides along for code
+that reads them one by one.
+
 A composition is fixed by its length and its number of ones, so a pool is
 stored as a dense table of counts ``C[length, ones]``
 (:class:`CompositionMultiset`).  A string's prefix weights are one
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from operator import index
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 )
@@ -56,30 +64,64 @@ _ERASED_CHAR = "ε"  # printed as the Greek epsilon
 _COMPOSITION_TEXT = re.compile(r"(0(?:\^(\d+?))?)?(1(?:\^(\d+))?)?")
 
 
+# bytes.translate tables between the ASCII digits 0/1 and the byte values 0/1
+_FROM_ASCII = bytes.maketrans(b"01", b"\0\1")
+_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
+
+
 class BitString:
-    """An immutable binary string of length >= 1."""
+    """An immutable binary string of length >= 1.
+
+    Its identity is (length, integer): the symbols read as a big-endian
+    integer (``as_int``, first symbol the most significant bit) together
+    with the length fix equality and the hash, ``hash((len, as_int))``.
+    The ``bits`` tuple of 0/1 ints is kept alongside for per-symbol reads.
+    A ``str`` is checked by one ``strip`` and read by ``int(s, 2)``; any
+    other sequence is checked by turning it into ``bytes``.  Values that
+    ``bytes`` refuses (floats, digit strings, numpy bools) go through
+    ``int()`` one by one, so ``BitString([1.0, "0"])`` is ``10``.
+    ``from_int``, ``^``, ``+``, ``prefix`` and ``suffix`` work on the
+    integer and check nothing again.
+    """
 
     __slots__ = ("bits", "_int", "_hash")
 
     def __init__(self, bits: BitsLike):
         if isinstance(bits, BitString):
-            values = bits.bits
-        elif isinstance(bits, str):
-            if not all(c in "01" for c in bits):
+            self._own(bits.bits, bits._int)
+            return
+        if isinstance(bits, str):
+            if bits.strip("01"):
                 raise ValueError(f"not a binary string: {bits!r}")
-            values = tuple(1 if c == "1" else 0 for c in bits)
-        else:
-            values = tuple(int(b) for b in bits)
+            if not bits:
+                raise ValueError("empty bit string")
+            self._own(tuple(bits.encode().translate(_FROM_ASCII)), int(bits, 2))
+            return
+        values = tuple(bits)
+        try:
+            data = bytes(values)
+        except (TypeError, ValueError):  # not all ints in range(256)
+            data = None
+        if data is None or data.strip(b"\0\1"):
+            values = tuple(int(b) for b in values)
             if not all(b in (0, 1) for b in values):
                 raise ValueError(f"bits must be 0/1, got {values!r}")
-        if not values:
+            data = bytes(values)
+        if not data:
             raise ValueError("empty bit string")
+        self._own(tuple(data), int(data.translate(_TO_ASCII), 2))
+
+    def _own(self, values: tuple[int, ...], key: int) -> None:
         object.__setattr__(self, "bits", values)
-        key = 0
-        for b in values:
-            key = (key << 1) | b
         object.__setattr__(self, "_int", key)
         object.__setattr__(self, "_hash", hash((len(values), key)))
+
+    @classmethod
+    def _of(cls, values: tuple[int, ...], key: int) -> "BitString":
+        """The string with these 0/1 values and this integer, which must agree."""
+        out = cls.__new__(cls)
+        out._own(values, key)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
@@ -112,19 +154,19 @@ class BitString:
         return self._hash
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return bin(self._int)[2:].zfill(len(self.bits))
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
 
     def __add__(self, other: BitsLike) -> "BitString":
         other = BitString(other)
-        return BitString(self.bits + other.bits)
+        return BitString._of(self.bits + other.bits, self._int << len(other.bits) | other._int)
 
     def __xor__(self, other: "BitString") -> "BitString":
         if len(other) != len(self):
             raise LengthMismatch(f"xor of lengths {len(self)} and {len(other)}")
-        return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return BitString.from_int(self._int ^ other._int, len(self.bits))
 
     @property
     def as_int(self) -> int:
@@ -133,28 +175,28 @@ class BitString:
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
-        return cls(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls((0,) * n)
+        """The low ``length`` bits of value, most significant first."""
+        if length < 1:
+            raise ValueError("empty bit string")
+        value = index(value) & ((1 << length) - 1)
+        return cls._of(tuple(bin(value)[2:].zfill(length).encode().translate(_FROM_ASCII)), value)
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
         return cls(tuple(rng.randrange(2) for _ in range(n)))
 
     def weight(self) -> int:
-        return sum(self.bits)
+        return self._int.bit_count()
 
     def prefix(self, i: int) -> "BitString":
         if not 1 <= i <= len(self):
             raise ValueError(f"prefix length {i} out of range")
-        return BitString(self.bits[:i])
+        return BitString._of(self.bits[:i], self._int >> (len(self.bits) - i))
 
     def suffix(self, i: int) -> "BitString":
         if not 1 <= i <= len(self):
             raise ValueError(f"suffix length {i} out of range")
-        return BitString(self.bits[len(self) - i :])
+        return BitString._of(self.bits[len(self.bits) - i :], self._int & ((1 << i) - 1))
 
     def rds_profile(self) -> tuple[int, ...]:
         """R(s)_i for every i in [n]."""

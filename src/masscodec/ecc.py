@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from operator import xor
 from typing import Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
@@ -139,7 +137,7 @@ def _frame(
     complement so z stays balanced; z may be empty.
     """
     m, root = _pad_root_mult4(len(word))
-    pair = block_balance((0,) * (m - len(word)) + tuple(word))
+    pair = block_balance(BitString.from_int(BitString(word).as_int, m))
     z = [v for b in z_of(pair) for v in (b, 1 - b)]
     layout = McLayout(
         n=len(word),
@@ -360,14 +358,23 @@ def two_step_length_identity(codebook: McCodebook) -> tuple[int, int]:
 
 
 def integral(s: BitsLike) -> BitString:
-    """Running mod-2 sums: position i holds s_1 + ... + s_i mod 2."""
-    return BitString(accumulate(BitString(s).bits, xor))
+    """Running mod-2 sums: position i holds s_1 + ... + s_i mod 2.
+
+    On the integer, whose first symbol is the top bit, that is the XOR of
+    every right shift of s, folded in doubling steps.
+    """
+    s = BitString(s)
+    w, shift = s.as_int, 1
+    while shift < len(s):
+        w ^= w >> shift
+        shift *= 2
+    return BitString.from_int(w, len(s))
 
 
 def derivative(w: BitsLike) -> BitString:
-    """Inverse of integral: s_i = w_i xor w_{i-1}."""
-    bits = BitString(w).bits
-    return BitString(map(xor, bits, (0,) + bits))
+    """Inverse of integral: s_i = w_i xor w_{i-1}, so s = w ^ (w >> 1)."""
+    w = BitString(w)
+    return BitString.from_int(w.as_int ^ w.as_int >> 1, len(w))
 
 
 @dataclass(frozen=True)
@@ -438,9 +445,9 @@ def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
     iw = integral(s)
     word = code.encode(iw.bits)
     r_prime = word[len(s) :]
-    packed = balance_redundancy(r_prime, iw.bits[-1]).bits if r_prime else ()
-    lay = _integral_layout(len(s), len(packed))
-    bits = append_tails((1,) * lay.lead + s.bits + packed, lay.N)
+    packed = balance_redundancy(r_prime, iw.bits[-1]) if r_prime else None
+    lay = _integral_layout(len(s), len(packed) if packed else 0)
+    bits = append_tails(lay.lead, (s, packed) if packed else (s,), lay.N)
     return McCodeword(bits=bits, layout=lay, origin=s)
 
 

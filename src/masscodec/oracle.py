@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult
+from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult, require_order
 from .core import BitString, CompositionMultiset
 from .errors import SearchSpaceTooLarge
 
@@ -56,6 +56,7 @@ def verify_hmc(
     ``side="prefix"`` restricts to prefix fragments, the stronger notion
     used by the rate upper bounds.
     """
+    require_order(h)
     strings = _as_strings(codebook)
     total = sum(math.comb(len(strings), k) for k in range(1, h + 1))
     if total > budget:
@@ -134,6 +135,7 @@ def exhaustive_bh_search(
     property.  Exact mode branches over include/skip decisions with a
     cardinality prune; it is only feasible for small n.
     """
+    require_order(h)
     if mode not in ("max-greedy", "exact-max"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact-max" and n > 8:

@@ -15,13 +15,7 @@ import time
 import pytest
 
 from masscodec import ecc
-from masscodec.bhcode import (
-    BhCodebook,
-    build_bh_codebook,
-    bundled_spec,
-    invert_sum,
-    verify_bh,
-)
+from masscodec.bhcode import BhCodebook, verify_bh
 from masscodec.bounds import (
     B2_RATE_UPPER,
     bh_upper_even,
@@ -47,11 +41,10 @@ from masscodec.channel import (
     sample_erasure_pattern,
     substitute_mass_reducing,
 )
-from masscodec.codec import balance_report, decode_mixture, encode_codebook
+from masscodec.codec import balance_report, decode_mixture
 from masscodec.core import (
     BitString,
     Composition,
-    CompositionMultiset,
     full_multiset,
     pool,
     prefix_multiset,

@@ -63,6 +63,13 @@ def test_verify_bh_trivial_and_budget():
         verify_bh(BhCodebook.explicit(EX2_GOOD, 2), 2, budget=2)
 
 
+def test_verify_bh_refuses_an_order_below_one_on_plain_strings():
+    strings = [BitString(s) for s in EX2_BAD]
+    for h in (0, -1):
+        with pytest.raises(ConfigError, match=f"needs h >= 1, got {h}"):
+            verify_bh(strings, h)
+
+
 def test_build_from_bundled_specs(b2_codebook, b3_codebook):
     assert b2_codebook.n == 8 and len(b2_codebook) == 15
     assert b3_codebook.n == 10 and len(b3_codebook) == 15

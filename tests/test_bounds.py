@@ -6,7 +6,6 @@ import pytest
 from masscodec.bounds import (
     B2_RATE_UPPER,
     OddH,
-    achievable_side,
     bh_upper_even,
     binomial_entropy,
     bounds_table,

@@ -460,6 +460,19 @@ def test_an_order_or_size_out_of_range_exits_2(ws, capsys, case):
     assert not (ws / "out").exists()
 
 
+def test_search_refuses_h_zero_before_searching(ws, capsys, monkeypatch):
+    from masscodec import oracle
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    # 2^20 candidates: the search would take minutes, and here it fails at once
+    monkeypatch.setattr(oracle, "_all_strings", no_search)
+    assert run("search", "--n", 20, "--h", 0, "-o", ws / "out") == 2
+    assert capsys.readouterr().err == "error: a codebook needs h >= 1, got 0\n"
+    assert not (ws / "out").exists()
+
+
 # a strings file to verify is a codebook too; each of these was reported valid
 NOT_A_CODEBOOK = {
     "h-zero": ("110100\n101010\n", 0, 2, "a codebook needs h >= 1, got 0"),

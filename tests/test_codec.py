@@ -35,6 +35,7 @@ from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
     DecodeFailure,
+    DuplicateString,
     InconsistentPoolSize,
     MasscodecError,
     NegativeIncrement,
@@ -77,6 +78,22 @@ def test_block_balance_matches_the_bitstring_referee():
     for s in itertools.chain(exhaustive, seeded):
         padded, _ = pad_to_square(s)
         assert block_balance(padded) == _block_balance_referee(padded), s
+
+
+def test_block_balance_takes_every_form_and_refuses_what_the_referee_refuses():
+    rng = random.Random(68)
+    for n in (1, 4, 9, 16, 81, 256):
+        values = tuple(rng.randrange(2) for _ in range(n))
+        expected = _block_balance_referee(BitString(values))
+        for form in (values, list(values), "".join(map(str, values)), BitString(values)):
+            assert block_balance(form) == expected
+    for bad in ("", "012", [2], (), "01a1"):
+        with pytest.raises(ValueError):
+            _block_balance_referee(BitString(bad))
+        with pytest.raises(ValueError):
+            block_balance(bad)
+    with pytest.raises(ValueError, match="not a perfect square"):
+        block_balance("011")
 
 
 def test_unbalance_inverts_block_balance_exhaustively_n4():
@@ -374,3 +391,22 @@ def test_the_certificate_reads_tables_of_any_shape(mc_codebook):
     longer = clean.add(Composition(mc_codebook.N + 1, 0))
     with pytest.raises(DecodeFailure):
         decode_mixture(longer, mc_codebook, hbar=2)
+
+
+def test_pool_of_scatters_the_cached_cells_like_core_pool(mc_codebook, mc3_codebook):
+    rng = random.Random(31)
+    for book in (mc_codebook, mc3_codebook):
+        strings = list(book.base.strings)
+        for _ in range(40):
+            sources = rng.sample(strings, rng.randint(0, 4))
+            expected = pool([book.bits_for(s) for s in sources])
+            got = book.pool_of([str(s) for s in sources])
+            assert got == expected and got.total == expected.total
+    first, second = mc_codebook.base.strings[:2]
+    with pytest.raises(DuplicateString):
+        mc_codebook.pool_of([first, second, first])
+    stranger = BitString.from_int(0, mc_codebook.base.n)
+    assert stranger not in mc_codebook.base.strings
+    # an unknown source is named before a duplicate is looked for
+    with pytest.raises(KeyError, match=f"{stranger} is not in the codebook"):
+        mc_codebook.pool_of([first, first, stranger])

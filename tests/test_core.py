@@ -306,6 +306,100 @@ def test_bitstring_xor_and_int_round_trip():
         a ^ BitString("10")
 
 
+class _RefereeBitString:
+    """The BitString constructor that the integer one replaced: three Python
+    passes (an int() per symbol, a 0/1 check, a shift loop for the key)."""
+
+    def __init__(self, bits):
+        if isinstance(bits, str):
+            if not all(c in "01" for c in bits):
+                raise ValueError(f"not a binary string: {bits!r}")
+            values = tuple(1 if c == "1" else 0 for c in bits)
+        else:
+            values = tuple(int(b) for b in bits)
+            if not all(b in (0, 1) for b in values):
+                raise ValueError(f"bits must be 0/1, got {values!r}")
+        if not values:
+            raise ValueError("empty bit string")
+        self.bits = values
+        key = 0
+        for b in values:
+            key = (key << 1) | b
+        self.as_int = key
+        self.hash = hash((len(values), key))
+        self.text = "".join("1" if b else "0" for b in values)
+
+
+def _outcome(make, value):
+    try:
+        s = make(value)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    if isinstance(s, _RefereeBitString):
+        return s.bits, s.as_int, s.hash, s.text
+    assert all(type(b) is int for b in s.bits)
+    return s.bits, s.as_int, hash(s), str(s)
+
+
+def _bitstring_inputs():
+    import numpy as np
+
+    rng = random.Random(68)
+    for n in range(1, 13):
+        for values in itertools.product((0, 1), repeat=n):
+            yield from ("".join(map(str, values)), values, list(values))
+    for n in (68, 154, 255):
+        for _ in range(20):
+            values = tuple(rng.randrange(2) for _ in range(n))
+            yield from ("".join(map(str, values)), values, list(values))
+            yield np.array(values)
+            yield np.array(values, dtype=np.uint8)
+            yield [bool(b) for b in values]
+            yield np.array(values, dtype=bool)
+
+
+def test_bitstring_matches_the_referee_constructor():
+    texts = []
+    for value in _bitstring_inputs():
+        ours = _outcome(BitString, value)
+        assert ours == _outcome(_RefereeBitString, value), value
+        texts.append(ours[3])
+    # the order of BitStrings is the order of their bit tuples
+    strings = [BitString(text) for text in texts[: 3 * (2**13 - 2) : 3]]
+    assert sorted(strings) == sorted(strings, key=lambda s: _RefereeBitString(str(s)).bits)
+
+
+def test_bitstring_refuses_what_the_referee_refuses():
+    import numpy as np
+
+    for value in ("", "012", "a", [2], (), 5, np.array([0, 2]), [0.5, 2], ["1", "x"], None):
+        ours, theirs = _outcome(BitString, value), _outcome(_RefereeBitString, value)
+        assert ours == theirs and isinstance(ours[0], type), value
+    # what int() reads, both read: floats, digit strings and numpy bools
+    for value in ([1.0, 0.0], ["1", "0"], np.array([True, False])):
+        assert _outcome(BitString, value) == _outcome(_RefereeBitString, value)
+
+
+def test_bitstring_integer_methods_match_the_bits():
+    rng = random.Random(5)
+    for n in (1, 2, 7, 64, 68, 255):
+        for _ in range(30):
+            a, b = BitString.random(n, rng), BitString.random(n, rng)
+            i = rng.randint(1, n)
+            assert (a ^ b).bits == tuple(x ^ y for x, y in zip(a.bits, b.bits))
+            assert (a + b).bits == a.bits + b.bits and (a + str(b)) == a + b
+            assert a.prefix(i) == BitString(a.bits[:i])
+            assert a.suffix(i) == BitString(a.bits[n - i :])
+            assert BitString.from_int(a.as_int, n) == a
+            assert BitString(a) == a and BitString(a).bits is a.bits
+            assert a.weight() == sum(a.bits)
+    assert str(BitString.from_int(-1, 5)) == "11111"
+    assert str(BitString.from_int(13, 3)) == "101"
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="empty bit string"):
+            BitString.from_int(0, length)
+
+
 def test_package_import_loads_no_numpy():
     # numpy arrives with the first code or pool table; importing it earlier
     # moves the process's peak memory (see the benchmark's peak_rss_mb).

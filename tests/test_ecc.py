@@ -1,12 +1,12 @@
 import hashlib
 import itertools
 import json
+import operator
 import random
 
 import pytest
 
 from masscodec import ecc
-from masscodec.bhcode import BhCodebook
 from masscodec.channel import Removal, erase, sample_erasure_pattern
 from masscodec.codec import encode as plain_encode
 from masscodec.core import BitString, is_dyck, pool
@@ -25,6 +25,36 @@ def test_integral_examples():
     assert str(ecc.integral("110100")) == "100111"
     assert str(ecc.integral("000000")) == "000000"
     assert ecc.derivative(ecc.integral("110100")) == BitString("110100")
+
+
+def _integral_referee(s):
+    """The running XOR that ecc.integral replaced, one symbol at a time."""
+    return BitString(itertools.accumulate(BitString(s).bits, operator.xor))
+
+
+def _derivative_referee(w):
+    bits = BitString(w).bits
+    return BitString(map(operator.xor, bits, (0,) + bits))
+
+
+def test_integral_and_derivative_match_their_referees():
+    def outcome(fn, value):
+        try:
+            return fn(value).bits
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    rng = random.Random(154)
+    exhaustive = (
+        form
+        for n in range(1, 13)
+        for values in itertools.product((0, 1), repeat=n)
+        for form in (values, "".join(map(str, values)))
+    )
+    seeded = (tuple(rng.randrange(2) for _ in range(n)) for n in (68, 154, 255) for _ in range(50))
+    for value in itertools.chain(exhaustive, seeded, ("", "012", [2], ())):
+        assert outcome(ecc.integral, value) == outcome(_integral_referee, value), value
+        assert outcome(ecc.derivative, value) == outcome(_derivative_referee, value), value
 
 
 def test_integral_is_linear_exhaustively():
@@ -66,14 +96,14 @@ def test_one_step_capability_gate():
 
     with pytest.raises(CapabilityTooSmall):
         # t=3 needs 3*(8+1)=27 erasures; the shipped code absorbs 22
-        ecc.one_step_encode(BitString.zeros(16), 3, code=bundled_code("bch_63_16"))
+        ecc.one_step_encode(BitString.from_int(0, 16), 3, code=bundled_code("bch_63_16"))
     with pytest.raises(ConfigError):
-        ecc.one_step_encode(BitString.zeros(9), 1)  # no shipped code for k=9
+        ecc.one_step_encode(BitString.from_int(0, 9), 1)  # no shipped code for k=9
 
 
 def test_two_step_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
-        ecc.two_step_encode(BitString.zeros(16), 2, code_data=single_parity(16))
+        ecc.two_step_encode(BitString.from_int(0, 16), 2, code_data=single_parity(16))
     with pytest.raises(ConfigError):  # the payload code must have k = 16
         ecc.two_step_codebook(b2_n16_codebook, 1, code_data=shipped_code(8, 1))
     with pytest.raises(ConfigError):  # the flag code must have k = root = 8
@@ -82,7 +112,7 @@ def test_two_step_capability_gate(b2_n16_codebook):
 
 def test_integral_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
-        ecc.integral_encode(BitString.zeros(16), 4, code=single_parity(16))
+        ecc.integral_encode(BitString.from_int(0, 16), 4, code=single_parity(16))
     with pytest.raises(ConfigError):  # the code on I(s) must have k = 16
         ecc.integral_codebook(b2_n16_codebook, 2, shipped_code(8, 1))
 

@@ -1,12 +1,12 @@
-import itertools
 import random
 
 import pytest
 
-from masscodec.bhcode import BhCodebook, verify_bh
-from masscodec.codec import decode_mixture, encode_codebook
+from masscodec.bhcode import verify_bh
+from masscodec.codec import decode_mixture
 from masscodec.core import BitString, full_multiset, pool, real_sum
-from masscodec.errors import SearchSpaceTooLarge
+from masscodec import oracle
+from masscodec.errors import ConfigError, SearchSpaceTooLarge
 from masscodec.oracle import (
     brute_decode,
     check_prefix_code_cycles,
@@ -160,3 +160,17 @@ def test_verified_prefix_codes_have_no_four_cycles():
                 split,
                 [str(s) for s in code],
             )
+
+
+def test_oracles_refuse_an_order_below_one_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(oracle, "_all_strings", no_search)
+    strings = [BitString("011"), BitString("000")]
+    for h in (0, -2):
+        with pytest.raises(ConfigError, match=f"needs h >= 1, got {h}"):
+            verify_hmc(strings, h)
+        for mode in ("max-greedy", "exact-max"):
+            with pytest.raises(ConfigError, match=f"needs h >= 1, got {h}"):
+                exhaustive_bh_search(4, h, mode=mode)
