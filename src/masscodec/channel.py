@@ -214,6 +214,10 @@ class SideSums:
     the rest go to the suffix side.  ``certain`` marks the lengths where
     every assignment of the ties that respects the hbar cap on the other
     side gives the side exactly hbar fragments.
+
+    ``cells`` and the per-side ``entries`` built from it list the fragments
+    themselves; ``codec.separate_pool`` needs neither, since it splits the
+    count table by a mask and reads only ``fragments`` and ``fill``.
     """
 
     # (4, K): length, ones, multiplicity and class (0 prefix, 1 tie, 2 suffix)
@@ -256,11 +260,14 @@ class SideSums:
 def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     """Per-length, per-side fragment counts, ones totals and certainty.
 
-    This is the one reading of counts into sums: the two-sided partial
-    sums, the raw side sums, the one-sided sums, the clean-pool split of
-    the codec and substitution detection all read its arrays.  Lengths
-    past N are ignored.  After one scan of the count table for its nonzero
-    cells, the work is proportional to the number of distinct fragments.
+    This is the one reading of counts into sums.  Its readers are the
+    two-sided partial sums (``partial_sum_strings``, so ``merged_sums``),
+    the raw side sums, substitution detection and the codec's clean-pool
+    split (``codec.separate_pool``).  The one-sided sums of an attributed
+    pool read ``length_totals`` instead.
+    Lengths past N are ignored.  After one scan of the count table for its
+    nonzero cells, the work is proportional to the number of distinct
+    fragments.
 
     The pool keeps its last reading in its one memo slot: a second call
     with the same N and hbar returns the same object, and one with another
@@ -277,27 +284,30 @@ def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     flat = (table != 0).ravel().nonzero()[0]
     rows, ones = divmod(flat, table.shape[1])
     mult = table.ravel()[flat]
-    length = rows + 1
-    kind = np.sign(length - 2 * ones) + 1  # 0 prefix, 1 tie, 2 suffix
-    slot = 3 * rows + kind
+    kind = np.sign(rows + 1 - 2 * ones) + 1  # 0 prefix, 1 tie, 2 suffix
+    slot = N * kind + rows
 
     def per_length(weights: np.ndarray) -> np.ndarray:
         # (3, N): totals of the prefix, tie and suffix cells at each length
-        totals = np.bincount(slot, weights=weights, minlength=3 * N)
-        return totals.astype(np.int64).reshape(N, 3).T
+        return np.bincount(slot, weights, 3 * N).astype(np.int64).reshape(3, N)
 
     counted = per_length(mult)
     ties = counted[1]
     unbalanced = counted[::2]  # prefix-only and suffix-only fragments
-    to_prefix = np.clip(hbar - unbalanced[0], 0, ties)
-    fill = np.stack([to_prefix, ties - to_prefix])
+    # the prefix side takes the ties it has room for, the suffix side the rest
+    fill = np.empty_like(unbalanced)
+    to_prefix = fill[0]
+    np.subtract(hbar, unbalanced[0], out=to_prefix)
+    np.maximum(to_prefix, 0, out=to_prefix)
+    np.minimum(to_prefix, ties, out=to_prefix)
+    np.subtract(ties, to_prefix, out=fill[1])
     fragments = unbalanced + fill
     sums = per_length(mult * ones)[::2] + fill * (np.arange(1, N + 1) // 2)
     # a side is certain when even its fewest fragments, with the other side
     # taking every tie it has room for, reach hbar
     room = np.maximum(0, hbar - unbalanced[::-1])
     certain = unbalanced + np.maximum(0, ties - room) == hbar
-    cells = np.stack([length, ones, mult, kind])
+    cells = np.array([rows + 1, ones, mult, kind])
     for array in (cells, fill, fragments, sums, certain):
         array.flags.writeable = False
     return SideSums(cells, fill, fragments, sums, certain)
@@ -336,7 +346,8 @@ def increments(
     ok = known.copy()
     ok[1:] &= known[:-1]
     if strict:
-        bad = (ok & ((steps < 0) | (steps > hbar))).nonzero()[0]
+        # cast unsigned, a negative step is past hbar too: one test finds both ends
+        bad = (ok & (steps.astype("u8") > hbar)).nonzero()[0]
         if bad.size:
             i = int(bad[0])
             raise NegativeIncrement(f"sum symbol {steps[i]} at position {i + 1}")

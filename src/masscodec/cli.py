@@ -48,6 +48,7 @@ from .errors import (
     AmbiguousSolution,
     ConfigError,
     DecodeFailure,
+    InconsistentPoolSize,
     MasscodecError,
     SearchSpaceTooLarge,
     TooManyErasures,
@@ -233,7 +234,15 @@ def cmd_decode(args) -> int:
     book_N = base.n if scheme == RAW else book.N
     if N != book_N:
         raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
-    hbar = mixture_order(poolset, book_N) if args.hbar is None else args.hbar
+    # hbar is checked here, once, so a report and a decode see the same one
+    if args.hbar is None:
+        hbar = mixture_order(poolset, book_N)
+        if hbar == 0:
+            raise InconsistentPoolSize(f"the pool holds no fragment of length 1..{book_N}")
+    elif 1 <= args.hbar <= len(base):
+        hbar = args.hbar
+    else:
+        raise ConfigError(f"a decode needs 1 <= hbar <= {len(base)}, got hbar={args.hbar}")
     report = detect_substitution(poolset, book_N, hbar) if args.detect else None
     try:
         # a plain pool that lost fragments needs the redundancy-free merge

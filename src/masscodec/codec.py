@@ -350,6 +350,18 @@ def require_plain(codebook: McCodebook) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _prefix_only(N: int) -> np.ndarray:
+    """Read-only (N + 1, N + 1) mask of the cells (length, ones) with more than
+    half their length in ones: the fragments that can only be prefixes."""
+    import numpy as np
+
+    size = np.arange(N + 1)
+    mask = 2 * size > size[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def separate_pool(
     pool: CompositionMultiset, N: int, hbar: int
 ) -> tuple[CompositionMultiset, CompositionMultiset]:
@@ -359,6 +371,12 @@ def separate_pool(
     with fewer must be suffixes; at even i a fragment with exactly i/2
     ones can sit on either side, and since all such ties are the identical
     composition the split is unique once each side is filled to hbar.
+
+    The split reads two arrays of the pool's ``side_sums``: ``fragments``
+    to check that every length splits hbar + hbar, and the prefix row of
+    ``fill`` for the ties the prefix side takes.  The prefix table is the
+    count table under the prefix-only mask plus those ties, and the suffix
+    table is the rest of the count table.
     """
     sums = side_sums(pool, N, hbar)
     # a length splits exactly when tie filling leaves hbar on each side
@@ -373,13 +391,15 @@ def separate_pool(
         raise CountMismatch(f"length {length}: cannot split {ones_list} into {hbar}+{hbar}")
     import numpy as np
 
-    sides = []
-    for side in (0, 1):
-        length, ones, mult = sums.entries(side)
-        counts = np.zeros((N + 1, N + 1), dtype=np.int64)
-        counts[length, ones] = mult
-        sides.append(CompositionMultiset.from_counts(counts))
-    return sides[0], sides[1]
+    table = pool.counts[: N + 1, : N + 1]
+    if len(table) <= N:  # only hbar = 0 passes without fragments of length N
+        table = np.zeros((N + 1, N + 1), dtype=np.int64)
+    prefixes = table * _prefix_only(N)
+    # the tie cell (2k, k) is flat cell k(2N + 3), and fill[0, 2k - 1] its prefix share
+    step = 2 * N + 3
+    prefixes.reshape(-1)[step::step] = sums.fill[0, 1::2]
+    suffixes = table - prefixes
+    return CompositionMultiset.from_counts(prefixes), CompositionMultiset.from_counts(suffixes)
 
 
 def sum_from_prefixes(

@@ -476,10 +476,13 @@ def fragment_cells(
     strings: one row of n per read, all prefix reads first, each one cumulative sum."""
     import numpy as np
 
-    bits = np.array([s.bits for s in strings], dtype=np.int64)
-    n = bits.shape[1]
+    n = len(strings[0])
+    # one byte per symbol, read by C calls rather than an int conversion each
+    symbols = b"".join(bytes(s.bits) for s in strings)
+    bits = np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
     reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
-    return np.cumsum(np.concatenate(reads), axis=1) + (n + 1) * np.arange(1, n + 1)
+    cumulative = np.cumsum(np.concatenate(reads), axis=1, dtype=np.int64)
+    return cumulative + (n + 1) * np.arange(1, n + 1)
 
 
 def _read_fragments(strings: Sequence[BitString], **reads: bool) -> CompositionMultiset:
@@ -559,12 +562,17 @@ class PartialSumString:
     __slots__ = ("symbols", "hbar")
 
     def __init__(self, symbols: Iterable[Optional[int]], hbar: int):
-        syms = tuple(None if v is None else int(v) for v in symbols)
+        syms = tuple(symbols)
+        known = [v for v in syms if v is not None]
+        if set(map(type, known)) - {int}:
+            # numpy ints, bools, floats and digit strings go through int()
+            syms = tuple(None if v is None else int(v) for v in syms)
+            known = [v for v in syms if v is not None]
         if hbar < 1:
             raise ValueError("hbar must be positive")
-        for v in syms:
-            if v is not None and not 0 <= v <= hbar:
-                raise ValueError(f"symbol {v} outside 0..{hbar}")
+        if known and (min(known) < 0 or max(known) > hbar):
+            v = next(v for v in known if not 0 <= v <= hbar)
+            raise ValueError(f"symbol {v} outside 0..{hbar}")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "hbar", hbar)
 
@@ -603,7 +611,7 @@ class PartialSumString:
 
     @property
     def complete(self) -> bool:
-        return all(v is not None for v in self.symbols)
+        return None not in self.symbols
 
     def as_tuple(self) -> tuple[int, ...]:
         if not self.complete:

@@ -1,7 +1,8 @@
 import pytest
 
-from masscodec.bhcode import build_bh_codebook, bundled_spec
+from masscodec.bhcode import ParityCheckSpec, build_bh_codebook, bundled_spec
 from masscodec.codec import encode_codebook
+from masscodec.gf2m import alpha_power_pcm
 
 CRITERION_TITLES = {
     "1": "worked-example fidelity",
@@ -62,6 +63,15 @@ def b3_codebook():
 def b2_n16_codebook():
     """20 strings of length 16 for the correction-scheme sweeps."""
     return build_bh_codebook(2, bundled_spec("bch_255_cols20"))
+
+
+@pytest.fixture(scope="session")
+def lookup_h3_book():
+    """The first 96 columns of the m = 8 BCH matrix with powers {1, 3, 5}
+    (d = 7), as an order-3 plain codebook of codeword length N = 68."""
+    H = alpha_power_pcm(8, 96, [1, 3, 5])
+    spec = ParityCheckSpec(tuple(tuple(int(b) for b in row) for row in H), 7)
+    return encode_codebook(build_bh_codebook(3, spec))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -35,7 +36,7 @@ from masscodec.channel import (
     substitute_mass_reducing,
 )
 from masscodec.channel import _single_error_corrections, _string_weight
-from masscodec.codec import separate_pool, sum_from_prefixes
+from masscodec.codec import decode_mixture, encode_codebook, separate_pool, sum_from_prefixes
 from masscodec.core import (
     BitString,
     Composition,
@@ -739,6 +740,12 @@ def _outcome(fn):
         return type(exc).__name__
 
 
+def _fast_separate(readout, N: int, hbar: int):
+    prefixes, suffixes = separate_pool(readout, N, hbar)
+    total = str(sum_from_prefixes(prefixes, N, hbar))
+    return (_as_counter(prefixes), _as_counter(suffixes)), total
+
+
 def _check_against_slow(readout, counts: Counter, N: int, hbar: int) -> None:
     assert _as_counter(readout) == +counts
     assert readout.total == sum(counts.values())
@@ -763,12 +770,8 @@ def _check_against_slow(readout, counts: Counter, N: int, hbar: int) -> None:
     p, s = _slow_certain_sides(att, N, hbar, strict=False)
     assert raw_side_sums(readout, N, hbar) == (p, s[::-1])
 
-    def fast_separate():
-        prefixes, suffixes = separate_pool(readout, N, hbar)
-        total = str(sum_from_prefixes(prefixes, N, hbar))
-        return (_as_counter(prefixes), _as_counter(suffixes)), total
-
-    assert _outcome(fast_separate) == _outcome(lambda: _slow_separate(counts, N, hbar))
+    fast_separate = _outcome(lambda: _fast_separate(readout, N, hbar))
+    assert fast_separate == _outcome(lambda: _slow_separate(counts, N, hbar))
 
     report = detect_substitution(readout, N, hbar)
     fast = {
@@ -873,6 +876,69 @@ def test_length_totals_match_side_sums_totals(scheme_books):
         assert fragments.tolist() == sums.fragments.sum(axis=0).tolist()
         assert ones.tolist() == sums.ones.sum(axis=0).tolist()
 
+
+def _with_message(fn):
+    try:
+        return fn()
+    except MasscodecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _split_outcomes(book, trials: int, seed: int) -> list:
+    """separate_pool and decode_mixture outcomes on seeded clean, erased and
+    one-lighter readouts of a plain book, and separate_pool on the clean
+    readout cut at the odd length N - 1.  Each split, with the sum of its
+    prefix side, is checked against the slow referee on the way."""
+    rng = random.Random(seed)
+    N = book.N
+    out = []
+    for _ in range(trials):
+        hbar = rng.randint(1, book.h)
+        sources = rng.sample(book.base.strings, hbar)
+        words = [book.bits_for(s) for s in sources]
+        clean = book.pool_of(sources)
+        readouts = [clean] + [
+            erase(clean, sample_erasure_pattern(words, t, rng, placement))
+            for t in (1, 2)
+            for placement in ("uniform", "adversarial")
+        ]
+        counts = clean.counts.copy()
+        length, ones = rng.choice([cell for cell in zip(*counts.nonzero()) if cell[1]])
+        counts[length, ones] -= 1
+        counts[length, rng.randrange(ones)] += 1
+        readouts.append(CompositionMultiset.from_counts(counts))
+        for readout, n in [(r, N) for r in readouts] + [(clean, N - 1)]:
+            slow = _outcome(lambda: _slow_separate(_as_counter(readout), n, hbar))
+            assert _outcome(lambda: _fast_separate(readout, n, hbar)) == slow
+            sides = _with_message(lambda: separate_pool(readout, n, hbar))
+            if not isinstance(sides[0], str):
+                sides = [side.to_json_obj() for side in sides]
+            out.append(sides)
+            if n == N:
+                decoded = _with_message(lambda: decode_mixture(readout, book, hbar))
+                out.append(sorted(map(str, decoded)) if isinstance(decoded, frozenset) else decoded)
+    return out
+
+
+# sha256 over _split_outcomes, recorded before separate_pool split the count
+# table by one mask
+SPLIT_DIGESTS = {
+    "lookup-h3": "0793d757aa87f6232475a51e3c8061d2d6e9835d63568aa3edc20bcff5821da4",
+    "bch_255_cols20": "c1b4db8b5ccb75242dcadb487dd2c2c2097e6073374354e384d561b824116a00",
+}
+
+
+def test_separate_pool_and_decode_outcomes_are_pinned(lookup_h3_book, b2_n16_codebook):
+    books = {"lookup-h3": lookup_h3_book, "bch_255_cols20": encode_codebook(b2_n16_codebook)}
+    for (name, book), seed in zip(books.items(), (19, 20)):
+        outcomes = repr(_split_outcomes(book, 25, seed))
+        assert hashlib.sha256(outcomes.encode()).hexdigest() == SPLIT_DIGESTS[name], name
+    # hbar = 0 splits only a pool without fragments up to N, whose table may be
+    # shorter than N
+    empty = (CompositionMultiset(), CompositionMultiset())
+    assert separate_pool(CompositionMultiset(), 6, 0) == empty
+    with pytest.raises(CountMismatch, match="length 1: 2 fragments, expected 0"):
+        separate_pool(pool(["1100"]), 6, 0)
 
 
 def test_mixture_order_reads_hbar_while_some_length_lost_at_most_one(scheme_books):

@@ -149,6 +149,32 @@ def test_decode_reads_hbar_off_an_erased_pool(ws):
     assert json.loads((ws / "d.json").read_text()) == {"status": "ok", "strings": sources}
 
 
+BCH20 = {"h": 2, "matrix": "bundled:bch_255_cols20"}  # a book of 20 strings
+
+
+@pytest.mark.parametrize("detect", [(), ("--detect",)])
+@pytest.mark.parametrize("hbar", [21, 0, -1])
+def test_decode_refuses_an_hbar_outside_one_to_the_book_size(ws, capsys, hbar, detect):
+    # 21 was decoded to an ambiguous result; 0 and -1 failed inside the decoder
+    _encode_and_pool(ws, BCH20, ["0000000000000100", "0000000000001000"])
+    assert run("decode", ws / "p.json", "--config", ws / "cfg.json", "--hbar", hbar,
+               *detect, "-o", ws / "d.json") == 2
+    message = f"a decode needs 1 <= hbar <= 20, got hbar={hbar}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "d.json").exists()
+
+
+@pytest.mark.parametrize("detect", [(), ("--detect",)])
+def test_an_empty_readout_fails_one_way_with_or_without_detect(ws, capsys, detect):
+    _encode_and_pool(ws, BCH20, ["0000000000000100"])
+    N = json.loads((ws / "p.json").read_text())["N"]
+    (ws / "e.json").write_text(json.dumps({"N": N, "fragments": []}))
+    assert run("decode", ws / "e.json", "--config", ws / "cfg.json", *detect,
+               "-o", ws / "d.json") == 4
+    message = f"the pool holds no fragment of length 1..{N}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_budget_reaches_decode(ws):
     from masscodec.bhcode import build_bh_codebook, bundled_spec
 

@@ -16,6 +16,7 @@ from masscodec.core import (
     PartialSumString,
     all_dyck_strings,
     composition,
+    fragment_cells,
     full_multiset,
     is_dyck,
     pool,
@@ -398,6 +399,86 @@ def test_bitstring_integer_methods_match_the_bits():
     for length in (0, -1):
         with pytest.raises(ValueError, match="empty bit string"):
             BitString.from_int(0, length)
+
+
+class _RefereePartialSumString:
+    """The PartialSumString constructor that the C-level checks replaced: an
+    int() per symbol, then the hbar test, then a range test per symbol."""
+
+    def __init__(self, symbols, hbar):
+        syms = tuple(None if v is None else int(v) for v in symbols)
+        if hbar < 1:
+            raise ValueError("hbar must be positive")
+        for v in syms:
+            if v is not None and not 0 <= v <= hbar:
+                raise ValueError(f"symbol {v} outside 0..{hbar}")
+        self.symbols = syms
+        self.hbar = hbar
+
+
+def _sum_outcome(make, symbols, hbar):
+    try:
+        p = make(iter(symbols), hbar)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return p.symbols, tuple(map(type, p.symbols)), p.hbar
+
+
+def _partial_sum_inputs():
+    import numpy as np
+
+    rng = random.Random(19)
+    for n in (1, 5, 68, 142):
+        for hbar in (1, 2, 3):
+            known = [rng.randint(0, hbar) for _ in range(n)]
+            erased = [None if rng.random() < 0.3 else v for v in known]
+            yield known, hbar
+            yield erased, hbar
+            yield np.array(known), hbar
+            yield [None if v is None else np.int64(v) for v in erased], hbar
+            yield [None if v is None else bool(v % 2) for v in erased], hbar
+            yield [None if v is None else v + 0.5 for v in erased], hbar
+            yield [None if v is None else str(v) for v in erased], hbar
+            # two symbols out of range: the first one is named
+            for low, high in ((-1, hbar + 1), (hbar + 2, -3)):
+                bad = list(erased)
+                i, j = sorted(rng.sample(range(n + 2), 2))
+                bad.insert(i, low)
+                bad.insert(j, high)
+                yield bad, hbar
+                yield [None if v is None else str(v) for v in bad], hbar
+            yield np.array(known, dtype=np.uint8) + 255, hbar
+            # an unreadable symbol is refused before hbar, hbar before the range
+            for worse in (0, -1):
+                yield erased, worse
+                yield erased + [hbar + 1], worse
+                yield erased + ["x"], worse
+            yield erased + [[1]], hbar
+    yield [], 1
+    yield [None, None], 2
+    yield [1, 2], np.int64(2)
+
+
+def test_partial_sum_string_matches_the_referee_constructor():
+    for symbols, hbar in _partial_sum_inputs():
+        ours = _sum_outcome(PartialSumString, symbols, hbar)
+        assert ours == _sum_outcome(_RefereePartialSumString, symbols, hbar), (symbols, hbar)
+
+
+def test_fragment_cells_match_the_array_form():
+    import numpy as np
+
+    rng = random.Random(16)
+    for n in (1, 16, 68, 255):
+        for count in (1, 3, 20):
+            strings = [BitString.random(n, rng) for _ in range(count)]
+            bits = np.array([s.bits for s in strings], dtype=np.int64)
+            for prefixes, suffixes in ((True, False), (False, True), (True, True)):
+                reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
+                want = np.cumsum(np.concatenate(reads), axis=1) + (n + 1) * np.arange(1, n + 1)
+                got = fragment_cells(strings, prefixes, suffixes)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert (got == want).all(), (n, count, prefixes, suffixes)
 
 
 def test_package_import_loads_no_numpy():
