@@ -22,7 +22,6 @@ the correction is not, and the report below keeps those outcomes apart.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import Counter
@@ -215,9 +214,9 @@ class SideSums:
     every assignment of the ties that respects the hbar cap on the other
     side gives the side exactly hbar fragments.
 
-    ``cells`` and the per-side ``entries`` built from it list the fragments
-    themselves; ``codec.separate_pool`` needs neither, since it splits the
-    count table by a mask and reads only ``fragments`` and ``fill``.
+    ``cells`` lists the fragments themselves, for substitution detection;
+    ``codec.separate_pool`` does not need it, since it splits the count
+    table by a mask and reads only ``fragments`` and ``fill``.
     """
 
     # (4, K): length, ones, multiplicity and class (0 prefix, 1 tie, 2 suffix)
@@ -227,34 +226,6 @@ class SideSums:
     fragments: np.ndarray  # (2, N) fragments per side after tie filling
     ones: np.ndarray  # (2, N) ones totals per side after tie filling
     certain: np.ndarray  # (2, N) bool
-
-    @functools.cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        out = []
-        for side, fill in enumerate(self.fill):
-            at = fill.nonzero()[0] + 1
-            cells = self.cells[:3, self.cells[3] == 2 * side]
-            both = np.concatenate([cells, np.stack([at, at // 2, fill[at - 1]])], axis=1)
-            both.flags.writeable = False
-            out.append(both)
-        return out[0], out[1]
-
-    def entries(self, side: int) -> np.ndarray:
-        """(3, K) length, ones and multiplicity of the fragments of side 0 or 1.
-
-        The side's unbalanced cells come first, in (length, ones) order,
-        then one cell per length for the ties the side received.  Both
-        sides are built on the first call and shared, read-only, after it.
-        """
-        return self._entries[side]
-
-    def ones_list(self, side: int, length: int) -> list[int]:
-        """Ones of the side's fragments at a length: non-ties ascending, then ties."""
-        lengths, ones, mult = self.entries(side)
-        at = lengths == length
-        return ones[at].repeat(mult[at]).tolist()
 
 
 def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
@@ -647,98 +618,125 @@ def apply_correction(
     return pool.remove(correction.observed).add(correction.restored)
 
 
-def _string_weight(pool: CompositionMultiset, N: int) -> Optional[int]:
-    """Common per-string weight, read off the full-length fragments."""
-    ones = pool.ones_at_length(N)
-    if ones and len(set(ones)) == 1:
-        return ones[0]
-    return None
-
-
 def detect_substitution(
     pool: CompositionMultiset, N: int, hbar: int
 ) -> DetectionReport:
     """Flag count anomalies, out-of-range increments, and incompatibilities.
 
+    Every field is read off the side reading, both sides at once.  A count
+    deviation is a side's length without hbar fragments.  The sum symbols
+    are the steps of each side's ones totals, read where both lengths hold
+    a fragment; a bad increment is one outside 0..hbar, and a side with
+    neither anomaly gives its sum.  With w0 the common weight of the
+    full-length fragments, a prefix of length L with o ones completes a
+    suffix of length N - L with w0 - o ones.  So the prefix side's cells
+    and the suffix side's, mirrored to (N - length, w0 - ones), become
+    integer keys of (length, ones, multiplicity), a tie cell counting the
+    ties its side took.  A length whose keys differ is incompatible when it
+    and its mirror both hold hbar fragments.
+
     Under a single-error assumption a fragment read lighter that crossed
     the weight split leaves exactly two count deviations: side X one short
-    and side Y one over, at the same length L.  With w0 the common weight
-    of the full-length fragments and M = N - L, a fragment of length L
-    with o ones mirrors one of length M with w0 - o ones.  Each distinct
-    ones value b of Y's length-L fragments is tried, in ascending order,
-    as the lighter reading.  It is skipped when X holds hbar fragments at
-    M whose mirrors account for every copy of b.  Otherwise Y's length-M
-    values, less one copy of b when M = L, must number hbar, and their
-    mirrors must leave exactly one value v that X's length-L fragments do
-    not cover.  The repair b -> v on side X is listed when v > b, so the
-    corrections come out in ascending order of the observed ones, and
-    exactly one candidate means the error is correctable.
+    and side Y one over, at the same length L.  The repair reads both sides
+    at L and at M = N - L.  Each distinct ones value b of Y's length-L
+    fragments is tried, in ascending order, as the lighter reading.  It is
+    skipped when X holds hbar fragments at M whose mirrors account for
+    every copy of b.  Otherwise Y's length-M values, less one copy of b when
+    M = L, must number hbar, and their mirrors must leave exactly one value
+    v that X's length-L fragments do not cover.  The repair b -> v on side
+    X is listed when v > b, so the corrections come out in ascending order
+    of the observed ones, and exactly one candidate means the error is
+    correctable.
     """
+    import numpy as np
+
     sums = side_sums(pool, N, hbar)
-    p_dev, s_dev = (
-        [(i, d) for i, d in enumerate(devs, start=1) if d]
-        for devs in (sums.fragments - hbar).tolist()
+    fragments, ones = sums.fragments, sums.ones
+    off = fragments != hbar
+    devs: tuple[list, list] = ([], [])
+    if off.any():
+        side, at = off.nonzero()
+        for k, i, d in zip(side.tolist(), at.tolist(), (fragments[off] - hbar).tolist()):
+            devs[k].append((i + 1, d))
+    steps = ones.copy()
+    steps[:, 1:] -= ones[:, :-1]
+    # a length counts when it holds any fragment, and every length does at hbar = 0
+    known = fragments > 0 if hbar else fragments >= 0
+    read = known.copy()
+    read[:, 1:] &= known[:, :-1]
+    # as unsigned, a negative step is past hbar too: one test finds both ends
+    out_of_range = read & (steps.view(np.uint64) > hbar)
+    bad: tuple[list, list] = ([], [])
+    if out_of_range.any():
+        side, at = out_of_range.nonzero()
+        for k, i, v in zip(side.tolist(), at.tolist(), steps[out_of_range].tolist()):
+            # suffix-side positions in prefix orientation
+            bad[k].append((N - i if k else i + 1, v))
+    # a side without deviations reads every length; the suffix sum is read backwards
+    prefix_sum, suffix_sum = (
+        None if devs[k] or bad[k] else PartialSumString(steps[k, :: 1 - 2 * k].tolist(), hbar)
+        for k in (0, 1)
     )
 
-    # every length holding any fragment counts, however many it holds
-    known = (sums.fragments > 0) | (hbar == 0)
-    p_naive, s_naive = (increments(sums.ones[k], known[k], hbar, False) for k in (0, 1))
-    p_bad, s_bad = (
-        [(i, v) for i, v in enumerate(symbols, start=1) if v is not None and not 0 <= v <= hbar]
-        for symbols in (p_naive, s_naive)
-    )
-    # suffix-side positions and symbols in prefix orientation
-    s_naive_rev = list(reversed(s_naive))
-    s_bad_rev = [(N - i + 1, v) for i, v in s_bad]
-
-    w0 = _string_weight(pool, N)
+    # the cells are in (length, ones) order, so the full-length ones come last
+    last_lengths, last_ones = sums.cells[:2, -2:].tolist()
+    w0 = last_ones[-1] if last_lengths.count(N) == 1 else None
     incompatible = []
     if w0 is not None:
-        # a prefix of length L with o ones completes a suffix of length N - L
-        # with w0 - o ones, so the prefix side must mirror the suffix side
-        # one int per (length, ones, mult) cell; ones are offset by N since a
+        # one int per (length, ones, mult); ones are offset by N since a
         # mirrored w0 - o can be negative, and mult runs up to pool.total
         width = pool.total + 1
         span = (2 * N + 1) * width
-        length, ones, mult = sums.entries(0)
-        prefix = set((length * span + (ones + N) * width + mult).tolist())
-        length, ones, mult = sums.entries(1)
-        mirrored = set(((N - length) * span + (w0 - ones + N) * width + mult).tolist())
-        full = (
-            (sums.fragments[0, : N - 1] == hbar) & (sums.fragments[1, N - 2 :: -1] == hbar)
-        ).tolist()
-        differ = {key // span for key in prefix ^ mirrored}
-        incompatible = [ln for ln in sorted(differ) if 1 <= ln < N and full[ln - 1]]
+        length, cell_ones, mult, kind = sums.cells
+        key = length * span + cell_ones * width
+        # a tie cell counts the ties its side took: all of them less the other side's
+        ties = sums.fill.take(length - 1, axis=1) * (kind == 1)
+        on_prefix = mult * (kind < 2) - ties[1]
+        on_suffix = mult * (kind > 0) - ties[0]
+        prefix = (key + on_prefix)[on_prefix > 0] + N * width
+        # cells come in (length, ones) order, so keys do too, the mirrored ones reversed
+        mirrored = ((N * span + (w0 + N) * width) - key + on_suffix)[on_suffix > 0][::-1]
+        # the lengths of the keys without a twin on the other side
+        differ = {
+            k // span
+            for keys, other in ((prefix, mirrored), (mirrored, prefix))
+            for k in keys[other.searchsorted(keys, "right") == other.searchsorted(keys)].tolist()
+        }
+        incompatible = [
+            ln for ln in sorted(differ) if 0 < ln < N and not (off[0, ln - 1] or off[1, N - ln - 1])
+        ]
 
-    def clean_sum(symbols: list, devs: list, bad: list) -> Optional[PartialSumString]:
-        if devs or bad or None in symbols:
-            return None
-        return PartialSumString(symbols, hbar)
+    candidates = tuple(dict.fromkeys(ps for ps in (prefix_sum, suffix_sum) if ps is not None))
+    recovered = candidates[0] if len(candidates) == 1 and not incompatible else None
 
-    prefix_sum = clean_sum(p_naive, p_dev, p_bad)
-    suffix_sum = clean_sum(s_naive_rev, s_dev, s_bad_rev)
-    candidates = []
-    for ps in (prefix_sum, suffix_sum):
-        if ps is not None and ps not in candidates:
-            candidates.append(ps)
-    recovered = None
-    if len(candidates) == 1 and not incompatible:
-        recovered = candidates[0]
-
-    corrections = _single_error_corrections(sums, N, hbar, w0, p_dev, s_dev)
+    corrections = _single_error_corrections(sums, N, hbar, w0, *devs)
     return DetectionReport(
         hbar=hbar,
-        prefix_count_dev=tuple(p_dev),
-        suffix_count_dev=tuple(s_dev),
-        prefix_bad_increments=tuple(p_bad),
-        suffix_bad_increments=tuple(s_bad_rev),
+        prefix_count_dev=tuple(devs[0]),
+        suffix_count_dev=tuple(devs[1]),
+        prefix_bad_increments=tuple(bad[0]),
+        suffix_bad_increments=tuple(bad[1]),
         incompatible_lengths=tuple(incompatible),
         prefix_sum=prefix_sum,
         suffix_sum=suffix_sum,
         recovered_sum=recovered,
-        candidate_sums=tuple(candidates),
+        candidate_sums=candidates,
         corrections=corrections,
     )
+
+
+def _side_ones(sums: SideSums, length: int) -> tuple[Counter, Counter]:
+    """The ones of the prefix side's and the suffix side's fragments at a length."""
+    sides: tuple[Counter, Counter] = (Counter(), Counter())
+    lo, hi = sums.cells[0].searchsorted([length, length + 1]).tolist()  # cells in length order
+    for ones, mult, kind in zip(*sums.cells[1:, lo:hi].tolist()):
+        if kind == 1:  # the ties, shared out as the reading shared them
+            for side, ties in zip(sides, sums.fill[:, length - 1].tolist()):
+                if ties:
+                    side[ones] = ties
+        else:
+            sides[kind // 2][ones] = mult
+    return sides
 
 
 def _single_error_corrections(
@@ -749,11 +747,12 @@ def _single_error_corrections(
     if w0 is None or [d for d, _, _ in devs] != [-1, 1] or devs[0][1] != devs[1][1]:
         return ()
     (_, length, x), (_, _, y) = devs  # side x lost the fragment, side y gained it
+    at_length, at_mirror = _side_ones(sums, length), _side_ones(sums, N - length)
     # hbar - 1 genuine values on side x; hbar + 1 on side y, one of them bogus
-    short, long = (Counter(sums.ones_list(side, length)) for side in (x, y))
+    short, long = at_length[x], at_length[y]
     # the mirrors w0 - o of each side's fragments at N - L
     x_mirrors, y_mirrors = (
-        Counter(w0 - o for o in sums.ones_list(side, N - length)) for side in (x, y)
+        Counter({w0 - o: m for o, m in at_mirror[side].items()}) for side in (x, y)
     )
     corrections = []
     # with hbar fragments at N - L, side x mirrors every genuine copy

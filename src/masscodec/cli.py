@@ -235,14 +235,14 @@ def cmd_decode(args) -> int:
     if N != book_N:
         raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
     # hbar is checked here, once, so a report and a decode see the same one
-    if args.hbar is None:
-        hbar = mixture_order(poolset, book_N)
-        if hbar == 0:
-            raise InconsistentPoolSize(f"the pool holds no fragment of length 1..{book_N}")
-    elif 1 <= args.hbar <= len(base):
-        hbar = args.hbar
-    else:
-        raise ConfigError(f"a decode needs 1 <= hbar <= {len(base)}, got hbar={args.hbar}")
+    order = mixture_order(poolset, book_N)
+    hbar = order if args.hbar is None else args.hbar
+    if args.hbar is not None and not 1 <= hbar <= len(base):
+        raise ConfigError(f"a decode needs 1 <= hbar <= {len(base)}, got hbar={hbar}")
+    if hbar == 0:
+        raise InconsistentPoolSize(f"the pool holds no fragment of length 1..{book_N}")
+    if order > hbar:  # lost fragments and lighter readings never add a fragment to a length
+        raise InconsistentPoolSize(f"the pool needs hbar >= {order}, got hbar={hbar}")
     report = detect_substitution(poolset, book_N, hbar) if args.detect else None
     try:
         # a plain pool that lost fragments needs the redundancy-free merge

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +36,7 @@ from masscodec.channel import (
     side_sums,
     substitute_mass_reducing,
 )
-from masscodec.channel import _single_error_corrections, _string_weight
+from masscodec.channel import _single_error_corrections
 from masscodec.codec import decode_mixture, encode_codebook, separate_pool, sum_from_prefixes
 from masscodec.core import (
     BitString,
@@ -622,6 +623,30 @@ def _as_counter(multiset) -> Counter:
     return Counter({(c.length, c.ones): m for c, m in multiset.entries()})
 
 
+def _side_entries(sums, side: int) -> np.ndarray:
+    """(3, K) length, ones and multiplicity of the fragments of side 0 or 1.
+
+    The side's unbalanced cells come first, in (length, ones) order, then
+    one cell per length for the ties the side received.
+    """
+    at = sums.fill[side].nonzero()[0] + 1
+    cells = sums.cells[:3, sums.cells[3] == 2 * side]
+    return np.concatenate([cells, np.stack([at, at // 2, sums.fill[side, at - 1]])], axis=1)
+
+
+def _ones_list(sums, side: int, length: int) -> list:
+    """Ones of the side's fragments at a length: non-ties ascending, then ties."""
+    lengths, ones, mult = _side_entries(sums, side)
+    at = lengths == length
+    return ones[at].repeat(mult[at]).tolist()
+
+
+def _full_weight(readout, N: int):
+    """Common per-string weight, read off the full-length fragments."""
+    ones = readout.ones_at_length(N)
+    return ones[0] if ones and len(set(ones)) == 1 else None
+
+
 def _slow_ones(counts: Counter, length: int) -> list:
     return sorted(o for (ln, o), m in counts.items() if ln == length for _ in range(m))
 
@@ -754,7 +779,7 @@ def _check_against_slow(readout, counts: Counter, N: int, hbar: int) -> None:
     for length in range(1, N + 1):
         for k, side in enumerate(("prefix", "suffix")):
             want = att[length][side]
-            assert sums.ones_list(k, length) == want, (side, length)
+            assert _ones_list(sums, k, length) == want, (side, length)
             assert sums.fragments[k, length - 1] == len(want)
             assert sums.ones[k, length - 1] == sum(want)
             assert sums.certain[k, length - 1] == att[length][side + "_certain"]
@@ -969,7 +994,7 @@ SIDE_SUMS_ARRAYS = ("cells", "fill", "fragments", "ones", "certain")
 
 def _reading(sums) -> dict:
     out = {name: getattr(sums, name).tolist() for name in SIDE_SUMS_ARRAYS}
-    out["entries"] = [sums.entries(side).tolist() for side in (0, 1)]
+    out["entries"] = [_side_entries(sums, side).tolist() for side in (0, 1)]
     return out
 
 
@@ -991,7 +1016,8 @@ def test_side_sums_memo_is_keyed_by_n_and_hbar():
 def test_side_sums_arrays_are_read_only():
     sums = side_sums(pool(DYCK_TRIPLE), 6, 3)
     arrays = [getattr(sums, name) for name in SIDE_SUMS_ARRAYS]
-    for array in arrays + [sums.entries(0), sums.entries(1)]:
+    # and so are the rows detect_substitution unpacks from cells
+    for array in arrays + list(sums.cells):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -1031,8 +1057,8 @@ def _referee_corrections(sums, N, hbar, w0, p_dev, s_dev):
     if (length, other) not in surpluses:
         return ()
     index = {PREFIX: 0, SUFFIX: 1}
-    observed_short = sums.ones_list(index[side], length)  # hbar - 1 genuine values
-    observed_long = sums.ones_list(index[other], length)  # hbar + 1 values, one bogus
+    observed_short = _ones_list(sums, index[side], length)  # hbar - 1 genuine values
+    observed_long = _ones_list(sums, index[other], length)  # hbar + 1 values, one bogus
     comp_len = N - length
     candidates = []
     if comp_len == length:
@@ -1058,7 +1084,7 @@ def _referee_corrections(sums, N, hbar, w0, p_dev, s_dev):
             if cand not in candidates:
                 candidates.append(cand)
     else:
-        comp_vals = sums.ones_list(index[other], comp_len) if comp_len >= 1 else []
+        comp_vals = _ones_list(sums, index[other], comp_len) if comp_len >= 1 else []
         if len(comp_vals) != hbar:
             return ()
         expect = sorted(w0 - o for o in comp_vals)
@@ -1068,7 +1094,7 @@ def _referee_corrections(sums, N, hbar, w0, p_dev, s_dev):
         expect_other = None
         # the bogus fragment is whatever the surplus side holds beyond its
         # own complementary expectation
-        own_comp = sums.ones_list(index[side], N - length) if N - length >= 1 else []
+        own_comp = _ones_list(sums, index[side], N - length) if N - length >= 1 else []
         if len(own_comp) == hbar:
             expect_other = sorted(w0 - o for o in own_comp)
         bogus_pool = list(observed_long)
@@ -1106,8 +1132,8 @@ def _referee_incompatible_lengths(sums, N, hbar, w0) -> tuple:
     """The mirror check on sets of (length, ones, mult) tuples, before integer keys."""
     if w0 is None:
         return ()
-    prefix = set(map(tuple, sums.entries(0).T.tolist()))
-    length, ones, mult = sums.entries(1)
+    prefix = set(map(tuple, _side_entries(sums, 0).T.tolist()))
+    length, ones, mult = _side_entries(sums, 1)
     mirrored = set(zip((N - length).tolist(), (w0 - ones).tolist(), mult.tolist()))
     full = (
         (sums.fragments[0, : N - 1] == hbar) & (sums.fragments[1, N - 2 :: -1] == hbar)
@@ -1127,7 +1153,7 @@ def _compare_repair_rules(readout, N, hbar, reports: Counter) -> None:
         [(i, d) for i, d in enumerate(devs, start=1) if d]
         for devs in (sums.fragments - hbar).tolist()
     )
-    w0 = _string_weight(readout, N)
+    w0 = _full_weight(readout, N)
     inputs = (sums, N, hbar, w0, p_dev, s_dev)
     got = _single_error_corrections(*inputs)
     assert got == _referee_corrections(*inputs), (N, hbar, readout)
@@ -1180,9 +1206,91 @@ def test_mirror_check_matches_the_tuple_referee_on_unbalanced_pools():
                     continue
                 for readout in _substituted_pools(words, N, heavier=True):
                     sums = side_sums(readout, N, hbar)
-                    w0 = _string_weight(readout, N)
+                    w0 = _full_weight(readout, N)
                     got = detect_substitution(readout, N, hbar).incompatible_lengths
                     assert got == _referee_incompatible_lengths(sums, N, hbar, w0), readout
                     found += bool(got)
     assert found >= 900, found
 
+
+def _detection_cases(substitution_book, scheme_books):
+    """(readout, N, hbar) for the report pin, drawn from a fixed seed."""
+    rng = random.Random(21)
+    # substitution-t1 draws: any real fragment with a 1 in it, read with fewer ones
+    book, N = substitution_book, substitution_book.N
+    for _ in range(600):
+        hbar = rng.choice((1, 2))
+        words = [book.bits_for(s) for s in sorted(rng.sample(list(book.base.strings), hbar))]
+        fragments = [
+            (side, length, sum(bits[:length]))
+            for w in words
+            for side, bits in ((PREFIX, w.bits), (SUFFIX, w.bits[::-1]))
+            for length in range(1, N + 1)
+        ]
+        side, length, ones = rng.choice([f for f in fragments if f[2] > 0])
+        lighter = substitute_mass_reducing(pool(words), side, length, rng.randrange(ones), ones)
+        yield lighter, N, hbar
+    # the t = 2 scheme books, clean and erased
+    for book in scheme_books:
+        for hbar in (1, 2):
+            for _ in range(3):
+                words = [book.bits_for(s) for s in rng.sample(list(book.base.strings), hbar)]
+                clean = pool(words)
+                yield clean, book.N, hbar
+                for t in (1, 2, 3):
+                    for placement in ("uniform", "adversarial"):
+                        pattern = sample_erasure_pattern(words, t, rng, placement)
+                        yield erase(clean, pattern), book.N, hbar
+    # Dyck mixtures, each fragment read lighter and heavier
+    for N in (2, 4, 6, 8):
+        for hbar in (1, 2, 3):
+            mixtures = list(itertools.combinations(_dyck(N), hbar))
+            for words in rng.sample(mixtures, min(len(mixtures), 30)):
+                for readout in _substituted_pools(words, N, heavier=True):
+                    yield readout, N, hbar
+    # one string of weight w0 != N/2, each fragment read lighter; then a Dyck
+    # string whose two full-length fragments both read lighter, so w0 < N/2
+    for N in (5, 6):
+        for bits in itertools.product((0, 1), repeat=N):
+            if 2 * sum(bits) != N:
+                for readout in _substituted_pools([BitString(bits)], N, heavier=False):
+                    yield readout, N, 1
+    for word in _dyck(8):
+        for ones in range(4):
+            counts = pool([word]).counts.copy()
+            counts[8] = 0
+            counts[8, ones] = 2
+            yield CompositionMultiset.from_counts(counts), 8, 1
+    # tables shorter than N + 1, an empty pool, N = 0 and an hbar below 1
+    for readout, N, hbar in [
+        (pool(["1100"]), 6, 1),
+        (pool(["1100", "1010"]), 5, 2),
+        (pool(["110100"]), 4, 1),
+        (CompositionMultiset(), 3, 1),
+        (CompositionMultiset(), 3, 0),
+        (pool(["1100"]), 0, 1),
+        (pool(["110100", "101010"]), 6, 0),
+        (pool(["110100", "101010"]), 6, -1),
+    ]:
+        yield readout, N, hbar
+
+
+# sha256 over the reprs of detect_substitution on _detection_cases, recorded
+# before the report was read straight off the side reading
+DETECTION_DIGEST = "407f8c7beb80e1ffa224a79fedde0a2195c7297e1097aaefbe76f19ae01ad926"
+
+
+def _report_or_error(readout, N: int, hbar: int) -> str:
+    try:
+        return repr(detect_substitution(readout, N, hbar))
+    except (MasscodecError, ValueError) as exc:  # hbar = 0 has no sum to report
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_detection_reports_are_pinned(b2_n16_codebook, scheme_books):
+    book = ecc.two_step_codebook(b2_n16_codebook, 1, substitutions=True)
+    reports = [
+        _report_or_error(readout, N, hbar)
+        for readout, N, hbar in _detection_cases(book, scheme_books)
+    ]
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == DETECTION_DIGEST

@@ -165,6 +165,17 @@ def test_decode_refuses_an_hbar_outside_one_to_the_book_size(ws, capsys, hbar, d
 
 
 @pytest.mark.parametrize("detect", [(), ("--detect",)])
+def test_decode_refuses_an_hbar_below_the_readout_order(ws, capsys, detect):
+    # was an "ambiguous" all-erased sum with no witnesses (exit 3)
+    _encode_and_pool(ws, BCH20, ["0000000000000100", "0000000000001000"])
+    assert run("decode", ws / "p.json", "--config", ws / "cfg.json", "--hbar", 1,
+               *detect, "-o", ws / "d.json") == 4
+    message = "the pool needs hbar >= 2, got hbar=1"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "d.json").exists()
+
+
+@pytest.mark.parametrize("detect", [(), ("--detect",)])
 def test_an_empty_readout_fails_one_way_with_or_without_detect(ws, capsys, detect):
     _encode_and_pool(ws, BCH20, ["0000000000000100"])
     N = json.loads((ws / "p.json").read_text())["N"]
