@@ -21,9 +21,10 @@ sorted by that XOR.  A cached subset costs k bytes of indices (uint8 up to
 codebook holds about 46 KB.  A lookup's budget bounds each index it
 builds, and the cache as a whole by dropping the sizes it does not use.
 
-Every shipped table is a plain-text ``.pcm`` file (a ``d=<int>`` header,
-then one 0/1 row per line) read by ``bundled_spec``; it serves as a
-codebook source or, through ``linearcode.bundled_code``, as a code.
+``bundled_spec`` builds a named matrix of ``gf2m.TABLES`` in process; it
+serves as a codebook source or, through ``linearcode.bundled_code``, as a
+code.  Any other matrix is read from a plain-text ``.pcm`` file: a
+``d=<int>`` header, then one 0/1 row per line.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -46,6 +46,7 @@ from .errors import (
     NoSolution,
     SearchSpaceTooLarge,
 )
+from .gf2m import TABLES
 
 DEFAULT_BUDGET = 2**22
 
@@ -84,11 +85,6 @@ class ParityCheckSpec:
     def columns(self) -> tuple[BitString, ...]:
         return tuple(BitString(column) for column in zip(*self.rows))
 
-    def to_text(self) -> str:
-        lines = [f"d={self.d}"]
-        lines.extend("".join(str(b) for b in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "ParityCheckSpec":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -111,12 +107,12 @@ class ParityCheckSpec:
 
 
 def bundled_spec(name: str) -> ParityCheckSpec:
-    """Load one of the matrices shipped with the package (e.g. ``bch_15_7``)."""
-    res = resources.files("masscodec").joinpath("data", f"{name}.pcm")
+    """Build one of the package's named matrices (e.g. ``bch_15_7``)."""
     try:
-        return ParityCheckSpec.from_text(res.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"no bundled matrix named {name!r}") from exc
+        build, d = TABLES[name]
+    except KeyError:
+        raise ConfigError(f"no bundled matrix named {name!r}") from None
+    return ParityCheckSpec(tuple(map(tuple, build())), d)
 
 
 def require_order(h: int) -> None:

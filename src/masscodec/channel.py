@@ -876,11 +876,13 @@ def run_erasure_experiment(
     ``conflict`` (side disagreement), ``error`` (any other typed decoder
     error; the row's ``reason`` holds its class name), and ``wrong``
     (recovered but not the truth -- must never happen; kept so silence
-    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C| and a
-    t outside 0..2N*hbar, the size of the pool.
+    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C|, a t
+    outside 0..2N*hbar, the size of the pool, and a negative trial count.
     """
     if not 1 <= hbar <= len(codebook):
         raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
+    if trials < 0:
+        raise ConfigError(f"an experiment needs trials >= 0, got trials={trials}")
     raw = all(len(s) % 2 == 0 and is_dyck(s) for s in codebook.strings)
     if raw:
         decode_book = codebook

@@ -158,7 +158,7 @@ def load_config(path: str):
     if not isinstance(scheme_obj, dict):
         raise ConfigError("a scheme must be a name or a JSON object")
     name = json_field(scheme_obj, "name", "a scheme", str, default=PLAIN)
-    t = int(scheme_obj.get("t", 0))
+    t = json_int(scheme_obj, "t", "a scheme", default=0)
     if name == RAW:
         if not all(is_dyck(s) for s in base.strings):
             raise ConfigError("raw codebooks must consist of Dyck strings")

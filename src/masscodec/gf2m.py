@@ -19,8 +19,11 @@ The primitive polynomials (``PRIMITIVE``, as coefficient bitmasks):
 The columns of a narrow-sense BCH parity-check matrix are binary
 expansions of powers of alpha (``alpha_power_pcm``); its generator
 polynomial is the product of the distinct minimal polynomials of alpha,
-alpha^2, ..., alpha^(delta - 1) (``bch_generator``).  The bundled tables
-under ``data/`` are built from these by ``scripts/gen_code_tables.py``.
+alpha^2, ..., alpha^(delta - 1) (``bch_generator``), and ``cyclic_pcm``
+puts the code it generates in standard form.  ``TABLES`` names the
+matrices the package builds its codebooks and codes from, each with its
+construction and its exact minimum distance; ``bhcode.bundled_spec``
+builds one on request.
 
 The module is pure Python: importing it does not load numpy, which
 arrives only with the row reduction inside ``alpha_power_pcm``.
@@ -114,12 +117,16 @@ def poly_mul(a: int, b: int) -> int:
 
 
 def bch_generator(m: int, delta: int) -> int:
-    """Generator polynomial of the narrow-sense BCH code with designed distance delta."""
+    """Generator polynomial of the narrow-sense BCH code with designed distance delta.
+
+    alpha^(2i) is a conjugate of alpha^i, with the same minimal polynomial,
+    so the odd i below delta give every distinct factor.
+    """
     field = GF2m(m)
     alpha = 2
     g = 1
     seen = set()
-    for i in range(1, delta):
+    for i in range(1, delta, 2):
         mp = minimal_poly(field, field.pow(alpha, i))
         if mp not in seen:
             seen.add(mp)
@@ -142,3 +149,38 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
         values = [field.exp[p * i % order] for i in range(n)]
         rows.extend([(v >> bit) & 1 for v in values] for bit in range(m))
     return rref(rows)[0]
+
+
+def cyclic_pcm(n: int, g: int) -> list[list[int]]:
+    """Standard-form H = [P^T | I] of the length-n cyclic code generated by g.
+
+    Position j holds the coefficient of x^j.  The systematic codeword with
+    message bit i < k alone is x^i plus x^k * (x^(n-k+i) mod g), since x^-k
+    is x^(n-k) modulo x^n - 1, which g divides; column i of H is that
+    parity, read by one shift-and-reduce step per i.
+    """
+    r = g.bit_length() - 1
+    parities = []
+    rem = g ^ (1 << r)  # x^r mod g
+    for _ in range(n - r):
+        parities.append(rem)
+        rem <<= 1
+        if rem >> r:
+            rem ^= g
+    return [[(p >> j) & 1 for p in parities] + [0] * j + [1] + [0] * (r - 1 - j) for j in range(r)]
+
+
+# name -> (construction of the parity-check rows as lists of 0/1 ints, exact
+# minimum distance); tests/test_bhcode.py pins each matrix and enumerates each d
+TABLES = {
+    # all nonzero columns of F_2^3, in counting order, bit 2 on top
+    "hamming_7_4": (lambda: [[(c >> b) & 1 for c in range(1, 8)] for b in (2, 1, 0)], 3),
+    "bch_15_7": (lambda: alpha_power_pcm(4, 15, [1, 3]).tolist(), 5),
+    "bch_15_5": (lambda: alpha_power_pcm(4, 15, [1, 3, 5]).tolist(), 7),
+    # 20 columns of the 16-row designed-distance-5 matrix over GF(256): a
+    # compact order-2 codebook source with strings of length 16
+    "bch_255_cols20": (lambda: alpha_power_pcm(8, 20, [1, 3]).tolist(), 7),
+    # the erasure- and substitution-protection codes
+    "bch_63_16": (lambda: cyclic_pcm(63, bch_generator(6, 23)), 23),
+    "bch_31_21": (lambda: cyclic_pcm(31, bch_generator(5, 5)), 5),
+}

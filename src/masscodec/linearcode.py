@@ -12,10 +12,10 @@ One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices (p = 2) and, through one erasure
 solve, fills erased positions of binary words and of Z_p vectors alike.
 
-``bundled_code`` builds a code from one of the ``.pcm`` tables shipped
-with the package, read by ``bhcode.bundled_spec``, the one reader of every
-shipped table.  ``shipped_code`` is the one chooser: every scheme that
-takes a default code asks it for the weakest shipped code that fits.
+``bundled_code`` builds the code of a named matrix of ``gf2m.TABLES``,
+through ``bhcode.bundled_spec``, the one builder of every named matrix.
+``shipped_code`` is the one chooser: every scheme that takes a default
+code asks it for the weakest shipped code that fits.
 """
 
 from __future__ import annotations
@@ -367,10 +367,10 @@ def shipped_code(k: int, need: int, errors: bool = False) -> LinearCode:
 
 @functools.cache
 def bundled_code(name: str) -> LinearCode:
-    """The code of a table shipped with the package (e.g. ``bch_63_16``)."""
+    """The code of a named matrix of ``gf2m.TABLES`` (e.g. ``bch_63_16``)."""
     spec = bundled_spec(name)
-    # the shipped tables are verified when they are generated, and their
-    # 2^16 or 2^21 codewords are too many to enumerate at every load
+    # Tier-1 verifies each declared distance, and 2^16 or 2^21 codewords are
+    # too many to enumerate at every load
     return LinearCode.from_parity_check(np.array(spec.rows, dtype=np.uint8), spec.d, name)
 
 

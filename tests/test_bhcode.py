@@ -1,10 +1,9 @@
 import functools
-import importlib.util
+import hashlib
 import itertools
 import math
 import operator
 import random
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +27,8 @@ from masscodec.errors import (
     NoSolution,
     SearchSpaceTooLarge,
 )
+from masscodec.gf2m import TABLES, alpha_power_pcm
+from masscodec.linearcode import bundled_code
 
 EX2_GOOD = ["110100", "101010", "110010"]
 
@@ -88,10 +89,38 @@ def test_constructed_codebooks_verify(b2_codebook, b3_codebook):
     assert verify_bh(b3_codebook, 3).valid
 
 
+def pcm_text(spec: ParityCheckSpec) -> str:
+    """The text ``ParityCheckSpec.from_text`` reads: ``d=<int>``, then one row per line."""
+    lines = [f"d={spec.d}"]
+    lines.extend("".join(str(b) for b in row) for row in spec.rows)
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of each named matrix's text, as its generated .pcm file held it
+TABLE_DIGESTS = {
+    "hamming_7_4": "7f75c7241a647287966eb20d535f1889e2316fcefe062cdac4d08ddc90a58723",
+    "bch_15_7": "81709f7c0e5be200b3f74aaa3ae99dae0e3d60119f08b0749bb5210fb484f0d7",
+    "bch_15_5": "6117ed45e7b5eb89851dd3d463ff8a09f1af21b5901fdcfe49ed294e35a7534c",
+    "bch_255_cols20": "886ef72e9e13fcb1db6e66b8096d664644c9929714b432c22f864c2a56e0340f",
+    "bch_63_16": "06ae9f72a4a0f90ab16050f279c6a4b1064d5c19c1a8726ef724ff8e222783bd",
+    "bch_31_21": "15b702762ef2399c9c368d678e72d80a16fe612695850ca46438f2594936341a",
+}
+
+
+def test_every_named_table_is_pinned_and_has_its_declared_distance():
+    # the one enumeration of each code's codewords in Tier-1: 2^21 for bch_31_21
+    assert sorted(TABLES) == sorted(TABLE_DIGESTS)
+    for name, digest in TABLE_DIGESTS.items():
+        spec, code = bundled_spec(name), bundled_code(name)
+        assert hashlib.sha256(pcm_text(spec).encode()).hexdigest() == digest, name
+        assert (code.n, code.d) == (spec.n_cols, spec.d), name
+        assert code.exact_min_distance() == spec.d, name
+
+
 def test_matrix_file_round_trip(tmp_path):
     spec = bundled_spec("hamming_7_4")
     path = tmp_path / "ham.pcm"
-    path.write_text(spec.to_text())
+    path.write_text(pcm_text(spec))
     again = ParityCheckSpec.load(path)
     assert again == spec
     with pytest.raises(ConfigError):
@@ -391,11 +420,7 @@ def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
 
 def _bch_255_h4_codebook():
     """All 255 columns of the m = 8 BCH matrix with powers {1, 3, 5, 7}, d = 9."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "gen_code_tables.py"
-    spec = importlib.util.spec_from_file_location("gen_code_tables", path)
-    tables = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tables)
-    H = tables.alpha_power_pcm(8, 255, [1, 3, 5, 7])
+    H = alpha_power_pcm(8, 255, [1, 3, 5, 7])
     rows = tuple(tuple(int(b) for b in row) for row in H)
     return build_bh_codebook(4, ParityCheckSpec(rows, 9))
 

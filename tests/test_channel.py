@@ -48,6 +48,7 @@ from masscodec.core import (
     pool,
 )
 from masscodec.errors import (
+    ConfigError,
     Conflict,
     CountMismatch,
     LengthMismatch,
@@ -575,6 +576,12 @@ def test_experiment_determinism_and_exactness_at_t1(b2_codebook):
     rows2 = run_erasure_experiment(b2_codebook, 2, 1, 10, seed=3)
     assert rows1 == rows2
     assert all(r["outcome"] == "exact" for r in rows1)
+
+
+def test_experiment_refuses_a_negative_trial_count_and_runs_none_at_zero(b2_codebook):
+    with pytest.raises(ConfigError, match="got trials=-3"):
+        run_erasure_experiment(b2_codebook, 2, 1, -3, seed=3)
+    assert run_erasure_experiment(b2_codebook, 2, 1, 0, seed=3) == []
 
 
 def test_experiment_never_silently_wrong(b2_codebook):

@@ -222,6 +222,34 @@ def test_scheme_config_with_a_setting_it_does_not_take_exits_2(ws, capsys, schem
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# a scheme's t that is no integer is refused naming it, never truncated or crashed on
+SCHEME_T = {"null": None, "list": [1], "fraction": 1.9, "true": True, "text": "x"}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEME_T))
+def test_a_scheme_t_that_is_not_an_int_exits_2_naming_it(ws, capsys, case):
+    cfg = ws / "cfg.json"
+    scheme = {"name": "two-step", "t": SCHEME_T[case]}
+    cfg.write_text(json.dumps({"h": 2, "matrix": "bundled:bch_255_cols20", "scheme": scheme}))
+    (ws / "s.txt").write_text("")
+    assert run("encode", ws / "s.txt", "--config", cfg, "-o", ws / "w.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: a scheme needs an int 't', got {SCHEME_T[case]!r}\n"
+
+
+@pytest.mark.parametrize("t", ["2", 2.0])
+def test_a_scheme_t_in_integer_text_or_a_whole_float_reads_as_the_int(ws, t):
+    (ws / "s.txt").write_text("")
+    layouts = []
+    for value in (2, t):
+        cfg = ws / "cfg.json"
+        scheme = {"name": "two-step", "t": value}
+        cfg.write_text(json.dumps({"h": 2, "matrix": "bundled:bch_255_cols20", "scheme": scheme}))
+        assert run("encode", ws / "s.txt", "--config", cfg, "-o", ws / "w.json") == 0
+        layouts.append(json.loads((ws / "w.json").read_text())["layout"])
+    assert layouts[0] == layouts[1]
+
+
 def test_inline_code_with_overstated_distance_exits_2(ws):
     # the [7,4,3] Hamming matrix declared with d = 5 would let a two-error
     # decode return a wrong codeword without complaint
@@ -477,6 +505,7 @@ OUT_OF_RANGE = {
     "experiment-hbar-zero": ((*EXPERIMENT, "--hbar", 0), "1 <= hbar <= 20, got hbar=0"),
     "experiment-hbar-negative": ((*EXPERIMENT, "--hbar", -1), "1 <= hbar <= 20, got hbar=-1"),
     "experiment-t-negative": ((*EXPERIMENT, "--t", -1), "got t=-1"),
+    "experiment-trials-negative": ((*EXPERIMENT, "--trials", -3), "got trials=-3"),
     "experiment-t-past-the-pool": (
         (*EXPERIMENT, "--t", 10_000, "--placement", "adversarial"), "got t=10000"
     ),

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from masscodec.gf2m import PRIMITIVE, GF2m, alpha_power_pcm, bch_generator
+from masscodec import gf2m
+from masscodec.gf2m import (
+    PRIMITIVE,
+    GF2m,
+    alpha_power_pcm,
+    bch_generator,
+    cyclic_pcm,
+    minimal_poly,
+    poly_mul,
+)
 from masscodec.linearcode import rref
 
 
@@ -89,6 +98,43 @@ def test_bch_generators_vanish_on_their_designed_roots():
             for j in range(degree, -1, -1):
                 value = _shift_and_add_mul(m, value, root) ^ ((g >> j) & 1)
             assert value == 0, (m, i)
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE))
+def test_bch_generator_is_the_product_over_every_i_from_odd_i_alone(m, monkeypatch):
+    calls = []
+
+    def counted(field, beta):
+        calls.append(beta)
+        return minimal_poly(field, beta)
+
+    monkeypatch.setattr(gf2m, "minimal_poly", counted)
+    field = GF2m(m)
+    product, factors = 1, set()  # over i = 1 .. delta - 1, grown one delta at a time
+    for delta in range(2, field.size):
+        factor = minimal_poly(field, field.pow(2, delta - 1))
+        if factor not in factors:
+            factors.add(factor)
+            product = poly_mul(product, factor)
+        calls.clear()
+        assert bch_generator(m, delta) == product, delta
+        assert len(calls) == delta // 2, delta  # one per odd i below delta
+
+
+def _row_reduced_generator_pcm(n: int, g: int) -> np.ndarray:
+    """[P^T | I] read off the row-reduced matrix of the n - r shifts of g."""
+    r = g.bit_length() - 1
+    k = n - r
+    G = rref([[(g >> (j - i)) & 1 if i <= j else 0 for j in range(n)] for i in range(k)])[0]
+    assert np.array_equal(G[:, :k], np.eye(k, dtype=np.uint8)), "not systematic"
+    return np.concatenate([G[:, k:].T, np.eye(r, dtype=np.uint8)], axis=1)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_cyclic_pcm_matches_the_row_reduced_generator_matrix(m):
+    n = (1 << m) - 1
+    for g in sorted({bch_generator(m, delta) for delta in range(2, n + 1)}):
+        assert np.array_equal(np.array(cyclic_pcm(n, g)), _row_reduced_generator_pcm(n, g)), g
 
 
 def test_a_field_without_a_primitive_polynomial_is_refused():
