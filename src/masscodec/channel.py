@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -635,18 +634,10 @@ def detect_substitution(
     ties its side took.  A length whose keys differ is incompatible when it
     and its mirror both hold hbar fragments.
 
-    Under a single-error assumption a fragment read lighter that crossed
-    the weight split leaves exactly two count deviations: side X one short
-    and side Y one over, at the same length L.  The repair reads both sides
-    at L and at M = N - L.  Each distinct ones value b of Y's length-L
-    fragments is tried, in ascending order, as the lighter reading.  It is
-    skipped when X holds hbar fragments at M whose mirrors account for
-    every copy of b.  Otherwise Y's length-M values, less one copy of b when
-    M = L, must number hbar, and their mirrors must leave exactly one value
-    v that X's length-L fragments do not cover.  The repair b -> v on side
-    X is listed when v > b, so the corrections come out in ascending order
-    of the observed ones, and exactly one candidate means the error is
-    correctable.
+    A fragment read lighter that crossed the weight split leaves exactly two
+    count deviations, side X one short and side Y one over, at one length L.
+    A repair b -> r > b on side X is listed, in ascending b, when it alone
+    makes row L of the count table the mirror of row N - L again.
     """
     import numpy as np
 
@@ -709,7 +700,7 @@ def detect_substitution(
     candidates = tuple(dict.fromkeys(ps for ps in (prefix_sum, suffix_sum) if ps is not None))
     recovered = candidates[0] if len(candidates) == 1 and not incompatible else None
 
-    corrections = _single_error_corrections(sums, N, hbar, w0, *devs)
+    corrections = _single_error_corrections(pool.counts, N, w0, *devs)
     return DetectionReport(
         hbar=hbar,
         prefix_count_dev=tuple(devs[0]),
@@ -725,45 +716,33 @@ def detect_substitution(
     )
 
 
-def _side_ones(sums: SideSums, length: int) -> tuple[Counter, Counter]:
-    """The ones of the prefix side's and the suffix side's fragments at a length."""
-    sides: tuple[Counter, Counter] = (Counter(), Counter())
-    lo, hi = sums.cells[0].searchsorted([length, length + 1]).tolist()  # cells in length order
-    for ones, mult, kind in zip(*sums.cells[1:, lo:hi].tolist()):
-        if kind == 1:  # the ties, shared out as the reading shared them
-            for side, ties in zip(sides, sums.fill[:, length - 1].tolist()):
-                if ties:
-                    side[ones] = ties
-        else:
-            sides[kind // 2][ones] = mult
-    return sides
-
-
 def _single_error_corrections(
-    sums: SideSums, N: int, hbar: int, w0: Optional[int], p_dev: list, s_dev: list
+    counts: np.ndarray, N: int, w0: Optional[int], p_dev: list, s_dev: list
 ) -> tuple[Correction, ...]:
     """Repairs for one fragment that was read lighter and switched sides."""
     devs = sorted([(d, ln, 0) for ln, d in p_dev] + [(d, ln, 1) for ln, d in s_dev])
     if w0 is None or [d for d, _, _ in devs] != [-1, 1] or devs[0][1] != devs[1][1]:
         return ()
-    (_, length, x), (_, _, y) = devs  # side x lost the fragment, side y gained it
-    at_length, at_mirror = _side_ones(sums, length), _side_ones(sums, N - length)
-    # hbar - 1 genuine values on side x; hbar + 1 on side y, one of them bogus
-    short, long = at_length[x], at_length[y]
-    # the mirrors w0 - o of each side's fragments at N - L
-    x_mirrors, y_mirrors = (
-        Counter({w0 - o: m for o, m in at_mirror[side].items()}) for side in (x, y)
+    (_, length, x), _ = devs  # side x lost the fragment
+    # rows of lengths 1..N only, as the side reading has them; zero past the table
+    row, mirror = (
+        counts[ln].tolist() if 0 < ln < len(counts) else [] for ln in (length, N - length)
     )
+    row += [0] * (length + 1 - len(row))
+    # C[N - L, w0 - o] for o = 0..L, padded so that every w0 - o has a slot
+    mirror = ([0] * length + mirror + [0] * (w0 + 1))[w0 : w0 + length + 1][::-1]
+    dev = {o: a - b for o, (a, b) in enumerate(zip(row, mirror)) if a != b}
+    # at the middle length the repair moves the row's own mirror too
+    signs = (1, -1, -1, 1) if 2 * length == N else (1, -1)
     corrections = []
-    # with hbar fragments at N - L, side x mirrors every genuine copy
-    for bogus in sorted(long - x_mirrors if x_mirrors.total() == hbar else long):
-        # at the middle length the bogus fragment sits among its own mirrors
-        complements = y_mirrors - Counter({w0 - bogus: 1}) if 2 * length == N else y_mirrors
-        rest = complements - short  # short holds hbar - 1 values: one is left if short fits
-        if complements.total() == hbar and rest.total() == 1:
-            (restored,) = rest
-            if bogus < restored <= length:
-                observed, fixed = (Composition(length - o, o) for o in (bogus, restored))
+    for b in (o for o, d in dev.items() if d > 0):
+        for r in (o for o, d in dev.items() if d < 0 and o > b):
+            want: dict = {}
+            for o, sign in zip((b, r, w0 - b, w0 - r), signs):
+                if 0 <= o <= length:
+                    want[o] = want.get(o, 0) + sign
+            if dev == {o: d for o, d in want.items() if d}:
+                observed, fixed = (Composition(length - o, o) for o in (b, r))
                 corrections.append(Correction((PREFIX, SUFFIX)[x], length, observed, fixed))
     return tuple(corrections)
 

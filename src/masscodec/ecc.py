@@ -199,7 +199,7 @@ def _one_step_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
             return trivial_code(k)
         try:
             return _one_step_code(k, t, bundled_code("bch_63_16"))
-        except (ConfigError, CapabilityTooSmall) as exc:
+        except ConfigError as exc:
             raise ConfigError(
                 f"no shipped one-step code for k={k}, t={t}; pass one explicitly"
             ) from exc

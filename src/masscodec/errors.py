@@ -5,6 +5,10 @@ class MasscodecError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(MasscodecError):
+    """Malformed codebook/scheme configuration."""
+
+
 class LengthMismatch(MasscodecError):
     """Strings pooled together must share a common length."""
 
@@ -17,7 +21,7 @@ class OddLength(MasscodecError):
     """Balanced-string predicates are defined for even lengths only."""
 
 
-class DistanceTooSmall(MasscodecError):
+class DistanceTooSmall(ConfigError):
     """Parity-check matrix distance below what the multiplicity needs."""
 
 
@@ -61,7 +65,7 @@ class Conflict(MasscodecError):
     """Two reconstructed sum strings disagree at a known position."""
 
 
-class CapabilityTooSmall(MasscodecError):
+class CapabilityTooSmall(ConfigError):
     """The supplied linear code cannot absorb the requested error budget."""
 
 
@@ -71,10 +75,6 @@ class TooManyErasures(MasscodecError):
 
 class DecodeFailure(MasscodecError):
     """Decoding produced no consistent codeword."""
-
-
-class ConfigError(MasscodecError):
-    """Malformed codebook/scheme configuration."""
 
 
 _REQUIRED = object()

@@ -337,9 +337,9 @@ def shortened(code: LinearCode, k_target: int, name: Optional[str] = None) -> Li
         return code
     dropped = set(code.info_positions[:drop])
     keep = [c for c in range(code.n) if c not in dropped]
-    return LinearCode.from_parity_check(
-        code.H[:, keep], code.d, name or f"{code.name}_s{k_target}"
-    )
+    # H without some information columns is still reduced, on the same pivots
+    pivots = [keep.index(c) for c in code.pivots]
+    return LinearCode(name or f"{code.name}_s{k_target}", code.d, code.H[:, keep], pivots)
 
 
 def shipped_code(k: int, need: int, errors: bool = False) -> LinearCode:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult, require_order
 from .core import BitString, CompositionMultiset
-from .errors import SearchSpaceTooLarge
+from .errors import ConfigError, SearchSpaceTooLarge
 
 Strings = Union[BhCodebook, Sequence[BitString]]
 
@@ -133,18 +133,18 @@ def exhaustive_bh_search(
     Greedy scans candidates in order (all strings of length n,
     lexicographic, unless given) and keeps every string that preserves the
     property.  Exact mode branches over include/skip decisions with a
-    cardinality prune; it is only feasible for small n.
+    cardinality prune; it is only feasible for small n.  ``ConfigError``
+    refuses an n or h below 1 before any search.
     """
     require_order(h)
+    if n < 1:
+        raise ConfigError(f"a search needs n >= 1, got n={n}")
     if mode not in ("max-greedy", "exact-max"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact-max" and n > 8:
         raise SearchSpaceTooLarge(f"exact search limited to n <= 8, got {n}")
-    pool_iter = (
-        [BitString(c) for c in candidates]
-        if candidates is not None
-        else list(_all_strings(n))
-    )
+    # drawn one at a time, so the greedy budget stops the search, not 2^n strings
+    pool_iter = (BitString(c) for c in candidates) if candidates is not None else _all_strings(n)
     registry = _SumRegistry(n, h)
     accepted: list[BitString] = []
     for s in (BitString(x) for x in seed):

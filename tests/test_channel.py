@@ -1029,6 +1029,35 @@ def test_side_sums_arrays_are_read_only():
             array[0] = 0
 
 
+def _assert_mirrors_itself(clean: CompositionMultiset, N: int) -> None:
+    """C[L, o] = C[N - L, w0 - o] for 1 <= L <= N - 1: a prefix of length L with
+    o ones completes a suffix of length N - L with w0 - o ones, and back."""
+    counts = clean.counts
+    (w0,) = counts[N].nonzero()[0].tolist()
+    # ones j of the padded table sit in column N + j, so w0 - o < 0 reads 0
+    padded = np.hstack([np.zeros((N + 1, N), dtype=counts.dtype), counts[: N + 1, : N + 1]])
+    mirrored = padded[::-1, w0 : w0 + N + 1][:, ::-1]  # [L, o] = C[N - L, w0 - o]
+    assert np.array_equal(counts[1:N, : N + 1], mirrored[1:N]), clean
+
+
+def test_clean_pools_mirror_themselves(scheme_books):
+    # the invariant the single-substitution repair rule reads a readout against
+    pools = 0
+    for N in range(2, 9, 2):
+        for hbar in (1, 2, 3):
+            for words in itertools.combinations(_dyck(N), hbar):
+                _assert_mirrors_itself(pool(words), N)
+                pools += 1
+    for book in scheme_books:
+        for hbar in (1, 2):
+            for sources in itertools.combinations(book.base.strings, hbar):
+                _assert_mirrors_itself(book.pool_of(sources), book.N)
+                pools += 1
+    assert pools == 4 * (20 + 190) + sum(
+        math.comb(len(_dyck(N)), hbar) for N in range(2, 9, 2) for hbar in (1, 2, 3)
+    )
+
+
 # ---------------------------------------------------------------------------
 # differential test: the single-substitution repair rule against the
 # two-branch function it replaced
@@ -1161,9 +1190,8 @@ def _compare_repair_rules(readout, N, hbar, reports: Counter) -> None:
         for devs in (sums.fragments - hbar).tolist()
     )
     w0 = _full_weight(readout, N)
-    inputs = (sums, N, hbar, w0, p_dev, s_dev)
-    got = _single_error_corrections(*inputs)
-    assert got == _referee_corrections(*inputs), (N, hbar, readout)
+    got = _single_error_corrections(readout.counts, N, w0, p_dev, s_dev)
+    assert got == _referee_corrections(sums, N, hbar, w0, p_dev, s_dev), (N, hbar, readout)
     incompatible = detect_substitution(readout, N, hbar).incompatible_lengths
     assert incompatible == _referee_incompatible_lengths(sums, N, hbar, w0), (N, hbar, readout)
     reports[len(got)] += 1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from masscodec.cli import main
+from masscodec.linearcode import bundled_code, shortened
 
 RAW_CONFIG = {
     "h": 2,
@@ -265,6 +266,32 @@ def test_inline_code_with_overstated_distance_exits_2(ws):
         assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == exit_code
 
 
+# a [26, 16, 5] code absorbs 4 erasures; two-step t = 5 needs 5
+WEAK_SCHEME = {
+    "name": "two-step", "t": 5, "code": shortened(bundled_code("bch_31_21"), 16).to_json_obj()
+}
+# raised while the codebook is built, before any pool is read: a configuration error
+WEAK_CONFIGS = {
+    "distance": (
+        {"h": 3, "matrix": "bundled:bch_15_7"}, "distance 5 < 7 required for multiplicity 3"
+    ),
+    "capability": (
+        {"h": 2, "matrix": "bundled:bch_255_cols20", "scheme": WEAK_SCHEME},
+        "payload erasure capability 4 < 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEAK_CONFIGS))
+def test_a_code_too_weak_for_its_config_exits_2(ws, capsys, case):
+    config, message = WEAK_CONFIGS[case]
+    (ws / "cfg.json").write_text(json.dumps(config))
+    (ws / "s.txt").write_text("")
+    assert run("encode", ws / "s.txt", "--config", ws / "cfg.json", "-o", ws / "w.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "w.json").exists()
+
+
 def test_empty_input_is_ok(ws):
     empty = ws / "none.txt"
     empty.write_text("")
@@ -514,6 +541,8 @@ OUT_OF_RANGE = {
         ("verify", "--matrix", "bundled:bch_15_7", "--h", 0), "a codebook needs h >= 1, got 0"
     ),
     "search-h-zero": (("search", "--n", 4, "--h", 0), "a codebook needs h >= 1, got 0"),
+    "search-n-zero": (("search", "--n", 0, "--h", 2), "a search needs n >= 1, got n=0"),
+    "search-n-negative": (("search", "--n", -1, "--h", 2), "a search needs n >= 1, got n=-1"),
 }
 
 

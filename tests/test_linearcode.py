@@ -51,6 +51,29 @@ def test_shortening_keeps_distance():
     assert code.exact_min_distance() >= 3
 
 
+def test_shortening_slices_the_reduced_matrix_without_reducing_it_again(monkeypatch):
+    from masscodec import gf2m, linearcode
+
+    codes = [bundled_code(name) for name in gf2m.TABLES] + [hamming_code(r) for r in range(2, 6)]
+    pairs = [(code, k) for code in codes for k in range(1, code.k + 1)]
+    reductions = []
+
+    def counted(*args, **kwargs):
+        reductions.append(args)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linearcode, "rref", counted)
+    short = [shortened(code, k) for code, k in pairs]
+    assert reductions == []
+    monkeypatch.undo()
+    assert len(pairs) == 99
+    for (code, k), got in zip(pairs, short):
+        keep = [c for c in range(code.n) if c not in code.info_positions[: code.k - k]]
+        want = LinearCode.from_parity_check(code.H[:, keep], code.d)
+        assert (got.n, got.k, got.d, got.pivots) == (want.n, k, code.d, want.pivots), code.name
+        assert got.H.dtype == want.H.dtype and np.array_equal(got.H, want.H), code.name
+
+
 def test_bundled_codes_have_declared_parameters():
     big = bundled_code("bch_63_16")
     assert (big.n, big.k, big.d) == (63, 16, 23)

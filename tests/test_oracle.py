@@ -174,3 +174,19 @@ def test_oracles_refuse_an_order_below_one_before_any_search(monkeypatch):
         for mode in ("max-greedy", "exact-max"):
             with pytest.raises(ConfigError, match=f"needs h >= 1, got {h}"):
                 exhaustive_bh_search(4, h, mode=mode)
+
+
+def test_greedy_search_draws_candidates_only_up_to_its_budget(monkeypatch):
+    drawn = []
+    all_strings = oracle._all_strings
+
+    def counted(n):
+        for s in all_strings(n):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(oracle, "_all_strings", counted)
+    # 2^16 candidates in all; the budget of 100 checks stops the search long before
+    with pytest.raises(SearchSpaceTooLarge, match="exceeded budget 100"):
+        exhaustive_bh_search(16, 2, mode="max-greedy", budget=100)
+    assert 0 < len(drawn) <= 101
