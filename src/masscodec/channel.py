@@ -171,7 +171,8 @@ def erase(
     for r in removals:
         for _ in range(r.count):
             counts[r.length, _resolve_victim(counts, r.side, r.length, r.ones, rng)] -= 1
-    return CompositionMultiset.from_counts(counts)
+    # each decrement hit a fragment that was there, so no count went negative
+    return CompositionMultiset._of(counts, pool.total - sum(r.count for r in removals))
 
 
 def substitute_mass_reducing(
@@ -194,7 +195,7 @@ def substitute_mass_reducing(
         raise ValueError("new_ones must be nonnegative")
     counts[length, victim] -= 1
     counts[length, new_ones] += 1
-    return CompositionMultiset.from_counts(counts)
+    return CompositionMultiset._of(counts, pool.total)
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +305,30 @@ def mixture_order(pool: CompositionMultiset, N: int) -> int:
     return -(-int(pool.counts[1 : N + 1].sum(axis=1).max(initial=0)) // 2)
 
 
-def increments(
-    cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool
-) -> list[Optional[int]]:
-    """Sum symbols n_i - n_{i-1} (n_0 = 0); None where either count is unknown.
+def increments(cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool) -> list:
+    """Sum symbols n_i - n_{i-1} (n_0 = 0) along the last axis; None where either
+    count is unknown.  A row gives a list, a (2, N) pair of rows a list of two.
 
-    With ``strict`` a known symbol outside 0..hbar raises NegativeIncrement.
+    With ``strict`` a known symbol outside 0..hbar raises NegativeIncrement,
+    the first one of the first row that has one; its position is 1-based in
+    the row.
     """
     steps = cumulative.copy()
-    steps[1:] -= cumulative[:-1]
+    steps[..., 1:] -= cumulative[..., :-1]
     ok = known.copy()
-    ok[1:] &= known[:-1]
+    ok[..., 1:] &= known[..., :-1]
+    # flat indices run in row order
+    width = steps.shape[-1]
     if strict:
-        # cast unsigned, a negative step is past hbar too: one test finds both ends
-        bad = (ok & (steps.astype("u8") > hbar)).nonzero()[0]
+        # as unsigned, a negative step is past hbar too: one test finds both ends
+        bad = (ok & (steps.view("u8") > hbar)).ravel().nonzero()[0]
         if bad.size:
             i = int(bad[0])
-            raise NegativeIncrement(f"sum symbol {steps[i]} at position {i + 1}")
+            raise NegativeIncrement(f"sum symbol {steps.flat[i]} at position {i % width + 1}")
     symbols = steps.tolist()
-    for i in (~ok).nonzero()[0].tolist():
-        symbols[i] = None
+    rows = symbols if steps.ndim > 1 else [symbols]
+    for i in (~ok).ravel().nonzero()[0].tolist():
+        rows[i // width][i % width] = None
     return symbols
 
 
@@ -338,8 +343,10 @@ def partial_sum_strings(
     (pure fragment loss cannot produce them; substitutions can).
     """
     sums = side_sums(pool, N, hbar)
-    p_syms, s_syms = (increments(sums.ones[k], sums.certain[k], hbar, True) for k in (0, 1))
-    return PartialSumString(p_syms, hbar), PartialSumString(s_syms[::-1], hbar)
+    p_syms, s_syms = increments(sums.ones, sums.certain, hbar, True)
+    # the strict increments checked every symbol
+    p_sum = PartialSumString._of(tuple(p_syms), hbar)
+    return p_sum, PartialSumString._of(tuple(s_syms[::-1]), hbar)
 
 
 def one_sided_sum(
@@ -353,7 +360,7 @@ def one_sided_sum(
     """
     fragments, ones = length_totals(side_pool, N)
     syms = increments(ones, fragments == hbar, hbar, strict=True)
-    return PartialSumString(syms if side == PREFIX else syms[::-1], hbar)
+    return PartialSumString._of(tuple(syms if side == PREFIX else syms[::-1]), hbar)
 
 
 def raw_side_sums(
@@ -365,7 +372,7 @@ def raw_side_sums(
     signal; both lists come back in prefix orientation.
     """
     sums = side_sums(pool, N, hbar)
-    p_syms, s_syms = (increments(sums.ones[k], sums.certain[k], hbar, False) for k in (0, 1))
+    p_syms, s_syms = increments(sums.ones, sums.certain, hbar, False)
     return p_syms, s_syms[::-1]
 
 
@@ -438,19 +445,15 @@ def merge_partials(
     hbar = p.hbar
     if len(s_rev) != len(p) or s_rev.hbar != hbar:
         raise LengthMismatch("cannot merge partial sums of different shape")
-    merged: list[Optional[int]] = []
-    clashes = []
-    for i, (a, b) in enumerate(zip(p.symbols, s_rev.symbols), start=1):
-        if a is None:
-            merged.append(b)
-        elif b is None or a == b:
-            merged.append(a)
-        else:
-            clashes.append((i, a, b))
-    if clashes:
+    ps, ss = p.symbols, s_rev.symbols
+    merged = [b if a is None else a for a, b in zip(ps, ss)]
+    # preferring the other side differs only where both sides know and disagree
+    if merged != [a if b is None else b for a, b in zip(ps, ss)]:
+        pairs = enumerate(zip(ps, ss), start=1)
+        clashes = [(i, a, b) for i, (a, b) in pairs if a != b and None not in (a, b)]
         raise Conflict(f"disagreeing sum symbols at {clashes}")
     erased = [i for i, v in enumerate(merged) if v is None]
-    known = sum(v for v in merged if v is not None)
+    known = sum(filter(None, merged))
     deficit = total_weight - known
     if not erased:
         if deficit:
@@ -461,7 +464,7 @@ def merge_partials(
         # each rule gives every erasure the same share of the deficit
         for i in erased:
             merged[i] = deficit // len(erased)
-    return PartialSumString(merged, hbar)
+    return PartialSumString._of(tuple(merged), hbar)
 
 
 def merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> PartialSumString:
@@ -475,10 +478,6 @@ def merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> PartialSumStrin
     return merge_partials(*partial_sum_strings(pool, N, hbar), hbar * N // 2)
 
 
-def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    return None if a is None or b is None else a + b
-
-
 def merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional[int]]:
     """Cumulative prefix-ones counts n_1..n_N merged from both sides.
 
@@ -487,12 +486,17 @@ def merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional
     complement against the total weight when the tail is known.
     """
     symbols = merged_sums(pool, N, hbar).symbols
+    if None not in symbols:
+        return list(accumulate(symbols))
+    # n_i is read forward before the first erasure and backward from the last one on
+    first, last = symbols.index(None), len(symbols) - symbols[::-1].index(None)
     total = hbar * N // 2
-    # tails[i] is the sum of the symbols after position i + 1
-    tails = list(accumulate(reversed(symbols[1:]), _add, initial=0))[::-1]
+    # tails[j] is the sum of the last j symbols
+    tails = list(accumulate(reversed(symbols[last:]), initial=0))
     return [
-        total - tail if head is None and tail is not None else head
-        for head, tail in zip(accumulate(symbols, _add), tails)
+        *accumulate(symbols[:first]),
+        *[None] * (last - 1 - first),
+        *(total - tail for tail in reversed(tails)),
     ]
 
 
@@ -663,9 +667,12 @@ def detect_substitution(
         for k, i, v in zip(side.tolist(), at.tolist(), steps[out_of_range].tolist()):
             # suffix-side positions in prefix orientation
             bad[k].append((N - i if k else i + 1, v))
-    # a side without deviations reads every length; the suffix sum is read backwards
+    # a side without deviations reads every length, each step in range; the
+    # suffix sum is read backwards
     prefix_sum, suffix_sum = (
-        None if devs[k] or bad[k] else PartialSumString(steps[k, :: 1 - 2 * k].tolist(), hbar)
+        None
+        if devs[k] or bad[k]
+        else PartialSumString._of(tuple(steps[k, :: 1 - 2 * k].tolist()), hbar)
         for k in (0, 1)
     )
 

@@ -418,7 +418,7 @@ def sum_from_prefixes(
     symbols = increments(cumulative[:end], full[:end], hbar, strict=True)
     if short.size:
         raise CountMismatch(f"length {end + 1}: {per_length[end]} prefixes, expected {hbar}")
-    return PartialSumString(symbols, hbar)
+    return PartialSumString._of(tuple(symbols), hbar)
 
 
 def mixture_mod2_target(

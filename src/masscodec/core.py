@@ -313,7 +313,7 @@ class CompositionMultiset:
         counts = _blank(1 + max((comp.length for comp, _ in entries), default=0))
         for comp, mult in entries:
             counts[comp.length, comp.ones] += mult
-        self._own(counts)
+        self._own(counts, int(counts.sum()))
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "CompositionMultiset":
@@ -323,14 +323,19 @@ class CompositionMultiset:
             raise ValueError(f"counts must be a square matrix, got shape {counts.shape}")
         if counts.min(initial=0) < 0:
             raise ValueError("negative multiplicity")
+        return cls._of(counts, int(counts.sum()))
+
+    @classmethod
+    def _of(cls, counts: np.ndarray, total: int) -> "CompositionMultiset":
+        """Own a square non-negative int64 table and its sum, neither checked again."""
         out = cls.__new__(cls)
-        out._own(counts)
+        out._own(counts, total)
         return out
 
-    def _own(self, counts: np.ndarray) -> None:
+    def _own(self, counts: np.ndarray, total: int) -> None:
         counts.flags.writeable = False
         object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_total", int(counts.sum()))
+        object.__setattr__(self, "_total", total)
         object.__setattr__(self, "_memo", None)
 
     def memo(self, key, build: Callable[[], _T]) -> _T:
@@ -556,7 +561,9 @@ class PartialSumString:
 
     Symbols live in {0, ..., hbar} or are erased (None).  The string is the
     coordinate-wise integer sum of ``hbar`` binary strings, reconstructed
-    from a (possibly incomplete) one-sided fragment pool.
+    from a (possibly incomplete) one-sided fragment pool.  The constructor
+    checks every symbol; ``_of`` checks only hbar, for readers whose
+    symbols are already known to be ints in 0..hbar or None.
     """
 
     __slots__ = ("symbols", "hbar")
@@ -573,8 +580,20 @@ class PartialSumString:
         if known and (min(known) < 0 or max(known) > hbar):
             v = next(v for v in known if not 0 <= v <= hbar)
             raise ValueError(f"symbol {v} outside 0..{hbar}")
-        object.__setattr__(self, "symbols", syms)
+        self._own(syms, hbar)
+
+    def _own(self, symbols: tuple, hbar: int) -> None:
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "hbar", hbar)
+
+    @classmethod
+    def _of(cls, symbols: tuple, hbar: int) -> "PartialSumString":
+        """The sum with these symbols, each an int in 0..hbar or None (not checked)."""
+        if hbar < 1:
+            raise ValueError("hbar must be positive")
+        out = cls.__new__(cls)
+        out._own(symbols, hbar)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialSumString is immutable")

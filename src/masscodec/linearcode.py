@@ -72,8 +72,9 @@ def rref(
             a[r] = a[r] * pow(lead, -1, p) % p
         factors = a[:, c].copy()
         factors[r] = 0
-        a -= factors[:, None] * a[r]
-        a %= p
+        if factors.any():  # a column already clear needs no update
+            a -= factors[:, None] * a[r]
+            a %= p
         pivots.append(c)
         r += 1
     return a[:r], pivots

@@ -25,9 +25,13 @@ from masscodec.channel import (
     count_correctable_single,
     detect_substitution,
     erase,
+    increments,
     length_totals,
     mixture_order,
     merge_partials,
+    merged_counts,
+    merged_sums,
+    one_sided_sum,
     partial_sum_strings,
     raw_side_sums,
     reconstruct_redundancy_free,
@@ -113,6 +117,30 @@ def test_substitute_mass_reducing():
     assert corrupted.count(Composition(0, 2)) == 1
     with pytest.raises(NotMassReducing):
         substitute_mass_reducing(p, "prefix", 2, 2)
+
+
+def test_erase_and_substitution_tables_pass_the_checked_wrap(b2_n16_codebook):
+    # both wrap their edited copy unchecked; the checked wrap must agree
+    book = encode_codebook(b2_n16_codebook)
+    rng = random.Random(12)
+    edited = []
+    for _ in range(40):
+        words = [book.bits_for(s) for s in rng.sample(list(book.base.strings), 2)]
+        clean = pool(words)
+        t = rng.randint(0, 4)
+        edited.append(erase(clean, sample_erasure_pattern(words, t, rng, "uniform")))
+        sides = [rng.choice((PREFIX, SUFFIX)) for _ in range(t)]
+        edited.append(erase(clean, [Removal(side, rng.randint(1, book.N)) for side in sides], rng))
+        side, length = rng.choice((PREFIX, SUFFIX)), rng.randint(1, book.N)
+        try:
+            edited.append(substitute_mass_reducing(clean, side, length, 0, rng=rng))
+        except (PatternNotPresent, NotMassReducing):
+            continue
+    assert len(edited) > 100
+    for got in edited:
+        checked = CompositionMultiset.from_counts(got.counts.copy())
+        assert np.array_equal(got.counts, checked.counts) and got.total == checked.total
+        assert got == checked and not got.counts.flags.writeable
 
 
 def test_substitution_checks_its_side_as_a_removal_does():
@@ -367,8 +395,6 @@ def _sides_of(s: BitString):
 def test_every_single_removal_is_corrected_for_all_length6_strings():
     # side-attributed readouts: one missing fragment always leaves one side
     # complete, and the weight anchor settles the rest
-    from masscodec.channel import one_sided_sum
-
     for v in range(64):
         s = BitString.from_int(v, 6)
         for side, length, ones in _sides_of(s):
@@ -681,6 +707,9 @@ def _slow_attribution(counts: Counter, N: int, hbar: int) -> dict:
 
 
 def _slow_increments(cumulative, hbar, strict):
+    if cumulative and isinstance(cumulative[0], list):
+        # one row per side, checked in order
+        return [_slow_increments(row, hbar, strict) for row in cumulative]
     symbols, prev = [], 0
     for i, n_i in enumerate(cumulative, start=1):
         if n_i is None or prev is None:
@@ -1329,3 +1358,170 @@ def test_detection_reports_are_pinned(b2_n16_codebook, scheme_books):
         for readout, N, hbar in _detection_cases(book, scheme_books)
     ]
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == DETECTION_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the sum readings, pinned
+
+
+def _reading_cases(substitution_book, scheme_books):
+    """(readout, N, hbar) for the reading pin, drawn from a fixed seed: clean
+    pools of the t = 2 scheme books and the t = 1 substitution book, each with
+    1 to 4 fragments lost (uniform and adversarial) and four times with one
+    fragment read lighter."""
+    rng = random.Random(23)
+    for book in [*scheme_books, substitution_book]:
+        for hbar in (1, 2):
+            for _ in range(3):
+                words = [book.bits_for(s) for s in rng.sample(list(book.base.strings), hbar)]
+                clean = pool(words)
+                yield clean, book.N, hbar
+                for t in (1, 2, 3, 4):
+                    for placement in ("uniform", "adversarial"):
+                        pattern = sample_erasure_pattern(words, t, rng, placement)
+                        yield erase(clean, pattern), book.N, hbar
+                for lighter in range(4):
+                    counts = clean.counts.copy()
+                    length, ones = rng.choice([c for c in zip(*counts.nonzero()) if c[1]])
+                    counts[length, ones] -= 1
+                    # one fewer one often keeps every step in range, so the sides clash
+                    counts[length, rng.randrange(ones) if lighter % 2 else ones - 1] += 1
+                    yield CompositionMultiset.from_counts(counts), book.N, hbar
+
+
+def _readings(readout, N: int, hbar: int) -> tuple[list, list]:
+    """Every sum reading of a readout, as symbols or (error class, message),
+    and the PartialSumStrings they returned.  The one-sided readers get the
+    readout's strictly prefix-like and suffix-like cells and, where the
+    split succeeds, the two sides of ``separate_pool``."""
+    returned = []
+
+    def shown(value):
+        if isinstance(value, PartialSumString):
+            returned.append(value)
+            return value.hbar, value.symbols
+        if isinstance(value, tuple):
+            return tuple(map(shown, value))
+        return value
+
+    length, ones = np.indices(readout.counts.shape)
+    by_weight = [
+        CompositionMultiset.from_counts(readout.counts * (2 * ones > length)),
+        CompositionMultiset.from_counts(readout.counts * (2 * ones < length)),
+    ]
+    separated = _with_message(lambda: separate_pool(readout, N, hbar))
+    calls = [
+        functools.partial(reader, readout, N, hbar)
+        for reader in (partial_sum_strings, merged_sums, merged_counts, raw_side_sums)
+    ]
+    for prefixes, suffixes in [by_weight] + ([] if isinstance(separated[0], str) else [separated]):
+        calls += [
+            functools.partial(one_sided_sum, prefixes, N, hbar),
+            functools.partial(one_sided_sum, suffixes, N, hbar, SUFFIX),
+            functools.partial(sum_from_prefixes, prefixes, N, hbar),
+        ]
+    outputs = []
+    for call in calls:
+        try:
+            outputs.append(shown(call()))
+        except (MasscodecError, ValueError) as exc:
+            outputs.append(("raise", type(exc).__name__, str(exc)))
+    return outputs, returned
+
+
+# sha256 over the _readings outputs on _reading_cases, recorded before the
+# readings built their sums with the trusted constructor
+READING_DIGEST = "10cbc279df26f2ab5ee60c93ef012837b3594ac5cb5c45b725e0eea5cf8eaa27"
+
+
+@pytest.fixture(scope="module")
+def reading_cases(b2_n16_codebook, scheme_books):
+    book = ecc.two_step_codebook(b2_n16_codebook, 1, substitutions=True)
+    return list(_reading_cases(book, scheme_books))
+
+
+@pytest.fixture(scope="module")
+def readings(reading_cases):
+    return [_readings(*case) for case in reading_cases]
+
+
+def test_sum_readings_are_pinned(readings):
+    outputs = [shown for shown, _ in readings]
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == READING_DIGEST
+    # the corpus reaches every refusal of the readings, and values too
+    raised = Counter(out[1] for row in outputs for out in row if out[0] == "raise")
+    assert {"NegativeIncrement", "Conflict", "CountMismatch"} <= set(raised), raised
+    assert sum(map(len, outputs)) > 2 * sum(raised.values())
+
+
+def test_readings_return_what_the_checking_constructor_builds(reading_cases, readings):
+    # the readings build their sums unchecked; each must be one the checking
+    # constructor accepts as it is, with plain ints for symbols
+    sums = []
+    for case, (_, returned) in zip(reading_cases, readings):
+        sums += returned
+        report = detect_substitution(*case)
+        sums += [x for x in (report.prefix_sum, report.suffix_sum) if x is not None]
+    assert len(sums) > len(reading_cases)
+    for x in sums:
+        assert PartialSumString(x.symbols, x.hbar) == x
+        assert all(v is None or type(v) is int for v in x.symbols), x
+
+
+def _referee_merged_counts(symbols, total: int) -> list:
+    """merged_counts as it stood, carrying None through both accumulations."""
+
+    def add(a, b):
+        return None if a is None or b is None else a + b
+
+    tails = list(itertools.accumulate(reversed(symbols[1:]), add, initial=0))[::-1]
+    return [
+        total - tail if head is None and tail is not None else head
+        for head, tail in zip(itertools.accumulate(symbols, add), tails)
+    ]
+
+
+def test_merged_counts_match_the_none_carrying_referee(reading_cases, monkeypatch):
+    read = 0
+    for readout, N, hbar in reading_cases:
+        try:
+            symbols = merged_sums(readout, N, hbar).symbols
+        except MasscodecError:
+            continue
+        read += 1
+        assert merged_counts(readout, N, hbar) == _referee_merged_counts(symbols, hbar * N // 2)
+    assert read > len(reading_cases) // 2
+    # random partial sums, with no, some and only erasures, stand in for the merge
+    from masscodec import channel
+
+    rng = random.Random(11)
+    for _ in range(3000):
+        N, hbar, erased = rng.randint(0, 12), rng.randint(1, 3), rng.choice((0, 0.15, 0.5, 1))
+        symbols = [None if rng.random() < erased else rng.randint(0, hbar) for _ in range(N)]
+        merged = PartialSumString(symbols, hbar)
+        monkeypatch.setattr(channel, "merged_sums", lambda *_: merged)
+        want = _referee_merged_counts(merged.symbols, hbar * N // 2)
+        assert merged_counts(None, N, hbar) == want, merged
+
+
+def test_two_row_increments_equal_two_one_row_calls():
+    rng = np.random.default_rng(9)
+    both_refused = 0
+    for trial in range(600):
+        N, hbar, strict = int(rng.integers(0, 9)), int(rng.integers(1, 4)), bool(trial % 2)
+        # mostly steps in range, sometimes one past either end
+        steps = np.where(rng.random((2, N)) < 0.9, rng.integers(0, hbar + 1, (2, N)), -1)
+        steps[rng.random((2, N)) < 0.05] = hbar + 1
+        cumulative = steps.cumsum(axis=1)
+        known = rng.random((2, N)) < rng.choice((0.6, 0.9, 1.0))
+        rows = [
+            _with_message(lambda k=k: increments(cumulative[k], known[k], hbar, strict))
+            for k in (0, 1)
+        ]
+        # the first row's refusal wins, then the second row's
+        want = next((row for row in rows if isinstance(row, tuple)), rows)
+        both_refused += all(isinstance(row, tuple) for row in rows)
+        assert _with_message(lambda: increments(cumulative, known, hbar, strict)) == want
+        slow = [[int(n) if k else None for n, k in zip(*row)] for row in zip(cumulative, known)]
+        assert _with_message(lambda: _slow_increments(slow, hbar, strict)) == want
+    assert both_refused >= 20, both_refused

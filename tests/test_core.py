@@ -465,6 +465,16 @@ def test_partial_sum_string_matches_the_referee_constructor():
         assert ours == _sum_outcome(_RefereePartialSumString, symbols, hbar), (symbols, hbar)
 
 
+def test_trusted_partial_sum_still_refuses_hbar_below_one():
+    for hbar in (0, -1):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            PartialSumString._of((), hbar)
+    trusted = PartialSumString._of((1, None, 0), 1)
+    assert trusted == PartialSumString.parse("1ε0", 1)
+    with pytest.raises(AttributeError):
+        trusted.hbar = 2
+
+
 def test_fragment_cells_match_the_array_form():
     import numpy as np
 

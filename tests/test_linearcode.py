@@ -572,3 +572,52 @@ def test_encode_matches_the_row_loop_referee(code):
     units = [_referee_encode(code, [int(i == j) for j in range(code.k)]) for i in range(code.k)]
     assert code.generator.dtype == np.uint8
     assert code.generator.tolist() == [list(row) for row in units]
+
+
+def _referee_rref(mat, p=2, column_order=None):
+    """rref as it stood, clearing each pivot column even where it is clear."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    order = range(cols) if column_order is None else column_order
+    pivots = []
+    r = 0
+    for c in order:
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue
+        i = r + int(nonzero[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        lead = int(a[r, c])
+        if lead != 1:
+            a[r] = a[r] * pow(lead, -1, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a -= factors[:, None] * a[r]
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def test_rref_matches_the_unguarded_referee():
+    from masscodec import gf2m
+
+    cases = [(build(), 2) for build, _ in gf2m.TABLES.values()]
+    cases += [(hamming_code(r).H, 2) for r in range(2, 6)]
+    rng = np.random.default_rng(23)
+    for p in (2, 3, 5):
+        for _ in range(100):
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 13)))
+            # sparse and dense matrices, so some pivot columns are clear already
+            kept = rng.random(shape) < rng.uniform(0.1, 0.9)
+            cases.append((rng.integers(0, p, shape) * kept, p))
+    for mat, p in cases:
+        cols = np.shape(mat)[1]
+        for order in (None, range(cols - 1, -1, -1)):
+            got_rows, got_pivots = rref(mat, p, column_order=order)
+            want_rows, want_pivots = _referee_rref(mat, p, order)
+            assert got_pivots == want_pivots
+            assert np.array_equal(got_rows, want_rows)
