@@ -10,16 +10,18 @@ sums.  That mod-2 separation is also exactly what lets a mixture decoder
 recover the subset from the mod-2 reduction of the pooled sum.
 
 That recovery is syndrome decoding: the mod-2 sum of hbar columns is the
-syndrome of a weight-hbar pattern.  One search serves both inverses: it
-finds every hbar-subset with a given mod-2 sum by meet-in-the-middle, in
-O(|C|^ceil(hbar/2)) rather than O(|C|^hbar), for explicit codebooks too;
-``invert_sum`` keeps the matches whose integer sum is its target.  The
-halves come from an index cached on the codebook, built once per subset
-size k: every k-subset of column indices with the XOR of its columns,
-sorted by that XOR.  A cached subset costs k bytes of indices (uint8 up to
-256 columns) plus 8 bytes of XOR, so the 96-column order-3 benchmark
-codebook holds about 46 KB.  A lookup's budget bounds each index it
-builds, and the cache as a whole by dropping the sizes it does not use.
+syndrome of a weight-hbar pattern.  One search, ``XorIndex.matches``,
+serves both inverses and the code decoder ``LinearCode.decode_errors``: it
+finds every hbar-subset of a list of ints with a given XOR by
+meet-in-the-middle, in O(|C|^ceil(hbar/2)) rather than O(|C|^hbar), for
+explicit codebooks too; ``invert_sum`` keeps the matches whose integer sum
+is its target.  The halves come from an index cached on the codebook (or
+the code), built once per subset size k: every k-subset of indices with
+the XOR of its values, sorted by that XOR.  A cached subset costs k bytes
+of indices (uint8 up to 256 columns) plus 8 bytes of XOR, so the 96-column
+order-3 benchmark codebook holds about 46 KB.  A lookup's budget bounds
+each index it builds, and the cache as a whole by dropping the sizes it
+does not use.
 
 ``bundled_spec`` builds a named matrix of ``gf2m.TABLES`` in process; it
 serves as a codebook source or, through ``linearcode.bundled_code``, as a
@@ -144,8 +146,8 @@ class BhCodebook:
         return iter(self.strings)
 
     @cached_property
-    def _xor_index(self) -> "_XorIndex":
-        return _XorIndex(self.strings)
+    def _xor_index(self) -> "XorIndex":
+        return XorIndex([s.as_int for s in self.strings])
 
     @classmethod
     def explicit(cls, strings: Iterable, h: int) -> "BhCodebook":
@@ -254,51 +256,21 @@ def invert_mod2_sum(
 def _mod2_matches(
     codebook: BhCodebook, target: BitString, hbar: int, budget: int
 ) -> list[tuple[BitString, ...]]:
-    """Every hbar-subset whose mod-2 sum is the target, in lexicographic order.
-
-    A meet-in-the-middle (Horowitz & Sahni, JACM 1974): with lo = hbar // 2
-    and hi = hbar - lo, the XOR of the target with every lo-subset is
-    searched for in the codebook's sorted index of hi-subset XORs (see
-    ``_XorIndex``).  A match counts only when the low half's last index
-    precedes the high half's first, so each hbar-subset is found through
-    exactly one split.  The index keys strings longer than 64 bits by a
-    64-bit fold, so every match is confirmed on the full strings.
-
-    ``budget`` bounds the subsets enumerated, C(|C|, hi) + C(|C|, lo),
-    and with them the indexes a lookup builds and keeps cached.
+    """Every hbar-subset whose mod-2 sum is the target, in lexicographic order,
+    by ``XorIndex.matches``.  ``budget`` bounds the half-subsets enumerated,
+    C(|C|, hbar - hbar // 2) + C(|C|, hbar // 2), and with them the indexes
+    a lookup builds and keeps cached.
     """
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
+    if hbar < 1:
+        raise ConfigError(f"a subset lookup needs hbar >= 1, got {hbar}")
     size = len(codebook)
-    lo = hbar // 2
-    hi = hbar - lo
-    enumerated = math.comb(size, hi) + math.comb(size, lo)
+    enumerated = math.comb(size, hbar - hbar // 2) + math.comb(size, hbar // 2)
     if enumerated > budget:
-        raise SearchSpaceTooLarge(
-            f"{enumerated} half-subsets exceed the budget {budget}"
-        )
-    import numpy as np
-
-    index = codebook._xor_index
-    values = index.values
-    wanted = target.as_int
-    low_subsets, low_xors = index.subsets(lo, (lo, hi), budget)
-    high_subsets, high_xors = index.subsets(hi, (lo, hi), budget)
-    queries = low_xors ^ np.uint64(_fold64(wanted))
-    first = high_xors.searchsorted(queries, "left")
-    stop = high_xors.searchsorted(queries, "right")
-    found = []
-    for q in (stop > first).nonzero()[0].tolist():
-        low = low_subsets[q].tolist()
-        for high in high_subsets[first[q] : stop[q]].tolist():
-            if low and low[-1] >= high[0]:
-                continue
-            acc = wanted
-            for i in low + high:
-                acc ^= values[i]
-            if not acc:  # the folds agree and so do the strings
-                found.append(low + high)
-    return [tuple(codebook.strings[i] for i in subset) for subset in sorted(found)]
+        raise SearchSpaceTooLarge(f"{enumerated} half-subsets exceed the budget {budget}")
+    found = codebook._xor_index.matches(target.as_int, hbar, budget)
+    return [tuple(codebook.strings[i] for i in subset) for subset in found]
 
 
 _WORD = (1 << 64) - 1
@@ -313,20 +285,52 @@ def _fold64(value: int) -> int:
     return folded
 
 
-class _XorIndex:
-    """Every k-subset of a codebook's strings, sorted by the XOR of its members.
+class XorIndex:
+    """Every k-subset of a list of ints, sorted by the XOR of its members.
 
-    ``subsets(k, sizes, budget)`` returns the subsets as a (C(|C|, k), k)
-    array of ascending column indices and, row for row, the XORs of their
-    folded strings as ``uint64``, sorted by XOR.  Rows with equal XORs stay
-    in lexicographic order.  Each size is built on first use and kept, but
-    a build that would take the cached subsets past the lookup's budget
-    first drops every size the lookup (which uses ``sizes``) does not.
+    ``subsets(k, sizes, budget)`` returns the subsets as a (C(n, k), k)
+    array of ascending indices and, row for row, the XORs of their folded
+    values as ``uint64``, sorted by XOR.  Rows with equal XORs stay in
+    lexicographic order.  Each size is built on first use and kept, but a
+    build that would take the cached subsets past the caller's budget first
+    drops every size the caller (which uses ``sizes``) does not.
     """
 
-    def __init__(self, strings: Sequence[BitString]):
-        self.values = [s.as_int for s in strings]
+    def __init__(self, values: Sequence[int]):
+        self.values = list(values)
         self._by_size: dict = {}
+
+    def matches(self, target: int, k: int, budget: int) -> list[list[int]]:
+        """Every k-subset (k >= 1) whose XOR is target, as sorted index lists.
+
+        A meet-in-the-middle (Horowitz & Sahni, JACM 1974): with lo = k // 2
+        and hi = k - lo, the XOR of the target with every lo-subset is
+        searched for among the hi-subset XORs.  A match counts only when the
+        low half's last index precedes the high half's first, so each
+        k-subset is found through exactly one split.  Values longer than 64
+        bits are keyed by a 64-bit fold, so every match is confirmed on the
+        full values.  The lists come in lexicographic order.
+        """
+        import numpy as np
+
+        lo, hi = k // 2, k - k // 2
+        low_subsets, low_xors = self.subsets(lo, (lo, hi), budget)
+        high_subsets, high_xors = self.subsets(hi, (lo, hi), budget)
+        queries = low_xors ^ np.uint64(_fold64(target))
+        first = high_xors.searchsorted(queries, "left")
+        stop = high_xors.searchsorted(queries, "right")
+        found = []
+        for q in (stop > first).nonzero()[0].tolist():
+            low = low_subsets[q].tolist()
+            for high in high_subsets[first[q] : stop[q]].tolist():
+                if low and low[-1] >= high[0]:
+                    continue
+                acc = target
+                for i in low + high:
+                    acc ^= self.values[i]
+                if not acc:  # the folds agree and so do the values
+                    found.append(low + high)
+        return sorted(found)
 
     def subsets(self, k: int, sizes: Sequence[int], budget: int):
         if k not in self._by_size:

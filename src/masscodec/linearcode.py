@@ -3,9 +3,9 @@
 These are plain table-driven codes: a parity-check matrix, a systematic
 encoder derived from it, and decoders that solve for erased positions
 (any pattern of up to d-1 erasures is solvable) or correct substitutions
-by syndrome lookup: the syndrome of every error pattern of up to half the
-radius is cached per code, and a decode meets it with the other half
-(meet-in-the-middle).  A matching mod-p variant supports syndrome
+by syndrome decoding: the columns of H that XOR to a word's syndrome are
+found by ``bhcode.XorIndex.matches``, the meet-in-the-middle that also
+inverts codebook sums.  A matching mod-p variant supports syndrome
 protection over a prime field.
 
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
@@ -23,11 +23,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bhcode import DEFAULT_BUDGET, bundled_spec
+from .bhcode import DEFAULT_BUDGET, XorIndex, bundled_spec
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -88,6 +89,8 @@ def _solve_erasures(
     Raises DecodeFailure when no filling meets the target (a complete word
     included) and TooManyErasures when more than one does.
     """
+    if len(word) != H.shape[1]:
+        raise ValueError(f"word length {len(word)} != n={H.shape[1]}")
     erased = [i for i, x in enumerate(word) if x is None]
     known = np.array([0 if x is None else int(x) % p for x in word], dtype=np.int64)
     rhs = (target - H @ known) % p
@@ -125,10 +128,8 @@ class LinearCode:
         self.info_positions = tuple(c for c in range(self.n) if c not in self.pivots)
         # H is reduced: row r gives its pivot as _parity[r] . message mod 2
         self._parity = H[:, list(self.info_positions)].astype(np.int64)
-        # syndrome lookup state, built on first use by _cache_patterns
-        self._columns: list[int] = []
-        self._syndromes = {0: 0}
-        self._pattern_counts = [1]
+        # decode_errors has found no 1..2*_checked_half columns that XOR to zero
+        self._checked_half = 0
         if self.k < 1 or d < 1:
             raise ConfigError(f"bad code parameters n={self.n}, k={self.k}, d={d}")
 
@@ -178,34 +179,11 @@ class LinearCode:
         """Solve H x = 0 for the erased positions (None entries)."""
         return _solve_erasures(self.H, 2, word, 0)
 
-    def _cache_patterns(self, weight: int) -> None:
-        """Cache the syndrome of every error pattern of weight <= weight.
-
-        ``_syndromes`` maps each syndrome to its pattern's bitmask, filled
-        in order of weight; ``_pattern_counts[w]`` counts its patterns of
-        weight <= w.  Two patterns with one syndrome differ by a codeword of
-        weight at most 2*weight, which the declared distance rules out.
-        Column j of H is packed into ``_columns[j]`` with check row i as
-        bit i.
-        """
-        if not self._columns:
-            self._columns = [
-                sum(1 << int(i) for i in np.flatnonzero(self.H[:, j]))
-                for j in range(self.n)
-            ]
-        for w in range(len(self._pattern_counts), weight + 1):
-            for positions in itertools.combinations(range(self.n), w):
-                syn = mask = 0
-                for j in positions:
-                    syn ^= self._columns[j]
-                    mask |= 1 << j
-                if syn in self._syndromes:
-                    raise ConfigError(
-                        f"{self.name}: two patterns of weight <= {w} share a "
-                        f"syndrome, so d={self.d} is wrong"
-                    )
-                self._syndromes[syn] = mask
-            self._pattern_counts.append(len(self._syndromes))
+    @functools.cached_property
+    def _column_index(self) -> XorIndex:
+        """H's columns for the shared search, check row i as bit i."""
+        columns = np.packbits(self.H.T, axis=1, bitorder="little").tolist()
+        return XorIndex(int.from_bytes(column, "little") for column in columns)
 
     def decode_errors(
         self,
@@ -213,14 +191,15 @@ class LinearCode:
         max_errors: Optional[int] = None,
         budget: int = DEFAULT_BUDGET,
     ) -> tuple[int, ...]:
-        """The codeword within max_errors flips of word, by syndrome lookup.
+        """The codeword within max_errors flips of word, by syndrome decoding.
 
-        The error e has weight <= r = max_errors, so it splits as e1 ^ e2
-        with |e1| <= ceil(r/2) and |e2| <= floor(r/2).  Every e2 is probed
-        against the cached syndromes of the e1: syn(e1) = syn(word) ^
-        syn(e2).  r is at most the error capability, so at most one error
-        of weight <= r fits and the result is the nearest codeword.
-        ``budget`` bounds the cached patterns plus the probes.
+        For w = 1..r (r = max_errors), ``XorIndex.matches``, the codebook
+        lookup's meet-in-the-middle, lists the w-sets of columns of H that
+        XOR to the word's syndrome; the first weight with one flips it.  Two
+        there, or up to 2*ceil(r/2) columns that XOR to zero (looked for once
+        per code and ceil(r/2)), contradict the declared d: a ``ConfigError``.
+        ``budget`` bounds the subsets the search caches and probes, counted
+        as sum_{i <= ceil(r/2)} C(n, i) + sum_{i <= floor(r/2)} C(n, i).
         """
         if max_errors is None:
             max_errors = self.error_capability
@@ -230,9 +209,7 @@ class LinearCode:
                 f"the error capability of {self.name}"
             )
         half, probe = (max_errors + 1) // 2, max_errors // 2
-        needed = sum(math.comb(self.n, i) for i in range(half + 1)) + sum(
-            math.comb(self.n, i) for i in range(probe + 1)
-        )
+        needed = sum(math.comb(self.n, i) for top in (half, probe) for i in range(top + 1))
         if needed > budget:
             raise SearchSpaceTooLarge(
                 f"syndrome lookup at radius {max_errors} needs {needed} "
@@ -240,19 +217,29 @@ class LinearCode:
             )
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != n={self.n}")
-        self._cache_patterns(half)
-        s = 0
-        for col, bit in zip(self._columns, word):
-            if int(bit) & 1:
-                s ^= col
-        probes = itertools.islice(self._syndromes.items(), self._pattern_counts[probe])
-        for syn2, e2 in probes:
-            e1 = self._syndromes.get(s ^ syn2)
-            if e1 is None:
-                continue
-            e = e1 ^ e2
-            if e.bit_count() <= max_errors:
-                return tuple((int(b) & 1) ^ ((e >> j) & 1) for j, b in enumerate(word))
+        if None in word:
+            raise ValueError(f"symbol {list(word).index(None)} is erased")
+        index = self._column_index
+        for v in range(2 * self._checked_half + 1, 2 * half + 1):
+            if index.matches(0, v, budget):
+                raise ConfigError(
+                    f"{self.name}: two patterns of weight <= {(v + 1) // 2} share a "
+                    f"syndrome, so d={self.d} is wrong"
+                )
+        self._checked_half = max(self._checked_half, half)
+        bits = [int(b) & 1 for b in word]
+        s = functools.reduce(operator.xor, itertools.compress(index.values, bits), 0)
+        if not s:
+            return tuple(bits)
+        for w in range(1, max_errors + 1):
+            found = index.matches(s, w, budget)
+            if len(found) > 1:
+                raise ConfigError(
+                    f"{self.name}: {len(found)} error patterns of weight {w} fit the "
+                    f"word, so d={self.d} is wrong"
+                )
+            if found:
+                return tuple(bit ^ (j in found[0]) for j, bit in enumerate(bits))
         raise DecodeFailure(f"no codeword within {max_errors} errors")
 
     def exact_min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
@@ -390,6 +377,8 @@ class ModpCode:
         self.n_rows = H.shape[0]
 
     def syndrome(self, vec: Sequence[int]) -> tuple[int, ...]:
+        if len(vec) != self.n:
+            raise ValueError(f"vector length {len(vec)} != n={self.n}")
         v = np.array([int(x) % self.p for x in vec], dtype=np.int64)
         return tuple(int(x) for x in (self.H @ v) % self.p)
 
@@ -399,6 +388,8 @@ class ModpCode:
         syndrome: Sequence[Optional[int]],
     ) -> tuple[int, ...]:
         """Fill erased entries so H.vec matches the usable syndrome rows."""
+        if len(syndrome) != self.n_rows:
+            raise ValueError(f"syndrome length {len(syndrome)} != n_rows={self.n_rows}")
         rows = [r for r, s in enumerate(syndrome) if s is not None]
         target = np.array([int(syndrome[r]) for r in rows], dtype=np.int64)
         return _solve_erasures(self.H[rows], self.p, vec, target)

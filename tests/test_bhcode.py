@@ -445,3 +445,15 @@ def test_codebook_rate():
     assert codebook_rate(BhCodebook.explicit(EX2_GOOD, 2)) == pytest.approx(
         math.log2(3) / 6
     )
+
+
+def test_lookup_refuses_an_order_below_one():
+    # hbar = 0 used to return the empty subset or crash in real_sum, and
+    # hbar = -1 died in math.comb
+    codebook = build_bh_codebook(2, bundled_spec("bch_15_7"))
+    zero = BitString((0,) * codebook.n)
+    for hbar in (0, -1):
+        with pytest.raises(ConfigError, match="hbar"):
+            invert_sum(codebook, (0,) * codebook.n, hbar)
+        with pytest.raises(ConfigError, match="hbar"):
+            invert_mod2_sum(codebook, zero, hbar)

@@ -621,3 +621,51 @@ def test_rref_matches_the_unguarded_referee():
             want_rows, want_pivots = _referee_rref(mat, p, order)
             assert got_pivots == want_pivots
             assert np.array_equal(got_rows, want_rows)
+
+
+def test_erasure_solvers_refuse_a_word_of_the_wrong_length():
+    code = shipped_code(16, 1)
+    word = list(code.encode([1, 0] * 8))
+    with pytest.raises(ValueError, match=f"word length {code.n - 1} != n={code.n}"):
+        code.decode_erasures(word[:-1])
+    pc = modp_code(3, 20)
+    vec = [1, 2] * 10
+    syn = pc.syndrome(vec)
+    with pytest.raises(ValueError, match="word length 21 != n=20"):
+        pc.solve_erasures(vec + [None], syn)
+    with pytest.raises(ValueError, match="vector length 19 != n=20"):
+        pc.syndrome(vec[:-1])
+
+
+def test_modp_solver_refuses_a_short_syndrome():
+    # a missing row used to be read as an erased one
+    pc = modp_code(3, 20)
+    vec = [1, 2] * 10
+    syn = pc.syndrome(vec)
+    received = [None] + vec[1:]
+    with pytest.raises(ValueError, match=f"syndrome length 3 != n_rows={pc.n_rows}"):
+        pc.solve_erasures(received, syn[:-1])
+
+
+def test_error_decoder_refuses_an_erased_symbol():
+    code = shipped_code(8, 2, errors=True)
+    word = list(code.encode([1, 1, 0, 1, 0, 0, 1, 0]))
+    word[5] = word[9] = None
+    with pytest.raises(ValueError, match="symbol 5 is erased"):
+        code.decode_errors(word, 2)
+
+
+def test_weight_four_codewords_contradict_a_declared_distance_of_five():
+    # the extended Hamming code has d = 4: the word below lies at distance 2
+    # from four codewords, so a radius-2 decode must not pick one
+    code = LinearCode.from_parity_check(["11110000", "11001100", "10101010", "11111111"], 5)
+    with pytest.raises(ConfigError, match="d=5 is wrong"):
+        code.decode_errors([0, 0, 0, 0, 1, 1, 0, 0], 2)
+
+
+def test_a_weight_three_codeword_contradicts_a_declared_distance_of_seven():
+    # three columns of the [7,4,3] Hamming matrix XOR to zero; a radius-3
+    # decode checks every set of up to 4 columns before its first word
+    code = LinearCode.from_parity_check(["0001111", "0110011", "1010101"], 7)
+    with pytest.raises(ConfigError, match="weight <= 2 share a syndrome, so d=7 is wrong"):
+        code.decode_errors([0] * 7, 3)
