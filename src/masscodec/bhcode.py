@@ -319,8 +319,12 @@ class XorIndex:
         queries = low_xors ^ np.uint64(_fold64(target))
         first = high_xors.searchsorted(queries, "left")
         stop = high_xors.searchsorted(queries, "right")
+        candidates = stop - first
+        if lo == hi and not _fold64(target):
+            # each low subset meets itself, a pair the order rule rejects
+            candidates -= 1
         found = []
-        for q in (stop > first).nonzero()[0].tolist():
+        for q in (candidates > 0).nonzero()[0].tolist():
             low = low_subsets[q].tolist()
             for high in high_subsets[first[q] : stop[q]].tolist():
                 if low and low[-1] >= high[0]:

@@ -214,14 +214,14 @@ class SideSums:
     every assignment of the ties that respects the hbar cap on the other
     side gives the side exactly hbar fragments.
 
-    ``cells`` lists the fragments themselves, for substitution detection;
-    ``codec.separate_pool`` does not need it, since it splits the count
-    table by a mask and reads only ``fragments`` and ``fill``.
+    ``cells`` lists the fragments themselves, and ``sided_cells`` says how
+    many of each cell sit on each side; ``codec.separate_pool`` and
+    substitution detection read that.
     """
 
-    # (4, K): length, ones, multiplicity and class (0 prefix, 1 tie, 2 suffix)
-    # of the pool's nonzero cells up to length N, in (length, ones) order
-    cells: np.ndarray
+    # four (K,) arrays: length, ones, multiplicity and class (0 prefix, 1 tie,
+    # 2 suffix) of the pool's nonzero cells up to length N, in (length, ones) order
+    cells: tuple[np.ndarray, ...]
     fill: np.ndarray  # (2, N) ties given to each side
     fragments: np.ndarray  # (2, N) fragments per side after tie filling
     ones: np.ndarray  # (2, N) ones totals per side after tie filling
@@ -233,9 +233,9 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
 
     This is the one reading of counts into sums.  Its readers are the
     two-sided partial sums (``partial_sum_strings``, so ``merged_sums``),
-    the raw side sums, substitution detection and the codec's clean-pool
-    split (``codec.separate_pool``).  The one-sided sums of an attributed
-    pool read ``length_totals`` instead.
+    the raw side sums, and through ``sided_cells`` substitution detection
+    and the codec's clean-pool split (``codec.separate_pool``).  The
+    one-sided sums of an attributed pool read ``length_totals`` instead.
     Lengths past N are ignored.  After one scan of the count table for its
     nonzero cells, the work is proportional to the number of distinct
     fragments.
@@ -278,10 +278,21 @@ def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     # taking every tie it has room for, reach hbar
     room = np.maximum(0, hbar - unbalanced[::-1])
     certain = unbalanced + np.maximum(0, ties - room) == hbar
-    cells = np.array([rows + 1, ones, mult, kind])
-    for array in (cells, fill, fragments, sums, certain):
+    cells = (rows + 1, ones, mult, kind)
+    for array in (*cells, fill, fragments, sums, certain):
         array.flags.writeable = False
     return SideSums(cells, fill, fragments, sums, certain)
+
+
+def sided_cells(sums: SideSums) -> tuple[np.ndarray, ...]:
+    """Length, ones, and the fragments on the prefix and on the suffix side,
+    of each cell of a reading.  A length's one tie cell splits as ``fill``
+    does; every other cell lies wholly on its side."""
+    length, ones, mult, kind = sums.cells
+    on_prefix = mult * (kind == 0)
+    tie = kind == 1
+    on_prefix[tie] = sums.fill[0, length[tie] - 1]
+    return length, ones, on_prefix, mult - on_prefix
 
 
 def length_totals(pool: CompositionMultiset, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -634,9 +645,9 @@ def detect_substitution(
     full-length fragments, a prefix of length L with o ones completes a
     suffix of length N - L with w0 - o ones.  So the prefix side's cells
     and the suffix side's, mirrored to (N - length, w0 - ones), become
-    integer keys of (length, ones, multiplicity), a tie cell counting the
-    ties its side took.  A length whose keys differ is incompatible when it
-    and its mirror both hold hbar fragments.
+    integer keys of (length, ones, multiplicity), each cell counting the
+    fragments ``sided_cells`` puts on its side.  A length whose keys differ
+    is incompatible when it and its mirror both hold hbar fragments.
 
     A fragment read lighter that crossed the weight split leaves exactly two
     count deviations, side X one short and side Y one over, at one length L.
@@ -677,7 +688,7 @@ def detect_substitution(
     )
 
     # the cells are in (length, ones) order, so the full-length ones come last
-    last_lengths, last_ones = sums.cells[:2, -2:].tolist()
+    last_lengths, last_ones = (column[-2:].tolist() for column in sums.cells[:2])
     w0 = last_ones[-1] if last_lengths.count(N) == 1 else None
     incompatible = []
     if w0 is not None:
@@ -685,23 +696,17 @@ def detect_substitution(
         # mirrored w0 - o can be negative, and mult runs up to pool.total
         width = pool.total + 1
         span = (2 * N + 1) * width
-        length, cell_ones, mult, kind = sums.cells
+        length, cell_ones, on_prefix, on_suffix = sided_cells(sums)
         key = length * span + cell_ones * width
-        # a tie cell counts the ties its side took: all of them less the other side's
-        ties = sums.fill.take(length - 1, axis=1) * (kind == 1)
-        on_prefix = mult * (kind < 2) - ties[1]
-        on_suffix = mult * (kind > 0) - ties[0]
         prefix = (key + on_prefix)[on_prefix > 0] + N * width
-        # cells come in (length, ones) order, so keys do too, the mirrored ones reversed
-        mirrored = ((N * span + (w0 + N) * width) - key + on_suffix)[on_suffix > 0][::-1]
-        # the lengths of the keys without a twin on the other side
-        differ = {
-            k // span
-            for keys, other in ((prefix, mirrored), (mirrored, prefix))
-            for k in keys[other.searchsorted(keys, "right") == other.searchsorted(keys)].tolist()
-        }
+        mirrored = ((N * span + (w0 + N) * width) - key + on_suffix)[on_suffix > 0]
+        # each side keys a cell once, so the keys without a twin are the symmetric
+        # difference; their lengths come out ascending
+        differ = np.setxor1d(prefix, mirrored, assume_unique=True) // span
         incompatible = [
-            ln for ln in sorted(differ) if 0 < ln < N and not (off[0, ln - 1] or off[1, N - ln - 1])
+            ln
+            for ln in dict.fromkeys(differ.tolist())
+            if 0 < ln < N and not (off[0, ln - 1] or off[1, N - ln - 1])
         ]
 
     candidates = tuple(dict.fromkeys(ps for ps in (prefix_sum, suffix_sum) if ps is not None))

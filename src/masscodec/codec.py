@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
-from .channel import increments, length_totals, side_sums
+from .channel import increments, length_totals, side_sums, sided_cells
 from .core import (
     BitString,
     BitsLike,
@@ -350,18 +350,6 @@ def require_plain(codebook: McCodebook) -> None:
         )
 
 
-@functools.lru_cache(maxsize=8)
-def _prefix_only(N: int) -> np.ndarray:
-    """Read-only (N + 1, N + 1) mask of the cells (length, ones) with more than
-    half their length in ones: the fragments that can only be prefixes."""
-    import numpy as np
-
-    size = np.arange(N + 1)
-    mask = 2 * size > size[:, None]
-    mask.flags.writeable = False
-    return mask
-
-
 def separate_pool(
     pool: CompositionMultiset, N: int, hbar: int
 ) -> tuple[CompositionMultiset, CompositionMultiset]:
@@ -372,11 +360,10 @@ def separate_pool(
     ones can sit on either side, and since all such ties are the identical
     composition the split is unique once each side is filled to hbar.
 
-    The split reads two arrays of the pool's ``side_sums``: ``fragments``
-    to check that every length splits hbar + hbar, and the prefix row of
-    ``fill`` for the ties the prefix side takes.  The prefix table is the
-    count table under the prefix-only mask plus those ties, and the suffix
-    table is the rest of the count table.
+    The pool's ``side_sums`` makes that split: its ``fragments`` check that
+    every length splits hbar + hbar, the prefix shares of ``sided_cells``
+    are scattered into the prefix table, and the suffix table is the rest
+    of the count table.
     """
     sums = side_sums(pool, N, hbar)
     # a length splits exactly when tie filling leaves hbar on each side
@@ -394,12 +381,14 @@ def separate_pool(
     table = pool.counts[: N + 1, : N + 1]
     if len(table) <= N:  # only hbar = 0 passes without fragments of length N
         table = np.zeros((N + 1, N + 1), dtype=np.int64)
-    prefixes = table * _prefix_only(N)
-    # the tie cell (2k, k) is flat cell k(2N + 3), and fill[0, 2k - 1] its prefix share
-    step = 2 * N + 3
-    prefixes.reshape(-1)[step::step] = sums.fill[0, 1::2]
-    suffixes = table - prefixes
-    return CompositionMultiset.from_counts(prefixes), CompositionMultiset.from_counts(suffixes)
+    length, ones, on_prefix, _ = sided_cells(sums)
+    prefixes = np.zeros((N + 1, N + 1), dtype=np.int64)
+    prefixes[length, ones] = on_prefix
+    # each of the N lengths holds hbar fragments per side, as just checked
+    return (
+        CompositionMultiset._of(prefixes, hbar * N),
+        CompositionMultiset._of(table - prefixes, hbar * N),
+    )
 
 
 def sum_from_prefixes(

@@ -11,6 +11,7 @@ from masscodec.bhcode import (
     DEFAULT_BUDGET,
     BhCodebook,
     ParityCheckSpec,
+    XorIndex,
     build_bh_codebook,
     bundled_spec,
     codebook_rate,
@@ -406,6 +407,31 @@ def test_invert_mod2_sum_confirms_folded_matches_on_long_strings():
             m = rng.getrandbits(64) | 1
             shifted.append(BitString.from_int(target.as_int ^ ((m << 64) | m), 128))
         _assert_lookup_matches_referee(codebook, hbar, shifted)
+
+
+def test_xor_index_matches_the_combinations_referee_where_halves_meet_themselves():
+    # at an even k and a target that folds to 0, every low half finds itself
+    # among the high halves; repeated values put real matches right beside it,
+    # and the sum of a drawn k-subset is a target whose halves do not meet
+    rng = random.Random(2)
+    found = 0
+    for trial in range(40):
+        distinct = [(rng.getrandbits(5), rng.getrandbits(3)) for _ in range(rng.randint(2, 5))]
+        picked = [rng.choice(distinct) for _ in range(rng.randint(4, 11))]
+        # past 64 bits the search keys on folds, and a nonzero target can fold to 0
+        values = [a << 64 | b if trial % 2 else a for a, b in picked]
+        m = rng.getrandbits(64)
+        index = XorIndex(values)
+        for k in (2, 4):
+            for target in (0, m << 64 | m, mod2_sum(rng.sample(values, k))):
+                want = [
+                    list(c)
+                    for c in itertools.combinations(range(len(values)), k)
+                    if functools.reduce(operator.xor, (values[i] for i in c), target) == 0
+                ]
+                assert index.matches(target, k, DEFAULT_BUDGET) == want, (values, k, target)
+                found += len(want)
+    assert found > 100, found
 
 
 def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):

@@ -38,6 +38,7 @@ from masscodec.channel import (
     run_erasure_experiment,
     sample_erasure_pattern,
     side_sums,
+    sided_cells,
     substitute_mass_reducing,
 )
 from masscodec.channel import _single_error_corrections
@@ -657,21 +658,20 @@ def _as_counter(multiset) -> Counter:
 
 
 def _side_entries(sums, side: int) -> np.ndarray:
-    """(3, K) length, ones and multiplicity of the fragments of side 0 or 1.
-
-    The side's unbalanced cells come first, in (length, ones) order, then
-    one cell per length for the ties the side received.
-    """
-    at = sums.fill[side].nonzero()[0] + 1
-    cells = sums.cells[:3, sums.cells[3] == 2 * side]
-    return np.concatenate([cells, np.stack([at, at // 2, sums.fill[side, at - 1]])], axis=1)
+    """(3, K) length, ones and multiplicity of the fragments of side 0 or 1,
+    in (length, ones) order, as ``sided_cells`` lists them."""
+    length, ones, *shares = sided_cells(sums)
+    on_side = shares[side]
+    held = on_side > 0
+    return np.stack([length[held], ones[held], on_side[held]])
 
 
 def _ones_list(sums, side: int, length: int) -> list:
     """Ones of the side's fragments at a length: non-ties ascending, then ties."""
     lengths, ones, mult = _side_entries(sums, side)
     at = lengths == length
-    return ones[at].repeat(mult[at]).tolist()
+    # a stable sort keeps the non-ties ascending and moves the ties last
+    return sorted(ones[at].repeat(mult[at]).tolist(), key=lambda o: 2 * o == length)
 
 
 def _full_weight(readout, N: int):
@@ -973,6 +973,8 @@ def _split_outcomes(book, trials: int, seed: int) -> list:
             assert _outcome(lambda: _fast_separate(readout, n, hbar)) == slow
             sides = _with_message(lambda: separate_pool(readout, n, hbar))
             if not isinstance(sides[0], str):
+                # the split's trusted totals: hbar fragments per side at each of n lengths
+                assert all(len(side) == side.counts.sum() == hbar * n for side in sides)
                 sides = [side.to_json_obj() for side in sides]
             out.append(sides)
             if n == N:
@@ -1025,11 +1027,12 @@ def test_mixture_order_reads_hbar_while_some_length_lost_at_most_one(scheme_book
     assert mixture_order(pool(["110100", "101010"]), 2) == 2
 
 
-SIDE_SUMS_ARRAYS = ("cells", "fill", "fragments", "ones", "certain")
+SIDE_SUMS_ARRAYS = ("fill", "fragments", "ones", "certain")
 
 
 def _reading(sums) -> dict:
     out = {name: getattr(sums, name).tolist() for name in SIDE_SUMS_ARRAYS}
+    out["cells"] = [column.tolist() for column in sums.cells]
     out["entries"] = [_side_entries(sums, side).tolist() for side in (0, 1)]
     return out
 
@@ -1052,7 +1055,8 @@ def test_side_sums_memo_is_keyed_by_n_and_hbar():
 def test_side_sums_arrays_are_read_only():
     sums = side_sums(pool(DYCK_TRIPLE), 6, 3)
     arrays = [getattr(sums, name) for name in SIDE_SUMS_ARRAYS]
-    # and so are the rows detect_substitution unpacks from cells
+    # and so are the four columns of cells, which sided_cells unpacks
+    assert len(sums.cells) == 4
     for array in arrays + list(sums.cells):
         with pytest.raises(ValueError):
             array[0] = 0
@@ -1443,6 +1447,18 @@ def reading_cases(b2_n16_codebook, scheme_books):
 @pytest.fixture(scope="module")
 def readings(reading_cases):
     return [_readings(*case) for case in reading_cases]
+
+
+def test_sided_cells_add_up_to_the_reading(reading_cases):
+    for readout, N, hbar in reading_cases:
+        sums = side_sums(readout, N, hbar)
+        length, ones, *shares = sided_cells(sums)
+        # the two shares of a cell are its multiplicity
+        assert np.array_equal(shares[0] + shares[1], sums.cells[2])
+        for side, share in enumerate(shares):
+            assert share.min(initial=0) >= 0
+            assert np.array_equal(np.bincount(length - 1, share, N), sums.fragments[side])
+            assert np.array_equal(np.bincount(length - 1, ones * share, N), sums.ones[side])
 
 
 def test_sum_readings_are_pinned(readings):
