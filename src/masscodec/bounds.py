@@ -86,24 +86,6 @@ def achievable_side(h: int, mode: str = GAUSSIAN) -> float:
     return naive_bh_upper(h, mode)
 
 
-@dataclass(frozen=True)
-class GapRow:
-    h: int
-    mc_upper: Fraction
-    achievable: float
-    gap: float
-
-
-def gap_table(hs: Iterable[int], mode: str = GAUSSIAN) -> list[GapRow]:
-    """Distance between the mixture-code cap and the achievable side."""
-    rows = []
-    for h in hs:
-        up = mc_upper(h)
-        ach = achievable_side(h, mode)
-        rows.append(GapRow(h=h, mc_upper=up, achievable=ach, gap=float(up) - ach))
-    return rows
-
-
 def construction_rate(n: int, h: int) -> float:
     """Measured rate of the parity-check construction at payload length n.
 
@@ -123,18 +105,23 @@ class BoundsRow:
     even_bound: Union[float, None]
     mc_upper_value: Fraction
     mc_lower: Fraction
+    achievable: float
+    gap: float  # distance between the mixture-code cap and the achievable side
 
 
 def bounds_table(hs: Iterable[int], mode: str = GAUSSIAN) -> list[BoundsRow]:
     rows = []
     for h in hs:
+        up, ach = mc_upper(h), achievable_side(h, mode)
         rows.append(
             BoundsRow(
                 h=h,
                 naive=naive_bh_upper(h, mode),
                 even_bound=bh_upper_even(h, mode) if h % 2 == 0 else None,
-                mc_upper_value=mc_upper(h),
+                mc_upper_value=up,
                 mc_lower=mc_lower_construction(h),
+                achievable=ach,
+                gap=float(up) - ach,
             )
         )
     return rows

@@ -301,7 +301,6 @@ def _fmt_float(x) -> str:
 def cmd_bounds(args) -> int:
     hs = [int(x) for x in args.h.split(",")]
     rows = bounds_mod.bounds_table(hs, args.mode)
-    gaps = {g.h: g for g in bounds_mod.gap_table(hs, args.mode)}
     header = ["h", "naive_upper", "even_upper", "mc_upper", "mc_lower", "gap"]
     table = []
     for r in rows:
@@ -312,7 +311,7 @@ def cmd_bounds(args) -> int:
                 _fmt_float(r.even_bound) if r.even_bound is not None else "-",
                 _fmt_float(r.mc_upper_value),
                 _fmt_float(r.mc_lower),
-                _fmt_float(gaps[r.h].gap),
+                _fmt_float(r.gap),
             ]
         )
     _write_text(args.output, _format_table(header, table, args.format))

@@ -324,7 +324,7 @@ class McCodebook:
         if len(set(sources)) != len(sources):
             raise DuplicateString("pooled strings must be pairwise distinct")
         size = self.N + 1
-        return CompositionMultiset.from_counts(counts.reshape(size, size))
+        return CompositionMultiset._of(counts.reshape(size, size), 2 * self.N * len(sources))
 
     def pools_to(self, sources, readout: CompositionMultiset) -> bool:
         """Whether the pooled codewords of the sources are exactly the readout."""

@@ -11,8 +11,8 @@ A :class:`BitString` is one integer and its length: the symbols read as a
 big-endian integer.  Construction checks and reads its input in C calls
 (``str.strip``, ``int(s, 2)``, ``bytes``), and XOR, concatenation, prefixes
 and suffixes are integer operations, so the encoders that build codewords
-work on integers too.  A tuple of the 0/1 symbols rides along for code
-that reads them one by one.
+work on integers too.  Nothing else is stored: the few set-up readers that
+walk the symbols one by one get a 0/1 tuple derived from the text.
 
 A composition is fixed by its length and its number of ones, so a pool is
 stored as a dense table of counts ``C[length, ones]``
@@ -57,7 +57,6 @@ from .errors import DuplicateString, LengthMismatch, OddLength, json_field, json
 BitsLike = Union[str, Sequence[int], "BitString"]
 _T = TypeVar("_T")
 
-ERASED = None  # erased symbol marker in partial sum strings
 _ERASED_CHAR = "ε"  # printed as the Greek epsilon
 # 0^a 1^b with optional parts and exponents; the lazy zeros exponent leaves
 # the shortest digit run that lets the ones part match
@@ -72,30 +71,30 @@ _TO_ASCII = bytes.maketrans(b"\0\1", b"01")
 class BitString:
     """An immutable binary string of length >= 1.
 
-    Its identity is (length, integer): the symbols read as a big-endian
-    integer (``as_int``, first symbol the most significant bit) together
-    with the length fix equality and the hash, ``hash((len, as_int))``.
-    The ``bits`` tuple of 0/1 ints is kept alongside for per-symbol reads.
-    A ``str`` is checked by one ``strip`` and read by ``int(s, 2)``; any
-    other sequence is checked by turning it into ``bytes``.  Values that
-    ``bytes`` refuses (floats, digit strings, numpy bools) go through
-    ``int()`` one by one, so ``BitString([1.0, "0"])`` is ``10``.
-    ``from_int``, ``^``, ``+``, ``prefix`` and ``suffix`` work on the
-    integer and check nothing again.
+    It stores its length and its integer (``as_int``: the symbols read as a
+    big-endian integer), which fix equality and the hash,
+    ``hash((len, as_int))``.  The order is that of the text, so strings of
+    any lengths sort as their symbol tuples do; ``bits``, iteration and
+    indexing derive the symbols from the text at each read.  A ``str`` is
+    checked by one ``strip`` and read by ``int(s, 2)``; any other sequence
+    is checked by turning it into ``bytes``.  Values that ``bytes`` refuses
+    (floats, digit strings, numpy bools) go through ``int()`` one by one, so
+    ``BitString([1.0, "0"])`` is ``10``.  ``from_int``, ``^``, ``+``,
+    ``prefix`` and ``suffix`` work on the integer and check nothing again.
     """
 
-    __slots__ = ("bits", "_int", "_hash")
+    __slots__ = ("_len", "_int", "_hash")
 
     def __init__(self, bits: BitsLike):
         if isinstance(bits, BitString):
-            self._own(bits.bits, bits._int)
+            self._own(bits._len, bits._int)
             return
         if isinstance(bits, str):
             if bits.strip("01"):
                 raise ValueError(f"not a binary string: {bits!r}")
             if not bits:
                 raise ValueError("empty bit string")
-            self._own(tuple(bits.encode().translate(_FROM_ASCII)), int(bits, 2))
+            self._own(len(bits), int(bits, 2))
             return
         values = tuple(bits)
         try:
@@ -109,32 +108,37 @@ class BitString:
             data = bytes(values)
         if not data:
             raise ValueError("empty bit string")
-        self._own(tuple(data), int(data.translate(_TO_ASCII), 2))
+        self._own(len(data), int(data.translate(_TO_ASCII), 2))
 
-    def _own(self, values: tuple[int, ...], key: int) -> None:
-        object.__setattr__(self, "bits", values)
+    def _own(self, length: int, key: int) -> None:
+        object.__setattr__(self, "_len", length)
         object.__setattr__(self, "_int", key)
-        object.__setattr__(self, "_hash", hash((len(values), key)))
+        object.__setattr__(self, "_hash", hash((length, key)))
 
     @classmethod
-    def _of(cls, values: tuple[int, ...], key: int) -> "BitString":
-        """The string with these 0/1 values and this integer, which must agree."""
+    def _of(cls, length: int, key: int) -> "BitString":
+        """The string of this length whose integer is key, in 0..2^length - 1 (not checked)."""
         out = cls.__new__(cls)
-        out._own(values, key)
+        out._own(length, key)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The 0/1 symbols, derived from the text at each read."""
+        return tuple(str(self).encode().translate(_FROM_ASCII))
+
     def __len__(self) -> int:
-        return len(self.bits)
+        return self._len
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            part = self.bits[i]
+            part = str(self)[i]
             if not part:
                 raise IndexError("empty slice of a BitString")
             return BitString(part)
@@ -143,30 +147,30 @@ class BitString:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
-            and len(self.bits) == len(other.bits)
+            and self._len == other._len
             and self._int == other._int
         )
 
     def __lt__(self, other: "BitString") -> bool:
-        return self.bits < other.bits
+        return str(self) < str(other)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return bin(self._int)[2:].zfill(len(self.bits))
+        return bin(self._int)[2:].zfill(self._len)
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
 
     def __add__(self, other: BitsLike) -> "BitString":
         other = BitString(other)
-        return BitString._of(self.bits + other.bits, self._int << len(other.bits) | other._int)
+        return BitString._of(self._len + other._len, self._int << other._len | other._int)
 
     def __xor__(self, other: "BitString") -> "BitString":
-        if len(other) != len(self):
-            raise LengthMismatch(f"xor of lengths {len(self)} and {len(other)}")
-        return BitString.from_int(self._int ^ other._int, len(self.bits))
+        if other._len != self._len:
+            raise LengthMismatch(f"xor of lengths {self._len} and {other._len}")
+        return BitString._of(self._len, self._int ^ other._int)
 
     @property
     def as_int(self) -> int:
@@ -178,8 +182,7 @@ class BitString:
         """The low ``length`` bits of value, most significant first."""
         if length < 1:
             raise ValueError("empty bit string")
-        value = index(value) & ((1 << length) - 1)
-        return cls._of(tuple(bin(value)[2:].zfill(length).encode().translate(_FROM_ASCII)), value)
+        return cls._of(length, index(value) & ((1 << length) - 1))
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
@@ -191,12 +194,12 @@ class BitString:
     def prefix(self, i: int) -> "BitString":
         if not 1 <= i <= len(self):
             raise ValueError(f"prefix length {i} out of range")
-        return BitString._of(self.bits[:i], self._int >> (len(self.bits) - i))
+        return BitString._of(i, self._int >> (self._len - i))
 
     def suffix(self, i: int) -> "BitString":
         if not 1 <= i <= len(self):
             raise ValueError(f"suffix length {i} out of range")
-        return BitString._of(self.bits[len(self.bits) - i :], self._int & ((1 << i) - 1))
+        return BitString._of(i, self._int & ((1 << i) - 1))
 
     def rds_profile(self) -> tuple[int, ...]:
         """R(s)_i for every i in [n]."""
@@ -317,17 +320,21 @@ class CompositionMultiset:
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "CompositionMultiset":
-        """Wrap a square integer ``counts[length, ones]`` array, which becomes read-only."""
+        """Check and wrap a square ``counts[length, ones]`` array, which becomes read-only."""
+        import numpy as np
+
         counts = counts.astype("int64", copy=False)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"counts must be a square matrix, got shape {counts.shape}")
         if counts.min(initial=0) < 0:
             raise ValueError("negative multiplicity")
+        if counts[:1].any() or np.triu(counts, 1).any():
+            raise ValueError("counts hold a fragment of length 0 or with more ones than symbols")
         return cls._of(counts, int(counts.sum()))
 
     @classmethod
     def _of(cls, counts: np.ndarray, total: int) -> "CompositionMultiset":
-        """Own a square non-negative int64 table and its sum, neither checked again."""
+        """Own a valid int64 table (see :meth:`from_counts`) and its sum, neither checked."""
         out = cls.__new__(cls)
         out._own(counts, total)
         return out
@@ -423,7 +430,7 @@ class CompositionMultiset:
         for p in parts:
             size = len(p._counts)
             counts[:size, :size] += p._counts
-        return CompositionMultiset.from_counts(counts)
+        return CompositionMultiset._of(counts, sum(p._total for p in parts))
 
     def add(self, comp: Composition, mult: int = 1) -> "CompositionMultiset":
         return self.union(CompositionMultiset({comp: mult}))
@@ -434,7 +441,7 @@ class CompositionMultiset:
             raise KeyError(f"multiset holds {held} of {comp}, need {mult}")
         counts = self._counts.copy()
         counts[comp.length, comp.ones] -= mult
-        return CompositionMultiset.from_counts(counts)
+        return CompositionMultiset._of(counts, self._total - mult)
 
     def is_submultiset(self, other: "CompositionMultiset") -> bool:
         mine = self._trimmed()
@@ -483,7 +490,7 @@ def fragment_cells(
 
     n = len(strings[0])
     # one byte per symbol, read by C calls rather than an int conversion each
-    symbols = b"".join(bytes(s.bits) for s in strings)
+    symbols = "".join(map(str, strings)).encode().translate(_FROM_ASCII)
     bits = np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
     reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
     cumulative = np.cumsum(np.concatenate(reads), axis=1, dtype=np.int64)
@@ -495,8 +502,9 @@ def _read_fragments(strings: Sequence[BitString], **reads: bool) -> CompositionM
     import numpy as np
 
     size = len(strings[0]) + 1
-    counts = np.bincount(fragment_cells(strings, **reads).ravel(), minlength=size * size)
-    return CompositionMultiset.from_counts(counts.reshape(size, size))
+    cells = fragment_cells(strings, **reads).ravel()
+    counts = np.bincount(cells, minlength=size * size)
+    return CompositionMultiset._of(counts.reshape(size, size), cells.size)
 
 
 def prefix_multiset(s: BitsLike) -> CompositionMultiset:

@@ -316,7 +316,7 @@ def hamming_code(r: int) -> LinearCode:
     return LinearCode.from_parity_check(H, 3, name=f"hamming_{n}")
 
 
-def shortened(code: LinearCode, k_target: int, name: Optional[str] = None) -> LinearCode:
+def shortened(code: LinearCode, k_target: int) -> LinearCode:
     """Drop leading information positions; distance can only grow."""
     drop = code.k - k_target
     if drop < 0:
@@ -327,7 +327,7 @@ def shortened(code: LinearCode, k_target: int, name: Optional[str] = None) -> Li
     keep = [c for c in range(code.n) if c not in dropped]
     # H without some information columns is still reduced, on the same pivots
     pivots = [keep.index(c) for c in code.pivots]
-    return LinearCode(name or f"{code.name}_s{k_target}", code.d, code.H[:, keep], pivots)
+    return LinearCode(f"{code.name}_s{k_target}", code.d, code.H[:, keep], pivots)
 
 
 def shipped_code(k: int, need: int, errors: bool = False) -> LinearCode:

@@ -19,8 +19,8 @@ from masscodec.bhcode import BhCodebook, verify_bh
 from masscodec.bounds import (
     B2_RATE_UPPER,
     bh_upper_even,
+    bounds_table,
     construction_rate,
-    gap_table,
     mc_upper,
     naive_bh_upper,
 )
@@ -186,7 +186,7 @@ def test_criterion_4_bounds_table():
     assert mc_upper(3) == Fraction(2, 3)
     assert mc_upper(4) == Fraction(3, 5)
 
-    gaps = {r.h: r for r in gap_table([2, 4, 6, 8])}
+    gaps = {r.h: r for r in bounds_table([2, 4, 6, 8])}
     assert gaps[2].achievable == B2_RATE_UPPER
     assert gaps[2].gap >= 0.09
     assert gaps[4].gap == pytest.approx(0.0882, abs=5e-4)

@@ -10,7 +10,6 @@ from masscodec.bounds import (
     binomial_entropy,
     bounds_table,
     construction_rate,
-    gap_table,
     mc_lower_construction,
     mc_upper,
     naive_bh_upper,
@@ -69,7 +68,7 @@ def test_mc_upper_rationals():
 
 
 def test_gap_table_reference_values():
-    rows = {r.h: r for r in gap_table([2, 4, 6, 8])}
+    rows = {r.h: r for r in bounds_table([2, 4, 6, 8])}
     assert rows[2].achievable == B2_RATE_UPPER
     assert rows[2].gap >= 0.09
     assert rows[2].gap == pytest.approx(2 / 3 - 0.5753, abs=1e-9)

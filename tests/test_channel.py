@@ -121,13 +121,16 @@ def test_substitute_mass_reducing():
 
 
 def test_erase_and_substitution_tables_pass_the_checked_wrap(b2_n16_codebook):
-    # both wrap their edited copy unchecked; the checked wrap must agree
+    # pool, pool_of, erase and the substitution wrap their tables unchecked;
+    # the checked wrap must agree
     book = encode_codebook(b2_n16_codebook)
     rng = random.Random(12)
     edited = []
     for _ in range(40):
-        words = [book.bits_for(s) for s in rng.sample(list(book.base.strings), 2)]
+        sources = rng.sample(list(book.base.strings), 2)
+        words = [book.bits_for(s) for s in sources]
         clean = pool(words)
+        edited += [clean, book.pool_of(sources)]
         t = rng.randint(0, 4)
         edited.append(erase(clean, sample_erasure_pattern(words, t, rng, "uniform")))
         sides = [rng.choice((PREFIX, SUFFIX)) for _ in range(t)]
@@ -137,7 +140,7 @@ def test_erase_and_substitution_tables_pass_the_checked_wrap(b2_n16_codebook):
             edited.append(substitute_mass_reducing(clean, side, length, 0, rng=rng))
         except (PatternNotPresent, NotMassReducing):
             continue
-    assert len(edited) > 100
+    assert len(edited) > 180
     for got in edited:
         checked = CompositionMultiset.from_counts(got.counts.copy())
         assert np.array_equal(got.counts, checked.counts) and got.total == checked.total

@@ -186,6 +186,19 @@ def test_dense_count_table():
         CompositionMultiset.from_counts(padded[:, :5])
 
 
+def test_from_counts_refuses_cells_the_class_holds_zero():
+    # a length-0 fragment, or more ones than symbols, is no fragment
+    for cell in ((0, 0), (0, 3), (2, 3), (5, 6)):
+        counts = pool(["110100"]).counts.copy()
+        counts[cell] = 1
+        with pytest.raises(ValueError, match="length 0 or with more ones"):
+            CompositionMultiset.from_counts(counts)
+    # the rest of the lower triangle is where fragments live
+    counts = pool(["110100"]).counts.copy()
+    counts[6, :] += 1
+    assert CompositionMultiset.from_counts(counts).total == 12 + 7
+
+
 def test_multiset_pickles_and_copies():
     import copy
     import pickle
@@ -392,13 +405,57 @@ def test_bitstring_integer_methods_match_the_bits():
             assert a.prefix(i) == BitString(a.bits[:i])
             assert a.suffix(i) == BitString(a.bits[n - i :])
             assert BitString.from_int(a.as_int, n) == a
-            assert BitString(a) == a and BitString(a).bits is a.bits
+            assert BitString(a) == a and BitString(a).bits == a.bits
             assert a.weight() == sum(a.bits)
     assert str(BitString.from_int(-1, 5)) == "11111"
     assert str(BitString.from_int(13, 3)) == "101"
     for length in (0, -1):
         with pytest.raises(ValueError, match="empty bit string"):
             BitString.from_int(0, length)
+
+
+def _text(bits):
+    return "".join(map(str, bits))
+
+
+def test_bitstring_reads_like_a_stored_tuple():
+    """Symbols, order and integer operations agree with a referee that stores
+    the 0/1 tuple, at every length from 1 to 70."""
+    rng = random.Random(26)
+    strings = [BitString.from_int(v, n) for n in (1, 2, 3) for v in range(2**n)]
+    strings += [BitString.random(n, rng) for n in range(1, 71) for _ in range(8)]
+    for s in strings:
+        bits = _RefereeBitString(str(s)).bits
+        n = len(bits)
+        assert s.bits == bits and tuple(s) == bits and len(s) == n
+        assert [s[i] for i in range(-n, n)] == [bits[i] for i in range(-n, n)]
+        for part in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                     slice(n // 3, 2 * n // 3 + 1), slice(1, None, 2)):
+            if bits[part]:
+                assert s[part] == BitString(_text(bits[part]))
+            else:
+                with pytest.raises(IndexError):
+                    s[part]
+    # mixed lengths sort as their tuples do ("01" < "1", though 1 == 1 as integers)
+    rng.shuffle(strings)
+    assert sorted(strings) == sorted(strings, key=lambda s: _RefereeBitString(str(s)).bits)
+
+    for _ in range(400):
+        n, m = rng.randint(1, 70), rng.randint(1, 70)
+        a, b, c = BitString.random(n, rng), BitString.random(n, rng), BitString.random(m, rng)
+        ta, tb, tc = (_RefereeBitString(str(x)).bits for x in (a, b, c))
+        i, v = rng.randint(1, n), rng.randint(-(2 ** 80), 2 ** 80)
+        expected = [
+            (BitString.from_int(v, n), _text(v >> (n - 1 - j) & 1 for j in range(n))),
+            (a + c, _text(ta + tc)),
+            (a + str(c), _text(ta + tc)),
+            (a ^ b, _text(x ^ y for x, y in zip(ta, tb))),
+            (a.prefix(i), _text(ta[:i])),
+            (a.suffix(i), _text(ta[n - i :])),
+        ]
+        for got, text in expected:
+            assert got == BitString(text) and hash(got) == hash(BitString(text))
+            assert str(got) == text and len(got) == len(text)
 
 
 class _RefereePartialSumString:
