@@ -7,7 +7,8 @@ import random
 import pytest
 
 from masscodec import ecc
-from masscodec.channel import Removal, erase, sample_erasure_pattern
+from masscodec.channel import Removal, erase, sample_erasure_pattern, substitute_mass_reducing
+from masscodec.codec import decode_mixture
 from masscodec.codec import encode as plain_encode
 from masscodec.core import BitString, is_dyck, pool
 from masscodec.errors import (
@@ -450,3 +451,61 @@ def test_erasure_sampler_draws_are_pinned(b2_n16_codebook):
                 line = "".join(f"{r.side} {r.length} {r.count} {r.ones};" for r in pattern.removals)
                 digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == SAMPLER_DIGEST
+
+
+# sha256 of the outcome of every decode below, one line per decode: the
+# sorted source strings, or "Class: message" for a typed error; recorded
+# before the balanced payload was read by one mod-2 rule
+DECODE_DIGEST = "6725afa39f97107aa49246cf8fdd450843da0f16b73d749929f5d3b7eeeca2a6"
+
+
+def _decode_outcome_cases(base):
+    """(label, book, decode) for every scheme on ``base``."""
+    yield from (
+        (scheme, ecc.scheme_codebook(scheme, base, 2), ecc.scheme_decode)
+        for scheme in (ecc.ONE_STEP, ecc.TWO_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP)
+    )
+
+    def substitutions(pool_, book, hbar):
+        return ecc.two_step_decode(pool_, book, hbar, substitutions=True)
+
+    yield "substitutions", ecc.two_step_codebook(base, 1, substitutions=True), substitutions
+    yield "plain", ecc.scheme_codebook("plain", base, 0), decode_mixture
+
+
+def test_decode_outcomes_are_pinned(b2_n16_codebook):
+    # lost fragments 0-4 run past every scheme's t, so this pins failures too
+    digest = hashlib.sha256()
+    decodes = 0
+    for label, book, decode in _decode_outcome_cases(b2_n16_codebook):
+        for hbar, seed in itertools.product((1, 2), range(5)):
+            rng = random.Random(seed)
+            subset = frozenset(rng.sample(b2_n16_codebook.strings, hbar))
+            words = [book.bits_for(s) for s in sorted(subset)]
+            clean = pool(words)
+            readings = []
+            for placement, lost in itertools.product(("uniform", "adversarial"), range(5)):
+                pattern = sample_erasure_pattern(words, lost, rng, placement)
+                readings.append(erase(clean, pattern, rng=rng))
+            side, length, ones = rng.choice([
+                (side, length, ones)
+                for side in ("prefix", "suffix")
+                for length in range(1, book.N + 1)
+                for ones in [getattr(words[0], side)(length).weight()]
+                if ones
+            ])
+            readings.append(
+                substitute_mass_reducing(clean, side, length, rng.randrange(ones), ones=ones)
+            )
+            for reading in readings:
+                try:
+                    got = decode(reading, book, hbar)
+                except MasscodecError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                else:
+                    assert got == subset, (label, hbar, seed)
+                    outcome = " ".join(sorted(map(str, got)))
+                digest.update(f"{label} {hbar} {seed} {outcome}\n".encode())
+                decodes += 1
+    assert decodes == 6 * 2 * 5 * 11
+    assert digest.hexdigest() == DECODE_DIGEST
