@@ -808,46 +808,42 @@ def sample_erasure_pattern(
 
     ``uniform`` removes fragments uniformly at random; ``adversarial``
     pairs prefix and suffix removals at mirrored lengths so their erasure
-    bursts collide as often as the pattern size allows.
+    bursts collide as often as the pattern size allows.  The draws index
+    the 2n reads of each string, its prefixes and then its suffixes: read
+    i is a fragment of string i // 2n, so no list of reads is built.
     """
     n = len(strings[0])
-    # (side, length, ones) of every read: a string's prefixes, then its suffixes
-    fragments = [
-        (side, length, ones)
-        for s in strings
-        for side, bits in ((PREFIX, s.bits), (SUFFIX, s.bits[::-1]))
-        for length, ones in enumerate(accumulate(bits), start=1)
-    ]
+    reads = 2 * n * len(strings)
     if placement == "uniform":
-        picks = rng.sample(fragments, t)
+        picks = rng.sample(range(reads), t)
     elif placement == "adversarial":
         taken: set[int] = set()
-
-        def free_at(side: str, length: int) -> list[int]:
-            return [
-                i
-                for i, f in enumerate(fragments)
-                if i not in taken and f[0] == side and f[1] == length
-            ]
-
         lengths = list(range(2, n))
         rng.shuffle(lengths)
         for ln in lengths:
             if len(taken) + 2 > t:
                 break
-            pre, suf = free_at(PREFIX, ln), free_at(SUFFIX, n - ln)
-            if pre and suf:
-                taken.add(rng.choice(pre))
-                taken.add(rng.choice(suf))
-        while len(taken) < t:
-            free = [i for i in range(len(fragments)) if i not in taken]
-            taken.add(rng.choice(free))
-        picks = [fragments[i] for i in sorted(taken)]
+            # one string's prefix of length ln and one's suffix of length n - ln;
+            # the lengths differ from those taken before, so all are free
+            taken.add(rng.choice(range(ln - 1, reads, 2 * n)))
+            taken.add(rng.choice(range(2 * n - ln - 1, reads, 2 * n)))
+        if len(taken) < t:  # past the pairs, the rest are drawn from every free read
+            free = [i for i in range(reads) if i not in taken]
+            while len(taken) < t:
+                i = rng.choice(free)
+                free.remove(i)
+                taken.add(i)
+        picks = sorted(taken)
     else:
         raise ValueError(f"unknown placement {placement!r}")
-    return ErasurePattern(
-        tuple(Removal(side, length, 1, ones) for side, length, ones in picks)
-    )
+
+    def removal(i: int) -> Removal:
+        s, at = strings[i // (2 * n)], i % (2 * n)
+        if at < n:
+            return Removal(PREFIX, at + 1, 1, s.prefix(at + 1).weight())
+        return Removal(SUFFIX, at - n + 1, 1, s.suffix(at - n + 1).weight())
+
+    return ErasurePattern(tuple(map(removal, picks)))
 
 
 def run_erasure_experiment(

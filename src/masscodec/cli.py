@@ -173,6 +173,11 @@ def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
     obj = json.loads(_read_text(path))
     what = "a pool file"
     fragments, N = json_field(obj, "fragments", what, list), json_int(obj, "N", what)
+    # the count table grows with the square of the longest fragment, so check first
+    for entry in fragments:
+        zeros, ones = (json_field(entry, key, "a fragment", int) for key in ("zeros", "ones"))
+        if zeros + ones > N:
+            raise ConfigError(f"a fragment of {zeros} zeros and {ones} ones is longer than N={N}")
     return CompositionMultiset.from_json_obj(fragments), N
 
 

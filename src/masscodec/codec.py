@@ -21,13 +21,13 @@ its prefix half and suffix half by weight alone.  The pipeline:
 
 Decoding a pooled readout of hbar <= h codewords inverts each step: split
 the pool by weight, rebuild the coordinate-wise integer sum of the
-codewords from the prefix side, reduce the flag and data segments mod 2,
-undo the recorded block complementations (which turns the mod-2 segment
-sums into the mod-2 sum of the original strings), and look the mod-2 sum
-up in the codebook.  A parity-check-backed codebook gives distinct
-subsets of size <= h distinct mod-2 sums; an explicit codebook may not,
-and then the one subset whose pool matches the readout is the answer
-(``invert_plain``), or the shared sum is reported as AmbiguousSolution.
+codewords from the prefix side, read the mod-2 sum of the original
+strings off the flag and data sums with ``unflip`` (each data sum plus
+its block's flag sum, mod 2), and look the mod-2 sum up in the codebook.
+A parity-check-backed codebook gives distinct subsets of size <= h
+distinct mod-2 sums; an explicit codebook may not, and then the one
+subset whose pool matches the readout is the answer (``invert_plain``),
+or the shared sum is reported as AmbiguousSolution.
 """
 
 from __future__ import annotations
@@ -124,9 +124,7 @@ def block_balance(s: BitsLike) -> BalancedPair:
 def unbalance(u: BitsLike, r: BitsLike) -> BitString:
     """Undo block complementation: flip block j exactly when r_j = 1.
 
-    Exact inverse of block_balance on a single string.  Applied to mod-2
-    reductions of pooled sums it yields the mod-2 sum of the sources,
-    because complementing a block is an XOR with the all-ones block.
+    Exact inverse of block_balance on a single string (``unflip`` on bits).
     """
     return BitString(unflip(BitString(u).bits, BitString(r).bits))
 
@@ -134,25 +132,23 @@ def unbalance(u: BitsLike, r: BitsLike) -> BitString:
 def unflip(
     data: Sequence[Optional[int]], flags: Sequence[Optional[int]], pad: int = 0
 ) -> list[Optional[int]]:
-    """Flip block j of the data exactly when flag j is 1, then drop ``pad`` symbols.
+    """Each data symbol of block j plus flag j, mod 2, less the first ``pad``.
 
-    An erased flag (None) leaves its whole block erased; an erased data
-    symbol stays erased.  The dropped padding is zero in every source, so
-    its mod-2 sum needs no recovery.
+    The one reading of a balanced payload: data and flags may be bits or
+    integer sums, so block j is complemented exactly where its flag sum is
+    odd, and pooled sums give the mod-2 sum of the sources, because
+    complementing a block is an XOR with the all-ones block.  A symbol is
+    erased (None) where it or its block's flag is.  The dropped padding
+    is zero in every source, so its mod-2 sum needs no recovery.
     """
     root = len(flags)
     if root * root != len(data):
         raise ValueError("flag length squared must equal the data length")
-    out: list[Optional[int]] = []
-    for j, flag in enumerate(flags):
-        block = data[j * root : (j + 1) * root]
-        if flag is None:
-            out.extend([None] * root)
-        elif flag:
-            out.extend(None if b is None else 1 - b for b in block)
-        else:
-            out.extend(block)
-    return out[pad:]
+    return [
+        None if flag is None or b is None else (b + flag) % 2
+        for j, flag in enumerate(flags)
+        for b in data[j * root : (j + 1) * root]
+    ][pad:]
 
 
 @dataclass(frozen=True)
@@ -220,18 +216,6 @@ class McCodeword:
     origin: BitString
 
 
-def assemble_codeword(
-    layout: McLayout,
-    r: BitString,
-    u: BitString,
-    z: Optional[BitString] = None,
-) -> BitString:
-    """1-run, flags, optional auxiliary segment, data, then balancing tails."""
-    if layout.z_len:
-        assert z is not None and len(z) == layout.z_len
-    return append_tails(layout.lead, (r, z, u) if layout.z_len else (r, u), layout.N)
-
-
 def append_tails(lead: int, parts: Sequence[BitString], N: int) -> BitString:
     """A 1-run of length lead, the parts, then the 1-run and the 0-run that
     make the whole balanced of length N, built as one integer."""
@@ -252,7 +236,7 @@ def encode(s: BitsLike) -> McCodeword:
     s = BitString(s)
     layout = plain_layout(len(s))
     pair = block_balance(pad_to_square(s)[0])
-    bits = assemble_codeword(layout, pair.r, pair.u)
+    bits = append_tails(layout.lead, (pair.r, pair.u), layout.N)
     return McCodeword(bits=bits, layout=layout, origin=s)
 
 
@@ -413,14 +397,12 @@ def sum_from_prefixes(
 def mixture_mod2_target(
     total: PartialSumString, layout: McLayout
 ) -> BitString:
-    """Reduce a complete codeword sum to the mod-2 sum of the source strings."""
+    """The mod-2 sum of the source strings, read off a complete codeword sum."""
     syms = total.as_tuple()
-    hbar = total.hbar
-    if any(v != hbar for v in syms[: layout.lead]):
+    if any(v != total.hbar for v in syms[: layout.lead]):
         raise DecodeFailure("leading-run sums are not all hbar; pool inconsistent")
-    r2 = [v % 2 for v in syms[layout.r_start : layout.r_start + layout.root]]
-    u2 = [v % 2 for v in syms[layout.u_start : layout.u_start + layout.m]]
-    return BitString(unflip(u2, r2, layout.pad))
+    flags = syms[layout.r_start : layout.r_start + layout.root]
+    return BitString(unflip(syms[layout.u_start : layout.u_start + layout.m], flags, layout.pad))
 
 
 def decode_mixture(

@@ -68,7 +68,6 @@ from .codec import (
     McCodeword,
     McLayout,
     append_tails,
-    assemble_codeword,
     block_balance,
     decode_mixture,
     encode_codebook,
@@ -98,7 +97,8 @@ INTEGRAL = "integral"
 ONE_STEP_MODP = "one-step-modp"
 
 _Sums = Sequence[Optional[int]]  # per-position sums or bits, None where erased
-_Solver = Callable[[LinearCode, _Sums], Sequence[int]]  # (code, word) -> full codeword
+# (code, word) -> full codeword; a solver reads each symbol of the word mod 2
+_Solver = Callable[[LinearCode, _Sums], Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +148,9 @@ def _frame(
         z_len=len(z),
         N=m + (17 * root) // 2 + len(z) + 2,
     )
-    bits = assemble_codeword(layout, pair.r, pair.u, BitString(z) if z else None)
+    parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
+    bits = append_tails(layout.lead, parts, layout.N)
     return McCodeword(bits=bits, layout=layout, origin=origin)
-
-
-def _mod2(vals: _Sums) -> list[Optional[int]]:
-    return [None if v is None else v % 2 for v in vals]
 
 
 def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]:
@@ -172,10 +169,10 @@ def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]
 def _payload_sources(
     codebook: McCodebook, sums: _Sums, flags: _Sums, solve: _Solver, hbar: int, budget: int
 ) -> frozenset[BitString]:
-    """Un-flip the data segment mod 2 under the flags, solve the payload code, invert."""
+    """Un-flip the data sums under the flags, solve the payload code, invert."""
     lay: McLayout = codebook.layout
     code: LinearCode = codebook.code_data
-    word = unflip(_mod2(sums[lay.u_start : lay.u_start + lay.m]), flags, lay.pad)
+    word = unflip(sums[lay.u_start : lay.u_start + lay.m], flags, lay.pad)
     target = BitString(code.extract_message(solve(code, word)))
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
 
@@ -238,7 +235,7 @@ def one_step_decode(
     """
     lay: McLayout = codebook.layout
     sums = merged_sums(pool, lay.N, hbar).symbols
-    flags = _mod2(sums[lay.r_start : lay.r_start + lay.root])
+    flags = sums[lay.r_start : lay.r_start + lay.root]
     return _payload_sources(codebook, sums, flags, LinearCode.decode_erasures, hbar, budget)
 
 
@@ -304,9 +301,9 @@ def _two_step_sources(
 ) -> frozenset[BitString]:
     """Solve the flag code on the flags and z, then the payload under the flags."""
     lay: McLayout = codebook.layout
-    flags = _mod2(sums[lay.r_start : lay.r_start + lay.root])
-    z = _mod2([_pair_value(sums, lay.z_start, i, hbar) for i in range(lay.z_len // 2)])
-    r_total = solve(codebook.code_flag, flags + z)[: lay.root]
+    flags = sums[lay.r_start : lay.r_start + lay.root]
+    z = [_pair_value(sums, lay.z_start, i, hbar) for i in range(lay.z_len // 2)]
+    r_total = solve(codebook.code_flag, [*flags, *z])[: lay.root]
     return _payload_sources(codebook, sums, r_total, solve, hbar, budget)
 
 
@@ -561,8 +558,7 @@ def one_step_modp_decode(
     solved = pcode.solve_erasures(vec, syndrome)
     if any(v > hbar for v in solved):
         raise DecodeFailure("recovered integer sums exceed the mixture order")
-    bits = _mod2(solved)
-    target = BitString(unflip(bits[lay.root :], bits[: lay.root], lay.pad))
+    target = BitString(unflip(solved[lay.root :], solved[: lay.root], lay.pad))
     return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
 
 

@@ -902,6 +902,64 @@ def test_dense_pool_and_side_sums_match_slow_paths_on_scheme_codewords(scheme_bo
                     _check_against_slow(readout, counts, book.N, hbar)
 
 
+def _referee_sample_erasure_pattern(strings, t, rng, placement="uniform"):
+    # the sampler as it was: a list of every read, rescanned per length
+    n = len(strings[0])
+    fragments = [
+        (side, length, ones)
+        for s in strings
+        for side, bits in ((PREFIX, s.bits), (SUFFIX, s.bits[::-1]))
+        for length, ones in enumerate(itertools.accumulate(bits), start=1)
+    ]
+    if placement == "uniform":
+        picks = rng.sample(fragments, t)
+    else:
+        taken = set()
+
+        def free_at(side, length):
+            return [
+                i
+                for i, f in enumerate(fragments)
+                if i not in taken and f[0] == side and f[1] == length
+            ]
+
+        lengths = list(range(2, n))
+        rng.shuffle(lengths)
+        for ln in lengths:
+            if len(taken) + 2 > t:
+                break
+            pre, suf = free_at(PREFIX, ln), free_at(SUFFIX, n - ln)
+            if pre and suf:
+                taken.add(rng.choice(pre))
+                taken.add(rng.choice(suf))
+        while len(taken) < t:
+            free = [i for i in range(len(fragments)) if i not in taken]
+            taken.add(rng.choice(free))
+        picks = [fragments[i] for i in sorted(taken)]
+    return ErasurePattern(
+        tuple(Removal(side, length, 1, ones) for side, length, ones in picks)
+    )
+
+
+def test_erasure_sampler_matches_the_list_referee(scheme_books):
+    # same removals and the same next draw, so the rng moved alike
+    cases = 0
+    codewords = [cw.bits for cw in scheme_books[1].codewords]
+    for words, seeds in ((codewords, 3), (all_dyck_strings(8), 25)):
+        for hbar, seed in itertools.product((1, 2, 3), range(seeds)):
+            picked = random.Random(seed).sample(words, hbar)
+            reads = 2 * len(words[0]) * hbar
+            for t in sorted({0, 1, 2, 3, 5, reads // 2, reads - 1, reads}):
+                for placement in ("uniform", "adversarial"):
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    assert sample_erasure_pattern(
+                        picked, t, fast, placement
+                    ) == _referee_sample_erasure_pattern(picked, t, slow, placement)
+                    assert fast.random() == slow.random()
+                    cases += 1
+    assert cases == 3 * (3 + 25) * 8 * 2
+
+
 @functools.lru_cache(maxsize=None)
 def _dyck(n: int) -> tuple:
     return all_dyck_strings(n)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from masscodec.cli import main
+from masscodec.core import pool
 from masscodec.linearcode import bundled_code, shortened
 
 RAW_CONFIG = {
@@ -322,6 +323,9 @@ def _encode_with(**config):
 DYCK_PAIR = ["1100", "1010"]
 
 
+LONG_FRAGMENT = {"zeros": 1500, "ones": 1500}
+LENGTH_7 = {"zeros": 3, "ones": 4}
+
 # case -> (command, the JSON files it reads)
 MALFORMED = {
     "pool-without-N": ("decode", {"in.json": {"fragments": []}}),
@@ -345,6 +349,18 @@ MALFORMED = {
     "codewords-a-string": ("pool", {"in.json": {"codewords": "1100"}}),
     "codewords-bare-list-of-numbers": ("pool", {"in.json": [1100, 1010]}),
     "fragments-a-number": ("decode", {"in.json": {"N": 6, "fragments": 5}}),
+    # a fragment longer than the file's N, which the count table would be sized by
+    "fragment-longer-than-N-corrupt": (
+        "corrupt",
+        {
+            "in.json": {"N": 6, "fragments": [*VALID_POOL["fragments"], LONG_FRAGMENT]},
+            "pat.json": {"erase": [{"side": "prefix", "len": 1}]},
+        },
+    ),
+    "fragment-longer-than-N-decode": (
+        "decode",
+        {"in.json": {"N": 6, "fragments": [*pool(["110100"]).to_json_obj(), LENGTH_7]}},
+    ),
     "erase-a-number": ("corrupt", {"in.json": VALID_POOL, "pat.json": {"erase": 5}}),
     "subst-a-number": ("corrupt", {"in.json": VALID_POOL, "pat.json": {"subst": 5}}),
     # wrongly typed integer fields

@@ -19,6 +19,7 @@ from masscodec.codec import (
     separate_pool,
     sum_from_prefixes,
     unbalance,
+    unflip,
 )
 from masscodec.core import (
     BitString,
@@ -114,6 +115,36 @@ def test_unbalance_commutes_with_xor_n4():
         pa, pb = block_balance(a), block_balance(b)
         mixed = unbalance(pa.u ^ pb.u, pa.r ^ pb.r)
         assert mixed == a ^ b
+
+
+def _referee_unflip(data, flags, pad):
+    # reduce every sum mod 2 first, then complement each block whose flag is 1
+    data = [None if v is None else v % 2 for v in data]
+    root = len(flags)
+    out = []
+    for j, flag in enumerate(None if f is None else f % 2 for f in flags):
+        block = data[j * root : (j + 1) * root]
+        if flag is None:
+            out.extend([None] * root)
+        else:
+            out.extend(None if b is None else b ^ flag for b in block)
+    return out[pad:]
+
+
+def test_unflip_reads_integer_sums_like_their_mod2_reduction():
+    rng = random.Random(27)
+    values = [None, -2, -1, 0, 1, 2, 3, 4, 5]
+    parities = set()
+    for root in (1, 2, 3, 4, 5):
+        for pad in sorted({0, 1, root, root * root - 1}):
+            for _ in range(40):
+                flags = [rng.choice(values) for _ in range(root)]
+                data = [rng.choice(values) for _ in range(root * root)]
+                parities.update(f % 2 for f in flags if f is not None)
+                assert unflip(data, flags, pad) == _referee_unflip(data, flags, pad)
+    assert parities == {0, 1}
+    with pytest.raises(ValueError):
+        unflip([0, 1, 2], [1, 1])
 
 
 def test_padding_policy():
