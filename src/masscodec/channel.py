@@ -22,6 +22,7 @@ the correction is not, and the report below keeps those outcomes apart.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -214,18 +215,33 @@ class SideSums:
     every assignment of the ties that respects the hbar cap on the other
     side gives the side exactly hbar fragments.
 
-    ``cells`` lists the fragments themselves, and ``sided_cells`` says how
-    many of each cell sit on each side; ``codec.separate_pool`` and
-    substitution detection read that.
+    ``scan`` is what the reading gathered from the count table, and
+    ``cells``, derived from it on first read, lists the fragments
+    themselves; ``sided_cells`` says how many of each cell sit on each
+    side, which ``codec.separate_pool`` and substitution detection read.
     """
 
-    # four (K,) arrays: length, ones, multiplicity and class (0 prefix, 1 tie,
-    # 2 suffix) of the pool's nonzero cells up to length N, in (length, ones) order
-    cells: tuple[np.ndarray, ...]
+    # three (K,) arrays over the pool's nonzero cells of lengths 1..N, in
+    # (length, ones) order: slot N * class + length - 1, ones and multiplicity
+    scan: tuple[np.ndarray, ...]
     fill: np.ndarray  # (2, N) ties given to each side
     fragments: np.ndarray  # (2, N) fragments per side after tie filling
     ones: np.ndarray  # (2, N) ones totals per side after tie filling
     certain: np.ndarray  # (2, N) bool
+
+    @functools.cached_property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Four (K,) int64 arrays: length, ones, multiplicity and class (0
+        prefix, 1 tie, 2 suffix) of the cells, in (length, ones) order."""
+        import numpy as np
+
+        slot, ones, mult = self.scan
+        # int64, as the keys detection builds from them outgrow the plan's ints
+        kind, length = np.divmod(slot.astype(np.int64), self.fill.shape[1])
+        length += 1
+        for column in (length, kind):
+            column.flags.writeable = False
+        return length, ones, mult, kind
 
 
 def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
@@ -236,9 +252,11 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     the raw side sums, and through ``sided_cells`` substitution detection
     and the codec's clean-pool split (``codec.separate_pool``).  The
     one-sided sums of an attributed pool read ``length_totals`` instead.
-    Lengths past N are ignored.  After one scan of the count table for its
-    nonzero cells, the work is proportional to the number of distinct
-    fragments.
+    Lengths past N are ignored.  The count table is scanned once, in
+    place, for its nonzero cells, and a plan cached per table size and N
+    gives each cell's slot; after that the work is proportional to the
+    number of distinct fragments.  The per-cell columns (``cells``) are
+    derived from that scan only when a reader asks for them.
 
     The pool keeps its last reading in its one memo slot: a second call
     with the same N and hbar returns the same object, and one with another
@@ -248,15 +266,30 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     return pool.memo((N, hbar), lambda: _read_sides(pool, N, hbar))
 
 
+# a plan holds side * N small ints; a handful of sizes are in use at once
+@functools.lru_cache(maxsize=16)
+def _reading_plan(side: int, N: int) -> np.ndarray:
+    """The slot N * class + length - 1 of each flat cell of lengths 1..N of a
+    side x side count table (class 0 prefix, 1 tie, 2 suffix), in the
+    narrowest signed ints that hold 3N, so a reading's gather stays small."""
+    import numpy as np
+
+    length, ones = np.arange(1, min(side - 1, N) + 1)[:, None], np.arange(side)
+    slot = N * (np.sign(length - 2 * ones) + 1) + length - 1
+    plan = slot.astype(np.min_scalar_type(-1 - 3 * N)).ravel()
+    plan.flags.writeable = False
+    return plan
+
+
 def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     import numpy as np
 
-    table = np.ascontiguousarray(pool.counts[1 : N + 1, : N + 1])
+    table = pool.counts[1 : N + 1]  # lengths 1..N: a view, not a copy
+    side = table.shape[1]
     flat = (table != 0).ravel().nonzero()[0]
-    rows, ones = divmod(flat, table.shape[1])
-    mult = table.ravel()[flat]
-    kind = np.sign(rows + 1 - 2 * ones) + 1  # 0 prefix, 1 tie, 2 suffix
-    slot = N * kind + rows
+    slot = _reading_plan(side, N).take(flat)
+    ones = flat % side
+    mult = table.take(flat)
 
     def per_length(weights: np.ndarray) -> np.ndarray:
         # (3, N): totals of the prefix, tie and suffix cells at each length
@@ -278,10 +311,10 @@ def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     # taking every tie it has room for, reach hbar
     room = np.maximum(0, hbar - unbalanced[::-1])
     certain = unbalanced + np.maximum(0, ties - room) == hbar
-    cells = (rows + 1, ones, mult, kind)
-    for array in (*cells, fill, fragments, sums, certain):
+    scan = (slot, ones, mult)
+    for array in (*scan, fill, fragments, sums, certain):
         array.flags.writeable = False
-    return SideSums(cells, fill, fragments, sums, certain)
+    return SideSums(scan, fill, fragments, sums, certain)
 
 
 def sided_cells(sums: SideSums) -> tuple[np.ndarray, ...]:
@@ -438,6 +471,17 @@ class Ambiguous:
     witnesses: Optional[tuple[frozenset[BitString], ...]] = None
 
 
+def _erased(symbols: tuple) -> list[int]:
+    """The positions of the None symbols, ascending.  ``tuple.index`` scans in
+    C, so a few erasures cost far less than a Python pass over every symbol."""
+    found = [-1]
+    try:
+        while True:
+            found.append(symbols.index(None, found[-1] + 1))
+    except ValueError:
+        return found[1:]
+
+
 def merge_partials(
     p: PartialSumString,
     s_rev: PartialSumString,
@@ -457,13 +501,19 @@ def merge_partials(
     if len(s_rev) != len(p) or s_rev.hbar != hbar:
         raise LengthMismatch("cannot merge partial sums of different shape")
     ps, ss = p.symbols, s_rev.symbols
-    merged = [b if a is None else a for a, b in zip(ps, ss)]
-    # preferring the other side differs only where both sides know and disagree
-    if merged != [a if b is None else b for a, b in zip(ps, ss)]:
+    p_erased, s_erased = _erased(ps), _erased(ss)
+    # each side, with the other's symbols where it has none; the two differ
+    # only where both sides know and disagree
+    merged, by_s = list(ps), list(ss)
+    for i in p_erased:
+        merged[i] = ss[i]
+    for i in s_erased:
+        by_s[i] = ps[i]
+    if merged != by_s:
         pairs = enumerate(zip(ps, ss), start=1)
         clashes = [(i, a, b) for i, (a, b) in pairs if a != b and None not in (a, b)]
         raise Conflict(f"disagreeing sum symbols at {clashes}")
-    erased = [i for i, v in enumerate(merged) if v is None]
+    erased = [i for i in p_erased if merged[i] is None]
     known = sum(filter(None, merged))
     deficit = total_weight - known
     if not erased:

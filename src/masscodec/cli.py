@@ -86,8 +86,17 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _read_json(path: str):
+    """The JSON value of a file; a file that does not parse is named in the error."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise ConfigError(f"{name} is not JSON: {exc}") from None
+
+
 def _read_object(path: str, what: str) -> dict:
-    obj = json.loads(_read_text(path))
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return obj
@@ -170,9 +179,13 @@ def load_config(path: str):
 
 
 def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
-    obj = json.loads(_read_text(path))
+    obj = _read_json(path)
     what = "a pool file"
     fragments, N = json_field(obj, "fragments", what, list), json_int(obj, "N", what)
+    # an N past the longest fragment stays legal, as a pool can lose every
+    # full-length fragment; decode refuses an N that is not its book's
+    if N < 0:
+        raise ConfigError(f"a pool file's N must not be negative, got N={N}")
     # the count table grows with the square of the longest fragment, so check first
     for entry in fragments:
         zeros, ones = (json_field(entry, key, "a fragment", int) for key in ("zeros", "ones"))
@@ -205,7 +218,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    obj = json.loads(_read_text(args.input))
+    obj = _read_json(args.input)
     words = json_field(obj, "codewords", "an encode file", list) if isinstance(obj, dict) else obj
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ConfigError(f"an encode file needs a list of codeword strings, got {words!r}")

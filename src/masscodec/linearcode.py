@@ -11,6 +11,8 @@ protection over a prime field.
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices (p = 2) and, through one erasure
 solve, fills erased positions of binary words and of Z_p vectors alike.
+A complete binary word needs no solve: it is checked by its syndrome, the
+XOR of the packed columns of H at its ones.
 
 ``bundled_code`` builds the code of a named matrix of ``gf2m.TABLES``,
 through ``bhcode.bundled_spec``, the one builder of every named matrix.
@@ -176,8 +178,16 @@ class LinearCode:
         return G
 
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:
-        """Solve H x = 0 for the erased positions (None entries)."""
-        return _solve_erasures(self.H, 2, word, 0)
+        """Solve H x = 0 for the erased positions (None entries).
+
+        A complete word is checked by its packed syndrome, as in
+        ``decode_errors``, and comes back as its bits."""
+        if len(word) != self.n or None in word:
+            return _solve_erasures(self.H, 2, word, 0)
+        bits = [int(b) & 1 for b in word]
+        if functools.reduce(operator.xor, itertools.compress(self._column_index.values, bits), 0):
+            raise DecodeFailure("complete word does not meet its checks")
+        return tuple(bits)
 
     @functools.cached_property
     def _column_index(self) -> XorIndex:

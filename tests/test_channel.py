@@ -1545,6 +1545,71 @@ def test_readings_return_what_the_checking_constructor_builds(reading_cases, rea
         assert all(v is None or type(v) is int for v in x.symbols), x
 
 
+# ---------------------------------------------------------------------------
+# the side reading against the one it replaced
+
+
+def _referee_read_sides(pool, N: int, hbar: int) -> dict:
+    """channel._read_sides as it stood before it read the count table in place:
+    lengths 1..N copied out of the table, and each cell's length, class and
+    slot worked out from its flat index at every reading."""
+    table = np.ascontiguousarray(pool.counts[1 : N + 1, : N + 1])
+    flat = (table != 0).ravel().nonzero()[0]
+    rows, ones = divmod(flat, table.shape[1])
+    mult = table.ravel()[flat]
+    kind = np.sign(rows + 1 - 2 * ones) + 1
+    slot = N * kind + rows
+
+    def per_length(weights):
+        return np.bincount(slot, weights, 3 * N).astype(np.int64).reshape(3, N)
+
+    counted = per_length(mult)
+    ties = counted[1]
+    unbalanced = counted[::2]
+    fill = np.empty_like(unbalanced)
+    to_prefix = fill[0]
+    np.subtract(hbar, unbalanced[0], out=to_prefix)
+    np.maximum(to_prefix, 0, out=to_prefix)
+    np.minimum(to_prefix, ties, out=to_prefix)
+    np.subtract(ties, to_prefix, out=fill[1])
+    fragments = unbalanced + fill
+    sums = per_length(mult * ones)[::2] + fill * (np.arange(1, N + 1) // 2)
+    room = np.maximum(0, hbar - unbalanced[::-1])
+    certain = unbalanced + np.maximum(0, ties - room) == hbar
+    cells = (rows + 1, ones, mult, kind)
+    return {"fill": fill, "fragments": fragments, "ones": sums, "certain": certain, "cells": cells}
+
+
+def _assert_reads_as_the_referee(readout, N: int, hbar: int) -> None:
+    sums = side_sums(readout, N, hbar)
+    want = _referee_read_sides(readout, N, hbar)
+    got = {name: getattr(sums, name) for name in want}
+    pairs = [(name, got[name], want[name]) for name in SIDE_SUMS_ARRAYS]
+    assert len(got["cells"]) == 4
+    pairs += [(f"cells[{i}]", a, b) for i, (a, b) in enumerate(zip(got["cells"], want["cells"]))]
+    for name, a, b in pairs:
+        where = (N, hbar, name)
+        # the cells come in (length, ones) order, so equal columns mean equal order
+        assert a.dtype == b.dtype and a.shape == b.shape, where
+        assert np.array_equal(a, b), where
+        assert not a.flags.writeable, where
+
+
+def test_side_reading_matches_the_referee(reading_cases):
+    for readout, N, hbar in reading_cases:
+        for h in sorted({hbar, 0, 1, 2, 3}):
+            _assert_reads_as_the_referee(readout, N, h)
+        # a table wider than N + 1 (read at a smaller N) and one narrower
+        for n in (N // 2, N - 1, N + 3):
+            _assert_reads_as_the_referee(readout, n, hbar)
+
+
+def test_side_reading_of_an_empty_pool_matches_the_referee():
+    for N in (0, 1, 6):
+        for hbar in range(4):
+            _assert_reads_as_the_referee(CompositionMultiset(), N, hbar)
+
+
 def _referee_merged_counts(symbols, total: int) -> list:
     """merged_counts as it stood, carrying None through both accumulations."""
 

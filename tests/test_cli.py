@@ -389,6 +389,8 @@ MALFORMED = {
     "scheme-t-negative": _encode_with(
         h=1, strings=[*DYCK_PAIR, "0110"], scheme={"name": "two-step", "t": -1}
     ),
+    # no fragment has a negative length
+    "pool-N-negative": ("corrupt", {"in.json": {"N": -1, "fragments": []}, "pat.json": {}}),
 }
 
 
@@ -401,6 +403,35 @@ def test_malformed_json_exits_2(ws, capsys, case):
     argv = [ws / a if str(a).endswith((".json", ".txt")) else a for a in ARGV[command]]
     assert run(command, *argv, "-o", ws / "out.json") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_pool_file_of_length_zero_still_reads(ws):
+    (ws / "in.json").write_text(json.dumps({"N": 0, "fragments": []}))
+    (ws / "pat.json").write_text("{}")
+    assert run("corrupt", ws / "in.json", "--pattern", ws / "pat.json", "-o", ws / "out.json") == 0
+    assert json.loads((ws / "out.json").read_text()) == {"N": 0, "fragments": []}
+
+
+# a file that is not JSON at all, named by the file the command cannot parse
+NOT_JSON = {
+    "pattern": ("corrupt", "pat.json", {"in.json": VALID_POOL}),
+    "pool": ("corrupt", "in.json", {"pat.json": {}}),
+    "encode-file": ("pool", "in.json", {}),
+    "config": ("encode", "cfg.json", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON))
+def test_a_file_that_is_not_json_is_named(ws, capsys, case):
+    command, broken, files = NOT_JSON[case]
+    for name, obj in files.items():
+        (ws / name).write_text(json.dumps(obj))
+    (ws / broken).write_text("not json\n")
+    (ws / "s.txt").write_text("1100\n")
+    argv = [ws / a if str(a).endswith((".json", ".txt")) else a for a in ARGV[command]]
+    assert run(command, *argv, "-o", ws / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ws / broken} is not JSON: Expecting value"), err
 
 
 # a string where a list belongs must be named as such, not read character by

@@ -13,6 +13,7 @@ from masscodec.errors import (
 from masscodec.linearcode import (
     LinearCode,
     ModpCode,
+    _solve_erasures,
     bundled_code,
     hamming_code,
     modp_code,
@@ -635,6 +636,41 @@ def test_erasure_solvers_refuse_a_word_of_the_wrong_length():
         pc.solve_erasures(vec + [None], syn)
     with pytest.raises(ValueError, match="vector length 19 != n=20"):
         pc.syndrome(vec[:-1])
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_complete_words_are_checked_as_the_erasure_solve_checks_them():
+    from masscodec import gf2m
+
+    codes = [bundled_code(name) for name in gf2m.TABLES] + [hamming_code(r) for r in range(2, 6)]
+    codes += [shortened(code, k) for code in list(codes) for k in sorted({1, code.k // 2 or 1})]
+    codes += [trivial_code(k) for k in (1, 8)] + [single_parity(k) for k in (1, 8)]
+    codes += [shipped_code(16, need, errors) for need in (0, 1, 2) for errors in (False, True)]
+    rng = random.Random(29)
+    seen = set()
+    for code in codes:
+        for _ in range(4):
+            codeword = code.encode([rng.randrange(2) for _ in range(code.k)])
+            for flips in range(4):
+                word = list(codeword)
+                for pos in rng.sample(range(code.n), min(flips, code.n)):
+                    word[pos] ^= 1
+                # integer sums are read mod 2, negative ones too, and so are numpy ints
+                sums = [bit + 2 * rng.randint(-3, 3) for bit in word]
+                for form in (word, sums, [np.int64(x) for x in sums], np.array(sums)):
+                    want = _outcome(_solve_erasures, code.H, 2, form, 0)
+                    assert _outcome(code.decode_erasures, form) == want, (code, form)
+                    seen.add(want[0] if want[0] is DecodeFailure else "decoded")
+        for wrong in (codeword[:-1], codeword + (0,)):
+            with pytest.raises(ValueError, match=f"word length {len(wrong)} != n={code.n}"):
+                code.decode_erasures(wrong)
+    assert seen == {"decoded", DecodeFailure}
 
 
 def test_modp_solver_refuses_a_short_syndrome():
