@@ -215,10 +215,11 @@ class SideSums:
     every assignment of the ties that respects the hbar cap on the other
     side gives the side exactly hbar fragments.
 
-    ``scan`` is what the reading gathered from the count table, and
-    ``cells``, derived from it on first read, lists the fragments
-    themselves; ``sided_cells`` says how many of each cell sit on each
-    side, which ``codec.separate_pool`` and substitution detection read.
+    ``scan`` is what the reading gathered from the count table, and the
+    one listing of its cells is ``sided_cells``, derived from it: how many
+    fragments of each cell sit on each side.  ``codec.separate_pool`` and
+    substitution detection read that listing, and every reader of sum
+    symbols takes them from ``increments``.
     """
 
     # three (K,) arrays over the pool's nonzero cells of lengths 1..N, in
@@ -229,34 +230,20 @@ class SideSums:
     ones: np.ndarray  # (2, N) ones totals per side after tie filling
     certain: np.ndarray  # (2, N) bool
 
-    @functools.cached_property
-    def cells(self) -> tuple[np.ndarray, ...]:
-        """Four (K,) int64 arrays: length, ones, multiplicity and class (0
-        prefix, 1 tie, 2 suffix) of the cells, in (length, ones) order."""
-        import numpy as np
-
-        slot, ones, mult = self.scan
-        # int64, as the keys detection builds from them outgrow the plan's ints
-        kind, length = np.divmod(slot.astype(np.int64), self.fill.shape[1])
-        length += 1
-        for column in (length, kind):
-            column.flags.writeable = False
-        return length, ones, mult, kind
-
 
 def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     """Per-length, per-side fragment counts, ones totals and certainty.
 
     This is the one reading of counts into sums.  Its readers are the
     two-sided partial sums (``partial_sum_strings``, so ``merged_sums``),
-    the raw side sums, and through ``sided_cells`` substitution detection
-    and the codec's clean-pool split (``codec.separate_pool``).  The
-    one-sided sums of an attributed pool read ``length_totals`` instead.
-    Lengths past N are ignored.  The count table is scanned once, in
-    place, for its nonzero cells, and a plan cached per table size and N
-    gives each cell's slot; after that the work is proportional to the
-    number of distinct fragments.  The per-cell columns (``cells``) are
-    derived from that scan only when a reader asks for them.
+    the raw side sums, and through ``sided_cells``, the one listing of its
+    cells, substitution detection and the codec's clean-pool split
+    (``codec.separate_pool``); all of them that want sum symbols take them
+    from ``increments``.  The one-sided sums of an attributed pool read
+    ``length_totals`` instead.  Lengths past N are ignored.  The count
+    table is scanned once, in place, for its nonzero cells, and a plan
+    cached per table size and N gives each cell's slot; after that the
+    work is proportional to the number of distinct fragments.
 
     The pool keeps its last reading in its one memo slot: a second call
     with the same N and hbar returns the same object, and one with another
@@ -319,13 +306,20 @@ def _read_sides(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
 
 def sided_cells(sums: SideSums) -> tuple[np.ndarray, ...]:
     """Length, ones, and the fragments on the prefix and on the suffix side,
-    of each cell of a reading.  A length's one tie cell splits as ``fill``
-    does; every other cell lies wholly on its side."""
-    length, ones, mult, kind = sums.cells
+    of each cell of a reading, in (length, ones) order: the one listing of a
+    reading's cells.  A length's one tie cell splits as ``fill`` does; every
+    other cell lies wholly on its side.  The four int64 arrays are derived
+    from ``scan`` at each call and belong to the caller."""
+    import numpy as np
+
+    slot, ones, mult = sums.scan
+    # int64, as the keys detection builds from them outgrow the plan's ints
+    kind, length = np.divmod(slot.astype(np.int64), sums.fill.shape[1])
+    length += 1
     on_prefix = mult * (kind == 0)
     tie = kind == 1
     on_prefix[tie] = sums.fill[0, length[tie] - 1]
-    return length, ones, on_prefix, mult - on_prefix
+    return length, ones.copy(), on_prefix, mult - on_prefix
 
 
 def length_totals(pool: CompositionMultiset, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,31 +343,37 @@ def mixture_order(pool: CompositionMultiset, N: int) -> int:
     return -(-int(pool.counts[1 : N + 1].sum(axis=1).max(initial=0)) // 2)
 
 
-def increments(cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool) -> list:
+def increments(
+    cumulative: np.ndarray, known: np.ndarray, hbar: int, strict: bool
+) -> tuple[list, list]:
     """Sum symbols n_i - n_{i-1} (n_0 = 0) along the last axis; None where either
     count is unknown.  A row gives a list, a (2, N) pair of rows a list of two.
+    Beside them come the known symbols outside 0..hbar, as (row, position,
+    symbol) in row order, the position 1-based in the row.
 
-    With ``strict`` a known symbol outside 0..hbar raises NegativeIncrement,
-    the first one of the first row that has one; its position is 1-based in
-    the row.
+    This is the one step rule: every reading of sum symbols goes through it.
+    With ``strict`` the first symbol out of range raises NegativeIncrement.
     """
     steps = cumulative.copy()
     steps[..., 1:] -= cumulative[..., :-1]
     ok = known.copy()
     ok[..., 1:] &= known[..., :-1]
-    # flat indices run in row order
+    # flat indices run in row order; as unsigned, a negative step is past hbar
+    # too, so one test finds both ends
     width = steps.shape[-1]
-    if strict:
-        # as unsigned, a negative step is past hbar too: one test finds both ends
-        bad = (ok & (steps.view("u8") > hbar)).ravel().nonzero()[0]
-        if bad.size:
-            i = int(bad[0])
-            raise NegativeIncrement(f"sum symbol {steps.flat[i]} at position {i % width + 1}")
+    bad = (ok & (steps.view("u8") > hbar)).ravel().nonzero()[0]
+    stray = []
+    if bad.size:
+        values = steps.take(bad).tolist()
+        stray = [(i // width, i % width + 1, v) for i, v in zip(bad.tolist(), values)]
+        if strict:
+            _, at, v = stray[0]
+            raise NegativeIncrement(f"sum symbol {v} at position {at}")
     symbols = steps.tolist()
     rows = symbols if steps.ndim > 1 else [symbols]
     for i in (~ok).ravel().nonzero()[0].tolist():
         rows[i // width][i % width] = None
-    return symbols
+    return symbols, stray
 
 
 def partial_sum_strings(
@@ -387,7 +387,7 @@ def partial_sum_strings(
     (pure fragment loss cannot produce them; substitutions can).
     """
     sums = side_sums(pool, N, hbar)
-    p_syms, s_syms = increments(sums.ones, sums.certain, hbar, True)
+    (p_syms, s_syms), _ = increments(sums.ones, sums.certain, hbar, True)
     # the strict increments checked every symbol
     p_sum = PartialSumString._of(tuple(p_syms), hbar)
     return p_sum, PartialSumString._of(tuple(s_syms[::-1]), hbar)
@@ -403,7 +403,7 @@ def one_sided_sum(
     The result is returned in prefix orientation either way.
     """
     fragments, ones = length_totals(side_pool, N)
-    syms = increments(ones, fragments == hbar, hbar, strict=True)
+    syms, _ = increments(ones, fragments == hbar, hbar, strict=True)
     return PartialSumString._of(tuple(syms if side == PREFIX else syms[::-1]), hbar)
 
 
@@ -416,7 +416,7 @@ def raw_side_sums(
     signal; both lists come back in prefix orientation.
     """
     sums = side_sums(pool, N, hbar)
-    p_syms, s_syms = increments(sums.ones, sums.certain, hbar, False)
+    (p_syms, s_syms), _ = increments(sums.ones, sums.certain, hbar, False)
     return p_syms, s_syms[::-1]
 
 
@@ -689,15 +689,17 @@ def detect_substitution(
 
     Every field is read off the side reading, both sides at once.  A count
     deviation is a side's length without hbar fragments.  The sum symbols
-    are the steps of each side's ones totals, read where both lengths hold
-    a fragment; a bad increment is one outside 0..hbar, and a side with
-    neither anomaly gives its sum.  With w0 the common weight of the
-    full-length fragments, a prefix of length L with o ones completes a
-    suffix of length N - L with w0 - o ones.  So the prefix side's cells
-    and the suffix side's, mirrored to (N - length, w0 - ones), become
-    integer keys of (length, ones, multiplicity), each cell counting the
-    fragments ``sided_cells`` puts on its side.  A length whose keys differ
-    is incompatible when it and its mirror both hold hbar fragments.
+    are the steps ``increments`` reads off each side's ones totals, where
+    both lengths hold a fragment; a bad increment is one outside 0..hbar,
+    and a side with neither anomaly gives its sum.  w0, the common weight
+    of the full-length fragments, is read off row N of the count table (one
+    distinct weight there, or none).  A prefix of length L with o ones
+    completes a suffix of length N - L with w0 - o ones.  So the prefix
+    side's cells and the suffix side's, mirrored to (N - length, w0 - ones),
+    become integer keys of (length, ones, multiplicity), each cell counting
+    the fragments ``sided_cells``, the one listing of the cells, puts on its
+    side.  A length whose keys differ is incompatible when it and its
+    mirror both hold hbar fragments.
 
     A fragment read lighter that crossed the weight split leaves exactly two
     count deviations, side X one short and side Y one over, at one length L.
@@ -707,39 +709,29 @@ def detect_substitution(
     import numpy as np
 
     sums = side_sums(pool, N, hbar)
-    fragments, ones = sums.fragments, sums.ones
+    fragments = sums.fragments
     off = fragments != hbar
     devs: tuple[list, list] = ([], [])
     if off.any():
         side, at = off.nonzero()
         for k, i, d in zip(side.tolist(), at.tolist(), (fragments[off] - hbar).tolist()):
             devs[k].append((i + 1, d))
-    steps = ones.copy()
-    steps[:, 1:] -= ones[:, :-1]
     # a length counts when it holds any fragment, and every length does at hbar = 0
     known = fragments > 0 if hbar else fragments >= 0
-    read = known.copy()
-    read[:, 1:] &= known[:, :-1]
-    # as unsigned, a negative step is past hbar too: one test finds both ends
-    out_of_range = read & (steps.view(np.uint64) > hbar)
+    symbols, stray = increments(sums.ones, known, hbar, False)
     bad: tuple[list, list] = ([], [])
-    if out_of_range.any():
-        side, at = out_of_range.nonzero()
-        for k, i, v in zip(side.tolist(), at.tolist(), steps[out_of_range].tolist()):
-            # suffix-side positions in prefix orientation
-            bad[k].append((N - i if k else i + 1, v))
+    for k, i, v in stray:
+        # suffix-side positions in prefix orientation
+        bad[k].append((N + 1 - i if k else i, v))
     # a side without deviations reads every length, each step in range; the
     # suffix sum is read backwards
     prefix_sum, suffix_sum = (
-        None
-        if devs[k] or bad[k]
-        else PartialSumString._of(tuple(steps[k, :: 1 - 2 * k].tolist()), hbar)
-        for k in (0, 1)
+        None if devs[k] or bad[k] else PartialSumString._of(tuple(row[:: 1 - 2 * k]), hbar)
+        for k, row in enumerate(symbols)
     )
 
-    # the cells are in (length, ones) order, so the full-length ones come last
-    last_lengths, last_ones = (column[-2:].tolist() for column in sums.cells[:2])
-    w0 = last_ones[-1] if last_lengths.count(N) == 1 else None
+    weights = set(pool.ones_at_length(N))
+    w0 = weights.pop() if len(weights) == 1 else None
     incompatible = []
     if w0 is not None:
         # one int per (length, ones, mult); ones are offset by N since a
@@ -759,7 +751,7 @@ def detect_substitution(
             if 0 < ln < N and not (off[0, ln - 1] or off[1, N - ln - 1])
         ]
 
-    candidates = tuple(dict.fromkeys(ps for ps in (prefix_sum, suffix_sum) if ps is not None))
+    candidates =tuple(dict.fromkeys(ps for ps in (prefix_sum, suffix_sum) if ps is not None))
     recovered = candidates[0] if len(candidates) == 1 and not incompatible else None
 
     corrections = _single_error_corrections(pool.counts, N, w0, *devs)

@@ -288,37 +288,22 @@ class McCodebook:
         rows = np.hstack(np.split(fragment_cells([cw.bits for cw in self.codewords]), 2))
         return {cw.origin: row for cw, row in zip(self.codewords, rows)}
 
-    def _pooled_counts(self, sources: Sequence[BitString]) -> np.ndarray:
-        """The flat (N+1)^2 count table of the sources' codewords, by one
+    def pool_of(self, sources) -> CompositionMultiset:
+        """Pooled readout of the codewords of the given source strings, by one
         scatter-add of their cached fragment cells."""
         import numpy as np
 
+        sources = [BitString(s) for s in sources]
         try:
             cells = [self._cells_by_origin[s] for s in sources]
         except KeyError as exc:
             raise KeyError(f"{exc.args[0]} is not in the codebook") from None
-        size = self.N + 1
-        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
-        return np.bincount(flat, minlength=size * size)
-
-    def pool_of(self, sources) -> CompositionMultiset:
-        """Pooled readout of the codewords of the given source strings."""
-        sources = [BitString(s) for s in sources]
-        counts = self._pooled_counts(sources)
         if len(set(sources)) != len(sources):
             raise DuplicateString("pooled strings must be pairwise distinct")
         size = self.N + 1
-        return CompositionMultiset._of(counts.reshape(size, size), 2 * self.N * len(sources))
-
-    def pools_to(self, sources, readout: CompositionMultiset) -> bool:
-        """Whether the pooled codewords of the sources are exactly the readout."""
-        import numpy as np
-
-        size = self.N + 1
-        counts = self._pooled_counts(sources)
-        if readout.counts.shape == (size, size):
-            return bool(np.array_equal(counts, readout.counts.ravel()))
-        return CompositionMultiset.from_counts(counts.reshape(size, size)) == readout
+        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
+        counts = np.bincount(flat, minlength=size * size).reshape(size, size)
+        return CompositionMultiset._of(counts, 2 * self.N * len(sources))
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
@@ -345,9 +330,9 @@ def separate_pool(
     composition the split is unique once each side is filled to hbar.
 
     The pool's ``side_sums`` makes that split: its ``fragments`` check that
-    every length splits hbar + hbar, the prefix shares of ``sided_cells``
-    are scattered into the prefix table, and the suffix table is the rest
-    of the count table.
+    every length splits hbar + hbar, and both shares of ``sided_cells``, the
+    one listing of the reading's cells, are scattered at once into the two
+    count tables.
     """
     sums = side_sums(pool, N, hbar)
     # a length splits exactly when tie filling leaves hbar on each side
@@ -362,17 +347,11 @@ def separate_pool(
         raise CountMismatch(f"length {length}: cannot split {ones_list} into {hbar}+{hbar}")
     import numpy as np
 
-    table = pool.counts[: N + 1, : N + 1]
-    if len(table) <= N:  # only hbar = 0 passes without fragments of length N
-        table = np.zeros((N + 1, N + 1), dtype=np.int64)
-    length, ones, on_prefix, _ = sided_cells(sums)
-    prefixes = np.zeros((N + 1, N + 1), dtype=np.int64)
-    prefixes[length, ones] = on_prefix
+    length, ones, *shares = sided_cells(sums)
+    sides = np.zeros((2, N + 1, N + 1), dtype=np.int64)
+    sides[:, length, ones] = shares
     # each of the N lengths holds hbar fragments per side, as just checked
-    return (
-        CompositionMultiset._of(prefixes, hbar * N),
-        CompositionMultiset._of(table - prefixes, hbar * N),
-    )
+    return CompositionMultiset._of(sides[0], hbar * N), CompositionMultiset._of(sides[1], hbar * N)
 
 
 def sum_from_prefixes(
@@ -388,7 +367,7 @@ def sum_from_prefixes(
     short = (~full).nonzero()[0]
     # lengths are checked in order, so a bad symbol before a short length wins
     end = int(short[0]) if short.size else N
-    symbols = increments(cumulative[:end], full[:end], hbar, strict=True)
+    symbols, _ = increments(cumulative[:end], full[:end], hbar, strict=True)
     if short.size:
         raise CountMismatch(f"length {end + 1}: {per_length[end]} prefixes, expected {hbar}")
     return PartialSumString._of(tuple(symbols), hbar)
@@ -430,7 +409,7 @@ def decode_mixture(
     total = sum_from_prefixes(prefixes, N, hbar)
     target = mixture_mod2_target(total, codebook.layout)
     answer = invert_plain(pool, codebook, target, hbar, budget)
-    if not codebook.pools_to(answer, pool):
+    if codebook.pool_of(answer) != pool:
         raise DecodeFailure("the pool of the decoded set is not the readout")
     return answer
 

@@ -395,7 +395,10 @@ class CompositionMultiset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
             return False
-        mine, theirs = self._trimmed(), other._trimmed()
+        mine, theirs = self._counts, other._counts
+        # padding is zero, so tables of one shape compare cell by cell
+        if mine.shape != theirs.shape:
+            mine, theirs = self._trimmed(), other._trimmed()
         return mine.shape == theirs.shape and bool((mine == theirs).all())
 
     def __hash__(self) -> int:

@@ -180,12 +180,12 @@ class LinearCode:
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:
         """Solve H x = 0 for the erased positions (None entries).
 
-        A complete word is checked by its packed syndrome, as in
-        ``decode_errors``, and comes back as its bits."""
+        A complete word is checked by its packed syndrome (``_syndrome``, as
+        in ``decode_errors``) and comes back as its bits."""
         if len(word) != self.n or None in word:
             return _solve_erasures(self.H, 2, word, 0)
-        bits = [int(b) & 1 for b in word]
-        if functools.reduce(operator.xor, itertools.compress(self._column_index.values, bits), 0):
+        bits, syndrome = self._syndrome(word)
+        if syndrome:
             raise DecodeFailure("complete word does not meet its checks")
         return tuple(bits)
 
@@ -194,6 +194,12 @@ class LinearCode:
         """H's columns for the shared search, check row i as bit i."""
         columns = np.packbits(self.H.T, axis=1, bitorder="little").tolist()
         return XorIndex(int.from_bytes(column, "little") for column in columns)
+
+    def _syndrome(self, word: Sequence[int]) -> tuple[list[int], int]:
+        """The word's bits and its packed syndrome: the XOR of H's columns at its ones."""
+        bits = [int(b) & 1 for b in word]
+        columns = itertools.compress(self._column_index.values, bits)
+        return bits, functools.reduce(operator.xor, columns, 0)
 
     def decode_errors(
         self,
@@ -237,8 +243,7 @@ class LinearCode:
                     f"syndrome, so d={self.d} is wrong"
                 )
         self._checked_half = max(self._checked_half, half)
-        bits = [int(b) & 1 for b in word]
-        s = functools.reduce(operator.xor, itertools.compress(index.values, bits), 0)
+        bits, s = self._syndrome(word)
         if not s:
             return tuple(bits)
         for w in range(1, max_errors + 1):

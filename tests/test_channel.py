@@ -1093,7 +1093,7 @@ SIDE_SUMS_ARRAYS = ("fill", "fragments", "ones", "certain")
 
 def _reading(sums) -> dict:
     out = {name: getattr(sums, name).tolist() for name in SIDE_SUMS_ARRAYS}
-    out["cells"] = [column.tolist() for column in sums.cells]
+    out["cells"] = [column.tolist() for column in sided_cells(sums)]
     out["entries"] = [_side_entries(sums, side).tolist() for side in (0, 1)]
     return out
 
@@ -1116,11 +1116,26 @@ def test_side_sums_memo_is_keyed_by_n_and_hbar():
 def test_side_sums_arrays_are_read_only():
     sums = side_sums(pool(DYCK_TRIPLE), 6, 3)
     arrays = [getattr(sums, name) for name in SIDE_SUMS_ARRAYS]
-    # and so are the four columns of cells, which sided_cells unpacks
-    assert len(sums.cells) == 4
-    for array in arrays + list(sums.cells):
+    # and so are the three columns of the scan, which sided_cells reads
+    assert len(sums.scan) == 3
+    for array in arrays + list(sums.scan):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_sided_cells_belong_to_their_caller():
+    # editing what one call returns changes neither the reading nor the next call
+    readout = substitute_mass_reducing(pool(DYCK_TRIPLE), PREFIX, 3, 1, ones=2)
+    sums = side_sums(readout, 6, 3)
+    before = _reading(sums)
+    scan = [column.tolist() for column in sums.scan]
+    first = sided_cells(sums)
+    assert len(first) == 4
+    for column in first:
+        column += 7
+    assert _reading(sums) == before
+    assert [column.tolist() for column in sums.scan] == scan
+    assert [column.tolist() for column in sided_cells(sums)] == before["cells"]
 
 
 def _assert_mirrors_itself(clean: CompositionMultiset, N: int) -> None:
@@ -1515,7 +1530,7 @@ def test_sided_cells_add_up_to_the_reading(reading_cases):
         sums = side_sums(readout, N, hbar)
         length, ones, *shares = sided_cells(sums)
         # the two shares of a cell are its multiplicity
-        assert np.array_equal(shares[0] + shares[1], sums.cells[2])
+        assert np.array_equal(shares[0] + shares[1], sums.scan[2])
         for side, share in enumerate(shares):
             assert share.min(initial=0) >= 0
             assert np.array_equal(np.bincount(length - 1, share, N), sums.fragments[side])
@@ -1576,23 +1591,26 @@ def _referee_read_sides(pool, N: int, hbar: int) -> dict:
     sums = per_length(mult * ones)[::2] + fill * (np.arange(1, N + 1) // 2)
     room = np.maximum(0, hbar - unbalanced[::-1])
     certain = unbalanced + np.maximum(0, ties - room) == hbar
-    cells = (rows + 1, ones, mult, kind)
+    # the one tie cell of a length splits as the fill does
+    on_prefix = np.where(kind == 1, fill[0, rows], mult * (kind == 0))
+    cells = (rows + 1, ones, on_prefix, mult - on_prefix)
     return {"fill": fill, "fragments": fragments, "ones": sums, "certain": certain, "cells": cells}
 
 
 def _assert_reads_as_the_referee(readout, N: int, hbar: int) -> None:
     sums = side_sums(readout, N, hbar)
     want = _referee_read_sides(readout, N, hbar)
-    got = {name: getattr(sums, name) for name in want}
-    pairs = [(name, got[name], want[name]) for name in SIDE_SUMS_ARRAYS]
-    assert len(got["cells"]) == 4
-    pairs += [(f"cells[{i}]", a, b) for i, (a, b) in enumerate(zip(got["cells"], want["cells"]))]
+    pairs = [(name, getattr(sums, name), want[name]) for name in SIDE_SUMS_ARRAYS]
+    for name, a, b in pairs:
+        assert not a.flags.writeable, (N, hbar, name)
+    cells = sided_cells(sums)
+    assert len(cells) == 4
+    pairs += [(f"cells[{i}]", a, b) for i, (a, b) in enumerate(zip(cells, want["cells"]))]
     for name, a, b in pairs:
         where = (N, hbar, name)
         # the cells come in (length, ones) order, so equal columns mean equal order
         assert a.dtype == b.dtype and a.shape == b.shape, where
         assert np.array_equal(a, b), where
-        assert not a.flags.writeable, where
 
 
 def test_side_reading_matches_the_referee(reading_cases):
@@ -1648,7 +1666,7 @@ def test_merged_counts_match_the_none_carrying_referee(reading_cases, monkeypatc
 
 def test_two_row_increments_equal_two_one_row_calls():
     rng = np.random.default_rng(9)
-    both_refused = 0
+    both_refused = checked_stray = 0
     for trial in range(600):
         N, hbar, strict = int(rng.integers(0, 9)), int(rng.integers(1, 4)), bool(trial % 2)
         # mostly steps in range, sometimes one past either end
@@ -1657,13 +1675,30 @@ def test_two_row_increments_equal_two_one_row_calls():
         cumulative = steps.cumsum(axis=1)
         known = rng.random((2, N)) < rng.choice((0.6, 0.9, 1.0))
         rows = [
-            _with_message(lambda k=k: increments(cumulative[k], known[k], hbar, strict))
+            _with_message(lambda k=k: increments(cumulative[k], known[k], hbar, strict)[0])
             for k in (0, 1)
         ]
         # the first row's refusal wins, then the second row's
         want = next((row for row in rows if isinstance(row, tuple)), rows)
         both_refused += all(isinstance(row, tuple) for row in rows)
-        assert _with_message(lambda: increments(cumulative, known, hbar, strict)) == want
+        assert _with_message(lambda: increments(cumulative, known, hbar, strict)[0]) == want
         slow = [[int(n) if k else None for n, k in zip(*row)] for row in zip(cumulative, known)]
         assert _with_message(lambda: _slow_increments(slow, hbar, strict)) == want
+        if isinstance(want, tuple):
+            continue
+        # beside the symbols, the known ones out of range, row by row and 1-based
+        _, stray = increments(cumulative, known, hbar, strict)
+        assert stray == [
+            (k, i, v)
+            for k, row in enumerate(want)
+            for i, v in enumerate(row, 1)
+            if v is not None and not 0 <= v <= hbar
+        ]
+        assert stray == [
+            (k, i, v)
+            for k in (0, 1)
+            for _, i, v in increments(cumulative[k], known[k], hbar, strict)[1]
+        ]
+        checked_stray += bool(stray)
     assert both_refused >= 20, both_refused
+    assert checked_stray >= 20, checked_stray
