@@ -10,18 +10,18 @@ sums.  That mod-2 separation is also exactly what lets a mixture decoder
 recover the subset from the mod-2 reduction of the pooled sum.
 
 That recovery is syndrome decoding: the mod-2 sum of hbar columns is the
-syndrome of a weight-hbar pattern.  One search, ``XorIndex.matches``,
-serves both inverses and the code decoder ``LinearCode.decode_errors``: it
-finds every hbar-subset of a list of ints with a given XOR by
+syndrome of a weight-hbar pattern.  One search, ``XorIndex.matches``, serves
+both inverses, the code decoder ``LinearCode.decode_errors`` and the
+redundancy-free witness search, which masks the strings to the known sum
+positions.  It finds every hbar-subset of a list of ints with a given XOR by
 meet-in-the-middle, in O(|C|^ceil(hbar/2)) rather than O(|C|^hbar), for
 explicit codebooks too; ``invert_sum`` keeps the matches whose integer sum
-is its target.  The halves come from an index cached on the codebook (or
-the code), built once per subset size k: every k-subset of indices with
-the XOR of its values, sorted by that XOR.  A cached subset costs k bytes
-of indices (uint8 up to 256 columns) plus 8 bytes of XOR, so the 96-column
-order-3 benchmark codebook holds about 46 KB.  A lookup's budget bounds
-each index it builds, and the cache as a whole by dropping the sizes it
-does not use.
+is its target.  The halves come from an index cached on the codebook (or the
+code), built once per subset size k: every k-subset of indices with the XOR
+of its values, sorted by that XOR.  A cached subset costs k bytes of indices
+(uint8 up to 256 columns) plus 8 bytes of XOR, so the 96-column order-3
+benchmark codebook holds about 46 KB.  A lookup's budget bounds each index
+it builds, and the cache as a whole by dropping the sizes it does not use.
 
 ``bundled_spec`` builds a named matrix of ``gf2m.TABLES`` in process; it
 serves as a codebook source or, through ``linearcode.bundled_code``, as a
@@ -256,19 +256,9 @@ def invert_mod2_sum(
 def _mod2_matches(
     codebook: BhCodebook, target: BitString, hbar: int, budget: int
 ) -> list[tuple[BitString, ...]]:
-    """Every hbar-subset whose mod-2 sum is the target, in lexicographic order,
-    by ``XorIndex.matches``.  ``budget`` bounds the half-subsets enumerated,
-    C(|C|, hbar - hbar // 2) + C(|C|, hbar // 2), and with them the indexes
-    a lookup builds and keeps cached.
-    """
+    """Every hbar-subset with the target mod-2 sum, lexicographic, by ``XorIndex.matches``."""
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
-    if hbar < 1:
-        raise ConfigError(f"a subset lookup needs hbar >= 1, got {hbar}")
-    size = len(codebook)
-    enumerated = math.comb(size, hbar - hbar // 2) + math.comb(size, hbar // 2)
-    if enumerated > budget:
-        raise SearchSpaceTooLarge(f"{enumerated} half-subsets exceed the budget {budget}")
     found = codebook._xor_index.matches(target.as_int, hbar, budget)
     return [tuple(codebook.strings[i] for i in subset) for subset in found]
 
@@ -309,11 +299,19 @@ class XorIndex:
         low half's last index precedes the high half's first, so each
         k-subset is found through exactly one split.  Values longer than 64
         bits are keyed by a 64-bit fold, so every match is confirmed on the
-        full values.  The lists come in lexicographic order.
+        full values.  The lists come in lexicographic order.  ``budget``
+        bounds the half-subsets, C(n, hi) + C(n, lo), which also bounds the
+        indexes built and cached, and the candidate pairs whose folds match;
+        a search past either raises ``SearchSpaceTooLarge``.
         """
         import numpy as np
 
+        if k < 1:
+            raise ConfigError(f"a subset lookup needs hbar >= 1, got {k}")
         lo, hi = k // 2, k - k // 2
+        enumerated = math.comb(len(self.values), hi) + math.comb(len(self.values), lo)
+        if enumerated > budget:
+            raise SearchSpaceTooLarge(f"{enumerated} half-subsets exceed the budget {budget}")
         low_subsets, low_xors = self.subsets(lo, (lo, hi), budget)
         high_subsets, high_xors = self.subsets(hi, (lo, hi), budget)
         queries = low_xors ^ np.uint64(_fold64(target))
@@ -323,6 +321,8 @@ class XorIndex:
         if lo == hi and not _fold64(target):
             # each low subset meets itself, a pair the order rule rejects
             candidates -= 1
+        if (pairs := int(candidates.sum())) > budget:
+            raise SearchSpaceTooLarge(f"{pairs} candidate pairs exceed the budget {budget}")
         found = []
         for q in (candidates > 0).nonzero()[0].tolist():
             low = low_subsets[q].tolist()

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from . import oracle
-from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_sum
+from .bhcode import BhCodebook, DEFAULT_BUDGET, XorIndex, invert_sum
 from .core import (
     BitString,
     Composition,
@@ -465,7 +464,8 @@ class Recovered:
 
 @dataclass(frozen=True)
 class Ambiguous:
-    """The pool is consistent with more than one explanation."""
+    """The pool is consistent with more than one explanation.  ``witnesses``
+    is None when no universe was searched or the search went over its budget."""
 
     partial: PartialSumString
     witnesses: Optional[tuple[frozenset[BitString], ...]] = None
@@ -573,8 +573,9 @@ def reconstruct_redundancy_free(
     The two-sided merge always succeeds when the erasure bursts of the two
     sides do not overlap, or overlap once in a single position; the weight
     anchor can settle a little more (all-zero and all-max deficits).  On
-    ambiguity the consistent codebook subsets are enumerated as witnesses
-    (over all Dyck strings when no codebook is given and hbar is 1).
+    ambiguity the witnesses are the codebook subsets (all Dyck strings with no
+    book and hbar 1) found by the one subset search and checked against the
+    readout.
 
     The codebook may be a plain distinct-sums codebook of Dyck strings
     (sources are found by inverting the integer sum) or a plain mixture
@@ -583,7 +584,7 @@ def reconstruct_redundancy_free(
     """
     merged = merged_sums(pool, N, hbar)
     if not merged.complete:
-        witnesses = _consistency_witnesses(pool, N, hbar, codebook, budget)
+        witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
         return Ambiguous(partial=merged, witnesses=witnesses)
     strings: Optional[frozenset[BitString]] = None
     if codebook is not None:
@@ -607,11 +608,13 @@ def _invert_recovered(
 
 def _consistency_witnesses(
     pool: CompositionMultiset,
-    N: int,
+    merged: PartialSumString,
     hbar: int,
     codebook,
     budget: int,
 ) -> Optional[tuple[frozenset[BitString], ...]]:
+    """The universe's hbar-subsets that explain the readout, found by the one
+    subset search and checked against the readout; None past its budget."""
     from .codec import McCodebook, require_plain
 
     # each string of the universe, mapped to the source string it encodes
@@ -620,17 +623,21 @@ def _consistency_witnesses(
         origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
     elif codebook is not None:
         origin_of = {s: s for s in codebook.strings}
-    elif hbar == 1 and 2**N <= budget:
+    elif hbar == 1 and 2 ** len(merged) <= budget:
         # the codeword universe of this model
-        origin_of = {s: s for s in all_dyck_strings(N)}
+        origin_of = {s: s for s in all_dyck_strings(len(merged))}
     else:
         return None
-    removals = 2 * N * hbar - pool.total
+    words = sorted(origin_of)
+    # hbar strings whose pool holds the readout sum to every known symbol, so none is missed
+    known = [(len(merged) - 1 - i, v) for i, v in enumerate(merged.symbols) if v is not None]
+    mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
     try:
-        hits = oracle.brute_decode(pool, tuple(origin_of), hbar, removals, budget)
+        found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
     except SearchSpaceTooLarge:
         return None
-    return tuple(frozenset(origin_of[b] for b in sub) for sub in hits)
+    held = (sub for sub in found if pool.is_submultiset(make_pool(words[i] for i in sub)))
+    return tuple(frozenset(origin_of[words[i]] for i in sub) for sub in held)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,8 @@ def cmd_decode(args) -> int:
             code, payload = EXIT_AMBIGUOUS, {
                 "status": "ambiguous",
                 "partial_sum": str(outcome.partial),
-                "witnesses": [sorted(str(s) for s in w) for w in (outcome.witnesses or ())],
+                # null: not searched (no universe or over budget); []: no subset explains the pool
+                "witnesses": outcome.witnesses and [sorted(map(str, w)) for w in outcome.witnesses],
             }
         else:
             strings = outcome.strings if isinstance(outcome, Recovered) else outcome

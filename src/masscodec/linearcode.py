@@ -215,7 +215,7 @@ class LinearCode:
         there, or up to 2*ceil(r/2) columns that XOR to zero (looked for once
         per code and ceil(r/2)), contradict the declared d: a ``ConfigError``.
         ``budget`` bounds the subsets the search caches and probes, counted
-        as sum_{i <= ceil(r/2)} C(n, i) + sum_{i <= floor(r/2)} C(n, i).
+        as 2 * sum_{i <= ceil(r/2)} C(n, i), the halves of the widest search.
         """
         if max_errors is None:
             max_errors = self.error_capability
@@ -224,8 +224,8 @@ class LinearCode:
                 f"radius {max_errors} is outside 0..{self.error_capability}, "
                 f"the error capability of {self.name}"
             )
-        half, probe = (max_errors + 1) // 2, max_errors // 2
-        needed = sum(math.comb(self.n, i) for top in (half, probe) for i in range(top + 1))
+        half = (max_errors + 1) // 2
+        needed = 2 * sum(math.comb(self.n, i) for i in range(half + 1))
         if needed > budget:
             raise SearchSpaceTooLarge(
                 f"syndrome lookup at radius {max_errors} needs {needed} "

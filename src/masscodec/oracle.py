@@ -3,8 +3,8 @@
 Everything here works by explicit enumeration with hard budgets: pooled
 readouts are compared pairwise over all admissible subsets, codebooks are
 grown or maximized by exhaustive search, and decoding is re-done from the
-definition.  The point is to have answers that do not share any code path
-with the constructions they check.
+definition.  Its answers share no code path with the constructions they
+check, and no decode path calls it: only the tests and the CLI's checks.
 """
 
 from __future__ import annotations

@@ -434,6 +434,19 @@ def test_xor_index_matches_the_combinations_referee_where_halves_meet_themselves
     assert found > 100, found
 
 
+def test_xor_index_budget_bounds_the_candidate_pairs_and_the_halves():
+    # 50 equal values: the halves, 50 + 50 subsets, fit a budget of 100, but
+    # every low half meets the 49 others, 2,450 candidate pairs to confirm
+    index = XorIndex([0] * 50)
+    with pytest.raises(SearchSpaceTooLarge, match="2450 candidate pairs exceed the budget 100"):
+        index.matches(0, 2, budget=100)
+    assert len(index.matches(0, 2, budget=2450)) == math.comb(50, 2)
+    with pytest.raises(SearchSpaceTooLarge, match="100 half-subsets exceed the budget 99"):
+        index.matches(0, 2, budget=99)
+    with pytest.raises(ConfigError, match="hbar >= 1"):
+        index.matches(0, 0, budget=100)
+
+
 def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
     # hbar = 3 splits into halves of 1 and 2: C(15, 2) + C(15, 1) = 120
     subset = b3_codebook.strings[2:5]

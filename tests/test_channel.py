@@ -493,6 +493,70 @@ def test_burst_conditions_imply_success():
 
 
 # ---------------------------------------------------------------------------
+# differential test: the witness search against the brute-force referee it
+# replaced, oracle.brute_decode over every hbar-subset of the universe
+
+# 12 Dyck strings of length 10 with distinct sums of pairs (greedy B_2)
+RAW_DYCK_BOOK = (
+    "1010101010", "1010101100", "1010110010", "1010111000", "1011001010", "1011010100",
+    "1011100010", "1100101010", "1101011000", "1101100100", "1101101000", "1110001010",
+)
+
+
+def _erased_readouts(words, hbars, trials, seed):
+    """Seeded readouts of hbar drawn words that lost 1-32 fragments, placed
+    uniformly or adversarially, with the drawn words."""
+    for trial in range(trials):
+        rng = random.Random(seed + trial)
+        hbar = rng.choice(hbars)
+        chosen = rng.sample(words, hbar)
+        clean = pool(chosen)
+        t = min(rng.randint(1, 32), clean.total)
+        placement = rng.choice(("uniform", "adversarial"))
+        yield erase(clean, sample_erasure_pattern(chosen, t, rng, placement), rng=rng), hbar, chosen
+
+
+def test_witnesses_match_the_brute_force_referee(mc_codebook, mc3_codebook):
+    from masscodec.oracle import brute_decode
+
+    raw = BhCodebook.explicit(RAW_DYCK_BOOK, 2)
+    universes = [
+        (mc_codebook, (1, 2), {cw.bits: cw.origin for cw in mc_codebook.codewords}),
+        (mc3_codebook, (1, 2, 3), {cw.bits: cw.origin for cw in mc3_codebook.codewords}),
+        (raw, (1, 2), {s: s for s in raw.strings}),
+        (None, (1,), {s: s for s in all_dyck_strings(10)}),
+    ]
+    compared = []
+    for seed, (book, hbars, origin_of) in enumerate(universes):
+        words = list(origin_of)
+        N = len(words[0])
+        compared.append(0)
+        for erased, hbar, chosen in _erased_readouts(words, hbars, 100, 1000 * seed):
+            out = reconstruct_redundancy_free(erased, N, hbar, codebook=book)
+            if isinstance(out, Recovered):
+                continue
+            hits = brute_decode(erased, words, hbar, 2 * N * hbar - erased.total)
+            assert out.witnesses == tuple(frozenset(origin_of[w] for w in sub) for sub in hits)
+            assert frozenset(origin_of[w] for w in chosen) in out.witnesses
+            compared[-1] += 1
+    assert min(compared) >= 60 and sum(compared) >= 300, compared
+
+
+def test_witnesses_past_64_bits_hold_the_true_set(lookup_h3_book):
+    # N = 68, so the search keys on 64-bit folds of the masked codewords
+    book = lookup_h3_book
+    for trial in range(10):
+        rng = random.Random(trial)
+        sources = rng.sample(book.base.strings, 3)
+        words = [book.bits_for(s) for s in sources]
+        pattern = sample_erasure_pattern(words, 8, rng, "adversarial")
+        erased = erase(book.pool_of(sources), pattern, rng=rng)
+        out = reconstruct_redundancy_free(erased, book.N, 3, book)
+        assert isinstance(out, Ambiguous)
+        assert frozenset(sources) in out.witnesses
+
+
+# ---------------------------------------------------------------------------
 # substitution detection
 
 

@@ -40,7 +40,8 @@ def test_encode_pool_decode_raw(ws, capsys):
     assert out == {"status": "ok", "strings": ["101010", "110100"]}
 
 
-def test_corrupt_then_ambiguous_exit_code(ws):
+def _erase_raw_pair(ws):
+    """Pool two raw-book strings and erase their aligned length-3 fragments."""
     strings = ws / "s.txt"
     strings.write_text("110100\n101010\n")
     run("encode", strings, "--config", ws / "raw.json", "-o", ws / "w.json")
@@ -56,6 +57,10 @@ def test_corrupt_then_ambiguous_exit_code(ws):
         run("corrupt", ws / "p.json", "--pattern", ws / "pat.json", "-o", ws / "e.json")
         == 0
     )
+
+
+def test_corrupt_then_ambiguous_exit_code(ws):
+    _erase_raw_pair(ws)
     code = run("decode", ws / "e.json", "--config", ws / "raw.json", "--hbar", 2,
                "-o", ws / "out.json")
     assert code == 3
@@ -65,6 +70,16 @@ def test_corrupt_then_ambiguous_exit_code(ws):
         ["101010", "110100"],
         ["101010", "111000"],
     ]
+
+
+def test_ambiguous_decode_over_its_budget_writes_null_witnesses(ws):
+    # the witness search enumerates 4 + 4 half-subsets: none searched is not none found
+    _erase_raw_pair(ws)
+    assert run("--budget", 1, "decode", ws / "e.json", "--config", ws / "raw.json",
+               "-o", ws / "out.json") == 3
+    out = json.loads((ws / "out.json").read_text())
+    assert out["status"] == "ambiguous"
+    assert out["witnesses"] is None
 
 
 def test_encoded_pipeline_with_scheme(ws):

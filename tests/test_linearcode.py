@@ -502,6 +502,13 @@ def test_syndrome_lookup_budget_counts_patterns_and_probes():
     with pytest.raises(SearchSpaceTooLarge):
         code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4033)
     assert code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4034) == cw
+    # r = 1 on n = 21: 2 x (1 + 21), since the probe for two columns that XOR
+    # to zero searches two halves of one column; the search itself needs 42
+    code = shipped_code(16, 1, errors=True)
+    cw = code.encode([1, 0] * 8)
+    with pytest.raises(SearchSpaceTooLarge, match="needs 44 patterns, over the budget 43"):
+        code.decode_errors(_flip(cw, [3]), 1, budget=43)
+    assert code.decode_errors(_flip(cw, [3]), 1, budget=44) == cw
 
 
 def test_radius_above_error_capability_is_refused():
