@@ -239,10 +239,13 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     cells, substitution detection and the codec's clean-pool split
     (``codec.separate_pool``); all of them that want sum symbols take them
     from ``increments``.  The one-sided sums of an attributed pool read
-    ``length_totals`` instead.  Lengths past N are ignored.  The count
-    table is scanned once, in place, for its nonzero cells, and a plan
-    cached per table size and N gives each cell's slot; after that the
-    work is proportional to the number of distinct fragments.
+    ``length_totals`` instead, and the split hands its prefix side the
+    prefix rows of ``fragments`` and ``ones`` as that side's
+    ``length_totals`` (``hold_length_totals``), so the codec's prefix sum
+    reads no table again.  Lengths past N are ignored.  The count table is
+    scanned once, in place, for its nonzero cells, and a plan cached per
+    table size and N gives each cell's slot; after that the work is
+    proportional to the number of distinct fragments.
 
     The pool keeps its last reading in its one memo slot: a second call
     with the same N and hbar returns the same object, and one with another
@@ -324,15 +327,33 @@ def sided_cells(sums: SideSums) -> tuple[np.ndarray, ...]:
 def length_totals(pool: CompositionMultiset, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Fragments and their ones total at each length 1..N, both sides together.
 
-    Read straight off the count table; lengths past its end hold nothing.
+    Its readers are the one-sided sums of an attributed pool
+    (``one_sided_sum``) and of a split's prefix side
+    (``codec.sum_from_prefixes``).  Read straight off the count table;
+    lengths past its end hold nothing.  The pool keeps the two read-only
+    arrays in its memo slot, where ``hold_length_totals`` may have left
+    them already.
     """
     import numpy as np
 
-    rows = pool.counts[1 : N + 1, : N + 1]
-    fragments, ones = np.zeros((2, N), dtype=np.int64)
-    fragments[: len(rows)] = rows.sum(axis=1)
-    ones[: len(rows)] = rows @ np.arange(rows.shape[1])
-    return fragments, ones
+    def read() -> tuple[np.ndarray, np.ndarray]:
+        rows = pool.counts[1 : N + 1, : N + 1]
+        totals = np.zeros((2, N), dtype=np.int64)
+        totals[0, : len(rows)] = rows.sum(axis=1)
+        totals[1, : len(rows)] = rows @ np.arange(rows.shape[1])
+        totals.flags.writeable = False
+        return totals[0], totals[1]
+
+    return pool.memo(("totals", N), read)
+
+
+def hold_length_totals(
+    pool: CompositionMultiset, N: int, fragments: np.ndarray, ones: np.ndarray
+) -> None:
+    """Leave read-only totals of the pool, read elsewhere, for ``length_totals``
+    to return: ``codec.separate_pool`` hands its prefix side the prefix
+    rows of its ``side_sums`` reading, so they are not summed again."""
+    pool.memo(("totals", N), lambda: (fragments, ones))
 
 
 def mixture_order(pool: CompositionMultiset, N: int) -> int:

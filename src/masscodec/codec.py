@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
-from .channel import increments, length_totals, side_sums, sided_cells
+from .channel import hold_length_totals, increments, length_totals, side_sums, sided_cells
 from .core import (
     BitString,
     BitsLike,
@@ -293,7 +293,7 @@ class McCodebook:
         scatter-add of their cached fragment cells."""
         import numpy as np
 
-        sources = [BitString(s) for s in sources]
+        sources = [s if isinstance(s, BitString) else BitString(s) for s in sources]
         try:
             cells = [self._cells_by_origin[s] for s in sources]
         except KeyError as exc:
@@ -332,13 +332,14 @@ def separate_pool(
     The pool's ``side_sums`` makes that split: its ``fragments`` check that
     every length splits hbar + hbar, and both shares of ``sided_cells``, the
     one listing of the reading's cells, are scattered at once into the two
-    count tables.
+    count tables.  The prefix side keeps the reading's prefix totals as its
+    ``length_totals``.
     """
     sums = side_sums(pool, N, hbar)
     # a length splits exactly when tie filling leaves hbar on each side
-    bad = (sums.fragments != hbar).any(axis=0).nonzero()[0]
-    if bad.size:
-        length = int(bad[0]) + 1
+    unsplit = sums.fragments != hbar
+    if unsplit.any():
+        length = int(unsplit.any(axis=0).argmax()) + 1
         ones_list = pool.ones_at_length(length)
         if len(ones_list) != 2 * hbar:
             raise CountMismatch(
@@ -351,7 +352,9 @@ def separate_pool(
     sides = np.zeros((2, N + 1, N + 1), dtype=np.int64)
     sides[:, length, ones] = shares
     # each of the N lengths holds hbar fragments per side, as just checked
-    return CompositionMultiset._of(sides[0], hbar * N), CompositionMultiset._of(sides[1], hbar * N)
+    prefixes = CompositionMultiset._of(sides[0], hbar * N)
+    hold_length_totals(prefixes, N, sums.fragments[0], sums.ones[0])
+    return prefixes, CompositionMultiset._of(sides[1], hbar * N)
 
 
 def sum_from_prefixes(
@@ -360,7 +363,8 @@ def sum_from_prefixes(
     """Coordinate-wise integer sum of the mixture from a complete prefix pool.
 
     With n_i the total ones over the hbar length-i fragments, position i of
-    the sum is n_i - n_{i-1}.
+    the sum is n_i - n_{i-1}.  The totals are ``length_totals``, which the
+    prefix side of ``separate_pool`` already holds.
     """
     per_length, cumulative = length_totals(prefix_pool, N)
     full = per_length == hbar
@@ -378,7 +382,8 @@ def mixture_mod2_target(
 ) -> BitString:
     """The mod-2 sum of the source strings, read off a complete codeword sum."""
     syms = total.as_tuple()
-    if any(v != total.hbar for v in syms[: layout.lead]):
+    lead = syms[: layout.lead]
+    if lead.count(total.hbar) != len(lead):
         raise DecodeFailure("leading-run sums are not all hbar; pool inconsistent")
     flags = syms[layout.r_start : layout.r_start + layout.root]
     return BitString(unflip(syms[layout.u_start : layout.u_start + layout.m], flags, layout.pad))

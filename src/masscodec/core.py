@@ -556,14 +556,27 @@ def is_dyck(s: BitsLike) -> bool:
 
 
 def all_dyck_strings(n: int) -> tuple[BitString, ...]:
-    """All Dyck strings of even length n, in ascending lexicographic order."""
+    """All Dyck strings of even length n, in ascending lexicographic order.
+
+    Prefixes grow depth first, 0 before 1, so the strings come out in that
+    order; a prefix of length i is dropped as soon as it holds fewer than
+    ceil(i/2) ones or more than n/2, so every prefix kept ends in a string.
+    """
     if n % 2:
         raise OddLength(f"no Dyck strings of odd length {n}")
-    found = [
-        s
-        for s in (BitString.from_int(v, n) for v in range(2**n))
-        if is_dyck(s)
-    ]
+    if n < 1:
+        raise ValueError("empty bit string")
+    found = []
+
+    def grow(value: int, length: int, ones: int) -> None:
+        if length == n:
+            found.append(BitString._of(n, value))
+            return
+        for bit in (0, 1):
+            if (length + 2) // 2 <= ones + bit <= n // 2:
+                grow(value << 1 | bit, length + 1, ones + bit)
+
+    grow(0, 0, 0)
     return tuple(found)
 
 

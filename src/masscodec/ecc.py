@@ -55,8 +55,9 @@ answer is treated as a bug everywhere in the test-suite.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
@@ -128,6 +129,14 @@ def _pad_root_mult4(length: int) -> tuple[int, int]:
     return root * root, root
 
 
+@functools.cache  # one frozen layout per (n, z_len), shared by a book's codewords
+def _framed_layout(n: int, z_len: int) -> McLayout:
+    m, root = _pad_root_mult4(n)
+    lead = math.ceil(5 * root / 2) + 1
+    N = m + (17 * root) // 2 + z_len + 2
+    return McLayout(n=n, m=m, root=root, pad=m - n, lead=lead, z_len=z_len, N=N)
+
+
 def _frame(
     word: Sequence[int], origin: BitString, z_of: Callable[[BalancedPair], Sequence[int]]
 ) -> McCodeword:
@@ -136,18 +145,10 @@ def _frame(
     ``z_of(pair)`` gives the bits that z carries, each followed by its
     complement so z stays balanced; z may be empty.
     """
-    m, root = _pad_root_mult4(len(word))
+    m, _ = _pad_root_mult4(len(word))
     pair = block_balance(BitString.from_int(BitString(word).as_int, m))
     z = [v for b in z_of(pair) for v in (b, 1 - b)]
-    layout = McLayout(
-        n=len(word),
-        m=m,
-        root=root,
-        pad=m - len(word),
-        lead=math.ceil(5 * root / 2) + 1,
-        z_len=len(z),
-        N=m + (17 * root) // 2 + len(z) + 2,
-    )
+    layout = _framed_layout(len(word), len(z))
     parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
     bits = append_tails(layout.lead, parts, layout.N)
     return McCodeword(bits=bits, layout=layout, origin=origin)
@@ -211,7 +212,8 @@ def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> M
     """
     s = BitString(s)
     code = _one_step_code(len(s), t, code)
-    return replace(plain_encode(code.encode(s.bits)), origin=s)
+    framed = plain_encode(code.encode(s.bits))
+    return McCodeword(bits=framed.bits, layout=framed.layout, origin=s)
 
 
 def one_step_codebook(

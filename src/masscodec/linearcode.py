@@ -9,8 +9,9 @@ inverts codebook sums.  A matching mod-p variant supports syndrome
 protection over a prime field.
 
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
-it reduces binary parity-check matrices (p = 2) and, through one erasure
-solve, fills erased positions of binary words and of Z_p vectors alike.
+it reduces binary parity-check matrices not already in reduced form
+(p = 2) and, through one erasure solve, fills erased positions of binary
+words and of Z_p vectors alike.
 A complete binary word needs no solve: it is checked by its syndrome, the
 XOR of the packed columns of H at its ones.
 
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bhcode import DEFAULT_BUDGET, XorIndex, bundled_spec
+from .core import _FROM_ASCII
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -128,8 +130,6 @@ class LinearCode:
         self.n = H.shape[1]
         self.k = self.n - H.shape[0]
         self.info_positions = tuple(c for c in range(self.n) if c not in self.pivots)
-        # H is reduced: row r gives its pivot as _parity[r] . message mod 2
-        self._parity = H[:, list(self.info_positions)].astype(np.int64)
         # decode_errors has found no 1..2*_checked_half columns that XOR to zero
         self._checked_half = 0
         if self.k < 1 or d < 1:
@@ -137,8 +137,22 @@ class LinearCode:
 
     @classmethod
     def from_parity_check(cls, rows, d: int, name: str = "custom") -> "LinearCode":
+        """The code of H, reduced with pivots chosen from the right.
+
+        A matrix whose last r columns, read right to left, are a permutation
+        of the identity (every ``gf2m.cyclic_pcm`` table and every
+        ``hamming_code``) is already reduced: ``rref`` would only swap its
+        rows so that row i holds the 1 of column n-1-i, with pivots
+        n-1 ... n-r.  It is kept with its rows so ordered; any other matrix
+        goes through ``rref``.
+        """
         H = _as_matrix(rows)
-        reduced, pivots = rref(H, 2, column_order=range(H.shape[1] - 1, -1, -1))
+        r, n = H.shape
+        tail = H[:, n - r :][:, ::-1]
+        if 0 < r <= n and (tail.sum(axis=0) == 1).all() and (tail.sum(axis=1) == 1).all():
+            pivots = range(n - 1, n - r - 1, -1)
+            return cls(name=name, d=d, H=H[tail.argmax(axis=0)], pivots=pivots)
+        reduced, pivots = rref(H, 2, column_order=range(n - 1, -1, -1))
         return cls(name=name, d=d, H=reduced.astype(np.uint8), pivots=pivots)
 
     def __repr__(self) -> str:
@@ -152,18 +166,26 @@ class LinearCode:
     def error_capability(self) -> int:
         return (self.d - 1) // 2
 
+    @functools.cached_property
+    def _packed_rows(self) -> list[int]:
+        """The generator's rows, one int per information position, position p
+        as bit n-1-p; with pivots n-1 ... n-r, pivot row i is bit i."""
+        packed = np.packbits(self.generator, axis=1)  # big-endian, zero-padded on the right
+        pad = 8 * packed.shape[1] - self.n
+        return [int.from_bytes(row, "big") >> pad for row in packed.tolist()]
+
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Place the message on the information set and read off the parity.
 
-        H is reduced, so the pivot positions are H[:, info] . message mod 2.
+        H is reduced, so the pivot positions are H[:, info] . message mod 2:
+        the codeword is the XOR of the packed generator rows at the
+        message's ones, read out as n bits.
         """
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k={self.k}")
-        msg = np.array([int(bit) & 1 for bit in message], dtype=np.int64)
-        word = np.zeros(self.n, dtype=np.int64)
-        word[list(self.info_positions)] = msg
-        word[list(self.pivots)] = self._parity @ msg % 2
-        return tuple(word.tolist())
+        rows = itertools.compress(self._packed_rows, [int(bit) & 1 for bit in message])
+        word = functools.reduce(operator.xor, rows, 0)
+        return tuple(f"{word:0{self.n}b}".encode().translate(_FROM_ASCII))
 
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)
@@ -174,7 +196,7 @@ class LinearCode:
         information set and H[:, info] transposed on the pivots."""
         G = np.zeros((self.k, self.n), dtype=np.uint8)
         G[:, list(self.info_positions)] = np.eye(self.k, dtype=np.uint8)
-        G[:, list(self.pivots)] = self._parity.T
+        G[:, list(self.pivots)] = self.H[:, list(self.info_positions)].T
         return G
 
     def decode_erasures(self, word: Sequence[Optional[int]]) -> tuple[int, ...]:

@@ -1058,9 +1058,14 @@ def test_length_totals_match_side_sums_totals(scheme_books):
     cases += [(pool(["1100"]), 6, 1), (pool(["110100"]), 4, 1), (CompositionMultiset(), 3, 1)]
     for readout, N, hbar in cases:
         sums = side_sums(readout, N, hbar)
-        fragments, ones = length_totals(readout, N)
+        totals = length_totals(readout, N)
+        fragments, ones = totals
         assert fragments.tolist() == sums.fragments.sum(axis=0).tolist()
         assert ones.tolist() == sums.ones.sum(axis=0).tolist()
+        # kept in the memo slot, read-only, and read again for another N
+        assert length_totals(readout, N) is totals
+        assert not fragments.flags.writeable and not ones.flags.writeable
+        assert len(length_totals(readout, N + 1)[0]) == N + 1
 
 
 def _with_message(fn):
@@ -1100,6 +1105,11 @@ def _split_outcomes(book, trials: int, seed: int) -> list:
             if not isinstance(sides[0], str):
                 # the split's trusted totals: hbar fragments per side at each of n lengths
                 assert all(len(side) == side.counts.sum() == hbar * n for side in sides)
+                # the prefix side holds its reading's prefix totals, equal to a fresh count
+                handed = length_totals(sides[0], n)
+                fresh = length_totals(CompositionMultiset.from_counts(sides[0].counts), n)
+                assert np.shares_memory(handed[0], side_sums(readout, n, hbar).fragments)
+                assert [a.tolist() for a in handed] == [a.tolist() for a in fresh]
                 sides = [side.to_json_obj() for side in sides]
             out.append(sides)
             if n == N:

@@ -157,6 +157,19 @@ def test_all_dyck_strings_are_catalan_counted():
     assert len(all_dyck_strings(2)) == 1
     assert len(all_dyck_strings(4)) == 2
     assert len(all_dyck_strings(6)) == 5
+    assert len(all_dyck_strings(18)) == 4862
+
+
+def test_all_dyck_strings_match_the_exhaustive_filter():
+    """The referee tests every one of the 2^n strings, in ascending order."""
+    for n in range(2, 15, 2):
+        want = tuple(s for s in (BitString.from_int(v, n) for v in range(2**n)) if is_dyck(s))
+        assert all_dyck_strings(n) == want, n
+    for n in (1, 3, 13):
+        with pytest.raises(OddLength, match=f"no Dyck strings of odd length {n}"):
+            all_dyck_strings(n)
+    with pytest.raises(ValueError, match="empty bit string"):
+        all_dyck_strings(0)
 
 
 def test_multiset_canonical_serialization_round_trip():

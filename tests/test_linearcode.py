@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from masscodec.bhcode import bundled_spec
 from masscodec.errors import (
     ConfigError,
     DecodeFailure,
@@ -712,3 +713,98 @@ def test_a_weight_three_codeword_contradicts_a_declared_distance_of_seven():
     code = LinearCode.from_parity_check(["0001111", "0110011", "1010101"], 7)
     with pytest.raises(ConfigError, match="weight <= 2 share a syndrome, so d=7 is wrong"):
         code.decode_errors([0] * 7, 3)
+
+
+# ---------------------------------------------------------------------------
+# referees: rref on every matrix, and the generator product for encode
+
+
+def _code_by_rref(mat, d):
+    """The code of mat as ``from_parity_check`` built it before reduced tables were kept."""
+    H = np.array(mat, dtype=np.uint8) % 2
+    reduced, pivots = rref(H, 2, column_order=range(H.shape[1] - 1, -1, -1))
+    return LinearCode("referee", d, reduced.astype(np.uint8), pivots)
+
+
+def _reduced_tail_matrices(rng):
+    """Seeded matrices whose last r columns, read right to left, are the identity
+    or a row permutation of it, then the same with one extra 1 in the tail."""
+    kept, unreduced = [], []
+    for _ in range(60):
+        r, k = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        left = (rng.random((r, k)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        tail = np.eye(r, dtype=np.uint8)[:, ::-1]
+        mat = np.hstack([left, tail])
+        kept += [mat, mat[rng.permutation(r)]]
+        extra = mat[rng.permutation(r)]
+        zeros = np.argwhere(extra[:, k:] == 0)
+        if len(zeros):
+            row, col = zeros[int(rng.integers(len(zeros)))]
+            extra[row, k + col] = 1
+            unreduced.append(extra)
+    return kept, unreduced
+
+
+def test_from_parity_check_keeps_reduced_tables_as_rref_leaves_them(monkeypatch):
+    from masscodec import gf2m, linearcode
+
+    rng = np.random.default_rng(32)
+    kept, unreduced = _reduced_tail_matrices(rng)
+    cyclic = ("bch_63_16", "bch_31_21")  # the gf2m.cyclic_pcm tables
+    kept += [gf2m.TABLES[name][0]() for name in cyclic]
+    kept += [hamming_code(r).H for r in range(2, 7)]
+    others = [build() for name, (build, _) in gf2m.TABLES.items() if name not in cyclic]
+    # rank-deficient: a row repeated, a row that sums two others, a zero row
+    for _ in range(30):
+        mat = (rng.random((int(rng.integers(3, 7)), int(rng.integers(8, 14)))) < 0.5).astype(int)
+        mat[-1] = [mat[0], mat[0] ^ mat[1], 0 * mat[0]][int(rng.integers(3))]
+        unreduced.append(mat)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linearcode, "rref", counted)
+    for matrices, reductions in ((kept, 0), (unreduced, 1), (others, None)):
+        for mat in matrices:
+            calls.clear()
+            got = _outcome(LinearCode.from_parity_check, mat, 1)
+            assert reductions is None or len(calls) == reductions, mat
+            want = _outcome(_code_by_rref, mat, 1)
+            if isinstance(want, LinearCode):
+                assert got.H.dtype == want.H.dtype == np.uint8
+                assert np.array_equal(got.H, want.H), mat
+                assert (got.pivots, got.info_positions) == (want.pivots, want.info_positions)
+            else:
+                assert got == want
+    for name in gf2m.TABLES:
+        want = _code_by_rref(bundled_spec(name).rows, 1)
+        assert np.array_equal(bundled_code(name).H, want.H)
+        assert bundled_code(name).pivots == want.pivots
+    for r in range(2, 7):
+        assert hamming_code(r).pivots == tuple(range(2**r - 2, 2**r - 2 - r, -1))
+
+
+def _shipped_and_shortened_codes():
+    from masscodec import gf2m
+
+    full = [bundled_code(name) for name in gf2m.TABLES] + [hamming_code(r) for r in range(2, 7)]
+    codes = full + [trivial_code(5), single_parity(9)]
+    codes += [shortened(code, k) for code in full for k in {1, code.k // 2, code.k - 1} if k]
+    codes += [
+        shipped_code(k, need, errors)
+        for k in (1, 4, 11, 16)
+        for need, errors in ((0, False), (1, False), (2, False), (1, True), (2, True))
+    ]
+    return codes
+
+
+def test_encode_matches_the_generator_product():
+    rng = random.Random(32)
+    for code in _shipped_and_shortened_codes():
+        G = code.generator.astype(np.int64)
+        messages = [[1] * code.k] + [[rng.randrange(2) for _ in range(code.k)] for _ in range(25)]
+        for msg in messages:
+            want = tuple((np.array(msg) @ G % 2).tolist())
+            assert code.encode(msg) == want, (code.name, msg)
