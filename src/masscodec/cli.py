@@ -48,8 +48,11 @@ from .errors import (
     AmbiguousSolution,
     ConfigError,
     DecodeFailure,
+    DuplicateString,
     InconsistentPoolSize,
+    LengthMismatch,
     MasscodecError,
+    OddLength,
     SearchSpaceTooLarge,
     TooManyErasures,
     json_field,
@@ -63,10 +66,11 @@ EXIT_AMBIGUOUS = 3
 EXIT_DECODE = 4
 EXIT_BUDGET = 5
 
-# the first entry that matches an error decides its exit code
+# the first entry that matches an error decides its exit code; malformed input
+# strings are refused before any decode, so their errors are configuration errors
 _EXIT_CODES = (
     (SearchSpaceTooLarge, EXIT_BUDGET),
-    ((ConfigError, OSError, ValueError), EXIT_CONFIG),
+    ((ConfigError, OSError, ValueError, LengthMismatch, DuplicateString, OddLength), EXIT_CONFIG),
     (MasscodecError, EXIT_DECODE),
 )
 
@@ -159,6 +163,8 @@ def load_config(path: str):
         raise ConfigError("a config's 'strings' must be a nonempty list of binary strings")
     base = _base_codebook(h, matrix, strings)
     take = json_field(obj, "take", what, int, default=None)
+    if take is not None and take < 1:
+        raise ConfigError(f"a config's 'take' must be at least 1, got {take}")
     if matrix and take is not None:
         base = replace(base, strings=base.strings[:take])
     scheme_obj = obj.get("scheme", {"name": PLAIN})

@@ -153,7 +153,7 @@ def unflip(
 
 @dataclass(frozen=True)
 class McLayout:
-    """Segment table of a codeword: offsets are fixed by (n, z_len) alone."""
+    """Segment table of a book's codewords: offsets are fixed by (n, z_len) alone."""
 
     n: int  # source string length before padding
     m: int  # padded length (perfect square)
@@ -197,7 +197,7 @@ class McLayout:
         }
 
 
-@functools.cache  # one frozen layout per source length, shared by a book's codewords
+@functools.cache  # codec.encode asks once per string, bounds.construction_rate once per rate
 def plain_layout(n: int) -> McLayout:
     m, root = next_square(n)
     lead = math.ceil(5 * root / 2)
@@ -209,10 +209,9 @@ def plain_layout(n: int) -> McLayout:
 
 @dataclass(frozen=True)
 class McCodeword:
-    """A Dyck codeword together with its segment table and source string."""
+    """A Dyck codeword and its source string; the segment table is its book's."""
 
     bits: BitString
-    layout: Union[McLayout, IntegralLayout]
     origin: BitString
 
 
@@ -232,32 +231,30 @@ def append_tails(lead: int, parts: Sequence[BitString], N: int) -> BitString:
 
 
 def encode(s: BitsLike) -> McCodeword:
-    """Balance s and frame it as a Dyck codeword (layout independent of h)."""
+    """Balance s and frame it as a Dyck codeword of ``plain_layout(len(s))``."""
     s = BitString(s)
     layout = plain_layout(len(s))
     pair = block_balance(pad_to_square(s)[0])
-    bits = append_tails(layout.lead, (pair.r, pair.u), layout.N)
-    return McCodeword(bits=bits, layout=layout, origin=s)
+    return McCodeword(append_tails(layout.lead, (pair.r, pair.u), layout.N), s)
 
 
 @dataclass(frozen=True)
 class McCodebook:
-    """All codewords of a source codebook under one scheme and a shared layout.
+    """All codewords of a source codebook under one scheme and its one layout.
 
-    The plain codec is the scheme PLAIN with t = 0 and no codes; the
-    correction schemes of ``ecc`` build the same type around their codes.
+    Every codeword shares the book's segment table, so the layout is the
+    book's, computed once when the book is built.  The plain codec is the
+    scheme PLAIN with t = 0 and no codes; the correction schemes of ``ecc``
+    build the same type around their codes.
     """
 
     base: BhCodebook
     codewords: tuple[McCodeword, ...]
+    layout: Union[McLayout, IntegralLayout]
     scheme: str = PLAIN
     t: int = 0
     code_data: Union[LinearCode, ModpCode, None] = None
     code_flag: Optional[LinearCode] = None
-
-    @property
-    def layout(self) -> Union[McLayout, IntegralLayout]:
-        return self.codewords[0].layout
 
     @property
     def N(self) -> int:
@@ -307,7 +304,8 @@ class McCodebook:
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
-    return McCodebook(base=base, codewords=tuple(encode(s) for s in base.strings))
+    codewords = tuple(encode(s) for s in base.strings)
+    return McCodebook(base, codewords, plain_layout(base.n))
 
 
 def require_plain(codebook: McCodebook) -> None:
@@ -463,8 +461,8 @@ class BalanceReport:
 
 def balance_report(s: BitsLike) -> BalanceReport:
     cw = encode(s)
-    lay = cw.layout
-    padded, _ = pad_to_square(BitString(s))
+    lay = plain_layout(len(cw.origin))
+    padded, _ = pad_to_square(cw.origin)
     pair = block_balance(padded)
     profile = pair.u.rds_profile()
     boundary = max(

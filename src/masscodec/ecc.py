@@ -34,20 +34,21 @@ and payload segments live inside Z_p, so Z_p syndromes of those sums --
 shipped as pairwise-complemented binary expansions -- can re-fill erased
 sum positions before any mod-2 reduction happens.
 
-Each scheme picks and checks its codes in one place, which both its
-encoder and its codebook builder call: ``_one_step_code``,
-``_two_step_codes``, ``_integral_code`` and ``_modp_code`` (the default
-Z_p code depends on h, so ``one_step_modp_codebook`` picks it).  The
-binary ones share ``_require``, the check of dimension and capability,
-and two-step and integral take their default codes from
-``linearcode.shipped_code``, the one chooser of shipped codes.
-The two schemes with a z segment frame their codewords with ``_frame``,
-and one-step and two-step decode their payload in ``_payload_sources``.
+Each scheme's codebook builder is its encoder, and it works in one pass:
+it picks and checks its codes once (``_one_step_code``,
+``_two_step_codes``, ``_integral_code`` and ``_modp_code``; the default
+Z_p code depends on h, so ``one_step_modp_codebook`` picks it), computes
+the book's one layout from them, and frames every string under it.  The
+binary code checks share ``_require``, the check of dimension and
+capability, and two-step and integral take their default codes from
+``linearcode.shipped_code``, the one chooser of shipped codes.  One-step,
+two-step and mod-p frame their codewords with ``_frame``, and one-step
+and two-step decode their payload in ``_payload_sources``.
 
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
-too: the scheme name, t and the codes ride on the book, and the layout on
-its codewords.  The plain codec is the scheme PLAIN with t = 0 and no
-codes, so ``scheme_codebook`` and ``scheme_decode`` serve it as well.
+too: the scheme name, t, the codes and the layout ride on the book.  The
+plain codec is the scheme PLAIN with t = 0 and no codes, so
+``scheme_codebook`` and ``scheme_decode`` serve it as well.
 
 Decoders either return the exact source set or raise; a silent wrong
 answer is treated as a bug everywhere in the test-suite.
@@ -55,7 +56,6 @@ answer is treated as a bug everywhere in the test-suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -73,9 +73,9 @@ from .codec import (
     decode_mixture,
     encode_codebook,
     next_square,
+    plain_layout,
     unflip,
 )
-from .codec import encode as plain_encode
 from .core import BitString, BitsLike, CompositionMultiset
 from .errors import (
     CapabilityTooSmall,
@@ -129,7 +129,6 @@ def _pad_root_mult4(length: int) -> tuple[int, int]:
     return root * root, root
 
 
-@functools.cache  # one frozen layout per (n, z_len), shared by a book's codewords
 def _framed_layout(n: int, z_len: int) -> McLayout:
     m, root = _pad_root_mult4(n)
     lead = math.ceil(5 * root / 2) + 1
@@ -138,20 +137,20 @@ def _framed_layout(n: int, z_len: int) -> McLayout:
 
 
 def _frame(
-    word: Sequence[int], origin: BitString, z_of: Callable[[BalancedPair], Sequence[int]]
+    layout: McLayout,
+    word: BitsLike,
+    origin: BitString,
+    z_of: Callable[[BalancedPair], Sequence[int]],
 ) -> McCodeword:
-    """Balance word padded to _pad_root_mult4 and frame it with z after the flags.
+    """Balance word padded to the book's m and frame it with z after the flags.
 
     ``z_of(pair)`` gives the bits that z carries, each followed by its
-    complement so z stays balanced; z may be empty.
+    complement so z stays balanced; z is empty where the layout has none.
     """
-    m, _ = _pad_root_mult4(len(word))
-    pair = block_balance(BitString.from_int(BitString(word).as_int, m))
+    pair = block_balance(BitString.from_int(BitString(word).as_int, layout.m))
     z = [v for b in z_of(pair) for v in (b, 1 - b)]
-    layout = _framed_layout(len(word), len(z))
     parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
-    bits = append_tails(layout.lead, parts, layout.N)
-    return McCodeword(bits=bits, layout=layout, origin=origin)
+    return McCodeword(append_tails(layout.lead, parts, layout.N), origin)
 
 
 def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]:
@@ -205,23 +204,19 @@ def _one_step_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
     return _require(code, k, one_step_requirement(m, t), "payload")
 
 
-def one_step_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
-    """Erasure-encode s, then balance into a Dyck codeword.
-
-    With t = 0 and no code given this is exactly the plain codec.
-    """
-    s = BitString(s)
-    code = _one_step_code(len(s), t, code)
-    framed = plain_encode(code.encode(s.bits))
-    return McCodeword(bits=framed.bits, layout=framed.layout, origin=s)
-
-
 def one_step_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
+    """Erasure-encode each s, then balance it into a plain Dyck codeword.
+
+    With t = 0 and no code given this is exactly the plain codec.
+    """
     code = _one_step_code(base.n, t, code)
-    codewords = tuple(one_step_encode(s, t, code) for s in base.strings)
-    return McCodebook(base, codewords, scheme=ONE_STEP, t=t, code_data=code)
+    layout = plain_layout(code.n)
+    codewords = tuple(
+        _frame(layout, code.encode(s.bits), s, lambda pair: ()) for s in base.strings
+    )
+    return McCodebook(base, codewords, layout, scheme=ONE_STEP, t=t, code_data=code)
 
 
 def one_step_decode(
@@ -268,20 +263,6 @@ def _two_step_codes(
     return code_data, _require(code_flag, root, need, "flag", substitutions)
 
 
-def two_step_encode(
-    s: BitsLike,
-    t: int,
-    code_data: Optional[LinearCode] = None,
-    code_flag: Optional[LinearCode] = None,
-    substitutions: bool = False,
-) -> McCodeword:
-    """Protect the payload and the flag string separately (see _two_step_codes)."""
-    s = BitString(s)
-    code_data, code_flag = _two_step_codes(len(s), t, code_data, code_flag, substitutions)
-    word = code_data.encode(s.bits)
-    return _frame(word, s, lambda pair: code_flag.encode(pair.r.bits)[code_flag.k :])
-
-
 def two_step_codebook(
     base: BhCodebook,
     t: int,
@@ -289,12 +270,16 @@ def two_step_codebook(
     code_flag: Optional[LinearCode] = None,
     substitutions: bool = False,
 ) -> McCodebook:
+    """Protect the payload and the flag string separately (see _two_step_codes)."""
     code_data, code_flag = _two_step_codes(base.n, t, code_data, code_flag, substitutions)
-    codewords = tuple(
-        two_step_encode(s, t, code_data, code_flag, substitutions) for s in base.strings
-    )
+    layout = _framed_layout(code_data.n, 2 * (code_flag.n - code_flag.k))
+
+    def z_of(pair: BalancedPair) -> Sequence[int]:
+        return code_flag.encode(pair.r.bits)[code_flag.k :]
+
+    codewords = tuple(_frame(layout, code_data.encode(s.bits), s, z_of) for s in base.strings)
     return McCodebook(
-        base, codewords, scheme=TWO_STEP, t=t, code_data=code_data, code_flag=code_flag
+        base, codewords, layout, scheme=TWO_STEP, t=t, code_data=code_data, code_flag=code_flag
     )
 
 
@@ -437,25 +422,19 @@ def _integral_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
     return _require(shipped_code(k, t // 2) if code is None else code, k, t // 2, "integral")
 
 
-def integral_encode(s: BitsLike, t: int, code: Optional[LinearCode] = None) -> McCodeword:
-    """Embed s and the balanced parities of I(s) behind a long 1-run."""
-    s = BitString(s)
-    code = _integral_code(len(s), t, code)
-    iw = integral(s)
-    word = code.encode(iw.bits)
-    r_prime = word[len(s) :]
-    packed = balance_redundancy(r_prime, iw.bits[-1]) if r_prime else None
-    lay = _integral_layout(len(s), len(packed) if packed else 0)
-    bits = append_tails(lay.lead, (s, packed) if packed else (s,), lay.N)
-    return McCodeword(bits=bits, layout=lay, origin=s)
-
-
 def integral_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
+    """Embed each s and the balanced parities of I(s) behind a long 1-run."""
     code = _integral_code(base.n, t, code)
-    codewords = tuple(integral_encode(s, t, code) for s in base.strings)
-    return McCodebook(base, codewords, scheme=INTEGRAL, t=t, code_data=code)
+    layout = _integral_layout(base.n, 2 * (code.n - code.k))
+    codewords = []
+    for s in base.strings:
+        iw = integral(s).bits
+        r_prime = code.encode(iw)[code.k :]
+        parts = (s, balance_redundancy(r_prime, iw[-1])) if r_prime else (s,)
+        codewords.append(McCodeword(append_tails(layout.lead, parts, layout.N), s))
+    return McCodebook(base, tuple(codewords), layout, scheme=INTEGRAL, t=t, code_data=code)
 
 
 def integral_decode(
@@ -509,33 +488,28 @@ def _modp_code(k: int, t: int, pcode: ModpCode) -> ModpCode:
     return pcode
 
 
-def one_step_modp_encode(s: BitsLike, t: int, pcode: ModpCode) -> McCodeword:
-    """Balance s, then append Z_p syndromes of (flags, payload) as z.
+def one_step_modp_codebook(
+    base: BhCodebook, t: int, pcode: Optional[ModpCode] = None
+) -> McCodebook:
+    """Balance each s, then append Z_p syndromes of (flags, payload) as z.
 
     The syndromes are binary-expanded and pairwise complemented, so the
     integer sums of the z segment reveal the syndrome of the integer sums
     of (flags, payload) -- no mod-2 reduction needed before solving.
     """
-    s = BitString(s)
-    pcode = _modp_code(len(s), t, pcode)
+    if pcode is None:
+        m, root = _pad_root_mult4(base.n)
+        pcode = modp_code(_next_prime(base.h + 1), root + m)
+    pcode = _modp_code(base.n, t, pcode)
     g = _symbol_bits(pcode.p)
+    layout = _framed_layout(base.n, 2 * pcode.n_rows * g)
 
     def z_of(pair: BalancedPair) -> list[int]:
         syndrome = pcode.syndrome(pair.r.bits + pair.u.bits)
         return [(sym >> (g - 1 - b)) & 1 for sym in syndrome for b in range(g)]
 
-    return _frame(s.bits, s, z_of)
-
-
-def one_step_modp_codebook(
-    base: BhCodebook, t: int, pcode: Optional[ModpCode] = None
-) -> McCodebook:
-    if pcode is None:
-        m, root = _pad_root_mult4(base.n)
-        pcode = modp_code(_next_prime(base.h + 1), root + m)
-    pcode = _modp_code(base.n, t, pcode)
-    codewords = tuple(one_step_modp_encode(s, t, pcode) for s in base.strings)
-    return McCodebook(base, codewords, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
+    codewords = tuple(_frame(layout, s, s, z_of) for s in base.strings)
+    return McCodebook(base, codewords, layout, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
 
 
 def one_step_modp_decode(

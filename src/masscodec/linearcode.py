@@ -413,11 +413,25 @@ class ModpCode:
         self.n = H.shape[1]
         self.n_rows = H.shape[0]
 
+    @functools.cached_property
+    def _packed_columns(self) -> tuple[int, list[int]]:
+        """A field width W and H's columns as ints, entry j in the W bits at W*j.
+
+        W holds n*(p-1)^2, the largest row sum of reduced entries, so a
+        weighted sum of columns never carries from one field into the next."""
+        width = (self.n * (self.p - 1) ** 2).bit_length()
+        columns = [sum(d << width * j for j, d in enumerate(c)) for c in self.H.T.tolist()]
+        return width, columns
+
     def syndrome(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """H.vec mod p: the columns weighted by the reduced entries, summed as ints."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} != n={self.n}")
-        v = np.array([int(x) % self.p for x in vec], dtype=np.int64)
-        return tuple(int(x) for x in (self.H @ v) % self.p)
+        width, columns = self._packed_columns
+        p = self.p
+        total = sum(map(operator.mul, columns, [int(x) % p for x in vec]))
+        field = (1 << width) - 1
+        return tuple([(total >> width * j & field) % p for j in range(self.n_rows)])
 
     def solve_erasures(
         self,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from masscodec.bhcode import bundled_spec
 from masscodec.cli import main
 from masscodec.core import pool
 from masscodec.linearcode import bundled_code, shortened
@@ -632,11 +633,11 @@ def test_search_refuses_h_zero_before_searching(ws, capsys, monkeypatch):
 
 # a strings file to verify is a codebook too; each of these was reported valid
 NOT_A_CODEBOOK = {
-    "h-zero": ("110100\n101010\n", 0, 2, "a codebook needs h >= 1, got 0"),
-    "empty": ("", 2, 2, "an explicit codebook needs at least one string"),
-    "duplicate": ("110100\n110100\n", 2, 4, "codebook strings must be pairwise distinct"),
+    "h-zero": ("110100\n101010\n", 0, "a codebook needs h >= 1, got 0"),
+    "empty": ("", 2, "an explicit codebook needs at least one string"),
+    "duplicate": ("110100\n110100\n", 2, "codebook strings must be pairwise distinct"),
     "unequal-lengths": (
-        "110100\n1101\n", 2, 4, "codebook strings must all have the declared length"
+        "110100\n1101\n", 2, "codebook strings must all have the declared length"
     ),
 }
 
@@ -644,10 +645,64 @@ NOT_A_CODEBOOK = {
 @pytest.mark.parametrize("case", sorted(NOT_A_CODEBOOK))
 @pytest.mark.parametrize("prop", ["bh", "hmc"])
 def test_verify_refuses_a_strings_file_that_is_no_codebook(ws, capsys, case, prop):
-    text, h, code, message = NOT_A_CODEBOOK[case]
+    text, h, message = NOT_A_CODEBOOK[case]
     (ws / "s.txt").write_text(text)
-    assert run("verify", ws / "s.txt", "--h", h, "--property", prop, "-o", ws / "v.json") == code
+    assert run("verify", ws / "s.txt", "--h", h, "--property", prop, "-o", ws / "v.json") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# malformed strings are bad input, not failed decodes: each of these exited 4
+MALFORMED_STRINGS = {
+    "pool-unequal-lengths": (
+        ("pool", "w.json"), {"w.json": ["1100", "110100"]},
+        "pooled strings must share length 4, got 6",
+    ),
+    "pool-repeated-codeword": (
+        ("pool", "w.json"), {"w.json": {"codewords": ["110100", "110100"]}},
+        "pooled strings must be pairwise distinct",
+    ),
+    "encode-repeated-strings": (
+        ("encode", "s.txt", "--config", "cfg.json"),
+        {"cfg.json": {"h": 2, "strings": ["110100", "110100", "101010"]}},
+        "codebook strings must be pairwise distinct",
+    ),
+    "encode-raw-odd-length": (
+        ("encode", "s.txt", "--config", "cfg.json"),
+        {"cfg.json": {"h": 2, "strings": ["110", "101"], "scheme": "raw"}},
+        "Dyck property needs even length, got 3",
+    ),
+    "decode-raw-odd-length": (
+        ("decode", "p.json", "--config", "cfg.json"),
+        {"p.json": VALID_POOL, "cfg.json": {"h": 2, "strings": ["110", "101"], "scheme": "raw"}},
+        "Dyck property needs even length, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STRINGS))
+def test_malformed_strings_exit_2(ws, capsys, case):
+    argv, files, message = MALFORMED_STRINGS[case]
+    (ws / "s.txt").write_text("")
+    for name, obj in files.items():
+        (ws / name).write_text(json.dumps(obj))
+    # every argument with a dot is a file in the workspace
+    assert run(*(ws / a if "." in a else a for a in argv), "-o", ws / "out.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "out.json").exists()
+
+
+@pytest.mark.parametrize("take", [0, -3])
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_take_below_one_exits_2(ws, capsys, take, command):
+    # take 0 built an empty book, whose layout raised IndexError; take -3 kept 17 of 20
+    config = {"h": 2, "matrix": "bundled:bch_255_cols20", "take": take}
+    (ws / "cfg.json").write_text(json.dumps(config))
+    first = str(bundled_spec("bch_255_cols20").columns()[0])
+    (ws / "s.txt").write_text("" if take == 0 else first + "\n")
+    (ws / "p.json").write_text(json.dumps(VALID_POOL))
+    source = ws / ("s.txt" if command == "encode" else "p.json")
+    assert run(command, source, "--config", ws / "cfg.json", "-o", ws / "out.json") == 2
+    assert capsys.readouterr().err == f"error: a config's 'take' must be at least 1, got {take}\n"
 
 
 def test_budget_reaches_experiment(ws):

@@ -157,7 +157,7 @@ def test_padding_policy():
 def test_encode_hand_assembled_example():
     cw = encode("0111")
     assert str(cw.bits) == "11111" + "01" + "0100" + "1111" + "0000000"
-    assert cw.layout.N == 22
+    assert plain_layout(4).N == len(cw.bits) == 22
     assert cw.bits.weight() == 11
     assert is_dyck(cw.bits)
 
@@ -166,7 +166,7 @@ def test_encode_length_formula_n16():
     rng = random.Random(0)
     s = BitString.random(16, rng)
     cw = encode(s)
-    assert cw.layout.N == 50
+    assert plain_layout(16).N == len(cw.bits) == 50
     assert cw.bits.weight() == 25
 
 

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from masscodec import ecc
+from masscodec.bhcode import BhCodebook
 from masscodec.channel import Removal, erase, sample_erasure_pattern, substitute_mass_reducing
 from masscodec.codec import decode_mixture
 from masscodec.codec import encode as plain_encode
+from masscodec.codec import plain_layout
 from masscodec.core import BitString, is_dyck, pool
 from masscodec.errors import (
     CapabilityTooSmall,
@@ -74,9 +76,16 @@ def test_integral_symbol_is_prefix_weight_parity():
             assert iw[i - 1] == s.prefix(i).weight() % 2
 
 
+def _one_string_book(n):
+    """The all-zero string of length n as an order-2 book of its own."""
+    return BhCodebook.explicit([BitString.from_int(0, n)], 2)
+
+
 def test_one_step_t0_is_plain_encoding():
     s = BitString("0111")
-    assert ecc.one_step_encode(s, 0).bits == plain_encode(s).bits
+    book = ecc.one_step_codebook(BhCodebook.explicit([s], 2), 0)
+    assert book.codewords[0].bits == plain_encode(s).bits
+    assert book.layout == plain_layout(4)
 
 
 def test_one_step_t0_with_a_given_code_round_trips(b2_n16_codebook):
@@ -97,14 +106,14 @@ def test_one_step_capability_gate():
 
     with pytest.raises(CapabilityTooSmall):
         # t=3 needs 3*(8+1)=27 erasures; the shipped code absorbs 22
-        ecc.one_step_encode(BitString.from_int(0, 16), 3, code=bundled_code("bch_63_16"))
+        ecc.one_step_codebook(_one_string_book(16), 3, code=bundled_code("bch_63_16"))
     with pytest.raises(ConfigError):
-        ecc.one_step_encode(BitString.from_int(0, 9), 1)  # no shipped code for k=9
+        ecc.one_step_codebook(_one_string_book(9), 1)  # no shipped code for k=9
 
 
 def test_two_step_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
-        ecc.two_step_encode(BitString.from_int(0, 16), 2, code_data=single_parity(16))
+        ecc.two_step_codebook(_one_string_book(16), 2, code_data=single_parity(16))
     with pytest.raises(ConfigError):  # the payload code must have k = 16
         ecc.two_step_codebook(b2_n16_codebook, 1, code_data=shipped_code(8, 1))
     with pytest.raises(ConfigError):  # the flag code must have k = root = 8
@@ -113,7 +122,7 @@ def test_two_step_capability_gate(b2_n16_codebook):
 
 def test_integral_capability_gate(b2_n16_codebook):
     with pytest.raises(CapabilityTooSmall):
-        ecc.integral_encode(BitString.from_int(0, 16), 4, code=single_parity(16))
+        ecc.integral_codebook(_one_string_book(16), 4, code=single_parity(16))
     with pytest.raises(ConfigError):  # the code on I(s) must have k = 16
         ecc.integral_codebook(b2_n16_codebook, 2, shipped_code(8, 1))
 
@@ -418,7 +427,7 @@ def _book_digest(book) -> str:
     digest = hashlib.sha256()
     for cw in book.codewords:
         digest.update(str(cw.bits).encode())
-        digest.update(json.dumps(cw.layout.to_json_obj(), sort_keys=True).encode())
+        digest.update(json.dumps(book.layout.to_json_obj(), sort_keys=True).encode())
     return digest.hexdigest()
 
 

@@ -265,6 +265,21 @@ def test_modp_with_dropped_syndrome_rows():
     assert pc.solve_erasures(received, syn) == tuple(vec)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_modp_packed_syndrome_matches_the_matrix_product(p):
+    # referee: the numpy product that the packed column sums replaced
+    rng = random.Random(p)
+    codes = [modp_code(p, n) for n in (1, 7, 20, 40)]
+    # a random H with entries outside 0..p-1, reduced by the constructor, and 6 rows
+    H = np.array([[rng.randrange(-9, 10) for _ in range(13)] for _ in range(6)])
+    codes.append(ModpCode(p, H, 2))
+    for pc in codes:
+        for _ in range(50):
+            vec = [rng.randrange(-3 * p, 3 * p) for _ in range(pc.n)]
+            assert pc.syndrome(vec) == tuple(int(x) for x in pc.H @ np.array(vec) % p), vec
+        assert pc.syndrome([p - 1] * pc.n) == tuple(int(x) for x in pc.H.sum(axis=1) * (p - 1) % p)
+
+
 def test_modp_unmeetable_syndrome_is_a_decode_failure():
     pc = modp_code(3, 20)
     vec = [1, 2, 0, 1] * 5
