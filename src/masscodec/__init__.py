@@ -21,12 +21,10 @@ from .bhcode import (
     verify_bh,
 )
 from .channel import (
-    Ambiguous,
     BurstReport,
     Correction,
     DetectionReport,
     ErasurePattern,
-    Recovered,
     Removal,
     burst_report,
     count_correctable_multi,
@@ -35,18 +33,20 @@ from .channel import (
     erase,
     merge_partials,
     partial_sum_strings,
-    reconstruct_redundancy_free,
     substitute_mass_reducing,
 )
 from .codec import (
+    Ambiguous,
     BalancedPair,
     McCodebook,
     McCodeword,
     McLayout,
+    Recovered,
     block_balance,
     decode_mixture,
     encode,
     encode_codebook,
+    reconstruct_redundancy_free,
     separate_pool,
     sum_from_prefixes,
     unbalance,

@@ -8,8 +8,8 @@ opposite ends, which gives a free layer of protection: a position is lost
 only where erasure bursts from the two sides overlap, and a single lost
 position can still be pinned through the known total weight.
 ``merged_sums`` is the one two-sided reading: it merges the sides and
-applies that weight anchor, and every erasure decoder and the
-redundancy-free path read a pool through it (``merged_counts`` too).
+applies that weight anchor, and every erasure decoder reads a pool
+through it (``merged_counts`` too).
 
 A mass-reducing substitution instead reports a fragment lighter than it
 was.  Counts per length stay intact when the corrupted fragment stays on
@@ -18,36 +18,27 @@ either way the corruption shows up as out-of-range sum increments, as
 per-length count surpluses/deficits, or as prefix/suffix fragments whose
 weights cannot be complementary.  Detection is always possible, pinning
 the correction is not, and the report below keeps those outcomes apart.
+
+This module is the readout model alone.  Turning a reading into sources is
+the decoders' work, ``codec`` for plain books (clean or erased) and ``ecc``
+for the correction schemes, and this module imports neither.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .bhcode import BhCodebook, DEFAULT_BUDGET, XorIndex, invert_sum
-from .core import (
-    BitString,
-    Composition,
-    CompositionMultiset,
-    PartialSumString,
-    all_dyck_strings,
-    is_dyck,
-    pool as make_pool,
-)
+from .core import BitString, Composition, CompositionMultiset, PartialSumString
 from .errors import (
-    ConfigError,
     Conflict,
     LengthMismatch,
-    MasscodecError,
     NegativeIncrement,
     NotMassReducing,
     PatternNotPresent,
-    SearchSpaceTooLarge,
     json_field,
 )
 
@@ -234,15 +225,15 @@ def side_sums(pool: CompositionMultiset, N: int, hbar: int) -> SideSums:
     """Per-length, per-side fragment counts, ones totals and certainty.
 
     This is the one reading of counts into sums.  Its readers are the
-    two-sided partial sums (``partial_sum_strings``, so ``merged_sums``),
-    the raw side sums, and through ``sided_cells``, the one listing of its
-    cells, substitution detection and the codec's clean-pool split
-    (``codec.separate_pool``); all of them that want sum symbols take them
-    from ``increments``.  The one-sided sums of an attributed pool read
-    ``length_totals`` instead, and the split hands its prefix side the
-    prefix rows of ``fragments`` and ``ones`` as that side's
-    ``length_totals`` (``hold_length_totals``), so the codec's prefix sum
-    reads no table again.  Lengths past N are ignored.  The count table is
+    two-sided partial sums (``partial_sum_strings``, so ``merged_sums`` and
+    every decoder of an erased pool), the raw side sums, and through
+    ``sided_cells``, the one listing of its cells, substitution detection
+    and the codec's clean-pool split (``codec.separate_pool``); all of them
+    that want sum symbols take them from ``increments``.  The one-sided
+    sums of an attributed pool read ``length_totals`` instead, and the
+    split hands its prefix side the prefix rows of ``fragments`` and
+    ``ones`` as that side's ``length_totals`` (``hold_length_totals``), so
+    the codec's prefix sum reads no table again.  Lengths past N are ignored.  The count table is
     scanned once, in place, for its nonzero cells, and a plan cached per
     table size and N gives each cell's slot; after that the work is
     proportional to the number of distinct fragments.
@@ -441,7 +432,7 @@ def raw_side_sums(
 
 
 # ---------------------------------------------------------------------------
-# bursts, overlaps, and redundancy-free reconstruction
+# bursts, overlaps, and the two-sided merge
 
 
 @dataclass(frozen=True)
@@ -473,23 +464,6 @@ def burst_report(p: PartialSumString, s: PartialSumString) -> BurstReport:
             if hi > lo:
                 overlaps.append(hi - lo)
     return BurstReport(pb, sb, tuple(overlaps))
-
-
-@dataclass(frozen=True)
-class Recovered:
-    """Successful redundancy-free reconstruction."""
-
-    sum: PartialSumString
-    strings: Optional[frozenset[BitString]] = None
-
-
-@dataclass(frozen=True)
-class Ambiguous:
-    """The pool is consistent with more than one explanation.  ``witnesses``
-    is None when no universe was searched or the search went over its budget."""
-
-    partial: PartialSumString
-    witnesses: Optional[tuple[frozenset[BitString], ...]] = None
 
 
 def _erased(symbols: tuple) -> list[int]:
@@ -552,10 +526,11 @@ def merge_partials(
 def merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> PartialSumString:
     """The mixture sum read from both sides of the pool and weight-anchored.
 
-    This is the one two-sided reading: every erasure decoder and the
-    redundancy-free path read a pool through it.  Every codeword is a Dyck
-    string of length N, so it holds N/2 ones and a mixture of hbar of them
-    weighs hbar*N/2; that is the total weight the merge fills from.
+    This is the one two-sided reading.  Its readers are the erasure decoders
+    of ``ecc`` (integral through ``merged_counts``) and the codec's erased
+    plain decode, ``codec.reconstruct_redundancy_free``.  Every codeword is
+    a Dyck string of length N, so it holds N/2 ones and a mixture of hbar of
+    them weighs hbar*N/2; that is the total weight the merge fills from.
     """
     return merge_partials(*partial_sum_strings(pool, N, hbar), hbar * N // 2)
 
@@ -582,85 +557,6 @@ def merged_counts(pool: CompositionMultiset, N: int, hbar: int) -> list[Optional
     ]
 
 
-def reconstruct_redundancy_free(
-    pool: CompositionMultiset,
-    N: int,
-    hbar: int,
-    codebook=None,
-    budget: int = DEFAULT_BUDGET,
-) -> Union[Recovered, Ambiguous]:
-    """Reconstruct a mixture sum from an erased pool without coding redundancy.
-
-    The two-sided merge always succeeds when the erasure bursts of the two
-    sides do not overlap, or overlap once in a single position; the weight
-    anchor can settle a little more (all-zero and all-max deficits).  On
-    ambiguity the witnesses are the codebook subsets (all Dyck strings with no
-    book and hbar 1) found by the one subset search and checked against the
-    readout.
-
-    The codebook may be a plain distinct-sums codebook of Dyck strings
-    (sources are found by inverting the integer sum) or a plain mixture
-    codebook (sources come from the balanced mod-2 pipeline); a book of a
-    correction scheme raises UnsupportedCodebook.
-    """
-    merged = merged_sums(pool, N, hbar)
-    if not merged.complete:
-        witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
-        return Ambiguous(partial=merged, witnesses=witnesses)
-    strings: Optional[frozenset[BitString]] = None
-    if codebook is not None:
-        strings = _invert_recovered(pool, merged, codebook, hbar, budget)
-    elif hbar == 1:
-        strings = frozenset({merged.to_bitstring()})
-    return Recovered(sum=merged, strings=strings)
-
-
-def _invert_recovered(
-    pool: CompositionMultiset, total: PartialSumString, codebook, hbar: int, budget: int
-) -> frozenset[BitString]:
-    from .codec import McCodebook, invert_plain, mixture_mod2_target, require_plain
-
-    if isinstance(codebook, McCodebook):
-        require_plain(codebook)
-        target = mixture_mod2_target(total, codebook.layout)
-        return invert_plain(pool, codebook, target, hbar, budget)
-    return frozenset(invert_sum(codebook, total.as_tuple(), hbar, budget))
-
-
-def _consistency_witnesses(
-    pool: CompositionMultiset,
-    merged: PartialSumString,
-    hbar: int,
-    codebook,
-    budget: int,
-) -> Optional[tuple[frozenset[BitString], ...]]:
-    """The universe's hbar-subsets that explain the readout, found by the one
-    subset search and checked against the readout; None past its budget."""
-    from .codec import McCodebook, require_plain
-
-    # each string of the universe, mapped to the source string it encodes
-    if isinstance(codebook, McCodebook):
-        require_plain(codebook)
-        origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
-    elif codebook is not None:
-        origin_of = {s: s for s in codebook.strings}
-    elif hbar == 1 and 2 ** len(merged) <= budget:
-        # the codeword universe of this model
-        origin_of = {s: s for s in all_dyck_strings(len(merged))}
-    else:
-        return None
-    words = sorted(origin_of)
-    # hbar strings whose pool holds the readout sum to every known symbol, so none is missed
-    known = [(len(merged) - 1 - i, v) for i, v in enumerate(merged.symbols) if v is not None]
-    mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
-    try:
-        found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
-    except SearchSpaceTooLarge:
-        return None
-    held = (sub for sub in found if pool.is_submultiset(make_pool(words[i] for i in sub)))
-    return tuple(frozenset(origin_of[words[i]] for i in sub) for sub in held)
-
-
 # ---------------------------------------------------------------------------
 # substitution detection
 
@@ -673,6 +569,10 @@ class Correction:
     length: int
     observed: Composition
     restored: Composition
+
+    def to_json_obj(self) -> dict:
+        observed, restored = str(self.observed), str(self.restored)
+        return {"side": self.side, "len": self.length, "observed": observed, "restored": restored}
 
 
 @dataclass(frozen=True)
@@ -702,6 +602,20 @@ class DetectionReport:
     @property
     def unique_correction(self) -> Optional[Correction]:
         return self.corrections[0] if len(self.corrections) == 1 else None
+
+    def to_json_obj(self) -> dict:
+        """The report's anomalies, candidate sums and repairs; the per-side sums
+        and the recovered sum are left out."""
+        return {
+            "clean": self.is_clean,
+            "prefix_count_dev": list(self.prefix_count_dev),
+            "suffix_count_dev": list(self.suffix_count_dev),
+            "prefix_bad_increments": list(self.prefix_bad_increments),
+            "suffix_bad_increments": list(self.suffix_bad_increments),
+            "incompatible_lengths": list(self.incompatible_lengths),
+            "candidate_sums": [str(s) for s in self.candidate_sums],
+            "corrections": [c.to_json_obj() for c in self.corrections],
+        }
 
 
 def apply_correction(
@@ -865,7 +779,7 @@ def count_correctable_multi(n: int, t: int, h: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# seeded experiments
+# seeded erasure sampler
 
 
 def sample_erasure_pattern(
@@ -914,68 +828,3 @@ def sample_erasure_pattern(
         return Removal(SUFFIX, at - n + 1, 1, s.suffix(at - n + 1).weight())
 
     return ErasurePattern(tuple(map(removal, picks)))
-
-
-def run_erasure_experiment(
-    codebook: BhCodebook,
-    hbar: int,
-    t: int,
-    trials: int,
-    seed: int,
-    placement: str = "uniform",
-    budget: int = DEFAULT_BUDGET,
-) -> list[dict]:
-    """Monte-Carlo erasure trials; one outcome row per trial.
-
-    Codebooks whose strings are not already Dyck are run through the
-    mixture encoder first (weight separation is meaningless otherwise).
-    Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``,
-    ``conflict`` (side disagreement), ``error`` (any other typed decoder
-    error; the row's ``reason`` holds its class name), and ``wrong``
-    (recovered but not the truth -- must never happen; kept so silence
-    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C|, a t
-    outside 0..2N*hbar, the size of the pool, and a negative trial count.
-    """
-    if not 1 <= hbar <= len(codebook):
-        raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
-    if trials < 0:
-        raise ConfigError(f"an experiment needs trials >= 0, got trials={trials}")
-    raw = all(len(s) % 2 == 0 and is_dyck(s) for s in codebook.strings)
-    if raw:
-        decode_book = codebook
-        word_of = {s: s for s in codebook.strings}
-        N = codebook.n
-    else:
-        from .codec import encode_codebook
-
-        decode_book = encode_codebook(codebook)
-        word_of = {cw.origin: cw.bits for cw in decode_book.codewords}
-        N = decode_book.N
-    if not 0 <= t <= 2 * N * hbar:
-        raise ConfigError(f"an experiment needs 0 <= t <= {2 * N * hbar}, got t={t}")
-    rows = []
-    for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        subset = tuple(sorted(rng.sample(list(codebook.strings), hbar)))
-        words = [word_of[s] for s in subset]
-        clean = make_pool(words)
-        pattern = sample_erasure_pattern(words, t, rng, placement)
-        erased = erase(clean, pattern, rng=rng)
-        row = {"seed": seed, "trial": trial, "n": N, "hbar": hbar, "t": t}
-        try:
-            result = reconstruct_redundancy_free(
-                erased, N, hbar, codebook=decode_book, budget=budget
-            )
-        except Conflict:
-            row["outcome"] = "conflict"
-        except MasscodecError as exc:
-            row.update(outcome="error", reason=type(exc).__name__)
-        else:
-            if isinstance(result, Ambiguous):
-                row["outcome"] = "ambiguous"
-            elif result.strings == frozenset(subset):
-                row["outcome"] = "exact"
-            else:
-                row["outcome"] = "wrong"
-        rows.append(row)
-    return rows

@@ -32,17 +32,19 @@ from .bhcode import (
     verify_bh,
 )
 from .channel import (
-    Ambiguous,
     ErasurePattern,
-    Recovered,
     detect_substitution,
     erase,
     mixture_order,
-    reconstruct_redundancy_free,
-    run_erasure_experiment,
     substitute_mass_reducing,
 )
-from .codec import PLAIN
+from .codec import (
+    PLAIN,
+    Ambiguous,
+    Recovered,
+    reconstruct_redundancy_free,
+    run_erasure_experiment,
+)
 from .core import BitString, CompositionMultiset, is_dyck, pool as make_pool
 from .errors import (
     AmbiguousSolution,
@@ -163,9 +165,9 @@ def load_config(path: str):
         raise ConfigError("a config's 'strings' must be a nonempty list of binary strings")
     base = _base_codebook(h, matrix, strings)
     take = json_field(obj, "take", what, int, default=None)
-    if take is not None and take < 1:
-        raise ConfigError(f"a config's 'take' must be at least 1, got {take}")
-    if matrix and take is not None:
+    if take is not None:
+        if take < 1:
+            raise ConfigError(f"a config's 'take' must be at least 1, got {take}")
         base = replace(base, strings=base.strings[:take])
     scheme_obj = obj.get("scheme", {"name": PLAIN})
     if isinstance(scheme_obj, str):
@@ -174,14 +176,15 @@ def load_config(path: str):
         raise ConfigError("a scheme must be a name or a JSON object")
     name = json_field(scheme_obj, "name", "a scheme", str, default=PLAIN)
     t = json_int(scheme_obj, "t", "a scheme", default=0)
-    if name == RAW:
-        if not all(is_dyck(s) for s in base.strings):
-            raise ConfigError("raw codebooks must consist of Dyck strings")
-        return base, base, RAW
+    if name == RAW and not all(is_dyck(s) for s in base.strings):
+        raise ConfigError("raw codebooks must consist of Dyck strings")
     code = _load_code(scheme_obj.get("code"))
     flag = _load_code(scheme_obj.get("code_flag"))
-    book = ecc.scheme_codebook(name, base, t, code, flag)
-    return base, book, name
+    if name == RAW:
+        # raw strings are their own codewords, so raw takes no code, as plain does
+        ecc.check_settings(RAW, t, code, flag, uncoded=True)
+        return base, base, RAW
+    return base, ecc.scheme_codebook(name, base, t, code, flag), name
 
 
 def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
@@ -291,30 +294,9 @@ def cmd_decode(args) -> int:
             code, payload = EXIT_OK, {"status": "ok", "strings": sorted(str(s) for s in strings)}
     # an ambiguous result lists its witnesses instead of the report
     if report is not None and code != EXIT_AMBIGUOUS:
-        payload["detection"] = _report_json(report)
+        payload["detection"] = report.to_json_obj()
     _write_json(args.output, payload)
     return code
-
-
-def _report_json(report) -> dict:
-    return {
-        "clean": report.is_clean,
-        "prefix_count_dev": list(report.prefix_count_dev),
-        "suffix_count_dev": list(report.suffix_count_dev),
-        "prefix_bad_increments": list(report.prefix_bad_increments),
-        "suffix_bad_increments": list(report.suffix_bad_increments),
-        "incompatible_lengths": list(report.incompatible_lengths),
-        "candidate_sums": [str(s) for s in report.candidate_sums],
-        "corrections": [
-            {
-                "side": c.side,
-                "len": c.length,
-                "observed": str(c.observed),
-                "restored": str(c.restored),
-            }
-            for c in report.corrections
-        ],
-    }
 
 
 def _fmt_float(x) -> str:

@@ -27,32 +27,51 @@ its block's flag sum, mod 2), and look the mod-2 sum up in the codebook.
 A parity-check-backed codebook gives distinct subsets of size <= h
 distinct mod-2 sums; an explicit codebook may not, and then the one
 subset whose pool matches the readout is the answer (``invert_plain``),
-or the shared sum is reported as AmbiguousSolution.
+or the shared sum is reported as AmbiguousSolution.  A plain readout that
+lost fragments is decoded here too (``reconstruct_redundancy_free``): a
+complete merged sum goes through ``plain_sources`` as a clean one does,
+and an incomplete one comes back with the subsets that explain it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-from .bhcode import DEFAULT_BUDGET, BhCodebook, _mod2_matches, invert_mod2_sum
-from .channel import hold_length_totals, increments, length_totals, side_sums, sided_cells
+from .bhcode import DEFAULT_BUDGET, BhCodebook, XorIndex, _mod2_matches, invert_mod2_sum, invert_sum
+from .channel import (
+    erase,
+    hold_length_totals,
+    increments,
+    length_totals,
+    merged_sums,
+    sample_erasure_pattern,
+    side_sums,
+    sided_cells,
+)
 from .core import (
     BitString,
     BitsLike,
     CompositionMultiset,
     PartialSumString,
+    all_dyck_strings,
     fragment_cells,
     is_dyck,
+    pool as make_pool,
 )
 from .errors import (
     AmbiguousSolution,
+    ConfigError,
+    Conflict,
     CountMismatch,
     DecodeFailure,
     DuplicateString,
     InconsistentPoolSize,
+    MasscodecError,
+    SearchSpaceTooLarge,
     UnsupportedCodebook,
 )
 
@@ -230,12 +249,25 @@ def append_tails(lead: int, parts: Sequence[BitString], N: int) -> BitString:
     return BitString.from_int((head << ones_tail | (1 << ones_tail) - 1) << zeros_tail, N)
 
 
+def frame(
+    layout: McLayout,
+    word: BitsLike,
+    origin: BitString,
+    z_of: Optional[Callable[[BalancedPair], Sequence[int]]] = None,
+) -> McCodeword:
+    """Balance word left-padded to the layout's m and frame it, z after the flags:
+    the one codeword frame.  ``z_of(pair)`` gives the bits that z carries, each
+    followed by its complement so z stays balanced; without it z is empty."""
+    pair = block_balance(BitString.from_int(BitString(word).as_int, layout.m))
+    z = [v for b in z_of(pair) for v in (b, 1 - b)] if z_of else ()
+    parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
+    return McCodeword(append_tails(layout.lead, parts, layout.N), origin)
+
+
 def encode(s: BitsLike) -> McCodeword:
     """Balance s and frame it as a Dyck codeword of ``plain_layout(len(s))``."""
     s = BitString(s)
-    layout = plain_layout(len(s))
-    pair = block_balance(pad_to_square(s)[0])
-    return McCodeword(append_tails(layout.lead, (pair.r, pair.u), layout.N), s)
+    return frame(plain_layout(len(s)), s, s)
 
 
 @dataclass(frozen=True)
@@ -398,7 +430,7 @@ def decode_mixture(
     hbar defaults to |pool| / (2N).  The prefix side alone fixes the answer,
     so it is certified: DecodeFailure unless its pool is the readout.
     """
-    require_plain(codebook)
+    require_plain(codebook)  # before the pool is read
     N = codebook.N
     if hbar is None:
         if pool.total == 0 or pool.total % (2 * N):
@@ -410,11 +442,20 @@ def decode_mixture(
         raise InconsistentPoolSize(f"hbar={hbar} outside 1..{codebook.h}")
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
-    target = mixture_mod2_target(total, codebook.layout)
-    answer = invert_plain(pool, codebook, target, hbar, budget)
+    answer = plain_sources(pool, codebook, total, hbar, budget)
     if codebook.pool_of(answer) != pool:
         raise DecodeFailure("the pool of the decoded set is not the readout")
     return answer
+
+
+def plain_sources(
+    pool: CompositionMultiset, codebook: McCodebook, total: PartialSumString, hbar: int, budget: int
+) -> frozenset[BitString]:
+    """The sources of a plain readout whose codeword sum is complete: a coded
+    book is refused, and the mod-2 target read off the sum is looked up."""
+    require_plain(codebook)
+    target = mixture_mod2_target(total, codebook.layout)
+    return invert_plain(pool, codebook, target, hbar, budget)
 
 
 def invert_plain(
@@ -445,6 +486,141 @@ def invert_plain(
         if len(held) != 1:
             raise
         return frozenset(held[0])
+
+
+@dataclass(frozen=True)
+class Recovered:
+    """Successful redundancy-free reconstruction."""
+
+    sum: PartialSumString
+    strings: Optional[frozenset[BitString]] = None
+
+
+@dataclass(frozen=True)
+class Ambiguous:
+    """The pool is consistent with more than one explanation.  ``witnesses``
+    is None when no universe was searched or the search went over its budget."""
+
+    partial: PartialSumString
+    witnesses: Optional[tuple[frozenset[BitString], ...]] = None
+
+
+def reconstruct_redundancy_free(
+    pool: CompositionMultiset,
+    N: int,
+    hbar: int,
+    codebook: Union[McCodebook, BhCodebook, None] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> Union[Recovered, Ambiguous]:
+    """Reconstruct a mixture sum from an erased pool without coding redundancy.
+
+    The two-sided merge always succeeds when the erasure bursts of the two
+    sides do not overlap, or overlap once in a single position; the weight
+    anchor can settle a little more (all-zero and all-max deficits).  On
+    ambiguity the witnesses are the codebook subsets (all Dyck strings with no
+    book and hbar 1) found by the one subset search and checked against the
+    readout.
+
+    The codebook may be a plain distinct-sums codebook of Dyck strings
+    (sources are found by inverting the integer sum) or a plain mixture
+    codebook (sources come from ``plain_sources``); a book of a correction
+    scheme raises UnsupportedCodebook once the merge has read the pool.
+    """
+    merged = merged_sums(pool, N, hbar)
+    if not merged.complete:
+        witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
+        return Ambiguous(partial=merged, witnesses=witnesses)
+    strings: Optional[frozenset[BitString]] = None
+    if isinstance(codebook, McCodebook):
+        strings = plain_sources(pool, codebook, merged, hbar, budget)
+    elif codebook is not None:
+        strings = frozenset(invert_sum(codebook, merged.as_tuple(), hbar, budget))
+    elif hbar == 1:
+        strings = frozenset({merged.to_bitstring()})
+    return Recovered(sum=merged, strings=strings)
+
+
+def _consistency_witnesses(
+    pool: CompositionMultiset, merged: PartialSumString, hbar: int, codebook, budget: int
+) -> Optional[tuple[frozenset[BitString], ...]]:
+    """The universe's hbar-subsets that explain the readout, found by the one
+    subset search and checked against the readout; None past its budget."""
+    # each string of the universe, mapped to the source string it encodes
+    if isinstance(codebook, McCodebook):
+        require_plain(codebook)
+        origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
+    elif codebook is not None:
+        origin_of = {s: s for s in codebook.strings}
+    elif hbar == 1 and 2 ** len(merged) <= budget:
+        # the codeword universe of this model
+        origin_of = {s: s for s in all_dyck_strings(len(merged))}
+    else:
+        return None
+    words = sorted(origin_of)
+    # hbar strings whose pool holds the readout sum to every known symbol, so none is missed
+    known = [(len(merged) - 1 - i, v) for i, v in enumerate(merged.symbols) if v is not None]
+    mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
+    try:
+        found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
+    except SearchSpaceTooLarge:
+        return None
+    held = (sub for sub in found if pool.is_submultiset(make_pool(words[i] for i in sub)))
+    return tuple(frozenset(origin_of[words[i]] for i in sub) for sub in held)
+
+
+def run_erasure_experiment(
+    codebook: BhCodebook,
+    hbar: int,
+    t: int,
+    trials: int,
+    seed: int,
+    placement: str = "uniform",
+    budget: int = DEFAULT_BUDGET,
+) -> list[dict]:
+    """Monte-Carlo erasure trials; one outcome row per trial.
+
+    Codebooks whose strings are not already Dyck are run through the
+    mixture encoder first (weight separation is meaningless otherwise).
+    Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``,
+    ``conflict`` (side disagreement), ``error`` (any other typed decoder
+    error; the row's ``reason`` holds its class name), and ``wrong``
+    (recovered but not the truth -- must never happen; kept so silence
+    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C|, a t
+    outside 0..2N*hbar, the size of the pool, and a negative trial count.
+    """
+    if not 1 <= hbar <= len(codebook):
+        raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
+    if trials < 0:
+        raise ConfigError(f"an experiment needs trials >= 0, got trials={trials}")
+    if all(len(s) % 2 == 0 and is_dyck(s) for s in codebook.strings):
+        decode_book, word_of, N = codebook, {s: s for s in codebook.strings}, codebook.n
+    else:
+        decode_book = encode_codebook(codebook)
+        word_of, N = decode_book._bits_by_origin, decode_book.N
+    if not 0 <= t <= 2 * N * hbar:
+        raise ConfigError(f"an experiment needs 0 <= t <= {2 * N * hbar}, got t={t}")
+    rows = []
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        subset = tuple(sorted(rng.sample(list(codebook.strings), hbar)))
+        words = [word_of[s] for s in subset]
+        clean = make_pool(words)
+        pattern = sample_erasure_pattern(words, t, rng, placement)
+        erased = erase(clean, pattern, rng=rng)
+        row = {"seed": seed, "trial": trial, "n": N, "hbar": hbar, "t": t}
+        try:
+            result = reconstruct_redundancy_free(erased, N, hbar, decode_book, budget)
+        except Conflict:
+            row["outcome"] = "conflict"
+        except MasscodecError as exc:
+            row.update(outcome="error", reason=type(exc).__name__)
+        else:
+            if isinstance(result, Ambiguous):
+                row["outcome"] = "ambiguous"
+            else:
+                row["outcome"] = "exact" if result.strings == frozenset(subset) else "wrong"
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

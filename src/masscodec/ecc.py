@@ -42,7 +42,7 @@ the book's one layout from them, and frames every string under it.  The
 binary code checks share ``_require``, the check of dimension and
 capability, and two-step and integral take their default codes from
 ``linearcode.shipped_code``, the one chooser of shipped codes.  One-step,
-two-step and mod-p frame their codewords with ``_frame``, and one-step
+two-step and mod-p frame their codewords with ``codec.frame``, and one-step
 and two-step decode their payload in ``_payload_sources``.
 
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
@@ -69,9 +69,9 @@ from .codec import (
     McCodeword,
     McLayout,
     append_tails,
-    block_balance,
     decode_mixture,
     encode_codebook,
+    frame,
     next_square,
     plain_layout,
     unflip,
@@ -136,23 +136,6 @@ def _framed_layout(n: int, z_len: int) -> McLayout:
     return McLayout(n=n, m=m, root=root, pad=m - n, lead=lead, z_len=z_len, N=N)
 
 
-def _frame(
-    layout: McLayout,
-    word: BitsLike,
-    origin: BitString,
-    z_of: Callable[[BalancedPair], Sequence[int]],
-) -> McCodeword:
-    """Balance word padded to the book's m and frame it with z after the flags.
-
-    ``z_of(pair)`` gives the bits that z carries, each followed by its
-    complement so z stays balanced; z is empty where the layout has none.
-    """
-    pair = block_balance(BitString.from_int(BitString(word).as_int, layout.m))
-    z = [v for b in z_of(pair) for v in (b, 1 - b)]
-    parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
-    return McCodeword(append_tails(layout.lead, parts, layout.N), origin)
-
-
 def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]:
     """Integer sum of pair-encoded bit idx in a z segment (b, 1-b pairs).
 
@@ -213,9 +196,7 @@ def one_step_codebook(
     """
     code = _one_step_code(base.n, t, code)
     layout = plain_layout(code.n)
-    codewords = tuple(
-        _frame(layout, code.encode(s.bits), s, lambda pair: ()) for s in base.strings
-    )
+    codewords = tuple(frame(layout, code.encode(s.bits), s) for s in base.strings)
     return McCodebook(base, codewords, layout, scheme=ONE_STEP, t=t, code_data=code)
 
 
@@ -277,7 +258,7 @@ def two_step_codebook(
     def z_of(pair: BalancedPair) -> Sequence[int]:
         return code_flag.encode(pair.r.bits)[code_flag.k :]
 
-    codewords = tuple(_frame(layout, code_data.encode(s.bits), s, z_of) for s in base.strings)
+    codewords = tuple(frame(layout, code_data.encode(s.bits), s, z_of) for s in base.strings)
     return McCodebook(
         base, codewords, layout, scheme=TWO_STEP, t=t, code_data=code_data, code_flag=code_flag
     )
@@ -508,7 +489,7 @@ def one_step_modp_codebook(
         syndrome = pcode.syndrome(pair.r.bits + pair.u.bits)
         return [(sym >> (g - 1 - b)) & 1 for sym in syndrome for b in range(g)]
 
-    codewords = tuple(_frame(layout, s, s, z_of) for s in base.strings)
+    codewords = tuple(frame(layout, s, s, z_of) for s in base.strings)
     return McCodebook(base, codewords, layout, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
 
 
@@ -549,6 +530,17 @@ def _next_prime(lo: int) -> int:
 # unified front door (used by the CLI)
 
 
+def check_settings(scheme: str, t: int, code_data, code_flag, uncoded: bool) -> None:
+    """Refuse a negative t, a code_flag off two-step, and any t or code for an
+    uncoded scheme (plain, or the CLI's raw Dyck strings)."""
+    if t < 0:
+        raise ConfigError(f"a scheme corrects t >= 0 errors, got t={t}")
+    if code_flag is not None and scheme != TWO_STEP:
+        raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
+    if uncoded and (t or code_data is not None):
+        raise ConfigError(f"the {scheme} scheme takes no t, code or code_flag")
+
+
 def scheme_codebook(
     scheme: str,
     base: BhCodebook,
@@ -556,13 +548,8 @@ def scheme_codebook(
     code_data: Optional[Union[LinearCode, ModpCode]] = None,
     code_flag: Optional[LinearCode] = None,
 ) -> McCodebook:
-    if t < 0:
-        raise ConfigError(f"a scheme corrects t >= 0 errors, got t={t}")
-    if code_flag is not None and scheme != TWO_STEP:
-        raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
+    check_settings(scheme, t, code_data, code_flag, uncoded=scheme == PLAIN)
     if scheme == PLAIN:
-        if t or code_data is not None:
-            raise ConfigError("the plain scheme takes no t, code or code_flag")
         return encode_codebook(base)
     if scheme == ONE_STEP:
         return one_step_codebook(base, t, code_data)

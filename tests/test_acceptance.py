@@ -25,9 +25,7 @@ from masscodec.bounds import (
     naive_bh_upper,
 )
 from masscodec.channel import (
-    Ambiguous,
     Correction,
-    Recovered,
     Removal,
     apply_correction,
     count_correctable_multi,
@@ -37,11 +35,16 @@ from masscodec.channel import (
     merge_partials,
     one_sided_sum,
     partial_sum_strings,
-    reconstruct_redundancy_free,
     sample_erasure_pattern,
     substitute_mass_reducing,
 )
-from masscodec.codec import balance_report, decode_mixture
+from masscodec.codec import (
+    Ambiguous,
+    Recovered,
+    balance_report,
+    decode_mixture,
+    reconstruct_redundancy_free,
+)
 from masscodec.core import (
     BitString,
     Composition,

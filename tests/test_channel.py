@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -14,10 +15,8 @@ from masscodec.bhcode import BhCodebook
 from masscodec.channel import (
     PREFIX,
     SUFFIX,
-    Ambiguous,
     Correction,
     ErasurePattern,
-    Recovered,
     Removal,
     apply_correction,
     burst_report,
@@ -34,15 +33,22 @@ from masscodec.channel import (
     one_sided_sum,
     partial_sum_strings,
     raw_side_sums,
-    reconstruct_redundancy_free,
-    run_erasure_experiment,
     sample_erasure_pattern,
     side_sums,
     sided_cells,
     substitute_mass_reducing,
 )
 from masscodec.channel import _single_error_corrections
-from masscodec.codec import decode_mixture, encode_codebook, separate_pool, sum_from_prefixes
+from masscodec.codec import (
+    Ambiguous,
+    Recovered,
+    decode_mixture,
+    encode_codebook,
+    reconstruct_redundancy_free,
+    run_erasure_experiment,
+    separate_pool,
+    sum_from_prefixes,
+)
 from masscodec.core import (
     BitString,
     Composition,
@@ -687,9 +693,9 @@ def test_experiment_never_silently_wrong(b2_codebook):
 
 
 def test_experiment_records_other_decoder_errors_as_rows(b2_codebook, monkeypatch):
-    import masscodec.channel as channel_mod
+    import masscodec.codec as codec_mod
 
-    real = channel_mod.reconstruct_redundancy_free
+    real = codec_mod.reconstruct_redundancy_free
     calls = []
 
     def fails_once(*args, **kwargs):
@@ -698,7 +704,7 @@ def test_experiment_records_other_decoder_errors_as_rows(b2_codebook, monkeypatc
             raise TooManyErasures("planted")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(channel_mod, "reconstruct_redundancy_free", fails_once)
+    monkeypatch.setattr(codec_mod, "reconstruct_redundancy_free", fails_once)
     rows = run_erasure_experiment(b2_codebook, 2, 1, 5, seed=3)
     assert len(rows) == 5
     assert rows[0]["outcome"] == "error" and rows[0]["reason"] == "TooManyErasures"
@@ -1512,6 +1518,23 @@ def test_detection_reports_are_pinned(b2_n16_codebook, scheme_books):
         for readout, N, hbar in _detection_cases(book, scheme_books)
     ]
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == DETECTION_DIGEST
+
+
+# sha256 over the JSON forms of the same reports, as ``decode --detect`` writes them,
+# recorded when the CLI built that form itself: 8,839 reports, 1,734 corrections
+DETECTION_JSON_DIGEST = "17261a1c59e7f2b2b6b8e9559ce775ab76ceada96b06b5c629c5fa524c3767c3"
+
+
+def test_detection_json_forms_are_pinned(b2_n16_codebook, scheme_books):
+    book = ecc.two_step_codebook(b2_n16_codebook, 1, substitutions=True)
+    forms = []
+    for readout, N, hbar in _detection_cases(book, scheme_books):
+        try:
+            report = detect_substitution(readout, N, hbar)
+        except (MasscodecError, ValueError):
+            continue
+        forms.append(json.dumps(report.to_json_obj(), indent=1))
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == DETECTION_JSON_DIGEST
 
 
 # ---------------------------------------------------------------------------

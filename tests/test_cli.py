@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -168,6 +169,34 @@ def test_decode_reads_hbar_off_an_erased_pool(ws):
 
 
 BCH20 = {"h": 2, "matrix": "bundled:bch_255_cols20"}  # a book of 20 strings
+
+
+# sha256 of the file ``decode --detect`` wrote for two sources of BCH20 under each
+# pattern, and its exit code, recorded when the CLI built the report's JSON itself
+DETECT_OUTPUTS = {
+    "clean": ({}, 0, "306d04ef5e742bb0c026c9b60253744bbf75a4d4d9dbc6dd407d289a0a962891"),
+    "erased": (
+        {"erase": [{"side": "prefix", "len": 5}]},
+        0,
+        "d359b7aa0381634e6d8aeb210e24b0d0e48cb7fe4c090f6e64a371f85628963c",
+    ),
+    "lighter": (
+        {"subst": [{"side": "suffix", "len": 38, "ones_from": 14, "ones_to": 13}]},
+        4,
+        "a956dab12702cef3a6034524f30a26d4a5c5fd664e4cfe115bf2b5ee34df2110",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETECT_OUTPUTS))
+def test_decode_detect_writes_the_pinned_bytes(ws, case):
+    pattern, exit_code, digest = DETECT_OUTPUTS[case]
+    _encode_and_pool(ws, BCH20, ["0000000000000100", "0000000000001000"])
+    (ws / "pat.json").write_text(json.dumps(pattern))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json", "-o", ws / "c.json") == 0
+    assert run("decode", ws / "c.json", "--config", ws / "cfg.json", "--detect",
+               "-o", ws / "d.json") == exit_code
+    assert hashlib.sha256((ws / "d.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("detect", [(), ("--detect",)])
@@ -703,6 +732,52 @@ def test_a_take_below_one_exits_2(ws, capsys, take, command):
     source = ws / ("s.txt" if command == "encode" else "p.json")
     assert run(command, source, "--config", ws / "cfg.json", "-o", ws / "out.json") == 2
     assert capsys.readouterr().err == f"error: a config's 'take' must be at least 1, got {take}\n"
+
+
+def test_take_applies_to_a_strings_config(ws, capsys):
+    # take was applied to a matrix config only, so 111000 encoded with exit 0
+    config = {"h": 2, "strings": ["110100", "101010", "111000"], "take": 1}
+    (ws / "cfg.json").write_text(json.dumps(config))
+    for source, exit_code in (("111000", 2), ("110100", 0)):
+        (ws / "s.txt").write_text(source + "\n")
+        assert run("encode", ws / "s.txt", "--config", ws / "cfg.json",
+                   "-o", ws / "w.json") == exit_code
+    assert capsys.readouterr().err == "error: 111000 is not a codebook string\n"
+
+
+# a raw book's strings are its codewords, so it takes no code, as a plain one does
+NO_CODE = "the raw scheme takes no t, code or code_flag"
+RAW_SETTINGS = {
+    "t-and-code": ({"t": 3, "code": "bundled:bch_63_16"}, NO_CODE),
+    "t": ({"t": 1}, NO_CODE),
+    "negative-t": ({"t": -1}, "a scheme corrects t >= 0 errors, got t=-1"),
+    "code": ({"code": "bundled:bch_63_16"}, NO_CODE),
+    "code_flag": (
+        {"code_flag": "bundled:bch_63_16"}, "only the two-step scheme takes a code_flag, not 'raw'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_SETTINGS))
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_raw_config_with_a_t_or_a_code_exits_2(ws, capsys, case, command):
+    settings, message = RAW_SETTINGS[case]
+    config = {**RAW_CONFIG, "scheme": {"name": "raw", **settings}}
+    (ws / "cfg.json").write_text(json.dumps(config))
+    (ws / "s.txt").write_text("110100\n")
+    (ws / "p.json").write_text(json.dumps(VALID_POOL))
+    source = ws / ("s.txt" if command == "encode" else "p.json")
+    assert run(command, source, "--config", ws / "cfg.json", "-o", ws / "out.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "out.json").exists()
+
+
+def test_a_raw_config_reads_code_auto_as_no_code(ws):
+    config = {**RAW_CONFIG, "scheme": {"name": "raw", "code": "auto"}}
+    (ws / "cfg.json").write_text(json.dumps(config))
+    (ws / "s.txt").write_text("110100\n")
+    assert run("encode", ws / "s.txt", "--config", ws / "cfg.json", "-o", ws / "w.json") == 0
+    assert json.loads((ws / "w.json").read_text())["codewords"] == ["110100"]
 
 
 def test_budget_reaches_experiment(ws):

@@ -16,6 +16,7 @@ from masscodec.codec import (
     next_square,
     pad_to_square,
     plain_layout,
+    reconstruct_redundancy_free,
     separate_pool,
     sum_from_prefixes,
     unbalance,
@@ -31,7 +32,7 @@ from masscodec.core import (
     prefix_multiset,
     suffix_multiset,
 )
-from masscodec.channel import Removal, erase, reconstruct_redundancy_free
+from masscodec.channel import Removal, erase
 from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
