@@ -47,16 +47,13 @@ from .codec import (
 )
 from .core import BitString, CompositionMultiset, is_dyck, pool as make_pool
 from .errors import (
-    AmbiguousSolution,
     ConfigError,
-    DecodeFailure,
     DuplicateString,
     InconsistentPoolSize,
     LengthMismatch,
     MasscodecError,
     OddLength,
     SearchSpaceTooLarge,
-    TooManyErasures,
     json_field,
     json_int,
 )
@@ -75,6 +72,11 @@ _EXIT_CODES = (
     ((ConfigError, OSError, ValueError, LengthMismatch, DuplicateString, OddLength), EXIT_CONFIG),
     (MasscodecError, EXIT_DECODE),
 )
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+
 
 RAW = "raw"  # codebook strings used as codewords directly (must be Dyck)
 
@@ -279,7 +281,10 @@ def cmd_decode(args) -> int:
             )
         else:
             outcome = ecc.scheme_decode(poolset, book, hbar, args.budget)
-    except (DecodeFailure, TooManyErasures, AmbiguousSolution) as exc:
+    except MasscodecError as exc:
+        # a decoder's failure keeps its payload; a refused search leaves no file
+        if _exit_code(exc) != EXIT_DECODE:
+            raise
         code, payload = EXIT_DECODE, {"status": "decode-failure", "error": str(exc)}
     else:
         if isinstance(outcome, Ambiguous):
@@ -462,7 +467,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (MasscodecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,13 @@ strings off the flag and data sums with ``unflip`` (each data sum plus
 its block's flag sum, mod 2), and look the mod-2 sum up in the codebook.
 A parity-check-backed codebook gives distinct subsets of size <= h
 distinct mod-2 sums; an explicit codebook may not, and then the one
-subset whose pool matches the readout is the answer (``invert_plain``),
-or the shared sum is reported as AmbiguousSolution.  A plain readout that
+subset whose pool holds the readout is the answer, or the shared sum is
+reported as AmbiguousSolution (``plain_sources``).  A plain readout that
 lost fragments is decoded here too (``reconstruct_redundancy_free``): a
 complete merged sum goes through ``plain_sources`` as a clean one does,
-and an incomplete one comes back with the subsets that explain it.
+and an incomplete one comes back with the subsets that explain it.  One
+search finds the subsets whose pool holds a readout in both cases: the
+witness search, masked to the sum's known positions.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-from .bhcode import DEFAULT_BUDGET, BhCodebook, XorIndex, _mod2_matches, invert_mod2_sum, invert_sum
+from .bhcode import DEFAULT_BUDGET, BhCodebook, XorIndex, invert_mod2_sum, invert_sum
 from .channel import (
     erase,
     hold_length_totals,
@@ -451,41 +453,22 @@ def decode_mixture(
 def plain_sources(
     pool: CompositionMultiset, codebook: McCodebook, total: PartialSumString, hbar: int, budget: int
 ) -> frozenset[BitString]:
-    """The sources of a plain readout whose codeword sum is complete: a coded
-    book is refused, and the mod-2 target read off the sum is looked up."""
-    require_plain(codebook)
-    target = mixture_mod2_target(total, codebook.layout)
-    return invert_plain(pool, codebook, target, hbar, budget)
+    """The sources of a plain readout whose codeword sum is complete.
 
-
-def invert_plain(
-    readout: CompositionMultiset,
-    codebook: McCodebook,
-    target: BitString,
-    hbar: int,
-    budget: int,
-) -> frozenset[BitString]:
-    """The sources of a plain readout whose mod-2 target is known.
-
-    An explicit book, even a B_h one, can give two hbar-subsets one mod-2
-    sum while their pools differ.  So when the target is shared, the one
-    candidate whose pooled codewords hold every fragment of the readout
-    is the answer (for a complete readout, the one whose pool equals it).
-    With no such candidate or more than one, the ``AmbiguousSolution``
-    stands.  ``invert_mod2_sum`` runs first, so a unique target costs no
-    pooling.
+    The mod-2 target read off the sum is looked up.  An explicit book, even
+    a B_h one, can give two hbar-subsets one mod-2 sum while their pools
+    differ, so a shared target goes to the witness search at the sum's full
+    mask: its one held subset is the answer, and with none or more than one
+    the ``AmbiguousSolution`` stands.  A unique target costs no pooling.
     """
+    target = mixture_mod2_target(total, codebook.layout)
     try:
         return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
     except AmbiguousSolution:
-        held = [
-            sources
-            for sources in _mod2_matches(codebook.base, target, hbar, budget)
-            if readout.is_submultiset(codebook.pool_of(sources))
-        ]
+        held = _consistency_witnesses(pool, total, hbar, codebook, budget)
         if len(held) != 1:
             raise
-        return frozenset(held[0])
+        return held[0]
 
 
 @dataclass(frozen=True)
@@ -524,11 +507,18 @@ def reconstruct_redundancy_free(
     The codebook may be a plain distinct-sums codebook of Dyck strings
     (sources are found by inverting the integer sum) or a plain mixture
     codebook (sources come from ``plain_sources``); a book of a correction
-    scheme raises UnsupportedCodebook once the merge has read the pool.
+    scheme raises UnsupportedCodebook once the merge has read the pool.  A
+    witness search past its budget leaves the witnesses None; on a complete
+    sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
     """
     merged = merged_sums(pool, N, hbar)
+    if isinstance(codebook, McCodebook):
+        require_plain(codebook)
     if not merged.complete:
-        witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
+        try:
+            witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
+        except SearchSpaceTooLarge:
+            witnesses = None
         return Ambiguous(partial=merged, witnesses=witnesses)
     strings: Optional[frozenset[BitString]] = None
     if isinstance(codebook, McCodebook):
@@ -544,10 +534,10 @@ def _consistency_witnesses(
     pool: CompositionMultiset, merged: PartialSumString, hbar: int, codebook, budget: int
 ) -> Optional[tuple[frozenset[BitString], ...]]:
     """The universe's hbar-subsets that explain the readout, found by the one
-    subset search and checked against the readout; None past its budget."""
+    subset search and checked against the readout; None when there is no
+    universe to search.  A search past its budget raises SearchSpaceTooLarge."""
     # each string of the universe, mapped to the source string it encodes
     if isinstance(codebook, McCodebook):
-        require_plain(codebook)
         origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
     elif codebook is not None:
         origin_of = {s: s for s in codebook.strings}
@@ -560,10 +550,7 @@ def _consistency_witnesses(
     # hbar strings whose pool holds the readout sum to every known symbol, so none is missed
     known = [(len(merged) - 1 - i, v) for i, v in enumerate(merged.symbols) if v is not None]
     mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
-    try:
-        found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
-    except SearchSpaceTooLarge:
-        return None
+    found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
     held = (sub for sub in found if pool.is_submultiset(make_pool(words[i] for i in sub)))
     return tuple(frozenset(origin_of[words[i]] for i in sub) for sub in held)
 
@@ -581,12 +568,14 @@ def run_erasure_experiment(
 
     Codebooks whose strings are not already Dyck are run through the
     mixture encoder first (weight separation is meaningless otherwise).
-    Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``,
-    ``conflict`` (side disagreement), ``error`` (any other typed decoder
-    error; the row's ``reason`` holds its class name), and ``wrong``
-    (recovered but not the truth -- must never happen; kept so silence
-    cannot hide it).  ``ConfigError`` refuses an hbar outside 1..|C|, a t
-    outside 0..2N*hbar, the size of the pool, and a negative trial count.
+    Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``
+    (an incomplete sum, or a complete one that more than one subset
+    explains), ``conflict`` (side disagreement), ``error`` (any other
+    typed decoder error; the row's ``reason`` holds its class name), and
+    ``wrong`` (recovered but not the truth -- must never happen; kept so
+    silence cannot hide it).  ``ConfigError`` refuses an hbar outside
+    1..|C|, a t outside 0..2N*hbar, the size of the pool, and a negative
+    trial count.
     """
     if not 1 <= hbar <= len(codebook):
         raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
@@ -612,6 +601,8 @@ def run_erasure_experiment(
             result = reconstruct_redundancy_free(erased, N, hbar, decode_book, budget)
         except Conflict:
             row["outcome"] = "conflict"
+        except AmbiguousSolution:
+            row["outcome"] = "ambiguous"
         except MasscodecError as exc:
             row.update(outcome="error", reason=type(exc).__name__)
         else:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from masscodec.bhcode import ParityCheckSpec, build_bh_codebook, bundled_spec
+from masscodec.bhcode import BhCodebook, ParityCheckSpec, build_bh_codebook, bundled_spec
 from masscodec.codec import encode_codebook
+from masscodec.core import BitString
 from masscodec.gf2m import alpha_power_pcm
 
 CRITERION_TITLES = {
@@ -82,3 +85,19 @@ def mc_codebook(b2_codebook):
 @pytest.fixture(scope="session")
 def mc3_codebook(b3_codebook):
     return encode_codebook(b3_codebook)
+
+
+@pytest.fixture(scope="session")
+def small_explicit_books():
+    """The reference triple, a book whose pairs pool alike and 24 seeded books, h = 3."""
+    books = [
+        BhCodebook.explicit(["110100", "101010", "110010"], 2),
+        # 0101 + 1010 and 0110 + 1001 give one readout, so no decoder can tell them apart
+        BhCodebook.explicit(["0101", "1010", "0110", "1001"], 2),
+    ]
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.choice((4, 5, 6))
+        values = rng.sample(range(1, 2**n), 6)
+        books.append(BhCodebook.explicit([BitString.from_int(v, n) for v in values], 3))
+    return books

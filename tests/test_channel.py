@@ -5,6 +5,7 @@ import json
 import math
 import random
 from collections import Counter
+from operator import xor
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from masscodec.core import (
     pool,
 )
 from masscodec.errors import (
+    AmbiguousSolution,
     ConfigError,
     Conflict,
     CountMismatch,
@@ -509,22 +511,28 @@ RAW_DYCK_BOOK = (
 )
 
 
-def _erased_readouts(words, hbars, trials, seed):
-    """Seeded readouts of hbar drawn words that lost 1-32 fragments, placed
-    uniformly or adversarially, with the drawn words."""
+def _erased_readouts(words, hbars, trials, seed, most=32):
+    """Seeded readouts of hbar drawn words that lost 1 to ``most`` fragments,
+    placed uniformly or adversarially, with the drawn words."""
     for trial in range(trials):
         rng = random.Random(seed + trial)
         hbar = rng.choice(hbars)
         chosen = rng.sample(words, hbar)
         clean = pool(chosen)
-        t = min(rng.randint(1, 32), clean.total)
+        t = min(rng.randint(1, most), clean.total)
         placement = rng.choice(("uniform", "adversarial"))
         yield erase(clean, sample_erasure_pattern(chosen, t, rng, placement), rng=rng), hbar, chosen
 
 
-def test_witnesses_match_the_brute_force_referee(mc_codebook, mc3_codebook):
+def _referee_hits(erased, origin_of, hbar, N):
+    """oracle.brute_decode's subsets of the universe, as sets of source strings."""
     from masscodec.oracle import brute_decode
 
+    hits = brute_decode(erased, list(origin_of), hbar, 2 * N * hbar - erased.total)
+    return tuple(frozenset(origin_of[w] for w in sub) for sub in hits)
+
+
+def test_witnesses_match_the_brute_force_referee(mc_codebook, mc3_codebook, small_explicit_books):
     raw = BhCodebook.explicit(RAW_DYCK_BOOK, 2)
     universes = [
         (mc_codebook, (1, 2), {cw.bits: cw.origin for cw in mc_codebook.codewords}),
@@ -532,20 +540,51 @@ def test_witnesses_match_the_brute_force_referee(mc_codebook, mc3_codebook):
         (raw, (1, 2), {s: s for s in raw.strings}),
         (None, (1,), {s: s for s in all_dyck_strings(10)}),
     ]
-    compared = []
+    compared, recovered = [], 0
     for seed, (book, hbars, origin_of) in enumerate(universes):
         words = list(origin_of)
         N = len(words[0])
         compared.append(0)
         for erased, hbar, chosen in _erased_readouts(words, hbars, 100, 1000 * seed):
             out = reconstruct_redundancy_free(erased, N, hbar, codebook=book)
+            hits = _referee_hits(erased, origin_of, hbar, N)
             if isinstance(out, Recovered):
+                assert (out.strings,) == hits
+                recovered += 1
+            else:
+                assert out.witnesses == hits
+                assert frozenset(origin_of[w] for w in chosen) in out.witnesses
+                compared[-1] += 1
+    assert min(compared) >= 60 and sum(compared) >= 300 and recovered >= 40, (compared, recovered)
+    # a complete sum on an explicit book: the one hit, or AmbiguousSolution past one,
+    # also where another subset shares the sources' mod-2 sum and the pool decides
+    complete, shared_target = Counter(), 0
+    for seed, base in enumerate(small_explicit_books):
+        book = encode_codebook(base)
+        origin_of = {cw.bits: cw.origin for cw in book.codewords}
+        hbars = tuple(range(1, base.h + 1))
+        readouts = _erased_readouts(list(origin_of), hbars, 40, 1000 * seed, most=4)
+        for erased, hbar, chosen in readouts:
+            try:
+                if not merged_sums(erased, book.N, hbar).complete:
+                    continue
+            except Conflict:
                 continue
-            hits = brute_decode(erased, words, hbar, 2 * N * hbar - erased.total)
-            assert out.witnesses == tuple(frozenset(origin_of[w] for w in sub) for sub in hits)
-            assert frozenset(origin_of[w] for w in chosen) in out.witnesses
-            compared[-1] += 1
-    assert min(compared) >= 60 and sum(compared) >= 300, compared
+            hits = _referee_hits(erased, origin_of, hbar, book.N)
+            if len(hits) == 1:
+                out = reconstruct_redundancy_free(erased, book.N, hbar, book)
+                assert out.strings == hits[0]
+                target = functools.reduce(xor, (origin_of[w].as_int for w in chosen))
+                shared_target += sum(
+                    functools.reduce(xor, (s.as_int for s in sub)) == target
+                    for sub in itertools.combinations(base.strings, hbar)
+                ) > 1
+            else:
+                with pytest.raises(AmbiguousSolution):
+                    reconstruct_redundancy_free(erased, book.N, hbar, book)
+            complete[len(hits) == 1] += 1
+    assert complete[True] >= 400 and complete[False] >= 3 and shared_target >= 50, (
+        complete, shared_target)
 
 
 def test_witnesses_past_64_bits_hold_the_true_set(lookup_h3_book):
@@ -690,6 +729,16 @@ def test_experiment_never_silently_wrong(b2_codebook):
             b2_codebook, 2, 3, 40, seed=9, placement=placement
         )
         assert all(r["outcome"] in ("exact", "ambiguous", "conflict") for r in rows)
+
+
+def test_experiment_counts_a_shared_complete_sum_as_ambiguous():
+    # 0101 + 1010 and 0110 + 1001 pool alike: a complete merged sum names both,
+    # which is an ambiguous outcome, as an incomplete sum's witnesses are
+    book = BhCodebook.explicit(["0101", "1010", "0110", "1001"], 2)
+    for t in (0, 1):
+        rows = run_erasure_experiment(book, 2, t, 40, seed=0)
+        assert Counter(r["outcome"] for r in rows) == {"exact": 26, "ambiguous": 14}
+        assert not any("reason" in r for r in rows)
 
 
 def test_experiment_records_other_decoder_errors_as_rows(b2_codebook, monkeypatch):

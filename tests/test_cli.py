@@ -199,6 +199,21 @@ def test_decode_detect_writes_the_pinned_bytes(ws, case):
     assert hashlib.sha256((ws / "d.json").read_bytes()).hexdigest() == digest
 
 
+def test_a_readout_that_does_not_split_keeps_its_decode_failure_payload(ws, capsys):
+    # CountMismatch from the split went past the decode's handler and wrote nothing
+    _encode_and_pool(ws, BCH20, ["1000000000000000", "0000001000000000"])
+    subst = {"side": "prefix", "len": 20, "ones_from": 14, "ones_to": 9}
+    (ws / "pat.json").write_text(json.dumps({"subst": [subst]}))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json", "-o", ws / "c.json") == 0
+    assert run("decode", ws / "c.json", "--config", ws / "cfg.json", "--detect",
+               "-o", ws / "d.json") == 4
+    out = json.loads((ws / "d.json").read_text())
+    assert out["status"] == "decode-failure"
+    assert out["error"] == "length 20: cannot split (4, 6, 9, 15) into 2+2"
+    assert not out["detection"]["clean"]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("detect", [(), ("--detect",)])
 @pytest.mark.parametrize("hbar", [21, 0, -1])
 def test_decode_refuses_an_hbar_outside_one_to_the_book_size(ws, capsys, hbar, detect):

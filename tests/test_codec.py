@@ -298,24 +298,12 @@ def test_decode_mixture_infers_hbar_and_guards(mc_codebook):
         decode_mixture(p, mc_codebook, hbar=9)
 
 
-def _small_explicit_books():
-    """The reference triple, a book whose pairs pool alike and 24 seeded books, h = 3."""
-    yield BhCodebook.explicit(["110100", "101010", "110010"], 2)
-    # 0101 + 1010 and 0110 + 1001 give one readout, so no decoder can tell them apart
-    yield BhCodebook.explicit(["0101", "1010", "0110", "1001"], 2)
-    for seed in range(24):
-        rng = random.Random(seed)
-        n = rng.choice((4, 5, 6))
-        values = rng.sample(range(1, 2**n), 6)
-        yield BhCodebook.explicit([BitString.from_int(v, n) for v in values], 3)
-
-
-def test_both_plain_paths_agree_on_explicit_codebooks():
+def test_both_plain_paths_agree_on_explicit_codebooks(small_explicit_books):
     # an explicit book is decoded, not refused: on every clean pool the
     # direct decode and the redundancy-free reconstruction give the same
     # outcome, which is the sources unless another subset pools alike
     outcomes = []
-    for base in _small_explicit_books():
+    for base in small_explicit_books:
         book = encode_codebook(base)
         for hbar in range(1, base.h + 1):
             subsets = itertools.combinations(base.strings, hbar)
