@@ -4,9 +4,11 @@ Every subcommand is a thin wrapper over the library; file formats are the
 JSON forms defined by the owning modules.  Each kind of file is read or
 written by one helper (a JSON object, a strings file, a pool, a JSON
 result), every config field is read through ``errors.json_field``, and each
-command writes its one result in one place.  Exit codes: 0 success, 2 bad
-usage or configuration, 3 ambiguous reconstruction, 4 decode failure,
-5 search budget exceeded.
+command writes its one result in one place.  ``ecc.scheme_codebook`` builds
+every config's book, raw ones too.  Exit codes: 0 success, 2 bad usage or
+configuration, 3 ambiguous reconstruction (an incomplete sum, or a
+complete one that two subsets explain), 4 decode failure, 5 search budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -40,13 +42,16 @@ from .channel import (
 )
 from .codec import (
     PLAIN,
+    RAW,
     Ambiguous,
+    McCodebook,
     Recovered,
     reconstruct_redundancy_free,
     run_erasure_experiment,
 )
-from .core import BitString, CompositionMultiset, is_dyck, pool as make_pool
+from .core import BitString, CompositionMultiset, pool as make_pool
 from .errors import (
+    AmbiguousSolution,
     ConfigError,
     DuplicateString,
     InconsistentPoolSize,
@@ -70,15 +75,15 @@ EXIT_BUDGET = 5
 _EXIT_CODES = (
     (SearchSpaceTooLarge, EXIT_BUDGET),
     ((ConfigError, OSError, ValueError, LengthMismatch, DuplicateString, OddLength), EXIT_CONFIG),
+    (AmbiguousSolution, EXIT_AMBIGUOUS),
     (MasscodecError, EXIT_DECODE),
 )
+# the status a decode writes for an error it keeps the payload of
+_STATUS = {EXIT_AMBIGUOUS: "ambiguous", EXIT_DECODE: "decode-failure"}
 
 
 def _exit_code(exc: Exception) -> int:
     return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-
-
-RAW = "raw"  # codebook strings used as codewords directly (must be Dyck)
 
 
 def _read_text(path: str) -> str:
@@ -151,8 +156,8 @@ def _base_codebook(h: int, matrix: str | None, strings) -> BhCodebook:
     return BhCodebook.explicit(strings, h)
 
 
-def load_config(path: str):
-    """Build the base codebook, the scheme codebook and the scheme name.
+def load_config(path: str) -> McCodebook:
+    """Build the scheme codebook of a config; its base and scheme name ride on it.
 
     Schema: {"h": int, "matrix": "bundled:name"|path, "take": int?,
              "strings": [..]?, "scheme": {"name": str, "t": int,
@@ -178,15 +183,9 @@ def load_config(path: str):
         raise ConfigError("a scheme must be a name or a JSON object")
     name = json_field(scheme_obj, "name", "a scheme", str, default=PLAIN)
     t = json_int(scheme_obj, "t", "a scheme", default=0)
-    if name == RAW and not all(is_dyck(s) for s in base.strings):
-        raise ConfigError("raw codebooks must consist of Dyck strings")
     code = _load_code(scheme_obj.get("code"))
     flag = _load_code(scheme_obj.get("code_flag"))
-    if name == RAW:
-        # raw strings are their own codewords, so raw takes no code, as plain does
-        ecc.check_settings(RAW, t, code, flag, uncoded=True)
-        return base, base, RAW
-    return base, ecc.scheme_codebook(name, base, t, code, flag), name
+    return ecc.scheme_codebook(name, base, t, code, flag)
 
 
 def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
@@ -206,23 +205,17 @@ def _read_pool(path: str) -> tuple[CompositionMultiset, int]:
 
 
 def cmd_encode(args) -> int:
-    base, book, scheme = load_config(args.config)
+    book = load_config(args.config)
     sources = _read_strings(args.input)
-    known = set(base.strings)
+    known = set(book.base.strings)
     for s in sources:
         if s not in known:
             raise ConfigError(f"{s} is not a codebook string")
-    if scheme == RAW:
-        bits = [str(s) for s in sources]
-        layout = {"N": base.n}
-    else:
-        bits = [str(book.bits_for(s)) for s in sources]
-        layout = book.layout.to_json_obj()
     out = {
-        "scheme": scheme,
-        "layout": layout,
+        "scheme": book.scheme,
+        "layout": book.layout.to_json_obj(),
         "sources": [str(s) for s in sources],
-        "codewords": bits,
+        "codewords": [str(book.bits_for(s)) for s in sources],
     }
     _write_json(args.output, out)
     return EXIT_OK
@@ -258,47 +251,45 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    base, book, scheme = load_config(args.config)
+    book = load_config(args.config)
     poolset, N = _read_pool(args.input)
-    book_N = base.n if scheme == RAW else book.N
-    if N != book_N:
-        raise ConfigError(f"pool says N={N}, codebook says N={book_N}")
+    if N != book.N:
+        raise ConfigError(f"pool says N={N}, codebook says N={book.N}")
     # hbar is checked here, once, so a report and a decode see the same one
-    order = mixture_order(poolset, book_N)
+    order = mixture_order(poolset, N)
     hbar = order if args.hbar is None else args.hbar
-    if args.hbar is not None and not 1 <= hbar <= len(base):
-        raise ConfigError(f"a decode needs 1 <= hbar <= {len(base)}, got hbar={hbar}")
+    if args.hbar is not None and not 1 <= hbar <= len(book):
+        raise ConfigError(f"a decode needs 1 <= hbar <= {len(book)}, got hbar={hbar}")
     if hbar == 0:
-        raise InconsistentPoolSize(f"the pool holds no fragment of length 1..{book_N}")
+        raise InconsistentPoolSize(f"the pool holds no fragment of length 1..{N}")
     if order > hbar:  # lost fragments and lighter readings never add a fragment to a length
         raise InconsistentPoolSize(f"the pool needs hbar >= {order}, got hbar={hbar}")
-    report = detect_substitution(poolset, book_N, hbar) if args.detect else None
+    report = detect_substitution(poolset, N, hbar) if args.detect else None
     try:
-        # a plain pool that lost fragments needs the redundancy-free merge
-        if scheme == RAW or (scheme == PLAIN and poolset.total != 2 * book_N * hbar):
-            outcome = reconstruct_redundancy_free(
-                poolset, book_N, hbar, codebook=book, budget=args.budget
-            )
+        # a raw pool, and a plain pool that lost fragments, need the redundancy-free merge
+        if book.scheme == RAW or (book.scheme == PLAIN and poolset.total != 2 * N * hbar):
+            outcome = reconstruct_redundancy_free(poolset, N, hbar, book, args.budget)
         else:
             outcome = ecc.scheme_decode(poolset, book, hbar, args.budget)
     except MasscodecError as exc:
         # a decoder's failure keeps its payload; a refused search leaves no file
-        if _exit_code(exc) != EXIT_DECODE:
+        code = _exit_code(exc)
+        if code not in _STATUS:
             raise
-        code, payload = EXIT_DECODE, {"status": "decode-failure", "error": str(exc)}
+        payload = {"status": _STATUS[code], "error": str(exc)}
     else:
         if isinstance(outcome, Ambiguous):
             code, payload = EXIT_AMBIGUOUS, {
                 "status": "ambiguous",
                 "partial_sum": str(outcome.partial),
-                # null: not searched (no universe or over budget); []: no subset explains the pool
+                # null: not searched (no book or over budget); []: no subset explains the pool
                 "witnesses": outcome.witnesses and [sorted(map(str, w)) for w in outcome.witnesses],
             }
         else:
             strings = outcome.strings if isinstance(outcome, Recovered) else outcome
             code, payload = EXIT_OK, {"status": "ok", "strings": sorted(str(s) for s in strings)}
-    # an ambiguous result lists its witnesses instead of the report
-    if report is not None and code != EXIT_AMBIGUOUS:
+    # an incomplete sum lists its witnesses instead of the report
+    if report is not None and "witnesses" not in payload:
         payload["detection"] = report.to_json_obj()
     _write_json(args.output, payload)
     return code

@@ -24,15 +24,18 @@ the pool by weight, rebuild the coordinate-wise integer sum of the
 codewords from the prefix side, read the mod-2 sum of the original
 strings off the flag and data sums with ``unflip`` (each data sum plus
 its block's flag sum, mod 2), and look the mod-2 sum up in the codebook.
-A parity-check-backed codebook gives distinct subsets of size <= h
-distinct mod-2 sums; an explicit codebook may not, and then the one
-subset whose pool holds the readout is the answer, or the shared sum is
-reported as AmbiguousSolution (``plain_sources``).  A plain readout that
-lost fragments is decoded here too (``reconstruct_redundancy_free``): a
-complete merged sum goes through ``plain_sources`` as a clean one does,
-and an incomplete one comes back with the subsets that explain it.  One
-search finds the subsets whose pool holds a readout in both cases: the
-witness search, masked to the sum's known positions.
+Strings that are already Dyck can be their own codewords (the scheme RAW,
+``raw_codebook``), and then the integer sum itself is looked up.  A
+parity-check-backed codebook gives distinct subsets of size <= h distinct
+sums; an explicit codebook may not, and then the one subset whose pool
+holds the readout is the answer, or the shared sum is reported as
+AmbiguousSolution (``plain_sources``, the one rule for a complete sum).  A
+plain readout that lost fragments is decoded here too
+(``reconstruct_redundancy_free``): a complete merged sum goes through
+``plain_sources`` as a clean one does, and an incomplete one comes back
+with the subsets that explain it.  One search finds the subsets whose pool
+holds a readout in both cases: the witness search over a book's codewords,
+masked to the sum's known positions.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .bhcode import DEFAULT_BUDGET, BhCodebook, XorIndex, invert_mod2_sum, invert_sum
@@ -62,7 +65,6 @@ from .core import (
     all_dyck_strings,
     fragment_cells,
     is_dyck,
-    pool as make_pool,
 )
 from .errors import (
     AmbiguousSolution,
@@ -73,6 +75,7 @@ from .errors import (
     DuplicateString,
     InconsistentPoolSize,
     MasscodecError,
+    OddLength,
     SearchSpaceTooLarge,
     UnsupportedCodebook,
 )
@@ -84,6 +87,7 @@ if TYPE_CHECKING:
     from .linearcode import LinearCode, ModpCode
 
 PLAIN = "plain"
+RAW = "raw"  # a base of Dyck strings, each its own codeword
 
 
 def next_square(n: int) -> tuple[int, int]:
@@ -201,21 +205,13 @@ class McLayout:
         return self.u_start + self.m
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "root": self.root,
-            "pad": self.pad,
-            "lead": self.lead,
-            "z_len": self.z_len,
-            "N": self.N,
-            "segments": {
-                "r": [self.r_start, self.root],
-                "z": [self.z_start, self.z_len],
-                "u": [self.u_start, self.m],
-                "tail": [self.tail_start, self.N - self.tail_start],
-            },
+        segments = {
+            "r": [self.r_start, self.root],
+            "z": [self.z_start, self.z_len],
+            "u": [self.u_start, self.m],
+            "tail": [self.tail_start, self.N - self.tail_start],
         }
+        return {**asdict(self), "segments": segments}
 
 
 @functools.cache  # codec.encode asks once per string, bounds.construction_rate once per rate
@@ -273,18 +269,29 @@ def encode(s: BitsLike) -> McCodeword:
 
 
 @dataclass(frozen=True)
+class RawLayout:
+    """A RAW book's layout: its codewords are its source strings, so only N."""
+
+    N: int
+
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class McCodebook:
     """All codewords of a source codebook under one scheme and its one layout.
 
     Every codeword shares the book's segment table, so the layout is the
     book's, computed once when the book is built.  The plain codec is the
-    scheme PLAIN with t = 0 and no codes; the correction schemes of ``ecc``
-    build the same type around their codes.
+    scheme PLAIN with t = 0 and no codes, or RAW for Dyck strings that are
+    their own codewords; the correction schemes of ``ecc`` build the same
+    type around their codes.
     """
 
     base: BhCodebook
     codewords: tuple[McCodeword, ...]
-    layout: Union[McLayout, IntegralLayout]
+    layout: Union[McLayout, IntegralLayout, RawLayout]
     scheme: str = PLAIN
     t: int = 0
     code_data: Union[LinearCode, ModpCode, None] = None
@@ -302,39 +309,36 @@ class McCodebook:
         return len(self.codewords)
 
     @functools.cached_property
-    def _bits_by_origin(self) -> dict[BitString, BitString]:
-        return {cw.origin: cw.bits for cw in self.codewords}
-
-    def bits_for(self, source: BitString) -> BitString:
-        try:
-            return self._bits_by_origin[source]
-        except KeyError:
-            raise KeyError(f"{source} is not in the codebook") from None
-
-    @functools.cached_property
-    def _cells_by_origin(self) -> dict[BitString, np.ndarray]:
+    def cells(self) -> np.ndarray:
+        """One row of 2N fragment cells per codeword, prefix reads then suffix reads."""
         import numpy as np
 
-        # each codeword's prefix read, then its suffix read: 2N flat cells
-        rows = np.hstack(np.split(fragment_cells([cw.bits for cw in self.codewords]), 2))
-        return {cw.origin: row for cw, row in zip(self.codewords, rows)}
+        return np.hstack(np.split(fragment_cells([cw.bits for cw in self.codewords]), 2))
+
+    @functools.cached_property
+    def _row_of(self) -> dict[BitString, int]:
+        return {cw.origin: row for row, cw in enumerate(self.codewords)}
+
+    def _rows(self, sources: Sequence[BitString]) -> list[int]:
+        try:
+            return [self._row_of[s] for s in sources]
+        except KeyError as exc:
+            raise KeyError(f"{exc.args[0]} is not in the codebook") from None
+
+    def bits_for(self, source: BitString) -> BitString:
+        return self.codewords[self._rows([source])[0]].bits
 
     def pool_of(self, sources) -> CompositionMultiset:
         """Pooled readout of the codewords of the given source strings, by one
-        scatter-add of their cached fragment cells."""
+        scatter-add of their rows of ``cells``."""
         import numpy as np
 
-        sources = [s if isinstance(s, BitString) else BitString(s) for s in sources]
-        try:
-            cells = [self._cells_by_origin[s] for s in sources]
-        except KeyError as exc:
-            raise KeyError(f"{exc.args[0]} is not in the codebook") from None
-        if len(set(sources)) != len(sources):
+        rows = self._rows([s if isinstance(s, BitString) else BitString(s) for s in sources])
+        if len(set(rows)) != len(rows):
             raise DuplicateString("pooled strings must be pairwise distinct")
         size = self.N + 1
-        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
-        counts = np.bincount(flat, minlength=size * size).reshape(size, size)
-        return CompositionMultiset._of(counts, 2 * self.N * len(sources))
+        counts = np.bincount(self.cells.take(rows, axis=0).ravel(), minlength=size * size)
+        return CompositionMultiset._of(counts.reshape(size, size), 2 * self.N * len(rows))
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
@@ -342,9 +346,24 @@ def encode_codebook(base: BhCodebook) -> McCodebook:
     return McCodebook(base, codewords, plain_layout(base.n))
 
 
+def raw_codebook(base: BhCodebook) -> McCodebook:
+    """The RAW book of a base of Dyck strings: each string is its own codeword."""
+    import numpy as np
+
+    N = base.n
+    if N % 2:
+        raise OddLength(f"Dyck property needs even length, got {N}")
+    book = McCodebook(base, tuple(McCodeword(s, s) for s in base.strings), RawLayout(N), RAW)
+    # a Dyck string's prefix of length i holds at least i/2 ones, and N/2 at i = N
+    length, ones = np.divmod(book.cells[:, :N], N + 1)
+    if (2 * ones < length).any() or (2 * ones[:, -1] != N).any():
+        raise ConfigError("raw codebooks must consist of Dyck strings")
+    return book
+
+
 def require_plain(codebook: McCodebook) -> None:
     """Refuse a coded book: its payload is not the mod-2 sum of the sources."""
-    if codebook.scheme != PLAIN:
+    if codebook.scheme not in (PLAIN, RAW):
         raise UnsupportedCodebook(
             f"a {codebook.scheme} codebook carries a coded payload; "
             "decode it with ecc.scheme_decode"
@@ -455,14 +474,17 @@ def plain_sources(
 ) -> frozenset[BitString]:
     """The sources of a plain readout whose codeword sum is complete.
 
-    The mod-2 target read off the sum is looked up.  An explicit book, even
-    a B_h one, can give two hbar-subsets one mod-2 sum while their pools
-    differ, so a shared target goes to the witness search at the sum's full
-    mask: its one held subset is the answer, and with none or more than one
-    the ``AmbiguousSolution`` stands.  A unique target costs no pooling.
+    A RAW book's integer sum is looked up, and an encoded book's mod-2
+    target, read off the sum.  An explicit book, even a B_h one, can give
+    two hbar-subsets one such sum while their pools differ, so a shared sum
+    goes to the witness search at the sum's full mask: its one held subset
+    is the answer, and with none or more than one the ``AmbiguousSolution``
+    stands.  A unique sum costs no pooling.
     """
-    target = mixture_mod2_target(total, codebook.layout)
     try:
+        if codebook.scheme == RAW:
+            return frozenset(invert_sum(codebook.base, total.as_tuple(), hbar, budget))
+        target = mixture_mod2_target(total, codebook.layout)
         return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
     except AmbiguousSolution:
         held = _consistency_witnesses(pool, total, hbar, codebook, budget)
@@ -482,7 +504,7 @@ class Recovered:
 @dataclass(frozen=True)
 class Ambiguous:
     """The pool is consistent with more than one explanation.  ``witnesses``
-    is None when no universe was searched or the search went over its budget."""
+    is None when no book was searched or the search went over its budget."""
 
     partial: PartialSumString
     witnesses: Optional[tuple[frozenset[BitString], ...]] = None
@@ -499,60 +521,51 @@ def reconstruct_redundancy_free(
 
     The two-sided merge always succeeds when the erasure bursts of the two
     sides do not overlap, or overlap once in a single position; the weight
-    anchor can settle a little more (all-zero and all-max deficits).  On
-    ambiguity the witnesses are the codebook subsets (all Dyck strings with no
-    book and hbar 1) found by the one subset search and checked against the
-    readout.
+    anchor can settle a little more (all-zero and all-max deficits).  A
+    complete sum's sources come from ``plain_sources``; an incomplete sum's
+    witnesses are the book's subsets that explain the readout, and with no
+    book and hbar 1 the book is the RAW book of every Dyck string of length
+    N, while 2^N is within the budget.
 
-    The codebook may be a plain distinct-sums codebook of Dyck strings
-    (sources are found by inverting the integer sum) or a plain mixture
-    codebook (sources come from ``plain_sources``); a book of a correction
-    scheme raises UnsupportedCodebook once the merge has read the pool.  A
-    witness search past its budget leaves the witnesses None; on a complete
-    sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
+    A ``BhCodebook`` of Dyck strings is read as its RAW book; a book of a
+    correction scheme raises UnsupportedCodebook once the merge has read the
+    pool.  A witness search past its budget leaves the witnesses None; on a
+    complete sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
     """
+    if isinstance(codebook, BhCodebook):
+        codebook = raw_codebook(codebook)
     merged = merged_sums(pool, N, hbar)
-    if isinstance(codebook, McCodebook):
+    if codebook is not None:
         require_plain(codebook)
-    if not merged.complete:
+    if merged.complete:
+        if codebook is not None:
+            return Recovered(merged, plain_sources(pool, codebook, merged, hbar, budget))
+        return Recovered(merged, frozenset({merged.to_bitstring()}) if hbar == 1 else None)
+    if codebook is None and hbar == 1 and 2**N <= budget:
+        codebook = raw_codebook(BhCodebook(N, 1, all_dyck_strings(N)))
+    witnesses = None
+    if codebook is not None:
         try:
             witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
         except SearchSpaceTooLarge:
-            witnesses = None
-        return Ambiguous(partial=merged, witnesses=witnesses)
-    strings: Optional[frozenset[BitString]] = None
-    if isinstance(codebook, McCodebook):
-        strings = plain_sources(pool, codebook, merged, hbar, budget)
-    elif codebook is not None:
-        strings = frozenset(invert_sum(codebook, merged.as_tuple(), hbar, budget))
-    elif hbar == 1:
-        strings = frozenset({merged.to_bitstring()})
-    return Recovered(sum=merged, strings=strings)
+            pass
+    return Ambiguous(merged, witnesses)
 
 
 def _consistency_witnesses(
-    pool: CompositionMultiset, merged: PartialSumString, hbar: int, codebook, budget: int
-) -> Optional[tuple[frozenset[BitString], ...]]:
-    """The universe's hbar-subsets that explain the readout, found by the one
-    subset search and checked against the readout; None when there is no
-    universe to search.  A search past its budget raises SearchSpaceTooLarge."""
-    # each string of the universe, mapped to the source string it encodes
-    if isinstance(codebook, McCodebook):
-        origin_of = {cw.bits: cw.origin for cw in codebook.codewords}
-    elif codebook is not None:
-        origin_of = {s: s for s in codebook.strings}
-    elif hbar == 1 and 2 ** len(merged) <= budget:
-        # the codeword universe of this model
-        origin_of = {s: s for s in all_dyck_strings(len(merged))}
-    else:
-        return None
-    words = sorted(origin_of)
-    # hbar strings whose pool holds the readout sum to every known symbol, so none is missed
+    pool: CompositionMultiset, merged: PartialSumString, hbar: int, book: McCodebook, budget: int
+) -> tuple[frozenset[BitString], ...]:
+    """The book's hbar-subsets that explain the readout, found by the one
+    subset search and checked against the readout with ``pool_of``.  A
+    search past its budget raises SearchSpaceTooLarge."""
+    # codewords in the order of their text, which orders the subsets found
+    words = sorted(book.codewords, key=lambda cw: str(cw.bits))
+    # hbar codewords whose pool holds the readout sum to every known symbol, so none is missed
     known = [(len(merged) - 1 - i, v) for i, v in enumerate(merged.symbols) if v is not None]
     mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
-    found = XorIndex([w.as_int & mask for w in words]).matches(parity, hbar, budget)
-    held = (sub for sub in found if pool.is_submultiset(make_pool(words[i] for i in sub)))
-    return tuple(frozenset(origin_of[words[i]] for i in sub) for sub in held)
+    found = XorIndex([cw.bits.as_int & mask for cw in words]).matches(parity, hbar, budget)
+    subsets = ([words[i].origin for i in sub] for sub in found)
+    return tuple(frozenset(sub) for sub in subsets if pool.is_submultiset(book.pool_of(sub)))
 
 
 def run_erasure_experiment(
@@ -566,8 +579,8 @@ def run_erasure_experiment(
 ) -> list[dict]:
     """Monte-Carlo erasure trials; one outcome row per trial.
 
-    Codebooks whose strings are not already Dyck are run through the
-    mixture encoder first (weight separation is meaningless otherwise).
+    A codebook of Dyck strings is run as its RAW book, and any other through
+    the mixture encoder (weight separation is meaningless otherwise).
     Outcomes: ``exact`` (recovered and equal to the truth), ``ambiguous``
     (an incomplete sum, or a complete one that more than one subset
     explains), ``conflict`` (side disagreement), ``error`` (any other
@@ -581,24 +594,23 @@ def run_erasure_experiment(
         raise ConfigError(f"an experiment needs 1 <= hbar <= {len(codebook)}, got hbar={hbar}")
     if trials < 0:
         raise ConfigError(f"an experiment needs trials >= 0, got trials={trials}")
-    if all(len(s) % 2 == 0 and is_dyck(s) for s in codebook.strings):
-        decode_book, word_of, N = codebook, {s: s for s in codebook.strings}, codebook.n
-    else:
-        decode_book = encode_codebook(codebook)
-        word_of, N = decode_book._bits_by_origin, decode_book.N
+    try:
+        book = raw_codebook(codebook)
+    except (ConfigError, OddLength):  # strings that are not Dyck are encoded first
+        book = encode_codebook(codebook)
+    N = book.N
     if not 0 <= t <= 2 * N * hbar:
         raise ConfigError(f"an experiment needs 0 <= t <= {2 * N * hbar}, got t={t}")
     rows = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         subset = tuple(sorted(rng.sample(list(codebook.strings), hbar)))
-        words = [word_of[s] for s in subset]
-        clean = make_pool(words)
+        words = [book.bits_for(s) for s in subset]
         pattern = sample_erasure_pattern(words, t, rng, placement)
-        erased = erase(clean, pattern, rng=rng)
+        erased = erase(book.pool_of(subset), pattern, rng=rng)
         row = {"seed": seed, "trial": trial, "n": N, "hbar": hbar, "t": t}
         try:
-            result = reconstruct_redundancy_free(erased, N, hbar, decode_book, budget)
+            result = reconstruct_redundancy_free(erased, N, hbar, book, budget)
         except Conflict:
             row["outcome"] = "conflict"
         except AmbiguousSolution:

@@ -64,7 +64,7 @@ _COMPOSITION_TEXT = re.compile(r"(0(?:\^(\d+?))?)?(1(?:\^(\d+))?)?")
 
 
 # bytes.translate tables between the ASCII digits 0/1 and the byte values 0/1
-_FROM_ASCII = bytes.maketrans(b"01", b"\0\1")
+FROM_ASCII = bytes.maketrans(b"01", b"\0\1")
 _TO_ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -128,7 +128,7 @@ class BitString:
     @property
     def bits(self) -> tuple[int, ...]:
         """The 0/1 symbols, derived from the text at each read."""
-        return tuple(str(self).encode().translate(_FROM_ASCII))
+        return tuple(str(self).encode().translate(FROM_ASCII))
 
     def __len__(self) -> int:
         return self._len
@@ -493,7 +493,7 @@ def fragment_cells(
 
     n = len(strings[0])
     # one byte per symbol, read by C calls rather than an int conversion each
-    symbols = "".join(map(str, strings)).encode().translate(_FROM_ASCII)
+    symbols = "".join(map(str, strings)).encode().translate(FROM_ASCII)
     bits = np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
     reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
     cumulative = np.cumsum(np.concatenate(reads), axis=1, dtype=np.int64)

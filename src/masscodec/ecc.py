@@ -47,8 +47,9 @@ and two-step decode their payload in ``_payload_sources``.
 
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
 too: the scheme name, t, the codes and the layout ride on the book.  The
-plain codec is the scheme PLAIN with t = 0 and no codes, so
-``scheme_codebook`` and ``scheme_decode`` serve it as well.
+plain codec is the scheme PLAIN with t = 0 and no codes, and a base of
+Dyck strings used as its own codewords is the uncoded scheme RAW, so
+``scheme_codebook`` and ``scheme_decode`` serve them as well.
 
 Decoders either return the exact source set or raise; a silent wrong
 answer is treated as a bug everywhere in the test-suite.
@@ -57,13 +58,14 @@ answer is treated as a bug everywhere in the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
 from .channel import merged_counts, merged_sums, raw_side_sums
 from .codec import (
     PLAIN,
+    RAW,
     BalancedPair,
     McCodebook,
     McCodeword,
@@ -74,6 +76,7 @@ from .codec import (
     frame,
     next_square,
     plain_layout,
+    raw_codebook,
     unflip,
 )
 from .core import BitString, BitsLike, CompositionMultiset
@@ -362,17 +365,12 @@ class IntegralLayout:
         return self.r_start + self.red_len
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "red_len": self.red_len,
-            "lead": self.lead,
-            "N": self.N,
-            "segments": {
-                "s": [self.s_start, self.n],
-                "R": [self.r_start, self.red_len],
-                "tail": [self.tail_start, self.N - self.tail_start],
-            },
+        segments = {
+            "s": [self.s_start, self.n],
+            "R": [self.r_start, self.red_len],
+            "tail": [self.tail_start, self.N - self.tail_start],
         }
+        return {**asdict(self), "segments": segments}
 
 
 def _integral_layout(n: int, red_len: int) -> IntegralLayout:
@@ -530,17 +528,6 @@ def _next_prime(lo: int) -> int:
 # unified front door (used by the CLI)
 
 
-def check_settings(scheme: str, t: int, code_data, code_flag, uncoded: bool) -> None:
-    """Refuse a negative t, a code_flag off two-step, and any t or code for an
-    uncoded scheme (plain, or the CLI's raw Dyck strings)."""
-    if t < 0:
-        raise ConfigError(f"a scheme corrects t >= 0 errors, got t={t}")
-    if code_flag is not None and scheme != TWO_STEP:
-        raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
-    if uncoded and (t or code_data is not None):
-        raise ConfigError(f"the {scheme} scheme takes no t, code or code_flag")
-
-
 def scheme_codebook(
     scheme: str,
     base: BhCodebook,
@@ -548,9 +535,18 @@ def scheme_codebook(
     code_data: Optional[Union[LinearCode, ModpCode]] = None,
     code_flag: Optional[LinearCode] = None,
 ) -> McCodebook:
-    check_settings(scheme, t, code_data, code_flag, uncoded=scheme == PLAIN)
+    """The scheme's book of the base.  A negative t, a code_flag off two-step,
+    and any t or code for an uncoded scheme (plain or raw) are refused."""
+    if t < 0:
+        raise ConfigError(f"a scheme corrects t >= 0 errors, got t={t}")
+    if code_flag is not None and scheme != TWO_STEP:
+        raise ConfigError(f"only the two-step scheme takes a code_flag, not {scheme!r}")
+    if scheme in (PLAIN, RAW) and (t or code_data is not None):
+        raise ConfigError(f"the {scheme} scheme takes no t, code or code_flag")
     if scheme == PLAIN:
         return encode_codebook(base)
+    if scheme == RAW:
+        return raw_codebook(base)
     if scheme == ONE_STEP:
         return one_step_codebook(base, t, code_data)
     if scheme == TWO_STEP:
@@ -568,7 +564,7 @@ def scheme_decode(
     hbar: int,
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[BitString]:
-    if codebook.scheme == PLAIN:
+    if codebook.scheme in (PLAIN, RAW):
         return decode_mixture(pool, codebook, hbar, budget)
     if codebook.scheme == ONE_STEP:
         return one_step_decode(pool, codebook, hbar, budget)

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bhcode import DEFAULT_BUDGET, XorIndex, bundled_spec
-from .core import _FROM_ASCII
+from .core import FROM_ASCII
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -185,7 +185,7 @@ class LinearCode:
             raise ValueError(f"message length {len(message)} != k={self.k}")
         rows = itertools.compress(self._packed_rows, [int(bit) & 1 for bit in message])
         word = functools.reduce(operator.xor, rows, 0)
-        return tuple(f"{word:0{self.n}b}".encode().translate(_FROM_ASCII))
+        return tuple(f"{word:0{self.n}b}".encode().translate(FROM_ASCII))
 
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)

@@ -214,6 +214,31 @@ def test_a_readout_that_does_not_split_keeps_its_decode_failure_payload(ws, caps
     assert capsys.readouterr().err == ""
 
 
+# two pairs that pool alike, so a complete sum names both: a plain book, and a raw
+# book whose first two strings pool as its last two do
+POOLED_ALIKE = {
+    "plain": ({"h": 2, "strings": ["0101", "1010", "0110", "1001"]}, ["0101", "1010"]),
+    "raw": (
+        {"h": 2, "strings": ["110100", "101010", "110010", "101100"], "scheme": "raw"},
+        ["110100", "101010"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOLED_ALIKE))
+def test_a_complete_sum_two_subsets_explain_exits_3_as_ambiguous(ws, capsys, case):
+    # AmbiguousSolution exited 4 with "decode-failure", which is exit 3's meaning
+    config, sources = POOLED_ALIKE[case]
+    _encode_and_pool(ws, config, sources)
+    for detect in ((), ("--detect",)):
+        assert run("decode", ws / "p.json", "--config", ws / "cfg.json", *detect,
+                   "-o", ws / "d.json") == 3
+        out = json.loads((ws / "d.json").read_text())
+        assert out["status"] == "ambiguous" and out["error"].startswith("both ")
+        assert ("detection" in out) == bool(detect)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("detect", [(), ("--detect",)])
 @pytest.mark.parametrize("hbar", [21, 0, -1])
 def test_decode_refuses_an_hbar_outside_one_to_the_book_size(ws, capsys, hbar, detect):

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masscodec.bhcode import BhCodebook, verify_bh
+from masscodec.bhcode import BhCodebook, invert_sum, verify_bh
 from masscodec.codec import (
+    Ambiguous,
     BalancedPair,
+    Recovered,
     balance_report,
     block_balance,
     decode_mixture,
@@ -16,6 +18,7 @@ from masscodec.codec import (
     next_square,
     pad_to_square,
     plain_layout,
+    raw_codebook,
     reconstruct_redundancy_free,
     separate_pool,
     sum_from_prefixes,
@@ -26,13 +29,14 @@ from masscodec.core import (
     BitString,
     Composition,
     CompositionMultiset,
+    all_dyck_strings,
     full_multiset,
     is_dyck,
     pool,
     prefix_multiset,
     suffix_multiset,
 )
-from masscodec.channel import Removal, erase
+from masscodec.channel import Removal, erase, merged_sums, sample_erasure_pattern
 from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
@@ -42,6 +46,7 @@ from masscodec.errors import (
     MasscodecError,
     NegativeIncrement,
 )
+from masscodec.oracle import brute_decode
 
 
 def test_block_balance_hand_checked_cases():
@@ -343,6 +348,57 @@ def _outcome(decode):
         return decode()
     except MasscodecError as exc:
         return type(exc)
+
+
+# ---------------------------------------------------------------------------
+# differential test: a raw book's complete sum, decoded by plain_sources with its
+# held-subset search, against the integer-sum lookup that decoded it before
+
+
+def _raw_readouts(books):
+    """Every subset of seeded raw books (Dyck strings of length 8 or 10, 5-8 of
+    them, order 2 or 3) with 0, 1, 2 and 4 uniform losses: (base, truth, readout)."""
+    for seed in range(books):
+        rng = random.Random(seed)
+        n, size, h = rng.choice((8, 10)), rng.randint(5, 8), rng.choice((2, 3))
+        base = BhCodebook.explicit(rng.sample(all_dyck_strings(n), size), h)
+        for hbar in range(1, h + 1):
+            for truth in itertools.combinations(base.strings, hbar):
+                clean = pool(truth)
+                for lost in (0, 1, 2, 4):
+                    pattern = sample_erasure_pattern(truth, lost, rng, "uniform")
+                    yield base, frozenset(truth), erase(clean, pattern, rng=rng)
+
+
+def _integer_sum_rule(readout, base, hbar):
+    """The removed raw branch: a complete merged sum's sources by ``invert_sum`` alone."""
+    merged = merged_sums(readout, base.n, hbar)
+    return frozenset(invert_sum(base, merged.as_tuple(), hbar)) if merged.complete else None
+
+
+def test_raw_books_move_only_from_a_shared_sum_to_its_one_explanation():
+    books, moved, outcomes = {}, 0, Counter()
+    for base, truth, readout in _raw_readouts(60):
+        book = books.setdefault(base, raw_codebook(base))
+        hbar = len(truth)
+        before = _outcome(lambda: _integer_sum_rule(readout, base, hbar))
+        after = _outcome(lambda: reconstruct_redundancy_free(readout, base.n, hbar, book))
+        if before is None:  # an incomplete sum: the witnesses hold the truth
+            assert isinstance(after, Ambiguous) and truth in after.witnesses
+            outcomes["incomplete"] += 1
+            continue
+        after = after.strings if isinstance(after, Recovered) else after
+        # under pure loss no decode names a set that is not the truth
+        assert after == truth or isinstance(after, type), (base, truth)
+        if before != after:
+            assert before is AmbiguousSolution, (base, truth, before, after)
+            lost = 2 * base.n * hbar - readout.total
+            hits = brute_decode(readout, base.strings, hbar, lost)
+            assert tuple(map(frozenset, hits)) == (after,)
+            moved += 1
+        outcomes[after if isinstance(after, type) else "exact"] += 1
+    assert moved >= 100 and outcomes[AmbiguousSolution] >= 100, (moved, outcomes)
+    assert sum(outcomes.values()) >= 8000, outcomes
 
 
 def test_codec_rate_is_reported(mc_codebook):

@@ -14,6 +14,7 @@ from masscodec.codec import encode as plain_encode
 from masscodec.codec import plain_layout
 from masscodec.core import BitString, is_dyck, pool
 from masscodec.errors import (
+    AmbiguousSolution,
     CapabilityTooSmall,
     ConfigError,
     DecodeFailure,
@@ -382,6 +383,34 @@ def test_schemes_refuse_a_negative_t(b2_n16_codebook):
     for scheme in (ecc.ONE_STEP, ecc.TWO_STEP, ecc.INTEGRAL, ecc.ONE_STEP_MODP):
         with pytest.raises(ConfigError):
             ecc.scheme_codebook(scheme, b2_n16_codebook, -1)
+
+
+def test_the_raw_scheme_is_a_book_of_its_dyck_strings():
+    base = BhCodebook.explicit(["110100", "101010", "110010", "111000"], 2)
+    book = ecc.scheme_codebook("raw", base, 0)
+    assert [cw.bits for cw in book.codewords] == list(base.strings)
+    assert book.layout.to_json_obj() == {"N": 6}
+    pair = base.strings[1:3]
+    assert ecc.scheme_decode(book.pool_of(pair), book, 2) == frozenset(pair)
+    for t, code_data in ((1, None), (0, single_parity(4))):
+        with pytest.raises(ConfigError, match="the raw scheme takes no t, code or code_flag"):
+            ecc.scheme_codebook("raw", base, t, code_data)
+    with pytest.raises(ConfigError, match="raw codebooks must consist of Dyck strings"):
+        ecc.scheme_codebook("raw", BhCodebook.explicit(["110100", "011010"], 2), 0)
+
+
+def test_coded_decoders_refuse_a_shared_mod2_sum_that_plain_settles():
+    # B_h, yet 00001 + 00010 and 00100 + 00111 share their mod-2 sum: the plain
+    # decode asks the readout, while each coded decoder looks up the sum alone
+    base = BhCodebook.explicit(["00001", "00010", "00100", "00111"], 2)
+    sources = ["00001", "00010"]
+    plain = ecc.scheme_codebook(ecc.PLAIN, base, 0)
+    assert ecc.scheme_decode(plain.pool_of(sources), plain, 2) == frozenset(map(BitString, sources))
+    for scheme, t in ((ecc.ONE_STEP, 0), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+                      (ecc.ONE_STEP_MODP, 1)):
+        book = ecc.scheme_codebook(scheme, base, t)
+        with pytest.raises(AmbiguousSolution, match="reduce to the target mod 2"):
+            ecc.scheme_decode(book.pool_of(sources), book, 2)
 
 
 # sha256 of each book's codeword bits and layout JSON on bch_255_cols20,
