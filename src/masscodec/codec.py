@@ -25,17 +25,18 @@ codewords from the prefix side, read the mod-2 sum of the original
 strings off the flag and data sums with ``unflip`` (each data sum plus
 its block's flag sum, mod 2), and look the mod-2 sum up in the codebook.
 Strings that are already Dyck can be their own codewords (the scheme RAW,
-``raw_codebook``), and then the integer sum itself is looked up.  A
-parity-check-backed codebook gives distinct subsets of size <= h distinct
-sums; an explicit codebook may not, and then the one subset whose pool
-holds the readout is the answer, or the shared sum is reported as
-AmbiguousSolution (``plain_sources``, the one rule for a complete sum).  A
-plain readout that lost fragments is decoded here too
-(``reconstruct_redundancy_free``): a complete merged sum goes through
-``plain_sources`` as a clean one does, and an incomplete one comes back
-with the subsets that explain it.  One search finds the subsets whose pool
-holds a readout in both cases: the witness search over a book's codewords,
-masked to the sum's known positions.
+``raw_codebook``), and then the integer sum itself is looked up.
+
+The lookup is the answer step of every decoder, plain and coded alike:
+``settle_target``.  A parity-check-backed codebook gives distinct subsets
+of size <= h distinct sums; an explicit codebook may not, and then the one
+subset whose pool holds the readout is the answer, or the shared target is
+reported as AmbiguousSolution.  A plain readout that lost fragments is
+decoded here too (``reconstruct_redundancy_free``): a complete merged sum
+goes through ``plain_sources`` as a clean one does, and an incomplete one
+comes back with the subsets that explain it.  One search finds the subsets
+whose pool holds a readout in both cases, ``held_subsets``: the subset
+search over a book's codewords, masked to the sum's known positions.
 """
 
 from __future__ import annotations
@@ -472,22 +473,36 @@ def decode_mixture(
 def plain_sources(
     pool: CompositionMultiset, codebook: McCodebook, total: PartialSumString, hbar: int, budget: int
 ) -> frozenset[BitString]:
-    """The sources of a plain readout whose codeword sum is complete.
+    """The sources of a plain readout whose codeword sum is complete: a RAW
+    book's integer sum, or an encoded book's mod-2 target read off the sum."""
+    if codebook.scheme == RAW:
+        return settle_target(pool, codebook, total.as_tuple(), hbar, budget)
+    return settle_target(pool, codebook, mixture_mod2_target(total, codebook.layout), hbar, budget)
 
-    A RAW book's integer sum is looked up, and an encoded book's mod-2
-    target, read off the sum.  An explicit book, even a B_h one, can give
-    two hbar-subsets one such sum while their pools differ, so a shared sum
-    goes to the witness search at the sum's full mask: its one held subset
-    is the answer, and with none or more than one the ``AmbiguousSolution``
-    stands.  A unique sum costs no pooling.
+
+def settle_target(
+    pool: CompositionMultiset, book: McCodebook, target: BitsLike, hbar: int, budget: int
+) -> frozenset[BitString]:
+    """The answer step of every decoder: the book's hbar-subset with the target sum.
+
+    A RAW book's target is the integer sum (``invert_sum``), any other's the
+    mod-2 sum of the sources (``invert_mod2_sum``).  An explicit book, even a
+    B_h one, can give two hbar-subsets one target while their pools differ,
+    so a shared target goes to ``held_subsets`` over the pool's merged
+    codeword sum, which only this path reads: its one held subset is the
+    answer.  With none or more than one, or a readout that does not merge,
+    the ``AmbiguousSolution`` stands.
     """
     try:
-        if codebook.scheme == RAW:
-            return frozenset(invert_sum(codebook.base, total.as_tuple(), hbar, budget))
-        target = mixture_mod2_target(total, codebook.layout)
-        return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
-    except AmbiguousSolution:
-        held = _consistency_witnesses(pool, total, hbar, codebook, budget)
+        if book.scheme == RAW:
+            return frozenset(invert_sum(book.base, target, hbar, budget))
+        return frozenset(invert_mod2_sum(book.base, target, hbar, budget))
+    except AmbiguousSolution as shared:
+        try:
+            merged = merged_sums(pool, book.N, hbar)
+        except MasscodecError:
+            raise shared from None
+        held = held_subsets(pool, merged, hbar, book, budget)
         if len(held) != 1:
             raise
         return held[0]
@@ -524,8 +539,8 @@ def reconstruct_redundancy_free(
     anchor can settle a little more (all-zero and all-max deficits).  A
     complete sum's sources come from ``plain_sources``; an incomplete sum's
     witnesses are the book's subsets that explain the readout, and with no
-    book and hbar 1 the book is the RAW book of every Dyck string of length
-    N, while 2^N is within the budget.
+    book and hbar 1 the book is the RAW book of the Dyck strings of length N
+    that agree with the sum's known symbols, while 2^N is within the budget.
 
     A ``BhCodebook`` of Dyck strings is read as its RAW book; a book of a
     correction scheme raises UnsupportedCodebook once the merge has read the
@@ -542,22 +557,27 @@ def reconstruct_redundancy_free(
             return Recovered(merged, plain_sources(pool, codebook, merged, hbar, budget))
         return Recovered(merged, frozenset({merged.to_bitstring()}) if hbar == 1 else None)
     if codebook is None and hbar == 1 and 2**N <= budget:
-        codebook = raw_codebook(BhCodebook(N, 1, all_dyck_strings(N)))
+        # only the Dyck strings that agree with every known symbol can explain it
+        strings = all_dyck_strings(N, merged.symbols)
+        if not strings:
+            return Ambiguous(merged, ())
+        codebook = raw_codebook(BhCodebook(N, 1, strings))
     witnesses = None
     if codebook is not None:
         try:
-            witnesses = _consistency_witnesses(pool, merged, hbar, codebook, budget)
+            witnesses = held_subsets(pool, merged, hbar, codebook, budget)
         except SearchSpaceTooLarge:
             pass
     return Ambiguous(merged, witnesses)
 
 
-def _consistency_witnesses(
+def held_subsets(
     pool: CompositionMultiset, merged: PartialSumString, hbar: int, book: McCodebook, budget: int
 ) -> tuple[frozenset[BitString], ...]:
-    """The book's hbar-subsets that explain the readout, found by the one
-    subset search and checked against the readout with ``pool_of``.  A
-    search past its budget raises SearchSpaceTooLarge."""
+    """The book's hbar-subsets whose pool holds the readout, found by the one
+    subset search over the codewords masked to the known positions of the
+    merged codeword sum, and checked with ``pool_of``.  A search past its
+    budget raises SearchSpaceTooLarge."""
     # codewords in the order of their text, which orders the subsets found
     words = sorted(book.codewords, key=lambda cw: str(cw.bits))
     # hbar codewords whose pool holds the readout sum to every known symbol, so none is missed

@@ -555,24 +555,29 @@ def is_dyck(s: BitsLike) -> bool:
     return True
 
 
-def all_dyck_strings(n: int) -> tuple[BitString, ...]:
-    """All Dyck strings of even length n, in ascending lexicographic order.
+def all_dyck_strings(
+    n: int, known: Optional[Sequence[Optional[int]]] = None
+) -> tuple[BitString, ...]:
+    """All Dyck strings of even length n, in ascending lexicographic order,
+    or those whose symbol i is ``known[i]`` wherever that is not None.
 
     Prefixes grow depth first, 0 before 1, so the strings come out in that
     order; a prefix of length i is dropped as soon as it holds fewer than
-    ceil(i/2) ones or more than n/2, so every prefix kept ends in a string.
+    ceil(i/2) ones or more than n/2, so with nothing known every prefix kept
+    ends in a string.
     """
     if n % 2:
         raise OddLength(f"no Dyck strings of odd length {n}")
     if n < 1:
         raise ValueError("empty bit string")
     found = []
+    known = known or (None,) * n
 
     def grow(value: int, length: int, ones: int) -> None:
         if length == n:
             found.append(BitString._of(n, value))
             return
-        for bit in (0, 1):
+        for bit in (0, 1) if known[length] is None else (known[length],):
             if (length + 2) // 2 <= ones + bit <= n // 2:
                 grow(value << 1 | bit, length + 1, ones + bit)
 

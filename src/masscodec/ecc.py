@@ -43,7 +43,14 @@ binary code checks share ``_require``, the check of dimension and
 capability, and two-step and integral take their default codes from
 ``linearcode.shipped_code``, the one chooser of shipped codes.  One-step,
 two-step and mod-p frame their codewords with ``codec.frame``, and one-step
-and two-step decode their payload in ``_payload_sources``.
+and two-step decode their payload in ``_payload_target``.
+
+A decoder here only solves its codes: it reads the readout, restores the
+erased (or corrupted) symbols and hands the mod-2 target to
+``codec.settle_target``, the answer step the plain codec ends in too.  That
+step looks the target up and, when two subsets of an explicit book share
+it, asks the readout which one it holds, so these decoders need not know
+that a book can share a target.
 
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
 too: the scheme name, t, the codes and the layout ride on the book.  The
@@ -61,7 +68,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .bhcode import BhCodebook, DEFAULT_BUDGET, invert_mod2_sum
+from .bhcode import BhCodebook, DEFAULT_BUDGET
 from .channel import merged_counts, merged_sums, raw_side_sums
 from .codec import (
     PLAIN,
@@ -77,6 +84,7 @@ from .codec import (
     next_square,
     plain_layout,
     raw_codebook,
+    settle_target,
     unflip,
 )
 from .core import BitString, BitsLike, CompositionMultiset
@@ -84,6 +92,7 @@ from .errors import (
     CapabilityTooSmall,
     ConfigError,
     DecodeFailure,
+    NoSolution,
     TooManyErasures,
 )
 from .linearcode import (
@@ -152,15 +161,12 @@ def _pair_value(merged: _Sums, start: int, idx: int, hbar: int) -> Optional[int]
     return None if b is None else hbar - b
 
 
-def _payload_sources(
-    codebook: McCodebook, sums: _Sums, flags: _Sums, solve: _Solver, hbar: int, budget: int
-) -> frozenset[BitString]:
-    """Un-flip the data sums under the flags, solve the payload code, invert."""
+def _payload_target(codebook: McCodebook, sums: _Sums, flags: _Sums, solve: _Solver) -> BitString:
+    """Un-flip the data sums under the flags and solve the payload code: the mod-2 target."""
     lay: McLayout = codebook.layout
     code: LinearCode = codebook.code_data
     word = unflip(sums[lay.u_start : lay.u_start + lay.m], flags, lay.pad)
-    target = BitString(code.extract_message(solve(code, word)))
-    return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+    return BitString(code.extract_message(solve(code, word)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,8 @@ def one_step_decode(
     lay: McLayout = codebook.layout
     sums = merged_sums(pool, lay.N, hbar).symbols
     flags = sums[lay.r_start : lay.r_start + lay.root]
-    return _payload_sources(codebook, sums, flags, LinearCode.decode_erasures, hbar, budget)
+    target = _payload_target(codebook, sums, flags, LinearCode.decode_erasures)
+    return settle_target(pool, codebook, target, hbar, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +274,13 @@ def two_step_codebook(
     )
 
 
-def _two_step_sources(
-    codebook: McCodebook, sums: _Sums, solve: _Solver, hbar: int, budget: int
-) -> frozenset[BitString]:
+def _two_step_target(codebook: McCodebook, sums: _Sums, solve: _Solver, hbar: int) -> BitString:
     """Solve the flag code on the flags and z, then the payload under the flags."""
     lay: McLayout = codebook.layout
     flags = sums[lay.r_start : lay.r_start + lay.root]
     z = [_pair_value(sums, lay.z_start, i, hbar) for i in range(lay.z_len // 2)]
     r_total = solve(codebook.code_flag, [*flags, *z])[: lay.root]
-    return _payload_sources(codebook, sums, r_total, solve, hbar, budget)
+    return _payload_target(codebook, sums, r_total, solve)
 
 
 def two_step_decode(
@@ -289,12 +294,14 @@ def two_step_decode(
 
     In substitution mode the two sides are decoded independently with
     error correction and must agree; counts are assumed intact (fragment
-    replacements of equal length).
+    replacements of equal length).  A side whose code fails, or whose target
+    matches no subset, has failed, and the other side's answer stands.
     """
     lay: McLayout = codebook.layout
     if not substitutions:
         sums = merged_sums(pool, lay.N, hbar).symbols
-        return _two_step_sources(codebook, sums, LinearCode.decode_erasures, hbar, budget)
+        target = _two_step_target(codebook, sums, LinearCode.decode_erasures, hbar)
+        return settle_target(pool, codebook, target, hbar, budget)
 
     def nearest(code: LinearCode, word: _Sums) -> Sequence[int]:
         # an erased symbol is read as 0, one more error within radius 2t
@@ -303,8 +310,9 @@ def two_step_decode(
     results, failures = [], []
     for side_vals in raw_side_sums(pool, lay.N, hbar):
         try:
-            results.append(_two_step_sources(codebook, side_vals, nearest, hbar, budget))
-        except (DecodeFailure, TooManyErasures) as exc:
+            target = _two_step_target(codebook, side_vals, nearest, hbar)
+            results.append(settle_target(pool, codebook, target, hbar, budget))
+        except (DecodeFailure, TooManyErasures, NoSolution) as exc:
             failures.append(exc)
     if not results:
         raise DecodeFailure(f"both sides undecodable: {failures}")
@@ -442,8 +450,7 @@ def integral_decode(
         for pos in positions
     ]
     full = code.decode_erasures(word)
-    mixed = derivative(BitString(full[: lay.n]))
-    return frozenset(invert_mod2_sum(codebook.base, mixed, hbar, budget))
+    return settle_target(pool, codebook, derivative(BitString(full[: lay.n])), hbar, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +521,7 @@ def one_step_modp_decode(
     if any(v > hbar for v in solved):
         raise DecodeFailure("recovered integer sums exceed the mixture order")
     target = BitString(unflip(solved[lay.root :], solved[: lay.root], lay.pad))
-    return frozenset(invert_mod2_sum(codebook.base, target, hbar, budget))
+    return settle_target(pool, codebook, target, hbar, budget)
 
 
 def _next_prime(lo: int) -> int:

@@ -97,6 +97,41 @@ def pcm_text(spec: ParityCheckSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+# (rows, d) -> the message each malformed matrix is refused with
+MALFORMED_MATRICES = {
+    "empty": ((), 3, "empty parity-check matrix"),
+    "empty-row": (((),), 3, "empty parity-check matrix"),
+    "ragged": (((1, 0), (1,)), 3, "ragged parity-check matrix"),
+    "not-binary": (((1, 2), (0, 1)), 3, "parity-check entries must be 0/1"),
+    "distance-zero": (((1, 0), (0, 1)), 0, "distance must be positive"),
+    "zero-column": (((1, 0), (1, 0)), 3, "parity-check columns must be nonzero"),
+    "repeated-column": (((1, 1), (0, 0)), 3, "parity-check columns must be pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_a_malformed_parity_check_matrix_is_refused(case):
+    rows, d, message = MALFORMED_MATRICES[case]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ParityCheckSpec(rows, d)
+
+
+# .pcm text -> the message it is refused with
+MALFORMED_PCM = {
+    "empty": ("", "matrix file must start with a 'd=<int>' header"),
+    "no-header": ("101\n011\n", "matrix file must start with a 'd=<int>' header"),
+    "bad-distance": ("d=three\n101\n", "bad distance header 'd=three'"),
+    "bad-row": ("d=3\n101\n1021\n", "bad matrix row '1021'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PCM))
+def test_a_malformed_pcm_text_is_refused(case, tmp_path):
+    text, message = MALFORMED_PCM[case]
+    (tmp_path / "bad.pcm").write_text(text)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ParityCheckSpec.load(tmp_path / "bad.pcm")
+
 # sha256 of each named matrix's text, as its generated .pcm file held it
 TABLE_DIGESTS = {
     "hamming_7_4": "7f75c7241a647287966eb20d535f1889e2316fcefe062cdac4d08ddc90a58723",

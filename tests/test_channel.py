@@ -163,6 +163,17 @@ def test_substitution_checks_its_side_as_a_removal_does():
             Removal(bad, 2)
 
 
+@pytest.mark.parametrize("length, count", [(0, 1), (-1, 1), (2, 0), (2, -1)])
+def test_a_removal_needs_a_positive_length_and_count(length, count):
+    with pytest.raises(ValueError, match="length and count must be positive"):
+        Removal("prefix", length, count)
+
+
+def test_the_erasure_sampler_refuses_an_unknown_placement():
+    with pytest.raises(ValueError, match="unknown placement 'clustered'"):
+        sample_erasure_pattern([BitString("110100")], 1, random.Random(0), "clustered")
+
+
 # ---------------------------------------------------------------------------
 # partial sums, bursts, merging
 

@@ -273,6 +273,17 @@ def test_an_empty_readout_fails_one_way_with_or_without_detect(ws, capsys, detec
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_decode_refuses_a_pool_of_another_length(ws, capsys):
+    # a raw pool of length 6 against the plain book of bch_15_7, N = 36
+    strings = ws / "s.txt"
+    strings.write_text("110100\n101010\n")
+    assert run("encode", strings, "--config", ws / "raw.json", "-o", ws / "w.json") == 0
+    assert run("pool", ws / "w.json", "-o", ws / "p.json") == 0
+    capsys.readouterr()
+    assert run("decode", ws / "p.json", "--config", ws / "plain.json", "-o", ws / "d.json") == 2
+    assert capsys.readouterr().err == "error: pool says N=6, codebook says N=36\n"
+
+
 def test_budget_reaches_decode(ws):
     from masscodec.bhcode import build_bh_codebook, bundled_spec
 
@@ -622,6 +633,15 @@ def test_bounds_table_formats(ws):
     assert data[0]["even_upper"] == "0.4406"
 
 
+def test_bounds_writes_markdown_by_default(ws):
+    assert run("bounds", "--h", "4", "-o", ws / "b.md") == 0
+    assert (ws / "b.md").read_text() == (
+        "| h | naive_upper | even_upper | mc_upper | mc_lower | gap |\n"
+        "|---|---|---|---|---|---|\n"
+        "| 4 | 0.5118 | 0.4406 | 3/5 | 1/4 | 0.0882 |\n"
+    )
+
+
 def test_verify_subcommand(ws):
     strings = ws / "cb.txt"
     strings.write_text("110100\n101010\n110010\n")
@@ -630,6 +650,20 @@ def test_verify_subcommand(ws):
     assert run("verify", strings, "--h", 2, "--property", "bh", "-o", ws / "v.json") == 4
     out = json.loads((ws / "v.json").read_text())
     assert out["status"] == "collision"
+
+
+# a string and its reversal read alike in full, prefixes and suffixes, but
+# not by their prefixes alone, and their sums differ
+@pytest.mark.parametrize("prop, code", [(None, 4), ("hmc", 4), ("prefix", 0), ("bh", 0)])
+def test_verify_reads_the_property_it_is_given_hmc_by_default(ws, prop, code):
+    (ws / "r.txt").write_text("0001\n1000\n")
+    chosen = () if prop is None else ("--property", prop)
+    assert run("verify", ws / "r.txt", "--h", 2, *chosen, "-o", ws / "v.json") == code
+    out = json.loads((ws / "v.json").read_text())
+    if code:
+        assert out == {"status": "collision", "subset_a": ["0001"], "subset_b": ["1000"]}
+    else:
+        assert out == {"status": "valid"}
 
 
 def test_search_subcommand(ws):

@@ -15,6 +15,7 @@ from masscodec.codec import (
     decode_mixture,
     encode,
     encode_codebook,
+    held_subsets,
     next_square,
     pad_to_square,
     plain_layout,
@@ -399,6 +400,37 @@ def test_raw_books_move_only_from_a_shared_sum_to_its_one_explanation():
         outcomes[after if isinstance(after, type) else "exact"] += 1
     assert moved >= 100 and outcomes[AmbiguousSolution] >= 100, (moved, outcomes)
     assert sum(outcomes.values()) >= 8000, outcomes
+
+
+def test_no_book_witnesses_match_the_search_over_every_dyck_string():
+    # with no book at hbar 1 the search grows only the Dyck strings that agree
+    # with the merged sum; the referee searches the book of all of them
+    m, m2 = full_multiset("111000"), full_multiset("110100")
+    criterion_5 = [
+        erase(m, [Removal("prefix", 2)]),
+        erase(m, [Removal("prefix", 2), Removal("suffix", 4)]),
+        erase(m2, [Removal("prefix", 4), Removal("suffix", 3)]),
+        erase(m, [Removal("prefix", 3), Removal("suffix", 3)]),
+    ]
+    readouts = [(6, readout) for readout in criterion_5]
+    rng = random.Random(14)
+    for N in range(6, 15, 2):
+        strings = all_dyck_strings(N)
+        for _ in range(60):
+            s = rng.choice(strings)
+            pattern = sample_erasure_pattern([s], rng.randint(2, 8), rng, "uniform")
+            readouts.append((N, erase(full_multiset(s), pattern, rng=rng)))
+    universes, ambiguous = {}, 0
+    for N, readout in readouts:
+        universe = universes.setdefault(N, raw_codebook(BhCodebook(N, 1, all_dyck_strings(N))))
+        out = reconstruct_redundancy_free(readout, N, 1)
+        merged = merged_sums(readout, N, 1)
+        if merged.complete:
+            assert isinstance(out, Recovered) and out.strings == {merged.to_bitstring()}
+            continue
+        assert out.witnesses == held_subsets(readout, merged, 1, universe, 2**22), N
+        ambiguous += 1
+    assert ambiguous >= 150, ambiguous
 
 
 def test_codec_rate_is_reported(mc_codebook):

@@ -172,6 +172,19 @@ def test_all_dyck_strings_match_the_exhaustive_filter():
         all_dyck_strings(0)
 
 
+def test_dyck_strings_that_agree_with_known_symbols_match_the_filter():
+    rng = random.Random(22)
+    for n in range(2, 15, 2):
+        every = all_dyck_strings(n)
+        assert all_dyck_strings(n, [None] * n) == every
+        for _ in range(20):
+            known = [rng.choice((None, None, 0, 1)) for _ in range(n)]
+            want = tuple(
+                s for s in every if all(k is None or k == b for k, b in zip(known, s.bits))
+            )
+            assert all_dyck_strings(n, known) == want, (n, known)
+
+
 def test_multiset_canonical_serialization_round_trip():
     p = pool(["110100", "101010"])
     obj = p.to_json_obj()

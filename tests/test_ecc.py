@@ -3,13 +3,14 @@ import itertools
 import json
 import operator
 import random
+from collections import Counter
 
 import pytest
 
 from masscodec import ecc
-from masscodec.bhcode import BhCodebook
+from masscodec.bhcode import BhCodebook, invert_mod2_sum
 from masscodec.channel import Removal, erase, sample_erasure_pattern, substitute_mass_reducing
-from masscodec.codec import decode_mixture
+from masscodec.codec import Recovered, decode_mixture, reconstruct_redundancy_free
 from masscodec.codec import encode as plain_encode
 from masscodec.codec import plain_layout
 from masscodec.core import BitString, is_dyck, pool
@@ -22,7 +23,8 @@ from masscodec.errors import (
     SearchSpaceTooLarge,
     TooManyErasures,
 )
-from masscodec.linearcode import bundled_code, shipped_code, single_parity
+from masscodec.linearcode import bundled_code, modp_code, shipped_code, single_parity
+from masscodec.oracle import brute_decode
 
 
 def test_integral_examples():
@@ -209,6 +211,30 @@ def test_modp_roundtrip(b2_n16_codebook, t):
     _roundtrip(book, ecc.one_step_modp_decode, 2, t, 15, seed=t)
 
 
+def test_the_modp_scheme_refuses_what_it_cannot_decode(b2_n16_codebook):
+    with pytest.raises(CapabilityTooSmall, match="mod-p capability 2 < t = 3"):
+        ecc.one_step_modp_codebook(b2_n16_codebook, 3)
+    with pytest.raises(ConfigError, match="mod-p code covers 10 symbols, need 20"):
+        ecc.one_step_modp_codebook(b2_n16_codebook, 1, modp_code(3, 10))
+    book = ecc.one_step_modp_codebook(b2_n16_codebook, 1)
+    assert book.code_data.p == 3
+    with pytest.raises(ConfigError, match="mixture order 3 needs p > hbar, have p=3"):
+        ecc.one_step_modp_decode(book.pool_of(b2_n16_codebook.strings[:3]), book, 3)
+    # swap one pair of z: the word stays Dyck, but z now carries another
+    # syndrome, which fills the payload sum erased on both sides with 2
+    lay = book.layout
+    bits = list(book.bits_for(b2_n16_codebook.strings[0]).bits)
+    at = lay.z_start + 2 * 7
+    bits[at : at + 2] = bits[at + 1], bits[at]
+    word, cut = BitString(bits), 32
+    erased = erase(pool([word]), [
+        Removal("prefix", cut, ones=word.prefix(cut).weight()),
+        Removal("suffix", lay.N - cut, ones=word.suffix(lay.N - cut).weight()),
+    ])
+    with pytest.raises(DecodeFailure, match="recovered integer sums exceed the mixture order"):
+        ecc.one_step_modp_decode(erased, book, 1)
+
+
 def test_two_step_flag_segment_erasures_recover(b2_n16_codebook):
     # wipe fragments whose sum positions sit inside the z segment only
     book = ecc.two_step_codebook(b2_n16_codebook, 1)
@@ -276,6 +302,53 @@ def test_two_step_substitution_mode_honours_budget(b2_n16_codebook):
         with pytest.raises(SearchSpaceTooLarge):
             ecc.two_step_decode(clean, book, 1, budget, substitutions=True)
     assert ecc.two_step_decode(clean, book, 1, 54, substitutions=True) == {source}
+
+
+def _read_lighter(book, rng, hbar, lighter):
+    """A seeded draw of hbar sources and their readout with ``lighter`` nonempty
+    fragments read lighter."""
+    subset = frozenset(rng.sample(book.base.strings, hbar))
+    words = [book.bits_for(s) for s in sorted(subset)]
+    fragments = [
+        (side, length, ones)
+        for w in words
+        for side in ("prefix", "suffix")
+        for length in range(1, book.N + 1)
+        for ones in [getattr(w, side)(length).weight()]
+        if ones
+    ]
+    readout = pool(words)
+    for side, length, ones in rng.sample(fragments, lighter):
+        readout = substitute_mass_reducing(readout, side, length, rng.randrange(ones), ones=ones)
+    return subset, readout
+
+
+def _substitution_outcome(book, readout, subset, hbar):
+    try:
+        got = ecc.two_step_decode(readout, book, hbar, substitutions=True)
+    except MasscodecError as exc:
+        return f"{type(exc).__name__}: {str(exc).split(':')[0]}"
+    return "exact" if got == subset else "wrong"
+
+
+def test_substitution_mode_counts_a_target_that_no_subset_has_as_its_side_failing(
+    b2_n16_codebook,
+):
+    # past t, one side's target can match no subset while the other side
+    # decodes exactly; that side's NoSolution used to end the whole decode, in
+    # 25 of these readouts, 24 of which decode exactly now
+    book = ecc.two_step_codebook(b2_n16_codebook, 1, substitutions=True)
+    rng = random.Random(3)
+    outcomes = Counter()
+    for _ in range(1500):
+        hbar = rng.choice((1, 2))
+        subset, readout = _read_lighter(book, rng, hbar, rng.randint(2, 6))
+        outcomes[_substitution_outcome(book, readout, subset, hbar)] += 1
+    assert outcomes == {
+        "exact": 1496,
+        "DecodeFailure: prefix and suffix reconstructions disagree": 3,
+        "DecodeFailure: both sides undecodable": 1,
+    }
 
 
 def test_two_step_beyond_bch_31_21_uses_shortened_bch_63_16(b2_n16_codebook):
@@ -399,19 +472,76 @@ def test_the_raw_scheme_is_a_book_of_its_dyck_strings():
         ecc.scheme_codebook("raw", BhCodebook.explicit(["110100", "011010"], 2), 0)
 
 
-def test_coded_decoders_refuse_a_shared_mod2_sum_that_plain_settles():
-    # B_h, yet 00001 + 00010 and 00100 + 00111 share their mod-2 sum: the plain
-    # decode asks the readout, while each coded decoder looks up the sum alone
+def test_every_scheme_settles_a_shared_mod2_sum_by_the_readout():
+    # B_h, yet every pair of this base shares its mod-2 sum with the other two
+    # strings: each decoder's answer step asks the readout which pair it holds
     base = BhCodebook.explicit(["00001", "00010", "00100", "00111"], 2)
-    sources = ["00001", "00010"]
-    plain = ecc.scheme_codebook(ecc.PLAIN, base, 0)
-    assert ecc.scheme_decode(plain.pool_of(sources), plain, 2) == frozenset(map(BitString, sources))
-    for scheme, t in ((ecc.ONE_STEP, 0), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+    pairs = list(itertools.combinations(base.strings, 2))
+    assert len({a ^ b for a, b in pairs}) == 3
+    with pytest.raises(AmbiguousSolution, match="reduce to the target mod 2"):
+        invert_mod2_sum(base, pairs[0][0] ^ pairs[0][1], 2)
+    for scheme, t in ((ecc.PLAIN, 0), (ecc.ONE_STEP, 0), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
                       (ecc.ONE_STEP_MODP, 1)):
         book = ecc.scheme_codebook(scheme, base, t)
-        with pytest.raises(AmbiguousSolution, match="reduce to the target mod 2"):
-            ecc.scheme_decode(book.pool_of(sources), book, 2)
+        words = {s: book.bits_for(s) for s in base.strings}
+        origin = {bits: s for s, bits in words.items()}
+        for pair, seed in itertools.product(pairs, range(4)):
+            rng = random.Random(seed)
+            clean = book.pool_of(pair)
+            for lost, placement in itertools.product(range(t + 1), ("uniform", "adversarial")):
+                pattern = sample_erasure_pattern([words[s] for s in pair], lost, rng, placement)
+                erased = erase(clean, pattern, rng=rng)
+                (explained,) = brute_decode(erased, list(words.values()), 2, removals=lost)
+                got = ecc.scheme_decode(erased, book, 2)
+                assert got == frozenset(pair) == {origin[w] for w in explained}, (scheme, lost)
 
+
+def test_no_decoder_answers_a_wrong_set_on_a_base_that_shares_mod2_sums():
+    # every scheme and the plain codec, every subset, 0-4 losses and 0-2
+    # lighter readings: an answer is the truth, and a pure loss within t is
+    # always decoded
+    base = BhCodebook.explicit(["00001", "00010", "00100", "00111"], 2)
+    cases = [
+        (t, ecc.scheme_codebook(scheme, base, t), ecc.scheme_decode)
+        for scheme, t in ((ecc.ONE_STEP, 0), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+                          (ecc.ONE_STEP_MODP, 1))
+    ]
+
+    def substitutions(readout, book, hbar):
+        return ecc.two_step_decode(readout, book, hbar, substitutions=True)
+
+    def plain(readout, book, hbar):
+        result = reconstruct_redundancy_free(readout, book.N, hbar, book)
+        return result.strings if isinstance(result, Recovered) else None
+
+    cases += [(1, ecc.two_step_codebook(base, 1, substitutions=True), substitutions),
+              (0, ecc.scheme_codebook(ecc.PLAIN, base, 0), plain)]
+    subsets = [sub for k in (1, 2) for sub in itertools.combinations(base.strings, k)]
+    outcomes = Counter()
+    for (t, book, decode), subset, seed in itertools.product(cases, subsets, range(3)):
+        rng = random.Random(seed)
+        words = [book.bits_for(s) for s in subset]
+        for lost, lighter, placement in itertools.product(
+            range(5), range(3), ("uniform", "adversarial")
+        ):
+            pattern = sample_erasure_pattern(words, lost, rng, placement)
+            readout = erase(book.pool_of(subset), pattern, rng=rng)
+            for _ in range(lighter):
+                cells = [(int(n), int(w)) for n, w in zip(*readout.counts.nonzero()) if w]
+                length, ones = rng.choice(cells)
+                side = "prefix" if 2 * ones >= length else "suffix"
+                readout = substitute_mass_reducing(
+                    readout, side, length, rng.randrange(ones), ones=ones
+                )
+            try:
+                got = decode(readout, book, len(subset))
+            except MasscodecError:
+                got = MasscodecError
+            assert got in (frozenset(subset), None, MasscodecError), (book.scheme, subset)
+            if lost <= t and not lighter and decode is not plain:
+                assert got == frozenset(subset), (book.scheme, subset, lost)
+            outcomes[got == frozenset(subset)] += 1
+    assert outcomes[True] == 2243, outcomes
 
 # sha256 of each book's codeword bits and layout JSON on bch_255_cols20,
 # recorded before the schemes shared their code choice, framing and payload
