@@ -1,0 +1,66 @@
+"""Stage spans and end-to-end numbers of the benchmark's three workloads.  Run from
+anywhere in the checkout:
+
+    python3 scripts/stage_report.py
+
+For each workload it runs ``bench/run.py`` for 2 s at seed 5 twice, traced and
+untraced, and prints the end-to-end metrics that gains are claimed on from the
+untraced run, then each set-up span's calls and self time per call and each
+stage's self time per call and share of a decode from the traced one.  The
+numbers gate nothing: the script exits 1, naming the workloads, only when a run
+fails or answers a wrong set (``bench/run.py`` then exits nonzero), after
+printing that run's output.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ("erasure-t2", "lookup-h3", "substitution-t1")
+
+
+def report(workload: str) -> bool:
+    """Print the workload's numbers; False when a run failed."""
+    argv = [str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", "5", "--seconds", "2"]
+    runs = [
+        subprocess.run(
+            [sys.executable, *argv, "--trace", trace], capture_output=True, text=True, cwd=ROOT
+        )
+        for trace in ("1", "0")
+    ]
+    if any(run.returncode for run in runs):
+        for run in runs:
+            print(run.stdout, run.stderr, sep="\n")
+        return False
+    # the last line is the result and the one before it the record
+    record = json.loads(runs[0].stdout.splitlines()[-2])
+    metrics = json.loads(runs[1].stdout.splitlines()[-1])["metrics"]
+    print(f"{workload}: untraced", ", ".join(
+        f"{name} {metrics[name]['value']:.3f}"
+        for name in ("decode_ms_p50", "trials_per_s", "peak_rss_mb")
+    ), f"setup_s {metrics['setup_s']['value']:.5f}")
+    print(f"{workload}: set-up spans, calls and self ms per call")
+    for name, span in record["spans"].items():
+        if "self_s" in span:
+            per_call = 1000 * span["self_s"] / span["calls"]
+            print(f"  {name:36} {span['calls']:8d} {per_call:8.3f}")
+    print(f"{workload}: self ms per call, share of decode")
+    for name, span in record["spans"].items():
+        if "self_ms_per_call" in span:
+            share = span.get("share_of_decode")
+            share = "-" if share is None else f"{share:.2f}"
+            print(f"  {name:36} {span['self_ms_per_call']:8.3f} {share:>6}")
+    return True
+
+
+def main() -> None:
+    failed = [workload for workload in WORKLOADS if not report(workload)]
+    sys.exit(f"failed: {', '.join(failed)}" if failed else None)
+
+
+if __name__ == "__main__":
+    main()

@@ -138,6 +138,8 @@ class BhCodebook:
             raise LengthMismatch("codebook strings must all have the declared length")
         if len(set(self.strings)) != len(self.strings):
             raise DuplicateString("codebook strings must be pairwise distinct")
+        if not self.strings:
+            raise ConfigError("a codebook needs at least one string")
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -218,17 +220,17 @@ def invert_sum(
 
     The matches of the target reduced mod 2 whose integer sum is the
     target; ambiguity means the codebook does not have the distinct-sums
-    property at this order.
+    property at this order, and the AmbiguousSolution carries the matches.
     """
     target = tuple(int(v) for v in target)
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
     parity = BitString(tuple(v % 2 for v in target))
-    found = [m for m in _mod2_matches(codebook, parity, hbar, budget) if real_sum(m) == target]
+    found = tuple(m for m in _mod2_matches(codebook, parity, hbar, budget) if real_sum(m) == target)
     if not found:
         raise NoSolution("no codebook subset matches the target sum")
     if len(found) > 1:
-        raise AmbiguousSolution(f"both {found[0]} and {found[1]} sum to the target")
+        raise AmbiguousSolution(f"both {found[0]} and {found[1]} sum to the target", found)
     return found[0]
 
 
@@ -243,24 +245,24 @@ def invert_mod2_sum(
     For a parity-check-backed codebook this is syndrome decoding: the
     target is the syndrome of a weight-hbar error pattern, unique because
     d >= 2h+1.  Explicit codebooks can have two subsets that share the
-    target, which is reported rather than silently resolved.
+    target, which is reported, with every match, rather than resolved here.
     """
     found = _mod2_matches(codebook, target, hbar, budget)
     if not found:
         raise NoSolution("no codebook subset matches the target mod-2 sum")
     if len(found) > 1:
-        raise AmbiguousSolution(f"both {found[0]} and {found[1]} reduce to the target mod 2")
+        raise AmbiguousSolution(f"both {found[0]} and {found[1]} reduce to the target mod 2", found)
     return found[0]
 
 
 def _mod2_matches(
     codebook: BhCodebook, target: BitString, hbar: int, budget: int
-) -> list[tuple[BitString, ...]]:
+) -> tuple[tuple[BitString, ...], ...]:
     """Every hbar-subset with the target mod-2 sum, lexicographic, by ``XorIndex.matches``."""
     if len(target) != codebook.n:
         raise LengthMismatch(f"target length {len(target)} != {codebook.n}")
     found = codebook._xor_index.matches(target.as_int, hbar, budget)
-    return [tuple(codebook.strings[i] for i in subset) for subset in found]
+    return tuple(tuple(codebook.strings[i] for i in subset) for subset in found)
 
 
 _WORD = (1 << 64) - 1

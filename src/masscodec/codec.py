@@ -30,13 +30,13 @@ Strings that are already Dyck can be their own codewords (the scheme RAW,
 The lookup is the answer step of every decoder, plain and coded alike:
 ``settle_target``.  A parity-check-backed codebook gives distinct subsets
 of size <= h distinct sums; an explicit codebook may not, and then the one
-subset whose pool holds the readout is the answer, or the shared target is
-reported as AmbiguousSolution.  A plain readout that lost fragments is
-decoded here too (``reconstruct_redundancy_free``): a complete merged sum
-goes through ``plain_sources`` as a clean one does, and an incomplete one
-comes back with the subsets that explain it.  One search finds the subsets
-whose pool holds a readout in both cases, ``held_subsets``: the subset
-search over a book's codewords, masked to the sum's known positions.
+of the lookup's matches whose pool holds the readout is the answer, or the
+shared target is reported as AmbiguousSolution.  A plain readout that lost
+fragments is decoded here too (``reconstruct_redundancy_free``): a complete
+merged sum goes through ``plain_sources`` as a clean one does, and an
+incomplete one comes back with its witnesses, the subsets whose pool holds
+the readout, from ``held_subsets``: the subset search over a book's
+codewords, masked to the sum's known positions.
 """
 
 from __future__ import annotations
@@ -488,24 +488,18 @@ def settle_target(
     A RAW book's target is the integer sum (``invert_sum``), any other's the
     mod-2 sum of the sources (``invert_mod2_sum``).  An explicit book, even a
     B_h one, can give two hbar-subsets one target while their pools differ,
-    so a shared target goes to ``held_subsets`` over the pool's merged
-    codeword sum, which only this path reads: its one held subset is the
-    answer.  With none or more than one, or a readout that does not merge,
-    the ``AmbiguousSolution`` stands.
+    so a shared target is settled among the lookup's own matches: the one
+    whose pool holds the readout is the answer.  With none or more than one,
+    the lookup's ``AmbiguousSolution`` stands.
     """
+    lookup = invert_sum if book.scheme == RAW else invert_mod2_sum
     try:
-        if book.scheme == RAW:
-            return frozenset(invert_sum(book.base, target, hbar, budget))
-        return frozenset(invert_mod2_sum(book.base, target, hbar, budget))
+        return frozenset(lookup(book.base, target, hbar, budget))
     except AmbiguousSolution as shared:
-        try:
-            merged = merged_sums(pool, book.N, hbar)
-        except MasscodecError:
-            raise shared from None
-        held = held_subsets(pool, merged, hbar, book, budget)
+        held = [sub for sub in shared.matches if pool.is_submultiset(book.pool_of(sub))]
         if len(held) != 1:
             raise
-        return held[0]
+        return frozenset(held[0])
 
 
 @dataclass(frozen=True)
@@ -543,15 +537,15 @@ def reconstruct_redundancy_free(
     that agree with the sum's known symbols, while 2^N is within the budget.
 
     A ``BhCodebook`` of Dyck strings is read as its RAW book; a book of a
-    correction scheme raises UnsupportedCodebook once the merge has read the
-    pool.  A witness search past its budget leaves the witnesses None; on a
-    complete sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
+    correction scheme raises UnsupportedCodebook before the pool is read.  A
+    witness search past its budget leaves the witnesses None; on a complete
+    sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
     """
     if isinstance(codebook, BhCodebook):
         codebook = raw_codebook(codebook)
-    merged = merged_sums(pool, N, hbar)
     if codebook is not None:
         require_plain(codebook)
+    merged = merged_sums(pool, N, hbar)
     if merged.complete:
         if codebook is not None:
             return Recovered(merged, plain_sources(pool, codebook, merged, hbar, budget))

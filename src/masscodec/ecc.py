@@ -49,8 +49,8 @@ A decoder here only solves its codes: it reads the readout, restores the
 erased (or corrupted) symbols and hands the mod-2 target to
 ``codec.settle_target``, the answer step the plain codec ends in too.  That
 step looks the target up and, when two subsets of an explicit book share
-it, asks the readout which one it holds, so these decoders need not know
-that a book can share a target.
+it, answers with the one of the lookup's matches whose pool holds the
+readout, so these decoders need not know that a book can share a target.
 
 Every scheme builds a ``codec.McCodebook``, the type the plain codec uses
 too: the scheme name, t, the codes and the layout ride on the book.  The

@@ -34,7 +34,11 @@ class NoSolution(MasscodecError):
 
 
 class AmbiguousSolution(MasscodecError):
-    """More than one subset matches; the codebook lacks the claimed property."""
+    """More than one subset matches, listed in ``matches``: the book lacks the claimed property."""
+
+    def __init__(self, message: str, matches: tuple = ()):
+        super().__init__(message)
+        self.matches = matches
 
 
 class CountMismatch(MasscodecError):

@@ -59,6 +59,12 @@ def test_explicit_codebook_without_strings_is_a_config_error():
         BhCodebook.explicit([], 2)
 
 
+def test_a_codebook_without_strings_is_refused_when_built():
+    # its books would list the fragment cells of no codeword (a bare IndexError)
+    with pytest.raises(ConfigError, match="a codebook needs at least one string"):
+        BhCodebook(6, 1, ())
+
+
 def test_verify_bh_trivial_and_budget():
     assert verify_bh(BhCodebook.explicit(["110100"], 5), 5).valid
     with pytest.raises(SearchSpaceTooLarge):

@@ -397,8 +397,18 @@ def test_coded_codebook_is_refused_by_the_plain_pipeline(b2_n16_codebook):
     )
     p, s = partial_sum_strings(erased, book.N, 2)
     assert not merge_partials(p, s, book.N).complete  # weight hbar * N / 2
+    # a fragment read lighter can make the merge raise, so the book is refused first
+    rng = random.Random(1)
+    lighter = []
+    for _ in range(3):
+        cells = [(int(n), int(w)) for n, w in zip(*clean.counts.nonzero()) if w]
+        length, ones = rng.choice(cells)
+        side = PREFIX if 2 * ones >= length else SUFFIX
+        lighter.append(substitute_mass_reducing(clean, side, length, rng.randrange(ones), ones))
+    with pytest.raises(NegativeIncrement):
+        merged_sums(lighter[1], book.N, 2)
     # a complete merge reaches the inversion, an ambiguous one the witnesses
-    for readout in (clean, erased):
+    for readout in (clean, erased, *lighter):
         with pytest.raises(UnsupportedCodebook):
             reconstruct_redundancy_free(readout, book.N, 2, codebook=book)
 

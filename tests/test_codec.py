@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masscodec.bhcode import BhCodebook, invert_sum, verify_bh
+from masscodec import codec, ecc
+from masscodec.bhcode import BhCodebook, invert_mod2_sum, invert_sum, verify_bh
 from masscodec.codec import (
+    RAW,
     Ambiguous,
     BalancedPair,
     Recovered,
@@ -22,6 +24,7 @@ from masscodec.codec import (
     raw_codebook,
     reconstruct_redundancy_free,
     separate_pool,
+    settle_target,
     sum_from_prefixes,
     unbalance,
     unflip,
@@ -37,7 +40,13 @@ from masscodec.core import (
     prefix_multiset,
     suffix_multiset,
 )
-from masscodec.channel import Removal, erase, merged_sums, sample_erasure_pattern
+from masscodec.channel import (
+    Removal,
+    erase,
+    merged_sums,
+    sample_erasure_pattern,
+    substitute_mass_reducing,
+)
 from masscodec.errors import (
     AmbiguousSolution,
     CountMismatch,
@@ -431,6 +440,87 @@ def test_no_book_witnesses_match_the_search_over_every_dyck_string():
         assert out.witnesses == held_subsets(readout, merged, 1, universe, 2**22), N
         ambiguous += 1
     assert ambiguous >= 150, ambiguous
+
+
+# ---------------------------------------------------------------------------
+# differential test: the answer step settles a shared target among the lookup's
+# own matches; the referee is the rule it replaced, a held-subset search over
+# the readout's merged codeword sum
+
+
+def _referee_settle(readout, book, target, hbar, budget):
+    """A shared target goes to ``merged_sums`` and then ``held_subsets``; the
+    lookup's error stands when the merge raises or not exactly one subset holds."""
+    lookup = invert_sum if book.scheme == RAW else invert_mod2_sum
+    try:
+        return frozenset(lookup(book.base, target, hbar, budget))
+    except AmbiguousSolution as shared:
+        try:
+            merged = merged_sums(readout, book.N, hbar)
+        except MasscodecError:
+            raise shared from None
+        held = held_subsets(readout, merged, hbar, book, budget)
+        if len(held) != 1:
+            raise
+        return held[0]
+
+
+def _answer_step_cases():
+    """(book, decode) for the base whose pairs share their mod-2 sums under each
+    scheme and plain, and for seeded raw books; plain and raw decode by the merge."""
+    def plain(readout, book, hbar):
+        return reconstruct_redundancy_free(readout, book.N, hbar, book)
+
+    def substitutions(readout, book, hbar):
+        return ecc.two_step_decode(readout, book, hbar, substitutions=True)
+
+    base = BhCodebook.explicit(["00001", "00010", "00100", "00111"], 2)
+    for scheme, t in ((ecc.ONE_STEP, 0), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+                      (ecc.ONE_STEP_MODP, 1)):
+        yield ecc.scheme_codebook(scheme, base, t), ecc.scheme_decode
+    yield ecc.two_step_codebook(base, 1, substitutions=True), substitutions
+    yield ecc.scheme_codebook(ecc.PLAIN, base, 0), plain
+    for seed in range(3):
+        rng = random.Random(seed)
+        raw = BhCodebook.explicit(rng.sample(all_dyck_strings(8), 6), 2)
+        yield raw_codebook(raw), plain
+
+
+def test_the_answer_step_settles_a_shared_target_as_the_merged_search_did(monkeypatch):
+    # readout by readout, every answer step gives the referee's outcome;
+    # 0-4 losses in both placements and 0-2 lighter readings
+    shared = Counter()
+
+    def checked(readout, book, target, hbar, budget):
+        got = _outcome(lambda: settle_target(readout, book, target, hbar, budget))
+        assert got == _outcome(lambda: _referee_settle(readout, book, target, hbar, budget))
+        lookup = invert_sum if book.scheme == RAW else invert_mod2_sum
+        if _outcome(lambda: lookup(book.base, target, hbar, budget)) is AmbiguousSolution:
+            shared[book.scheme, got is AmbiguousSolution] += 1
+        return settle_target(readout, book, target, hbar, budget)
+
+    monkeypatch.setattr(codec, "settle_target", checked)
+    monkeypatch.setattr(ecc, "settle_target", checked)
+    for book, decode in _answer_step_cases():
+        subsets = [sub for k in (1, 2) for sub in itertools.combinations(book.base.strings, k)]
+        for subset, seed in itertools.product(subsets, range(2)):
+            rng = random.Random(seed)
+            words = [book.bits_for(s) for s in subset]
+            for lost, lighter, placement in itertools.product(
+                range(5), range(3), ("uniform", "adversarial")
+            ):
+                pattern = sample_erasure_pattern(words, lost, rng, placement)
+                readout = erase(book.pool_of(subset), pattern, rng=rng)
+                for _ in range(lighter):
+                    cells = [(int(n), int(w)) for n, w in zip(*readout.counts.nonzero()) if w]
+                    length, ones = rng.choice(cells)
+                    side = "prefix" if 2 * ones >= length else "suffix"
+                    readout = substitute_mass_reducing(
+                        readout, side, length, rng.randrange(ones), ones=ones
+                    )
+                _outcome(lambda: decode(readout, book, len(subset)))
+    # every book settled shared targets, some answered and some left standing
+    assert len(shared) == 12 and sum(shared.values()) >= 1000, shared
 
 
 def test_codec_rate_is_reported(mc_codebook):
