@@ -266,8 +266,8 @@ def cmd_decode(args) -> int:
         raise InconsistentPoolSize(f"the pool needs hbar >= {order}, got hbar={hbar}")
     report = detect_substitution(poolset, N, hbar) if args.detect else None
     try:
-        # a raw pool, and a plain pool that lost fragments, need the redundancy-free merge
-        if book.scheme == RAW or (book.scheme == PLAIN and poolset.total != 2 * N * hbar):
+        # every plain readout, clean or not, goes to the redundancy-free merge
+        if book.scheme in (PLAIN, RAW):
             outcome = reconstruct_redundancy_free(poolset, N, hbar, book, args.budget)
         else:
             outcome = ecc.scheme_decode(poolset, book, hbar, args.budget)

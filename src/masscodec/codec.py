@@ -19,6 +19,14 @@ its prefix half and suffix half by weight alone.  The pipeline:
     keeps the RDS strictly positive throughout the data segments, and the
     whole codeword satisfies the Dyck prefix-weight property.
 
+A book is framed in one pass (``frame``): its words are one (|C|, n) 0/1
+array, padded to m and balanced together, with one loop over the sqrt(m)
+blocks (``balance_blocks``); the flags, any z and the data are laid into
+one (|C|, N) array, the tails fill each row (``append_tails``), and each
+row is read out as a BitString once.  ``encode`` frames any number of
+strings of one length, so a book's encoder calls it once, and a single
+string is a list of one.
+
 Decoding a pooled readout of hbar <= h codewords inverts each step: split
 the pool by weight, rebuild the coordinate-wise integer sum of the
 codewords from the prefix side, read the mod-2 sum of the original
@@ -31,12 +39,14 @@ The lookup is the answer step of every decoder, plain and coded alike:
 ``settle_target``.  A parity-check-backed codebook gives distinct subsets
 of size <= h distinct sums; an explicit codebook may not, and then the one
 of the lookup's matches whose pool holds the readout is the answer, or the
-shared target is reported as AmbiguousSolution.  A plain readout that lost
-fragments is decoded here too (``reconstruct_redundancy_free``): a complete
-merged sum goes through ``plain_sources`` as a clean one does, and an
-incomplete one comes back with its witnesses, the subsets whose pool holds
-the readout, from ``held_subsets``: the subset search over a book's
-codewords, masked to the sum's known positions.
+shared target is reported as AmbiguousSolution.  The merge of the two
+side readings decodes any plain readout, clean or not
+(``reconstruct_redundancy_free``, the CLI's plain decode): a complete
+merged sum goes through ``plain_sources`` as a clean one does, and its
+answer is ``certified`` against the readout; an incomplete one comes back
+with its witnesses, the subsets whose pool holds the readout, from
+``held_subsets``: the subset search over a book's codewords, masked to the
+sum's known positions.
 """
 
 from __future__ import annotations
@@ -64,6 +74,8 @@ from .core import (
     CompositionMultiset,
     PartialSumString,
     all_dyck_strings,
+    bit_matrix,
+    bit_rows,
     fragment_cells,
     is_dyck,
 )
@@ -99,13 +111,6 @@ def next_square(n: int) -> tuple[int, int]:
     return root * root, root
 
 
-def pad_to_square(s: BitString) -> tuple[BitString, int]:
-    """Left-pad with zeros up to the next perfect square length: the same
-    integer, read at the longer length."""
-    m, _ = next_square(len(s))
-    return BitString.from_int(s.as_int, m), m - len(s)
-
-
 @dataclass(frozen=True)
 class BalancedPair:
     """An approximately balanced string u and its block-complement flags r."""
@@ -118,33 +123,42 @@ class BalancedPair:
             raise ValueError("flag length squared must equal the data length")
 
 
-def block_balance(s: BitsLike) -> BalancedPair:
-    """Rebuild s block by block so the running digital sum stays near zero.
+def balance_blocks(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flags r and the balanced data u of every row of a (rows, m) 0/1 array.
 
-    The first block is kept; each later block is complemented exactly when
-    its digital sum has the same sign (zero counts as positive) as the
-    digital sum accumulated so far.  One pass over the blocks of
-    ``s.as_int``: a block's weight is its ``bit_count`` and complementing
-    it is an XOR with the all-ones block.
+    Each row is rebuilt block by block so its running digital sum stays
+    near zero: the first block is kept, and each later block is complemented
+    exactly when its digital sum has the same sign (zero counts as
+    positive) as the digital sum accumulated so far.  Either way the block
+    then moves a sum >= 0 down by its size |rds_j| and a sum < 0 up by it,
+    so one loop over the sqrt(m) blocks runs the sums of every row at once,
+    and the flags are read off them after it.  Returns r as (rows, sqrt(m))
+    and u as (rows, m), both uint8.
     """
-    s = BitString(s)
-    m, key = len(s), s.as_int
+    import numpy as np
+
+    rows, m = padded.shape
     root = math.isqrt(m)
     if root * root != m:
         raise ValueError(f"length {m} is not a perfect square; pad first")
-    ones = (1 << root) - 1
-    u = flags = acc = 0
-    for shift in range(m - root, -1, -root):
-        block = key >> shift & ones
-        rds = 2 * block.bit_count() - root
-        flip = shift < m - root and (acc >= 0) == (rds >= 0)
-        if flip:
-            block ^= ones
-            rds = -rds
-        u = u << root | block
-        flags = flags << 1 | flip
-        acc += rds
-    return BalancedPair(u=BitString.from_int(u, m), r=BitString.from_int(flags, root))
+    blocks = padded.reshape(rows, root, root)
+    rds = 2 * blocks.sum(axis=2, dtype=np.int64) - root
+    size = np.abs(rds)
+    acc = np.empty((rows, root), dtype=np.int64)
+    acc[:, 0] = rds[:, 0]
+    for j in range(1, root):
+        prev = acc[:, j - 1]
+        np.subtract(prev, np.where(prev >= 0, size[:, j], -size[:, j]), out=acc[:, j])
+    flags = np.zeros((rows, root), dtype=np.uint8)
+    flags[:, 1:] = (acc[:, :-1] >= 0) == (rds[:, 1:] >= 0)
+    return flags, (blocks ^ flags[:, :, None]).reshape(rows, m)
+
+
+def block_balance(s: BitsLike) -> BalancedPair:
+    """``balance_blocks`` of the one string s, whose length must be a square."""
+    s = BitString(s)
+    r, u = balance_blocks(bit_matrix([s]))
+    return BalancedPair(u=bit_rows(u)[0], r=bit_rows(r)[0])
 
 
 def unbalance(u: BitsLike, r: BitsLike) -> BitString:
@@ -215,7 +229,7 @@ class McLayout:
         return {**asdict(self), "segments": segments}
 
 
-@functools.cache  # codec.encode asks once per string, bounds.construction_rate once per rate
+@functools.cache  # bounds.construction_rate asks once per rate
 def plain_layout(n: int) -> McLayout:
     m, root = next_square(n)
     lead = math.ceil(5 * root / 2)
@@ -233,40 +247,64 @@ class McCodeword:
     origin: BitString
 
 
-def append_tails(lead: int, parts: Sequence[BitString], N: int) -> BitString:
-    """A 1-run of length lead, the parts, then the 1-run and the 0-run that
-    make the whole balanced of length N, built as one integer."""
-    head, length = (1 << lead) - 1, lead
-    for part in parts:
-        head = head << len(part) | part.as_int
-        length += len(part)
-    w = head.bit_count()
-    ones_tail = N // 2 - w
-    zeros_tail = N // 2 - (length - w)
-    if ones_tail < 0 or zeros_tail < 0:
+def append_tails(words: np.ndarray, lead: int, start: int) -> list[BitString]:
+    """Each row of the (rows, N) array words as a balanced codeword: its
+    columns below lead become the leading 1-run and its columns from start
+    on the 1-run and then the 0-run that balance the row.  The columns
+    between hold the row's parts, 0/1, already in place."""
+    import numpy as np
+
+    N = words.shape[1]
+    words[:, :lead] = 1
+    ones_tail = N // 2 - words[:, :start].sum(axis=1, dtype=np.int64)
+    if (ones_tail < 0).any() or (ones_tail > N - start).any():
         raise ValueError("balancing tails would be negative; layout broken")
-    return BitString.from_int((head << ones_tail | (1 << ones_tail) - 1) << zeros_tail, N)
+    words[:, start:] = np.arange(N - start) < ones_tail[:, None]
+    return bit_rows(words)
 
 
 def frame(
     layout: McLayout,
-    word: BitsLike,
-    origin: BitString,
-    z_of: Optional[Callable[[BalancedPair], Sequence[int]]] = None,
-) -> McCodeword:
-    """Balance word left-padded to the layout's m and frame it, z after the flags:
-    the one codeword frame.  ``z_of(pair)`` gives the bits that z carries, each
-    followed by its complement so z stays balanced; without it z is empty."""
-    pair = block_balance(BitString.from_int(BitString(word).as_int, layout.m))
-    z = [v for b in z_of(pair) for v in (b, 1 - b)] if z_of else ()
-    parts = (pair.r, BitString(z), pair.u) if z else (pair.r, pair.u)
-    return McCodeword(append_tails(layout.lead, parts, layout.N), origin)
+    words: np.ndarray,
+    z_of: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+) -> list[BitString]:
+    """The one codeword frame, over a whole book: the codeword of every row of
+    the (rows, layout.n) 0/1 array words.
+
+    Each row is left-padded to the layout's m and balanced (``balance_blocks``);
+    its flags r, then z, then its data u go behind the leading run, and the
+    tails follow (``append_tails``).  ``z_of(r, u)`` gives the bits that z
+    carries, one row per word, each followed by its complement so z stays
+    balanced; only a layout with an empty z may go without it.
+    """
+    import numpy as np
+
+    rows, n = words.shape
+    if n != layout.n or (z_of is None and layout.z_len):
+        raise ValueError(f"words of length {n} do not fit the layout {layout}")
+    padded = np.zeros((rows, layout.m), dtype=np.uint8)
+    padded[:, layout.pad :] = words
+    r, u = balance_blocks(padded)
+    out = np.empty((rows, layout.N), dtype=np.uint8)
+    out[:, layout.r_start : layout.z_start] = r
+    if z_of is not None:
+        z = z_of(r, u)
+        out[:, layout.z_start : layout.u_start : 2] = z
+        out[:, layout.z_start + 1 : layout.u_start : 2] = 1 - z
+    out[:, layout.u_start : layout.tail_start] = u
+    return append_tails(out, layout.lead, layout.tail_start)
 
 
-def encode(s: BitsLike) -> McCodeword:
-    """Balance s and frame it as a Dyck codeword of ``plain_layout(len(s))``."""
-    s = BitString(s)
-    return frame(plain_layout(len(s)), s, s)
+def encode(strings: Sequence[BitsLike]) -> tuple[McCodeword, ...]:
+    """The codewords of equal-length strings under ``plain_layout`` of their
+    length: one ``frame`` of all of them."""
+    if isinstance(strings, (str, BitString)):
+        raise TypeError("encode takes a sequence of strings; pass one string as [s]")
+    strings = [s if isinstance(s, BitString) else BitString(s) for s in strings]
+    if not strings:
+        return ()
+    bits = frame(plain_layout(len(strings[0])), bit_matrix(strings))
+    return tuple(map(McCodeword, bits, strings))
 
 
 @dataclass(frozen=True)
@@ -343,8 +381,7 @@ class McCodebook:
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
-    codewords = tuple(encode(s) for s in base.strings)
-    return McCodebook(base, codewords, plain_layout(base.n))
+    return McCodebook(base, encode(base.strings), plain_layout(base.n))
 
 
 def raw_codebook(base: BhCodebook) -> McCodebook:
@@ -464,9 +501,21 @@ def decode_mixture(
         raise InconsistentPoolSize(f"hbar={hbar} outside 1..{codebook.h}")
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
-    answer = plain_sources(pool, codebook, total, hbar, budget)
-    if codebook.pool_of(answer) != pool:
-        raise DecodeFailure("the pool of the decoded set is not the readout")
+    return certified(pool, codebook, plain_sources(pool, codebook, total, hbar, budget), hbar)
+
+
+def certified(
+    pool: CompositionMultiset, book: McCodebook, answer: frozenset[BitString], hbar: int
+) -> frozenset[BitString]:
+    """The answer, once its pool explains the readout: a readout of clean size,
+    2N*hbar fragments, must be the answer's pool, and any other must be held
+    in it.  DecodeFailure otherwise."""
+    held = book.pool_of(answer)
+    if pool.total == 2 * book.N * hbar:
+        if held != pool:
+            raise DecodeFailure("the pool of the decoded set is not the readout")
+    elif not pool.is_submultiset(held):
+        raise DecodeFailure("the pool of the decoded set does not hold the readout")
     return answer
 
 
@@ -531,7 +580,8 @@ def reconstruct_redundancy_free(
     The two-sided merge always succeeds when the erasure bursts of the two
     sides do not overlap, or overlap once in a single position; the weight
     anchor can settle a little more (all-zero and all-max deficits).  A
-    complete sum's sources come from ``plain_sources``; an incomplete sum's
+    complete sum's sources come from ``plain_sources`` and are ``certified``
+    against the readout, as ``decode_mixture``'s are; an incomplete sum's
     witnesses are the book's subsets that explain the readout, and with no
     book and hbar 1 the book is the RAW book of the Dyck strings of length N
     that agree with the sum's known symbols, while 2^N is within the budget.
@@ -547,9 +597,10 @@ def reconstruct_redundancy_free(
         require_plain(codebook)
     merged = merged_sums(pool, N, hbar)
     if merged.complete:
-        if codebook is not None:
-            return Recovered(merged, plain_sources(pool, codebook, merged, hbar, budget))
-        return Recovered(merged, frozenset({merged.to_bitstring()}) if hbar == 1 else None)
+        if codebook is None:
+            return Recovered(merged, frozenset({merged.to_bitstring()}) if hbar == 1 else None)
+        answer = plain_sources(pool, codebook, merged, hbar, budget)
+        return Recovered(merged, certified(pool, codebook, answer, hbar))
     if codebook is None and hbar == 1 and 2**N <= budget:
         # only the Dyck strings that agree with every known symbol can explain it
         strings = all_dyck_strings(N, merged.symbols)
@@ -653,11 +704,9 @@ class BalanceReport:
 
 
 def balance_report(s: BitsLike) -> BalanceReport:
-    cw = encode(s)
+    (cw,) = encode([s])
     lay = plain_layout(len(cw.origin))
-    padded, _ = pad_to_square(cw.origin)
-    pair = block_balance(padded)
-    profile = pair.u.rds_profile()
+    profile = cw.bits[lay.u_start : lay.tail_start].rds_profile()
     boundary = max(
         abs(profile[j * lay.root - 1]) for j in range(1, lay.root + 1)
     )

@@ -484,6 +484,28 @@ def _blank(size: int) -> np.ndarray:
     return np.zeros((size, size), dtype=np.int64)
 
 
+def bit_matrix(strings: Sequence[BitString]) -> np.ndarray:
+    """Equal-length strings as one read-only (len(strings), n) uint8 array of 0/1,
+    one byte per symbol, read by C calls rather than an int conversion each."""
+    import numpy as np
+
+    n = len(strings[0])
+    symbols = "".join(map(str, strings)).encode().translate(FROM_ASCII)
+    if len(symbols) != n * len(strings):
+        raise LengthMismatch(f"strings of one array must share length {n}")
+    return np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
+
+
+def bit_rows(bits: np.ndarray) -> list[BitString]:
+    """Each row of a 2-D 0/1 array as a BitString: one text for the whole
+    array, then one ``int(text, 2)`` per row."""
+    import numpy as np
+
+    rows, n = bits.shape
+    text = np.ascontiguousarray(bits, dtype=np.uint8).tobytes().translate(_TO_ASCII)
+    return [BitString._of(n, int(text[i : i + n], 2)) for i in range(0, rows * n, n)]
+
+
 def fragment_cells(
     strings: Sequence[BitString], prefixes: bool = True, suffixes: bool = True
 ) -> np.ndarray:
@@ -492,9 +514,7 @@ def fragment_cells(
     import numpy as np
 
     n = len(strings[0])
-    # one byte per symbol, read by C calls rather than an int conversion each
-    symbols = "".join(map(str, strings)).encode().translate(FROM_ASCII)
-    bits = np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
+    bits = bit_matrix(strings)
     reads = ([bits] if prefixes else []) + ([bits[:, ::-1]] if suffixes else [])
     cumulative = np.cumsum(np.concatenate(reads), axis=1, dtype=np.int64)
     return cumulative + (n + 1) * np.arange(1, n + 1)

@@ -38,12 +38,18 @@ Each scheme's codebook builder is its encoder, and it works in one pass:
 it picks and checks its codes once (``_one_step_code``,
 ``_two_step_codes``, ``_integral_code`` and ``_modp_code``; the default
 Z_p code depends on h, so ``one_step_modp_codebook`` picks it), computes
-the book's one layout from them, and frames every string under it.  The
+the book's one layout from them, and frames the whole base at once.  The
 binary code checks share ``_require``, the check of dimension and
 capability, and two-step and integral take their default codes from
-``linearcode.shipped_code``, the one chooser of shipped codes.  One-step,
-two-step and mod-p frame their codewords with ``codec.frame``, and one-step
-and two-step decode their payload in ``_payload_target``.
+``linearcode.shipped_code``, the one chooser of shipped codes.  The base
+is one (|C|, n) 0/1 array (``core.bit_matrix``), and everything a codeword
+carries is computed over it: the code words (``LinearCode.encode`` of the
+array), the two-step flag parities and the mod-p Z_p syndromes of the
+balanced rows, and the integral's running XOR and parity pairing.
+One-step, two-step and mod-p frame their codewords with one
+``codec.frame`` call, the integral lays its rows out and closes them with
+``codec.append_tails``, and one-step and two-step decode their payload in
+``_payload_target``.
 
 A decoder here only solves its codes: it reads the readout, restores the
 erased (or corrupted) symbols and hands the mod-2 target to
@@ -66,14 +72,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .bhcode import BhCodebook, DEFAULT_BUDGET
 from .channel import merged_counts, merged_sums, raw_side_sums
 from .codec import (
     PLAIN,
     RAW,
-    BalancedPair,
     McCodebook,
     McCodeword,
     McLayout,
@@ -87,7 +92,7 @@ from .codec import (
     settle_target,
     unflip,
 )
-from .core import BitString, BitsLike, CompositionMultiset
+from .core import BitString, BitsLike, CompositionMultiset, bit_matrix
 from .errors import (
     CapabilityTooSmall,
     ConfigError,
@@ -103,6 +108,9 @@ from .linearcode import (
     shipped_code,
     trivial_code,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ONE_STEP = "one-step"
 TWO_STEP = "two-step"
@@ -205,7 +213,8 @@ def one_step_codebook(
     """
     code = _one_step_code(base.n, t, code)
     layout = plain_layout(code.n)
-    codewords = tuple(frame(layout, code.encode(s.bits), s) for s in base.strings)
+    bits = frame(layout, code.encode(bit_matrix(base.strings)))
+    codewords = tuple(map(McCodeword, bits, base.strings))
     return McCodebook(base, codewords, layout, scheme=ONE_STEP, t=t, code_data=code)
 
 
@@ -265,10 +274,11 @@ def two_step_codebook(
     code_data, code_flag = _two_step_codes(base.n, t, code_data, code_flag, substitutions)
     layout = _framed_layout(code_data.n, 2 * (code_flag.n - code_flag.k))
 
-    def z_of(pair: BalancedPair) -> Sequence[int]:
-        return code_flag.encode(pair.r.bits)[code_flag.k :]
+    def z_of(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return code_flag.encode(r)[:, code_flag.k :]
 
-    codewords = tuple(frame(layout, code_data.encode(s.bits), s, z_of) for s in base.strings)
+    bits = frame(layout, code_data.encode(bit_matrix(base.strings)), z_of)
+    codewords = tuple(map(McCodeword, bits, base.strings))
     return McCodebook(
         base, codewords, layout, scheme=TWO_STEP, t=t, code_data=code_data, code_flag=code_flag
     )
@@ -386,22 +396,20 @@ def _integral_layout(n: int, red_len: int) -> IntegralLayout:
     return IntegralLayout(n=n, red_len=red_len, lead=lead, N=4 * n + 4 + red_len)
 
 
-def balance_redundancy(r_prime: Sequence[int], i_last: int) -> BitString:
-    """Pairwise-balanced packing of the parity bits R' (nonempty).
+def balance_redundancy(r_prime: np.ndarray, i_last: np.ndarray) -> np.ndarray:
+    """Pairwise-balanced packing of each row of the parity bits R'.
 
     R_1 = R'_1 + I_n with i_last = I_n, the last integral symbol (the
     parity of the payload weight); every even position complements its
     predecessor, and R_{2i+1} = R'_i + R'_{i+1} + R_{2i}.  By induction
     R_{2i+1} = R'_{i+1} + I_n + i, so the weight of s.R_1..R_{2i+1} has the
-    parity of R'_{i+1}.
+    parity of R'_{i+1}: the closed form builds every row at once.
     """
-    bits = [r_prime[0] ^ (i_last & 1)]
-    bits.append(1 - bits[-1])
-    for i in range(1, len(r_prime)):
-        nxt = r_prime[i - 1] ^ r_prime[i] ^ bits[-1]
-        bits.append(nxt)
-        bits.append(1 - nxt)
-    return BitString(bits)
+    import numpy as np
+
+    rows, width = r_prime.shape
+    odd = r_prime ^ i_last[:, None] ^ np.arange(width) % 2
+    return np.stack([odd, 1 - odd], axis=2).reshape(rows, 2 * width)
 
 
 def _integral_code(k: int, t: int, code: Optional[LinearCode]) -> LinearCode:
@@ -413,15 +421,19 @@ def integral_codebook(
     base: BhCodebook, t: int, code: Optional[LinearCode] = None
 ) -> McCodebook:
     """Embed each s and the balanced parities of I(s) behind a long 1-run."""
+    import numpy as np
+
     code = _integral_code(base.n, t, code)
     layout = _integral_layout(base.n, 2 * (code.n - code.k))
-    codewords = []
-    for s in base.strings:
-        iw = integral(s).bits
-        r_prime = code.encode(iw)[code.k :]
-        parts = (s, balance_redundancy(r_prime, iw[-1])) if r_prime else (s,)
-        codewords.append(McCodeword(append_tails(layout.lead, parts, layout.N), s))
-    return McCodebook(base, tuple(codewords), layout, scheme=INTEGRAL, t=t, code_data=code)
+    words = bit_matrix(base.strings)
+    iw = np.bitwise_xor.accumulate(words, axis=1)  # I(s) of every row
+    r_prime = code.encode(iw)[:, code.k :]
+    out = np.empty((len(words), layout.N), dtype=np.uint8)
+    out[:, layout.s_start : layout.r_start] = words
+    out[:, layout.r_start : layout.tail_start] = balance_redundancy(r_prime, iw[:, -1])
+    bits = append_tails(out, layout.lead, layout.tail_start)
+    codewords = tuple(map(McCodeword, bits, base.strings))
+    return McCodebook(base, codewords, layout, scheme=INTEGRAL, t=t, code_data=code)
 
 
 def integral_decode(
@@ -483,6 +495,8 @@ def one_step_modp_codebook(
     integer sums of the z segment reveal the syndrome of the integer sums
     of (flags, payload) -- no mod-2 reduction needed before solving.
     """
+    import numpy as np
+
     if pcode is None:
         m, root = _pad_root_mult4(base.n)
         pcode = modp_code(_next_prime(base.h + 1), root + m)
@@ -490,11 +504,13 @@ def one_step_modp_codebook(
     g = _symbol_bits(pcode.p)
     layout = _framed_layout(base.n, 2 * pcode.n_rows * g)
 
-    def z_of(pair: BalancedPair) -> list[int]:
-        syndrome = pcode.syndrome(pair.r.bits + pair.u.bits)
-        return [(sym >> (g - 1 - b)) & 1 for sym in syndrome for b in range(g)]
+    def z_of(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        syndromes = pcode.syndrome(np.hstack([r, u]))
+        # each symbol as g bits, most significant first
+        return (syndromes[:, :, None] >> np.arange(g - 1, -1, -1) & 1).reshape(len(r), -1)
 
-    codewords = tuple(frame(layout, s, s, z_of) for s in base.strings)
+    bits = frame(layout, bit_matrix(base.strings), z_of)
+    codewords = tuple(map(McCodeword, bits, base.strings))
     return McCodebook(base, codewords, layout, scheme=ONE_STEP_MODP, t=t, code_data=pcode)
 
 

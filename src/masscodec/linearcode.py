@@ -6,7 +6,8 @@ encoder derived from it, and decoders that solve for erased positions
 by syndrome decoding: the columns of H that XOR to a word's syndrome are
 found by ``bhcode.XorIndex.matches``, the meet-in-the-middle that also
 inverts codebook sums.  A matching mod-p variant supports syndrome
-protection over a prime field.
+protection over a prime field.  The encoder and the Z_p syndrome take a
+whole book's words as one array, one matrix product each, or one word.
 
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices not already in reduced form
@@ -27,12 +28,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .bhcode import DEFAULT_BUDGET, XorIndex, bundled_spec
-from .core import FROM_ASCII
 from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
 
 
@@ -166,26 +166,22 @@ class LinearCode:
     def error_capability(self) -> int:
         return (self.d - 1) // 2
 
-    @functools.cached_property
-    def _packed_rows(self) -> list[int]:
-        """The generator's rows, one int per information position, position p
-        as bit n-1-p; with pivots n-1 ... n-r, pivot row i is bit i."""
-        packed = np.packbits(self.generator, axis=1)  # big-endian, zero-padded on the right
-        pad = 8 * packed.shape[1] - self.n
-        return [int.from_bytes(row, "big") >> pad for row in packed.tolist()]
+    def encode(
+        self, messages: Union[Sequence[int], np.ndarray]
+    ) -> Union[tuple[int, ...], np.ndarray]:
+        """Place each message on the information set and read off the parity.
 
-    def encode(self, message: Sequence[int]) -> tuple[int, ...]:
-        """Place the message on the information set and read off the parity.
-
-        H is reduced, so the pivot positions are H[:, info] . message mod 2:
-        the codeword is the XOR of the packed generator rows at the
-        message's ones, read out as n bits.
+        A (rows, k) 0/1 array of messages gives a (rows, n) uint8 array of
+        codewords, one product with the generator; one message, a sequence of
+        k bits, gives its codeword as a tuple.  H is reduced, so the pivot
+        positions are H[:, info] . message mod 2.
         """
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != k={self.k}")
-        rows = itertools.compress(self._packed_rows, [int(bit) & 1 for bit in message])
-        word = functools.reduce(operator.xor, rows, 0)
-        return tuple(f"{word:0{self.n}b}".encode().translate(FROM_ASCII))
+        one = np.ndim(messages) == 1
+        rows = np.array(messages, dtype=np.int64, ndmin=2) & 1
+        if rows.shape[1] != self.k:
+            raise ValueError(f"message length {rows.shape[1]} != k={self.k}")
+        words = (rows @ self.generator % 2).astype(np.uint8)
+        return tuple(words[0].tolist()) if one else words
 
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)
@@ -413,25 +409,17 @@ class ModpCode:
         self.n = H.shape[1]
         self.n_rows = H.shape[0]
 
-    @functools.cached_property
-    def _packed_columns(self) -> tuple[int, list[int]]:
-        """A field width W and H's columns as ints, entry j in the W bits at W*j.
-
-        W holds n*(p-1)^2, the largest row sum of reduced entries, so a
-        weighted sum of columns never carries from one field into the next."""
-        width = (self.n * (self.p - 1) ** 2).bit_length()
-        columns = [sum(d << width * j for j, d in enumerate(c)) for c in self.H.T.tolist()]
-        return width, columns
-
-    def syndrome(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """H.vec mod p: the columns weighted by the reduced entries, summed as ints."""
-        if len(vec) != self.n:
-            raise ValueError(f"vector length {len(vec)} != n={self.n}")
-        width, columns = self._packed_columns
-        p = self.p
-        total = sum(map(operator.mul, columns, [int(x) % p for x in vec]))
-        field = (1 << width) - 1
-        return tuple([(total >> width * j & field) % p for j in range(self.n_rows)])
+    def syndrome(
+        self, vecs: Union[Sequence[int], np.ndarray]
+    ) -> Union[tuple[int, ...], np.ndarray]:
+        """H.vec mod p: of each row of a (rows, n) array, as a (rows, n_rows)
+        int64 array, or of one vector, as a tuple."""
+        one = np.ndim(vecs) == 1
+        rows = np.array(vecs, dtype=np.int64, ndmin=2)
+        if rows.shape[1] != self.n:
+            raise ValueError(f"vector length {rows.shape[1]} != n={self.n}")
+        syndromes = rows % self.p @ self.H.T % self.p
+        return tuple(syndromes[0].tolist()) if one else syndromes
 
     def solve_erasures(
         self,

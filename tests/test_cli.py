@@ -172,7 +172,9 @@ BCH20 = {"h": 2, "matrix": "bundled:bch_255_cols20"}  # a book of 20 strings
 
 
 # sha256 of the file ``decode --detect`` wrote for two sources of BCH20 under each
-# pattern, and its exit code, recorded when the CLI built the report's JSON itself
+# pattern, and its exit code, recorded when the CLI built the report's JSON itself;
+# "lighter" re-recorded when every plain readout went to the merge, whose error
+# (a negative sum symbol) replaced the split's certificate refusal
 DETECT_OUTPUTS = {
     "clean": ({}, 0, "306d04ef5e742bb0c026c9b60253744bbf75a4d4d9dbc6dd407d289a0a962891"),
     "erased": (
@@ -183,7 +185,7 @@ DETECT_OUTPUTS = {
     "lighter": (
         {"subst": [{"side": "suffix", "len": 38, "ones_from": 14, "ones_to": 13}]},
         4,
-        "a956dab12702cef3a6034524f30a26d4a5c5fd664e4cfe115bf2b5ee34df2110",
+        "eadc9a525da36d3dcef7ee64147746d8bfa3447425c7c6983fdda99411e7db92",
     ),
 }
 
@@ -200,7 +202,8 @@ def test_decode_detect_writes_the_pinned_bytes(ws, case):
 
 
 def test_a_readout_that_does_not_split_keeps_its_decode_failure_payload(ws, capsys):
-    # CountMismatch from the split went past the decode's handler and wrote nothing
+    # CountMismatch from the split went past the decode's handler and wrote nothing;
+    # the merge reads this readout, and its certificate refuses the answer
     _encode_and_pool(ws, BCH20, ["1000000000000000", "0000001000000000"])
     subst = {"side": "prefix", "len": 20, "ones_from": 14, "ones_to": 9}
     (ws / "pat.json").write_text(json.dumps({"subst": [subst]}))
@@ -209,9 +212,22 @@ def test_a_readout_that_does_not_split_keeps_its_decode_failure_payload(ws, caps
                "-o", ws / "d.json") == 4
     out = json.loads((ws / "d.json").read_text())
     assert out["status"] == "decode-failure"
-    assert out["error"] == "length 20: cannot split (4, 6, 9, 15) into 2+2"
+    assert out["error"] == "the pool of the decoded set is not the readout"
     assert not out["detection"]["clean"]
     assert capsys.readouterr().err == ""
+
+
+def test_a_clean_size_plain_readout_goes_to_the_merge(ws):
+    # one lighter reading: the split refused the readout (exit 4), and the merge
+    # leaves two sum symbols erased and finds no subset that explains it
+    _encode_and_pool(ws, BCH20, ["0000000100000000", "0100000000000000"])
+    subst = {"side": "prefix", "len": 25, "ones_from": 18, "ones_to": 7}
+    (ws / "pat.json").write_text(json.dumps({"subst": [subst]}))
+    assert run("corrupt", ws / "p.json", "--pattern", ws / "pat.json", "-o", ws / "c.json") == 0
+    assert run("decode", ws / "c.json", "--config", ws / "cfg.json", "-o", ws / "d.json") == 3
+    out = json.loads((ws / "d.json").read_text())
+    assert out["status"] == "ambiguous" and out["witnesses"] == []
+    assert out["partial_sum"].count("ε") == 2
 
 
 # two pairs that pool alike, so a complete sum names both: a plain book, and a raw

@@ -87,7 +87,7 @@ def _one_string_book(n):
 def test_one_step_t0_is_plain_encoding():
     s = BitString("0111")
     book = ecc.one_step_codebook(BhCodebook.explicit([s], 2), 0)
-    assert book.codewords[0].bits == plain_encode(s).bits
+    assert book.codewords[0].bits == plain_encode([s])[0].bits
     assert book.layout == plain_layout(4)
 
 
@@ -541,7 +541,9 @@ def test_no_decoder_answers_a_wrong_set_on_a_base_that_shares_mod2_sums():
             if lost <= t and not lighter and decode is not plain:
                 assert got == frozenset(subset), (book.scheme, subset, lost)
             outcomes[got == frozenset(subset)] += 1
-    assert outcomes[True] == 2243, outcomes
+    # 2243 before the merge certified a complete sum: its pool now has to be, or
+    # hold, the readout, which 68 of the plain book's lighter readouts fail
+    assert outcomes[True] == 2175, outcomes
 
 # sha256 of each book's codeword bits and layout JSON on bch_255_cols20,
 # recorded before the schemes shared their code choice, framing and payload
