@@ -507,15 +507,17 @@ def decode_mixture(
 def certified(
     pool: CompositionMultiset, book: McCodebook, answer: frozenset[BitString], hbar: int
 ) -> frozenset[BitString]:
-    """The answer, once its pool explains the readout: a readout of clean size,
-    2N*hbar fragments, must be the answer's pool, and any other must be held
-    in it.  DecodeFailure otherwise."""
+    """The answer, once its pool explains the readout.  A readout of clean
+    size, 2N*hbar fragments, must be the answer's pool.  Any other must be
+    that pool less some lost fragments, with any of the rest read lighter:
+    each fragment read is paired with its own fragment of the pool, of the
+    same length and at least as many ones.  DecodeFailure otherwise."""
     held = book.pool_of(answer)
     if pool.total == 2 * book.N * hbar:
         if held != pool:
             raise DecodeFailure("the pool of the decoded set is not the readout")
-    elif not pool.is_submultiset(held):
-        raise DecodeFailure("the pool of the decoded set does not hold the readout")
+    elif not pool.is_lighter_submultiset(held):
+        raise DecodeFailure("the pool of the decoded set does not explain the readout")
     return answer
 
 

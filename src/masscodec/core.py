@@ -453,6 +453,21 @@ class CompositionMultiset:
             return False
         return bool((mine <= other._counts[:size, :size]).all())
 
+    def is_lighter_submultiset(self, other: "CompositionMultiset") -> bool:
+        """Whether each fragment here can be paired with its own fragment of
+        other of the same length and at least as many ones: other less some
+        fragments, with any number read lighter.  At each length that holds
+        exactly when, for every w, other has at least as many fragments with
+        w or more ones (Hall's condition for this nested matching)."""
+        import numpy as np
+
+        mine = self._trimmed()
+        size = len(mine)
+        if size > len(other._counts):
+            return False
+        heavier = np.cumsum(other._counts[:size, :size][:, ::-1], axis=1)
+        return bool((np.cumsum(mine[:, ::-1], axis=1) <= heavier).all())
+
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.elements()) + "}"
 
@@ -490,9 +505,9 @@ def bit_matrix(strings: Sequence[BitString]) -> np.ndarray:
     import numpy as np
 
     n = len(strings[0])
-    symbols = "".join(map(str, strings)).encode().translate(FROM_ASCII)
-    if len(symbols) != n * len(strings):
+    if any(len(s) != n for s in strings):
         raise LengthMismatch(f"strings of one array must share length {n}")
+    symbols = "".join(map(str, strings)).encode().translate(FROM_ASCII)
     return np.frombuffer(symbols, np.uint8).reshape(len(strings), n)
 
 

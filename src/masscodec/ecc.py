@@ -343,22 +343,16 @@ def two_step_length_identity(codebook: McCodebook) -> tuple[int, int]:
 # integral scheme
 
 
-def integral(s: BitsLike) -> BitString:
-    """Running mod-2 sums: position i holds s_1 + ... + s_i mod 2.
+def integral(words: np.ndarray) -> np.ndarray:
+    """I(s) of every row of a (rows, n) 0/1 array: the running mod-2 sums,
+    position i holding s_1 + ... + s_i mod 2."""
+    import numpy as np
 
-    On the integer, whose first symbol is the top bit, that is the XOR of
-    every right shift of s, folded in doubling steps.
-    """
-    s = BitString(s)
-    w, shift = s.as_int, 1
-    while shift < len(s):
-        w ^= w >> shift
-        shift *= 2
-    return BitString.from_int(w, len(s))
+    return np.bitwise_xor.accumulate(words, axis=1)
 
 
 def derivative(w: BitsLike) -> BitString:
-    """Inverse of integral: s_i = w_i xor w_{i-1}, so s = w ^ (w >> 1)."""
+    """Inverse of integral, on one string: s_i = w_i xor w_{i-1}, so s = w ^ (w >> 1)."""
     w = BitString(w)
     return BitString.from_int(w.as_int ^ w.as_int >> 1, len(w))
 
@@ -426,7 +420,7 @@ def integral_codebook(
     code = _integral_code(base.n, t, code)
     layout = _integral_layout(base.n, 2 * (code.n - code.k))
     words = bit_matrix(base.strings)
-    iw = np.bitwise_xor.accumulate(words, axis=1)  # I(s) of every row
+    iw = integral(words)
     r_prime = code.encode(iw)[:, code.k :]
     out = np.empty((len(words), layout.N), dtype=np.uint8)
     out[:, layout.s_start : layout.r_start] = words

@@ -7,7 +7,7 @@ by syndrome decoding: the columns of H that XOR to a word's syndrome are
 found by ``bhcode.XorIndex.matches``, the meet-in-the-middle that also
 inverts codebook sums.  A matching mod-p variant supports syndrome
 protection over a prime field.  The encoder and the Z_p syndrome take a
-whole book's words as one array, one matrix product each, or one word.
+whole book's words as one array, one matrix product each.
 
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices not already in reduced form
@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -166,22 +166,17 @@ class LinearCode:
     def error_capability(self) -> int:
         return (self.d - 1) // 2
 
-    def encode(
-        self, messages: Union[Sequence[int], np.ndarray]
-    ) -> Union[tuple[int, ...], np.ndarray]:
+    def encode(self, messages: np.ndarray) -> np.ndarray:
         """Place each message on the information set and read off the parity.
 
         A (rows, k) 0/1 array of messages gives a (rows, n) uint8 array of
-        codewords, one product with the generator; one message, a sequence of
-        k bits, gives its codeword as a tuple.  H is reduced, so the pivot
-        positions are H[:, info] . message mod 2.
+        codewords, one product with the generator.  H is reduced, so the
+        pivot positions are H[:, info] . message mod 2.
         """
-        one = np.ndim(messages) == 1
-        rows = np.array(messages, dtype=np.int64, ndmin=2) & 1
-        if rows.shape[1] != self.k:
-            raise ValueError(f"message length {rows.shape[1]} != k={self.k}")
-        words = (rows @ self.generator % 2).astype(np.uint8)
-        return tuple(words[0].tolist()) if one else words
+        rows = np.asarray(messages, dtype=np.int64) & 1
+        if rows.ndim != 2 or rows.shape[1] != self.k:
+            raise ValueError(f"messages of shape {rows.shape} are not rows of k={self.k} bits")
+        return (rows @ self.generator % 2).astype(np.uint8)
 
     def extract_message(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(word[pos]) & 1 for pos in self.info_positions)
@@ -409,17 +404,13 @@ class ModpCode:
         self.n = H.shape[1]
         self.n_rows = H.shape[0]
 
-    def syndrome(
-        self, vecs: Union[Sequence[int], np.ndarray]
-    ) -> Union[tuple[int, ...], np.ndarray]:
-        """H.vec mod p: of each row of a (rows, n) array, as a (rows, n_rows)
-        int64 array, or of one vector, as a tuple."""
-        one = np.ndim(vecs) == 1
-        rows = np.array(vecs, dtype=np.int64, ndmin=2)
-        if rows.shape[1] != self.n:
-            raise ValueError(f"vector length {rows.shape[1]} != n={self.n}")
-        syndromes = rows % self.p @ self.H.T % self.p
-        return tuple(syndromes[0].tolist()) if one else syndromes
+    def syndrome(self, vecs: np.ndarray) -> np.ndarray:
+        """H.vec mod p of each row of a (rows, n) array, as a (rows, n_rows)
+        int64 array."""
+        rows = np.asarray(vecs, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ValueError(f"vectors of shape {rows.shape} are not rows of n={self.n}")
+        return rows % self.p @ self.H.T % self.p
 
     def solve_erasures(
         self,

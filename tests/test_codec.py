@@ -429,7 +429,8 @@ def _one_lighter(readout, rng):
 
 def test_the_merge_certifies_a_complete_sum_against_the_readout():
     # two lost prefixes and one prefix read lighter: the one pair with the merged
-    # sum is not the truth, and its pool does not hold the readout
+    # sum is not the truth, and no pairing of the readout with its pool explains
+    # the prefix of 6 read with 1 one
     base = BhCodebook.explicit(
         ["10101010", "11110000", "10110010", "11100010",
          "11011000", "11010010", "11001010", "11100100"], 3
@@ -441,8 +442,14 @@ def test_the_merge_certifies_a_complete_sum_against_the_readout():
     assert merged.complete
     wrong = frozenset(map(BitString, ("11001010", "11010010")))
     assert frozenset(invert_sum(base, merged.as_tuple(), 2)) == wrong
-    with pytest.raises(DecodeFailure, match="does not hold the readout"):
+    with pytest.raises(DecodeFailure, match="does not explain the readout"):
         reconstruct_redundancy_free(readout, 8, 2, base)
+    # one lost prefix and a prefix of 5 read with 2 ones for 3: the truth's pool
+    # does not hold the readout, yet explains it with that one lighter reading
+    lossy = erase(pool(truth), [Removal("prefix", 1, ones=1)])
+    lossy = substitute_mass_reducing(lossy, "prefix", 5, 2, ones=3)
+    assert not lossy.is_submultiset(pool(truth))
+    assert reconstruct_redundancy_free(lossy, 8, 2, base).strings == set(map(BitString, truth))
     # at clean size the answer's pool must be the readout itself; this merged
     # sum is the truth's, read through a prefix of 7 with one 1 fewer
     lighter = substitute_mass_reducing(pool(truth), "prefix", 7, 3, ones=4)
@@ -452,11 +459,42 @@ def test_the_merge_certifies_a_complete_sum_against_the_readout():
     assert clean.strings == set(map(BitString, truth))
 
 
+def test_the_lighter_submultiset_pairs_each_fragment_with_one_at_least_as_heavy():
+    def parsed(text):
+        return CompositionMultiset.parse(text)
+
+    held = parsed("{0^2 1^2, 0 1^3, 0^3 1}")
+    assert parsed("{0^3 1, 0^2 1^2}").is_lighter_submultiset(held)
+    assert parsed("{0^4, 0^4, 0^4}").is_lighter_submultiset(held)
+    assert parsed("{}").is_lighter_submultiset(held)
+    # three fragments of length 4 need three partners, two with 2 ones or more
+    assert not parsed("{0^2 1^2, 0^2 1^2, 0^2 1^2}").is_lighter_submultiset(held)
+    assert not parsed("{0^4, 0^4, 0^4, 0^4}").is_lighter_submultiset(held)
+    # a heavier reading, or a length the pool lacks, is never explained
+    assert not parsed("{1^4}").is_lighter_submultiset(held)
+    assert not parsed("{0}").is_lighter_submultiset(held)
+    assert not parsed("{0^5}").is_lighter_submultiset(held)
+    # against a referee: every pairing of the readout's fragments, by brute force
+    rng = random.Random(28)
+    for _ in range(300):
+        cells = [(n, w) for n in range(1, 5) for w in range(n + 1)]
+        mine = [rng.choice(cells) for _ in range(rng.randint(0, 4))]
+        theirs = [rng.choice(cells) for _ in range(rng.randint(0, 5))]
+        paired = any(
+            all(a[0] == b[0] and a[1] <= b[1] for a, b in zip(mine, order))
+            for order in itertools.permutations(theirs, len(mine))
+        )
+        as_set = [CompositionMultiset(Counter(Composition(n - w, w) for n, w in part))
+                  for part in (mine, theirs)]
+        assert as_set[0].is_lighter_submultiset(as_set[1]) == paired, (mine, theirs)
+
+
 def test_the_merge_answers_no_complete_sum_whose_pool_does_not_explain_the_readout():
     # the raw readouts above, each with one lighter reading.  Before the
-    # certificate, 20 of these 5,352 answers were wrong sets whose pool did not
-    # hold the readout; the 18 wrong sets whose pool holds it are not caught
-    # (item 28's match), and the certificate also refuses 1,119 true answers
+    # certificate, 8 of these 5,352 answers were lossy wrong sets that no
+    # pairing with their pool explains, and 393 clean-size exact answers were
+    # returned although their pool is not the readout.  The 30 wrong sets that
+    # their pool explains are not caught (item 28's lighter budget)
     books, outcomes = {}, Counter()
     for i, (base, truth, readout) in enumerate(_raw_readouts(30)):
         readout = _one_lighter(readout, random.Random(i))
@@ -468,10 +506,10 @@ def test_the_merge_answers_no_complete_sum_whose_pool_does_not_explain_the_reado
             if readout.total == 2 * base.n * hbar:
                 assert held == readout, (base, truth)
             else:
-                assert readout.is_submultiset(held), (base, truth)
+                assert readout.is_lighter_submultiset(held), (base, truth)
             got = "exact" if got.strings == truth else "wrong"
         outcomes[got if isinstance(got, str) else getattr(got, "__name__", "ambiguous")] += 1
-    assert outcomes["wrong"] <= 18 and outcomes["exact"] >= 50, outcomes
+    assert outcomes["wrong"] <= 30 and outcomes["exact"] >= 809, outcomes
 
 
 def test_no_book_witnesses_match_the_search_over_every_dyck_string():

@@ -231,6 +231,9 @@ def test_encode_frames_many_strings_at_once_and_refuses_mixed_lengths():
     assert encode([]) == ()
     with pytest.raises(LengthMismatch):
         encode(["0111", "01"])
+    # mixed lengths whose total is a multiple of the first length
+    with pytest.raises(LengthMismatch):
+        encode(["01", "0", "011"])
     with pytest.raises(TypeError, match="sequence of strings"):
         encode("0111")
 

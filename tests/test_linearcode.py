@@ -26,14 +26,24 @@ from masscodec.linearcode import (
 )
 
 
+def _encode(code, message):
+    """The codeword of one message: row 0 of encoding it as a one-row array."""
+    return tuple(code.encode([message])[0].tolist())
+
+
+def _syndrome(pc, vec):
+    """The syndrome of one vector: row 0 of its one-row array."""
+    return tuple(pc.syndrome([vec])[0].tolist())
+
+
 def all_codewords(code):
     for val in range(2**code.k):
-        yield code.encode([(val >> j) & 1 for j in range(code.k)])
+        yield _encode(code, [(val >> j) & 1 for j in range(code.k)])
 
 
 def test_single_parity_roundtrip():
     code = single_parity(4)
-    word = code.encode([1, 0, 1, 1])
+    word = _encode(code, [1, 0, 1, 1])
     assert word == (1, 0, 1, 1, 1)
     assert not (code.H @ np.array(word) % 2).any()
     assert code.extract_message(word) == (1, 0, 1, 1)
@@ -100,7 +110,7 @@ def test_erasure_decoding_exhaustive_small():
 
 def test_erasure_decoding_beyond_capability_is_flagged():
     code = single_parity(4)
-    word = list(code.encode([1, 1, 0, 0]))
+    word = list(_encode(code, [1, 1, 0, 0]))
     word[0] = word[1] = None
     with pytest.raises(TooManyErasures):
         code.decode_erasures(word)
@@ -114,7 +124,7 @@ def test_error_decoding():
     rng = random.Random(1)
     for _ in range(20):
         msg = [rng.randrange(2) for _ in range(8)]
-        word = list(code.encode(msg))
+        word = list(_encode(code, msg))
         for pos in rng.sample(range(code.n), 2):
             word[pos] ^= 1
         assert code.extract_message(code.decode_errors(word)) == tuple(msg)
@@ -124,7 +134,7 @@ def test_bch_6316_erasure_capability_at_full_load():
     code = bundled_code("bch_63_16")
     rng = random.Random(2)
     msg = [rng.randrange(2) for _ in range(16)]
-    word = list(code.encode(msg))
+    word = list(_encode(code, msg))
     for pos in rng.sample(range(63), 22):
         word[pos] = None
     assert code.extract_message(code.decode_erasures(word)) == tuple(msg)
@@ -214,7 +224,7 @@ def test_shipped_code_makes_the_old_choosers_pick(errors):
 
 def test_trivial_code():
     code = trivial_code(3)
-    assert code.encode([1, 0, 1]) == (1, 0, 1)
+    assert _encode(code, [1, 0, 1]) == (1, 0, 1)
     assert not (code.H @ np.array([1, 1, 1]) % 2).any()
 
 
@@ -222,7 +232,7 @@ def test_modp_solver():
     pc = modp_code(3, 20)
     rng = random.Random(3)
     vec = [rng.randrange(3) for _ in range(20)]
-    syn = pc.syndrome(vec)
+    syn = _syndrome(pc, vec)
     for i, j in itertools.combinations(range(20), 2):
         received = list(vec)
         received[i] = received[j] = None
@@ -246,7 +256,7 @@ def test_modp_solver_flags_dependent_erasures():
     )
     assert dependent is not None
     vec = [1] * 20
-    syn = pc.syndrome(vec)
+    syn = _syndrome(pc, vec)
     received = list(vec)
     for pos in dependent:
         received[pos] = None
@@ -258,7 +268,7 @@ def test_modp_with_dropped_syndrome_rows():
     pc = modp_code(3, 20)
     rng = random.Random(4)
     vec = [rng.randrange(3) for _ in range(20)]
-    syn = list(pc.syndrome(vec))
+    syn = list(_syndrome(pc, vec))
     syn[0] = None
     received = list(vec)
     received[2] = None
@@ -276,14 +286,15 @@ def test_modp_packed_syndrome_matches_the_matrix_product(p):
     for pc in codes:
         for _ in range(50):
             vec = [rng.randrange(-3 * p, 3 * p) for _ in range(pc.n)]
-            assert pc.syndrome(vec) == tuple(int(x) for x in pc.H @ np.array(vec) % p), vec
-        assert pc.syndrome([p - 1] * pc.n) == tuple(int(x) for x in pc.H.sum(axis=1) * (p - 1) % p)
+            assert _syndrome(pc, vec) == tuple(int(x) for x in pc.H @ np.array(vec) % p), vec
+        top = tuple(int(x) for x in pc.H.sum(axis=1) * (p - 1) % p)
+        assert _syndrome(pc, [p - 1] * pc.n) == top
 
 
 def test_modp_unmeetable_syndrome_is_a_decode_failure():
     pc = modp_code(3, 20)
     vec = [1, 2, 0, 1] * 5
-    syn = list(pc.syndrome(vec))
+    syn = list(_syndrome(pc, vec))
     received = list(vec)
     received[7] = None
     # a row that does not see the erased column cannot absorb the change
@@ -476,7 +487,7 @@ def test_syndrome_decoder_matches_the_scan_on_every_small_code(capability):
         r = code.error_capability
         assert r == capability
         table = _referee_table(code)
-        cw = code.encode([rng.randrange(2) for _ in range(k)])
+        cw = _encode(code, [rng.randrange(2) for _ in range(k)])
         for w in range(r + 1):
             for e in itertools.combinations(range(code.n), w):
                 assert _assert_same_decode(code, table, _flip(cw, e), r)
@@ -499,7 +510,7 @@ def test_syndrome_decoder_matches_the_scan_on_bch_63_16(k):
     rng = random.Random(k)
     outcomes = set()
     for _ in range(150):
-        cw = code.encode([rng.randrange(2) for _ in range(k)])
+        cw = _encode(code, [rng.randrange(2) for _ in range(k)])
         word = _flip(cw, rng.sample(range(code.n), rng.randint(0, 6)))
         outcomes.add(_assert_same_decode(code, table, word, 4))
     assert outcomes == {True, False}
@@ -508,20 +519,20 @@ def test_syndrome_decoder_matches_the_scan_on_bch_63_16(k):
 def test_syndrome_lookup_budget_counts_patterns_and_probes():
     # r = 2 on n = 26: 1 + 26 cached patterns and as many probes
     code = shipped_code(16, 2, errors=True)
-    cw = code.encode([1, 0] * 8)
+    cw = _encode(code, [1, 0] * 8)
     with pytest.raises(SearchSpaceTooLarge):
         code.decode_errors(_flip(cw, [3]), 2, budget=53)
     assert code.decode_errors(_flip(cw, [3]), 2, budget=54) == cw
     # r = 4 on n = 63: 1 + 63 + 1953 cached patterns and as many probes
     code = shipped_code(16, 4, errors=True)
-    cw = code.encode([1, 0] * 8)
+    cw = _encode(code, [1, 0] * 8)
     with pytest.raises(SearchSpaceTooLarge):
         code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4033)
     assert code.decode_errors(_flip(cw, [0, 20, 40, 60]), 4, budget=4034) == cw
     # r = 1 on n = 21: 2 x (1 + 21), since the probe for two columns that XOR
     # to zero searches two halves of one column; the search itself needs 42
     code = shipped_code(16, 1, errors=True)
-    cw = code.encode([1, 0] * 8)
+    cw = _encode(code, [1, 0] * 8)
     with pytest.raises(SearchSpaceTooLarge, match="needs 44 patterns, over the budget 43"):
         code.decode_errors(_flip(cw, [3]), 1, budget=43)
     assert code.decode_errors(_flip(cw, [3]), 1, budget=44) == cw
@@ -529,7 +540,7 @@ def test_syndrome_lookup_budget_counts_patterns_and_probes():
 
 def test_radius_above_error_capability_is_refused():
     code = shipped_code(8, 2, errors=True)
-    word = code.encode([1, 1, 0, 1, 0, 0, 1, 0])
+    word = _encode(code, [1, 1, 0, 1, 0, 0, 1, 0])
     assert code.decode_errors(word, 2) == word
     for radius in (3, -1):
         with pytest.raises(ConfigError):
@@ -592,7 +603,7 @@ def test_encode_matches_the_row_loop_referee(code):
     rng = random.Random(code.n * 100 + code.k)
     for _ in range(40):
         msg = [rng.randrange(2) for _ in range(code.k)]
-        assert code.encode(msg) == _referee_encode(code, msg), msg
+        assert _encode(code, msg) == _referee_encode(code, msg), msg
     units = [_referee_encode(code, [int(i == j) for j in range(code.k)]) for i in range(code.k)]
     assert code.generator.dtype == np.uint8
     assert code.generator.tolist() == [list(row) for row in units]
@@ -649,16 +660,21 @@ def test_rref_matches_the_unguarded_referee():
 
 def test_erasure_solvers_refuse_a_word_of_the_wrong_length():
     code = shipped_code(16, 1)
-    word = list(code.encode([1, 0] * 8))
+    word = list(_encode(code, [1, 0] * 8))
     with pytest.raises(ValueError, match=f"word length {code.n - 1} != n={code.n}"):
         code.decode_erasures(word[:-1])
     pc = modp_code(3, 20)
     vec = [1, 2] * 10
-    syn = pc.syndrome(vec)
+    syn = _syndrome(pc, vec)
     with pytest.raises(ValueError, match="word length 21 != n=20"):
         pc.solve_erasures(vec + [None], syn)
-    with pytest.raises(ValueError, match="vector length 19 != n=20"):
-        pc.syndrome(vec[:-1])
+    with pytest.raises(ValueError, match=r"shape \(1, 19\) are not rows of n=20"):
+        pc.syndrome([vec[:-1]])
+    # one word, not an array of rows, is refused by both
+    with pytest.raises(ValueError, match=r"shape \(20,\) are not rows of n=20"):
+        pc.syndrome(vec)
+    with pytest.raises(ValueError, match=r"shape \(16,\) are not rows of k=16"):
+        code.encode([1, 0] * 8)
 
 
 def _outcome(call, *args):
@@ -679,7 +695,7 @@ def test_complete_words_are_checked_as_the_erasure_solve_checks_them():
     seen = set()
     for code in codes:
         for _ in range(4):
-            codeword = code.encode([rng.randrange(2) for _ in range(code.k)])
+            codeword = _encode(code, [rng.randrange(2) for _ in range(code.k)])
             for flips in range(4):
                 word = list(codeword)
                 for pos in rng.sample(range(code.n), min(flips, code.n)):
@@ -700,7 +716,7 @@ def test_modp_solver_refuses_a_short_syndrome():
     # a missing row used to be read as an erased one
     pc = modp_code(3, 20)
     vec = [1, 2] * 10
-    syn = pc.syndrome(vec)
+    syn = _syndrome(pc, vec)
     received = [None] + vec[1:]
     with pytest.raises(ValueError, match=f"syndrome length 3 != n_rows={pc.n_rows}"):
         pc.solve_erasures(received, syn[:-1])
@@ -708,7 +724,7 @@ def test_modp_solver_refuses_a_short_syndrome():
 
 def test_error_decoder_refuses_an_erased_symbol():
     code = shipped_code(8, 2, errors=True)
-    word = list(code.encode([1, 1, 0, 1, 0, 0, 1, 0]))
+    word = list(_encode(code, [1, 1, 0, 1, 0, 0, 1, 0]))
     word[5] = word[9] = None
     with pytest.raises(ValueError, match="symbol 5 is erased"):
         code.decode_errors(word, 2)
@@ -822,4 +838,4 @@ def test_encode_matches_the_generator_product():
         messages = [[1] * code.k] + [[rng.randrange(2) for _ in range(code.k)] for _ in range(25)]
         for msg in messages:
             want = tuple((np.array(msg) @ G % 2).tolist())
-            assert code.encode(msg) == want, (code.name, msg)
+            assert _encode(code, msg) == want, (code.name, msg)
