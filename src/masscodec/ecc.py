@@ -45,8 +45,8 @@ capability, and two-step and integral take their default codes from
 is one (|C|, n) 0/1 array (``core.bit_matrix``), and everything a codeword
 carries is computed over it: the code words (``LinearCode.encode`` of the
 array), the two-step flag parities and the mod-p Z_p syndromes of the
-balanced rows, and the integral's running XOR and parity pairing.
-One-step, two-step and mod-p frame their codewords with one
+balanced rows, and the integral's running XOR (``integral``) and parity
+pairing.  One-step, two-step and mod-p frame their codewords with one
 ``codec.frame`` call, the integral lays its rows out and closes them with
 ``codec.append_tails``, and one-step and two-step decode their payload in
 ``_payload_target``.
