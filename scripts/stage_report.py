@@ -9,18 +9,25 @@ untraced run, then each set-up span's calls, self time per call and self time
 per set-up, and each stage's self time per call and share of a decode, from the
 traced one.  A set-up span's calls count what one set-up asks of it, so its
 self time per set-up compares across changes that batch those calls (one
-``codec.encode`` call frames a whole book), and its time per call does not.  The
-numbers gate nothing: the script exits 1, naming the workloads, only when a run
-fails or answers a wrong set (``bench/run.py`` then exits nonzero), after
+``codec.encode`` call frames a whole book), and its time per call does not.
+
+Then it times in process, best of 5, what no declared set-up span covers: the
+build of each named table of ``masscodec.gf2m.TABLES`` (``bundled_spec``) and of
+the ``lookup-h3`` matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.
+
+The numbers gate nothing: the script exits 1, naming the workloads, only when a
+run fails or answers a wrong set (``bench/run.py`` then exits nonzero), after
 printing that run's output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import subprocess
 import sys
+import timeit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("erasure-t2", "lookup-h3", "substitution-t1")
@@ -63,8 +70,23 @@ def report(workload: str) -> bool:
     return True
 
 
+def table_builds() -> None:
+    """Print the build time of each named table and of the lookup-h3 matrix."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from masscodec import bhcode, gf2m
+
+    builds = {name: functools.partial(bhcode.bundled_spec, name) for name in gf2m.TABLES}
+    builds["alpha_power_pcm(8, 96, [1, 3, 5])"] = functools.partial(
+        gf2m.alpha_power_pcm, 8, 96, [1, 3, 5]
+    )
+    print("named tables: build ms, best of 5")
+    for label, build in builds.items():
+        print(f"  {label:36} {1000 * min(timeit.repeat(build, number=1, repeat=5)):8.3f}")
+
+
 def main() -> None:
     failed = [workload for workload in WORKLOADS if not report(workload)]
+    table_builds()
     sys.exit(f"failed: {', '.join(failed)}" if failed else None)
 
 

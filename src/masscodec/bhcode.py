@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,20 +54,42 @@ from .gf2m import TABLES
 DEFAULT_BUDGET = 2**22
 
 
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """A 2-D array-like of ints (a numpy array, nested lists) as a tuple of tuples."""
+    if getattr(rows, "ndim", 2) != 2:
+        raise ConfigError(f"a parity-check matrix is 2-D, not {rows.ndim}-D")
+    if hasattr(rows, "tolist"):
+        rows = rows.tolist()
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError:
+        raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints") from None
+
+
 @dataclass(frozen=True)
 class ParityCheckSpec:
-    """A binary parity-check matrix with a declared minimum distance."""
+    """A binary parity-check matrix with a declared minimum distance.
+
+    ``rows`` may be any 2-D array-like of 0/1 ints; it is kept as a tuple of
+    tuples of ints, so the spec is hashable.  A tuple of tuples is kept as given.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     d: int
 
     def __post_init__(self):
+        if type(self.rows) is not tuple or any(type(row) is not tuple for row in self.rows):
+            object.__setattr__(self, "rows", _int_rows(self.rows))
         if not self.rows or not self.rows[0]:
             raise ConfigError("empty parity-check matrix")
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise ConfigError("ragged parity-check matrix")
-        if not set().union(*self.rows) <= {0, 1}:
+        try:
+            binary = set().union(*self.rows) <= {0, 1}
+        except TypeError:  # an unhashable entry: rows of rows, not a 2-D matrix
+            binary = False
+        if not binary:
             raise ConfigError("parity-check entries must be 0/1")
         if self.d < 1:
             raise ConfigError("distance must be positive")

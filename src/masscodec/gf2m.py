@@ -11,10 +11,14 @@ multiple of a log.
 
 The primitive polynomials (``PRIMITIVE``, as coefficient bitmasks):
 
+  m = 3:  x^3 + x + 1
   m = 4:  x^4 + x + 1
   m = 5:  x^5 + x^2 + 1
   m = 6:  x^6 + x + 1
+  m = 7:  x^7 + x + 1
   m = 8:  x^8 + x^4 + x^3 + x^2 + 1
+  m = 9:  x^9 + x^4 + 1
+  m = 10: x^10 + x^3 + 1
 
 The columns of a narrow-sense BCH parity-check matrix are binary
 expansions of powers of alpha (``alpha_power_pcm``); its generator
@@ -25,8 +29,9 @@ matrices the package builds its codebooks and codes from, each with its
 construction and its exact minimum distance; ``bhcode.bundled_spec``
 builds one on request.
 
-The module is pure Python: importing it does not load numpy, which
-arrives only with the row reduction inside ``alpha_power_pcm``.
+Importing the module does not load numpy.  ``alpha_power_pcm`` loads it
+when called: it reads its rows off the antilog table as one numpy array,
+which ``linearcode.rref`` packs into one int per row and reduces.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-PRIMITIVE = {4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101}
+PRIMITIVE = {3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 7: 0b10000011, 8: 0b100011101,
+             9: 0b1000010001, 10: 0b10000001001}
 
 
 @functools.cache
@@ -138,17 +144,17 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
     """Rows: binary expansions of alpha^(p*i) for each p, stacked; then RREF.
 
     Before the reduction, row j*m + b holds bit b (least significant
-    first) of alpha^(powers[j]*i) in column i, for i < n.
+    first) of alpha^(powers[j]*i) in column i, for i < n.  The rows are
+    read off the antilog table as one array, which ``rref`` packs.
     """
+    import numpy as np
+
     from .linearcode import rref
 
-    field = GF2m(m)
-    order = field.size - 1
-    rows = []
-    for p in powers:
-        values = [field.exp[p * i % order] for i in range(n)]
-        rows.extend([(v >> bit) & 1 for v in values] for bit in range(m))
-    return rref(rows)[0]
+    order = (1 << m) - 1
+    exp = np.array(GF2m(m).exp[:order])
+    values = exp[np.outer(powers, np.arange(n)) % order]
+    return rref((values[:, None, :] >> np.arange(m)[:, None] & 1).reshape(-1, n))[0]
 
 
 def cyclic_pcm(n: int, g: int) -> list[list[int]]:

@@ -12,7 +12,8 @@ whole book's words as one array, one matrix product each.
 One Gauss-Jordan elimination over GF(p), ``rref``, serves every code:
 it reduces binary parity-check matrices not already in reduced form
 (p = 2) and, through one erasure solve, fills erased positions of binary
-words and of Z_p vectors alike.
+words and of Z_p vectors alike.  Its GF(2) kernel holds each row as one
+int and clears a column with one XOR per row.
 A complete binary word needs no solve: it is checked by its syndrome, the
 XOR of the packed columns of H at its ones.
 
@@ -54,12 +55,24 @@ def rref(
     """Reduced row echelon form over GF(p), p prime, as an int64 array.
 
     Pivots are chosen scanning columns in the given order (default left to
-    right); each pivot row is scaled to a leading 1 and its column is
-    cleared in every other row by one outer-product update.  Returns the
-    nonzero rows and the pivot column of each row.
+    right), each from the first row at or below the current one that is
+    nonzero in the column.  Returns the nonzero rows and the pivot column
+    of each row.  Two kernels give the same rows and pivots: for p = 2 the
+    rows are packed into one int each and reduced by ``_rref_gf2``, one XOR
+    per row update; for p > 2 each pivot row is scaled to a leading 1 and
+    its column is cleared in every other row by one outer-product update.
     """
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
+    if p == 2:
+        if cols < 64:  # an erasure system or a short code: one int64 product packs the rows
+            words = (a @ (1 << np.arange(cols))).tolist()
+        else:
+            packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little").tobytes()
+            size = (cols + 7) // 8
+            starts = range(0, rows * size, size)
+            words = [int.from_bytes(packed[i : i + size], "little") for i in starts]
+        return _rref_gf2(words, cols, column_order)
     order = range(cols) if column_order is None else column_order
     pivots = []
     r = 0
@@ -83,6 +96,41 @@ def rref(
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def _rref_gf2(
+    rows: list[int], width: int, column_order: Optional[Sequence[int]]
+) -> tuple[np.ndarray, list[int]]:
+    """``rref`` over GF(2) of rows packed into ints, column c as bit c.
+
+    A pivot is found by a bit test and its column cleared by one XOR per
+    row that holds it.  ``live`` holds every bit set in a row below the
+    pivots, and maybe more (an XOR with a pivot taken from those rows sets
+    no bit outside it), so a column outside it is skipped in one test; it
+    is refreshed when a scan fails.
+    """
+    pivots = []
+    live = functools.reduce(operator.or_, rows, 0)
+    for c in range(width) if column_order is None else column_order:
+        r = len(pivots)
+        if r == len(rows):
+            break
+        bit = 1 << int(c)
+        if not live & bit:
+            continue
+        i = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if i is None:
+            live = functools.reduce(operator.or_, rows[r:], 0)
+            continue
+        lead = rows[i]
+        rows[i] = rows[r]
+        rows = [row ^ lead if row & bit else row for row in rows]
+        rows[r] = lead
+        pivots.append(c)
+    size = (width + 7) // 8
+    packed = b"".join(row.to_bytes(size, "little") for row in rows[: len(pivots)])
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(pivots), size)
+    return np.unpackbits(bits, axis=1, count=width, bitorder="little").astype(np.int64), pivots
 
 
 def _solve_erasures(

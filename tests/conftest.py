@@ -72,8 +72,7 @@ def b2_n16_codebook():
 def lookup_h3_book():
     """The first 96 columns of the m = 8 BCH matrix with powers {1, 3, 5}
     (d = 7), as an order-3 plain codebook of codeword length N = 68."""
-    H = alpha_power_pcm(8, 96, [1, 3, 5])
-    spec = ParityCheckSpec(tuple(tuple(int(b) for b in row) for row in H), 7)
+    spec = ParityCheckSpec(alpha_power_pcm(8, 96, [1, 3, 5]), 7)
     return encode_codebook(build_bh_codebook(3, spec))
 
 

@@ -176,6 +176,48 @@ def test_parity_spec_validation():
         ParityCheckSpec(((1, 1), (1, 1)), 3)  # duplicate columns
 
 
+def test_a_spec_keeps_any_2d_matrix_as_a_hashable_tuple_of_int_tuples():
+    import numpy as np
+
+    from masscodec.gf2m import alpha_power_pcm
+
+    H = alpha_power_pcm(4, 15, [1, 3])  # the int64 array of bch_15_7
+    want = bundled_spec("bch_15_7")
+    for rows in (H, H.astype(np.uint8), H.astype(bool), H.tolist(), tuple(H.tolist())):
+        spec = ParityCheckSpec(rows, want.d)
+        assert spec == want and hash(spec) == hash(want)
+        assert {type(b) for row in spec.rows for b in row} == {int}
+        assert type(spec.rows) is tuple and {type(row) for row in spec.rows} == {tuple}
+    # a tuple of tuples, as the benchmark and bundled_spec pass it, is kept as given
+    assert ParityCheckSpec(want.rows, want.d).rows is want.rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param((0, 1, 1), id="1-D tuple"),
+        pytest.param([[[0, 1]], [[1, 0]]], id="3-D list"),
+        pytest.param(((0, (1,)), (1, 0)), id="a tuple entry"),
+        pytest.param((([0], [1]), ([1], [0])), id="list entries"),
+        pytest.param(["01", "10"], id="strings"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], id="floats"),
+        pytest.param(None, id="None"),
+    ],
+)
+def test_a_spec_refuses_what_is_not_a_2d_matrix_of_ints(rows):
+    with pytest.raises(ConfigError):
+        ParityCheckSpec(rows, 3)
+
+
+def test_a_spec_refuses_a_numpy_array_that_is_not_2d():
+    import numpy as np
+
+    H = np.array(bundled_spec("hamming_7_4").rows)
+    for rows, ndim in ((H[0], 1), (H[None], 3), (np.int64(1), 0)):
+        with pytest.raises(ConfigError, match=f"^a parity-check matrix is 2-D, not {ndim}-D$"):
+            ParityCheckSpec(rows, 3)
+
+
 def test_invert_sum_reference_pair():
     cb = BhCodebook.explicit(EX2_GOOD, 2)
     got = invert_sum(cb, (2, 1, 1, 1, 1, 0), 2)
@@ -500,9 +542,7 @@ def test_invert_mod2_sum_budget_counts_the_enumerated_half_subsets(b3_codebook):
 
 def _bch_255_h4_codebook():
     """All 255 columns of the m = 8 BCH matrix with powers {1, 3, 5, 7}, d = 9."""
-    H = alpha_power_pcm(8, 255, [1, 3, 5, 7])
-    rows = tuple(tuple(int(b) for b in row) for row in H)
-    return build_bh_codebook(4, ParityCheckSpec(rows, 9))
+    return build_bh_codebook(4, ParityCheckSpec(alpha_power_pcm(8, 255, [1, 3, 5, 7]), 9))
 
 
 def test_decode_mixture_of_four_from_255_columns():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def test_powers_match_square_and_multiply(m):
             assert field.pow(a, e) == _square_and_multiply_pow(m, a, e), (a, e)
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 8])
+@pytest.mark.parametrize("m", sorted(PRIMITIVE))
 def test_antilog_table_is_a_permutation_of_the_nonzero_elements(m):
     field = GF2m(m)
     period = field.exp[: field.size - 1]
@@ -81,6 +83,10 @@ def test_antilog_table_is_a_permutation_of_the_nonzero_elements(m):
         (8, 20, [1, 3]),
         (8, 96, [1, 3, 5]),
         (8, 255, [1, 3, 5, 7]),
+        (3, 7, [1]),
+        (7, 127, [1, 3, 5]),
+        (9, 80, [1, 3]),
+        (10, 100, [1, 3, 5]),
     ],
 )
 def test_alpha_power_pcm_matches_the_per_bit_pow_version(m, n, powers):
@@ -100,7 +106,8 @@ def test_bch_generators_vanish_on_their_designed_roots():
             assert value == 0, (m, i)
 
 
-@pytest.mark.parametrize("m", sorted(PRIMITIVE))
+# every designed distance of GF(2^9) and GF(2^10) takes 1 s and 5 s
+@pytest.mark.parametrize("m", [m for m in sorted(PRIMITIVE) if m <= 8])
 def test_bch_generator_is_the_product_over_every_i_from_odd_i_alone(m, monkeypatch):
     calls = []
 
@@ -138,5 +145,20 @@ def test_cyclic_pcm_matches_the_row_reduced_generator_matrix(m):
 
 
 def test_a_field_without_a_primitive_polynomial_is_refused():
-    with pytest.raises(ValueError, match="m = 7"):
-        GF2m(7)
+    with pytest.raises(ValueError, match="m = 11"):
+        GF2m(11)
+
+
+# sha256 of the reduced int64 matrix as the int64 Gauss-Jordan left it
+REDUCED_DIGESTS = {
+    # the lookup benchmark's matrix: 96 columns of the m = 8 matrix with powers {1, 3, 5}
+    (8, 96, (1, 3, 5)): "674b74a83126a38ca7b0aa41ce95cd9a31f5a9d21ddd59f319f72ee5b0e182ad",
+    (8, 255, (1, 3, 5, 7)): "937e8c2c33a3d805258496d1eaa59fa3438896764d18e25c7eb5ae77823fe12d",
+}
+
+
+def test_alpha_power_pcm_keeps_each_reduced_matrix_byte_for_byte():
+    for (m, n, powers), digest in REDUCED_DIGESTS.items():
+        H = alpha_power_pcm(m, n, list(powers))
+        assert H.dtype == np.int64 and H.shape == (m * len(powers), n)
+        assert hashlib.sha256(H.tobytes()).hexdigest() == digest, (m, n, powers)

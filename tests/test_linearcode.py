@@ -637,12 +637,32 @@ def _referee_rref(mat, p=2, column_order=None):
     return a[:r], pivots
 
 
+def _gf2_matrices(rng):
+    """Seeded 0/1 matrices around word boundaries, with zero, duplicate and
+    dependent rows and zero columns, plus a matrix with no rows."""
+    yield np.zeros((0, 65), dtype=np.int64)
+    for width in (1, 63, 64, 65, 1023):
+        for trial in range(8):
+            rows = int(rng.integers(1, 9 if trial < 4 else 40))
+            mat = (rng.random((rows, width)) < rng.uniform(0.05, 0.9)).astype(np.int64)
+            if trial % 2:
+                mat[:, rng.random(width) < 0.2] = 0
+            if rows >= 3:
+                i, j, k = rng.choice(rows, 3, replace=False)
+                mat[k] = [0 * mat[k], mat[i], mat[i] ^ mat[j]][trial % 3]
+            if trial == 7:  # entries read mod 2
+                mat += 2 * rng.integers(-2, 3, mat.shape)
+            yield mat
+
+
 def test_rref_matches_the_unguarded_referee():
     from masscodec import gf2m
 
     cases = [(build(), 2) for build, _ in gf2m.TABLES.values()]
     cases += [(hamming_code(r).H, 2) for r in range(2, 6)]
     rng = np.random.default_rng(23)
+    # the packed GF(2) kernel at and across 64-bit word boundaries
+    cases += [(mat, 2) for mat in _gf2_matrices(rng)]
     for p in (2, 3, 5):
         for _ in range(100):
             shape = (int(rng.integers(1, 9)), int(rng.integers(1, 13)))
@@ -651,11 +671,13 @@ def test_rref_matches_the_unguarded_referee():
             cases.append((rng.integers(0, p, shape) * kept, p))
     for mat, p in cases:
         cols = np.shape(mat)[1]
-        for order in (None, range(cols - 1, -1, -1)):
+        # left to right, right to left, and permutations, of ints and of numpy ints
+        permutation = rng.permutation(cols)
+        for order in (None, range(cols - 1, -1, -1), permutation.tolist(), permutation):
             got_rows, got_pivots = rref(mat, p, column_order=order)
             want_rows, want_pivots = _referee_rref(mat, p, order)
             assert got_pivots == want_pivots
-            assert np.array_equal(got_rows, want_rows)
+            assert got_rows.dtype == np.int64 and np.array_equal(got_rows, want_rows)
 
 
 def test_erasure_solvers_refuse_a_word_of_the_wrong_length():
@@ -839,3 +861,45 @@ def test_encode_matches_the_generator_product():
         for msg in messages:
             want = tuple((np.array(msg) @ G % 2).tolist())
             assert _encode(code, msg) == want, (code.name, msg)
+
+
+# ---------------------------------------------------------------------------
+# referee: ``_solve_erasures`` reducing its system with ``_referee_rref``
+
+
+def _referee_decode_erasures(code, word):
+    """``_solve_erasures`` at p = 2 with the int64 referee reducing the system."""
+    erased = [i for i, x in enumerate(word) if x is None]
+    known = np.array([0 if x is None else x & 1 for x in word], dtype=np.int64)
+    rhs = code.H.astype(np.int64) @ known % 2
+    if not erased:
+        if rhs.any():
+            raise DecodeFailure("complete word does not meet its checks")
+        return tuple(known.tolist())
+    reduced, pivots = _referee_rref(np.column_stack([code.H[:, erased], rhs]), 2)
+    if len(erased) in pivots:
+        raise DecodeFailure("erasure system is inconsistent")
+    if len(pivots) < len(erased):
+        raise TooManyErasures(f"{len(erased)} erasures leave the system underdetermined")
+    known[erased] = reduced[:, -1]
+    return tuple(known.tolist())
+
+
+def test_binary_erasure_decoding_matches_the_referee_solve_up_to_d_erasures():
+    rng = random.Random(43)
+    seen = set()
+    for code in _shipped_and_shortened_codes():
+        for erasures in range(min(code.d, code.n) + 1):
+            for _ in range(3):
+                codeword = _encode(code, [rng.randrange(2) for _ in range(code.k)])
+                noise = [rng.randrange(2) for _ in range(code.n)]
+                flipped = list(codeword)
+                flipped[rng.randrange(code.n)] ^= 1
+                positions = rng.sample(range(code.n), erasures)
+                for word in (list(codeword), flipped, noise):
+                    for pos in positions:
+                        word[pos] = None
+                    want = _outcome(_referee_decode_erasures, code, word)
+                    assert _outcome(code.decode_erasures, word) == want, (code, word)
+                    seen.add(want[0] if isinstance(want[0], type) else "decoded")
+    assert seen == {"decoded", DecodeFailure, TooManyErasures}
