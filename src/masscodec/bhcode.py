@@ -59,7 +59,9 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     if getattr(rows, "ndim", 2) != 2:
         raise ConfigError(f"a parity-check matrix is 2-D, not {rows.ndim}-D")
     if hasattr(rows, "tolist"):
-        rows = rows.tolist()
+        if rows.dtype.kind not in "biu":
+            raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints")
+        return tuple(map(tuple, rows.astype(int, copy=False).tolist()))
     try:
         return tuple(tuple(map(operator.index, row)) for row in rows)
     except TypeError:
@@ -137,7 +139,7 @@ def bundled_spec(name: str) -> ParityCheckSpec:
         build, d = TABLES[name]
     except KeyError:
         raise ConfigError(f"no bundled matrix named {name!r}") from None
-    return ParityCheckSpec(tuple(map(tuple, build())), d)
+    return ParityCheckSpec(build(), d)
 
 
 def require_order(h: int) -> None:

@@ -157,7 +157,7 @@ def alpha_power_pcm(m: int, n: int, powers: list[int]) -> np.ndarray:
     return rref((values[:, None, :] >> np.arange(m)[:, None] & 1).reshape(-1, n))[0]
 
 
-def cyclic_pcm(n: int, g: int) -> list[list[int]]:
+def cyclic_pcm(n: int, g: int) -> tuple[tuple[int, ...], ...]:
     """Standard-form H = [P^T | I] of the length-n cyclic code generated by g.
 
     Position j holds the coefficient of x^j.  The systematic codeword with
@@ -173,19 +173,23 @@ def cyclic_pcm(n: int, g: int) -> list[list[int]]:
         rem <<= 1
         if rem >> r:
             rem ^= g
-    return [[(p >> j) & 1 for p in parities] + [0] * j + [1] + [0] * (r - 1 - j) for j in range(r)]
+    return tuple(
+        tuple([(p >> j) & 1 for p in parities] + [0] * j + [1] + [0] * (r - 1 - j))
+        for j in range(r)
+    )
 
 
-# name -> (construction of the parity-check rows as lists of 0/1 ints, exact
-# minimum distance); tests/test_bhcode.py pins each matrix and enumerates each d
+# name -> (construction of the parity-check rows, a tuple of 0/1 int tuples
+# or an int array, exact minimum distance); tests/test_bhcode.py pins each
+# matrix and enumerates each d
 TABLES = {
     # all nonzero columns of F_2^3, in counting order, bit 2 on top
-    "hamming_7_4": (lambda: [[(c >> b) & 1 for c in range(1, 8)] for b in (2, 1, 0)], 3),
-    "bch_15_7": (lambda: alpha_power_pcm(4, 15, [1, 3]).tolist(), 5),
-    "bch_15_5": (lambda: alpha_power_pcm(4, 15, [1, 3, 5]).tolist(), 7),
+    "hamming_7_4": (lambda: tuple(tuple((c >> b) & 1 for c in range(1, 8)) for b in (2, 1, 0)), 3),
+    "bch_15_7": (lambda: alpha_power_pcm(4, 15, [1, 3]), 5),
+    "bch_15_5": (lambda: alpha_power_pcm(4, 15, [1, 3, 5]), 7),
     # 20 columns of the 16-row designed-distance-5 matrix over GF(256): a
     # compact order-2 codebook source with strings of length 16
-    "bch_255_cols20": (lambda: alpha_power_pcm(8, 20, [1, 3]).tolist(), 7),
+    "bch_255_cols20": (lambda: alpha_power_pcm(8, 20, [1, 3]), 7),
     # the erasure- and substitution-protection codes
     "bch_63_16": (lambda: cyclic_pcm(63, bch_generator(6, 23)), 23),
     "bch_31_21": (lambda: cyclic_pcm(31, bch_generator(5, 5)), 5),

@@ -104,23 +104,16 @@ def _rref_gf2(
     """``rref`` over GF(2) of rows packed into ints, column c as bit c.
 
     A pivot is found by a bit test and its column cleared by one XOR per
-    row that holds it.  ``live`` holds every bit set in a row below the
-    pivots, and maybe more (an XOR with a pivot taken from those rows sets
-    no bit outside it), so a column outside it is skipped in one test; it
-    is refreshed when a scan fails.
+    row that holds it.
     """
     pivots = []
-    live = functools.reduce(operator.or_, rows, 0)
     for c in range(width) if column_order is None else column_order:
         r = len(pivots)
         if r == len(rows):
             break
         bit = 1 << int(c)
-        if not live & bit:
-            continue
         i = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if i is None:
-            live = functools.reduce(operator.or_, rows[r:], 0)
             continue
         lead = rows[i]
         rows[i] = rows[r]

@@ -216,6 +216,8 @@ def test_a_spec_refuses_a_numpy_array_that_is_not_2d():
     for rows, ndim in ((H[0], 1), (H[None], 3), (np.int64(1), 0)):
         with pytest.raises(ConfigError, match=f"^a parity-check matrix is 2-D, not {ndim}-D$"):
             ParityCheckSpec(rows, 3)
+    with pytest.raises(ConfigError, match="2-D array of 0/1 ints"):
+        ParityCheckSpec(H.astype(float), 3)
 
 
 def test_invert_sum_reference_pair():
