@@ -13,7 +13,11 @@ self time per set-up compares across changes that batch those calls (one
 
 Then it times in process, best of 5, what no declared set-up span covers: the
 build of each named table of ``masscodec.gf2m.TABLES`` (``bundled_spec``) and of
-the ``lookup-h3`` matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.
+the ``lookup-h3`` matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.  Last, the one
+readout check, ``codec.explains``, per call with the answer's pool built: at
+clean size on the ``lookup-h3`` book (N = 68, hbar 3), and with and without
+``lighter`` on the t = 1 two-step substitution book of ``bch_255_cols20``
+(N = 154, hbar 2), on a readout with one fragment read lighter.
 
 The numbers gate nothing: the script exits 1, naming the workloads, only when a
 run fails or answers a wrong set (``bench/run.py`` then exits nonzero), after
@@ -72,7 +76,6 @@ def report(workload: str) -> bool:
 
 def table_builds() -> None:
     """Print the build time of each named table and of the lookup-h3 matrix."""
-    sys.path.insert(0, str(ROOT / "src"))
     from masscodec import bhcode, gf2m
 
     builds = {name: functools.partial(bhcode.bundled_spec, name) for name in gf2m.TABLES}
@@ -84,9 +87,36 @@ def table_builds() -> None:
         print(f"  {label:36} {1000 * min(timeit.repeat(build, number=1, repeat=5)):8.3f}")
 
 
+def readout_checks() -> None:
+    """Print ``codec.explains`` µs per call on the lookup-h3 and substitution-t1 books."""
+    from masscodec import bhcode, channel, codec, ecc, gf2m
+
+    spec = bhcode.ParityCheckSpec(gf2m.alpha_power_pcm(8, 96, [1, 3, 5]), 7)
+    h3 = codec.encode_codebook(bhcode.build_bh_codebook(3, spec))
+    clean = h3.pool_of(h3.base.strings[:3])
+    base = bhcode.build_bh_codebook(2, bhcode.bundled_spec("bch_255_cols20"))
+    book = ecc.two_step_codebook(base, 1, substitutions=True)
+    held = book.pool_of(base.strings[:2])
+    length = book.N // 2
+    ones = book.bits_for(base.strings[0]).prefix(length).weight()
+    lighter = channel.substitute_mass_reducing(held, "prefix", length, ones - 1, ones=ones)
+    checks = {
+        f"lookup-h3 clean size (N = {h3.N})": (clean, clean, False),
+        f"substitution-t1 without lighter (N = {book.N})": (lighter, held, False),
+        f"substitution-t1 with lighter (N = {book.N})": (lighter, held, True),
+    }
+    print("codec.explains: us per call, best of 5")
+    for label, (readout, pool, light) in checks.items():
+        check = functools.partial(codec.explains, readout, pool, lighter=light)
+        best = min(timeit.repeat(check, number=200, repeat=5)) / 200
+        print(f"  {label:48} {1e6 * best:8.1f}")
+
+
 def main() -> None:
     failed = [workload for workload in WORKLOADS if not report(workload)]
+    sys.path.insert(0, str(ROOT / "src"))
     table_builds()
+    readout_checks()
     sys.exit(f"failed: {', '.join(failed)}" if failed else None)
 
 

@@ -794,10 +794,13 @@ def sample_erasure_pattern(
     pairs prefix and suffix removals at mirrored lengths so their erasure
     bursts collide as often as the pattern size allows.  The draws index
     the 2n reads of each string, its prefixes and then its suffixes: read
-    i is a fragment of string i // 2n, so no list of reads is built.
+    i is a fragment of string i // 2n, so no list of reads is built.  A t
+    outside 0..2n*|strings| raises ValueError before any draw.
     """
     n = len(strings[0])
     reads = 2 * n * len(strings)
+    if not 0 <= t <= reads:
+        raise ValueError(f"t={t} removals outside 0..{reads}, the number of reads")
     if placement == "uniform":
         picks = rng.sample(range(reads), t)
     elif placement == "adversarial":

@@ -42,11 +42,11 @@ of the lookup's matches whose pool holds the readout is the answer, or the
 shared target is reported as AmbiguousSolution.  The merge of the two
 side readings decodes any plain readout, clean or not
 (``reconstruct_redundancy_free``, the CLI's plain decode): a complete
-merged sum goes through ``plain_sources`` as a clean one does, and its
-answer is ``certified`` against the readout; an incomplete one comes back
-with its witnesses, the subsets whose pool holds the readout, from
-``held_subsets``: the subset search over a book's codewords, masked to the
-sum's known positions.
+merged sum goes through ``plain_sources`` as a clean one does; an
+incomplete one comes back with its witnesses from ``held_subsets``: the
+subset search over a book's codewords, masked to the sum's known positions.
+The answer step, ``plain_sources`` and ``held_subsets`` each keep an answer
+only when its pool ``explains`` the readout: the one readout check.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from .errors import (
     DecodeFailure,
     DuplicateString,
     InconsistentPoolSize,
+    LengthMismatch,
     MasscodecError,
     OddLength,
     SearchSpaceTooLarge,
@@ -487,7 +488,7 @@ def decode_mixture(
     """Recover the source strings of a clean pooled readout.
 
     hbar defaults to |pool| / (2N).  The prefix side alone fixes the answer,
-    so it is certified: DecodeFailure unless its pool is the readout.
+    so ``plain_sources`` certifies it against the readout.
     """
     require_plain(codebook)  # before the pool is read
     N = codebook.N
@@ -501,34 +502,48 @@ def decode_mixture(
         raise InconsistentPoolSize(f"hbar={hbar} outside 1..{codebook.h}")
     prefixes, _ = separate_pool(pool, N, hbar)
     total = sum_from_prefixes(prefixes, N, hbar)
-    return certified(pool, codebook, plain_sources(pool, codebook, total, hbar, budget), hbar)
+    return plain_sources(pool, codebook, total, hbar, budget)
 
 
-def certified(
-    pool: CompositionMultiset, book: McCodebook, answer: frozenset[BitString], hbar: int
-) -> frozenset[BitString]:
-    """The answer, once its pool explains the readout.  A readout of clean
-    size, 2N*hbar fragments, must be the answer's pool.  Any other must be
-    that pool less some lost fragments, with any of the rest read lighter:
-    each fragment read is paired with its own fragment of the pool, of the
-    same length and at least as many ones.  DecodeFailure otherwise."""
-    held = book.pool_of(answer)
-    if pool.total == 2 * book.N * hbar:
-        if held != pool:
-            raise DecodeFailure("the pool of the decoded set is not the readout")
-    elif not pool.is_lighter_submultiset(held):
-        raise DecodeFailure("the pool of the decoded set does not explain the readout")
-    return answer
+def explains(
+    readout: CompositionMultiset, held: CompositionMultiset, lighter: bool = False
+) -> bool:
+    """Whether the pool held explains the readout: each fragment read pairs
+    with its own fragment of held of the same length and as many ones, or
+    with ``lighter`` at least as many.  So without ``lighter`` a readout of
+    held's size is explained exactly when it is held; with it, at each
+    length and for every w, held has at least as many fragments with w or
+    more ones as the readout (Hall's condition for this nested matching)."""
+    import numpy as np
+
+    mine, theirs = readout.counts, held.counts
+    # padding is zero, so tables of one shape compare cell by cell
+    if mine.shape != theirs.shape:
+        size = min(len(mine), len(theirs))
+        if mine[size:].any():  # a fragment longer than any held
+            return False
+        mine, theirs = mine[:size, :size], theirs[:size, :size]
+    if lighter:
+        mine, theirs = (np.cumsum(table[:, ::-1], axis=1) for table in (mine, theirs))
+    return bool((mine <= theirs).all())
 
 
 def plain_sources(
     pool: CompositionMultiset, codebook: McCodebook, total: PartialSumString, hbar: int, budget: int
 ) -> frozenset[BitString]:
     """The sources of a plain readout whose codeword sum is complete: a RAW
-    book's integer sum, or an encoded book's mod-2 target read off the sum."""
-    if codebook.scheme == RAW:
-        return settle_target(pool, codebook, total.as_tuple(), hbar, budget)
-    return settle_target(pool, codebook, mixture_mod2_target(total, codebook.layout), hbar, budget)
+    book's integer sum, or an encoded book's mod-2 target read off the sum,
+    settled by ``settle_target``.  The answer stands once its pool
+    ``explains`` the readout, with lighter readings below clean size, 2N*hbar
+    fragments; DecodeFailure otherwise."""
+    raw = codebook.scheme == RAW
+    target = total.as_tuple() if raw else mixture_mod2_target(total, codebook.layout)
+    answer = settle_target(pool, codebook, target, hbar, budget)
+    clean = 2 * codebook.N * hbar
+    if not explains(pool, codebook.pool_of(answer), lighter=pool.total < clean):
+        fails = "is not" if pool.total == clean else "does not explain"
+        raise DecodeFailure(f"the pool of the decoded set {fails} the readout")
+    return answer
 
 
 def settle_target(
@@ -540,14 +555,14 @@ def settle_target(
     mod-2 sum of the sources (``invert_mod2_sum``).  An explicit book, even a
     B_h one, can give two hbar-subsets one target while their pools differ,
     so a shared target is settled among the lookup's own matches: the one
-    whose pool holds the readout is the answer.  With none or more than one,
-    the lookup's ``AmbiguousSolution`` stands.
+    whose pool ``explains`` the readout is the answer.  With none or more
+    than one, the lookup's ``AmbiguousSolution`` stands.
     """
     lookup = invert_sum if book.scheme == RAW else invert_mod2_sum
     try:
         return frozenset(lookup(book.base, target, hbar, budget))
     except AmbiguousSolution as shared:
-        held = [sub for sub in shared.matches if pool.is_submultiset(book.pool_of(sub))]
+        held = [sub for sub in shared.matches if explains(pool, book.pool_of(sub))]
         if len(held) != 1:
             raise
         return frozenset(held[0])
@@ -582,27 +597,29 @@ def reconstruct_redundancy_free(
     The two-sided merge always succeeds when the erasure bursts of the two
     sides do not overlap, or overlap once in a single position; the weight
     anchor can settle a little more (all-zero and all-max deficits).  A
-    complete sum's sources come from ``plain_sources`` and are ``certified``
-    against the readout, as ``decode_mixture``'s are; an incomplete sum's
-    witnesses are the book's subsets that explain the readout, and with no
-    book and hbar 1 the book is the RAW book of the Dyck strings of length N
-    that agree with the sum's known symbols, while 2^N is within the budget.
+    complete sum's sources come from ``plain_sources``, certified as
+    ``decode_mixture``'s are; an incomplete sum's witnesses are the book's
+    subsets whose pool ``explains`` the readout, and with no book and hbar 1
+    the book is the RAW book of the Dyck strings of length N that agree
+    with the sum's known symbols, while 2^N is within the budget.
 
     A ``BhCodebook`` of Dyck strings is read as its RAW book; a book of a
-    correction scheme raises UnsupportedCodebook before the pool is read.  A
-    witness search past its budget leaves the witnesses None; on a complete
-    sum, ``plain_sources`` lets its SearchSpaceTooLarge through.
+    correction scheme raises UnsupportedCodebook, and an N other than the
+    book's LengthMismatch, before the pool is read.  A witness search past
+    its budget leaves the witnesses None; on a complete sum,
+    ``plain_sources`` lets its SearchSpaceTooLarge through.
     """
     if isinstance(codebook, BhCodebook):
         codebook = raw_codebook(codebook)
     if codebook is not None:
         require_plain(codebook)
+        if N != codebook.N:
+            raise LengthMismatch(f"N={N}, but the codebook's codewords have N={codebook.N}")
     merged = merged_sums(pool, N, hbar)
     if merged.complete:
         if codebook is None:
             return Recovered(merged, frozenset({merged.to_bitstring()}) if hbar == 1 else None)
-        answer = plain_sources(pool, codebook, merged, hbar, budget)
-        return Recovered(merged, certified(pool, codebook, answer, hbar))
+        return Recovered(merged, plain_sources(pool, codebook, merged, hbar, budget))
     if codebook is None and hbar == 1 and 2**N <= budget:
         # only the Dyck strings that agree with every known symbol can explain it
         strings = all_dyck_strings(N, merged.symbols)
@@ -623,8 +640,8 @@ def held_subsets(
 ) -> tuple[frozenset[BitString], ...]:
     """The book's hbar-subsets whose pool holds the readout, found by the one
     subset search over the codewords masked to the known positions of the
-    merged codeword sum, and checked with ``pool_of``.  A search past its
-    budget raises SearchSpaceTooLarge."""
+    merged codeword sum, and checked by ``explains`` against ``pool_of``.  A
+    search past its budget raises SearchSpaceTooLarge."""
     # codewords in the order of their text, which orders the subsets found
     words = sorted(book.codewords, key=lambda cw: str(cw.bits))
     # hbar codewords whose pool holds the readout sum to every known symbol, so none is missed
@@ -632,7 +649,7 @@ def held_subsets(
     mask, parity = sum(1 << b for b, _ in known), sum((v & 1) << b for b, v in known)
     found = XorIndex([cw.bits.as_int & mask for cw in words]).matches(parity, hbar, budget)
     subsets = ([words[i].origin for i in sub] for sub in found)
-    return tuple(frozenset(sub) for sub in subsets if pool.is_submultiset(book.pool_of(sub)))
+    return tuple(frozenset(sub) for sub in subsets if explains(pool, book.pool_of(sub)))
 
 
 def run_erasure_experiment(

@@ -295,8 +295,8 @@ class CompositionMultiset:
     ``counts[length, ones]`` is the multiplicity of the composition with
     ``ones`` ones among ``length`` symbols.  The array is square, its row 0
     and every cell with ``ones > length`` are zero, and it may carry zero
-    rows past the longest fragment; equality, hashing and submultiset tests
-    ignore that padding.  Pooling is a scatter-add, union an addition, and
+    rows past the longest fragment; equality and hashing ignore that
+    padding.  Pooling is a scatter-add, union an addition, and
     removal a decrement of a copy, so no operation builds a
     :class:`Composition` per fragment.  Compositions appear only where
     entries are listed: ``entries``, ``elements``, printing and JSON, all in
@@ -445,28 +445,6 @@ class CompositionMultiset:
         counts = self._counts.copy()
         counts[comp.length, comp.ones] -= mult
         return CompositionMultiset._of(counts, self._total - mult)
-
-    def is_submultiset(self, other: "CompositionMultiset") -> bool:
-        mine = self._trimmed()
-        size = len(mine)
-        if size > len(other._counts):
-            return False
-        return bool((mine <= other._counts[:size, :size]).all())
-
-    def is_lighter_submultiset(self, other: "CompositionMultiset") -> bool:
-        """Whether each fragment here can be paired with its own fragment of
-        other of the same length and at least as many ones: other less some
-        fragments, with any number read lighter.  At each length that holds
-        exactly when, for every w, other has at least as many fragments with
-        w or more ones (Hall's condition for this nested matching)."""
-        import numpy as np
-
-        mine = self._trimmed()
-        size = len(mine)
-        if size > len(other._counts):
-            return False
-        heavier = np.cumsum(other._counts[:size, :size][:, ::-1], axis=1)
-        return bool((np.cumsum(mine[:, ::-1], axis=1) <= heavier).all())
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.elements()) + "}"

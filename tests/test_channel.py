@@ -174,6 +174,17 @@ def test_the_erasure_sampler_refuses_an_unknown_placement():
         sample_erasure_pattern([BitString("110100")], 1, random.Random(0), "clustered")
 
 
+@pytest.mark.parametrize("placement", ["uniform", "adversarial"])
+@pytest.mark.parametrize("t", [-1, 33, 40])
+def test_the_erasure_sampler_refuses_a_t_outside_the_reads(placement, t):
+    # two strings of length 8 have 32 reads; adversarial placement returned no
+    # removal at t = -1 and raised IndexError at t = 33
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match=f"t={t} removals outside 0..32"):
+        sample_erasure_pattern([BitString("11010010"), BitString("11100100")], t, rng, placement)
+    assert rng.random() == random.Random(5).random()  # refused before any draw
+
+
 # ---------------------------------------------------------------------------
 # partial sums, bursts, merging
 

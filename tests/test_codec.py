@@ -17,6 +17,7 @@ from masscodec.codec import (
     decode_mixture,
     encode,
     encode_codebook,
+    explains,
     held_subsets,
     next_square,
     plain_layout,
@@ -52,6 +53,7 @@ from masscodec.errors import (
     DecodeFailure,
     DuplicateString,
     InconsistentPoolSize,
+    LengthMismatch,
     MasscodecError,
     NegativeIncrement,
 )
@@ -448,7 +450,7 @@ def test_the_merge_certifies_a_complete_sum_against_the_readout():
     # does not hold the readout, yet explains it with that one lighter reading
     lossy = erase(pool(truth), [Removal("prefix", 1, ones=1)])
     lossy = substitute_mass_reducing(lossy, "prefix", 5, 2, ones=3)
-    assert not lossy.is_submultiset(pool(truth))
+    assert not explains(lossy, pool(truth))
     assert reconstruct_redundancy_free(lossy, 8, 2, base).strings == set(map(BitString, truth))
     # at clean size the answer's pool must be the readout itself; this merged
     # sum is the truth's, read through a prefix of 7 with one 1 fewer
@@ -464,16 +466,16 @@ def test_the_lighter_submultiset_pairs_each_fragment_with_one_at_least_as_heavy(
         return CompositionMultiset.parse(text)
 
     held = parsed("{0^2 1^2, 0 1^3, 0^3 1}")
-    assert parsed("{0^3 1, 0^2 1^2}").is_lighter_submultiset(held)
-    assert parsed("{0^4, 0^4, 0^4}").is_lighter_submultiset(held)
-    assert parsed("{}").is_lighter_submultiset(held)
+    assert explains(parsed("{0^3 1, 0^2 1^2}"), held, lighter=True)
+    assert explains(parsed("{0^4, 0^4, 0^4}"), held, lighter=True)
+    assert explains(parsed("{}"), held, lighter=True)
     # three fragments of length 4 need three partners, two with 2 ones or more
-    assert not parsed("{0^2 1^2, 0^2 1^2, 0^2 1^2}").is_lighter_submultiset(held)
-    assert not parsed("{0^4, 0^4, 0^4, 0^4}").is_lighter_submultiset(held)
+    assert not explains(parsed("{0^2 1^2, 0^2 1^2, 0^2 1^2}"), held, lighter=True)
+    assert not explains(parsed("{0^4, 0^4, 0^4, 0^4}"), held, lighter=True)
     # a heavier reading, or a length the pool lacks, is never explained
-    assert not parsed("{1^4}").is_lighter_submultiset(held)
-    assert not parsed("{0}").is_lighter_submultiset(held)
-    assert not parsed("{0^5}").is_lighter_submultiset(held)
+    assert not explains(parsed("{1^4}"), held, lighter=True)
+    assert not explains(parsed("{0}"), held, lighter=True)
+    assert not explains(parsed("{0^5}"), held, lighter=True)
     # against a referee: every pairing of the readout's fragments, by brute force
     rng = random.Random(28)
     for _ in range(300):
@@ -486,7 +488,19 @@ def test_the_lighter_submultiset_pairs_each_fragment_with_one_at_least_as_heavy(
         )
         as_set = [CompositionMultiset(Counter(Composition(n - w, w) for n, w in part))
                   for part in (mine, theirs)]
-        assert as_set[0].is_lighter_submultiset(as_set[1]) == paired, (mine, theirs)
+        assert explains(as_set[0], as_set[1], lighter=True) == paired, (mine, theirs)
+
+
+def test_the_merge_refuses_an_n_other_than_the_books(mc_codebook):
+    # it raised Conflict, blaming the readout's two sides, on this N = 36 book
+    readout = mc_codebook.pool_of(mc_codebook.base.strings[:2])
+    for N in (34, 38):
+        with pytest.raises(LengthMismatch, match=f"N={N}, but .* have N=36"):
+            reconstruct_redundancy_free(readout, N, 2, mc_codebook)
+    # a BhCodebook is first read as its RAW book, of N = 8
+    base = BhCodebook.explicit(["11001010", "11010010", "10110010"], 2)
+    with pytest.raises(LengthMismatch, match="have N=8"):
+        reconstruct_redundancy_free(pool(base.strings[:2]), 10, 2, base)
 
 
 def test_the_merge_answers_no_complete_sum_whose_pool_does_not_explain_the_readout():
@@ -506,10 +520,92 @@ def test_the_merge_answers_no_complete_sum_whose_pool_does_not_explain_the_reado
             if readout.total == 2 * base.n * hbar:
                 assert held == readout, (base, truth)
             else:
-                assert readout.is_lighter_submultiset(held), (base, truth)
+                assert explains(readout, held, lighter=True), (base, truth)
             got = "exact" if got.strings == truth else "wrong"
         outcomes[got if isinstance(got, str) else getattr(got, "__name__", "ambiguous")] += 1
     assert outcomes["wrong"] <= 30 and outcomes["exact"] >= 809, outcomes
+
+
+# ---------------------------------------------------------------------------
+# differential test: ``explains`` against the three relations it replaced
+
+
+def _trimmed_counts(multiset):
+    """The counts without zero rows (and columns) past the longest fragment."""
+    counts = multiset.counts
+    rows = counts.any(axis=1).nonzero()[0]
+    size = int(rows[-1]) + 1 if rows.size else 0
+    return counts[:size, :size]
+
+
+def _referee_holds(readout, held):
+    """``CompositionMultiset.is_submultiset`` as it was: cell by cell <=."""
+    mine = _trimmed_counts(readout)
+    size = len(mine)
+    if size > len(held.counts):
+        return False
+    return bool((mine <= held.counts[:size, :size]).all())
+
+
+def _referee_lighter(readout, held):
+    """``CompositionMultiset.is_lighter_submultiset`` as it was: at each
+    length, the counts summed from the heavy end, <=."""
+    import numpy as np
+
+    mine = _trimmed_counts(readout)
+    size = len(mine)
+    if size > len(held.counts):
+        return False
+    heavier = np.cumsum(held.counts[:size, :size][:, ::-1], axis=1)
+    return bool((np.cumsum(mine[:, ::-1], axis=1) <= heavier).all())
+
+
+def _explains_as_the_referees(readout, held):
+    """Check both modes of ``explains`` against the referees, and equality at
+    one size; returns the (relation, answer) pairs checked."""
+    plain, lighter = explains(readout, held), explains(readout, held, lighter=True)
+    assert plain == _referee_holds(readout, held), (str(readout), str(held))
+    assert lighter == _referee_lighter(readout, held), (str(readout), str(held))
+    checked = [("holds", plain), ("lighter", lighter)]
+    if readout.total == held.total:
+        assert plain == (readout == held), (str(readout), str(held))
+        checked.append(("equal", plain))
+    return checked
+
+
+def test_explains_matches_equality_and_both_submultiset_referees(mc_codebook):
+    import numpy as np
+
+    seen = Counter()
+    # the brute-force pairings of the lighter test, both ways round
+    rng = random.Random(28)
+    for _ in range(300):
+        cells = [(n, w) for n in range(1, 5) for w in range(n + 1)]
+        mine = [rng.choice(cells) for _ in range(rng.randint(0, 4))]
+        theirs = [rng.choice(cells) for _ in range(rng.randint(0, 5))]
+        a, b = (CompositionMultiset(Counter(Composition(n - w, w) for n, w in part))
+                for part in (mine, theirs))
+        seen.update(_explains_as_the_referees(a, b) + _explains_as_the_referees(b, a))
+    # the raw readouts, each also with one lighter reading, against the truth's
+    # pool and against the previous truth's, which may be another book's shape
+    previous = None
+    for i, (base, truth, readout) in enumerate(_raw_readouts(60)):
+        held = pool(truth)
+        others = (held,) if previous is None else (held, previous)
+        for read in (readout, _one_lighter(readout, random.Random(i))):
+            for other in others:
+                seen.update(_explains_as_the_referees(read, other))
+        previous = held
+    # tables of different shapes: zero padding, and a fragment longer than any held
+    clean = mc_codebook.pool_of(mc_codebook.base.strings[:2])
+    padded = CompositionMultiset.from_counts(np.pad(clean.counts, (0, 3)))
+    longer = clean.add(Composition(mc_codebook.N + 1, 0))
+    p = pool(["110100", "101010"])
+    wider = CompositionMultiset.from_counts(np.pad(p.counts, (0, 3)))
+    for a, b in ((padded, clean), (longer, clean), (p, wider)):
+        seen.update(_explains_as_the_referees(a, b) + _explains_as_the_referees(b, a))
+    assert all(seen[relation, answer] >= 100 for relation in ("holds", "lighter", "equal")
+               for answer in (True, False)), seen
 
 
 def test_no_book_witnesses_match_the_search_over_every_dyck_string():
