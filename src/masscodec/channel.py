@@ -302,11 +302,16 @@ def sided_cells(sums: SideSums) -> tuple[np.ndarray, ...]:
     of each cell of a reading, in (length, ones) order: the one listing of a
     reading's cells.  A length's one tie cell splits as ``fill`` does; every
     other cell lies wholly on its side.  The four int64 arrays are derived
-    from ``scan`` at each call and belong to the caller."""
+    from ``scan`` at each call and belong to the caller.  They stay int64,
+    wider than the plan's small ints and the count table's int32, because
+    detection packs each cell's length, ones and share (up to
+    ``pool.total``) into one int key, which outgrows both; so the slots and
+    the multiplicities are widened once, here, and the keys are built with
+    no mixed-dtype arithmetic."""
     import numpy as np
 
     slot, ones, mult = sums.scan
-    # int64, as the keys detection builds from them outgrow the plan's ints
+    mult = mult.astype(np.int64)
     kind, length = np.divmod(slot.astype(np.int64), sums.fill.shape[1])
     length += 1
     on_prefix = mult * (kind == 0)

@@ -78,6 +78,8 @@ from .core import (
     bit_rows,
     fragment_cells,
     is_dyck,
+    scatter,
+    tally,
 )
 from .errors import (
     AmbiguousSolution,
@@ -369,16 +371,12 @@ class McCodebook:
         return self.codewords[self._rows([source])[0]].bits
 
     def pool_of(self, sources) -> CompositionMultiset:
-        """Pooled readout of the codewords of the given source strings, by one
-        scatter-add of their rows of ``cells``."""
-        import numpy as np
-
+        """Pooled readout of the codewords of the given source strings: their rows
+        of ``cells``, tallied by ``core.tally``."""
         rows = self._rows([s if isinstance(s, BitString) else BitString(s) for s in sources])
         if len(set(rows)) != len(rows):
             raise DuplicateString("pooled strings must be pairwise distinct")
-        size = self.N + 1
-        counts = np.bincount(self.cells.take(rows, axis=0).ravel(), minlength=size * size)
-        return CompositionMultiset._of(counts.reshape(size, size), 2 * self.N * len(rows))
+        return tally(self.N + 1, self.cells.take(rows, axis=0).ravel())
 
 
 def encode_codebook(base: BhCodebook) -> McCodebook:
@@ -420,10 +418,10 @@ def separate_pool(
     composition the split is unique once each side is filled to hbar.
 
     The pool's ``side_sums`` makes that split: its ``fragments`` check that
-    every length splits hbar + hbar, and both shares of ``sided_cells``, the
-    one listing of the reading's cells, are scattered at once into the two
-    count tables.  The prefix side keeps the reading's prefix totals as its
-    ``length_totals``.
+    every length splits hbar + hbar, and ``core.scatter`` writes both shares
+    of ``sided_cells``, the one listing of the reading's cells, into the two
+    count tables at once.  The prefix side keeps the reading's prefix totals
+    as its ``length_totals``.
     """
     sums = side_sums(pool, N, hbar)
     # a length splits exactly when tie filling leaves hbar on each side
@@ -436,15 +434,11 @@ def separate_pool(
                 f"length {length}: {len(ones_list)} fragments, expected {2 * hbar}"
             )
         raise CountMismatch(f"length {length}: cannot split {ones_list} into {hbar}+{hbar}")
-    import numpy as np
-
     length, ones, *shares = sided_cells(sums)
-    sides = np.zeros((2, N + 1, N + 1), dtype=np.int64)
-    sides[:, length, ones] = shares
     # each of the N lengths holds hbar fragments per side, as just checked
-    prefixes = CompositionMultiset._of(sides[0], hbar * N)
+    prefixes, suffixes = scatter(N + 1, length, ones, shares, (hbar * N, hbar * N))
     hold_length_totals(prefixes, N, sums.fragments[0], sums.ones[0])
-    return prefixes, CompositionMultiset._of(sides[1], hbar * N)
+    return prefixes, suffixes
 
 
 def sum_from_prefixes(
@@ -524,7 +518,10 @@ def explains(
             return False
         mine, theirs = mine[:size, :size], theirs[:size, :size]
     if lighter:
-        mine, theirs = (np.cumsum(table[:, ::-1], axis=1) for table in (mine, theirs))
+        # held's heavy-end sums less the readout's, summed from the one difference;
+        # each lies within +-(2**31 - 1), a table's most fragments, so int32 is exact
+        spare = (theirs - mine)[:, ::-1]
+        return bool((np.cumsum(spare, axis=1, dtype=spare.dtype) >= 0).all())
     return bool((mine <= theirs).all())
 
 

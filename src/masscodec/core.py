@@ -15,14 +15,15 @@ work on integers too.  Nothing else is stored: the few set-up readers that
 walk the symbols one by one get a 0/1 tuple derived from the text.
 
 A composition is fixed by its length and its number of ones, so a pool is
-stored as a dense table of counts ``C[length, ones]``
-(:class:`CompositionMultiset`).  A string's prefix weights are one
-cumulative sum of its bits and its suffix weights one more, pooling is a
-scatter-add of those weights into the table, union is an addition and
-removing a fragment is a decrement.  :class:`Composition` objects are made
-only where a pool is listed, printed or written as JSON.  numpy is imported
-where the first table is built, so importing the package does not load it
-(numpy alone adds over 10 MB of resident memory to the interpreter).
+stored as a dense int32 table of counts ``C[length, ones]``
+(:class:`CompositionMultiset`), built here by every producer.  A string's
+prefix weights are one cumulative sum of its bits and its suffix weights one
+more, pooling is a scatter-add of those weights into the table (``tally``),
+union is an addition and removing a fragment is a decrement.
+:class:`Composition` objects are made only where a pool is listed, printed
+or written as JSON.  numpy is imported where the first table is built, so
+importing the package does not load it (numpy alone adds over 10 MB of
+resident memory to the interpreter).
 
 Conventions used throughout the package:
 
@@ -58,6 +59,12 @@ BitsLike = Union[str, Sequence[int], "BitString"]
 _T = TypeVar("_T")
 
 _ERASED_CHAR = "ε"  # printed as the Greek epsilon
+# the one dtype of every count table, named as a string so that importing the
+# package loads no numpy; at int32 a table at N = 142 (80 KiB) stays under glibc's
+# 128 KiB mmap threshold, so a fresh pool reuses heap pages instead of faulting
+COUNT_DTYPE = "int32"
+# fragments a multiset may hold: no cell exceeds the total, so int32 stays exact
+MAX_FRAGMENTS = 2**31 - 1
 # 0^a 1^b with optional parts and exponents; the lazy zeros exponent leaves
 # the shortest digit run that lets the ones part match
 _COMPOSITION_TEXT = re.compile(r"(0(?:\^(\d+?))?)?(1(?:\^(\d+))?)?")
@@ -296,7 +303,13 @@ class CompositionMultiset:
     ``ones`` ones among ``length`` symbols.  The array is square, its row 0
     and every cell with ``ones > length`` are zero, and it may carry zero
     rows past the longest fragment; equality and hashing ignore that
-    padding.  Pooling is a scatter-add, union an addition, and
+    padding.  Every table is int32 (``COUNT_DTYPE``), whichever producer
+    built it, so equal multisets hash equal, and a multiset holds at most
+    2**31 - 1 fragments (``MAX_FRAGMENTS``), so no cell overflows: the
+    constructors that take outside counts and ``union`` refuse a larger
+    total, and every other producer keeps its input's.  Multiplicities are
+    ints (bools and numpy integers too); a float or a negative one is a
+    ValueError.  Pooling is a scatter-add, union an addition, and
     removal a decrement of a copy, so no operation builds a
     :class:`Composition` per fragment.  Compositions appear only where
     entries are listed: ``entries``, ``elements``, printing and JSON, all in
@@ -308,33 +321,39 @@ class CompositionMultiset:
 
     def __init__(self, items: Union[Mapping[Composition, int], Iterable[Composition], None] = None):
         if isinstance(items, Mapping):
-            if any(mult < 0 for mult in items.values()):
-                raise ValueError("negative multiplicity")
-            entries = [(comp, int(mult)) for comp, mult in items.items()]
+            entries = [(comp, _multiplicity(mult)) for comp, mult in items.items()]
         else:
             entries = [(comp, 1) for comp in items or ()]
+        total = _checked_total(sum(mult for _, mult in entries))
         counts = _blank(1 + max((comp.length for comp, _ in entries), default=0))
         for comp, mult in entries:
             counts[comp.length, comp.ones] += mult
-        self._own(counts, int(counts.sum()))
+        self._own(counts, total)
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "CompositionMultiset":
-        """Check and wrap a square ``counts[length, ones]`` array, which becomes read-only."""
+        """Check a square ``counts[length, ones]`` array of bools or integers and wrap
+        it as int32, a copy unless it is int32 already; the table becomes read-only."""
         import numpy as np
 
-        counts = counts.astype("int64", copy=False)
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "biu":
+            raise ValueError(f"counts must be integers, got {counts.dtype}")
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"counts must be a square matrix, got shape {counts.shape}")
         if counts.min(initial=0) < 0:
             raise ValueError("negative multiplicity")
         if counts[:1].any() or np.triu(counts, 1).any():
             raise ValueError("counts hold a fragment of length 0 or with more ones than symbols")
-        return cls._of(counts, int(counts.sum()))
+        # a cell within the limit keeps the int64 sum of any table that fits in memory exact
+        _checked_total(int(counts.max(initial=0)))
+        total = _checked_total(int(counts.sum(dtype=np.int64)))
+        return cls._of(counts.astype(COUNT_DTYPE, copy=False), total)
 
     @classmethod
     def _of(cls, counts: np.ndarray, total: int) -> "CompositionMultiset":
-        """Own a valid int64 table (see :meth:`from_counts`) and its sum, neither checked."""
+        """Own a valid table of ``COUNT_DTYPE`` (see :meth:`from_counts`) and its sum,
+        neither checked."""
         out = cls.__new__(cls)
         out._own(counts, total)
         return out
@@ -429,16 +448,18 @@ class CompositionMultiset:
 
     def union(self, *others: "CompositionMultiset") -> "CompositionMultiset":
         parts = (self, *others)
+        total = _checked_total(sum(p._total for p in parts))
         counts = _blank(max(len(p._counts) for p in parts))
         for p in parts:
             size = len(p._counts)
             counts[:size, :size] += p._counts
-        return CompositionMultiset._of(counts, sum(p._total for p in parts))
+        return CompositionMultiset._of(counts, total)
 
     def add(self, comp: Composition, mult: int = 1) -> "CompositionMultiset":
         return self.union(CompositionMultiset({comp: mult}))
 
     def remove(self, comp: Composition, mult: int = 1) -> "CompositionMultiset":
+        mult = _multiplicity(mult)
         held = self.count(comp)
         if held < mult:
             raise KeyError(f"multiset holds {held} of {comp}, need {mult}")
@@ -471,10 +492,55 @@ class CompositionMultiset:
         return cls(Composition.parse(t) for t in items)
 
 
+def _multiplicity(mult) -> int:
+    """A multiplicity as a Python int: an int, a bool or a numpy integer, not negative."""
+    try:
+        mult = index(mult)
+    except TypeError:
+        raise ValueError(f"multiplicity must be an integer, got {mult!r}") from None
+    if mult < 0:
+        raise ValueError("negative multiplicity")
+    return mult
+
+
+def _checked_total(total: int) -> int:
+    if total > MAX_FRAGMENTS:
+        raise ValueError(f"{total} fragments exceed the limit of {MAX_FRAGMENTS}")
+    return total
+
+
 def _blank(size: int) -> np.ndarray:
     import numpy as np
 
-    return np.zeros((size, size), dtype=np.int64)
+    return np.zeros((size, size), dtype=COUNT_DTYPE)
+
+
+def tally(size: int, cells: np.ndarray) -> CompositionMultiset:
+    """The multiset with one fragment per listed flat cell ``length * size + ones``
+    of a size x size table, a cell as often as it is listed; the cells, read off
+    strings of length size - 1, are not checked.  One ``np.add.at`` of int32
+    ones fills the int32 table, with no wider temporary."""
+    import numpy as np
+
+    counts = np.zeros(size * size, dtype=COUNT_DTYPE)
+    np.add.at(counts, cells, counts.dtype.type(1))
+    return CompositionMultiset._of(counts.reshape(size, size), cells.size)
+
+
+def scatter(
+    size: int, length: np.ndarray, ones: np.ndarray, mults: Sequence[np.ndarray],
+    totals: Sequence[int],
+) -> tuple[CompositionMultiset, ...]:
+    """One multiset of a size x size table per row of ``mults``, holding
+    ``mults[k][j]`` fragments at the distinct cell ``(length[j], ones[j])``,
+    all from one int32 array and one assignment.  Nothing is checked: the cells
+    and multiplicities are read off a valid table, and ``totals[k]`` is the sum
+    of ``mults[k]``."""
+    import numpy as np
+
+    counts = np.zeros((len(mults), size, size), dtype=COUNT_DTYPE)
+    counts[:, length, ones] = mults
+    return tuple(CompositionMultiset._of(counts[k], total) for k, total in enumerate(totals))
 
 
 def bit_matrix(strings: Sequence[BitString]) -> np.ndarray:
@@ -515,12 +581,7 @@ def fragment_cells(
 
 def _read_fragments(strings: Sequence[BitString], **reads: bool) -> CompositionMultiset:
     """The count table of the reads, by one scatter-add of their cells."""
-    import numpy as np
-
-    size = len(strings[0]) + 1
-    cells = fragment_cells(strings, **reads).ravel()
-    counts = np.bincount(cells, minlength=size * size)
-    return CompositionMultiset._of(counts.reshape(size, size), cells.size)
+    return tally(len(strings[0]) + 1, fragment_cells(strings, **reads).ravel())
 
 
 def prefix_multiset(s: BitsLike) -> CompositionMultiset:

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from masscodec.channel import merge_partials
-from masscodec.codec import explains
+from masscodec.channel import Removal, erase, merge_partials, substitute_mass_reducing
+from masscodec.codec import explains, separate_pool
 from masscodec.core import (
+    MAX_FRAGMENTS,
     BitString,
     Composition,
     CompositionMultiset,
@@ -239,6 +240,103 @@ def test_multiset_pickles_and_copies():
         assert clone.memo("key", lambda: "rebuilt") == "rebuilt"  # the memo starts empty
         with pytest.raises(AttributeError):
             clone.extra = 1
+
+
+def test_remove_refuses_a_negative_multiplicity():
+    p = pool(["1100"])
+    for change in (p.remove, p.add):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            change(Composition(1, 1), -1)
+    assert p.remove(Composition(1, 1), 0) == p
+    assert p.remove(Composition(0, 2)).total == 7
+
+
+def test_multiplicities_are_integers_within_the_limit():
+    import numpy as np
+
+    comp = Composition(1, 1)
+    for bad in (1.5, 1.0, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match="multiplicity must be an integer"):
+            CompositionMultiset({comp: bad})
+        with pytest.raises(ValueError, match="multiplicity must be an integer"):
+            pool(["1010"]).remove(comp, bad)
+    for floats in (np.array([[0, 0], [1.7, 0.2]]), np.zeros((3, 3)), np.array([[0j]])):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CompositionMultiset.from_counts(floats)
+    # ints, bools and numpy integers are counted as they are
+    assert CompositionMultiset({comp: True, Composition(1, 0): np.int64(2)}).total == 3
+    assert CompositionMultiset({comp: MAX_FRAGMENTS}).count(comp) == MAX_FRAGMENTS
+    # a total past 2**31 - 1 is refused by every constructor that takes outside counts
+    over = (
+        lambda: CompositionMultiset({comp: 2**70}),
+        lambda: CompositionMultiset({comp: 2**30, Composition(2, 0): 2**30}),
+        lambda: CompositionMultiset.from_json_obj([{"zeros": 1, "ones": 1, "mult": 2**31}]),
+        lambda: CompositionMultiset.from_counts(np.array([[0, 0], [2**31, 0]])),
+        lambda: CompositionMultiset.from_counts(np.array([[0, 0], [2**64 - 1, 0]], np.uint64)),
+        lambda: CompositionMultiset.from_counts(np.tril(np.full((3, 3), 2**30)) * [[0], [1], [1]]),
+    )
+    for build in over:
+        with pytest.raises(ValueError, match="exceed the limit of 2147483647"):
+            build()
+    # and so is a union or an addition that would pass it
+    half = CompositionMultiset({comp: 2**30})
+    for grow in (lambda: half.union(half), lambda: half.add(comp, 2**30)):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            grow()
+    assert half.add(comp, 2**30 - 1).total == MAX_FRAGMENTS
+
+
+def test_every_producer_builds_one_read_only_int32_table(mc_codebook):
+    """Each producer's table is int32 and read-only, erase and substitution leave
+    their input as it was, and equal multisets hash equal whatever built them."""
+    import pickle
+
+    import numpy as np
+
+    book = mc_codebook
+    sources = book.base.strings[:2]
+    words = [book.bits_for(s) for s in sources]
+    clean = pool(words)
+    before = clean.counts.copy()
+    length = book.N // 2
+    ones = words[0].prefix(length).weight()
+    victim = Composition(length - ones, ones)
+    lighter = Composition(length - ones + 1, ones - 1)
+    erased = erase(clean, [Removal("prefix", length, ones=ones)])
+    substituted = substitute_mass_reducing(clean, "prefix", length, ones - 1, ones=ones)
+    produced = {
+        "pool": clean,
+        "pool_of": book.pool_of(sources),
+        "full_multiset": full_multiset(words[0]),
+        "prefix_multiset": prefix_multiset(words[0]),
+        "suffix_multiset": suffix_multiset(words[0]),
+        "mapping": CompositionMultiset(dict(clean.entries())),
+        "parse": CompositionMultiset.parse("{0, 1, 01, 0^2 1^3, 0^2 1^3}"),
+        "union": full_multiset(words[0]).union(full_multiset(words[1])),
+        "remove": clean.remove(victim),
+        "add": clean.remove(victim).add(victim),
+        "erase": erased,
+        "substitute_mass_reducing": substituted,
+        "json": CompositionMultiset.from_json_obj(clean.to_json_obj()),
+        "pickle": pickle.loads(pickle.dumps(clean)),
+        "bool": CompositionMultiset.from_counts(clean.counts > 0),
+    }
+    for dtype in ("int64", "int32", "uint8"):
+        produced[dtype] = CompositionMultiset.from_counts(clean.counts.astype(dtype))
+    produced["prefix side"], produced["suffix side"] = separate_pool(clean, book.N, 2)
+    for name, made in produced.items():
+        assert made.counts.dtype == np.int32 and not made.counts.flags.writeable, name
+        # the same multiset rebuilt from its entries hashes alike
+        twin = CompositionMultiset(dict(made.entries()))
+        assert made == twin and hash(made) == hash(twin), name
+    assert np.array_equal(clean.counts, before)
+    for name in ("pool_of", "mapping", "union", "add", "json", "pickle", "int64", "int32",
+                 "uint8"):
+        assert produced[name] == clean and hash(produced[name]) == hash(clean), name
+    assert produced["prefix side"].union(produced["suffix side"]) == clean
+    assert erased == clean.remove(victim) and hash(erased) == hash(clean.remove(victim))
+    assert substituted == clean.remove(victim).add(lighter)
+    assert produced["bool"] == CompositionMultiset({comp: 1 for comp, _ in clean.entries()})
 
 
 @given(bits_st)
