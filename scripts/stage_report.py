@@ -20,8 +20,10 @@ How many depends on the heap the process built up before (imports, earlier
 workloads), so compare two commits with this one script, not with a bench run.
 
 Then it times in process, best of 5, what no declared set-up span covers: the
-build of each named table of ``masscodec.gf2m.TABLES`` (``bundled_spec``) and of
-the ``lookup-h3`` matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.  Last, the one
+build of each named table of ``masscodec.gf2m.TABLES`` as a spec (``bundled_spec``)
+and as a code (``linearcode.bundled_code`` with its cache cleared, as each bench
+set-up clears it; the code's time includes its spec's), and of the ``lookup-h3``
+matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.  Last, the one
 readout check, ``codec.explains``, per call with the answer's pool built: at
 clean size on the ``lookup-h3`` book (N = 68, hbar 3), and with and without
 ``lighter`` on the t = 1 two-step substitution book of ``bch_255_cols20``
@@ -158,16 +160,24 @@ def stage_table() -> None:
 
 
 def table_builds() -> None:
-    """Print the build time of each named table and of the lookup-h3 matrix."""
-    from masscodec import bhcode, gf2m
+    """Print the build time of each named table, as a spec and as a code, and of the
+    lookup-h3 matrix."""
+    from masscodec import bhcode, gf2m, linearcode
 
-    builds = {name: functools.partial(bhcode.bundled_spec, name) for name in gf2m.TABLES}
-    builds["alpha_power_pcm(8, 96, [1, 3, 5])"] = functools.partial(
-        gf2m.alpha_power_pcm, 8, 96, [1, 3, 5]
-    )
-    print("named tables: build ms, best of 5")
-    for label, build in builds.items():
-        print(f"  {label:36} {1000 * min(timeit.repeat(build, number=1, repeat=5)):8.3f}")
+    def best_ms(build) -> float:
+        return 1000 * min(timeit.repeat(build, number=1, repeat=5))
+
+    def fresh_code(name: str) -> None:
+        linearcode.bundled_code.cache_clear()  # as the bench clears it at every set-up
+        linearcode.bundled_code(name)
+
+    print("named tables: build ms, best of 5, as bundled_spec and as bundled_code")
+    for name in gf2m.TABLES:
+        spec = best_ms(functools.partial(bhcode.bundled_spec, name))
+        code = best_ms(functools.partial(fresh_code, name))
+        print(f"  {name:36} {spec:8.3f} {code:8.3f}")
+    label = "alpha_power_pcm(8, 96, [1, 3, 5])"
+    print(f"  {label:36} {best_ms(functools.partial(gf2m.alpha_power_pcm, 8, 96, [1, 3, 5])):8.3f}")
 
 
 def readout_checks() -> None:

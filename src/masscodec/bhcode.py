@@ -23,6 +23,8 @@ of its values, sorted by that XOR.  A cached subset costs k bytes of indices
 benchmark codebook holds about 46 KB.  A lookup's budget bounds each index
 it builds, and the cache as a whole by dropping the sizes it does not use.
 
+``binary_rows`` is the one reader of a binary matrix: ``ParityCheckSpec`` and
+``linearcode.LinearCode`` read theirs through it, so each refusal has one message.
 ``bundled_spec`` builds a named matrix of ``gf2m.TABLES`` in process; it
 serves as a codebook source or, through ``linearcode.bundled_code``, as a
 code.  Any other matrix is read from a plain-text ``.pcm`` file: a
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,45 +55,47 @@ from .gf2m import TABLES
 DEFAULT_BUDGET = 2**22
 
 
-def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """A 2-D array-like of ints (a numpy array, nested lists) as a tuple of tuples."""
+def binary_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The one reader of a binary matrix: a non-empty, rectangular 2-D array-like of
+    0/1 ints as a tuple of tuples (a tuple of tuples is kept as given), else a ConfigError."""
     if getattr(rows, "ndim", 2) != 2:
         raise ConfigError(f"a parity-check matrix is 2-D, not {rows.ndim}-D")
     if hasattr(rows, "tolist"):
         if rows.dtype.kind not in "biu":
             raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints")
-        return tuple(map(tuple, rows.astype(int, copy=False).tolist()))
-    try:
-        return tuple(tuple(map(operator.index, row)) for row in rows)
-    except TypeError:
-        raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints") from None
+        rows = tuple(map(tuple, rows.astype(int, copy=False).tolist()))
+    given = type(rows) is tuple and all(type(row) is tuple for row in rows)
+    if not given:
+        try:
+            rows = tuple(map(tuple, rows))
+        except TypeError:  # not iterable, or rows that are not
+            raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints") from None
+    if not rows or not rows[0]:
+        raise ConfigError("empty parity-check matrix")
+    if len(set(map(len, rows))) > 1:
+        raise ConfigError("ragged parity-check matrix")
+    try:  # bytes() takes only ints in 0..255: a float, text or a tuple entry raises
+        binary = not b"".join(map(bytes, rows)).translate(None, b"\0\1")
+    except (TypeError, ValueError):
+        binary = False
+    if not binary:
+        raise ConfigError("parity-check entries must be 0/1")
+    return rows if given else tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True)
 class ParityCheckSpec:
     """A binary parity-check matrix with a declared minimum distance.
 
-    ``rows`` may be any 2-D array-like of 0/1 ints; it is kept as a tuple of
-    tuples of ints, so the spec is hashable.  A tuple of tuples is kept as given.
+    ``rows`` is read by ``binary_rows``, so the spec holds a hashable tuple of
+    tuples; a tuple of tuples is kept as given.
     """
 
     rows: tuple[tuple[int, ...], ...]
     d: int
 
     def __post_init__(self):
-        if type(self.rows) is not tuple or any(type(row) is not tuple for row in self.rows):
-            object.__setattr__(self, "rows", _int_rows(self.rows))
-        if not self.rows or not self.rows[0]:
-            raise ConfigError("empty parity-check matrix")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
-            raise ConfigError("ragged parity-check matrix")
-        try:
-            binary = set().union(*self.rows) <= {0, 1}
-        except TypeError:  # an unhashable entry: rows of rows, not a 2-D matrix
-            binary = False
-        if not binary:
-            raise ConfigError("parity-check entries must be 0/1")
+        object.__setattr__(self, "rows", binary_rows(self.rows))
         if self.d < 1:
             raise ConfigError("distance must be positive")
         cols = list(zip(*self.rows))

@@ -30,7 +30,10 @@ Conventions used throughout the package:
 * Strings are read left to right; a prefix is a run of leading symbols.
 * A composition with a zeros and b ones prints as ``0^a 1^b`` with zero
   exponents omitted and exponent one left implicit (``01^2`` means one 0
-  and two 1s).
+  and two 1s).  Printed text is for display only: it does not read back,
+  as ``0^21`` is both 21 zeros and two zeros with a one.  JSON
+  (``to_json_obj``/``from_json_obj``) is the one interchange form, and a
+  partial sum is built from its symbols.
 * The running digital sum R(s)_i = 2*wt(s_1..s_i) - i tracks the
   1s-vs-0s discrepancy of prefixes; a balanced string ends at R = 0.
 * A string of even length N is a *Dyck string* when wt(s) = N/2 and every
@@ -43,7 +46,6 @@ array) and safe to share across threads.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from operator import index
 from typing import (
@@ -65,9 +67,6 @@ _ERASED_CHAR = "ε"  # printed as the Greek epsilon
 COUNT_DTYPE = "int32"
 # fragments a multiset may hold: no cell exceeds the total, so int32 stays exact
 MAX_FRAGMENTS = 2**31 - 1
-# 0^a 1^b with optional parts and exponents; the lazy zeros exponent leaves
-# the shortest digit run that lets the ones part match
-_COMPOSITION_TEXT = re.compile(r"(0(?:\^(\d+?))?)?(1(?:\^(\d+))?)?")
 
 
 # bytes.translate tables between the ASCII digits 0/1 and the byte values 0/1
@@ -270,21 +269,6 @@ class Composition:
     def __repr__(self) -> str:
         return f"Composition(zeros={self.zeros}, ones={self.ones})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Composition":
-        """Parse the ``0^a 1^b`` notation (spaces optional, exponent 1 implicit).
-
-        Strings like ``0^21^3`` are read as the zeros part followed by the
-        ones part (0^2 then 1^3): after ``0^`` the shortest digit run that
-        leaves a parseable ones part wins, matching how the notation is
-        written.
-        """
-        match = _COMPOSITION_TEXT.fullmatch(text.replace(" ", ""))
-        if match is None or not match.group(0):
-            raise ValueError(f"bad composition text {text!r}")
-        zeros, zeros_exp, ones, ones_exp = match.groups()
-        return cls(int(zeros_exp or 1) if zeros else 0, int(ones_exp or 1) if ones else 0)
-
     def to_json_obj(self, mult: int = 1) -> dict:
         return {"zeros": self.zeros, "ones": self.ones, "mult": mult}
 
@@ -481,15 +465,6 @@ class CompositionMultiset:
             comp = Composition(zeros, ones)
             counts[comp] += json_int(entry, "mult", "a fragment", default=1)
         return cls(counts)
-
-    @classmethod
-    def parse(cls, text: str) -> "CompositionMultiset":
-        """Parse ``{0, 01, 0^2 1^3, ...}`` listings (for tests and fixtures)."""
-        text = text.strip()
-        if text.startswith("{") and text.endswith("}"):
-            text = text[1:-1]
-        items = [t for t in (part.strip() for part in text.split(",")) if t]
-        return cls(Composition.parse(t) for t in items)
 
 
 def _multiplicity(mult) -> int:
@@ -700,17 +675,6 @@ class PartialSumString:
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialSumString is immutable")
-
-    @classmethod
-    def parse(cls, text: str, hbar: int) -> "PartialSumString":
-        """Parse digit strings with epsilon (or '?') marking erased symbols."""
-        syms: list[Optional[int]] = []
-        for c in text:
-            if c in (_ERASED_CHAR, "e", "?"):
-                syms.append(None)
-            else:
-                syms.append(int(c))
-        return cls(syms, hbar)
 
     def __len__(self) -> int:
         return len(self.symbols)

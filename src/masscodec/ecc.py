@@ -542,7 +542,8 @@ def _next_prime(lo: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# unified front door (used by the CLI)
+# front door by scheme name: the CLI builds every book with scheme_codebook and
+# decodes coded readouts with scheme_decode; plain and raw readouts go to the merge
 
 
 def scheme_codebook(

@@ -17,6 +17,8 @@ int and clears a column with one XOR per row.
 A complete binary word needs no solve: it is checked by its syndrome, the
 XOR of the packed columns of H at its ones.
 
+A code's matrix is read by ``bhcode.binary_rows``, as a codebook's is, and
+``from_json_obj`` turns its 0/1 text rows into int rows for that reader.
 ``bundled_code`` builds the code of a named matrix of ``gf2m.TABLES``,
 through ``bhcode.bundled_spec``, the one builder of every named matrix.
 ``shipped_code`` is the one chooser: every scheme that takes a default
@@ -33,20 +35,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bhcode import DEFAULT_BUDGET, XorIndex, bundled_spec
-from .errors import ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field
+from .bhcode import DEFAULT_BUDGET, XorIndex, binary_rows, bundled_spec
+from .errors import (
+    ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field, json_int
+)
 
-
-def _as_matrix(rows) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        return rows.astype(np.uint8) % 2
-    out = []
-    for row in rows:
-        if isinstance(row, str):
-            out.append([int(c) for c in row])
-        else:
-            out.append([int(b) for b in row])
-    return np.array(out, dtype=np.uint8) % 2
+# a JSON code's text rows: each character one entry, refused unless 0 or 1
+_TEXT_BITS = {"0": 0, "1": 1}
 
 
 def rref(
@@ -187,7 +182,7 @@ class LinearCode:
         n-1 ... n-r.  It is kept with its rows so ordered; any other matrix
         goes through ``rref``.
         """
-        H = _as_matrix(rows)
+        H = np.array(binary_rows(rows), dtype=np.uint8)
         r, n = H.shape
         tail = H[:, n - r :][:, ::-1]
         if 0 < r <= n and (tail.sum(axis=0) == 1).all() and (tail.sum(axis=1) == 1).all():
@@ -344,12 +339,18 @@ class LinearCode:
     def from_json_obj(cls, obj: dict) -> "LinearCode":
         """A code from its JSON form, checked against its declared n, k and d.
 
-        An overstated d makes decoders trust a capability the code lacks,
-        so d is compared with the exact minimum distance whenever the 2^k
-        codewords fit the default search budget.
+        The form is the one ``to_json_obj`` writes: ``H`` a list of 0/1 strings,
+        ``n``, ``k`` and ``d`` ints (or integer text) and a ``name`` string.  An
+        overstated d makes decoders trust a capability the code lacks, so d is
+        compared with the exact minimum distance whenever the 2^k codewords fit
+        the default search budget.
         """
-        H, d, n, k = (json_field(obj, key, "a code") for key in ("H", "d", "n", "k"))
-        code = cls.from_parity_check(H, d, obj.get("name", "custom"))
+        H = json_field(obj, "H", "a code", list)
+        if not all(isinstance(row, str) for row in H):
+            raise ConfigError(f"a code needs 'H' as a list of 0/1 strings, got {H!r}")
+        d, n, k = (json_int(obj, key, "a code") for key in ("d", "n", "k"))
+        name = json_field(obj, "name", "a code", str, default="custom")
+        code = cls.from_parity_check([tuple(map(_TEXT_BITS.get, row)) for row in H], d, name)
         if code.n != n or code.k != k:
             raise ConfigError(
                 f"declared (n,k)=({n},{k}) but matrix gives ({code.n},{code.k})"
@@ -428,7 +429,7 @@ def bundled_code(name: str) -> LinearCode:
     spec = bundled_spec(name)
     # Tier-1 verifies each declared distance, and 2^16 or 2^21 codewords are
     # too many to enumerate at every load
-    return LinearCode.from_parity_check(np.array(spec.rows, dtype=np.uint8), spec.d, name)
+    return LinearCode.from_parity_check(spec.rows, spec.d, name)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from masscodec.bhcode import BhCodebook, ParityCheckSpec, build_bh_codebook, bundled_spec
 from masscodec.codec import encode_codebook
-from masscodec.core import BitString
+from masscodec.core import BitString, Composition, CompositionMultiset, PartialSumString
 from masscodec.gf2m import alpha_power_pcm
 
 CRITERION_TITLES = {
@@ -48,6 +48,61 @@ def pytest_terminal_summary(terminalreporter):
                 f"\n    - {n.split('::')[-1]}: {o}" for n, o in sorted(results)
             )
         )
+
+
+# The paper writes fragments as 0^a 1^b and partial sums as digits with ε for an
+# erased symbol.  The package reads neither text (printed text is for display only,
+# and 0^21 is both 21 zeros and two zeros with a one), so fixtures written in that
+# notation are read here, on the fixtures' own terms.
+
+
+def read_composition(text: str) -> Composition:
+    """``0^a 1^b`` with spaces allowed and exponent one implicit; after ``0^``
+    the shortest digit run that leaves a readable ones part is the zeros count."""
+    text = text.replace(" ", "")
+
+    def read_ones(rest: str):
+        if not rest:
+            return 0
+        if rest[0] != "1":
+            return None
+        if len(rest) == 1:
+            return 1
+        if rest[1] != "^" or not rest[2:].isdigit():
+            return None
+        return int(rest[2:])
+
+    if text.startswith("0"):
+        if text[1:2] == "^":
+            digits = 2
+            while digits < len(text) and text[digits].isdigit():
+                digits += 1
+            if digits == 2:
+                raise ValueError(f"bad exponent in {text!r}")
+            for end in range(3, digits + 1):
+                ones = read_ones(text[end:])
+                if ones is not None:
+                    return Composition(int(text[2:end]), ones)
+            raise ValueError(f"bad composition text {text!r}")
+        ones = read_ones(text[1:])
+        if ones is None:
+            raise ValueError(f"bad composition text {text!r}")
+        return Composition(1, ones)
+    ones = read_ones(text)
+    if ones is None or ones == 0:
+        raise ValueError(f"bad composition text {text!r}")
+    return Composition(0, ones)
+
+
+def read_multiset(text: str) -> CompositionMultiset:
+    """A ``{0, 01, 0^2 1^3, ...}`` listing, one composition per comma."""
+    items = (part.strip() for part in text.strip().removeprefix("{").removesuffix("}").split(","))
+    return CompositionMultiset(read_composition(item) for item in items if item)
+
+
+def read_partial_sum(text: str, hbar: int) -> PartialSumString:
+    """A partial sum written as its digits, ε for an erased symbol."""
+    return PartialSumString([None if c == "ε" else int(c) for c in text], hbar)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_multiset, read_partial_sum
 from masscodec import ecc
 from masscodec.bhcode import BhCodebook
 from masscodec.channel import (
@@ -73,7 +74,7 @@ from masscodec.errors import (
     UnsupportedCodebook,
 )
 
-PSS = PartialSumString.parse
+PSS = read_partial_sum
 
 DYCK_TRIPLE = ["110100", "101010", "110010"]
 
@@ -84,7 +85,7 @@ DYCK_TRIPLE = ["110100", "101010", "110010"]
 
 def test_erase_single_prefix_fragment():
     erased = erase(full_multiset("111000"), [Removal("prefix", 2)])
-    expected = CompositionMultiset.parse(
+    expected = read_multiset(
         "{1, 1^3, 01^3, 0^21^3, 0^31^3, 0^31^3, 0^31^2, 0^31, 0^3, 0^2, 0}"
     )
     assert erased == expected

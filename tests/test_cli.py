@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from masscodec.bhcode import bundled_spec
+from masscodec.bhcode import ParityCheckSpec, bundled_spec
 from masscodec.cli import main
 from masscodec.core import pool
-from masscodec.linearcode import bundled_code, shortened
+from masscodec.errors import ConfigError
+from masscodec.linearcode import LinearCode, bundled_code, shortened
 
 RAW_CONFIG = {
     "h": 2,
@@ -377,6 +378,90 @@ def test_inline_code_with_overstated_distance_exits_2(ws):
             "scheme": {"name": "one-step", "t": 0, "code": {**HAMMING, "d": d}},
         }))
         assert run("encode", strings, "--config", cfg, "-o", ws / "w.json") == exit_code
+
+
+def _encode_with_code(ws, code: dict) -> int:
+    """Encode 1100 under a one-step config whose code is given inline."""
+    (ws / "s.txt").write_text("1100\n")
+    scheme = {"name": "one-step", "t": 0, "code": code}
+    config = {"h": 1, "strings": ["1100", "1010", "0110"], "scheme": scheme}
+    (ws / "cfg.json").write_text(json.dumps(config))
+    return run("encode", ws / "s.txt", "--config", ws / "cfg.json", "-o", ws / "w.json")
+
+
+# an inline code's field -> a value that is no integer, or no list of 0/1 strings
+CODE_FIELDS = {
+    "d-text": ("d", "three", "a code needs an int 'd', got 'three'"),
+    "d-fraction": ("d", 3.5, "a code needs an int 'd', got 3.5"),
+    "k-true": ("k", True, "a code needs an int 'k', got True"),
+    "n-null": ("n", None, "a code needs an int 'n', got None"),
+    "name-int": ("name", 7, "a code needs a str 'name', got 7"),
+    "H-one-string": ("H", "0001111", "a code needs a list 'H', got '0001111'"),
+    "H-int-rows": (
+        "H", [[0, 1, 1], [1, 0, 1]],
+        "a code needs 'H' as a list of 0/1 strings, got [[0, 1, 1], [1, 0, 1]]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODE_FIELDS))
+def test_an_inline_code_field_of_another_type_exits_2_naming_it(ws, capsys, case):
+    key, value, message = CODE_FIELDS[case]
+    assert _encode_with_code(ws, {**HAMMING, "d": 3, key: value}) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "w.json").exists()
+
+
+@pytest.mark.parametrize("key", ["n", "k", "d"])
+def test_an_inline_code_size_in_integer_text_reads_as_the_int(ws, key):
+    # as a scheme's t and a pool file's N do
+    code = {**HAMMING, "d": 3}
+    assert _encode_with_code(ws, code) == 0
+    want = (ws / "w.json").read_text()
+    assert _encode_with_code(ws, {**code, key: str(code[key])}) == 0
+    assert (ws / "w.json").read_text() == want
+
+
+NOT_BINARY = "parity-check entries must be 0/1"
+# a malformed matrix as a library caller passes it, the same defect in a config's
+# inline "H" (a 0/1 string per row, where each character is one entry), and the
+# message every entry point refuses it with
+MALFORMED_MATRICES = {
+    "not-binary": (
+        [[0, 0, 0, 1, 1, 2, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]],
+        ["0001121", "0110011", "1010101"],
+        NOT_BINARY,
+    ),
+    "float entries": ([[0.0, 1.0], [1.0, 0.0]], ["0.01.0", "1.00.0"], NOT_BINARY),
+    "string entries": ([["0", "1"], ["1", "0"]], ["0 1", "1 0"], NOT_BINARY),
+    "tuple entries": (((0, (1,)), ((1,), 0)), ["0(1,)", "(1,)0"], NOT_BINARY),
+    "ragged": (((1, 0), (1,)), ["10", "1"], "ragged parity-check matrix"),
+    "empty": ((), [], "empty parity-check matrix"),
+    "empty row": (((),), [""], "empty parity-check matrix"),
+    "3-D": ([[[0, 1]], [[1, 0]]], ["[0, 1]", "[1, 0]"], NOT_BINARY),
+    # a 1-D matrix has no rows: its config form is one string, which the field refuses
+    "1-D": (
+        (0, 1, 1), "011",
+        ("a parity-check matrix is a 2-D array of 0/1 ints", "a code needs a list 'H', got '011'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_a_malformed_matrix_is_refused_alike_at_every_entry_point(ws, capsys, case):
+    rows, H, message = MALFORMED_MATRICES[case]
+    given, written = message if isinstance(message, tuple) else (message, message)
+    refusals = (
+        (lambda: ParityCheckSpec(rows, 3), given),
+        (lambda: LinearCode.from_parity_check(rows, 3), given),
+        (lambda: LinearCode.from_json_obj({**HAMMING, "d": 3, "H": H}), written),
+    )
+    for read, want in refusals:
+        with pytest.raises(ConfigError) as refused:
+            read()
+        assert str(refused.value) == want
+    assert _encode_with_code(ws, {**HAMMING, "d": 3, "H": H}) == 2
+    assert capsys.readouterr().err == f"error: {written}\n"
 
 
 # a [26, 16, 5] code absorbs 4 erasures; two-step t = 5 needs 5

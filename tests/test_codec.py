@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_multiset
 from masscodec import codec, ecc
 from masscodec.bhcode import BhCodebook, invert_mod2_sum, invert_sum, verify_bh
 from masscodec.codec import (
@@ -294,7 +295,7 @@ def test_sum_from_prefixes_rejects_corrupt_pools():
     with pytest.raises(CountMismatch):
         sum_from_prefixes(prefixes, 6, 1)
     # a mass-reduced length-3 fragment drives the increment negative
-    corrupted = CompositionMultiset.parse("{1, 1^2, 0^3, 01^3, 0^21^3, 0^31^3}")
+    corrupted = read_multiset("{1, 1^2, 0^3, 01^3, 0^21^3, 0^31^3}")
     with pytest.raises(NegativeIncrement):
         sum_from_prefixes(corrupted, 6, 1)
 
@@ -462,20 +463,17 @@ def test_the_merge_certifies_a_complete_sum_against_the_readout():
 
 
 def test_the_lighter_submultiset_pairs_each_fragment_with_one_at_least_as_heavy():
-    def parsed(text):
-        return CompositionMultiset.parse(text)
-
-    held = parsed("{0^2 1^2, 0 1^3, 0^3 1}")
-    assert explains(parsed("{0^3 1, 0^2 1^2}"), held, lighter=True)
-    assert explains(parsed("{0^4, 0^4, 0^4}"), held, lighter=True)
-    assert explains(parsed("{}"), held, lighter=True)
+    held = read_multiset("{0^2 1^2, 0 1^3, 0^3 1}")
+    assert explains(read_multiset("{0^3 1, 0^2 1^2}"), held, lighter=True)
+    assert explains(read_multiset("{0^4, 0^4, 0^4}"), held, lighter=True)
+    assert explains(read_multiset("{}"), held, lighter=True)
     # three fragments of length 4 need three partners, two with 2 ones or more
-    assert not explains(parsed("{0^2 1^2, 0^2 1^2, 0^2 1^2}"), held, lighter=True)
-    assert not explains(parsed("{0^4, 0^4, 0^4, 0^4}"), held, lighter=True)
+    assert not explains(read_multiset("{0^2 1^2, 0^2 1^2, 0^2 1^2}"), held, lighter=True)
+    assert not explains(read_multiset("{0^4, 0^4, 0^4, 0^4}"), held, lighter=True)
     # a heavier reading, or a length the pool lacks, is never explained
-    assert not explains(parsed("{1^4}"), held, lighter=True)
-    assert not explains(parsed("{0}"), held, lighter=True)
-    assert not explains(parsed("{0^5}"), held, lighter=True)
+    assert not explains(read_multiset("{1^4}"), held, lighter=True)
+    assert not explains(read_multiset("{0}"), held, lighter=True)
+    assert not explains(read_multiset("{0^5}"), held, lighter=True)
     # against a referee: every pairing of the readout's fragments, by brute force
     rng = random.Random(28)
     for _ in range(300):

@@ -547,9 +547,14 @@ def test_radius_above_error_capability_is_refused():
             code.decode_errors(word, radius)
 
 
+def _bits(*rows: str) -> list[list[int]]:
+    """Rows written as 0/1 text, as int rows: ``from_parity_check`` reads no text."""
+    return [[int(c) for c in row] for row in rows]
+
+
 def test_declared_distance_contradicted_by_the_syndromes():
     # columns 0 and 1 of H are equal, so d = 2, not the declared 3
-    code = LinearCode.from_parity_check(["1101", "1110"], 3, name="wrong_d")
+    code = LinearCode.from_parity_check(_bits("1101", "1110"), 3, name="wrong_d")
     with pytest.raises(ConfigError):
         code.decode_errors([0, 0, 0, 0], 1)
 
@@ -562,7 +567,7 @@ def test_json_code_with_overstated_distance_is_refused():
     with pytest.raises(ConfigError):
         LinearCode.from_json_obj({**obj, "d": 5})
     # from_parity_check still trusts the declared d
-    assert LinearCode.from_parity_check(obj["H"], 5).d == 5
+    assert LinearCode.from_parity_check(_bits(*obj["H"]), 5).d == 5
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +760,7 @@ def test_error_decoder_refuses_an_erased_symbol():
 def test_weight_four_codewords_contradict_a_declared_distance_of_five():
     # the extended Hamming code has d = 4: the word below lies at distance 2
     # from four codewords, so a radius-2 decode must not pick one
-    code = LinearCode.from_parity_check(["11110000", "11001100", "10101010", "11111111"], 5)
+    code = LinearCode.from_parity_check(_bits("11110000", "11001100", "10101010", "11111111"), 5)
     with pytest.raises(ConfigError, match="d=5 is wrong"):
         code.decode_errors([0, 0, 0, 0, 1, 1, 0, 0], 2)
 
@@ -763,7 +768,7 @@ def test_weight_four_codewords_contradict_a_declared_distance_of_five():
 def test_a_weight_three_codeword_contradicts_a_declared_distance_of_seven():
     # three columns of the [7,4,3] Hamming matrix XOR to zero; a radius-3
     # decode checks every set of up to 4 columns before its first word
-    code = LinearCode.from_parity_check(["0001111", "0110011", "1010101"], 7)
+    code = LinearCode.from_parity_check(_bits("0001111", "0110011", "1010101"), 7)
     with pytest.raises(ConfigError, match="weight <= 2 share a syndrome, so d=7 is wrong"):
         code.decode_errors([0] * 7, 3)
 
