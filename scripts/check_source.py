@@ -17,7 +17,8 @@ any, 0 otherwise.  The rules:
   ``noqa: F401``.
 - The import rules, checked by one walk over every import of the package:
   - only the CLI imports the oracle: the brute-force oracle is the tests'
-    referee and shares no code path with what it checks; the CLI's verify
+    referee and shares no code path with what it checks but the exhaustive
+    walk ``bhcode.first_collision``, which is no construction; the CLI's verify
     and search commands are its own front door;
   - only linearcode imports numpy at module level: "import masscodec loads
     no numpy", and a top-level numpy import moves the benchmark's

@@ -27,7 +27,10 @@ matrix, ``alpha_power_pcm(8, 96, [1, 3, 5])``.  Last, the one
 readout check, ``codec.explains``, per call with the answer's pool built: at
 clean size on the ``lookup-h3`` book (N = 68, hbar 3), and with and without
 ``lighter`` on the t = 1 two-step substitution book of ``bch_255_cols20``
-(N = 154, hbar 2), on a readout with one fragment read lighter.
+(N = 154, hbar 2), on a readout with one fragment read lighter.  And
+``LinearCode.decode_errors`` per call, best of 5, on that book's payload and
+flag codes (``code_data``, ``code_flag``) at radius 2t, for a word one flip and
+a word two flips from a codeword.
 
 The numbers gate nothing: the script exits 1, naming the workloads, only when a
 run fails or answers a wrong set (``bench/run.py`` then exits nonzero), after
@@ -180,15 +183,27 @@ def table_builds() -> None:
     print(f"  {label:36} {best_ms(functools.partial(gf2m.alpha_power_pcm, 8, 96, [1, 3, 5])):8.3f}")
 
 
-def readout_checks() -> None:
+def substitution_book():
+    """The t = 1 two-step substitution book of ``bch_255_cols20``, as substitution-t1 builds it."""
+    from masscodec import bhcode, ecc
+
+    base = bhcode.build_bh_codebook(2, bhcode.bundled_spec("bch_255_cols20"))
+    return ecc.two_step_codebook(base, 1, substitutions=True)
+
+
+def best_us(call, number: int = 200) -> float:
+    """µs per call, best of 5 repeats of ``number`` calls."""
+    return 1e6 * min(timeit.repeat(call, number=number, repeat=5)) / number
+
+
+def readout_checks(book) -> None:
     """Print ``codec.explains`` µs per call on the lookup-h3 and substitution-t1 books."""
-    from masscodec import bhcode, channel, codec, ecc, gf2m
+    from masscodec import bhcode, channel, codec, gf2m
 
     spec = bhcode.ParityCheckSpec(gf2m.alpha_power_pcm(8, 96, [1, 3, 5]), 7)
     h3 = codec.encode_codebook(bhcode.build_bh_codebook(3, spec))
     clean = h3.pool_of(h3.base.strings[:3])
-    base = bhcode.build_bh_codebook(2, bhcode.bundled_spec("bch_255_cols20"))
-    book = ecc.two_step_codebook(base, 1, substitutions=True)
+    base = book.base
     held = book.pool_of(base.strings[:2])
     length = book.N // 2
     ones = book.bits_for(base.strings[0]).prefix(length).weight()
@@ -201,8 +216,22 @@ def readout_checks() -> None:
     print("codec.explains: us per call, best of 5")
     for label, (readout, pool, light) in checks.items():
         check = functools.partial(codec.explains, readout, pool, lighter=light)
-        best = min(timeit.repeat(check, number=200, repeat=5)) / 200
-        print(f"  {label:48} {1e6 * best:8.1f}")
+        print(f"  {label:48} {best_us(check):8.1f}")
+
+
+def error_decodes(book) -> None:
+    """Print ``LinearCode.decode_errors`` µs per call on the substitution-t1 book's codes,
+    one and two flips from a codeword, at the decode's radius 2t."""
+    radius = 2 * book.t
+    print(f"LinearCode.decode_errors at radius {radius}: us per call, best of 5")
+    for role in ("code_data", "code_flag"):
+        code = getattr(book, role)
+        word = code.encode([[i % 2 for i in range(code.k)]])[0].tolist()
+        for flips in (1, 2):
+            wrong = [bit ^ (j < flips) for j, bit in enumerate(word)]
+            decode = functools.partial(code.decode_errors, wrong, radius)
+            label = f"{role} ({code.name}), {flips} flip{'s' * (flips > 1)}"
+            print(f"  {label:48} {best_us(decode):8.1f}")
 
 
 def main() -> None:
@@ -210,7 +239,9 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     stage_table()
     table_builds()
-    readout_checks()
+    book = substitution_book()
+    readout_checks(book)
+    error_decodes(book)
     sys.exit(f"failed: {', '.join(failed)}" if failed else None)
 
 

@@ -28,7 +28,9 @@ it builds, and the cache as a whole by dropping the sizes it does not use.
 ``bundled_spec`` builds a named matrix of ``gf2m.TABLES`` in process; it
 serves as a codebook source or, through ``linearcode.bundled_code``, as a
 code.  Any other matrix is read from a plain-text ``.pcm`` file: a
-``d=<int>`` header, then one 0/1 row per line.
+``d=<int>`` header, then one 0/1 row per line, read by ``text_rows`` as a JSON
+code's rows are.  ``first_collision`` is the one exhaustive subset walk, keyed
+on integer sums by ``verify_bh`` and on pooled readouts by ``oracle.verify_hmc``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import BitString, real_sum
 from .errors import (
@@ -72,15 +74,20 @@ def binary_rows(rows) -> tuple[tuple[int, ...], ...]:
             raise ConfigError("a parity-check matrix is a 2-D array of 0/1 ints") from None
     if not rows or not rows[0]:
         raise ConfigError("empty parity-check matrix")
-    if len(set(map(len, rows))) > 1:
-        raise ConfigError("ragged parity-check matrix")
     try:  # bytes() takes only ints in 0..255: a float, text or a tuple entry raises
         binary = not b"".join(map(bytes, rows)).translate(None, b"\0\1")
     except (TypeError, ValueError):
         binary = False
-    if not binary:
+    if not binary:  # named before the row lengths: a bad row is refused for its entries
         raise ConfigError("parity-check entries must be 0/1")
+    if len(set(map(len, rows))) > 1:
+        raise ConfigError("ragged parity-check matrix")
     return rows if given else tuple(tuple(map(int, row)) for row in rows)
+
+
+def text_rows(rows: Iterable[str]) -> tuple[tuple[int, ...], ...]:
+    """0/1 text rows, a character an entry, by ``binary_rows``, which refuses any other."""
+    return binary_rows([[int(c) if c in "01" else c for c in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,7 @@ class ParityCheckSpec:
             d = int(lines[0][2:])
         except ValueError as exc:
             raise ConfigError(f"bad distance header {lines[0]!r}") from exc
-        rows = []
-        for ln in lines[1:]:
-            if not set(ln) <= {"0", "1"}:
-                raise ConfigError(f"bad matrix row {ln!r}")
-            rows.append(tuple(map(int, ln)))
-        return cls(tuple(rows), d)
+        return cls(text_rows(lines[1:]), d)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ParityCheckSpec":
@@ -205,37 +207,33 @@ class VerificationResult:
         return self.valid
 
 
-def _subset_budget(size: int, h: int, budget: int) -> int:
-    total = sum(math.comb(size, k) for k in range(1, h + 1))
+def first_collision(
+    strings: Sequence[BitString], h: int, key: Callable, budget: int = DEFAULT_BUDGET
+) -> VerificationResult:
+    """The one exhaustive walk: the first two subsets of size <= h, walked size by size
+    in ``itertools.combinations`` order, that share ``key``; the witness is (first,
+    second, their key).  Sizes are compared too: {s} and {s, 0^n} share a sum."""
+    require_order(h)
+    total = sum(math.comb(len(strings), k) for k in range(1, h + 1))
     if total > budget:
-        raise SearchSpaceTooLarge(
-            f"{total} subsets of size <= {h} exceed the budget {budget}"
-        )
-    return total
+        raise SearchSpaceTooLarge(f"{total} subsets of size <= {h} exceed the budget {budget}")
+    seen: dict = {}
+    for k in range(1, h + 1):
+        for subset in itertools.combinations(strings, k):
+            shared = key(subset)
+            first = seen.setdefault(shared, subset)
+            if set(first) != set(subset):
+                return VerificationResult(False, (first, subset, shared))
+    return VerificationResult(True)
 
 
 def verify_bh(
-    codebook: Union[BhCodebook, Sequence[BitString]],
-    h: int,
-    budget: int = DEFAULT_BUDGET,
+    codebook: Union[BhCodebook, Sequence[BitString]], h: int, budget: int = DEFAULT_BUDGET
 ) -> VerificationResult:
-    """Exhaustively check distinct integer sums over all subsets of size <= h.
-
-    Two subsets of different sizes can share a sum (a string plus the
-    all-zero string, say), so every pair of sizes is compared.  Returns the
-    lexicographically first collision as a witness.
-    """
-    require_order(h)
+    """Distinct integer sums over all subsets of size <= h, by ``first_collision``;
+    a witness holds the first collision and its shared sum."""
     strings = tuple(codebook.strings if isinstance(codebook, BhCodebook) else codebook)
-    _subset_budget(len(strings), h, budget)
-    seen: dict[tuple[int, ...], tuple[BitString, ...]] = {}
-    for k in range(1, h + 1):
-        for subset in itertools.combinations(strings, k):
-            key = real_sum(subset)
-            if key in seen and set(seen[key]) != set(subset):
-                return VerificationResult(False, (seen[key], subset, key))
-            seen.setdefault(key, subset)
-    return VerificationResult(True)
+    return first_collision(strings, h, real_sum, budget)
 
 
 def invert_sum(

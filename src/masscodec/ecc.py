@@ -138,14 +138,13 @@ def _require(code: LinearCode, k: int, need: int, what: str, errors: bool = Fals
 
 
 def _pad_root_mult4(length: int) -> tuple[int, int]:
-    """Smallest square >= length whose root is a multiple of four.
+    """Smallest square >= length whose root is a multiple of four: the root of
+    ``next_square(length)`` rounded up to a multiple of four, and never below four.
 
     Keeps (17/2)sqrt(m) integral and m + (17/2)sqrt(m) even, so scheme
     lengths obey their accounting identities exactly.
     """
-    root = 4
-    while root * root < length:
-        root += 4
+    root = max(4, -(-next_square(length)[1] // 4) * 4)
     return root * root, root
 
 

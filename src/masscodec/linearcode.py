@@ -18,7 +18,7 @@ A complete binary word needs no solve: it is checked by its syndrome, the
 XOR of the packed columns of H at its ones.
 
 A code's matrix is read by ``bhcode.binary_rows``, as a codebook's is, and
-``from_json_obj`` turns its 0/1 text rows into int rows for that reader.
+``from_json_obj`` reads its 0/1 text rows by ``bhcode.text_rows``, as a .pcm's.
 ``bundled_code`` builds the code of a named matrix of ``gf2m.TABLES``,
 through ``bhcode.bundled_spec``, the one builder of every named matrix.
 ``shipped_code`` is the one chooser: every scheme that takes a default
@@ -35,13 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bhcode import DEFAULT_BUDGET, XorIndex, binary_rows, bundled_spec
+from .bhcode import DEFAULT_BUDGET, XorIndex, binary_rows, bundled_spec, text_rows
 from .errors import (
     ConfigError, DecodeFailure, SearchSpaceTooLarge, TooManyErasures, json_field, json_int
 )
-
-# a JSON code's text rows: each character one entry, refused unless 0 or 1
-_TEXT_BITS = {"0": 0, "1": 1}
 
 
 def rref(
@@ -260,9 +257,10 @@ class LinearCode:
 
         For w = 1..r (r = max_errors), ``XorIndex.matches``, the codebook
         lookup's meet-in-the-middle, lists the w-sets of columns of H that
-        XOR to the word's syndrome; the first weight with one flips it.  Two
-        there, or up to 2*ceil(r/2) columns that XOR to zero (looked for once
-        per code and ceil(r/2)), contradict the declared d: a ``ConfigError``.
+        XOR to the word's syndrome; the one such pattern flips it.  Up to 2c
+        columns that XOR to zero (c >= ceil(r/2), looked for once per code),
+        or a second pattern, sought after one of weight w at each w' with
+        w + w' > 2c (the two add to a codeword), contradict d: a ``ConfigError``.
         ``budget`` bounds the subsets the search caches and probes, counted
         as 2 * sum_{i <= ceil(r/2)} C(n, i), the halves of the widest search.
         """
@@ -295,16 +293,18 @@ class LinearCode:
         bits, s = self._syndrome(word)
         if not s:
             return tuple(bits)
+        found = []
         for w in range(1, max_errors + 1):
-            found = index.matches(s, w, budget)
-            if len(found) > 1:
-                raise ConfigError(
-                    f"{self.name}: {len(found)} error patterns of weight {w} fit the "
-                    f"word, so d={self.d} is wrong"
-                )
-            if found:
-                return tuple(bit ^ (j in found[0]) for j, bit in enumerate(bits))
-        raise DecodeFailure(f"no codeword within {max_errors} errors")
+            if not found or w + len(found[0]) > 2 * self._checked_half:
+                found += index.matches(s, w, budget)
+        if len(found) > 1:
+            raise ConfigError(
+                f"{self.name}: {len(found)} error patterns of weight <= {max_errors} fit "
+                f"the word, so d={self.d} is wrong"
+            )
+        if not found:
+            raise DecodeFailure(f"no codeword within {max_errors} errors")
+        return tuple(bit ^ (j in found[0]) for j, bit in enumerate(bits))
 
     def exact_min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
         """Minimum nonzero codeword weight, streamed in blocks."""
@@ -350,7 +350,7 @@ class LinearCode:
             raise ConfigError(f"a code needs 'H' as a list of 0/1 strings, got {H!r}")
         d, n, k = (json_int(obj, key, "a code") for key in ("d", "n", "k"))
         name = json_field(obj, "name", "a code", str, default="custom")
-        code = cls.from_parity_check([tuple(map(_TEXT_BITS.get, row)) for row in H], d, name)
+        code = cls.from_parity_check(text_rows(H), d, name)
         if code.n != n or code.k != k:
             raise ConfigError(
                 f"declared (n,k)=({n},{k}) but matrix gives ({code.n},{code.k})"

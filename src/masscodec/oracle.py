@@ -3,8 +3,10 @@
 Everything here works by explicit enumeration with hard budgets: pooled
 readouts are compared pairwise over all admissible subsets, codebooks are
 grown or maximized by exhaustive search, and decoding is re-done from the
-definition.  Its answers share no code path with the constructions they
-check, and no decode path calls it: only the tests and the CLI's checks.
+definition.  Its one shared code path is the exhaustive walk, which is no
+construction: ``verify_hmc`` keys ``bhcode.first_collision`` on pooled
+readouts, as ``bhcode.verify_bh`` keys it on integer sums.  No decode path
+calls it: only the tests and the CLI's checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .bhcode import BhCodebook, DEFAULT_BUDGET, VerificationResult, require_order
+from .bhcode import (
+    BhCodebook, DEFAULT_BUDGET, VerificationResult, first_collision, require_order
+)
 from .core import BitString, CompositionMultiset
 from .errors import ConfigError, SearchSpaceTooLarge
 
@@ -45,34 +49,23 @@ def _pooled(per_string: dict, subset: Sequence[BitString]) -> Counter:
 
 
 def verify_hmc(
-    codebook: Strings,
-    h: int,
-    side: str = "full",
-    budget: int = DEFAULT_BUDGET,
+    codebook: Strings, h: int, side: str = "full", budget: int = DEFAULT_BUDGET
 ) -> VerificationResult:
     """Check that pooled multisets identify every subset of size <= h.
 
     ``side="full"`` pools prefix and suffix fragments (the readout model);
     ``side="prefix"`` restricts to prefix fragments, the stronger notion
-    used by the rate upper bounds.
+    used by the rate upper bounds.  The walk is ``bhcode.first_collision``
+    keyed on the pool, and a witness's third element is ``()``.
     """
-    require_order(h)
-    strings = _as_strings(codebook)
-    total = sum(math.comb(len(strings), k) for k in range(1, h + 1))
-    if total > budget:
-        raise SearchSpaceTooLarge(f"{total} subsets exceed the budget {budget}")
     if side not in ("full", "prefix"):
         raise ValueError(f"side must be 'full' or 'prefix', got {side!r}")
+    strings = _as_strings(codebook)
     per_string = {s: _fragments(s, side) for s in strings}
-    seen: dict = {}
-    for k in range(1, h + 1):
-        for subset in itertools.combinations(strings, k):
-            key = frozenset(_pooled(per_string, subset).items())
-            prev = seen.get(key)
-            if prev is not None and set(prev) != set(subset):
-                return VerificationResult(False, (prev, subset, ()))
-            seen.setdefault(key, subset)
-    return VerificationResult(True)
+    found = first_collision(
+        strings, h, lambda subset: frozenset(_pooled(per_string, subset).items()), budget
+    )
+    return found if found else VerificationResult(False, found.witness[:2] + ((),))
 
 
 def _all_strings(n: int) -> Iterable[BitString]:

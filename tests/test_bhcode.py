@@ -127,7 +127,7 @@ MALFORMED_PCM = {
     "empty": ("", "matrix file must start with a 'd=<int>' header"),
     "no-header": ("101\n011\n", "matrix file must start with a 'd=<int>' header"),
     "bad-distance": ("d=three\n101\n", "bad distance header 'd=three'"),
-    "bad-row": ("d=3\n101\n1021\n", "bad matrix row '1021'"),
+    "bad-row": ("d=3\n101\n1021\n", "parity-check entries must be 0/1"),
 }
 
 

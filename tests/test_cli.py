@@ -424,8 +424,8 @@ def test_an_inline_code_size_in_integer_text_reads_as_the_int(ws, key):
 
 NOT_BINARY = "parity-check entries must be 0/1"
 # a malformed matrix as a library caller passes it, the same defect in a config's
-# inline "H" (a 0/1 string per row, where each character is one entry), and the
-# message every entry point refuses it with
+# inline "H" (a 0/1 string per row, where each character is one entry, as in the
+# rows of a .pcm file), and the message every entry point refuses it with
 MALFORMED_MATRICES = {
     "not-binary": (
         [[0, 0, 0, 1, 1, 2, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]],
@@ -456,6 +456,9 @@ def test_a_malformed_matrix_is_refused_alike_at_every_entry_point(ws, capsys, ca
         (lambda: LinearCode.from_parity_check(rows, 3), given),
         (lambda: LinearCode.from_json_obj({**HAMMING, "d": 3, "H": H}), written),
     )
+    if isinstance(H, list):  # the same rows as a .pcm file
+        (ws / "bad.pcm").write_text("d=3\n" + "\n".join(H))
+        refusals += ((lambda: ParityCheckSpec.load(ws / "bad.pcm"), written),)
     for read, want in refusals:
         with pytest.raises(ConfigError) as refused:
             read()

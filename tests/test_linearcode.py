@@ -765,6 +765,18 @@ def test_weight_four_codewords_contradict_a_declared_distance_of_five():
         code.decode_errors([0, 0, 0, 0, 1, 1, 0, 0], 2)
 
 
+def test_every_two_error_word_of_a_hamming_code_declared_d5_is_refused():
+    # [7,4,3] declared d = 5: two flips of a codeword also lie one flip from
+    # another, so a radius-2 decode has two patterns and must not pick the lighter
+    hamming = hamming_code(3)
+    code = LinearCode.from_parity_check(hamming.H, 5)
+    word = _encode(code, [1, 0, 1, 1])
+    for flips in itertools.combinations(range(7), 2):
+        wrong = [bit ^ (j in flips) for j, bit in enumerate(word)]
+        with pytest.raises(ConfigError, match="so d=5 is wrong"):
+            code.decode_errors(wrong, 2)
+
+
 def test_a_weight_three_codeword_contradicts_a_declared_distance_of_seven():
     # three columns of the [7,4,3] Hamming matrix XOR to zero; a radius-3
     # decode checks every set of up to 4 columns before its first word

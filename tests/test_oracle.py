@@ -38,6 +38,20 @@ def test_verify_hmc_trivial_and_budget():
         verify_hmc([BitString("01"), BitString("10")], 2, budget=1)
 
 
+def test_both_codebook_checks_refuse_an_over_budget_book_with_one_message():
+    strings = [BitString("0011"), BitString("0101"), BitString("0110")]
+    checks = {
+        "bh": verify_bh,
+        "hmc": verify_hmc,
+        "prefix": lambda *args, **kw: verify_hmc(*args, side="prefix", **kw),
+    }
+    for name, check in checks.items():
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            check(strings, 2, budget=5)
+        # 3 subsets of size 1 and 3 of size 2
+        assert str(refused.value) == "6 subsets of size <= 2 exceed the budget 5", name
+
+
 def test_verify_hmc_finds_collisions():
     # reversal-complement twins share the full fragment pool
     res = verify_hmc([BitString("111000"), BitString("000111")], 1)
