@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from .core import BitString, Composition, CompositionMultiset, PartialSumString
 from .errors import (
     Conflict,
+    InconsistentPoolSize,
     LengthMismatch,
     NegativeIncrement,
     NotMassReducing,
@@ -123,11 +124,14 @@ def _resolve_victim(
     if ones is not None:
         if not 0 <= ones <= length:
             raise ValueError(f"a {side} fragment of length {length} cannot hold {ones} ones")
-        comp = Composition(length - ones, ones)
-        if length >= len(counts) or not counts[length, ones]:
-            raise PatternNotPresent(f"no fragment {comp} of length {length} in pool")
-        if not _side_eligible(side, length, ones):
-            raise PatternNotPresent(f"{comp} cannot be a {side} fragment")
+        present = length < len(counts) and counts[length, ones]
+        if not present or not _side_eligible(side, length, ones):
+            # the composition is built only to name it in the refusal
+            comp = Composition(length - ones, ones)
+            raise PatternNotPresent(
+                f"{comp} cannot be a {side} fragment" if present
+                else f"no fragment {comp} of length {length} in pool"
+            )
         return ones
     eligible = []
     if 0 <= length < len(counts):
@@ -423,14 +427,22 @@ def one_sided_sum(
     return PartialSumString._of(tuple(syms if side == PREFIX else syms[::-1]), hbar)
 
 
+def _require_mixture(hbar: int) -> None:
+    """Refuse a mixture order below 1, the typed error of every decoder."""
+    if hbar < 1:
+        raise InconsistentPoolSize(f"a mixture needs hbar >= 1, got hbar={hbar}")
+
+
 def raw_side_sums(
     pool: CompositionMultiset, N: int, hbar: int
 ) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """Like partial_sum_strings but keeping out-of-range symbols as read.
 
     For corrupted pools the raw increments are what carry the corruption
-    signal; both lists come back in prefix orientation.
+    signal; both lists come back in prefix orientation.  An hbar below 1
+    raises InconsistentPoolSize before the pool is read.
     """
+    _require_mixture(hbar)
     sums = side_sums(pool, N, hbar)
     (p_syms, s_syms), _ = increments(sums.ones, sums.certain, hbar, False)
     return p_syms, s_syms[::-1]
@@ -536,7 +548,9 @@ def merged_sums(pool: CompositionMultiset, N: int, hbar: int) -> PartialSumStrin
     plain decode, ``codec.reconstruct_redundancy_free``.  Every codeword is
     a Dyck string of length N, so it holds N/2 ones and a mixture of hbar of
     them weighs hbar*N/2; that is the total weight the merge fills from.
+    An hbar below 1 raises InconsistentPoolSize before the pool is read.
     """
+    _require_mixture(hbar)
     return merge_partials(*partial_sum_strings(pool, N, hbar), hbar * N // 2)
 
 
@@ -800,9 +814,10 @@ def sample_erasure_pattern(
     bursts collide as often as the pattern size allows.  The draws index
     the 2n reads of each string, its prefixes and then its suffixes: read
     i is a fragment of string i // 2n, so no list of reads is built.  A t
-    outside 0..2n*|strings| raises ValueError before any draw.
+    outside 0..2n*|strings| raises ValueError before any draw; with no
+    strings there are no reads, so only t = 0 draws, the empty pattern.
     """
-    n = len(strings[0])
+    n = len(strings[0]) if strings else 0
     reads = 2 * n * len(strings)
     if not 0 <= t <= reads:
         raise ValueError(f"t={t} removals outside 0..{reads}, the number of reads")

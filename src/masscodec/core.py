@@ -41,12 +41,16 @@ Conventions used throughout the package:
   make prefix and suffix fragments separable by weight alone.
 
 All values here are immutable (a pool's count table is a read-only
-array) and safe to share across threads.
+array) and safe to share across threads.  Each is a frozen dataclass, so
+assigning or deleting an attribute raises AttributeError, and each pickles
+and copies by rebuilding through its trusted constructor (a multiset with
+an empty memo).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from operator import index
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
@@ -74,6 +78,7 @@ FROM_ASCII = bytes.maketrans(b"01", b"\0\1")
 _TO_ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BitString:
     """An immutable binary string of length >= 1.
 
@@ -85,8 +90,9 @@ class BitString:
     checked by one ``strip`` and read by ``int(s, 2)``; any other sequence
     is checked by turning it into ``bytes``.  Values that ``bytes`` refuses
     (floats, digit strings, numpy bools) go through ``int()`` one by one, so
-    ``BitString([1.0, "0"])`` is ``10``.  ``from_int``, ``^``, ``+``,
-    ``prefix`` and ``suffix`` work on the integer and check nothing again.
+    ``BitString([1.0, "0"])`` is ``10``, and one that ``int()`` would change
+    (``0.7``) is a ValueError.  ``from_int``, ``^``, ``+``, ``prefix`` and
+    ``suffix`` work on the integer and check nothing again.
     """
 
     __slots__ = ("_len", "_int", "_hash")
@@ -108,10 +114,10 @@ class BitString:
         except (TypeError, ValueError):  # not all ints in range(256)
             data = None
         if data is None or data.strip(b"\0\1"):
-            values = tuple(int(b) for b in values)
-            if not all(b in (0, 1) for b in values):
-                raise ValueError(f"bits must be 0/1, got {values!r}")
-            data = bytes(values)
+            bits = tuple(int(b) for b in values)
+            if not all(b in (0, 1) for b in bits):
+                raise ValueError(f"bits must be 0/1, got {bits!r}")
+            data = bytes(map(_whole, values))
         if not data:
             raise ValueError("empty bit string")
         self._own(len(data), int(data.translate(_TO_ASCII), 2))
@@ -128,8 +134,8 @@ class BitString:
         out._own(length, key)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BitString is immutable")
+    def __reduce__(self):
+        return BitString._of, (self._len, self._int)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -226,33 +232,36 @@ def real_sum(strings: Iterable[BitString]) -> tuple[int, ...]:
     return tuple(map(sum, zip(*(s.bits for s in strings))))
 
 
+@dataclass(frozen=True)
 class Composition:
-    """An unordered fragment content: a count of zeros and a count of ones."""
+    """An unordered fragment content: a count of zeros and a count of ones.
+
+    Each count is read by ``int()``, which must not change it: ``1.0`` and
+    numpy integers read, while ``1.5`` and text are a ValueError.
+    """
 
     __slots__ = ("zeros", "ones")
+    zeros: int
+    ones: int
 
-    def __init__(self, zeros: int, ones: int):
+    def __post_init__(self):
+        zeros, ones = self.zeros, self.ones
+        if type(zeros) is not int or type(ones) is not int:
+            try:
+                zeros, ones = (-1 if isinstance(c, str) else _whole(c) for c in (zeros, ones))
+            except (TypeError, ValueError):
+                zeros = ones = -1
         if zeros < 0 or ones < 0 or zeros + ones < 1:
-            raise ValueError(f"bad composition ({zeros}, {ones})")
-        object.__setattr__(self, "zeros", int(zeros))
-        object.__setattr__(self, "ones", int(ones))
+            raise ValueError(f"bad composition ({self.zeros!r}, {self.ones!r})")
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "ones", ones)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+    def __reduce__(self):
+        return Composition, (self.zeros, self.ones)
 
     @property
     def length(self) -> int:
         return self.zeros + self.ones
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Composition)
-            and self.zeros == other.zeros
-            and self.ones == other.ones
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.zeros, self.ones))
 
     def __lt__(self, other: "Composition") -> bool:
         return (self.length, self.ones) < (other.length, other.ones)
@@ -266,9 +275,6 @@ class Composition:
                 parts.append(f"{sym}^{count}")
         return "".join(parts)
 
-    def __repr__(self) -> str:
-        return f"Composition(zeros={self.zeros}, ones={self.ones})"
-
     def to_json_obj(self, mult: int = 1) -> dict:
         return {"zeros": self.zeros, "ones": self.ones, "mult": mult}
 
@@ -280,6 +286,7 @@ def composition(s: BitsLike) -> Composition:
     return Composition(len(s) - w, w)
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CompositionMultiset:
     """An immutable multiset of fragment compositions, held as dense counts.
 
@@ -360,9 +367,6 @@ class CompositionMultiset:
             slot = (key, build())
             object.__setattr__(self, "_memo", slot)
         return slot[1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompositionMultiset is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild from the counts alone, with an empty memo
@@ -465,6 +469,14 @@ class CompositionMultiset:
             comp = Composition(zeros, ones)
             counts[comp] += json_int(entry, "mult", "a fragment", default=1)
         return cls(counts)
+
+
+def _whole(value) -> int:
+    """``int(value)``, refusing a value other than text that it would change (1.5)."""
+    n = int(value)
+    if n != value and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a whole number")
+    return n
 
 
 def _multiplicity(mult) -> int:
@@ -634,6 +646,7 @@ def all_dyck_strings(
     return tuple(found)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PartialSumString:
     """A length-indexed sum of a string mixture with possible erasures.
 
@@ -645,13 +658,15 @@ class PartialSumString:
     """
 
     __slots__ = ("symbols", "hbar")
+    symbols: tuple[Optional[int], ...]
+    hbar: int
 
     def __init__(self, symbols: Iterable[Optional[int]], hbar: int):
         syms = tuple(symbols)
         known = [v for v in syms if v is not None]
         if set(map(type, known)) - {int}:
             # numpy ints, bools, floats and digit strings go through int()
-            syms = tuple(None if v is None else int(v) for v in syms)
+            syms = tuple(None if v is None else _whole(v) for v in syms)
             known = [v for v in syms if v is not None]
         if hbar < 1:
             raise ValueError("hbar must be positive")
@@ -673,21 +688,11 @@ class PartialSumString:
         out._own(symbols, hbar)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialSumString is immutable")
+    def __reduce__(self):
+        return PartialSumString._of, (self.symbols, self.hbar)
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PartialSumString)
-            and self.symbols == other.symbols
-            and self.hbar == other.hbar
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.symbols, self.hbar))
 
     def __str__(self) -> str:
         return "".join(_ERASED_CHAR if v is None else str(v) for v in self.symbols)

@@ -467,13 +467,16 @@ def _symbol_bits(p: int) -> int:
     return max(1, math.ceil(math.log2(p)))
 
 
-def _modp_code(k: int, t: int, pcode: ModpCode) -> ModpCode:
-    """``pcode`` once it is a Z_p code of capability >= t over (flags, payload)."""
+def _modp_code(base: BhCodebook, t: int, pcode: ModpCode) -> ModpCode:
+    """``pcode`` once it is a Z_p code of capability >= t over (flags, payload)
+    with p > h, so that every mixture order the book decodes reads mod p."""
     if not isinstance(pcode, ModpCode):
         raise ConfigError(f"the {ONE_STEP_MODP} scheme takes a Z_p code, not {pcode!r}")
+    if pcode.p <= base.h:
+        raise ConfigError(f"a Z_p code for h={base.h} needs p > h, have p={pcode.p}")
     if pcode.capability < t:
         raise CapabilityTooSmall(f"mod-p capability {pcode.capability} < t = {t}")
-    m, root = _pad_root_mult4(k)
+    m, root = _pad_root_mult4(base.n)
     if pcode.n != root + m:
         raise ConfigError(f"mod-p code covers {pcode.n} symbols, need {root + m}")
     return pcode
@@ -493,7 +496,7 @@ def one_step_modp_codebook(
     if pcode is None:
         m, root = _pad_root_mult4(base.n)
         pcode = modp_code(_next_prime(base.h + 1), root + m)
-    pcode = _modp_code(base.n, t, pcode)
+    pcode = _modp_code(base, t, pcode)
     g = _symbol_bits(pcode.p)
     layout = _framed_layout(base.n, 2 * pcode.n_rows * g)
 

@@ -191,6 +191,18 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode({self.name}: n={self.n}, k={self.k}, d={self.d})"
 
+    def __eq__(self, other) -> bool:
+        # a code is its name, d and reduced H, so a copied book equals its original;
+        # what decode_errors has checked so far is not compared
+        return (
+            isinstance(other, LinearCode)
+            and (self.name, self.d, self.pivots) == (other.name, other.d, other.pivots)
+            and np.array_equal(self.H, other.H)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.d, self.pivots))
+
     @property
     def erasure_capability(self) -> int:
         return self.d - 1
@@ -445,6 +457,16 @@ class ModpCode:
         self.capability = capability
         self.n = H.shape[1]
         self.n_rows = H.shape[0]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ModpCode)
+            and (self.p, self.capability) == (other.p, other.capability)
+            and np.array_equal(self.H, other.H)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.capability, self.H.shape))
 
     def syndrome(self, vecs: np.ndarray) -> np.ndarray:
         """H.vec mod p of each row of a (rows, n) array, as a (rows, n_rows)

@@ -186,6 +186,16 @@ def test_the_erasure_sampler_refuses_a_t_outside_the_reads(placement, t):
     assert rng.random() == random.Random(5).random()  # refused before any draw
 
 
+@pytest.mark.parametrize("placement", ["uniform", "adversarial"])
+def test_the_erasure_sampler_with_no_strings_has_no_reads(placement):
+    rng = random.Random(1)
+    assert sample_erasure_pattern([], 0, rng, placement) == ErasurePattern(())
+    for t in (-1, 1):
+        with pytest.raises(ValueError, match=f"t={t} removals outside 0..0"):
+            sample_erasure_pattern([], t, rng, placement)
+    assert rng.random() == random.Random(1).random()  # nothing was drawn
+
+
 # ---------------------------------------------------------------------------
 # partial sums, bursts, merging
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -573,7 +574,6 @@ def _partial_sum_inputs():
             yield np.array(known), hbar
             yield [None if v is None else np.int64(v) for v in erased], hbar
             yield [None if v is None else bool(v % 2) for v in erased], hbar
-            yield [None if v is None else v + 0.5 for v in erased], hbar
             yield [None if v is None else str(v) for v in erased], hbar
             # two symbols out of range: the first one is named
             for low, high in ((-1, hbar + 1), (hbar + 2, -3)):
@@ -599,6 +599,77 @@ def test_partial_sum_string_matches_the_referee_constructor():
     for symbols, hbar in _partial_sum_inputs():
         ours = _sum_outcome(PartialSumString, symbols, hbar)
         assert ours == _sum_outcome(_RefereePartialSumString, symbols, hbar), (symbols, hbar)
+
+
+def test_a_value_that_int_would_change_is_refused_not_truncated():
+    import numpy as np
+
+    rng = random.Random(19)
+    for n in (1, 5, 68, 142):
+        for hbar in (1, 2, 3):
+            symbols = [rng.randint(0, hbar) for _ in range(n)]
+            halves = [v + 0.5 if rng.random() < 0.7 else None for v in symbols]
+            if any(halves):
+                with pytest.raises(ValueError, match="is not a whole number"):
+                    PartialSumString(halves, hbar)
+            # int() keeps these, so they still read
+            for keep in (float, np.int64, np.float64, str):
+                assert PartialSumString(map(keep, symbols), hbar).symbols == tuple(symbols)
+    for bad in ([1.5, 0.2, "1"], [0.5, None], [np.float64(1.25)]):
+        with pytest.raises(ValueError, match="is not a whole number"):
+            PartialSumString(bad, 2)
+    for bad in ([1.5, 0.7], [1, 0.2], (np.float32(0.5),)):
+        with pytest.raises(ValueError, match="is not a whole number"):
+            BitString(bad)
+    # the 0/1 test comes first, so its message names the int() of every value
+    with pytest.raises(ValueError, match=r"bits must be 0/1, got \(0, 2\)"):
+        BitString([0.5, 2])
+    assert BitString([1.0, "0", np.True_, np.int8(1)]) == BitString("1011")
+    for zeros, ones in ((1.5, 2), (2, 0.5), ("1", 2), (1, "2"), (None, 1), ([1], 1)):
+        with pytest.raises(ValueError, match=re.escape(f"bad composition ({zeros!r}, {ones!r})")):
+            Composition(zeros, ones)
+    for zeros, ones in ((2.0, 1), (np.int64(2), True), (np.uint8(2), np.float64(1.0))):
+        comp = Composition(zeros, ones)
+        assert comp == Composition(2, 1) and type(comp.zeros) is type(comp.ones) is int
+
+
+def test_core_values_refuse_assignment_and_deletion():
+    values = [
+        (BitString("0110"), ("_len", "_int", "_hash")),
+        (Composition(1, 2), ("zeros", "ones")),
+        (PartialSumString([1, None, 2], 2), ("symbols", "hbar")),
+        (pool(["1100"]), ("_counts", "_total", "_memo")),
+    ]
+    for value, names in values:
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert all(hasattr(value, name) for name in names)
+
+
+def test_core_values_pickle_without_numpy():
+    # each rebuild rule is a pure-Python constructor, so a string, a composition
+    # and a partial sum cross a pickle without loading numpy
+    import masscodec
+
+    src = str(Path(masscodec.__file__).resolve().parents[1])
+    probe = (
+        "import pickle, sys\n"
+        "from masscodec.core import BitString, Composition, PartialSumString\n"
+        "values = [BitString('0110'), Composition(1, 2), PartialSumString([1, None, 2], 2)]\n"
+        "assert pickle.loads(pickle.dumps(values)) == values\n"
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_trusted_partial_sum_still_refuses_hbar_below_one():

@@ -1,7 +1,10 @@
+import copy
+import functools
 import hashlib
 import itertools
 import json
 import operator
+import pickle
 import random
 from collections import Counter
 
@@ -9,16 +12,19 @@ import pytest
 
 from masscodec import ecc
 from masscodec.bhcode import BhCodebook, invert_mod2_sum
-from masscodec.channel import Removal, erase, sample_erasure_pattern, substitute_mass_reducing
-from masscodec.codec import Recovered, decode_mixture, reconstruct_redundancy_free
+from masscodec.channel import (
+    Removal, detect_substitution, erase, sample_erasure_pattern, substitute_mass_reducing
+)
+from masscodec.codec import Ambiguous, Recovered, decode_mixture, reconstruct_redundancy_free
 from masscodec.codec import encode as plain_encode
 from masscodec.codec import plain_layout
-from masscodec.core import BitString, bit_matrix, is_dyck, pool
+from masscodec.core import BitString, Composition, PartialSumString, bit_matrix, is_dyck, pool
 from masscodec.errors import (
     AmbiguousSolution,
     CapabilityTooSmall,
     ConfigError,
     DecodeFailure,
+    InconsistentPoolSize,
     MasscodecError,
     SearchSpaceTooLarge,
     TooManyErasures,
@@ -245,6 +251,96 @@ def test_the_modp_scheme_refuses_what_it_cannot_decode(b2_n16_codebook):
     ])
     with pytest.raises(DecodeFailure, match="recovered integer sums exceed the mixture order"):
         ecc.one_step_modp_decode(erased, book, 1)
+
+
+def test_a_modp_book_refuses_a_code_with_p_at_most_h_when_built(b3_codebook):
+    # p = 3 decoded orders 1 and 2 and refused every order-3 readout at decode time
+    by_name = functools.partial(ecc.scheme_codebook, ecc.ONE_STEP_MODP)
+    for build in (ecc.one_step_modp_codebook, by_name):
+        with pytest.raises(ConfigError, match="a Z_p code for h=3 needs p > h, have p=3"):
+            build(b3_codebook, 2, modp_code(3, 20))
+    book = ecc.one_step_modp_codebook(b3_codebook, 2)  # the default code, p = 5
+    assert book.code_data == modp_code(5, 20)
+    subset = b3_codebook.strings[:3]
+    assert ecc.one_step_modp_decode(book.pool_of(subset), book, 3) == frozenset(subset)
+
+
+def _decoders_of_erased_pools(base):
+    """(label, decode(pool, hbar)) for every decoder that reads the merged or raw sums."""
+    for scheme, t in ((ecc.ONE_STEP, 1), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+                      (ecc.ONE_STEP_MODP, 1), (ecc.PLAIN, 0)):
+        book = ecc.scheme_codebook(scheme, base, t)
+        yield scheme, book, functools.partial(ecc.scheme_decode, codebook=book)
+    book = ecc.two_step_codebook(base, 1, substitutions=True)
+    yield "substitutions", book, functools.partial(
+        ecc.two_step_decode, codebook=book, substitutions=True
+    )
+    plain = ecc.scheme_codebook(ecc.PLAIN, base, 0)
+    for label, given in (("merge with a book", plain), ("merge without one", None)):
+        yield label, plain, functools.partial(
+            reconstruct_redundancy_free, N=plain.N, codebook=given
+        )
+
+
+def test_every_decoder_refuses_an_order_below_one_with_a_typed_error(b2_n16_codebook):
+    # a bare ValueError from the partial sum, or a ConfigError from the lookup, was raised
+    for label, book, decode in _decoders_of_erased_pools(b2_n16_codebook):
+        readout = book.pool_of(b2_n16_codebook.strings[:2])
+        for hbar in (0, -1):
+            with pytest.raises(InconsistentPoolSize, match=f"got hbar={hbar}|hbar={hbar} outside"):
+                decode(readout, hbar=hbar)
+        assert decode(readout, hbar=2) is not None, label
+
+
+def _round_trip(value):
+    """``value`` through pickle, copy and deepcopy: each copy equals it and hashes alike."""
+    clones = [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)]
+    for clone in clones:
+        assert type(clone) is type(value) and clone == value, value
+        if type(value).__hash__ is not None:
+            assert hash(clone) == hash(value), value
+    return clones
+
+
+def test_every_value_round_trips_through_pickle_and_copy(b2_n16_codebook):
+    # pickle and copy raised "BitString is immutable" on every book, answer and report
+    base = b2_n16_codebook
+    readout = pool(["110100", "101010"])
+    readout.memo("key", lambda: "original")
+    for clone in _round_trip(readout):
+        assert not clone.counts.flags.writeable
+        assert clone.memo("key", lambda: "rebuilt") == "rebuilt"
+    for value in (BitString("0110"), Composition(1, 2), PartialSumString([1, None, 2], 2), base):
+        _round_trip(value)
+    dyck = BhCodebook.explicit(["110100", "101010", "110010"], 2)
+    books = {scheme: ecc.scheme_codebook(scheme, base, t) for scheme, t in (
+        (ecc.PLAIN, 0), (ecc.ONE_STEP, 1), (ecc.TWO_STEP, 1), (ecc.INTEGRAL, 2),
+        (ecc.ONE_STEP_MODP, 1),
+    )}
+    books["substitutions"] = ecc.two_step_codebook(base, 1, substitutions=True)
+    books[ecc.RAW] = ecc.scheme_codebook(ecc.RAW, dyck, 0)
+    subset = frozenset(base.strings[3:5])
+    for book in books.values():
+        sources = sorted(subset) if book.base is base else dyck.strings[:2]
+        words = [book.bits_for(s) for s in sources]
+        pattern = sample_erasure_pattern(words, book.t, random.Random(3))
+        erased = erase(book.pool_of(sources), pattern)
+        for clone in _round_trip(book):
+            got = ecc.scheme_decode(erased, clone, 2)
+            assert got == ecc.scheme_decode(erased, book, 2) == frozenset(sources)
+    plain = books[ecc.PLAIN]
+    answer = ecc.scheme_decode(plain.pool_of(sorted(subset)), plain, 2)
+    assert _round_trip(answer)[0] == subset
+    recovered = reconstruct_redundancy_free(plain.pool_of(sorted(subset)), plain.N, 2, plain)
+    assert isinstance(recovered, Recovered) and recovered.strings == subset
+    _round_trip(recovered)
+    _round_trip(Ambiguous(recovered.sum, (subset, frozenset(base.strings[:2]))))
+    book = books["substitutions"]
+    word = book.bits_for(base.strings[3])
+    lighter = substitute_mass_reducing(pool([word]), "prefix", 5, 0, ones=word.prefix(5).weight())
+    report = detect_substitution(lighter, book.N, 1)
+    assert report.corrections
+    _round_trip(report)
 
 
 def test_two_step_flag_segment_erasures_recover(b2_n16_codebook):
